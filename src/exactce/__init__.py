@@ -31,8 +31,6 @@ from .errors import (
 )
 from .exact_lp import (
     CutLP,
-    feasible_bfs,
-    is_feasible,
     min_violation_mixture,
     mixture_feasible,
     solve_standard_form,
@@ -116,9 +114,7 @@ __all__ = [
     "compute_exact_ce",
     "cut_violation",
     "expand_to_normal_form",
-    "feasible_bfs",
     "incentive_row_values",
-    "is_feasible",
     "iteration_bound",
     "load_game",
     "load_game_file",

@@ -231,6 +231,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     tie_breaks = [t.strip() for t in args.tie_breaks.split(",")]
 
     rows = []
+    failed = 0
     for family in families:
         for players, actions in sizes:
             for seed in seeds:
@@ -251,8 +252,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                         try:
                             report = compute_exact_ce(game, config)
                         except SolverError as exc:
+                            # keep sweeping; the failure still sets the exit code
+                            failed += 1
                             print(
-                                f"warning: skipped family={family} "
+                                f"error: family={family} "
                                 f"players={players} actions={actions} seed={seed} "
                                 f"oracle={oracle}: {exc}",
                                 file=sys.stderr,
@@ -272,7 +275,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             write_bench_csv(handle, rows)
     else:
         write_bench_csv(sys.stdout, rows)
-    return EXIT_OK
+    return EXIT_ERROR if failed else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

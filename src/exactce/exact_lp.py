@@ -1,17 +1,37 @@
 """Exact rational linear programming for the cut-collection feasibility step.
 
-Everything here runs on fractions.Fraction. The workhorse is a dense
-two-phase primal simplex: a largest-improvement pivot choice for speed, with
-an unconditional switch to Bland's least-index rule once a degenerate basis
-has burned through the pivot budget, so termination never depends on luck and
-exact arithmetic never needs tolerances. Problem sizes are small: rows are
-incentive constraints of desk-scale games and columns are collected cuts.
+One dense two-phase primal simplex serves every exact LP here: the probe and
+final cut programs, the stationary distributions and the mixture programs.
+It picks the entering column by largest improvement for speed and switches
+unconditionally to Bland's least-index rule once a degenerate basis has
+burned through the pivot budget, so termination never depends on luck and
+exact arithmetic never needs tolerances.
+
+The tableau holds Python integers, not fractions. Each column j of the
+constraint matrix, and the right-hand side, is multiplied by the lcm s_j of
+that column's own denominators, which makes it integral; the oracles' cut
+columns are integral already, so s_j is usually 1. Pivots follow Edmonds and
+Bareiss, as in Avis's lrs: the stored rows are D times the scaled program's
+rational tableau, where D > 0 is the absolute determinant of the basis, and a
+pivot on entry p sets T_i <- (p*T_i - T_i[e]*T_r) // D and D <- p. The division
+is exact, so no gcd is ever taken. Scaling column j scales its reduced cost
+by s_j and leaves every ratio of the ratio test in proportion, so ranking
+candidates by cost[j] / s_j (cross-multiplied) and comparing ratios the same
+way chooses exactly the pivots a Fraction tableau of the unscaled program
+would choose. The returned vertex is therefore the same one, rational entry
+for rational entry; the test suite keeps that Fraction simplex as the
+reference and checks the two agree. One lcm over the whole matrix would also
+make it integral, but on the product oracle's dense mixture columns, whose
+denominators differ from column to column, it inflates every entry; one scale
+per column keeps the integers small.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from numbers import Rational
 from typing import Sequence
 
 from .games import Game
@@ -24,71 +44,121 @@ ONE = Fraction(1)
 # ---------- simplex core ----------
 
 
-def _run_simplex(tableau, basis, cost, n_candidates: int) -> str:
+def _pivot_budget(m: int, n: int) -> int:
+    """Pivots the largest-improvement rule gets before Bland's rule takes over."""
+    return 12 * (m + n) + 64
+
+
+@dataclass
+class _Tableau:
+    """Integer tableau: the rational tableau of the scaled program is rows / det.
+
+    Each row holds the n real columns followed by the right-hand side; the
+    artificial columns are never read, so they are not stored. det is the
+    absolute determinant of the current basis matrix and stays positive.
+    """
+
+    rows: list[list[int]]
+    basis: list[int]
+    det: int = 1
+
+
+def _eliminate(other: list[int], pivot_row: list[int], p: int, col: int, det: int) -> list[int]:
+    """One Bareiss row update; the division is exact for a consistent tableau."""
+    factor = other[col]
+    if factor:
+        return [(p * v - factor * w) // det for v, w in zip(other, pivot_row)]
+    if p == det:
+        return other
+    return [p * v // det for v in other]
+
+
+def _pivot(tab: _Tableau, row: int, col: int, cost: list[int] | None = None) -> list[int] | None:
+    """Pivot on (row, col) and return the updated cost row, if one is given."""
+    rows = tab.rows
+    pivot_row = rows[row]
+    p = pivot_row[col]
+    if p < 0:
+        # only a drive-out pivot can be negative; flipping the pivot row
+        # keeps det positive and the scaled tableau unchanged
+        pivot_row = rows[row] = [-v for v in pivot_row]
+        p = -p
+    det = tab.det
+    for i, other in enumerate(rows):
+        if i != row:
+            rows[i] = _eliminate(other, pivot_row, p, col, det)
+    if cost is not None:
+        cost = _eliminate(cost, pivot_row, p, col, det)
+    tab.basis[row] = col
+    tab.det = p
+    return cost
+
+
+def _run_simplex(tab: _Tableau, cost: list[int], scale: list[int]) -> str:
     """Pivot until optimal or unbounded.
 
-    Entering column: most negative reduced cost, ties to the lowest index —
-    fast, but it can cycle on degenerate bases, so once the pivot budget is
-    spent the loop switches to Bland's least-index rule, which terminates
-    unconditionally. Leaving row: smallest ratio, ties to the smallest basis
-    index (what Bland's rule requires; harmless for the fast rule). Both
-    rules are deterministic, so the returned vertex is a pure function of
-    the input.
+    cost[j] / scale[j] is the reduced cost of column j up to one positive
+    factor shared by every column. Entering column: most negative reduced
+    cost, ties to the lowest index — fast, but it can cycle on degenerate
+    bases, so once the pivot budget is spent the loop switches to Bland's
+    least-index rule, which terminates unconditionally. Leaving row: smallest
+    ratio, ties to the smallest basis index (what Bland's rule requires;
+    harmless for the fast rule). Both rules are deterministic, so the
+    returned vertex is a pure function of the input. Ratios are compared by
+    cross-multiplication, so no rational is ever formed.
     """
-    m = len(tableau)
-    budget = 12 * (m + n_candidates) + 64
+    rows, basis = tab.rows, tab.basis
+    m, n = len(rows), len(scale)
+    budget = _pivot_budget(m, n)
     pivots = 0
     while True:
         enter = -1
         if pivots < budget:
-            most = ZERO
-            for j in range(n_candidates):
+            most, most_scale = 0, 1
+            for j in range(n):
                 value = cost[j]
-                if value < most:
-                    most = value
+                if value < 0 and value * most_scale < most * scale[j]:
+                    most, most_scale = value, scale[j]
                     enter = j
         else:
-            for j in range(n_candidates):
+            for j in range(n):
                 if cost[j] < 0:
                     enter = j
                     break
         if enter < 0:
             return "optimal"
         leave = -1
-        best = None
         for i in range(m):
-            coeff = tableau[i][enter]
+            coeff = rows[i][enter]
             if coeff > 0:
-                ratio = tableau[i][-1] / coeff
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
+                if leave < 0:
+                    leave = i
+                    continue
+                lhs = rows[i][-1] * rows[leave][enter]
+                rhs = rows[leave][-1] * coeff
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave = i
         if leave < 0:
             return "unbounded"
-        _pivot(tableau, basis, cost, leave, enter)
+        cost = _pivot(tab, leave, enter, cost)
         pivots += 1
 
 
-def _pivot(tableau, basis, cost, row: int, col: int) -> None:
-    pivot_row = tableau[row]
-    inv = ONE / pivot_row[col]
-    if inv != 1:
-        tableau[row] = pivot_row = [v * inv for v in pivot_row]
-    for i, other in enumerate(tableau):
-        if i != row and other[col]:
-            factor = other[col]
-            tableau[i] = [v - factor * w for v, w in zip(other, pivot_row)]
-    if cost is not None and cost[col]:
-        factor = cost[col]
-        for j in range(len(cost)):
-            cost[j] -= factor * pivot_row[j]
-    basis[row] = col
+def _column_scales(rows: Sequence[Sequence[Rational]], n: int) -> list[int]:
+    """Per column, the lcm of its denominators: the least scale making it integral."""
+    scale = [1] * n
+    for row in rows:
+        for j, v in enumerate(row):
+            d = v.denominator
+            if d != 1:
+                scale[j] = lcm(scale[j], d)
+    return scale
 
 
 def solve_standard_form(
-    rows: Sequence[Sequence[Fraction]],
-    rhs: Sequence[Fraction],
-    objective: Sequence[Fraction] | None = None,
+    rows: Sequence[Sequence[Rational]],
+    rhs: Sequence[Rational],
+    objective: Sequence[Rational] | None = None,
 ) -> tuple[str, list[Fraction] | None]:
     """Solve min objective . x subject to rows . x = rhs, x >= 0.
 
@@ -96,89 +166,64 @@ def solve_standard_form(
     "unbounded". With objective None this is a pure feasibility solve and any
     basic feasible point is returned. The returned x is always a vertex of the
     feasible region (positive entries have linearly independent columns).
+    Entries may be ints or Fractions.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
+    scale = _column_scales(rows, n)
+    rhs_scale = lcm(*(b.denominator for b in rhs))
     tableau = []
     for i in range(m):
-        row = [Fraction(v) for v in rows[i]]
-        b = Fraction(rhs[i])
+        row = [v.numerator * (s // v.denominator) for v, s in zip(rows[i], scale)]
+        b = rhs[i]
+        row.append(b.numerator * (rhs_scale // b.denominator))
         if b < 0:
             row = [-v for v in row]
-            b = -b
-        tableau.append(row + [ONE if k == i else ZERO for k in range(m)] + [b])
-    basis = list(range(n, n + m))
+        tableau.append(row)
+    tab = _Tableau(rows=tableau, basis=list(range(n, n + m)))
 
     # Phase 1: minimize the artificial total. Reduced costs start at
     # -(column sums) for the real columns since every artificial costs 1.
-    cost = [ZERO] * (n + m + 1)
-    for j in range(n + m + 1):
-        cost[j] = -sum(tableau[i][j] for i in range(m))
-    for k in range(m):
-        cost[n + k] += 1
-    _run_simplex(tableau, basis, cost, n)
-    infeasibility = sum(
-        (tableau[i][-1] for i in range(m) if basis[i] >= n), ZERO
-    )
-    if infeasibility != 0:
+    cost = [-sum(row[j] for row in tableau) for j in range(n)]
+    _run_simplex(tab, cost, scale)
+    if any(row[-1] for row, var in zip(tab.rows, tab.basis) if var >= n):
         return "infeasible", None
 
     # Drive leftover zero-level artificials out of the basis; a row that
     # cannot pivot on any real column is redundant and gets dropped.
     drop = []
     for i in range(m):
-        if basis[i] >= n:
+        if tab.basis[i] >= n:
             for j in range(n):
-                if tableau[i][j]:
-                    _pivot(tableau, basis, None, i, j)
+                if tab.rows[i][j]:
+                    _pivot(tab, i, j)
                     break
             else:
                 drop.append(i)
     for i in reversed(drop):
-        del tableau[i]
-        del basis[i]
+        del tab.rows[i]
+        del tab.basis[i]
 
     if objective is not None:
-        width = n + m + 1
-        cost = [Fraction(objective[j]) for j in range(n)] + [ZERO] * (width - n)
-        for i, row in enumerate(tableau):
-            factor = Fraction(objective[basis[i]])
+        # scale the objective like its columns, then clear its denominators
+        weighted = [Fraction(c) * s for c, s in zip(objective, scale)]
+        common = lcm(*(w.denominator for w in weighted))
+        obj = [w.numerator * (common // w.denominator) for w in weighted]
+        cost = [tab.det * c for c in obj]
+        for row, var in zip(tab.rows, tab.basis):
+            factor = obj[var]
             if factor:
-                for j in range(width):
+                for j in range(n):
                     cost[j] -= factor * row[j]
-        status = _run_simplex(tableau, basis, cost, n)
-        if status == "unbounded":
+        if _run_simplex(tab, cost, scale) == "unbounded":
             return "unbounded", None
 
+    denominator = tab.det * rhs_scale
     solution = [ZERO] * n
-    for i, var in enumerate(basis):
+    for row, var in zip(tab.rows, tab.basis):
         if var < n:
-            solution[var] = tableau[i][-1]
+            solution[var] = Fraction(row[-1] * scale[var], denominator)
     return "optimal", solution
-
-
-def rational_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Rank of a rational matrix by plain Gaussian elimination."""
-    work = [[Fraction(v) for v in row] for row in rows]
-    if not work:
-        return 0
-    n_cols = len(work[0])
-    rank = 0
-    for col in range(n_cols):
-        pivot = next((i for i in range(rank, len(work)) if work[i][col]), None)
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        inv = ONE / work[rank][col]
-        work[rank] = [v * inv for v in work[rank]]
-        for i in range(len(work)):
-            if i != rank and work[i][col]:
-                factor = work[i][col]
-                work[i] = [v - factor * w for v, w in zip(work[i], work[rank])]
-        rank += 1
-        if rank == len(work):
-            break
-    return rank
 
 
 # ---------- the cut-collection program ----------
@@ -207,7 +252,7 @@ class CutLP:
         return cls(actions=game.actions, n_rows=sum(m * m for m in game.actions), columns=tuple(kept))
 
 
-def _standard_rows_for(dense_columns: list[list[Fraction]], n_rows: int):
+def _standard_rows_for(dense_columns: Sequence[Sequence[Rational]], n_rows: int):
     """Equalities for {cols . x >= 0, sum x = 1} with surplus variables.
 
     Identically zero rows are vacuous and skipped. Variables are the column
@@ -218,11 +263,11 @@ def _standard_rows_for(dense_columns: list[list[Fraction]], n_rows: int):
     rows = []
     for k, r in enumerate(kept):
         row = [col[r] for col in dense_columns]
-        row += [ZERO] * len(kept)
-        row[n_cols + k] = Fraction(-1)
+        row += [0] * len(kept)
+        row[n_cols + k] = -1
         rows.append(row)
-    rows.append([ONE] * n_cols + [ZERO] * len(kept))
-    rhs = [ZERO] * len(kept) + [ONE]
+    rows.append([1] * n_cols + [0] * len(kept))
+    rhs = [0] * len(kept) + [1]
     return rows, rhs, n_cols
 
 
@@ -237,12 +282,13 @@ def _solve_cut_lp(lp: CutLP) -> list[Fraction] | None:
     return solution[:n_cols]
 
 
-def is_feasible(lp: CutLP) -> bool:
-    """Whether any distribution over the collected profiles clears every row."""
-    return _solve_cut_lp(lp) is not None
-
-
 def try_feasible_bfs(lp: CutLP) -> SparseCE | None:
+    """Basic feasible solution of the cut program as a sparse certificate.
+
+    None when the program is infeasible. Being a vertex, the certificate's
+    support is at most 1 plus the number of off-diagonal incentive rows,
+    regardless of how many columns were collected.
+    """
     weights = _solve_cut_lp(lp)
     if weights is None:
         return None
@@ -250,18 +296,6 @@ def try_feasible_bfs(lp: CutLP) -> SparseCE | None:
         (col.profile, w) for col, w in zip(lp.columns, weights) if w > 0
     )
     return SparseCE(atoms=atoms)
-
-
-def feasible_bfs(lp: CutLP) -> SparseCE:
-    """Basic feasible solution of the cut program as a sparse certificate.
-
-    Being a vertex, its support is at most 1 plus the number of off-diagonal
-    incentive rows, regardless of how many columns were collected.
-    """
-    ce = try_feasible_bfs(lp)
-    if ce is None:
-        raise ValueError("cut program is infeasible")
-    return ce
 
 
 # ---------- small exact systems used by the oracles ----------

@@ -245,6 +245,129 @@ def _null_direction(matrix):
     return direction
 
 
+# ---------- reference simplex ----------
+#
+# The Fraction-tableau two-phase simplex the package used before its integer
+# core. The package core must take the same pivots, so both return the same
+# (status, x) on every input.
+
+
+def reference_pivot_budget(m: int, n: int) -> int:
+    return 12 * (m + n) + 64
+
+
+def _reference_run_simplex(tableau, basis, cost, n_candidates, budget):
+    m = len(tableau)
+    limit = budget(m, n_candidates)
+    pivots = 0
+    while True:
+        enter = -1
+        if pivots < limit:
+            most = ZERO
+            for j in range(n_candidates):
+                value = cost[j]
+                if value < most:
+                    most = value
+                    enter = j
+        else:
+            for j in range(n_candidates):
+                if cost[j] < 0:
+                    enter = j
+                    break
+        if enter < 0:
+            return "optimal"
+        leave = -1
+        best = None
+        for i in range(m):
+            coeff = tableau[i][enter]
+            if coeff > 0:
+                ratio = tableau[i][-1] / coeff
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave < 0:
+            return "unbounded"
+        _reference_pivot(tableau, basis, cost, leave, enter)
+        pivots += 1
+
+
+def _reference_pivot(tableau, basis, cost, row, col):
+    pivot_row = tableau[row]
+    inv = ONE / pivot_row[col]
+    if inv != 1:
+        tableau[row] = pivot_row = [v * inv for v in pivot_row]
+    for i, other in enumerate(tableau):
+        if i != row and other[col]:
+            factor = other[col]
+            tableau[i] = [v - factor * w for v, w in zip(other, pivot_row)]
+    if cost is not None and cost[col]:
+        factor = cost[col]
+        for j in range(len(cost)):
+            cost[j] -= factor * pivot_row[j]
+    basis[row] = col
+
+
+def reference_solve_standard_form(rows, rhs, objective=None, budget=reference_pivot_budget):
+    """min objective . x s.t. rows . x = rhs, x >= 0, on a Fraction tableau.
+
+    Phase 1 starts from an all-artificial basis; entering column: most
+    negative reduced cost (lowest index on ties) until budget(m, n) pivots
+    are spent, then Bland's least index; leaving row: smallest ratio, ties to
+    the smallest basis index. Returns (status, x) like solve_standard_form.
+    """
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    tableau = []
+    for i in range(m):
+        row = [Fraction(v) for v in rows[i]]
+        b = Fraction(rhs[i])
+        if b < 0:
+            row = [-v for v in row]
+            b = -b
+        tableau.append(row + [ONE if k == i else ZERO for k in range(m)] + [b])
+    basis = list(range(n, n + m))
+
+    cost = [ZERO] * (n + m + 1)
+    for j in range(n + m + 1):
+        cost[j] = -sum(tableau[i][j] for i in range(m))
+    for k in range(m):
+        cost[n + k] += 1
+    _reference_run_simplex(tableau, basis, cost, n, budget)
+    infeasibility = sum((tableau[i][-1] for i in range(m) if basis[i] >= n), ZERO)
+    if infeasibility != 0:
+        return "infeasible", None
+
+    drop = []
+    for i in range(m):
+        if basis[i] >= n:
+            for j in range(n):
+                if tableau[i][j]:
+                    _reference_pivot(tableau, basis, None, i, j)
+                    break
+            else:
+                drop.append(i)
+    for i in reversed(drop):
+        del tableau[i]
+        del basis[i]
+
+    if objective is not None:
+        width = n + m + 1
+        cost = [Fraction(objective[j]) for j in range(n)] + [ZERO] * (width - n)
+        for i, row in enumerate(tableau):
+            factor = Fraction(objective[basis[i]])
+            if factor:
+                for j in range(width):
+                    cost[j] -= factor * row[j]
+        if _reference_run_simplex(tableau, basis, cost, n, budget) == "unbounded":
+            return "unbounded", None
+
+    solution = [ZERO] * n
+    for i, var in enumerate(basis):
+        if var < n:
+            solution[var] = tableau[i][-1]
+    return "optimal", solution
+
+
 def random_nonneg_dual(rng: random.Random, length: int, density: float = 0.7):
     values = []
     for _ in range(length):

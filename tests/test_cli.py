@@ -222,6 +222,21 @@ class TestBench:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert [r["seed"] for r in rows] == ["3", "5"]
 
+    def test_failed_game_is_error_and_rest_still_written(self, tmp_path, capsys):
+        # at one iteration seed 0 solves and seed 1 hits the cap
+        csv_path = tmp_path / "bench.csv"
+        rc = run_cli("bench", "--family", "nfg", "--sizes", "2x2",
+                     "--seeds", "0:2", "--max-iters", "1",
+                     "--csv", str(csv_path))
+        assert rc == 2
+        err = capsys.readouterr().err
+        failures = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(failures) == 1
+        assert "seed=1 " in failures[0] and "iteration cap 1" in failures[0]
+        with open(csv_path, newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert [r["seed"] for r in rows] == ["0"]
+
     def test_bad_sizes_is_error(self, capsys):
         assert run_cli("bench", "--sizes", "twoxtwo") == 2
         assert "bad --sizes" in capsys.readouterr().err
