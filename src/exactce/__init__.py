@@ -42,7 +42,6 @@ from .games import (
     NormalFormGame,
     PolymatrixGame,
     ProductDistribution,
-    expand_to_normal_form,
     load_game,
     load_game_file,
     random_game,
@@ -113,7 +112,6 @@ __all__ = [
     "brute_force_ce",
     "compute_exact_ce",
     "cut_violation",
-    "expand_to_normal_form",
     "incentive_row_values",
     "iteration_bound",
     "load_game",

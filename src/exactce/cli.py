@@ -235,23 +235,27 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     for family in families:
         for players, actions in sizes:
             for seed in seeds:
-                game = random_game(family, players, actions,
-                                   u_max=args.umax, seed=seed)
+                try:
+                    game = random_game(family, players, actions,
+                                       u_max=args.umax, seed=seed)
+                except GameFormatError as exc:
+                    print(f"error: {exc}", file=sys.stderr)
+                    return EXIT_ERROR
                 for oracle in oracles:
                     for tie_break in tie_breaks:
-                        config = SolveConfig(
-                            oracle=oracle,
-                            tie_break=tie_break if oracle == "purified" else "first",
-                            precision_bits=(args.precision
-                                            if args.precision is not None
-                                            else default_precision()),
-                            max_iters=args.max_iters,
-                            seed=seed,
-                            probe_stride=args.probe_stride,
-                        )
                         try:
+                            config = SolveConfig(
+                                oracle=oracle,
+                                tie_break=tie_break if oracle == "purified" else "first",
+                                precision_bits=(args.precision
+                                                if args.precision is not None
+                                                else default_precision()),
+                                max_iters=args.max_iters,
+                                seed=seed,
+                                probe_stride=args.probe_stride,
+                            )
                             report = compute_exact_ce(game, config)
-                        except SolverError as exc:
+                        except (SolverError, ValueError) as exc:
                             # keep sweeping; the failure still sets the exit code
                             failed += 1
                             print(

@@ -36,12 +36,7 @@ DEFAULT_PRECISION_BITS = 256
 def mpf_to_fraction(value) -> Fraction:
     """Lossless conversion; binary floats are dyadic rationals."""
     num, den = mpmath.libmp.to_rational(value._mpf_)
-    # already in lowest terms (odd mantissa over a power of two), so skip
-    # the constructor's gcd pass
-    out = Fraction.__new__(Fraction)
-    out._numerator = int(num)
-    out._denominator = int(den)
-    return out
+    return Fraction(int(num), int(den))
 
 
 def fraction_to_mpf(value: Fraction):

@@ -78,6 +78,18 @@ class ProductDistribution:
             profile.append(hits[0])
         return tuple(profile)
 
+    def integer_weights(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """(D, X): D the lcm of every probability's denominator, X = D * x.
+
+        One D for all players, so a weighted sum over any player's actions
+        carries the same factor D.
+        """
+        d = math.lcm(*(prob.denominator for strat in self.strategies for prob in strat))
+        return d, tuple(
+            tuple(prob.numerator * (d // prob.denominator) for prob in strat)
+            for strat in self.strategies
+        )
+
     def check_for(self, game: "Game") -> None:
         if len(self.strategies) != game.players:
             raise ValueError("distribution has the wrong number of players")
@@ -171,18 +183,37 @@ class Game:
     def payoff(self, player: int, profile: Sequence[int]) -> int:
         raise NotImplementedError
 
-    def expected_utility(self, player: int, x: ProductDistribution) -> Fraction:
+    def conditional_payoff_ints(
+        self, player: int, weights: Sequence[Sequence[int]]
+    ) -> list[int]:
+        """Own-action payoffs against nonnegative integer weights on the other
+        players' actions: entry a sums payoff(player, a, rest) times the
+        product of the weights of rest, over every assignment rest of the
+        others. With weights D * x this is conditional_scale(D) times the
+        conditional expected payoffs under x, so it is exact with no
+        denominators. The player's own weights are not read."""
+        raise NotImplementedError
+
+    def conditional_scale(self, d: int) -> int:
+        """Factor by which conditional_payoff_ints on D * x exceeds the
+        conditional expected payoffs under x."""
         raise NotImplementedError
 
     def conditional_payoffs(self, player: int, x: ProductDistribution) -> list[Fraction]:
         """Expected payoff to the player for each of their own actions, with
-        everyone else drawn independently from x. Subclasses override this
-        with one-sweep versions; the result always equals expected_utility
-        on the distribution with that player forced to the action."""
-        return [
-            self.expected_utility(player, x.override(player, a))
-            for a in range(self.actions[player])
-        ]
+        everyone else drawn independently from x."""
+        x.check_for(self)
+        d, weights = x.integer_weights()
+        scale = self.conditional_scale(d)
+        return [Fraction(v, scale) for v in self.conditional_payoff_ints(player, weights)]
+
+    def expected_utility(self, player: int, x: ProductDistribution) -> Fraction:
+        """Exact expectation of the player's payoff under independent play."""
+        conditional = self.conditional_payoffs(player, x)
+        return sum(
+            (prob * c for prob, c in zip(x.strategies[player], conditional) if prob),
+            Fraction(0),
+        )
 
     @property
     def u_max(self) -> int:
@@ -230,54 +261,32 @@ class NormalFormGame(Game):
         s = self.check_profile(profile)
         return self.tables[player][self.flat_index(s)]
 
-    def expected_utility(self, player: int, x: ProductDistribution) -> Fraction:
-        """Exact expectation of the player's payoff under independent play.
-
-        Enumerates profiles recursively, pruning any branch with probability
-        zero, so point-mass-heavy mixtures cost far less than the full table.
-        """
-        x.check_for(self)
+    def conditional_payoff_ints(
+        self, player: int, weights: Sequence[Sequence[int]]
+    ) -> list[int]:
+        """One sweep over the other players' assignments, skipping zero
+        weights, so point-mass-heavy weights cost far less than the table."""
         table = self.tables[player]
         strides = self._strides
-        n = self.players
-        total = Fraction(0)
-        stack = [(0, 0, Fraction(1))]
-        while stack:
-            q, idx, prob = stack.pop()
-            if q == n:
-                total += prob * table[idx]
-                continue
-            stride = strides[q]
-            for a, pa in enumerate(x.strategies[q]):
-                if pa:
-                    stack.append((q + 1, idx + a * stride, prob * pa))
-        return total
-
-    def conditional_payoffs(self, player: int, x: ProductDistribution) -> list[Fraction]:
-        """All own-action conditionals in one sweep over the other players'
-        assignments, instead of one table pass per action."""
-        x.check_for(self)
-        table = self.tables[player]
-        strides = self._strides
+        # (flat index, weight product) of every assignment of the players so far
+        partial = [(0, 1)]
+        for q, theirs in enumerate(weights):
+            if q != player:
+                stride = strides[q]
+                partial = [
+                    (idx + a * stride, w * wa)
+                    for idx, w in partial
+                    for a, wa in enumerate(theirs)
+                    if wa
+                ]
         own_stride = strides[player]
-        n = self.players
-        m = self.actions[player]
-        out = [Fraction(0)] * m
-        stack = [(0, 0, Fraction(1))]
-        while stack:
-            q, idx, prob = stack.pop()
-            if q == n:
-                for a in range(m):
-                    out[a] += prob * table[idx + a * own_stride]
-                continue
-            if q == player:
-                stack.append((q + 1, idx, prob))
-                continue
-            stride = strides[q]
-            for a, pa in enumerate(x.strategies[q]):
-                if pa:
-                    stack.append((q + 1, idx + a * stride, prob * pa))
-        return out
+        return [
+            sum(w * table[idx + a * own_stride] for idx, w in partial)
+            for a in range(self.actions[player])
+        ]
+
+    def conditional_scale(self, d: int) -> int:
+        return d ** (self.players - 1)
 
     @cached_property
     def u_max(self) -> int:
@@ -342,39 +351,20 @@ class PolymatrixGame(Game):
                 total += self.blocks[player][q][s[player]][s[q]]
         return total
 
-    def expected_utility(self, player: int, x: ProductDistribution) -> Fraction:
-        x.check_for(self)
-        mine = x.strategies[player]
-        total = Fraction(0)
-        for q in range(self.players):
-            if q == player:
-                continue
-            block = self.blocks[player][q]
-            theirs = x.strategies[q]
-            for i, pi in enumerate(mine):
-                if not pi:
-                    continue
-                row = block[i]
-                inner = sum((pj * row[j] for j, pj in enumerate(theirs) if pj), Fraction(0))
-                total += pi * inner
-        return total
-
-    def conditional_payoffs(self, player: int, x: ProductDistribution) -> list[Fraction]:
-        """Own-action conditionals straight off the pairwise blocks."""
-        x.check_for(self)
-        m = self.actions[player]
-        out = [Fraction(0)] * m
-        for q in range(self.players):
-            if q == player:
-                continue
-            block = self.blocks[player][q]
-            theirs = x.strategies[q]
-            for i in range(m):
-                row = block[i]
-                out[i] += sum(
-                    (pj * row[j] for j, pj in enumerate(theirs) if pj), Fraction(0)
-                )
+    def conditional_payoff_ints(
+        self, player: int, weights: Sequence[Sequence[int]]
+    ) -> list[int]:
+        """Own-action payoffs straight off the pairwise blocks."""
+        out = [0] * self.actions[player]
+        for q, theirs in enumerate(weights):
+            if q != player:
+                for i, row in enumerate(self.blocks[player][q]):
+                    out[i] += sum(w * v for w, v in zip(theirs, row) if w)
         return out
+
+    def conditional_scale(self, d: int) -> int:
+        # each block row is weighted by one other player's D * x_q
+        return d
 
     @cached_property
     def u_max(self) -> int:
@@ -530,7 +520,7 @@ def load_game_file(path) -> Game:
     return load_game(text)
 
 
-# ---------- generation and conversion ----------
+# ---------- generation ----------
 
 
 def random_game(family: str, players: int, actions, u_max: int, seed: int) -> Game:
@@ -575,11 +565,3 @@ def random_game(family: str, players: int, actions, u_max: int, seed: int) -> Ga
     return PolymatrixGame(
         actions=counts, adjustments=identity, blocks=tuple(tuple(row) for row in blocks)
     )
-
-
-def expand_to_normal_form(game: Game) -> NormalFormGame:
-    """Materialize any game as a full normal-form table (small games only)."""
-    tables = tuple(
-        tuple(game.payoff(p, s) for s in game.profiles()) for p in range(game.players)
-    )
-    return NormalFormGame(actions=game.actions, adjustments=game.adjustments, tables=tables)

@@ -121,26 +121,26 @@ def incentive_row_values(game: Game, x: ProductDistribution) -> list[Fraction]:
 
     Row (p, i, j) gets x_p(i) times the gap between p's conditional expected
     payoff from playing i and from playing j, everyone else drawn from x.
+    The gaps come from the game's integer conditional-payoff kernel on
+    X = D * x, which carries the factor conditional_scale(D); with x_p(i) =
+    X_p(i) / D, each row is one exact Fraction over D * conditional_scale(D).
     """
     x.check_for(game)
+    d, weights = x.integer_weights()
+    scale = d * game.conditional_scale(d)
     out = [Fraction(0)] * row_count(game)
     offsets = row_offsets(game)
     for p, m in enumerate(game.actions):
-        conditional = game.conditional_payoffs(p, x)
-        for i in range(m):
-            weight = x.strategies[p][i]
+        conditional = game.conditional_payoff_ints(p, weights)
+        for i, weight in enumerate(weights[p]):
             if not weight:
                 continue
             for j in range(m):
                 if i != j:
-                    out[offsets[p] + i * m + j] = weight * (conditional[i] - conditional[j])
+                    out[offsets[p] + i * m + j] = Fraction(
+                        weight * (conditional[i] - conditional[j]), scale
+                    )
     return out
-
-
-def column_dual_value(game: Game, profile: Sequence[int], y: Sequence[Fraction]) -> Fraction:
-    """Inner product of the profile's column with a dual vector."""
-    check_dual_vector(game, y)
-    return profile_column(game, profile).dot(y)
 
 
 # ---------- certificates ----------

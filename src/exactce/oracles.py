@@ -6,15 +6,24 @@ verbatim constraint of it, violated at the queried point:
 
 * NonnegativityCut: some coordinate of y is negative.
 * ProfileCut: a pure profile whose column has nonnegative inner product with
-  y, found by building a product distribution that zeroes the y-weighted
-  incentive values and then rounding it to a pure profile one player at a
-  time without letting the value drop below zero.
+  y. A product distribution x whose y-weighted incentive value V(x) is
+  exactly zero is built from stationary distributions of y's blocks, then
+  rounded to a pure profile one player at a time (the method of conditional
+  probabilities) without letting V drop below zero.
 * ProductCut (product mode): the constraint induced by the product
   distribution itself, skipping the rounding step.
+
+The rounding scores every branch with DualValue, which holds V as one
+Python integer. y is scaled by the lcm L of its denominators and x by the lcm
+D of its denominators, with D kept for the whole rounding, so every term of V
+carries the same positive factor D L conditional_scale(D) (D^(n-1) for normal
+form, D for polymatrix). Its sign tests and comparisons are then exact integer
+ones, with no gcd and no row vector.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -125,9 +134,10 @@ def cut_violation(cut: Cut, y: Sequence[Fraction]) -> Fraction:
 # ---------- product construction ----------
 
 
-def _stationary_with_values(
-    game: Game, y: Sequence[Fraction]
-) -> tuple[ProductDistribution, list[Fraction]]:
+_STATIONARY_FAILED = "stationary construction failed its exactness check"
+
+
+def _stationary_x(game: Game, y: Sequence[Fraction]) -> ProductDistribution:
     strategies = []
     for p, m in enumerate(game.actions):
         offset = sum(a * a for a in game.actions[:p])
@@ -136,11 +146,7 @@ def _stationary_with_values(
             strategies.append(tuple(Fraction(1, m) for _ in range(m)))
         else:
             strategies.append(stationary_distribution(block))
-    x = ProductDistribution(tuple(strategies))
-    values = incentive_row_values(game, x)
-    if sum((v * w for v, w in zip(values, y) if v), ZERO) != 0:
-        raise SolverError("stationary construction failed its exactness check")
-    return x, values
+    return ProductDistribution(tuple(strategies))
 
 
 def stationary_product(game: Game, y: Sequence[Fraction]) -> ProductDistribution:
@@ -155,16 +161,71 @@ def stationary_product(game: Game, y: Sequence[Fraction]) -> ProductDistribution
     check_dual_vector(game, y)
     if any(v < 0 for v in y):
         raise ValueError("dual vector must be nonnegative")
-    x, _ = _stationary_with_values(game, y)
+    x = _stationary_x(game, y)
+    value = DualValue(game, y, x)
+    if value.scores(value.start)[0] != 0:
+        raise SolverError(_STATIONARY_FAILED)
     return x
 
 
 # ---------- purification ----------
 
 
-def _chain_value(game: Game, y: Sequence[Fraction], x: ProductDistribution) -> Fraction:
-    values = incentive_row_values(game, x)
-    return sum((v * w for v, w in zip(values, y) if v), ZERO)
+class DualValue:
+    """The y-weighted incentive value of product distributions, as integers.
+
+    For a product x the value is V(x) = sum_r y_r E_x[row r]. Summing row
+    (p, i, j) = x_p(i) (C_p(i) - C_p(j)) over j, with C_p(i) player p's
+    conditional expected payoff for action i, gives
+
+        V(x) = sum_p sum_i C_p(i) w_p(i),
+        w_p(i) = x_p(i) sum_{j != i} y_{p,i,j} - sum_{k != i} x_p(k) y_{p,k,i},
+
+    action i's y-weighted outflow minus its inflow. y is scaled by L, the lcm
+    of its denominators, and x by D, the lcm of all its denominators. D is
+    fixed when the object is built, so fixing a player to action a later
+    means the weights D e_a (point_mass). On weights X = D x the game's
+    integer kernel gives conditional_scale(D) C_p and the flows carry D L,
+    so every term of V carries the same positive factor `scale`: scores(X)
+    returns V(x) * scale exactly, and its sign and order are those of V.
+    """
+
+    def __init__(self, game: Game, y: Sequence[Fraction], x: ProductDistribution):
+        self.game = game
+        self.d, self.start = x.integer_weights()
+        lcm = math.lcm(*(v.denominator for v in y))
+        self.rates = []  # per player: L y_{p,i,j}, zero on the diagonal
+        offset = 0
+        for m in game.actions:
+            self.rates.append([
+                [
+                    0 if i == j else v.numerator * (lcm // v.denominator)
+                    for j, v in enumerate(y[offset + i * m : offset + (i + 1) * m])
+                ]
+                for i in range(m)
+            ])
+            offset += m * m
+        self.outflows = [[sum(row) for row in rates] for rates in self.rates]
+        self.scale = self.d * lcm * game.conditional_scale(self.d)
+
+    def point_mass(self, player: int, action: int) -> tuple[int, ...]:
+        return tuple(self.d if a == action else 0 for a in range(self.game.actions[player]))
+
+    def scores(self, weights: Sequence[Sequence[int]]) -> tuple[int, int]:
+        """(value, welfare) at the weights X = D x.
+
+        value is scale * V(x). welfare is sum_q <C_q, X_q>, the players'
+        total expected payoff under x times D * conditional_scale(D).
+        """
+        value = welfare = 0
+        for p, (mine, rates, outflow) in enumerate(zip(weights, self.rates, self.outflows)):
+            conditional = self.game.conditional_payoff_ints(p, weights)
+            for i, c in enumerate(conditional):
+                if c:
+                    inflow = sum(w * row[i] for w, row in zip(mine, rates) if w)
+                    value += c * (mine[i] * outflow[i] - inflow)
+                    welfare += c * mine[i]
+        return value, welfare
 
 
 def purify(
@@ -172,7 +233,7 @@ def purify(
     y: Sequence[Fraction],
     x: ProductDistribution,
     tie_break: str = "first",
-    _start_value: Fraction | None = None,
+    _stationary: bool = False,
 ) -> PureProfile:
     """Round a product distribution to a pure profile, conditioning player by
     player, so the y-weighted incentive value never goes negative.
@@ -183,6 +244,13 @@ def purify(
     until the distribution is a point mass. tie_break picks among nonnegative
     branches: "first" takes the lowest action, "max-value" the branch with the
     largest value, "welfare" the branch with the largest total expected payoff.
+
+    Every branch is scored by DualValue: one integer value and one integer
+    welfare, each the exact quantity times a positive factor that depends only
+    on y and the starting x. The sign tests and both comparisons are therefore
+    exact and pick the same branches as the rational values would.
+    purified_separation passes _stationary=True for its stationary product,
+    whose value must then be exactly zero.
     """
     if tie_break not in TIE_BREAKS:
         raise ValueError(f"unknown tie break {tie_break!r}")
@@ -190,48 +258,36 @@ def purify(
     x.check_for(game)
     if any(v < 0 for v in y):
         raise ValueError("dual vector must be nonnegative")
-    value = _chain_value(game, y, x) if _start_value is None else _start_value
-    if value < 0:
+    value = DualValue(game, y, x)
+    weights = list(value.start)
+    start, _ = value.scores(weights)
+    if _stationary and start != 0:
+        raise SolverError(_STATIONARY_FAILED)
+    if start < 0:
         raise ValueError("purification requires a nonnegative starting value")
 
-    current = x
+    profile = []
     for p in range(game.players):
-        chosen = None
-        if tie_break == "first":
-            for a in range(game.actions[p]):
-                candidate = current.override(p, a)
-                v = _chain_value(game, y, candidate)
-                if v >= 0:
-                    chosen = candidate
+        branches = []  # (action, value, welfare) of each nonnegative branch
+        for a in range(game.actions[p]):
+            weights[p] = value.point_mass(p, a)
+            v, welfare = value.scores(weights)
+            if v >= 0:
+                branches.append((a, v, welfare))
+                if tie_break == "first":
                     break
-        else:
-            branches = []
-            for a in range(game.actions[p]):
-                candidate = current.override(p, a)
-                v = _chain_value(game, y, candidate)
-                if v >= 0:
-                    branches.append((a, candidate, v))
-            if branches:
-                if tie_break == "max-value":
-                    best = max(v for _, _, v in branches)
-                    chosen = next(c for _, c, v in branches if v == best)
-                else:  # welfare
-                    def welfare(dist: ProductDistribution) -> Fraction:
-                        return sum(
-                            (game.expected_utility(q, dist) for q in range(game.players)),
-                            ZERO,
-                        )
-
-                    scored = [(welfare(c), a, c) for a, c, _ in branches]
-                    best_w = max(w for w, _, _ in scored)
-                    chosen = next(c for w, _, c in scored if w == best_w)
-        if chosen is None:
+        if not branches:
             raise SolverError("no nonnegative branch while purifying; invariant broken")
-        current = chosen
-
-    profile = current.point_profile()
-    assert profile is not None
-    return profile
+        # max keeps the first of equal scores, so ties go to the lowest action
+        if tie_break == "max-value":
+            chosen = max(branches, key=lambda b: b[1])[0]
+        elif tie_break == "welfare":
+            chosen = max(branches, key=lambda b: b[2])[0]
+        else:
+            chosen = branches[0][0]
+        weights[p] = value.point_mass(p, chosen)
+        profile.append(chosen)
+    return tuple(profile)
 
 
 # ---------- separation oracles ----------
@@ -254,8 +310,7 @@ def purified_separation(game: Game, y: Sequence[Fraction], tie_break: str = "fir
     negative = _negative_coordinate(game, y)
     if negative is not None:
         return negative
-    x, values = _stationary_with_values(game, y)
-    profile = purify(game, y, x, tie_break, _start_value=ZERO)
+    profile = purify(game, y, _stationary_x(game, y), tie_break, _stationary=True)
     column = profile_column(game, profile)
     if column.dot(y) < 0:
         raise SolverError("purified profile fails its nonnegativity guarantee")
@@ -268,5 +323,8 @@ def product_separation(game: Game, y: Sequence[Fraction]) -> Cut:
     negative = _negative_coordinate(game, y)
     if negative is not None:
         return negative
-    x, values = _stationary_with_values(game, y)
+    x = _stationary_x(game, y)
+    values = incentive_row_values(game, x)
+    if sum((v * w for v, w in zip(values, y) if v), ZERO) != 0:
+        raise SolverError(_STATIONARY_FAILED)
     return ProductCut(x=x, values=tuple(values))

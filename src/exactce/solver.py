@@ -88,6 +88,10 @@ class SolveConfig:
             raise ValueError("theoretical mode requires the purified oracle")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
+        if self.precision_bits < 16:
+            raise ValueError("precision_bits must be at least 16")
+        if not math.isfinite(self.log2_radius):
+            raise ValueError("log2_radius must be finite")
         if self.probe_stride < 1:
             raise ValueError("probe_stride must be positive")
 

@@ -59,6 +59,24 @@ def all_rows(game: Game):
                 yield (player, action, deviation)
 
 
+def column_dual_value(game: Game, profile, y) -> Fraction:
+    """Inner product of the profile's incentive column with a dual vector."""
+    return sum(
+        (y[position] * row_value_at(game, row, profile)
+         for position, row in enumerate(all_rows(game)) if y[position]),
+        ZERO,
+    )
+
+
+def expand_to_normal_form(game: Game) -> NormalFormGame:
+    """Materialize any game as a full normal-form table (small games only)."""
+    tables = tuple(
+        tuple(payoff_direct(game, s, p) for s in enum_profiles(game.actions))
+        for p in range(len(game.actions))
+    )
+    return NormalFormGame(actions=game.actions, adjustments=game.adjustments, tables=tables)
+
+
 def materialize_matrix(game: Game) -> list[list[int]]:
     """Full incentive matrix, rows ordered as in the package, profiles lexicographic."""
     profiles = list(enum_profiles(game.actions))
@@ -88,6 +106,22 @@ def enum_row_expectation(game: Game, strategies, row) -> Fraction:
         if prob:
             total += prob * row_value_at(game, row, profile)
     return total
+
+
+def fraction_row_values(game: Game, strategies) -> list[Fraction]:
+    """Row (p, i, j) = x_p(i) (E[u_p | p plays i] - E[u_p | p plays j]), with
+    every conditional expectation enumerated over whole profiles."""
+    out = []
+    for player, m in enumerate(game.actions):
+        conditional = []
+        for action in range(m):
+            forced = [list(block) for block in strategies]
+            forced[player] = [ONE if a == action else ZERO for a in range(m)]
+            conditional.append(enum_expected_utility(game, forced, player))
+        for i in range(m):
+            for j in range(m):
+                out.append(strategies[player][i] * (conditional[i] - conditional[j]))
+    return out
 
 
 def dual_objective(game: Game, strategies, y) -> Fraction:

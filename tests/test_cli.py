@@ -242,6 +242,35 @@ class TestBench:
         assert "bad --sizes" in capsys.readouterr().err
 
 
+BAD_SETTINGS = [
+    pytest.param(["solve", "--precision", "8"], {}, id="solve-precision-8"),
+    pytest.param(["solve"], {PRECISION_ENV: "4"}, id="solve-precision-env-4"),
+    pytest.param(["solve", "--log2-radius", "nan"], {}, id="solve-radius-nan"),
+    pytest.param(["solve", "--log2-radius", "inf"], {}, id="solve-radius-inf"),
+    pytest.param(["bench", "--oracles", "bogus"], {}, id="bench-oracle-bogus"),
+    pytest.param(["bench", "--max-iters", "0"], {}, id="bench-max-iters-0"),
+]
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("argv, env", BAD_SETTINGS)
+    def test_bad_setting_exits_2_without_traceback(self, tmp_path, argv, env):
+        # a setting the solver rejects is "anything else" (2), never the
+        # "certificate invalid" code (1) that an escaping exception gives
+        if argv[0] == "solve":
+            argv = [*argv, "--input", str(gen_game(tmp_path))]
+        package_root = str(Path(exactce.__file__).resolve().parent.parent)
+        child_env = dict(os.environ, **env)
+        child_env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [package_root, child_env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "exactce", *argv],
+                              capture_output=True, text=True, env=child_env,
+                              cwd=tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert any(line.startswith("error:") for line in proc.stderr.splitlines())
+
+
 def declared_console_script(name):
     """The ``module:attr`` target that ``[project.scripts]`` declares for name."""
     toml = tomllib or pytest.importorskip("tomli")

@@ -12,7 +12,6 @@ from exactce import (
     NormalFormGame,
     PolymatrixGame,
     ProductDistribution,
-    expand_to_normal_form,
     load_game,
     load_game_file,
     random_game,
@@ -242,7 +241,7 @@ class TestPolymatrix:
 
     def test_expand_to_normal_form(self):
         g = random_game("polymatrix", 3, 2, u_max=5, seed=2)
-        flat = expand_to_normal_form(g)
+        flat = helpers.expand_to_normal_form(g)
         assert isinstance(flat, NormalFormGame)
         assert flat.actions == g.actions
         for s in g.profiles():

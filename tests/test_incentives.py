@@ -21,7 +21,7 @@ from exactce import (
     row_position,
     verify_ce,
 )
-from exactce.incentives import column_dual_value, iter_rows, row_offsets
+from exactce.incentives import iter_rows, row_offsets
 
 F = Fraction
 
@@ -95,7 +95,7 @@ class TestProfileColumn:
             col = profile_column(g, s)
             expected = sum(F(v) * w for v, w in zip(col.dense(), y))
             assert col.dot(y) == expected
-            assert column_dual_value(g, s, y) == expected
+            assert helpers.column_dual_value(g, s, y) == expected
 
 
 class TestRowValues:

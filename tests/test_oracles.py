@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from exactce import (
@@ -22,6 +24,7 @@ from exactce import (
     stationary_product,
 )
 from exactce.incentives import iter_rows, row_at
+from exactce.oracles import DualValue
 
 F = Fraction
 
@@ -226,3 +229,79 @@ class TestSeparationOracles:
         cut = product_separation(g, y)
         assert isinstance(cut, NonnegativityCut)
         assert cut.position == 7
+
+
+# non-dyadic entries, so the lcm L of y's denominators is not a power of two
+dual_entries = st.builds(F, st.integers(0, 12), st.sampled_from([1, 2, 3, 5, 6, 7, 9]))
+probabilities = st.builds(F, st.integers(1, 9), st.sampled_from([1, 2, 3, 5, 7]))
+
+
+@st.composite
+def value_cases(draw):
+    """(game, y, x): nfg up to 3x3 or polymatrix up to 4x3, y >= 0 with some
+    all-zero player blocks, x uniform, rational, partly pure or stationary."""
+    family = draw(st.sampled_from(["nfg", "polymatrix"]))
+    players = draw(st.integers(1, 3 if family == "nfg" else 4))
+    actions = tuple(draw(st.integers(1, 3)) for _ in range(players))
+    g = random_game(family, players, actions, u_max=draw(st.integers(0, 9)),
+                    seed=draw(st.integers(0, 2**16)))
+    y = []
+    for m in actions:
+        zero_block = draw(st.integers(0, 3)) == 0
+        y.extend(F(0) if zero_block else draw(dual_entries) for _ in range(m * m))
+    kind = draw(st.sampled_from(["uniform", "rational", "partly pure", "stationary"]))
+    if kind == "uniform":
+        return g, y, ProductDistribution.uniform(actions)
+    if kind == "stationary":
+        return g, y, stationary_product(g, y)
+    strategies = []
+    for m in actions:
+        if kind == "partly pure" and draw(st.booleans()):
+            a = draw(st.integers(0, m - 1))
+            strategies.append(tuple(F(int(k == a)) for k in range(m)))
+        else:
+            weights = [draw(probabilities) for _ in range(m)]
+            strategies.append(tuple(w / sum(weights) for w in weights))
+    return g, y, ProductDistribution(tuple(strategies))
+
+
+class TestIntegerValue:
+    @settings(max_examples=150, deadline=None)
+    @given(value_cases())
+    def test_value_and_welfare_on_their_scales(self, case):
+        g, y, x = case
+        value = DualValue(g, y, x)
+        exact = helpers.dual_objective(g, x.strategies, y)
+        v, welfare = value.scores(value.start)
+        assert value.scale > 0
+        assert (v > 0) - (v < 0) == (exact > 0) - (exact < 0)
+        assert F(v, value.scale) == exact
+        welfare_scale = value.d * g.conditional_scale(value.d)
+        assert F(welfare, welfare_scale) == sum(
+            helpers.enum_expected_utility(g, x.strategies, q) for q in range(g.players))
+        # every branch purify scores: one player fixed to one action, same scale
+        p = g.players - 1
+        for a in range(g.actions[p]):
+            weights = list(value.start)
+            weights[p] = value.point_mass(p, a)
+            forced = [list(block) for block in x.strategies]
+            forced[p] = [F(int(k == a)) for k in range(g.actions[p])]
+            assert F(value.scores(weights)[0], value.scale) == helpers.dual_objective(
+                g, forced, y)
+
+    @settings(max_examples=150, deadline=None)
+    @given(value_cases())
+    def test_row_values_match_fraction_formula(self, case):
+        g, _, x = case
+        assert incentive_row_values(g, x) == helpers.fraction_row_values(g, x.strategies)
+
+    @settings(max_examples=100, deadline=None)
+    @given(value_cases())
+    def test_purify_matches_reference(self, case):
+        g, y, x = case
+        if helpers.dual_objective(g, x.strategies, y) < 0:
+            with pytest.raises(ValueError, match="nonnegative starting value"):
+                purify(g, y, x)
+            return
+        for tb in ("first", "max-value", "welfare"):
+            assert purify(g, y, x, tb) == helpers.purify_reference(g, y, x, tb), tb

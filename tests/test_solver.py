@@ -44,6 +44,9 @@ class TestConfig:
         {"mode": "theoretical", "oracle": "product"},
         {"max_iters": 0},
         {"probe_stride": 0},
+        {"precision_bits": 15},
+        {"log2_radius": float("nan")},
+        {"log2_radius": float("-inf")},
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(ValueError):
