@@ -229,6 +229,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         return EXIT_ERROR
     oracles = [o.strip() for o in args.oracles.split(",")]
     tie_breaks = [t.strip() for t in args.tie_breaks.split(",")]
+    # checked here: a non-purified oracle runs with "first" and never sees them
+    unknown = [t for t in tie_breaks if t not in TIE_BREAKS]
+    if unknown:
+        print(f"error: unknown tie break {unknown[0]!r}", file=sys.stderr)
+        return EXIT_ERROR
 
     rows = []
     failed = 0

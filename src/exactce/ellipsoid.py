@@ -1,15 +1,31 @@
-"""Central-cut ellipsoid engine over arbitrary-precision floats.
+"""Central-cut ellipsoid engine in fixed-point integers.
 
-The ellipsoid state (center and shape matrix) lives in binary floats with a
-configurable mantissa, while every oracle exchange is exact: the queried
-point is the center converted losslessly to rationals, and cut violations are
-evaluated in rational arithmetic. Exactness of final answers never rests on
-this module; it only has to keep shrinking volume, and each update is checked
-against the guaranteed contraction rate.
+The ellipsoid state lives in Python integers, while every oracle exchange is
+exact: the queried point is the center read losslessly as rationals, and cut
+violations are evaluated in rational arithmetic. Exactness of final answers
+never rests on this module; it only has to keep shrinking volume, and each
+update is checked against the guaranteed contraction rate.
+
+The state is rounded to a fixed number of binary places, as in the
+finite-precision ellipsoid method of Groetschel, Lovasz and Schrijver
+(Geometric Algorithms and Combinatorial Optimization, 1988, section 3.2).
+precision_bits sets that number:
+
+* each center coordinate is a dyadic mantissa * 2**exponent, rounded
+  half-even to precision_bits significant bits;
+* the shape matrix is D L D, with D a diagonal of powers of two and L an
+  integer matrix stored as its lower triangle, renormalised after every
+  update so that each diagonal entry of L keeps precision_bits bits.
+
+Integers have no exponent range, so the same arithmetic serves a modest
+practical radius and the certified 2**(5 N^3 log u) one. The cut normal is
+scaled to integers, which makes P a and a^T P a exact.
 
 The update is the minimal-volume ellipsoid containing the half-ellipsoid on
 the satisfied side of the cut through the center. Its volume ratio is below
 exp(-1/(5 n)) for every dimension n >= 1, with room to spare for rounding.
+mpmath serves only the unit-ball volume, the iteration bound and an initial
+radius whose square is not a power of two.
 """
 
 from __future__ import annotations
@@ -19,9 +35,9 @@ from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from enum import Enum
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Sequence
 
-import mpmath
 from mpmath import mp
 
 from .errors import PrecisionError, SolverError
@@ -30,18 +46,7 @@ from .oracles import Cut, cut_violation
 DEFAULT_PRECISION_BITS = 256
 
 
-# ---------- exact conversions ----------
-
-
-def mpf_to_fraction(value) -> Fraction:
-    """Lossless conversion; binary floats are dyadic rationals."""
-    num, den = mpmath.libmp.to_rational(value._mpf_)
-    return Fraction(int(num), int(den))
-
-
-def fraction_to_mpf(value: Fraction):
-    """Rounded to the ambient working precision."""
-    return mp.mpf(value.numerator) / mp.mpf(value.denominator)
+# ---------- helpers ----------
 
 
 def _log_unit_ball_volume(n: int):
@@ -120,69 +125,129 @@ class EllipsoidParams:
 
 # ---------- state ----------
 
+# bits the step and the rank-one constants carry beyond precision_bits, so
+# that the one rounding of each stored entry dominates the update's error
+_GUARD_BITS = 16
+
+# a Cholesky pivot this small next to its diagonal entry is within reach of
+# machine-float rounding (about n 2**-53 of that entry); the exact test
+# decides instead
+_FLOAT_PIVOT_RATIO = 2.0**-30
+
 _LN2 = math.log(2.0)
 
-# pivots this small are in range where machine floats can no longer be
-# trusted to certify positivity; the full-precision path decides instead
-_FLOAT_PIVOT_FLOOR = 1e-150
+_NOT_POSITIVE_DEFINITE = (
+    "shape matrix lost positive definiteness; increase precision_bits"
+)
 
 
-def _scaled_entry(value, shift: int) -> float:
-    """value * 2**-shift as a machine float, safe for any mpf exponent."""
-    sign, man, exp, _ = value._mpf_
-    if man == 0:
-        return 0.0
-    drop = man.bit_length() - 53
-    if drop > 0:
-        man >>= drop
-        exp += drop
-    out = math.ldexp(man, exp - shift)
-    return -out if sign else out
+def _round_dyadic(num: int, den: int, exp: int, bits: int) -> tuple[int, int]:
+    """(num / den) * 2**exp rounded half-even to `bits` significant bits, as
+    a (mantissa, exponent) pair; den must be positive."""
+    if num == 0:
+        return 0, 0
+    # the quotient num / (den 2**shift) then has bits or bits + 1 bits
+    shift = abs(num).bit_length() - den.bit_length() - bits
+    while True:
+        if shift >= 0:
+            divisor = den << shift
+            quotient, rest = divmod(num, divisor)
+        else:
+            divisor = den
+            quotient, rest = divmod(num << -shift, den)
+        twice = 2 * rest
+        if twice > divisor or (twice == divisor and quotient & 1):
+            quotient += 1
+        if abs(quotient).bit_length() <= bits:
+            return quotient, exp + shift
+        shift += 1
 
 
-def _float_log_det(shape) -> float | None:
-    """Cholesky log-determinant on scaled floats; None when undecidable."""
-    n = len(shape)
-    diag_bits = []
-    for i in range(n):
-        sign, man, exp, bc = shape[i][i]._mpf_
-        if man == 0 or sign:
-            return None  # not positive definite; let the precise path report
-        diag_bits.append(exp + bc)
-    shift = max(diag_bits)
-    if shift - min(diag_bits) > 900:
-        return None  # diagonal spread exceeds the float exponent budget
+def _integer_direction(normal: Sequence[Fraction]) -> list[int]:
+    """The normal scaled to coprime integers; the update ignores its scale."""
+    values = [Fraction(v) for v in normal]
+    scale = math.lcm(*(v.denominator for v in values))
+    ints = [v.numerator * (scale // v.denominator) for v in values]
+    common = math.gcd(*ints)
+    if common == 0:
+        raise ValueError("cut normal must be nonzero")
+    return [v // common for v in ints]
+
+
+def _column(rows: tuple[tuple[int, ...], ...], k: int) -> list[int]:
+    """Column k of the symmetric matrix whose lower triangle is rows."""
+    return [*rows[k], *(rows[i][k] for i in range(k + 1, len(rows)))]
+
+
+def _float_log_det(rows: tuple[tuple[int, ...], ...]) -> float | None:
+    """Log-determinant of the integer matrix by a machine-float Cholesky on
+    entries scaled to the largest diagonal; None when floats cannot decide."""
+    n = len(rows)
+    diag = [rows[i][i] for i in range(n)]
+    if min(diag) <= 0:
+        return None  # not positive definite; let the exact test report
+    top = max(d.bit_length() for d in diag)
+    drop = max(0, top - 1000)
+    scale = 2.0 ** (drop - top)
     try:
-        rows = [
-            [_scaled_entry(shape[i][j], shift) for j in range(i + 1)]
-            for i in range(n)
-        ]
+        scaled = [[float(x >> drop) * scale for x in row] for row in rows]
     except OverflowError:
         return None
-    lower = [[0.0] * n for _ in range(n)]
+    lower = []  # row i of the factor holds columns 0..i
     total = 0.0
-    for i in range(n):
-        li = lower[i]
-        row = rows[i]
-        for j in range(i + 1):
-            s = row[j]
-            lj = lower[j]
-            for k in range(j):
-                s -= li[k] * lj[k]
-            if i == j:
-                if s < _FLOAT_PIVOT_FLOOR:
-                    return None
-                total += math.log(s)
-                li[i] = math.sqrt(s)
-            else:
-                li[j] = s / lj[j]
-    return total + n * shift * _LN2
+    for row in scaled:
+        li = []
+        for lj, entry in zip(lower, row):
+            li.append((entry - sum(map(mul, li, lj))) / lj[-1])
+        pivot = row[-1] - sum(map(mul, li, li))
+        if pivot <= row[-1] * _FLOAT_PIVOT_RATIO:
+            return None
+        total += math.log(pivot)
+        li.append(math.sqrt(pivot))
+        lower.append(li)
+    return total + n * top * _LN2
+
+
+def _exact_log_det(rows: tuple[tuple[int, ...], ...]) -> float:
+    """Log-determinant of the integer matrix after Sylvester's criterion.
+
+    Fraction-free (Bareiss) elimination without pivoting leaves the k-th
+    leading principal minor on the diagonal at step k, so positive
+    definiteness is decided exactly; the last minor is the determinant.
+    """
+    n = len(rows)
+    matrix = [[rows[i][j] if j <= i else rows[j][i] for j in range(n)] for i in range(n)]
+    previous = 1
+    for k in range(n):
+        pivot_row = matrix[k]
+        pivot = pivot_row[k]
+        if pivot <= 0:
+            raise PrecisionError(_NOT_POSITIVE_DEFINITE)
+        for i in range(k + 1, n):
+            row = matrix[i]
+            factor = row[k]
+            for j in range(k + 1, n):
+                row[j] = (pivot * row[j] - factor * pivot_row[j]) // previous
+        previous = pivot
+    return math.log(previous)
 
 
 @dataclass(frozen=True)
 class EllipsoidState:
-    center: tuple
-    shape: tuple[tuple, ...]
+    """Center and shape matrix in fixed point.
+
+    center holds one (mantissa, exponent) pair per coordinate, the dyadic
+    mantissa * 2**exponent. The shape matrix is D L D with D the diagonal of
+    2**exponents[i] and L the symmetric integer matrix whose lower triangle
+    is shape: entry (i, j) is shape[i][j] * 2**(exponents[i] + exponents[j])
+    for j <= i. The scaling keeps every diagonal entry of L at precision_bits
+    bits, so an ellipsoid that thins out along some axes keeps its precision
+    there.
+    """
+
+    center: tuple[tuple[int, int], ...]
+    shape: tuple[tuple[int, ...], ...]
+    exponents: tuple[int, ...]
     precision_bits: int
     iteration: int = 0
 
@@ -190,59 +255,62 @@ class EllipsoidState:
     def initial_ball(cls, n: int, log2_radius: float, precision_bits: int) -> "EllipsoidState":
         if n < 1:
             raise ValueError("dimension must be positive")
-        with mp.workprec(precision_bits):
-            r2 = mp.mpf(2) ** (2 * mp.mpf(log2_radius))
-            zero = mp.mpf(0)
-            center = tuple(zero for _ in range(n))
-            shape = tuple(
-                tuple(r2 if i == j else zero for j in range(n)) for i in range(n)
-            )
-        return cls(center=center, shape=shape, precision_bits=precision_bits)
+        twice = 2 * log2_radius
+        if float(twice).is_integer():
+            man, exp = 1, int(twice)
+        else:
+            with mp.workprec(precision_bits):
+                _, man, exp, _ = (mp.mpf(2) ** mp.mpf(twice))._mpf_
+            man = int(man)
+        lift = max(0, precision_bits - man.bit_length())
+        lift += (exp - lift) % 2
+        diag = man << lift
+        shape = tuple(tuple(diag if j == i else 0 for j in range(i + 1)) for i in range(n))
+        return cls(
+            center=((0, 0),) * n,
+            shape=shape,
+            exponents=((exp - lift) // 2,) * n,
+            precision_bits=precision_bits,
+        )
 
     @property
     def dimension(self) -> int:
         return len(self.center)
 
     def snapshot(self) -> tuple[Fraction, ...]:
-        """The exact center; binary state makes this lossless."""
-        return tuple(mpf_to_fraction(c) for c in self.center)
+        """The exact center; dyadic state makes this lossless."""
+        return tuple(
+            Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
+            for man, exp in self.center
+        )
 
-    def log_det(self):
+    def shape_matrix(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The exact shape matrix, both triangles."""
+        rows = self.shape
+        scale = [Fraction(2) ** e for e in self.exponents]
+        return tuple(
+            tuple(
+                scale[i] * scale[j] * (rows[i][j] if j <= i else rows[j][i])
+                for j in range(len(rows))
+            )
+            for i in range(len(rows))
+        )
+
+    def log_det(self) -> float:
         """Log-determinant of the shape matrix via Cholesky, which doubles as
         the positive-definiteness check.
 
-        The factorization runs on machine floats after pulling out a
-        power-of-two scale, which is plenty for volume bookkeeping; whenever
-        the float path cannot decide (exponent range exhausted, a pivot too
-        small to trust), it is redone at full working precision before any
-        failure is declared.
+        The factorization runs on machine floats read from the integers,
+        which is plenty for volume bookkeeping; whenever it cannot decide
+        (exponent range exhausted, a pivot too small to trust), Sylvester's
+        criterion on the exact integers decides before any failure is
+        declared.
         """
-        fast = _float_log_det(self.shape)
-        if fast is not None:
-            return fast
-        return self._log_det_precise()
-
-    def _log_det_precise(self):
-        with mp.workprec(self.precision_bits):
-            n = self.dimension
-            lower = [[mp.mpf(0)] * n for _ in range(n)]
-            total = mp.mpf(0)
-            for i in range(n):
-                for j in range(i + 1):
-                    s = self.shape[i][j]
-                    for k in range(j):
-                        s -= lower[i][k] * lower[j][k]
-                    if i == j:
-                        if s <= 0:
-                            raise PrecisionError(
-                                "shape matrix lost positive definiteness; "
-                                "increase precision_bits"
-                            )
-                        total += mp.ln(s)
-                        lower[i][i] = mp.sqrt(s)
-                    else:
-                        lower[i][j] = s / lower[j][j]
-            return total
+        rows = self.shape
+        value = _float_log_det(rows)
+        if value is None:
+            value = _exact_log_det(rows)
+        return value + 2 * sum(self.exponents) * _LN2
 
     def log_volume(self) -> float:
         with mp.workprec(self.precision_bits):
@@ -252,51 +320,91 @@ class EllipsoidState:
 def update(state: EllipsoidState, normal: Sequence[Fraction]) -> EllipsoidState:
     """Minimal-volume ellipsoid containing the half with normal . z <= normal . center.
 
-    Scale-invariant in the normal. Positive definiteness along the cut is
-    checked through the quadratic form; dimension one degenerates to interval
-    halving.
+    Scale-invariant in the normal. With the normal in integers, P a and
+    a . P a are exact, so positive definiteness along the cut is checked
+    exactly. The step b = P a / sqrt(a . P a) is carried with precision_bits
+    plus guard bits. Each new center coordinate c - b / (n + 1) is rounded
+    once to precision_bits, and each new entry of
+    n^2 / (n^2 - 1) P - 2 n^2 / ((n^2 - 1)(n + 1)) b b^T is one integer
+    expression rounded once by the shift that leaves its diagonal entries
+    with precision_bits bits. Dimension one degenerates to interval halving.
     """
     n = state.dimension
     if len(normal) != n:
         raise ValueError(f"normal has length {len(normal)}, expected {n}")
-    if all(v == 0 for v in normal):
-        raise ValueError("cut normal must be nonzero")
-    with mp.workprec(state.precision_bits):
-        a = [fraction_to_mpf(Fraction(v)) for v in normal]
-        shape = state.shape
-        shape_a = [
-            sum((shape[i][k] * a[k] for k in range(n) if a[k]), mp.mpf(0))
-            for i in range(n)
-        ]
-        gamma = sum((a[i] * shape_a[i] for i in range(n) if a[i]), mp.mpf(0))
-        if gamma <= 0:
-            raise PrecisionError(
-                "cut normal has nonpositive quadratic form; increase precision_bits"
-            )
-        root = mp.sqrt(gamma)
-        step = [v / root for v in shape_a]
-        over = mp.mpf(1) / (n + 1)
-        center = tuple(c - over * s for c, s in zip(state.center, step))
-        if n == 1:
-            new_shape = ((shape[0][0] / 4,),)
+    a = _integer_direction(normal)
+    bits = state.precision_bits
+    rows = state.shape
+    exps = state.exponents
+
+    # with a' = D a / 2**low in integers: P a = D v 2**low and
+    # a . P a = gamma 4**low, where v = L a' and gamma = a' . v
+    support = [k for k in range(n) if a[k]]
+    low = min(exps[k] for k in support)
+    weights = [(k, a[k] << (exps[k] - low)) for k in support]
+    v = [0] * n
+    for k, ak in weights:
+        v = [x + ak * y for x, y in zip(v, _column(rows, k))]
+    gamma = sum(ak * v[k] for k, ak in weights)
+    if gamma <= 0:
+        raise PrecisionError(
+            "cut normal has nonpositive quadratic form; increase precision_bits"
+        )
+
+    # step[i] = v[i] / sqrt(gamma) * 2**frac, so b[i] = step[i] * 2**(exps[i] - frac);
+    # root = sqrt(gamma) * 2**lift to precision_bits plus guard bits
+    frac = (bits + 1) // 2 + _GUARD_BITS
+    lift = bits + _GUARD_BITS + 2 - gamma.bit_length() // 2
+    root = math.isqrt(gamma << 2 * lift if lift >= 0 else gamma >> -2 * lift)
+    up = frac + lift
+    den = root << max(0, -up)
+    twice_den = 2 * den
+    step = [((x << max(0, up) + 1) + den) // twice_den for x in v]
+
+    # center: c - b / (n + 1), rounded per coordinate; the term with the
+    # larger exponent is shifted left onto the smaller one, and a zero
+    # coordinate contributes nothing whatever its stored exponent
+    center = []
+    for (man, man_exp), s, e in zip(state.center, step, exps):
+        step_exp = e - frac
+        if man:
+            base = min(man_exp, step_exp)
+            num = ((man * (n + 1)) << (man_exp - base)) - (s << (step_exp - base))
         else:
-            factor = mp.mpf(n * n) / (n * n - 1)
-            twice = mp.mpf(2) / (n + 1)
-            half = []
-            for i in range(n):
-                shape_i = shape[i]
-                twice_step_i = twice * step[i]
-                half.append(
-                    [factor * (shape_i[j] - twice_step_i * step[j]) for j in range(i + 1)]
-                )
-            new_shape = tuple(
-                tuple(half[i][j] if j <= i else half[j][i] for j in range(n))
-                for i in range(n)
-            )
+            base, num = step_exp, -s
+        center.append(_round_dyadic(num, n + 1, base, bits))
+
+    if n == 1:
+        new_rows, new_exps = rows, (exps[0] - 1,)
+    else:
+        # the constants carry 2 frac fractional bits, so that
+        # factor L[i][j] - scaled[i] step[j] is entry (i, j) over
+        # 2**(exps[i] + exps[j] - 2 frac)
+        width = 2 * frac
+        nn = n * n
+        factor = ((nn << width) + (nn - 1) // 2) // (nn - 1)
+        denominator = (nn - 1) * (n + 1)
+        outer = ((2 * nn << width) + denominator // 2) // denominator
+        half = 1 << (width - 1)
+        scaled = [(outer * s + half) >> width for s in step]
+        diag = [factor * rows[i][i] - scaled[i] * step[i] for i in range(n)]
+        # entry (i, j) drops shifts[i] + shifts[j] bits
+        shifts = [(d.bit_length() - bits) // 2 for d in diag]
+        if min(diag) <= 0 or min(shifts) < 1:
+            raise PrecisionError(_NOT_POSITIVE_DEFINITE)
+        new_rows = tuple(
+            tuple([
+                (factor * x - t * s + (1 << (r + q - 1))) >> (r + q)
+                for x, s, q in zip(row, step, shifts)
+            ])
+            for row, t, r in zip(rows, scaled, shifts)
+        )
+        new_exps = tuple(e - frac + r for e, r in zip(exps, shifts))
     return EllipsoidState(
-        center=center,
-        shape=new_shape,
-        precision_bits=state.precision_bits,
+        center=tuple(center),
+        shape=new_rows,
+        exponents=new_exps,
+        precision_bits=bits,
         iteration=state.iteration + 1,
     )
 
@@ -369,6 +477,9 @@ def run(
     tolerance = Fraction(1, 2 ** (params.precision_bits // 2))
     min_drop = 1.0 / (5 * n_rows) - float(tolerance)
     previous_log_det = state.log_det()
+    if params.stop_log_volume is not None:
+        with mp.workprec(params.precision_bits):
+            log_unit_ball = float(_log_unit_ball_volume(n_rows))
     seen = set()
 
     def finish(outcome: Outcome, final_state: EllipsoidState) -> RunResult:
@@ -402,8 +513,7 @@ def run(
             return finish(Outcome.INFEASIBLE_OR_SHALLOW, state)
         state = update(state, normal)
         new_log_det = state.log_det()
-        with mp.workprec(params.precision_bits):
-            drop = float((previous_log_det - new_log_det) / 2)
+        drop = (previous_log_det - new_log_det) / 2
         if drop < min_drop:
             raise PrecisionError(
                 f"volume contraction {drop} fell below the guaranteed "
@@ -415,8 +525,6 @@ def run(
         )
         previous_log_det = new_log_det
         if params.stop_log_volume is not None:
-            with mp.workprec(params.precision_bits):
-                log_volume = float(_log_unit_ball_volume(n_rows) + new_log_det / 2)
-            if log_volume < params.stop_log_volume:
+            if log_unit_ball + new_log_det / 2 < params.stop_log_volume:
                 return finish(Outcome.INFEASIBLE_OR_SHALLOW, state)
     return finish(Outcome.ITERATION_CAP_REACHED, state)

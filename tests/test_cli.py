@@ -88,6 +88,20 @@ class TestSolveVerify:
         assert result.certificate.to_json() == expected
         assert verify_ce(game, SparseCE.from_json(expected)).verdict
 
+    @pytest.mark.parametrize("family, players, actions, seed", [
+        ("nfg", 3, 3, 39), ("polymatrix", 3, 3, 33)])
+    def test_transcript_matches_golden(self, tmp_path, family, players, actions, seed):
+        # pins the purified cut sequence, so a change to the ellipsoid
+        # arithmetic that moves any center shows here
+        game = gen_game(tmp_path, seed=seed, players=players, actions=actions,
+                        family=family)
+        transcript = tmp_path / "cuts.jsonl"
+        assert run_cli("solve", "--input", str(game),
+                       "--output", str(tmp_path / "r.json"),
+                       "--transcript", str(transcript)) == 0
+        name = f"transcript_{family}_{players}x{actions}_seed{seed}.jsonl"
+        assert transcript.read_bytes() == (GOLDEN / name).read_bytes()
+
     def test_transcript_written(self, tmp_path):
         game = gen_game(tmp_path, seed=4, players=3)
         transcript = tmp_path / "cuts.jsonl"
@@ -249,6 +263,9 @@ BAD_SETTINGS = [
     pytest.param(["solve", "--log2-radius", "inf"], {}, id="solve-radius-inf"),
     pytest.param(["bench", "--oracles", "bogus"], {}, id="bench-oracle-bogus"),
     pytest.param(["bench", "--max-iters", "0"], {}, id="bench-max-iters-0"),
+    pytest.param(["bench", "--family", "nfg", "--sizes", "2x2", "--seeds", "0:1",
+                  "--oracles", "product", "--tie-breaks", "bogus"], {},
+                 id="bench-product-tie-break-bogus"),
 ]
 
 

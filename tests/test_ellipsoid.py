@@ -5,6 +5,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exactce import (
     EllipsoidParams,
@@ -19,7 +21,7 @@ from exactce import (
     run,
     update,
 )
-from exactce.ellipsoid import fraction_to_mpf, mpf_to_fraction
+from exactce.ellipsoid import _float_log_det
 from exactce.oracles import ProfileCut, purified_separation
 
 F = Fraction
@@ -52,19 +54,16 @@ def expected_drop(n: int) -> float:
 
 
 class TestConversions:
-    def test_round_trip_dyadic(self):
-        for value in (F(0), F(1), F(-3, 8), F(12345, 4096), F(1, 2**60)):
-            assert mpf_to_fraction(fraction_to_mpf(value)) == value
-
     def test_snapshot_is_exact_dyadic(self):
         state = EllipsoidState.initial_ball(3, 4.0, 128)
         snap = state.snapshot()
         assert snap == (F(0), F(0), F(0))
-        assert all(row[i] == F(2) ** 8 for i, row in enumerate(state_shape(state)))
-
-
-def state_shape(state):
-    return [[mpf_to_fraction(v) for v in row] for row in state.shape]
+        assert all(row[i] == F(2) ** 8 for i, row in enumerate(state.shape_matrix()))
+        after = update(state, [F(1), F(2, 3), F(-1)])
+        for value, (man, exp) in zip(after.snapshot(), after.center):
+            assert value == man * F(2) ** exp
+            assert value.denominator & (value.denominator - 1) == 0
+            assert abs(man).bit_length() <= 128
 
 
 class TestInitialBall:
@@ -72,8 +71,12 @@ class TestInitialBall:
         state = EllipsoidState.initial_ball(2, 10.0, 256)
         assert state.dimension == 2
         assert state.iteration == 0
-        shape = state_shape(state)
-        assert shape == [[F(2) ** 20, F(0)], [F(0), F(2) ** 20]]
+        assert state.shape_matrix() == ((F(2) ** 20, F(0)), (F(0), F(2) ** 20))
+        assert state.shape[0][0].bit_length() in (256, 257)
+        # a radius whose square is not a power of two is rounded once
+        odd = EllipsoidState.initial_ball(2, 0.3, 64).shape_matrix()
+        assert abs(odd[0][0] - F(2 ** 0.6)) <= F(1, 2**50)  # 2 ** 0.6 is a float
+        assert odd[0][1] == 0 and odd[1][1] == odd[0][0]
 
     def test_log_volume_of_unit_ball(self):
         state = EllipsoidState.initial_ball(2, 0.0, 256)
@@ -89,7 +92,7 @@ class TestUpdate:
         state = EllipsoidState.initial_ball(1, 3.0, 128)
         after = update(state, [F(1)])
         assert after.snapshot() == (F(-4),)  # center moves by r/2 = 4
-        assert state_shape(after) == [[F(16)]]  # (r/2)^2
+        assert after.shape_matrix() == ((F(16),),)  # (r/2)^2
         assert after.iteration == 1
 
     def test_two_dimensional_hand_values(self):
@@ -98,7 +101,7 @@ class TestUpdate:
         tol = F(1, 2**200)
         center = after.snapshot()
         assert abs(center[0] + F(1, 3)) <= tol and center[1] == 0
-        shape = state_shape(after)
+        shape = after.shape_matrix()
         assert abs(shape[0][0] - F(4, 9)) <= tol
         assert abs(shape[1][1] - F(4, 3)) <= tol
         assert shape[0][1] == 0 and shape[1][0] == 0
@@ -122,7 +125,7 @@ class TestUpdate:
 
     def test_scale_equivariance_for_power_of_two_radii(self):
         # doubling the radius scales every iterate exactly: centers by 2,
-        # shape entries by 4; mpf rounding commutes with the exponent shift
+        # shape entries by 4; fixed-point rounding commutes with the shift
         cuts = [[F(1), F(0)], [F(0), F(1)], [F(-1), F(2)], [F(3), F(1)]]
         small = EllipsoidState.initial_ball(2, 5.0, 192)
         large = EllipsoidState.initial_ball(2, 6.0, 192)
@@ -130,8 +133,8 @@ class TestUpdate:
             small = update(small, normal)
             large = update(large, normal)
             assert tuple(2 * c for c in small.snapshot()) == large.snapshot()
-            small_shape = state_shape(small)
-            large_shape = state_shape(large)
+            small_shape = small.shape_matrix()
+            large_shape = large.shape_matrix()
             for i in range(2):
                 for j in range(2):
                     assert 4 * small_shape[i][j] == large_shape[i][j]
@@ -140,15 +143,129 @@ class TestUpdate:
         state = EllipsoidState.initial_ball(2, 0.0, 128)
         broken = EllipsoidState(
             center=state.center,
-            shape=(
-                (fraction_to_mpf(F(1)), fraction_to_mpf(F(2))),
-                (fraction_to_mpf(F(2)), fraction_to_mpf(F(1))),
-            ),
+            shape=((1,), (2, 1)),
+            exponents=(0, 0),
             precision_bits=128,
             iteration=0,
         )
         with pytest.raises(PrecisionError):
             broken.log_det()
+
+    def test_exact_test_decides_what_floats_cannot(self):
+        # [[1, 1], [1, 1 + d]] over 2**-80: machine floats round 1 + d to 1
+        # and see a zero pivot, while the leading minors are exact integers
+        base = 2**80
+        for corner, positive in ((base + 1, True), (base - 1, False)):
+            rows = ((base,), (base, corner))
+            assert _float_log_det(rows) is None
+            state = EllipsoidState(
+                center=((0, 0), (0, 0)), shape=rows, exponents=(-40, -40), precision_bits=80)
+            if positive:
+                # det = (base * corner - base**2) * 2**-160 = 2**-80
+                assert state.log_det() == pytest.approx(-80 * math.log(2.0), abs=1e-9)
+            else:
+                with pytest.raises(PrecisionError):
+                    state.log_det()
+
+
+def exact_central_cut(shape, center, normal, bits):
+    """The central-cut update in exact rationals, with sqrt(gamma) to far more
+    than `bits` bits."""
+    n = len(center)
+    pa = [sum((shape[i][k] * normal[k] for k in range(n)), F(0)) for i in range(n)]
+    gamma = sum((a * v for a, v in zip(normal, pa)), F(0))
+    extra = 2 ** (2 * bits + 64)
+    root = F(math.isqrt(gamma.numerator * gamma.denominator * extra * extra),
+             gamma.denominator * extra)
+    new_center = [c - v / ((n + 1) * root) for c, v in zip(center, pa)]
+    if n == 1:
+        return [[shape[0][0] / 4]], new_center
+    factor = F(n * n, n * n - 1)
+    twice = F(2, n + 1)
+    new_shape = [[factor * (shape[i][j] - twice * pa[i] * pa[j] / gamma)
+                  for j in range(n)] for i in range(n)]
+    return new_shape, new_center
+
+
+def is_positive_definite(matrix):
+    """Every leading principal minor positive, by exact elimination."""
+    m = [list(row) for row in matrix]
+    n = len(m)
+    for k in range(n):
+        if m[k][k] <= 0:
+            return False
+        for i in range(k + 1, n):
+            ratio = m[i][k] / m[k][k]
+            for j in range(k, n):
+                m[i][j] -= ratio * m[k][j]
+    return True
+
+
+@st.composite
+def update_chains(draw):
+    n = draw(st.integers(1, 8))
+    bits = draw(st.sampled_from([16, 53, 96, 256]))
+    # axis exponents both below and above the step's fractional bits, up to
+    # the certified radius of a small game, so the center is aligned both ways
+    log2_radius = draw(st.one_of(
+        st.integers(-12, 24).map(lambda k: k / 2),
+        st.integers(2 * bits, 2 * bits + 128).map(lambda k: k / 2),
+        st.sampled_from([999.5, 1063.0]),
+    ))
+    sparse = st.integers(0, n - 1).map(
+        lambda i: [F(-1) if j == i else F(0) for j in range(n)])
+    entries = st.one_of(
+        st.integers(-20, 20).map(F),
+        st.builds(F, st.integers(-60, 60), st.integers(1, 12)),
+        st.integers(-(2**400), 2**400).map(F),  # a . P a far wider than the step
+    )
+    dense = st.lists(entries, min_size=n, max_size=n).filter(any)
+    # a central cut multiplies the condition number by at most
+    # (n + 1) / (n - 1) <= 3, so short chains keep it far below 2**bits
+    cuts = draw(st.lists(st.one_of(sparse, dense), min_size=1,
+                         max_size=4 if bits == 16 else 12))
+    return n, bits, log2_radius, cuts
+
+
+def checked_update(state, normal):
+    """update(), asserted against the exact central cut of the stored state."""
+    n, bits = state.dimension, state.precision_bits
+    tol = F(1, 2 ** (bits - 8))
+    shape, center = state.shape_matrix(), state.snapshot()
+    want_shape, want_center = exact_central_cut(shape, center, normal, bits)
+    state = update(state, normal)
+    got_shape, got_center = state.shape_matrix(), state.snapshot()
+    scale = max(want_shape[i][i] for i in range(n))
+    for i in range(n):
+        for j in range(n):
+            assert abs(got_shape[i][j] - want_shape[i][j]) <= tol * scale
+    # a coordinate near zero is accurate to the step's size, which is
+    # at most the square root of the largest diagonal entry
+    step_scale = max(shape[i][i] for i in range(n))
+    for got, want in zip(got_center, want_center):
+        assert (got - want) ** 2 <= tol * tol * max(want * want, step_scale)
+    assert all(row[-1].bit_length() in (bits, bits + 1) for row in state.shape)
+    assert is_positive_definite(got_shape)
+    return state
+
+
+class TestFixedPointUpdate:
+    @settings(max_examples=80, deadline=None)
+    @given(update_chains())
+    def test_tracks_exact_central_cut(self, chain):
+        n, bits, log2_radius, cuts = chain
+        state = EllipsoidState.initial_ball(n, log2_radius, bits)
+        for normal in cuts:
+            state = checked_update(state, normal)
+
+    @pytest.mark.parametrize("n, log2_radius, bits", [(2, 40.0, 16), (3, 1063.0, 256)])
+    def test_radius_beyond_the_step_fraction(self, n, log2_radius, bits):
+        # the initial center is all zeros and the axis exponents exceed the
+        # step's fractional bits, so the step is shifted left onto them
+        for first in ([F(j + 1, 3) for j in range(n)], [F(-1)] + [F(0)] * (n - 1)):
+            state = EllipsoidState.initial_ball(n, log2_radius, bits)
+            for normal in (first, [F(0)] * (n - 1) + [F(-1)], [F(2)] * n):
+                state = checked_update(state, normal)
 
 
 class TestIterationBound:
@@ -273,6 +390,22 @@ class TestRunLoop:
                 assert entry.log_volume_drop >= 1.0 / (5 * n) - 2.0**-128
                 checked += 1
         assert checked > 0
+
+    def test_certified_radius_contracts(self):
+        # the certified radius of a 2x2 game is about 2**8000; the state has
+        # no exponent limit, so the first updates run like any other
+        g = random_game("nfg", 2, 2, u_max=10, seed=1)
+        n = row_count(g)
+        certified = EllipsoidParams.certified(n, g.payoff_ceiling())
+        assert certified.log2_radius > 8000
+        result = run(
+            n,
+            EllipsoidParams(certified.log2_radius, certified.stop_log_volume, 60),
+            lambda y: purified_separation(g, y),
+        )
+        assert result.outcome is Outcome.ITERATION_CAP_REACHED
+        assert all(e.log_volume_drop >= 1.0 / (5 * n) - 2.0**-128
+                   for e in result.transcript.entries)
 
     def test_transcript_jsonl_format(self):
         import json
