@@ -234,6 +234,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if unknown:
         print(f"error: unknown tie break {unknown[0]!r}", file=sys.stderr)
         return EXIT_ERROR
+    # each distinct (oracle, tie break) pair runs once, in the order given
+    runs = list(dict.fromkeys(
+        (oracle, tie_break if oracle == "purified" else "first")
+        for oracle in oracles
+        for tie_break in tie_breaks
+    ))
 
     rows = []
     failed = 0
@@ -246,38 +252,37 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 except GameFormatError as exc:
                     print(f"error: {exc}", file=sys.stderr)
                     return EXIT_ERROR
-                for oracle in oracles:
-                    for tie_break in tie_breaks:
-                        try:
-                            config = SolveConfig(
-                                oracle=oracle,
-                                tie_break=tie_break if oracle == "purified" else "first",
-                                precision_bits=(args.precision
-                                                if args.precision is not None
-                                                else default_precision()),
-                                max_iters=args.max_iters,
-                                seed=seed,
-                                probe_stride=args.probe_stride,
-                            )
-                            report = compute_exact_ce(game, config)
-                        except (SolverError, ValueError) as exc:
-                            # keep sweeping; the failure still sets the exit code
-                            failed += 1
-                            print(
-                                f"error: family={family} "
-                                f"players={players} actions={actions} seed={seed} "
-                                f"oracle={oracle}: {exc}",
-                                file=sys.stderr,
-                            )
-                            continue
-                        rows.append(bench_row(report, game, seed))
+                for oracle, tie_break in runs:
+                    try:
+                        config = SolveConfig(
+                            oracle=oracle,
+                            tie_break=tie_break,
+                            precision_bits=(args.precision
+                                            if args.precision is not None
+                                            else default_precision()),
+                            max_iters=args.max_iters,
+                            seed=seed,
+                            probe_stride=args.probe_stride,
+                        )
+                        report = compute_exact_ce(game, config)
+                    except (SolverError, ValueError) as exc:
+                        # keep sweeping; the failure still sets the exit code
+                        failed += 1
                         print(
-                            f"bench: {rows[-1]['family']} n={players} a={actions} "
-                            f"seed={seed} oracle={oracle} "
-                            f"iters={report.iterations} eps={report.exact_epsilon} "
-                            f"wall={report.wall_ms:.1f}ms",
+                            f"error: family={family} "
+                            f"players={players} actions={actions} seed={seed} "
+                            f"oracle={oracle}: {exc}",
                             file=sys.stderr,
                         )
+                        continue
+                    rows.append(bench_row(report, game, seed))
+                    print(
+                        f"bench: {rows[-1]['family']} n={players} a={actions} "
+                        f"seed={seed} oracle={oracle} "
+                        f"iters={report.iterations} eps={report.exact_epsilon} "
+                        f"wall={report.wall_ms:.1f}ms",
+                        file=sys.stderr,
+                    )
 
     if args.csv and args.csv != "-":
         with open(args.csv, "w", encoding="utf-8", newline="") as handle:

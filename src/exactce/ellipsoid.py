@@ -13,19 +13,22 @@ precision_bits sets that number:
 
 * each center coordinate is a dyadic mantissa * 2**exponent, rounded
   half-even to precision_bits significant bits;
-* the shape matrix is D L D, with D a diagonal of powers of two and L an
-  integer matrix stored as its lower triangle, renormalised after every
-  update so that each diagonal entry of L keeps precision_bits bits.
+* the shape matrix is held as its factor L diag(d) L^T, as in the factored
+  ellipsoid of Goldfarb and Todd (Math. Programming 23, 1982): L is unit
+  lower triangular with integer entries over 2**(precision_bits + 16), and
+  each pivot d_j is a dyadic with precision_bits significant bits.
 
 Integers have no exponent range, so the same arithmetic serves a modest
 practical radius and the certified 2**(5 N^3 log u) one. The cut normal is
-scaled to integers, which makes P a and a^T P a exact.
+scaled to integers, which makes L^T a, a^T P a and P a exact. The volume is
+read off the stored pivots, and the pivots decide positive definiteness by
+their signs.
 
 The update is the minimal-volume ellipsoid containing the half-ellipsoid on
 the satisfied side of the cut through the center. Its volume ratio is below
 exp(-1/(5 n)) for every dimension n >= 1, with room to spare for rounding.
-mpmath serves only the unit-ball volume, the iteration bound and an initial
-radius whose square is not a power of two.
+mpmath serves only the iteration bound and an initial radius whose square is
+not a power of two.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from enum import Enum
 from fractions import Fraction
-from operator import mul
+from itertools import accumulate
 from typing import Callable, Sequence
 
 from mpmath import mp
@@ -49,10 +52,10 @@ DEFAULT_PRECISION_BITS = 256
 # ---------- helpers ----------
 
 
-def _log_unit_ball_volume(n: int):
-    """Natural log of the unit ball volume in dimension n, ambient precision."""
-    half = mp.mpf(n) / 2
-    return half * mp.ln(mp.pi) - mp.loggamma(half + 1)
+def _log_unit_ball_volume(n: int) -> float:
+    """Natural log of the unit ball volume in dimension n."""
+    half = n / 2
+    return half * math.log(math.pi) - math.lgamma(half + 1)
 
 
 def _decimal_str(value: Fraction) -> str:
@@ -118,21 +121,15 @@ class EllipsoidParams:
         """
         u = max(2, u_max)
         log2_radius = float(math.ceil(5 * n_rows**3 * math.log2(u)))
-        with mp.workprec(max(precision_bits, 128)):
-            floor = float(_log_unit_ball_volume(n_rows) - 7 * n_rows**5 * mp.ln(u))
+        floor = _log_unit_ball_volume(n_rows) - 7 * n_rows**5 * math.log(u)
         return cls(log2_radius, floor, iteration_bound(n_rows, u), precision_bits)
 
 
 # ---------- state ----------
 
-# bits the step and the rank-one constants carry beyond precision_bits, so
-# that the one rounding of each stored entry dominates the update's error
+# bits the factor's entries and the step carry beyond precision_bits, so
+# that the one rounding of each stored pivot dominates the update's error
 _GUARD_BITS = 16
-
-# a Cholesky pivot this small next to its diagonal entry is within reach of
-# machine-float rounding (about n 2**-53 of that entry); the exact test
-# decides instead
-_FLOAT_PIVOT_RATIO = 2.0**-30
 
 _LN2 = math.log(2.0)
 
@@ -165,7 +162,7 @@ def _round_dyadic(num: int, den: int, exp: int, bits: int) -> tuple[int, int]:
 
 def _integer_direction(normal: Sequence[Fraction]) -> list[int]:
     """The normal scaled to coprime integers; the update ignores its scale."""
-    values = [Fraction(v) for v in normal]
+    values = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in normal]
     scale = math.lcm(*(v.denominator for v in values))
     ints = [v.numerator * (scale // v.denominator) for v in values]
     common = math.gcd(*ints)
@@ -174,80 +171,24 @@ def _integer_direction(normal: Sequence[Fraction]) -> list[int]:
     return [v // common for v in ints]
 
 
-def _column(rows: tuple[tuple[int, ...], ...], k: int) -> list[int]:
-    """Column k of the symmetric matrix whose lower triangle is rows."""
-    return [*rows[k], *(rows[i][k] for i in range(k + 1, len(rows)))]
-
-
-def _float_log_det(rows: tuple[tuple[int, ...], ...]) -> float | None:
-    """Log-determinant of the integer matrix by a machine-float Cholesky on
-    entries scaled to the largest diagonal; None when floats cannot decide."""
-    n = len(rows)
-    diag = [rows[i][i] for i in range(n)]
-    if min(diag) <= 0:
-        return None  # not positive definite; let the exact test report
-    top = max(d.bit_length() for d in diag)
-    drop = max(0, top - 1000)
-    scale = 2.0 ** (drop - top)
-    try:
-        scaled = [[float(x >> drop) * scale for x in row] for row in rows]
-    except OverflowError:
-        return None
-    lower = []  # row i of the factor holds columns 0..i
-    total = 0.0
-    for row in scaled:
-        li = []
-        for lj, entry in zip(lower, row):
-            li.append((entry - sum(map(mul, li, lj))) / lj[-1])
-        pivot = row[-1] - sum(map(mul, li, li))
-        if pivot <= row[-1] * _FLOAT_PIVOT_RATIO:
-            return None
-        total += math.log(pivot)
-        li.append(math.sqrt(pivot))
-        lower.append(li)
-    return total + n * top * _LN2
-
-
-def _exact_log_det(rows: tuple[tuple[int, ...], ...]) -> float:
-    """Log-determinant of the integer matrix after Sylvester's criterion.
-
-    Fraction-free (Bareiss) elimination without pivoting leaves the k-th
-    leading principal minor on the diagonal at step k, so positive
-    definiteness is decided exactly; the last minor is the determinant.
-    """
-    n = len(rows)
-    matrix = [[rows[i][j] if j <= i else rows[j][i] for j in range(n)] for i in range(n)]
-    previous = 1
-    for k in range(n):
-        pivot_row = matrix[k]
-        pivot = pivot_row[k]
-        if pivot <= 0:
-            raise PrecisionError(_NOT_POSITIVE_DEFINITE)
-        for i in range(k + 1, n):
-            row = matrix[i]
-            factor = row[k]
-            for j in range(k + 1, n):
-                row[j] = (pivot * row[j] - factor * pivot_row[j]) // previous
-        previous = pivot
-    return math.log(previous)
-
-
 @dataclass(frozen=True)
 class EllipsoidState:
-    """Center and shape matrix in fixed point.
+    """Center and factored shape matrix in fixed point.
 
     center holds one (mantissa, exponent) pair per coordinate, the dyadic
-    mantissa * 2**exponent. The shape matrix is D L D with D the diagonal of
-    2**exponents[i] and L the symmetric integer matrix whose lower triangle
-    is shape: entry (i, j) is shape[i][j] * 2**(exponents[i] + exponents[j])
-    for j <= i. The scaling keeps every diagonal entry of L at precision_bits
-    bits, so an ellipsoid that thins out along some axes keeps its precision
-    there.
+    mantissa * 2**exponent. The shape matrix is P = L diag(d) L^T with L unit
+    lower triangular: columns[j] holds the entries of column j below the
+    diagonal, rows j + 1 onwards, each an integer over
+    2**(precision_bits + 16). pivots[j] is d_j as a (mantissa, exponent) pair
+    whose mantissa has precision_bits bits. Each pivot carries its own
+    scale, so an ellipsoid that thins out in some direction keeps its
+    precision there, and P is positive definite exactly when every pivot
+    mantissa is positive.
     """
 
     center: tuple[tuple[int, int], ...]
-    shape: tuple[tuple[int, ...], ...]
-    exponents: tuple[int, ...]
+    columns: tuple[tuple[int, ...], ...]
+    pivots: tuple[tuple[int, int], ...]
     precision_bits: int
     iteration: int = 0
 
@@ -262,14 +203,11 @@ class EllipsoidState:
             with mp.workprec(precision_bits):
                 _, man, exp, _ = (mp.mpf(2) ** mp.mpf(twice))._mpf_
             man = int(man)
-        lift = max(0, precision_bits - man.bit_length())
-        lift += (exp - lift) % 2
-        diag = man << lift
-        shape = tuple(tuple(diag if j == i else 0 for j in range(i + 1)) for i in range(n))
+        lift = precision_bits - man.bit_length()
         return cls(
             center=((0, 0),) * n,
-            shape=shape,
-            exponents=((exp - lift) // 2,) * n,
+            columns=tuple((0,) * (n - 1 - j) for j in range(n)),
+            pivots=((man << lift, exp - lift),) * n,
             precision_bits=precision_bits,
         )
 
@@ -285,125 +223,145 @@ class EllipsoidState:
         )
 
     def shape_matrix(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The exact shape matrix, both triangles."""
-        rows = self.shape
-        scale = [Fraction(2) ** e for e in self.exponents]
+        """The exact shape matrix L diag(d) L^T, both triangles."""
+        n = self.dimension
+        unit = Fraction(1, 1 << (self.precision_bits + _GUARD_BITS))
+        # lower[j][r] is L[r][j]
+        lower = [[0] * j + [Fraction(1)] + [x * unit for x in col]
+                 for j, col in enumerate(self.columns)]
+        pivots = [man * Fraction(2) ** exp for man, exp in self.pivots]
         return tuple(
-            tuple(
-                scale[i] * scale[j] * (rows[i][j] if j <= i else rows[j][i])
-                for j in range(len(rows))
-            )
-            for i in range(len(rows))
+            tuple(sum(lower[k][i] * d * lower[k][j] for k, d in enumerate(pivots))
+                  for j in range(n))
+            for i in range(n)
         )
 
     def log_det(self) -> float:
-        """Log-determinant of the shape matrix via Cholesky, which doubles as
-        the positive-definiteness check.
+        """Log-determinant of the shape matrix, the sum of log d_j.
 
-        The factorization runs on machine floats read from the integers,
-        which is plenty for volume bookkeeping; whenever it cannot decide
-        (exponent range exhausted, a pivot too small to trust), Sylvester's
-        criterion on the exact integers decides before any failure is
-        declared.
+        L is unit triangular, so the stored pivots are the whole
+        determinant, and their mantissa signs decide positive definiteness
+        exactly.
         """
-        rows = self.shape
-        value = _float_log_det(rows)
-        if value is None:
-            value = _exact_log_det(rows)
-        return value + 2 * sum(self.exponents) * _LN2
+        if min(man for man, _ in self.pivots) <= 0:
+            raise PrecisionError(_NOT_POSITIVE_DEFINITE)
+        return (math.fsum(math.log(man) for man, _ in self.pivots)
+                + sum(exp for _, exp in self.pivots) * _LN2)
 
     def log_volume(self) -> float:
-        with mp.workprec(self.precision_bits):
-            return float(_log_unit_ball_volume(self.dimension) + self.log_det() / 2)
+        return _log_unit_ball_volume(self.dimension) + self.log_det() / 2
 
 
 def update(state: EllipsoidState, normal: Sequence[Fraction]) -> EllipsoidState:
     """Minimal-volume ellipsoid containing the half with normal . z <= normal . center.
 
-    Scale-invariant in the normal. With the normal in integers, P a and
-    a . P a are exact, so positive definiteness along the cut is checked
-    exactly. The step b = P a / sqrt(a . P a) is carried with precision_bits
-    plus guard bits. Each new center coordinate c - b / (n + 1) is rounded
-    once to precision_bits, and each new entry of
-    n^2 / (n^2 - 1) P - 2 n^2 / ((n^2 - 1)(n + 1)) b b^T is one integer
-    expression rounded once by the shift that leaves its diagonal entries
-    with precision_bits bits. Dimension one degenerates to interval halving.
+    Scale-invariant in the normal. The new shape
+    n^2 / (n^2 - 1) (P - 2 / (n + 1) P a a^T P / a^T P a) is refactored by the
+    stable rank-one modification of Gill, Golub, Murray and Saunders (Math.
+    Comp. 28, 1974). With u = L^T a and the prefix sums G_j of d_i u_i^2, put
+    T_j = (n + 1) G_n - 2 G_j; every T_j is at least (n - 1) / (n + 1) of
+    T_0, so nothing cancels. Then
+
+    * new d_j = n^2 / (n^2 - 1) d_j T_j / T_{j-1}, rounded once;
+    * new L[r][j] = L[r][j] - 2 u_j w_r / T_j, to within one unit of the
+      last place, where w sums d_k u_k L[:, k] over the columns k > j.
+
+    The pass runs from the last column to the first, so w ends as P a,
+    exactly. Columns with u_j = 0 keep their entries, and the columns from
+    the cut's last nonzero coordinate on keep them too. The center
+    c - P a / ((n + 1) sqrt(a^T P a)) is rounded once per coordinate from
+    the exact P a and a square root carried with precision_bits plus guard
+    bits. Positive definiteness is decided by the signs of the exact
+    integers G_n and T_j. Dimension one degenerates to interval halving.
     """
     n = state.dimension
     if len(normal) != n:
         raise ValueError(f"normal has length {len(normal)}, expected {n}")
     a = _integer_direction(normal)
     bits = state.precision_bits
-    rows = state.shape
-    exps = state.exponents
+    one = 1 << (bits + _GUARD_BITS)
+    columns, pivots = state.columns, state.pivots
 
-    # with a' = D a / 2**low in integers: P a = D v 2**low and
-    # a . P a = gamma 4**low, where v = L a' and gamma = a' . v
-    support = [k for k in range(n) if a[k]]
-    low = min(exps[k] for k in support)
-    weights = [(k, a[k] << (exps[k] - low)) for k in support]
-    v = [0] * n
-    for k, ak in weights:
-        v = [x + ak * y for x, y in zip(v, _column(rows, k))]
-    gamma = sum(ak * v[k] for k, ak in weights)
-    if gamma <= 0:
-        raise PrecisionError(
-            "cut normal has nonpositive quadratic form; increase precision_bits"
-        )
+    # u[j] = (L^T a)_j * one; it vanishes past the last nonzero of a
+    support = [(r, a[r]) for r in range(n) if a[r]]
+    last = support[-1][0]
+    u = [
+        a[j] * one + sum([ar * col[r - j - 1] for r, ar in support if r > j])
+        for j, col in enumerate(columns[:last + 1])
+    ]
 
-    # step[i] = v[i] / sqrt(gamma) * 2**frac, so b[i] = step[i] * 2**(exps[i] - frac);
-    # root = sqrt(gamma) * 2**lift to precision_bits plus guard bits
-    frac = (bits + 1) // 2 + _GUARD_BITS
-    lift = bits + _GUARD_BITS + 2 - gamma.bit_length() // 2
-    root = math.isqrt(gamma << 2 * lift if lift >= 0 else gamma >> -2 * lift)
-    up = frac + lift
-    den = root << max(0, -up)
-    twice_den = 2 * den
-    step = [((x << max(0, up) + 1) + den) // twice_den for x in v]
-
-    # center: c - b / (n + 1), rounded per coordinate; the term with the
-    # larger exponent is shifted left onto the smaller one, and a zero
-    # coordinate contributes nothing whatever its stored exponent
-    center = []
-    for (man, man_exp), s, e in zip(state.center, step, exps):
-        step_exp = e - frac
-        if man:
-            base = min(man_exp, step_exp)
-            num = ((man * (n + 1)) << (man_exp - base)) - (s << (step_exp - base))
-        else:
-            base, num = step_exp, -s
-        center.append(_round_dyadic(num, n + 1, base, bits))
+    # with low the least exponent among the pivots that u touches, p[j] is
+    # d_j u_j over 2**(low - F), F = precision_bits + 16; a . P a is gamma
+    # over 2**(2 F - low), and the prefixes of the sum decide each T_j
+    active = [j for j, uj in enumerate(u) if uj]
+    low = min(pivots[j][1] for j in active)
+    p = [(pivots[j][0] << (pivots[j][1] - low)) * u[j] if u[j] else 0
+         for j in range(last + 1)]
+    prefix = list(accumulate([x * y for x, y in zip(p, u)]))
+    gamma = prefix[-1]
+    top = (n + 1) * gamma
+    after = [top - 2 * g for g in prefix]
+    if gamma <= 0 or (n > 1 and min(after) <= 0):
+        raise PrecisionError(_NOT_POSITIVE_DEFINITE)
 
     if n == 1:
-        new_rows, new_exps = rows, (exps[0] - 1,)
+        new_pivots = ((pivots[0][0], pivots[0][1] - 2),)
     else:
-        # the constants carry 2 frac fractional bits, so that
-        # factor L[i][j] - scaled[i] step[j] is entry (i, j) over
-        # 2**(exps[i] + exps[j] - 2 frac)
-        width = 2 * frac
+        # T_j / T_{j-1} is one where u_j = 0, and past the last column u has
         nn = n * n
-        factor = ((nn << width) + (nn - 1) // 2) // (nn - 1)
-        denominator = (nn - 1) * (n + 1)
-        outer = ((2 * nn << width) + denominator // 2) // denominator
-        half = 1 << (width - 1)
-        scaled = [(outer * s + half) >> width for s in step]
-        diag = [factor * rows[i][i] - scaled[i] * step[i] for i in range(n)]
-        # entry (i, j) drops shifts[i] + shifts[j] bits
-        shifts = [(d.bit_length() - bits) // 2 for d in diag]
-        if min(diag) <= 0 or min(shifts) < 1:
-            raise PrecisionError(_NOT_POSITIVE_DEFINITE)
-        new_rows = tuple(
-            tuple([
-                (factor * x - t * s + (1 << (r + q - 1))) >> (r + q)
-                for x, s, q in zip(row, step, shifts)
-            ])
-            for row, t, r in zip(rows, scaled, shifts)
+        ratios = [(t, s) if uj else (1, 1) for uj, t, s in zip(u, after, [top, *after])]
+        ratios += [(1, 1)] * (n - last - 1)
+        new_pivots = tuple(
+            _round_dyadic(man * nn * t, (nn - 1) * s, exp, bits)
+            for (man, exp), (t, s) in zip(pivots, ratios)
         )
-        new_exps = tuple(e - frac + r for e, r in zip(exps, shifts))
+
+    new_columns = list(columns)
+    w = [0] * n  # sum of p[k] L[:, k] * one over the columns passed so far
+    for j in reversed(active):
+        col = columns[j]
+        if j < last:  # w is still zero at the last column
+            # 2 u_j / T_j to as many fractional bits as the widest w_r has,
+            # so that each entry stays within one unit of the exact value
+            tail = w[j + 1:]
+            shift = max(map(int.bit_length, tail)) + 1
+            ratio = ((u[j] << (shift + 2)) + after[j]) // (2 * after[j])
+            half = 1 << (shift - 1)
+            new_columns[j] = tuple([
+                x - ((ratio * y + half) >> shift) for x, y in zip(col, tail)
+            ])
+        pj = p[j]
+        w[j] = pj * one
+        w[j + 1:] = [y + pj * x for y, x in zip(w[j + 1:], col)]
+
+    # P a = w 2**(low - 2 F) and a . P a = gamma 2**(low - 2 F); with
+    # low - 2 F = 2 half + odd, the step P a / sqrt(a . P a) is
+    # w * 2**(half + odd) / sqrt(gamma 2**odd), and root carries
+    # sqrt(gamma 2**odd) * 2**lift to precision_bits plus guard bits
+    scale = low - 2 * (bits + _GUARD_BITS)
+    odd = scale & 1
+    radicand = gamma << odd
+    lift = bits + _GUARD_BITS + 2 - radicand.bit_length() // 2
+    root = math.isqrt(radicand << 2 * lift if lift >= 0 else radicand >> -2 * lift)
+    step_exp = (scale - odd) // 2 + odd + lift
+    den = (n + 1) * root
+
+    # center: c - step / (n + 1) as one fraction over den, rounded once; the
+    # term with the larger exponent is shifted left onto the smaller one, and
+    # a zero coordinate contributes nothing whatever its stored exponent
+    center = []
+    for (man, man_exp), wi in zip(state.center, w):
+        if man:
+            base = min(man_exp, step_exp)
+            num = ((man * den) << (man_exp - base)) - (wi << (step_exp - base))
+        else:
+            base, num = step_exp, -wi
+        center.append(_round_dyadic(num, den, base, bits))
+
     return EllipsoidState(
         center=tuple(center),
-        shape=new_rows,
-        exponents=new_exps,
+        columns=tuple(new_columns),
+        pivots=new_pivots,
         precision_bits=bits,
         iteration=state.iteration + 1,
     )
@@ -477,9 +435,7 @@ def run(
     tolerance = Fraction(1, 2 ** (params.precision_bits // 2))
     min_drop = 1.0 / (5 * n_rows) - float(tolerance)
     previous_log_det = state.log_det()
-    if params.stop_log_volume is not None:
-        with mp.workprec(params.precision_bits):
-            log_unit_ball = float(_log_unit_ball_volume(n_rows))
+    log_unit_ball = _log_unit_ball_volume(n_rows)
     seen = set()
 
     def finish(outcome: Outcome, final_state: EllipsoidState) -> RunResult:

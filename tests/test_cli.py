@@ -89,7 +89,7 @@ class TestSolveVerify:
         assert verify_ce(game, SparseCE.from_json(expected)).verdict
 
     @pytest.mark.parametrize("family, players, actions, seed", [
-        ("nfg", 3, 3, 39), ("polymatrix", 3, 3, 33)])
+        ("nfg", 3, 3, 39), ("polymatrix", 3, 3, 33), ("polymatrix", 4, 3, 95)])
     def test_transcript_matches_golden(self, tmp_path, family, players, actions, seed):
         # pins the purified cut sequence, so a change to the ellipsoid
         # arithmetic that moves any center shows here
@@ -227,6 +227,18 @@ class TestBench:
                 assert Fraction(row["exact_epsilon"]) >= 0
             assert row["actions"] == "2x2"
             float(row["wall_ms"])
+
+    def test_oracle_ignoring_tie_breaks_runs_once(self, tmp_path):
+        # the product oracle has no tie break, so it must not repeat per name
+        csv_path = tmp_path / "bench.csv"
+        rc = run_cli("bench", "--family", "nfg", "--sizes", "2x2",
+                     "--seeds", "0:1", "--oracles", "product,purified",
+                     "--tie-breaks", "first,welfare", "--max-iters", "20",
+                     "--csv", str(csv_path))
+        assert rc == 0
+        with open(csv_path, newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert [r["oracle"] for r in rows] == ["product", "purified", "purified"]
 
     def test_seed_list_and_stdout(self, capsys):
         rc = run_cli("bench", "--family", "nfg", "--sizes", "2x2",

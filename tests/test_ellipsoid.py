@@ -21,7 +21,6 @@ from exactce import (
     run,
     update,
 )
-from exactce.ellipsoid import _float_log_det
 from exactce.oracles import ProfileCut, purified_separation
 
 F = Fraction
@@ -72,7 +71,7 @@ class TestInitialBall:
         assert state.dimension == 2
         assert state.iteration == 0
         assert state.shape_matrix() == ((F(2) ** 20, F(0)), (F(0), F(2) ** 20))
-        assert state.shape[0][0].bit_length() in (256, 257)
+        assert all(man.bit_length() == 256 for man, _ in state.pivots)
         # a radius whose square is not a power of two is rounded once
         odd = EllipsoidState.initial_ball(2, 0.3, 64).shape_matrix()
         assert abs(odd[0][0] - F(2 ** 0.6)) <= F(1, 2**50)  # 2 ** 0.6 is a float
@@ -141,27 +140,29 @@ class TestUpdate:
 
     def test_non_positive_definite_shape_raises(self):
         state = EllipsoidState.initial_ball(2, 0.0, 128)
-        broken = EllipsoidState(
-            center=state.center,
-            shape=((1,), (2, 1)),
-            exponents=(0, 0),
-            precision_bits=128,
-            iteration=0,
-        )
-        with pytest.raises(PrecisionError):
-            broken.log_det()
+        for pivot in ((0, 0), (-(2**127), -127)):
+            broken = EllipsoidState(
+                center=state.center,
+                columns=state.columns,
+                pivots=(state.pivots[0], pivot),
+                precision_bits=128,
+                iteration=0,
+            )
+            with pytest.raises(PrecisionError):
+                broken.log_det()
 
     def test_exact_test_decides_what_floats_cannot(self):
-        # [[1, 1], [1, 1 + d]] over 2**-80: machine floats round 1 + d to 1
-        # and see a zero pivot, while the leading minors are exact integers
-        base = 2**80
-        for corner, positive in ((base + 1, True), (base - 1, False)):
-            rows = ((base,), (base, corner))
-            assert _float_log_det(rows) is None
+        # [[1, 1], [1, 1 + d]] with d = +-2**-80: machine floats round 1 + d
+        # to 1 and see a zero pivot, while the stored pivots 1 and d are
+        # exact, and their signs decide
+        one = 1 << (80 + 16)
+        for sign in (1, -1):
             state = EllipsoidState(
-                center=((0, 0), (0, 0)), shape=rows, exponents=(-40, -40), precision_bits=80)
-            if positive:
-                # det = (base * corner - base**2) * 2**-160 = 2**-80
+                center=((0, 0), (0, 0)), columns=((one,), ()),
+                pivots=((1, 0), (sign, -80)), precision_bits=80)
+            corner = state.shape_matrix()[1][1]
+            assert corner == 1 + sign * F(1, 2**80) and float(corner) == 1.0
+            if sign > 0:
                 assert state.log_det() == pytest.approx(-80 * math.log(2.0), abs=1e-9)
             else:
                 with pytest.raises(PrecisionError):
@@ -187,18 +188,27 @@ def exact_central_cut(shape, center, normal, bits):
     return new_shape, new_center
 
 
-def is_positive_definite(matrix):
-    """Every leading principal minor positive, by exact elimination."""
+def leading_pivots(matrix):
+    """Pivots of exact elimination without row exchanges, up to the first
+    one that is not positive. All n are positive exactly when every leading
+    principal minor is, and their product is then the determinant."""
     m = [list(row) for row in matrix]
     n = len(m)
+    pivots = []
     for k in range(n):
+        pivots.append(m[k][k])
         if m[k][k] <= 0:
-            return False
+            break
         for i in range(k + 1, n):
             ratio = m[i][k] / m[k][k]
             for j in range(k, n):
                 m[i][j] -= ratio * m[k][j]
-    return True
+    return pivots
+
+
+def is_positive_definite(matrix):
+    pivots = leading_pivots(matrix)
+    return len(pivots) == len(matrix) and pivots[-1] > 0
 
 
 @st.composite
@@ -244,7 +254,7 @@ def checked_update(state, normal):
     step_scale = max(shape[i][i] for i in range(n))
     for got, want in zip(got_center, want_center):
         assert (got - want) ** 2 <= tol * tol * max(want * want, step_scale)
-    assert all(row[-1].bit_length() in (bits, bits + 1) for row in state.shape)
+    assert all(man.bit_length() == bits for man, _ in state.pivots)
     assert is_positive_definite(got_shape)
     return state
 
@@ -257,6 +267,30 @@ class TestFixedPointUpdate:
         state = EllipsoidState.initial_ball(n, log2_radius, bits)
         for normal in cuts:
             state = checked_update(state, normal)
+
+    @settings(max_examples=30, deadline=None)
+    @given(update_chains())
+    def test_log_det_reads_the_exact_determinant(self, chain):
+        n, bits, log2_radius, cuts = chain
+        state = EllipsoidState.initial_ball(n, log2_radius, bits)
+        for normal in cuts:
+            state = update(state, normal)
+            shape = state.shape_matrix()
+            assert is_positive_definite(shape)
+            det = math.prod(leading_pivots(shape))
+            exact = math.log(det.numerator) - math.log(det.denominator)
+            assert state.log_det() == pytest.approx(exact, rel=0, abs=1e-9)
+
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    def test_nonnegativity_cut_keeps_later_columns(self, n):
+        # u = L^T (-e_k) vanishes past k, so no column after k is rewritten
+        state = EllipsoidState.initial_ball(n, 10.0, 96)
+        for normal in ([F(j + 1, 3) for j in range(n)], [F(1)] * (n - 1) + [F(-2)]):
+            state = update(state, normal)
+        assert all(any(col) for col in state.columns[:-1])
+        for k in range(n):
+            after = update(state, [F(-1) if j == k else F(0) for j in range(n)])
+            assert after.columns[k + 1:] == state.columns[k + 1:]
 
     @pytest.mark.parametrize("n, log2_radius, bits", [(2, 40.0, 16), (3, 1063.0, 256)])
     def test_radius_beyond_the_step_fraction(self, n, log2_radius, bits):
