@@ -41,15 +41,15 @@ BENCH_COLUMNS = [
 ]
 
 
-def default_precision() -> int:
-    raw = os.environ.get(PRECISION_ENV)
-    if raw is None:
-        return 256
+def _precision(args: argparse.Namespace) -> int:
+    """--precision, else $EXACTCE_PRECISION, else 256."""
+    if args.precision is not None:
+        return args.precision
+    raw = os.environ.get(PRECISION_ENV, "256")
     try:
-        bits = int(raw)
-    except ValueError as exc:
-        raise SystemExit(f"{PRECISION_ENV} must be an integer, got {raw!r}") from exc
-    return bits
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"{PRECISION_ENV} must be an integer, got {raw!r}") from None
 
 
 def bench_row(report: SolveReport, game: Game, seed: int) -> dict:
@@ -102,12 +102,11 @@ def _add_solve_options(sub: argparse.ArgumentParser) -> None:
 
 
 def _config_from(args: argparse.Namespace, seed: int = 0) -> SolveConfig:
-    bits = args.precision if args.precision is not None else default_precision()
     return SolveConfig(
         mode=args.mode,
         oracle=args.oracle,
         tie_break=args.tie_break,
-        precision_bits=bits,
+        precision_bits=_precision(args),
         max_iters=args.max_iters,
         seed=seed,
         log2_radius=args.log2_radius,
@@ -227,6 +226,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: bad --sizes or --seeds: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    try:
+        bits = _precision(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
     oracles = [o.strip() for o in args.oracles.split(",")]
     tie_breaks = [t.strip() for t in args.tie_breaks.split(",")]
     # checked here: a non-purified oracle runs with "first" and never sees them
@@ -257,9 +261,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                         config = SolveConfig(
                             oracle=oracle,
                             tie_break=tie_break,
-                            precision_bits=(args.precision
-                                            if args.precision is not None
-                                            else default_precision()),
+                            precision_bits=bits,
                             max_iters=args.max_iters,
                             seed=seed,
                             probe_stride=args.probe_stride,

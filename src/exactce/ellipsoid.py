@@ -27,21 +27,20 @@ their signs.
 The update is the minimal-volume ellipsoid containing the half-ellipsoid on
 the satisfied side of the cut through the center. Its volume ratio is below
 exp(-1/(5 n)) for every dimension n >= 1, with room to spare for rounding.
-mpmath serves only the iteration bound and an initial radius whose square is
-not a power of two.
+The initial radius must have a power-of-two square, so the starting ball is
+exact too. The iteration bound is a ceiling taken from the standard
+library's correctly rounded decimal logarithm.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from decimal import Decimal, localcontext
+from decimal import ROUND_CEILING, Decimal, localcontext
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate
 from typing import Callable, Sequence
-
-from mpmath import mp
 
 from .errors import PrecisionError, SolverError
 from .oracles import Cut, cut_violation
@@ -78,9 +77,21 @@ def iteration_bound(n_rows: int, u_max: int) -> int:
     if not isinstance(u_max, int) or u_max < 0:
         raise ValueError("u_max must be a nonnegative integer")
     u = max(2, u_max)
-    with mp.workprec(256):
-        value = 5 * n_rows * (5 * n_rows**4 + 7 * n_rows**5) * mp.ln(u)
-        return int(mp.ceil(value))
+    k = 5 * n_rows * (5 * n_rows**4 + 7 * n_rows**5)
+    digits = 32
+    while True:
+        with localcontext() as ctx:
+            ctx.prec = digits
+            # correctly rounded, so ln u lies within one unit of its last digit
+            ln = Decimal(u).ln()
+            unit = Decimal(1).scaleb(ln.adjusted() - digits + 1)
+            ctx.prec = digits + len(str(k)) + 1  # the products below are exact
+            ends = {int((k * (ln + sign * unit)).to_integral_value(ROUND_CEILING))
+                    for sign in (-1, 1)}
+        # ln u is irrational, so enough digits always settle the ceiling
+        if len(ends) == 1:
+            return ends.pop()
+        digits *= 2
 
 
 @dataclass(frozen=True)
@@ -194,20 +205,19 @@ class EllipsoidState:
 
     @classmethod
     def initial_ball(cls, n: int, log2_radius: float, precision_bits: int) -> "EllipsoidState":
+        """The ball of radius 2**log2_radius about the origin; its squared
+        radius must be a power of two, so 2 * log2_radius must be an integer."""
         if n < 1:
             raise ValueError("dimension must be positive")
-        twice = 2 * log2_radius
-        if float(twice).is_integer():
-            man, exp = 1, int(twice)
-        else:
-            with mp.workprec(precision_bits):
-                _, man, exp, _ = (mp.mpf(2) ** mp.mpf(twice))._mpf_
-            man = int(man)
-        lift = precision_bits - man.bit_length()
+        twice = float(2 * log2_radius)
+        if not twice.is_integer():
+            raise ValueError("log2_radius must be a multiple of 0.5, so that the "
+                             "squared radius is a power of two")
+        lift = precision_bits - 1
         return cls(
             center=((0, 0),) * n,
             columns=tuple((0,) * (n - 1 - j) for j in range(n)),
-            pivots=((man << lift, exp - lift),) * n,
+            pivots=((1 << lift, int(twice) - lift),) * n,
             precision_bits=precision_bits,
         )
 

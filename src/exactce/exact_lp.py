@@ -252,13 +252,14 @@ class CutLP:
         return cls(actions=game.actions, n_rows=sum(m * m for m in game.actions), columns=tuple(kept))
 
 
-def _standard_rows_for(dense_columns: Sequence[Sequence[Rational]], n_rows: int):
+def _standard_rows_for(dense_columns: Sequence[Sequence[Rational]]):
     """Equalities for {cols . x >= 0, sum x = 1} with surplus variables.
 
     Identically zero rows are vacuous and skipped. Variables are the column
-    weights followed by one surplus per kept row.
+    weights followed by one surplus per kept row; the sum row comes last.
     """
     n_cols = len(dense_columns)
+    n_rows = len(dense_columns[0])
     kept = [r for r in range(n_rows) if any(col[r] for col in dense_columns)]
     rows = []
     for k, r in enumerate(kept):
@@ -271,17 +272,6 @@ def _standard_rows_for(dense_columns: Sequence[Sequence[Rational]], n_rows: int)
     return rows, rhs, n_cols
 
 
-def _solve_cut_lp(lp: CutLP) -> list[Fraction] | None:
-    if not lp.columns:
-        return None
-    dense = [col.dense() for col in lp.columns]
-    rows, rhs, n_cols = _standard_rows_for(dense, lp.n_rows)
-    status, solution = solve_standard_form(rows, rhs)
-    if status != "optimal":
-        return None
-    return solution[:n_cols]
-
-
 def try_feasible_bfs(lp: CutLP) -> SparseCE | None:
     """Basic feasible solution of the cut program as a sparse certificate.
 
@@ -289,7 +279,7 @@ def try_feasible_bfs(lp: CutLP) -> SparseCE | None:
     support is at most 1 plus the number of off-diagonal incentive rows,
     regardless of how many columns were collected.
     """
-    weights = _solve_cut_lp(lp)
+    weights = mixture_feasible([col.dense() for col in lp.columns])
     if weights is None:
         return None
     atoms = tuple(
@@ -333,7 +323,7 @@ def mixture_feasible(dense_columns: Sequence[Sequence[Fraction]]) -> list[Fracti
     cols = [list(c) for c in dense_columns]
     if not cols:
         return None
-    rows, rhs, n_cols = _standard_rows_for(cols, len(cols[0]))
+    rows, rhs, n_cols = _standard_rows_for(cols)
     status, solution = solve_standard_form(rows, rhs)
     if status != "optimal":
         return None
@@ -352,19 +342,14 @@ def min_violation_mixture(
     cols = [list(c) for c in dense_columns]
     if not cols:
         raise ValueError("need at least one column")
-    n_rows = len(cols[0])
-    n_cols = len(cols)
-    kept = [r for r in range(n_rows) if any(col[r] for col in cols)]
-    rows = []
-    for k, r in enumerate(kept):
-        row = [col[r] for col in cols]
-        row.append(ONE)  # t
-        row += [ZERO] * len(kept)
-        row[n_cols + 1 + k] = Fraction(-1)
-        rows.append(row)
-    rows.append([ONE] * n_cols + [ZERO] * (1 + len(kept)))
-    rhs = [ZERO] * len(kept) + [ONE]
-    objective = [ZERO] * n_cols + [ONE] + [ZERO] * len(kept)
+    rows, rhs, n_cols = _standard_rows_for(cols)
+    # t goes between the weights and the surpluses: +t in every kept row,
+    # nothing in the sum row
+    for row in rows[:-1]:
+        row.insert(n_cols, 1)
+    rows[-1].insert(n_cols, 0)
+    objective = [0] * len(rows[0])
+    objective[n_cols] = 1
     status, solution = solve_standard_form(rows, rhs, objective)
     if status != "optimal":
         raise RuntimeError("violation program unexpectedly unsolvable")

@@ -58,26 +58,6 @@ class ProductDistribution:
             rows.append(tuple(Fraction(1) if k == a else Fraction(0) for k in range(m)))
         return cls(tuple(rows))
 
-    def override(self, player: int, action: int) -> "ProductDistribution":
-        """Replace one player's mix with a point mass, leaving the rest alone."""
-        m = len(self.strategies[player])
-        if not 0 <= action < m:
-            raise ValueError(f"action {action} out of range for {m} actions")
-        row = tuple(Fraction(1) if k == action else Fraction(0) for k in range(m))
-        return ProductDistribution(
-            self.strategies[:player] + (row,) + self.strategies[player + 1 :]
-        )
-
-    def point_profile(self) -> PureProfile | None:
-        """The pure profile this distribution is a point mass on, if it is one."""
-        profile = []
-        for strat in self.strategies:
-            hits = [a for a, prob in enumerate(strat) if prob == 1]
-            if len(hits) != 1:
-                return None
-            profile.append(hits[0])
-        return tuple(profile)
-
     def integer_weights(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
         """(D, X): D the lcm of every probability's denominator, X = D * x.
 
@@ -129,13 +109,6 @@ def _parse_utility(value, where: str) -> Fraction:
     raise GameFormatError(
         f"{where}: utilities must be integers or rational strings, got {type(value).__name__}"
     )
-
-
-def _common_denominator(values: Iterator[Fraction]) -> int:
-    scale = 1
-    for v in values:
-        scale = scale * v.denominator // math.gcd(scale, v.denominator)
-    return scale
 
 
 # ---------- game types ----------
@@ -198,22 +171,6 @@ class Game:
         """Factor by which conditional_payoff_ints on D * x exceeds the
         conditional expected payoffs under x."""
         raise NotImplementedError
-
-    def conditional_payoffs(self, player: int, x: ProductDistribution) -> list[Fraction]:
-        """Expected payoff to the player for each of their own actions, with
-        everyone else drawn independently from x."""
-        x.check_for(self)
-        d, weights = x.integer_weights()
-        scale = self.conditional_scale(d)
-        return [Fraction(v, scale) for v in self.conditional_payoff_ints(player, weights)]
-
-    def expected_utility(self, player: int, x: ProductDistribution) -> Fraction:
-        """Exact expectation of the player's payoff under independent play."""
-        conditional = self.conditional_payoffs(player, x)
-        return sum(
-            (prob * c for prob, c in zip(x.strategies[player], conditional) if prob),
-            Fraction(0),
-        )
 
     @property
     def u_max(self) -> int:
@@ -432,7 +389,7 @@ def _load_nfg(doc: dict) -> NormalFormGame:
         if not isinstance(raw, list) or len(raw) != m:
             raise GameFormatError(f"player {p}: payoff table must have exactly {m} entries")
         values = [_parse_utility(v, f"player {p} entry {k}") for k, v in enumerate(raw)]
-        scale = Fraction(_common_denominator(iter(values)))
+        scale = Fraction(math.lcm(*(v.denominator for v in values)))
         scaled = [v * scale for v in values]
         low = min(scaled)
         shift = -low if low < 0 else Fraction(0)
@@ -471,14 +428,14 @@ def _load_polymatrix(doc: dict) -> PolymatrixGame:
     blocks: list[list[tuple[tuple[int, ...], ...] | None]] = [[None] * n for _ in range(n)]
     adjustments = []
     for p in range(n):
-        entries = (
-            v
+        denominators = (
+            v.denominator
             for q in range(n)
             if q != p
             for row in raw.get((p, q), [[Fraction(0)] * actions[q]] * actions[p])
             for v in row
         )
-        scale = Fraction(_common_denominator(entries))
+        scale = Fraction(math.lcm(*denominators))
         total_shift = Fraction(0)
         for q in range(n):
             if q == p:

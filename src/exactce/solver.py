@@ -90,8 +90,9 @@ class SolveConfig:
             raise ValueError("max_iters must be positive")
         if self.precision_bits < 16:
             raise ValueError("precision_bits must be at least 16")
-        if not math.isfinite(self.log2_radius):
-            raise ValueError("log2_radius must be finite")
+        if not float(2 * self.log2_radius).is_integer():
+            raise ValueError("log2_radius must be a multiple of 0.5, so that the "
+                             "squared radius is a power of two")
         if self.probe_stride < 1:
             raise ValueError("probe_stride must be positive")
 

@@ -201,11 +201,11 @@ class TestSolveVerify:
                        "--output", str(report)) == 0
         assert json.loads(report.read_text())["precision_bits"] == 192
 
-    def test_garbage_precision_env(self, tmp_path, monkeypatch):
+    def test_garbage_precision_env(self, tmp_path, monkeypatch, capsys):
         game = gen_game(tmp_path, seed=0)
         monkeypatch.setenv(PRECISION_ENV, "lots")
-        with pytest.raises(SystemExit, match=PRECISION_ENV):
-            run_cli("solve", "--input", str(game))
+        assert run_cli("solve", "--input", str(game)) == 2
+        assert f"error: {PRECISION_ENV} must be an integer" in capsys.readouterr().err
 
 
 class TestBench:
@@ -273,6 +273,10 @@ BAD_SETTINGS = [
     pytest.param(["solve"], {PRECISION_ENV: "4"}, id="solve-precision-env-4"),
     pytest.param(["solve", "--log2-radius", "nan"], {}, id="solve-radius-nan"),
     pytest.param(["solve", "--log2-radius", "inf"], {}, id="solve-radius-inf"),
+    pytest.param(["solve", "--log2-radius", "0.3"], {}, id="solve-radius-0.3"),
+    pytest.param(["solve", "--log2-radius", "1e308"], {}, id="solve-radius-1e308"),
+    pytest.param(["solve"], {PRECISION_ENV: "lots"}, id="solve-precision-env-lots"),
+    pytest.param(["bench"], {PRECISION_ENV: "lots"}, id="bench-precision-env-lots"),
     pytest.param(["bench", "--oracles", "bogus"], {}, id="bench-oracle-bogus"),
     pytest.param(["bench", "--max-iters", "0"], {}, id="bench-max-iters-0"),
     pytest.param(["bench", "--family", "nfg", "--sizes", "2x2", "--seeds", "0:1",

@@ -72,10 +72,10 @@ class TestInitialBall:
         assert state.iteration == 0
         assert state.shape_matrix() == ((F(2) ** 20, F(0)), (F(0), F(2) ** 20))
         assert all(man.bit_length() == 256 for man, _ in state.pivots)
-        # a radius whose square is not a power of two is rounded once
-        odd = EllipsoidState.initial_ball(2, 0.3, 64).shape_matrix()
-        assert abs(odd[0][0] - F(2 ** 0.6)) <= F(1, 2**50)  # 2 ** 0.6 is a float
-        assert odd[0][1] == 0 and odd[1][1] == odd[0][0]
+        assert EllipsoidState.initial_ball(1, 0.5, 64).shape_matrix() == ((F(2),),)
+        # a radius whose square is not a power of two is refused
+        with pytest.raises(ValueError, match="log2_radius"):
+            EllipsoidState.initial_ball(2, 0.3, 64)
 
     def test_log_volume_of_unit_ball(self):
         state = EllipsoidState.initial_ball(2, 0.0, 256)
@@ -321,6 +321,18 @@ class TestIterationBound:
 
     def test_returns_int(self):
         assert isinstance(iteration_bound(2, 10), int)
+
+    @pytest.mark.parametrize("n, u, bound", [
+        (1, 2, 42),
+        (8, 10, 23012589),
+        (36, 10, 178908642403),
+        (72, 10, 11338770301340),
+        (108, 100, 257465547695790),
+        (1000, 2**64 + 1, 1553758719943173405592),
+    ])
+    def test_pinned_values(self, n, u, bound):
+        # the values of the same ceiling taken with 256-bit mpmath
+        assert iteration_bound(n, u) == bound
 
 
 class TestParams:

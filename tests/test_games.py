@@ -20,6 +20,17 @@ from exactce import (
 F = Fraction
 
 
+def assert_kernel_matches_enumeration(g, x):
+    """sum_a X_p(a) kernel[a] is D conditional_scale(D) times p's expected
+    payoff under x, where X = D x and kernel is conditional_payoff_ints on X."""
+    d, weights = x.integer_weights()
+    for p in range(g.players):
+        kernel = g.conditional_payoff_ints(p, weights)
+        total = sum(w * k for w, k in zip(weights[p], kernel))
+        assert total == d * g.conditional_scale(d) * helpers.enum_expected_utility(
+            g, x.strategies, p)
+
+
 def nfg_doc(players, actions, payoffs):
     return {"type": "nfg", "players": players, "actions": actions, "payoffs": payoffs}
 
@@ -120,15 +131,13 @@ class TestNormalForm:
         rng = random.Random(11)
         for seed in range(10):
             g = random_game("nfg", 3, 2, u_max=8, seed=seed)
-            x = helpers.random_product(rng, g.actions)
-            for p in range(g.players):
-                assert g.expected_utility(p, x) == helpers.enum_expected_utility(
-                    g, x.strategies, p)
+            assert_kernel_matches_enumeration(g, helpers.random_product(rng, g.actions))
 
     def test_expected_utility_at_point_mass(self):
         g = random_game("nfg", 2, 3, u_max=9, seed=4)
-        x = ProductDistribution.point_mass(g.actions, (2, 1))
-        assert g.expected_utility(0, x) == g.payoff(0, (2, 1))
+        d, weights = ProductDistribution.point_mass(g.actions, (2, 1)).integer_weights()
+        kernel = g.conditional_payoff_ints(0, weights)
+        assert kernel[2] == g.conditional_scale(d) * g.payoff(0, (2, 1))
 
     def test_document_round_trip(self):
         g = random_game("nfg", 2, (2, 3), u_max=9, seed=3)
@@ -217,10 +226,7 @@ class TestPolymatrix:
         rng = random.Random(5)
         for seed in range(10):
             g = random_game("polymatrix", 3, (2, 3, 2), u_max=6, seed=seed)
-            x = helpers.random_product(rng, g.actions)
-            for p in range(g.players):
-                assert g.expected_utility(p, x) == helpers.enum_expected_utility(
-                    g, x.strategies, p)
+            assert_kernel_matches_enumeration(g, helpers.random_product(rng, g.actions))
 
     def test_ceiling_equals_best_profile_payoff(self):
         for seed in range(6):
@@ -296,13 +302,7 @@ class TestProductDistribution:
 
     def test_point_mass_and_profile(self):
         x = ProductDistribution.point_mass((2, 3), (1, 2))
-        assert x.point_profile() == (1, 2)
-        assert ProductDistribution.uniform((2, 2)).point_profile() is None
-
-    def test_override(self):
-        x = ProductDistribution.uniform((2, 2)).override(0, 1)
-        assert x.strategies[0] == (F(0), F(1))
-        assert x.strategies[1] == (F(1, 2), F(1, 2))
+        assert x.strategies == ((F(0), F(1)), (F(0), F(0), F(1)))
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,15 @@
 """End-to-end solves: configs, certificates, fallbacks, product mode."""
 
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import exactce
 import helpers
 from exactce import (
     Outcome,
@@ -47,10 +53,40 @@ class TestConfig:
         {"precision_bits": 15},
         {"log2_radius": float("nan")},
         {"log2_radius": float("-inf")},
+        {"log2_radius": 0.3},
+        {"log2_radius": 1e308},
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(ValueError):
             SolveConfig(**kwargs)
+
+    def test_half_integer_radius(self):
+        # a squared radius of 2**5 is still a power of two
+        report = compute_exact_ce(dominant_game(), SolveConfig(log2_radius=2.5))
+        assert report.verified
+
+
+class TestStandardLibraryOnly:
+    def test_solves_without_mpmath(self):
+        # a None entry in sys.modules makes every import of mpmath fail
+        script = textwrap.dedent("""
+            import sys
+            sys.modules["mpmath"] = None
+            from exactce import SolveConfig, compute_exact_ce, load_game, random_game
+            game = random_game("nfg", 2, 2, u_max=10, seed=0)
+            assert compute_exact_ce(game, SolveConfig()).verified
+            two = load_game({"type": "nfg", "players": 2, "actions": [1, 1],
+                             "payoffs": [[4], [9]]})
+            assert compute_exact_ce(two, SolveConfig(mode="theoretical")).verified
+            print("ok")
+        """)
+        package_root = str(Path(exactce.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "ok\n"
 
 
 class TestBruteForce:
