@@ -118,7 +118,7 @@ def _config_from(args: argparse.Namespace, seed: int = 0) -> SolveConfig:
 def _cmd_solve(args: argparse.Namespace) -> int:
     try:
         game = load_game_file(args.input)
-    except (GameFormatError, OSError, json.JSONDecodeError) as exc:
+    except (GameFormatError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     try:
@@ -164,7 +164,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         ce = SparseCE.from_json(document)
         ce.check_profiles(game)
     except (GameFormatError, CertificateError, CertificateMismatchError,
-            OSError, json.JSONDecodeError) as exc:
+            json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
@@ -344,7 +344,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, UnicodeDecodeError) as exc:
+        # an input that cannot be read as UTF-8 text, or an output path
+        # that cannot be written, wherever the subcommand opens it
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -34,7 +34,6 @@ from math import lcm
 from numbers import Rational
 from typing import Sequence
 
-from .games import Game
 from .incentives import IncentiveColumn, SparseCE
 
 ZERO = Fraction(0)
@@ -237,19 +236,18 @@ class CutLP:
     nonnegative: columns . x >= 0 rowwise, x >= 0, sum x = 1.
     """
 
-    actions: tuple[int, ...]
-    n_rows: int
     columns: tuple[IncentiveColumn, ...]
 
     @classmethod
-    def from_columns(cls, game: Game, columns: Sequence[IncentiveColumn]) -> "CutLP":
+    def from_columns(cls, columns: Sequence[IncentiveColumn]) -> "CutLP":
+        """Keep the first column of each profile."""
         seen = set()
         kept = []
         for col in columns:
             if col.profile not in seen:
                 seen.add(col.profile)
                 kept.append(col)
-        return cls(actions=game.actions, n_rows=sum(m * m for m in game.actions), columns=tuple(kept))
+        return cls(columns=tuple(kept))
 
 
 def _standard_rows_for(dense_columns: Sequence[Sequence[Rational]]):

@@ -167,6 +167,18 @@ class Game:
         denominators. The player's own weights are not read."""
         raise NotImplementedError
 
+    def conditional_payoff_jacobian(
+        self, player: int, other: int, weights: Sequence[Sequence[int]]
+    ) -> Sequence[Sequence[int]]:
+        """The derivative of conditional_payoff_ints(player, weights) with
+        respect to the other player's weights: entry [i][a] sums player's
+        payoff where player plays i, other plays a and the remaining players
+        play rest, times the product of the weights of rest, over every
+        assignment rest. The kernel is linear in each other player's weights,
+        so moving that player from weights X to X' moves the kernel by exactly
+        this matrix times X' - X. Neither player's own weights are read."""
+        raise NotImplementedError
+
     def conditional_scale(self, d: int) -> int:
         """Factor by which conditional_payoff_ints on D * x exceeds the
         conditional expected payoffs under x."""
@@ -218,28 +230,51 @@ class NormalFormGame(Game):
         s = self.check_profile(profile)
         return self.tables[player][self.flat_index(s)]
 
-    def conditional_payoff_ints(
-        self, player: int, weights: Sequence[Sequence[int]]
-    ) -> list[int]:
-        """One sweep over the other players' assignments, skipping zero
-        weights, so point-mass-heavy weights cost far less than the table."""
-        table = self.tables[player]
-        strides = self._strides
-        # (flat index, weight product) of every assignment of the players so far
+    def _assignments(
+        self, weights: Sequence[Sequence[int]], skip: tuple[int, ...]
+    ) -> list[tuple[int, int]]:
+        """(flat index, weight product) of every assignment of the players
+        not in skip, skipping zero weights, so point-mass-heavy weights cost
+        far less than the table."""
         partial = [(0, 1)]
         for q, theirs in enumerate(weights):
-            if q != player:
-                stride = strides[q]
+            if q not in skip:
+                stride = self._strides[q]
                 partial = [
                     (idx + a * stride, w * wa)
                     for idx, w in partial
                     for a, wa in enumerate(theirs)
                     if wa
                 ]
-        own_stride = strides[player]
+        return partial
+
+    def conditional_payoff_ints(
+        self, player: int, weights: Sequence[Sequence[int]]
+    ) -> list[int]:
+        """One sweep over the other players' assignments."""
+        table = self.tables[player]
+        partial = self._assignments(weights, (player,))
+        own_stride = self._strides[player]
         return [
             sum(w * table[idx + a * own_stride] for idx, w in partial)
             for a in range(self.actions[player])
+        ]
+
+    def conditional_payoff_jacobian(
+        self, player: int, other: int, weights: Sequence[Sequence[int]]
+    ) -> list[list[int]]:
+        """One sweep over the assignments of the players other than both."""
+        if player == other:
+            raise ValueError("the jacobian needs two distinct players")
+        table = self.tables[player]
+        partial = self._assignments(weights, (player, other))
+        own_stride, other_stride = self._strides[player], self._strides[other]
+        return [
+            [
+                sum(w * table[idx + i * own_stride + a * other_stride] for idx, w in partial)
+                for a in range(self.actions[other])
+            ]
+            for i in range(self.actions[player])
         ]
 
     def conditional_scale(self, d: int) -> int:
@@ -318,6 +353,15 @@ class PolymatrixGame(Game):
                 for i, row in enumerate(self.blocks[player][q]):
                     out[i] += sum(w * v for w, v in zip(theirs, row) if w)
         return out
+
+    def conditional_payoff_jacobian(
+        self, player: int, other: int, weights: Sequence[Sequence[int]]
+    ) -> tuple[tuple[int, ...], ...]:
+        """The pairwise block itself: the kernel is a sum of one block per
+        other player, so no weights enter its derivative."""
+        if player == other:
+            raise ValueError("the jacobian needs two distinct players")
+        return self.blocks[player][other]
 
     def conditional_scale(self, d: int) -> int:
         # each block row is weighted by one other player's D * x_q

@@ -13,12 +13,15 @@ verbatim constraint of it, violated at the queried point:
 * ProductCut (product mode): the constraint induced by the product
   distribution itself, skipping the rounding step.
 
-The rounding scores every branch with DualValue, which holds V as one
-Python integer. y is scaled by the lcm L of its denominators and x by the lcm
-D of its denominators, with D kept for the whole rounding, so every term of V
-carries the same positive factor D L conditional_scale(D) (D^(n-1) for normal
-form, D for polymatrix). Its sign tests and comparisons are then exact integer
-ones, with no gcd and no row vector.
+The rounding holds V as one Python integer (DualValue). y is scaled by the
+lcm L of its denominators and x by the lcm D of its denominators, with D kept
+for the whole rounding, so every term of V carries the same positive factor
+D L conditional_scale(D) (D^(n-1) for normal form, D for polymatrix). Its
+sign tests and comparisons are then exact integer ones, with no gcd and no
+row vector. V is affine in each player's mix, so all of one player's branches
+are scored from one linear form (Rounding), built from the game's conditional
+payoff jacobians and updated as players are fixed; DualValue.scores, which
+evaluates V from scratch, is the reference those forms must equal.
 """
 
 from __future__ import annotations
@@ -26,7 +29,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from functools import partial
+from typing import Callable, Sequence
 
 from .errors import SolverError
 from .exact_lp import stationary_distribution
@@ -171,6 +175,10 @@ def stationary_product(game: Game, y: Sequence[Fraction]) -> ProductDistribution
 # ---------- purification ----------
 
 
+def _dot(a: Sequence[int], b: Sequence[int]) -> int:
+    return sum(u * v for u, v in zip(a, b) if u)
+
+
 class DualValue:
     """The y-weighted incentive value of product distributions, as integers.
 
@@ -188,6 +196,11 @@ class DualValue:
     integer kernel gives conditional_scale(D) C_p and the flows carry D L,
     so every term of V carries the same positive factor `scale`: scores(X)
     returns V(x) * scale exactly, and its sign and order are those of V.
+
+    V is affine in each player's weights, since C_p does not read X_p and
+    every other C_q is linear in it. Rounding uses that to score all of one
+    player's branches from one linear form; scores, which evaluates V from
+    scratch, is the reference those forms are tested against.
     """
 
     def __init__(self, game: Game, y: Sequence[Fraction], x: ProductDistribution):
@@ -211,21 +224,102 @@ class DualValue:
     def point_mass(self, player: int, action: int) -> tuple[int, ...]:
         return tuple(self.d if a == action else 0 for a in range(self.game.actions[player]))
 
+    def flows(self, player: int, mine: Sequence[int]) -> list[int]:
+        """w_p at the player's weights: each action's outflow minus its inflow."""
+        rates = self.rates[player]
+        return [
+            mine[i] * out - sum(w * row[i] for w, row in zip(mine, rates) if w)
+            for i, out in enumerate(self.outflows[player])
+        ]
+
     def scores(self, weights: Sequence[Sequence[int]]) -> tuple[int, int]:
-        """(value, welfare) at the weights X = D x.
+        """(value, welfare) at the weights X = D x, evaluated from scratch.
 
         value is scale * V(x). welfare is sum_q <C_q, X_q>, the players'
         total expected payoff under x times D * conditional_scale(D).
         """
-        value = welfare = 0
-        for p, (mine, rates, outflow) in enumerate(zip(weights, self.rates, self.outflows)):
-            conditional = self.game.conditional_payoff_ints(p, weights)
-            for i, c in enumerate(conditional):
-                if c:
-                    inflow = sum(w * row[i] for w, row in zip(mine, rates) if w)
-                    value += c * (mine[i] * outflow[i] - inflow)
-                    welfare += c * mine[i]
-        return value, welfare
+        state = Rounding(self, weights)
+        return state.value, state.welfare
+
+
+class Rounding:
+    """Integer state of the conditioning in purify, kept up to date as players
+    are fixed one at a time.
+
+    It holds the weights X, every player's kernel C_q =
+    conditional_payoff_ints(q, X), the flows w_q, and the value V and welfare
+    W that DualValue.scores returns on X. Fixing player p moves each other
+    C_q by M_qp (X_p' - X_p), with M_qp the game's conditional payoff
+    jacobian, and leaves C_p and every other flow alone. So V and W at
+    X_p' = D e_a are V + D h(a) - <X_p, h> and W + D k(a) - <X_p, k>, where
+
+        h(a) = C_p(a) out_p(a) - sum_i L y_{p,a,i} C_p(i)
+               + sum_{q != p} sum_i w_q(i) M_qp[i][a],
+        k(a) = C_p(a) + sum_{q != p} sum_i X_q(i) M_qp[i][a].
+
+    step(p, choose) makes one pass over the jacobians to score every branch
+    of p, instead of one evaluation of the whole game per branch, and then
+    fixes p to the branch choose picks.
+    """
+
+    def __init__(self, dual: DualValue, weights: Sequence[Sequence[int]]):
+        game = dual.game
+        self.dual = dual
+        self.weights = [tuple(mine) for mine in weights]
+        self.conditionals = [game.conditional_payoff_ints(q, weights) for q in range(game.players)]
+        self.flows = [dual.flows(q, mine) for q, mine in enumerate(weights)]
+        self.value = sum(_dot(c, w) for c, w in zip(self.conditionals, self.flows))
+        self.welfare = sum(_dot(c, mine) for c, mine in zip(self.conditionals, weights))
+
+    def step(self, player: int, choose: Callable[[list[tuple[int, int]]], int]) -> int:
+        """Fix player to the action choose picks and return that action.
+
+        choose gets (value, welfare) after fixing player to each of its
+        actions, the integers scores returns on those weights.
+        """
+        dual, weights = self.dual, self.weights
+        own = self.conditionals[player]
+        h = [c * out - _dot(row, own)
+             for c, out, row in zip(own, dual.outflows[player], dual.rates[player])]
+        k = list(own)
+        jacobians = {}
+        for q in range(dual.game.players):
+            if q != player:
+                jacobian = dual.game.conditional_payoff_jacobian(q, player, weights)
+                jacobians[q] = jacobian
+                for flow, mass, row in zip(self.flows[q], weights[q], jacobian):
+                    if flow:
+                        h = [ha + flow * v for ha, v in zip(h, row)]
+                    if mass:
+                        k = [ka + mass * v for ka, v in zip(k, row)]
+        mine, d = weights[player], dual.d
+        value, welfare = self.value - _dot(mine, h), self.welfare - _dot(mine, k)
+        branches = [(value + d * ha, welfare + d * ka) for ha, ka in zip(h, k)]
+        action = choose(branches)
+
+        target = dual.point_mass(player, action)
+        delta = [t - x for t, x in zip(target, mine)]
+        for q, jacobian in jacobians.items():
+            self.conditionals[q] = [
+                c + _dot(delta, row) for c, row in zip(self.conditionals[q], jacobian)
+            ]
+        weights[player] = target
+        self.flows[player] = dual.flows(player, target)
+        self.value, self.welfare = branches[action]
+        return action
+
+
+def _choose(tie_break: str, branches: list[tuple[int, int]]) -> int:
+    """The action purify fixes, among the branches with nonnegative value."""
+    kept = [(a, v, w) for a, (v, w) in enumerate(branches) if v >= 0]
+    if not kept:
+        raise SolverError("no nonnegative branch while purifying; invariant broken")
+    # max keeps the first of equal scores, so ties go to the lowest action
+    if tie_break == "max-value":
+        return max(kept, key=lambda b: b[1])[0]
+    if tie_break == "welfare":
+        return max(kept, key=lambda b: b[2])[0]
+    return kept[0][0]
 
 
 def purify(
@@ -245,10 +339,12 @@ def purify(
     branches: "first" takes the lowest action, "max-value" the branch with the
     largest value, "welfare" the branch with the largest total expected payoff.
 
-    Every branch is scored by DualValue: one integer value and one integer
-    welfare, each the exact quantity times a positive factor that depends only
-    on y and the starting x. The sign tests and both comparisons are therefore
-    exact and pick the same branches as the rational values would.
+    Rounding scores all of one player's branches from one linear form in that
+    player's weights: one integer value and one integer welfare per branch,
+    equal to what DualValue.scores returns on those weights, each the exact
+    quantity times a positive factor that depends only on y and the starting
+    x. The sign tests and both comparisons are therefore exact and pick the
+    same branches as the rational values would.
     purified_separation passes _stationary=True for its stationary product,
     whose value must then be exactly zero.
     """
@@ -258,35 +354,15 @@ def purify(
     x.check_for(game)
     if any(v < 0 for v in y):
         raise ValueError("dual vector must be nonnegative")
-    value = DualValue(game, y, x)
-    weights = list(value.start)
-    start, _ = value.scores(weights)
-    if _stationary and start != 0:
+    dual = DualValue(game, y, x)
+    state = Rounding(dual, dual.start)
+    if _stationary and state.value != 0:
         raise SolverError(_STATIONARY_FAILED)
-    if start < 0:
+    if state.value < 0:
         raise ValueError("purification requires a nonnegative starting value")
 
-    profile = []
-    for p in range(game.players):
-        branches = []  # (action, value, welfare) of each nonnegative branch
-        for a in range(game.actions[p]):
-            weights[p] = value.point_mass(p, a)
-            v, welfare = value.scores(weights)
-            if v >= 0:
-                branches.append((a, v, welfare))
-                if tie_break == "first":
-                    break
-        if not branches:
-            raise SolverError("no nonnegative branch while purifying; invariant broken")
-        # max keeps the first of equal scores, so ties go to the lowest action
-        if tie_break == "max-value":
-            chosen = max(branches, key=lambda b: b[1])[0]
-        elif tie_break == "welfare":
-            chosen = max(branches, key=lambda b: b[2])[0]
-        else:
-            chosen = branches[0][0]
-        weights[p] = value.point_mass(p, chosen)
-        profile.append(chosen)
+    choose = partial(_choose, tie_break)
+    profile = [state.step(p, choose) for p in range(game.players)]
     return tuple(profile)
 
 

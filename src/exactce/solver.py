@@ -191,7 +191,7 @@ def _solve_purified(game: Game, config: SolveConfig, started: float) -> SolveRep
     def probe(_cut, roster) -> bool:
         if len(roster) % config.probe_stride:
             return False
-        lp = CutLP.from_columns(game, [c.column for c in roster])
+        lp = CutLP.from_columns([c.column for c in roster])
         ce = try_feasible_bfs(lp)
         if ce is None:
             return False
@@ -216,7 +216,7 @@ def _solve_purified(game: Game, config: SolveConfig, started: float) -> SolveRep
         ce = found[-1]
     else:
         lp = CutLP.from_columns(
-            game, [c.column for c in result.transcript.roster if c.kind == "profile"]
+            [c.column for c in result.transcript.roster if c.kind == "profile"]
         )
         ce = try_feasible_bfs(lp)
         if ce is None:
@@ -345,7 +345,7 @@ def brute_force_ce(game: Game) -> SparseCE:
             f"{BRUTE_FORCE_PROFILE_CAP}"
         )
     columns = [profile_column(game, s) for s in game.profiles()]
-    ce = try_feasible_bfs(CutLP.from_columns(game, columns))
+    ce = try_feasible_bfs(CutLP.from_columns(columns))
     if ce is None:
         raise SolverError("no distribution clears every row; impossible for a finite game")
     return ce

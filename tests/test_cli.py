@@ -88,18 +88,25 @@ class TestSolveVerify:
         assert result.certificate.to_json() == expected
         assert verify_ce(game, SparseCE.from_json(expected)).verdict
 
-    @pytest.mark.parametrize("family, players, actions, seed", [
-        ("nfg", 3, 3, 39), ("polymatrix", 3, 3, 33), ("polymatrix", 4, 3, 95)])
-    def test_transcript_matches_golden(self, tmp_path, family, players, actions, seed):
+    @pytest.mark.parametrize("family, players, actions, seed, tie_break", [
+        pytest.param("nfg", 3, 3, 39, "first", id="nfg-3-3-39"),
+        pytest.param("polymatrix", 3, 3, 33, "first", id="polymatrix-3-3-33"),
+        pytest.param("polymatrix", 4, 3, 95, "first", id="polymatrix-4-3-95"),
+        ("polymatrix", 3, 3, 33, "welfare"), ("polymatrix", 3, 3, 33, "max-value")])
+    def test_transcript_matches_golden(self, tmp_path, family, players, actions, seed,
+                                       tie_break):
         # pins the purified cut sequence, so a change to the ellipsoid
-        # arithmetic that moves any center shows here
+        # arithmetic or to a tie break's branch scores that moves any center
+        # shows here
         game = gen_game(tmp_path, seed=seed, players=players, actions=actions,
                         family=family)
         transcript = tmp_path / "cuts.jsonl"
         assert run_cli("solve", "--input", str(game),
                        "--output", str(tmp_path / "r.json"),
+                       "--tie-break", tie_break,
                        "--transcript", str(transcript)) == 0
-        name = f"transcript_{family}_{players}x{actions}_seed{seed}.jsonl"
+        suffix = "" if tie_break == "first" else f"_{tie_break}"
+        name = f"transcript_{family}_{players}x{actions}_seed{seed}{suffix}.jsonl"
         assert transcript.read_bytes() == (GOLDEN / name).read_bytes()
 
     def test_transcript_written(self, tmp_path):
@@ -282,7 +289,17 @@ BAD_SETTINGS = [
     pytest.param(["bench", "--family", "nfg", "--sizes", "2x2", "--seeds", "0:1",
                   "--oracles", "product", "--tie-breaks", "bogus"], {},
                  id="bench-product-tie-break-bogus"),
+    pytest.param(["solve", "--output", "missing/x.json"], {}, id="solve-output-missing-dir"),
+    pytest.param(["solve", "--output", "r.json", "--ce-output", "missing/x.json"], {},
+                 id="solve-ce-output-missing-dir"),
+    pytest.param(["solve", "--output", "r.json", "--transcript", "missing/x.json"], {},
+                 id="solve-transcript-missing-dir"),
+    pytest.param(["gen", "--output", "missing/x.json"], {}, id="gen-output-missing-dir"),
+    pytest.param(["bench", "--family", "nfg", "--sizes", "2x2", "--seeds", "0:1",
+                  "--csv", "missing/x.json"], {}, id="bench-csv-missing-dir"),
 ]
+
+NOT_UTF8 = b"\xff\xfe{not text"
 
 
 class TestExitCodes:
@@ -302,6 +319,18 @@ class TestExitCodes:
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
         assert any(line.startswith("error:") for line in proc.stderr.splitlines())
+
+    def test_solve_input_not_utf8(self, tmp_path, capsys):
+        game = tmp_path / "game.json"
+        game.write_bytes(NOT_UTF8)
+        assert run_cli("solve", "--input", str(game)) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_verify_ce_not_utf8(self, tmp_path, capsys):
+        ce = tmp_path / "ce.json"
+        ce.write_bytes(NOT_UTF8)
+        assert run_cli("verify", "--input", str(gen_game(tmp_path)), "--ce", str(ce)) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
 
 def declared_console_script(name):

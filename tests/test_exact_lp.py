@@ -259,13 +259,13 @@ class TestCutLP:
         g = self.dominant_game()
         cols = [profile_column(g, (0, 0)), profile_column(g, (0, 0)),
                 profile_column(g, (1, 1))]
-        lp = CutLP.from_columns(g, cols)
+        lp = CutLP.from_columns(cols)
         assert len(lp.columns) == 2
         assert [c.profile for c in lp.columns] == [(0, 0), (1, 1)]
 
     def test_single_equilibrium_column_feasible(self):
         g = self.dominant_game()
-        lp = CutLP.from_columns(g, [profile_column(g, (0, 0))])
+        lp = CutLP.from_columns([profile_column(g, (0, 0))])
         ce = try_feasible_bfs(lp)
         assert ce is not None
         assert ce.atoms == (((0, 0), F(1)),)
@@ -275,13 +275,13 @@ class TestCutLP:
         g = self.dominant_game()
         # the column of (1, 1) has strictly negative deviation rows, so no
         # distribution over it alone can clear them
-        lp = CutLP.from_columns(g, [profile_column(g, (1, 1))])
+        lp = CutLP.from_columns([profile_column(g, (1, 1))])
         assert try_feasible_bfs(lp) is None
 
     def test_mixed_columns_still_pick_good_vertex(self):
         g = self.dominant_game()
         lp = CutLP.from_columns(
-            g, [profile_column(g, s) for s in [(1, 1), (0, 1), (0, 0)]])
+            [profile_column(g, s) for s in [(1, 1), (0, 1), (0, 0)]])
         ce = try_feasible_bfs(lp)
         assert ce is not None
         assert verify_ce(g, ce).verdict
@@ -289,7 +289,7 @@ class TestCutLP:
     def test_all_columns_feasible_for_any_game(self):
         for family in ("nfg", "polymatrix"):
             g = random_game(family, 2, 3, u_max=9, seed=13)
-            lp = CutLP.from_columns(g, [profile_column(g, s) for s in g.profiles()])
+            lp = CutLP.from_columns([profile_column(g, s) for s in g.profiles()])
             ce = try_feasible_bfs(lp)
             assert ce is not None
             assert verify_ce(g, ce).verdict

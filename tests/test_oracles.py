@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +25,7 @@ from exactce import (
     stationary_product,
 )
 from exactce.incentives import iter_rows, row_at
-from exactce.oracles import DualValue
+from exactce.oracles import DualValue, Rounding
 
 F = Fraction
 
@@ -236,6 +237,26 @@ dual_entries = st.builds(F, st.integers(0, 12), st.sampled_from([1, 2, 3, 5, 6, 
 probabilities = st.builds(F, st.integers(1, 9), st.sampled_from([1, 2, 3, 5, 7]))
 
 
+def record_branches(run):
+    """Call run() and return (player, weights, (value, welfare), branches) for
+    every Rounding.step it makes, with the state as it was before the step."""
+    calls = []
+    original = Rounding.step
+
+    def recording(state, player, choose):
+        before = (player, list(state.weights), (state.value, state.welfare))
+
+        def spy(branches):
+            calls.append((*before, branches))
+            return choose(branches)
+
+        return original(state, player, spy)
+
+    with patch.object(Rounding, "step", recording):
+        run()
+    return calls
+
+
 @st.composite
 def value_cases(draw):
     """(game, y, x): nfg up to 3x3 or polymatrix up to 4x3, y >= 0 with some
@@ -288,6 +309,52 @@ class TestIntegerValue:
             forced[p] = [F(int(k == a)) for k in range(g.actions[p])]
             assert F(value.scores(weights)[0], value.scale) == helpers.dual_objective(
                 g, forced, y)
+
+    @settings(max_examples=150, deadline=None)
+    @given(value_cases(), st.data())
+    def test_jacobian_moves_kernel_exactly(self, case, data):
+        g, _, x = case
+        _, start = x.integer_weights()
+        p = data.draw(st.integers(0, g.players - 1))
+        before, after = list(start), list(start)
+        before[p] = data.draw(st.lists(st.integers(0, 40), min_size=g.actions[p],
+                                       max_size=g.actions[p]))
+        after[p] = data.draw(st.lists(st.integers(0, 40), min_size=g.actions[p],
+                                      max_size=g.actions[p]))
+        delta = [b - a for a, b in zip(before[p], after[p])]
+        for q in range(g.players):
+            if q == p:
+                continue
+            jacobian = g.conditional_payoff_jacobian(q, p, start)
+            moved = [
+                b - a for a, b in zip(g.conditional_payoff_ints(q, before),
+                                      g.conditional_payoff_ints(q, after))
+            ]
+            assert moved == [sum(v * d for v, d in zip(row, delta)) for row in jacobian]
+
+    def test_jacobian_needs_two_players(self):
+        for family in ("nfg", "polymatrix"):
+            g = random_game(family, 2, 2, u_max=5, seed=0)
+            with pytest.raises(ValueError, match="two distinct players"):
+                g.conditional_payoff_jacobian(1, 1, [(1, 1), (1, 1)])
+
+    @settings(max_examples=100, deadline=None)
+    @given(value_cases())
+    def test_purify_branches_match_scores(self, case):
+        g, y, x = case
+        if helpers.dual_objective(g, x.strategies, y) < 0:
+            return
+        value = DualValue(g, y, x)
+        for tb in ("first", "max-value", "welfare"):
+            calls = record_branches(lambda: purify(g, y, x, tb))
+            assert [p for p, _, _, _ in calls] == list(range(g.players))
+            for p, weights, before, branches in calls:
+                # the state carried to this player equals a fresh evaluation
+                assert before == value.scores(weights)
+                for a, branch in enumerate(branches):
+                    forced = list(weights)
+                    forced[p] = value.point_mass(p, a)
+                    assert branch == value.scores(forced), (tb, p, a)
 
     @settings(max_examples=150, deadline=None)
     @given(value_cases())
