@@ -7,6 +7,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import replace
 
 from .errors import (
     CertificateError,
@@ -88,6 +89,16 @@ def _write_text(path: str | None, text: str) -> None:
             handle.write("\n")
 
 
+def _check_output_dirs(*paths: str | None) -> None:
+    """Refuse an output path in a missing directory before any work is done."""
+    for path in paths:
+        if path is None or path == "-":
+            continue
+        directory = os.path.dirname(path) or "."
+        if not os.path.isdir(directory):
+            raise ValueError(f"cannot write {path}: no directory {directory}")
+
+
 def _add_solve_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--mode", choices=MODES, default="practical")
     sub.add_argument("--oracle", choices=ORACLES, default="purified")
@@ -95,21 +106,18 @@ def _add_solve_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--precision", type=int, default=None, metavar="BITS",
                      help=f"working precision; default 256 or ${PRECISION_ENV}")
     sub.add_argument("--max-iters", type=int, default=2000)
-    sub.add_argument("--log2-radius", type=float, default=10.0)
     sub.add_argument("--probe-stride", type=int, default=1)
     sub.add_argument("--brute-force-fallback", action="store_true",
                      help="on iteration cap, fall back to the full LP for small games")
 
 
-def _config_from(args: argparse.Namespace, seed: int = 0) -> SolveConfig:
+def _config_from(args: argparse.Namespace) -> SolveConfig:
     return SolveConfig(
         mode=args.mode,
         oracle=args.oracle,
         tie_break=args.tie_break,
         precision_bits=_precision(args),
         max_iters=args.max_iters,
-        seed=seed,
-        log2_radius=args.log2_radius,
         brute_force_fallback=args.brute_force_fallback,
         probe_stride=args.probe_stride,
     )
@@ -117,13 +125,10 @@ def _config_from(args: argparse.Namespace, seed: int = 0) -> SolveConfig:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     try:
-        game = load_game_file(args.input)
-    except (GameFormatError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    try:
         config = _config_from(args)
-    except ValueError as exc:
+        _check_output_dirs(args.output, args.ce_output, args.transcript)
+        game = load_game_file(args.input)
+    except ValueError as exc:  # GameFormatError and JSONDecodeError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
@@ -226,24 +231,29 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: bad --sizes or --seeds: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    try:
-        bits = _precision(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
     oracles = [o.strip() for o in args.oracles.split(",")]
     tie_breaks = [t.strip() for t in args.tie_breaks.split(",")]
-    # checked here: a non-purified oracle runs with "first" and never sees them
-    unknown = [t for t in tie_breaks if t not in TIE_BREAKS]
-    if unknown:
-        print(f"error: unknown tie break {unknown[0]!r}", file=sys.stderr)
-        return EXIT_ERROR
     # each distinct (oracle, tie break) pair runs once, in the order given
     runs = list(dict.fromkeys(
         (oracle, tie_break if oracle == "purified" else "first")
         for oracle in oracles
         for tie_break in tie_breaks
     ))
+    try:
+        # checked here: a non-purified oracle runs with "first" and never sees them
+        unknown = [t for t in tie_breaks if t not in TIE_BREAKS]
+        if unknown:
+            raise ValueError(f"unknown tie break {unknown[0]!r}")
+        bits = _precision(args)
+        configs = [
+            SolveConfig(oracle=oracle, tie_break=tie_break, precision_bits=bits,
+                        max_iters=args.max_iters, probe_stride=args.probe_stride)
+            for oracle, tie_break in runs
+        ]
+        _check_output_dirs(args.csv)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
 
     rows = []
     failed = 0
@@ -256,31 +266,23 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 except GameFormatError as exc:
                     print(f"error: {exc}", file=sys.stderr)
                     return EXIT_ERROR
-                for oracle, tie_break in runs:
+                for config in configs:
                     try:
-                        config = SolveConfig(
-                            oracle=oracle,
-                            tie_break=tie_break,
-                            precision_bits=bits,
-                            max_iters=args.max_iters,
-                            seed=seed,
-                            probe_stride=args.probe_stride,
-                        )
-                        report = compute_exact_ce(game, config)
+                        report = compute_exact_ce(game, replace(config, seed=seed))
                     except (SolverError, ValueError) as exc:
                         # keep sweeping; the failure still sets the exit code
                         failed += 1
                         print(
                             f"error: family={family} "
                             f"players={players} actions={actions} seed={seed} "
-                            f"oracle={oracle}: {exc}",
+                            f"oracle={config.oracle}: {exc}",
                             file=sys.stderr,
                         )
                         continue
                     rows.append(bench_row(report, game, seed))
                     print(
                         f"bench: {rows[-1]['family']} n={players} a={actions} "
-                        f"seed={seed} oracle={oracle} "
+                        f"seed={seed} oracle={config.oracle} "
                         f"iters={report.iterations} eps={report.exact_epsilon} "
                         f"wall={report.wall_ms:.1f}ms",
                         file=sys.stderr,

@@ -18,11 +18,15 @@ precision_bits sets that number:
   lower triangular with integer entries over 2**(precision_bits + 16), and
   each pivot d_j is a dyadic with precision_bits significant bits.
 
-Integers have no exponent range, so the same arithmetic serves a modest
-practical radius and the certified 2**(5 N^3 log u) one. The cut normal is
-scaled to integers, which makes L^T a, a^T P a and P a exact. The volume is
-read off the stored pivots, and the pivots decide positive definiteness by
-their signs.
+Integers have no exponent range, so the arithmetic holds at any radius,
+the certified 2**(5 N^3 log u) one included. Rounding to significant bits
+also makes a run scale-equivariant: a ball 2**k times larger gives the same
+cuts with every center scaled by 2**k. Solves therefore always start from
+the practical radius 2**10, and the theoretical mode moves the certified
+volume floor down to it (solver._params_for). The cut normal is scaled to
+integers, which makes L^T a, a^T P a and P a exact. The volume is read off
+the stored pivots, and the pivots decide positive definiteness by their
+signs.
 
 The update is the minimal-volume ellipsoid containing the half-ellipsoid on
 the satisfied side of the cut through the center. Its volume ratio is below
@@ -127,8 +131,9 @@ class EllipsoidParams:
         """Radius and volume floor large enough for the worst-case guarantee.
 
         The radius is 2**ceil(5 N^3 log2 u) and the floor is the unit-ball
-        volume times u**(-7 N^5), in log form. Sized for tiny N; at realistic
-        N the practical parameters are the ones to use.
+        volume times u**(-7 N^5), in log form. Solves do not run at this
+        radius: the theoretical mode keeps the cap and carries the floor over
+        to the practical radius, where the run is the same up to scale.
         """
         u = max(2, u_max)
         log2_radius = float(math.ceil(5 * n_rows**3 * math.log2(u)))
@@ -171,7 +176,7 @@ def _round_dyadic(num: int, den: int, exp: int, bits: int) -> tuple[int, int]:
         shift += 1
 
 
-def _integer_direction(normal: Sequence[Fraction]) -> list[int]:
+def _integer_direction(normal: Sequence[int | Fraction]) -> list[int]:
     """The normal scaled to coprime integers; the update ignores its scale."""
     values = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in normal]
     scale = math.lcm(*(v.denominator for v in values))
@@ -262,7 +267,7 @@ class EllipsoidState:
         return _log_unit_ball_volume(self.dimension) + self.log_det() / 2
 
 
-def update(state: EllipsoidState, normal: Sequence[Fraction]) -> EllipsoidState:
+def update(state: EllipsoidState, normal: Sequence[int | Fraction]) -> EllipsoidState:
     """Minimal-volume ellipsoid containing the half with normal . z <= normal . center.
 
     Scale-invariant in the normal. The new shape

@@ -64,9 +64,9 @@ class NonnegativityCut:
     kind = "nonneg"
     rhs = ZERO
 
-    def normal(self) -> list[Fraction]:
-        out = [ZERO] * self.n_rows
-        out[self.position] = Fraction(-1)
+    def normal(self) -> list[int]:
+        out = [0] * self.n_rows
+        out[self.position] = -1
         return out
 
     def roster_key(self):
@@ -89,8 +89,8 @@ class ProfileCut:
     def profile(self) -> PureProfile:
         return self.column.profile
 
-    def normal(self) -> list[Fraction]:
-        return [Fraction(v) for v in self.column.dense()]
+    def normal(self) -> list[int]:
+        return self.column.dense()
 
     def roster_key(self):
         return ("profile", self.column.profile)

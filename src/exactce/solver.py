@@ -73,7 +73,6 @@ class SolveConfig:
     precision_bits: int = DEFAULT_PRECISION_BITS
     max_iters: int = 2000
     seed: int = 0  # recorded for provenance; the solve itself is deterministic
-    log2_radius: float = 10.0
     brute_force_fallback: bool = False
     probe_stride: int = 1
 
@@ -90,9 +89,6 @@ class SolveConfig:
             raise ValueError("max_iters must be positive")
         if self.precision_bits < 16:
             raise ValueError("precision_bits must be at least 16")
-        if not float(2 * self.log2_radius).is_integer():
-            raise ValueError("log2_radius must be a multiple of 0.5, so that the "
-                             "squared radius is a power of two")
         if self.probe_stride < 1:
             raise ValueError("probe_stride must be positive")
 
@@ -174,12 +170,32 @@ def _game_summary(game: Game) -> dict:
 
 
 def _params_for(game: Game, config: SolveConfig) -> EllipsoidParams:
-    if config.mode == "theoretical":
-        return EllipsoidParams.certified(
-            row_count(game), game.payoff_ceiling(), config.precision_bits
-        )
-    return EllipsoidParams.practical(
-        config.log2_radius, config.max_iters, config.precision_bits
+    """Ellipsoid parameters; both modes start from the practical radius.
+
+    Theoretical mode keeps the certified iteration cap and moves the
+    certified volume floor from the radius 2**rho down to the practical one.
+    The run is equivariant under a power-of-two scale of the starting ball:
+    the oracle reads y only up to a positive scale, every cut is central,
+    and the center and pivots are rounded to significant bits, relative to
+    their own size. A ball 2**(rho - r) times larger therefore gives the
+    same cuts, with every center scaled by that power of two and every
+    volume by 2**(N (rho - r)). Lowering the floor by N (rho - r) ln 2 makes
+    the small run stop where the certified one would, without carrying
+    rho-bit exponents through every update.
+    """
+    practical = EllipsoidParams.practical(
+        max_iters=config.max_iters, precision_bits=config.precision_bits
+    )
+    if config.mode == "practical":
+        return practical
+    n = row_count(game)
+    certified = EllipsoidParams.certified(n, game.payoff_ceiling(), config.precision_bits)
+    shift = n * (certified.log2_radius - practical.log2_radius) * math.log(2)
+    return EllipsoidParams(
+        practical.log2_radius,
+        certified.stop_log_volume - shift,
+        certified.max_iters,
+        config.precision_bits,
     )
 
 
@@ -198,8 +214,7 @@ def _solve_purified(game: Game, config: SolveConfig, started: float) -> SolveRep
         found.append(ce)
         return True
 
-    on_new_cut = probe if config.mode == "practical" else None
-    result = run(n, params, lambda y: purified_separation(game, y, config.tie_break), on_new_cut)
+    result = run(n, params, lambda y: purified_separation(game, y, config.tie_break), probe)
 
     used_fallback = False
     if result.outcome is Outcome.ITERATION_CAP_REACHED:

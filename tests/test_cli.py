@@ -278,10 +278,6 @@ class TestBench:
 BAD_SETTINGS = [
     pytest.param(["solve", "--precision", "8"], {}, id="solve-precision-8"),
     pytest.param(["solve"], {PRECISION_ENV: "4"}, id="solve-precision-env-4"),
-    pytest.param(["solve", "--log2-radius", "nan"], {}, id="solve-radius-nan"),
-    pytest.param(["solve", "--log2-radius", "inf"], {}, id="solve-radius-inf"),
-    pytest.param(["solve", "--log2-radius", "0.3"], {}, id="solve-radius-0.3"),
-    pytest.param(["solve", "--log2-radius", "1e308"], {}, id="solve-radius-1e308"),
     pytest.param(["solve"], {PRECISION_ENV: "lots"}, id="solve-precision-env-lots"),
     pytest.param(["bench"], {PRECISION_ENV: "lots"}, id="bench-precision-env-lots"),
     pytest.param(["bench", "--oracles", "bogus"], {}, id="bench-oracle-bogus"),
@@ -318,7 +314,11 @@ class TestExitCodes:
                               cwd=tmp_path)
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
-        assert any(line.startswith("error:") for line in proc.stderr.splitlines())
+        # refused before any work: one error, no progress line, no output file
+        lines = proc.stderr.splitlines()
+        assert sum(line.startswith("error:") for line in lines) == 1, proc.stderr
+        assert not any(line.startswith(("solving:", "done:", "bench:")) for line in lines)
+        assert not (tmp_path / "r.json").exists()
 
     def test_solve_input_not_utf8(self, tmp_path, capsys):
         game = tmp_path / "game.json"

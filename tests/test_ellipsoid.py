@@ -452,6 +452,18 @@ class TestRunLoop:
         assert result.outcome is Outcome.ITERATION_CAP_REACHED
         assert all(e.log_volume_drop >= 1.0 / (5 * n) - 2.0**-128
                    for e in result.transcript.entries)
+        # the same iterations at radius 2**10 are the certified run scaled
+        # down exactly, which is what lets theoretical mode run small
+        small = run(
+            n,
+            EllipsoidParams.practical(10.0, 60),
+            lambda y: purified_separation(g, y),
+        )
+        big, little = result.transcript.entries, small.transcript.entries
+        assert [e.cut.describe() for e in big] == [e.cut.describe() for e in little]
+        scale = F(2) ** int(certified.log2_radius - 10)
+        for b, s in zip(big, little):
+            assert b.center == tuple(scale * c for c in s.center)
 
     def test_transcript_jsonl_format(self):
         import json

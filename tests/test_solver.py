@@ -18,8 +18,10 @@ from exactce import (
     SparseCE,
     brute_force_ce,
     compute_exact_ce,
+    iteration_bound,
     load_game,
     random_game,
+    row_count,
     support_bound,
     verify_ce,
 )
@@ -51,19 +53,10 @@ class TestConfig:
         {"max_iters": 0},
         {"probe_stride": 0},
         {"precision_bits": 15},
-        {"log2_radius": float("nan")},
-        {"log2_radius": float("-inf")},
-        {"log2_radius": 0.3},
-        {"log2_radius": 1e308},
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(ValueError):
             SolveConfig(**kwargs)
-
-    def test_half_integer_radius(self):
-        # a squared radius of 2**5 is still a power of two
-        report = compute_exact_ce(dominant_game(), SolveConfig(log2_radius=2.5))
-        assert report.verified
 
 
 class TestStandardLibraryOnly:
@@ -203,6 +196,20 @@ class TestPurifiedSolve:
         assert report.certificate.atoms == (((0, 0), F(1)),)
         assert report.iterations == 1
         assert report.transcript.outcome is Outcome.INFEASIBLE_OR_SHALLOW
+
+    def test_theoretical_mode_matches_practical(self):
+        # the same loop with a floor the probe outruns: every suite game
+        # below 4x3 gets practical mode's certificate, within the bound
+        for family, players, actions, u_max, seed in helpers.suite_specs():
+            if (players, actions) == (4, 3):
+                continue
+            g = random_game(family, players, actions, u_max=u_max, seed=seed)
+            practical = compute_exact_ce(g, SolveConfig())
+            theoretical = compute_exact_ce(g, SolveConfig(mode="theoretical"))
+            assert theoretical.certificate == practical.certificate
+            assert theoretical.iterations == practical.iterations
+            assert theoretical.iterations <= iteration_bound(
+                row_count(g), g.payoff_ceiling())
 
     def test_report_json_shape(self):
         g = random_game("nfg", 2, 2, u_max=10, seed=3)
