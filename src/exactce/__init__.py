@@ -59,6 +59,7 @@ from .incentives import (
 )
 from .oracles import (
     TIE_BREAKS,
+    IntegerPoint,
     NonnegativityCut,
     ProductCut,
     ProfileCut,
@@ -90,6 +91,7 @@ __all__ = [
     "EllipsoidState",
     "Game",
     "GameFormatError",
+    "IntegerPoint",
     "NonnegativityCut",
     "NormalFormGame",
     "Outcome",

@@ -1,8 +1,9 @@
 """Central-cut ellipsoid engine in fixed-point integers.
 
-The ellipsoid state lives in Python integers, while every oracle exchange is
-exact: the queried point is the center read losslessly as rationals, and cut
-violations are evaluated in rational arithmetic. Exactness of final answers
+The ellipsoid state lives in Python integers, and every oracle exchange is
+exact: the center goes to the oracle as one integer vector over a power of
+two (integer_center), and each cut's violation is one integer dot product
+with it, turned into a single rational. Exactness of final answers
 never rests on this module; it only has to keep shrinking volume, and each
 update is checked against the guaranteed contraction rate.
 
@@ -47,7 +48,7 @@ from itertools import accumulate
 from typing import Callable, Sequence
 
 from .errors import PrecisionError, SolverError
-from .oracles import Cut, cut_violation
+from .oracles import Cut, IntegerPoint, normal_violation
 
 DEFAULT_PRECISION_BITS = 256
 
@@ -176,15 +177,30 @@ def _round_dyadic(num: int, den: int, exp: int, bits: int) -> tuple[int, int]:
         shift += 1
 
 
-def _integer_direction(normal: Sequence[int | Fraction]) -> list[int]:
-    """The normal scaled to coprime integers; the update ignores its scale."""
-    values = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in normal]
-    scale = math.lcm(*(v.denominator for v in values))
-    ints = [v.numerator * (scale // v.denominator) for v in values]
-    common = math.gcd(*ints)
+def _integer_direction(normal: Sequence[int | Fraction]) -> Sequence[int]:
+    """The normal scaled to coprime integers; the update ignores its scale.
+
+    An integer normal (profile and nonnegativity cuts) goes straight to the
+    gcd; math.gcd refuses anything else, which then takes the rational path.
+    """
+    try:
+        ints, common = normal, math.gcd(*normal)
+    except TypeError:
+        values = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in normal]
+        scale = math.lcm(*(v.denominator for v in values))
+        ints = [v.numerator * (scale // v.denominator) for v in values]
+        common = math.gcd(*ints)
     if common == 0:
         raise ValueError("cut normal must be nonzero")
-    return [v // common for v in ints]
+    return ints if common == 1 else [v // common for v in ints]
+
+
+def _fractions(pairs: Sequence[tuple[int, int]]) -> tuple[Fraction, ...]:
+    """Dyadic (mantissa, exponent) pairs as exact rationals."""
+    return tuple(
+        Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
+        for man, exp in pairs
+    )
 
 
 @dataclass(frozen=True)
@@ -232,10 +248,15 @@ class EllipsoidState:
 
     def snapshot(self) -> tuple[Fraction, ...]:
         """The exact center; dyadic state makes this lossless."""
-        return tuple(
-            Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
-            for man, exp in self.center
-        )
+        return _fractions(self.center)
+
+    def integer_center(self) -> IntegerPoint:
+        """The exact center as integers Y over 2**k, from the stored pairs by
+        shifts alone; k is minus the least exponent of a nonzero coordinate,
+        or zero when no such exponent is negative."""
+        k = max(0, max((-exp for man, exp in self.center if man), default=0))
+        return IntegerPoint(
+            tuple(man << (exp + k) if man else 0 for man, exp in self.center), 1 << k)
 
     def shape_matrix(self) -> tuple[tuple[Fraction, ...], ...]:
         """The exact shape matrix L diag(d) L^T, both triangles."""
@@ -393,10 +414,14 @@ class Outcome(str, Enum):
 @dataclass(frozen=True)
 class TranscriptEntry:
     iteration: int
-    center: tuple[Fraction, ...]
+    center_pairs: tuple[tuple[int, int], ...]  # the queried center, as stored
     cut: Cut
     violation: Fraction
     log_volume_drop: float | None  # None when the run stopped before updating
+
+    @property
+    def center(self) -> tuple[Fraction, ...]:
+        return _fractions(self.center_pairs)
 
 
 @dataclass
@@ -432,10 +457,14 @@ class RunResult:
 def run(
     n_rows: int,
     params: EllipsoidParams,
-    oracle: Callable[[tuple[Fraction, ...]], Cut],
+    oracle: Callable[[IntegerPoint], Cut],
     on_new_cut: Callable[[Cut, list[Cut]], bool] | None = None,
 ) -> RunResult:
-    """Drive the cut loop: snapshot, query, verify, update, repeat.
+    """Drive the cut loop: read the center, query, verify, update, repeat.
+
+    The oracle gets the center as an IntegerPoint (integer_center), and the
+    cut's normal is built once per iteration, for both the violation and the
+    update.
 
     Every returned cut must be violated at the query point (checked exactly,
     with slack 2**(-precision_bits/2)); every update must shrink log-volume by
@@ -458,9 +487,11 @@ def run(
         return RunResult(outcome=outcome, transcript=transcript, state=final_state)
 
     for iteration in range(1, params.max_iters + 1):
-        point = state.snapshot()
+        center = state.center
+        point = state.integer_center()
         cut = oracle(point)
-        violation = cut_violation(cut, point)
+        normal = cut.normal()
+        violation = normal_violation(normal, cut.rhs, point)
         if violation < -tolerance:
             raise SolverError(
                 f"oracle cut is satisfied at the query point (violation {violation})",
@@ -473,13 +504,12 @@ def run(
             transcript.roster.append(cut)
         if fresh and on_new_cut is not None and on_new_cut(cut, transcript.roster):
             transcript.entries.append(
-                TranscriptEntry(iteration, point, cut, violation, None)
+                TranscriptEntry(iteration, center, cut, violation, None)
             )
             return finish(Outcome.INFEASIBLE_OR_SHALLOW, state)
-        normal = cut.normal()
-        if all(v == 0 for v in normal):
+        if not any(normal):
             transcript.entries.append(
-                TranscriptEntry(iteration, point, cut, violation, None)
+                TranscriptEntry(iteration, center, cut, violation, None)
             )
             return finish(Outcome.INFEASIBLE_OR_SHALLOW, state)
         state = update(state, normal)
@@ -492,7 +522,7 @@ def run(
                 transcript,
             )
         transcript.entries.append(
-            TranscriptEntry(iteration, point, cut, violation, drop)
+            TranscriptEntry(iteration, center, cut, violation, drop)
         )
         previous_log_det = new_log_det
         if params.stop_log_volume is not None:

@@ -296,6 +296,11 @@ def stationary_distribution(rates: Sequence[Sequence[Fraction]]) -> tuple[Fracti
     Solves {x >= 0, sum x = 1, inflow = outflow at every state} by the
     phase-1 simplex, so the selected stationary distribution is canonical:
     Bland's rule makes it deterministic in the input.
+
+    The oracles call it only as the fallback for chains with several closed
+    classes, where the stationary distribution is not unique; a chain with
+    one closed class has one solution, which oracles.stationary_block reads
+    off the Markov chain tree theorem.
     """
     m = len(rates)
     if m == 1:

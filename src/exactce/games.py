@@ -453,7 +453,8 @@ def _load_polymatrix(doc: dict) -> PolymatrixGame:
         if not isinstance(edge, dict):
             raise GameFormatError(f"edge {k}: must be an object")
         p, q = edge.get("p"), edge.get("q")
-        if not (isinstance(p, int) and isinstance(q, int)) or not (0 <= p < n and 0 <= q < n):
+        if (not all(isinstance(v, int) and not isinstance(v, bool) for v in (p, q))
+                or not (0 <= p < n and 0 <= q < n)):
             raise GameFormatError(f"edge {k}: bad player pair ({p!r}, {q!r})")
         if p == q:
             raise GameFormatError(f"edge {k}: self edge on player {p}")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import CertificateError, CertificateMismatchError
@@ -92,8 +93,8 @@ class IncentiveColumn:
             out[pos] = value
         return out
 
-    def dot(self, y: Sequence[Fraction]) -> Fraction:
-        return sum((y[pos] * value for pos, _, value in self.entries), Fraction(0))
+    def dot(self, y: Sequence[Rational]) -> Rational:
+        return sum(y[pos] * value for pos, _, value in self.entries)
 
 
 def profile_column(game: Game, profile: Sequence[int]) -> IncentiveColumn:

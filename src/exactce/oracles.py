@@ -13,15 +13,32 @@ verbatim constraint of it, violated at the queried point:
 * ProductCut (product mode): the constraint induced by the product
   distribution itself, skipping the rounding step.
 
-The rounding holds V as one Python integer (DualValue). y is scaled by the
-lcm L of its denominators and x by the lcm D of its denominators, with D kept
-for the whole rounding, so every term of V carries the same positive factor
-D L conditional_scale(D) (D^(n-1) for normal form, D for polymatrix). Its
-sign tests and comparisons are then exact integer ones, with no gcd and no
-row vector. V is affine in each player's mix, so all of one player's branches
-are scored from one linear form (Rounding), built from the game's conditional
-payoff jacobians and updated as players are fixed; DualValue.scores, which
-evaluates V from scratch, is the reference those forms must equal.
+Every oracle reads y as one integer vector over one positive denominator,
+y = Y / L (IntegerPoint). The ellipsoid hands its center over in that form,
+with L a power of two; a rational sequence is converted once, with L the lcm
+of its denominators. From there on the oracle runs on integers: the
+negative-coordinate scan, the stationary step, the rounding and the final
+column guard. y enters all of them only through sign tests and comparisons,
+which multiplying Y by a positive constant leaves alone, so the cut does not
+depend on which L a point comes with.
+
+Each player's stationary distribution is weighted by the Markov chain tree
+theorem (Leighton and Rivest, 1986): action i gets the determinant of the
+rate Laplacian with row and column i deleted. A positive total means one
+closed class, hence a unique stationary distribution, which is the weights
+over their total. Only a block with several closed classes goes to the
+simplex (exact_lp.stationary_distribution), whose Bland-rule vertex then
+picks one.
+
+The rounding holds V as one Python integer (DualValue). x is scaled by the
+lcm D of its denominators, kept for the whole rounding, so every term of V
+carries the same positive factor D L conditional_scale(D) (D^(n-1) for
+normal form, D for polymatrix). Its sign tests and comparisons are then
+exact integer ones, with no gcd and no row vector. V is affine in each
+player's mix, so all of one player's branches are scored from one linear
+form (Rounding), built from the game's conditional payoff jacobians and
+updated as players are fixed; DualValue.scores, which evaluates V from
+scratch, is the reference those forms must equal.
 """
 
 from __future__ import annotations
@@ -30,6 +47,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from numbers import Rational
 from typing import Callable, Sequence
 
 from .errors import SolverError
@@ -129,10 +147,41 @@ class ProductCut:
 Cut = NonnegativityCut | ProfileCut | ProductCut
 
 
-def cut_violation(cut: Cut, y: Sequence[Fraction]) -> Fraction:
+# ---------- dual points ----------
+
+
+def _dot(a: Sequence[int], b: Sequence[int]) -> int:
+    return sum(u * v for u, v in zip(a, b) if u)
+
+
+@dataclass(frozen=True)
+class IntegerPoint:
+    """The dual point y = numerators / denominator, denominator positive."""
+
+    numerators: tuple[int, ...]
+    denominator: int
+
+
+DualPoint = Sequence[Rational] | IntegerPoint
+
+
+def integer_point(y: DualPoint) -> IntegerPoint:
+    """y as integers over one denominator: the lcm of a rational sequence's
+    denominators, or the point itself when it already is one."""
+    if isinstance(y, IntegerPoint):
+        return y
+    lcm = math.lcm(*(v.denominator for v in y))
+    return IntegerPoint(tuple(v.numerator * (lcm // v.denominator) for v in y), lcm)
+
+
+def normal_violation(normal: Sequence[Rational], rhs: Fraction, point: IntegerPoint) -> Fraction:
+    """normal . y - rhs, from one dot product with the numerators."""
+    return Fraction(_dot(normal, point.numerators), point.denominator) - rhs
+
+
+def cut_violation(cut: Cut, y: DualPoint) -> Fraction:
     """By how much y breaks the cut's constraint (positive means violated)."""
-    lhs = sum((a * b for a, b in zip(cut.normal(), y) if a), ZERO)
-    return lhs - cut.rhs
+    return normal_violation(cut.normal(), cut.rhs, integer_point(y))
 
 
 # ---------- product construction ----------
@@ -141,19 +190,92 @@ def cut_violation(cut: Cut, y: Sequence[Fraction]) -> Fraction:
 _STATIONARY_FAILED = "stationary construction failed its exactness check"
 
 
-def _stationary_x(game: Game, y: Sequence[Fraction]) -> ProductDistribution:
-    strategies = []
-    for p, m in enumerate(game.actions):
-        offset = sum(a * a for a in game.actions[:p])
-        block = [[y[offset + i * m + j] for j in range(m)] for i in range(m)]
-        if all(block[i][j] == 0 for i in range(m) for j in range(m) if i != j):
-            strategies.append(tuple(Fraction(1, m) for _ in range(m)))
-        else:
-            strategies.append(stationary_distribution(block))
-    return ProductDistribution(tuple(strategies))
+def _determinant(matrix: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by Bareiss elimination."""
+    a = [list(row) for row in matrix]
+    n, sign, previous = len(a), 1, 1
+    for k in range(n - 1):
+        if not a[k][k]:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        pivot, row_k = a[k][k], a[k]
+        for row in a[k + 1:]:
+            lead = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pivot - lead * row_k[j]) // previous
+        previous = pivot
+    return sign * a[-1][-1] if n else 1
 
 
-def stationary_product(game: Game, y: Sequence[Fraction]) -> ProductDistribution:
+def _tree_weights(rates: list[list[int]]) -> list[int]:
+    """Action i's weight is the determinant of the rate Laplacian with row
+    and column i deleted: the total rate of the spanning trees directed into
+    i, by the Markov chain tree theorem. The diagonal of rates must be zero."""
+    m = len(rates)
+    if m == 2:
+        return [rates[1][0], rates[0][1]]
+    laplacian = [[sum(row) if i == j else -r for j, r in enumerate(row)]
+                 for i, row in enumerate(rates)]
+    return [
+        _determinant([row[:i] + row[i + 1:] for k, row in enumerate(laplacian) if k != i])
+        for i in range(m)
+    ]
+
+
+def stationary_block(rates: list[list[int]], denominator: int) -> tuple[Fraction, ...]:
+    """The stationary distribution stationary_distribution returns for the
+    rates rates[i][j] / denominator (diagonal zero), mostly without its LP.
+
+    A positive tree-weight total means one closed class. The balance
+    equations then have one solution, the weights over their total, which is
+    the simplex's vertex too. A zero total means several closed classes, and
+    only then is the simplex run on the rational rates, so that its
+    Bland-rule vertex picks among the stationary distributions as before.
+    """
+    weights = _tree_weights(rates)
+    total = sum(weights)
+    if total:
+        return tuple(Fraction(w, total) for w in weights)
+    return stationary_distribution([[Fraction(r, denominator) for r in row] for row in rates])
+
+
+def _rate_blocks(game: Game, point: IntegerPoint) -> list[list[list[int]]]:
+    """Each player's block of the numerators, with its diagonal zeroed."""
+    ys, blocks, offset = point.numerators, [], 0
+    for m in game.actions:
+        blocks.append([[0 if i == j else ys[offset + i * m + j] for j in range(m)]
+                       for i in range(m)])
+        offset += m * m
+    return blocks
+
+
+def _stationary_x(game: Game, point: IntegerPoint) -> ProductDistribution:
+    """The stationary product of the point: one stationary_block per player,
+    uniform where the player's block is all zero."""
+    return ProductDistribution(tuple(
+        stationary_block(rates, point.denominator) if any(map(any, rates))
+        else tuple(Fraction(1, len(rates)) for _ in rates)
+        for rates in _rate_blocks(game, point)
+    ))
+
+
+def _checked_point(game: Game, y: DualPoint) -> IntegerPoint:
+    point = integer_point(y)
+    check_dual_vector(game, point.numerators)
+    return point
+
+
+def _nonnegative_point(game: Game, y: DualPoint) -> IntegerPoint:
+    point = _checked_point(game, y)
+    if any(v < 0 for v in point.numerators):
+        raise ValueError("dual vector must be nonnegative")
+    return point
+
+
+def stationary_product(game: Game, y: DualPoint) -> ProductDistribution:
     """Product distribution whose row values are orthogonal to y, exactly.
 
     Each player's block of y is read as transition rates between that
@@ -162,21 +284,15 @@ def stationary_product(game: Game, y: Sequence[Fraction]) -> ProductDistribution
     makes the y-weighted sum of that player's incentive values telescope to
     zero; the result is verified exactly before returning.
     """
-    check_dual_vector(game, y)
-    if any(v < 0 for v in y):
-        raise ValueError("dual vector must be nonnegative")
-    x = _stationary_x(game, y)
-    value = DualValue(game, y, x)
+    point = _nonnegative_point(game, y)
+    x = _stationary_x(game, point)
+    value = DualValue(game, point, x)
     if value.scores(value.start)[0] != 0:
         raise SolverError(_STATIONARY_FAILED)
     return x
 
 
 # ---------- purification ----------
-
-
-def _dot(a: Sequence[int], b: Sequence[int]) -> int:
-    return sum(u * v for u, v in zip(a, b) if u)
 
 
 class DualValue:
@@ -189,8 +305,8 @@ class DualValue:
         V(x) = sum_p sum_i C_p(i) w_p(i),
         w_p(i) = x_p(i) sum_{j != i} y_{p,i,j} - sum_{k != i} x_p(k) y_{p,k,i},
 
-    action i's y-weighted outflow minus its inflow. y is scaled by L, the lcm
-    of its denominators, and x by D, the lcm of all its denominators. D is
+    action i's y-weighted outflow minus its inflow. y is read as Y / L
+    (integer_point), and x is scaled by D, the lcm of all its denominators. D is
     fixed when the object is built, so fixing a player to action a later
     means the weights D e_a (point_mass). On weights X = D x the game's
     integer kernel gives conditional_scale(D) C_p and the flows carry D L,
@@ -203,23 +319,13 @@ class DualValue:
     scratch, is the reference those forms are tested against.
     """
 
-    def __init__(self, game: Game, y: Sequence[Fraction], x: ProductDistribution):
+    def __init__(self, game: Game, y: DualPoint, x: ProductDistribution):
         self.game = game
         self.d, self.start = x.integer_weights()
-        lcm = math.lcm(*(v.denominator for v in y))
-        self.rates = []  # per player: L y_{p,i,j}, zero on the diagonal
-        offset = 0
-        for m in game.actions:
-            self.rates.append([
-                [
-                    0 if i == j else v.numerator * (lcm // v.denominator)
-                    for j, v in enumerate(y[offset + i * m : offset + (i + 1) * m])
-                ]
-                for i in range(m)
-            ])
-            offset += m * m
+        point = integer_point(y)
+        self.rates = _rate_blocks(game, point)  # per player: L y_{p,i,j}
         self.outflows = [[sum(row) for row in rates] for rates in self.rates]
-        self.scale = self.d * lcm * game.conditional_scale(self.d)
+        self.scale = self.d * point.denominator * game.conditional_scale(self.d)
 
     def point_mass(self, player: int, action: int) -> tuple[int, ...]:
         return tuple(self.d if a == action else 0 for a in range(self.game.actions[player]))
@@ -324,7 +430,7 @@ def _choose(tie_break: str, branches: list[tuple[int, int]]) -> int:
 
 def purify(
     game: Game,
-    y: Sequence[Fraction],
+    y: DualPoint,
     x: ProductDistribution,
     tie_break: str = "first",
     _stationary: bool = False,
@@ -342,19 +448,20 @@ def purify(
     Rounding scores all of one player's branches from one linear form in that
     player's weights: one integer value and one integer welfare per branch,
     equal to what DualValue.scores returns on those weights, each the exact
-    quantity times a positive factor that depends only on y and the starting
-    x. The sign tests and both comparisons are therefore exact and pick the
-    same branches as the rational values would.
+    quantity times a positive factor that depends only on y's denominator
+    and the starting x. The sign tests and both comparisons are therefore
+    exact and pick the same branches as the rational values would. Scaling
+    the integer point Y by a positive constant multiplies every branch value
+    and welfare by that constant too, so the branches picked do not depend
+    on the denominator y comes with.
     purified_separation passes _stationary=True for its stationary product,
     whose value must then be exactly zero.
     """
     if tie_break not in TIE_BREAKS:
         raise ValueError(f"unknown tie break {tie_break!r}")
-    check_dual_vector(game, y)
+    point = _nonnegative_point(game, y)
     x.check_for(game)
-    if any(v < 0 for v in y):
-        raise ValueError("dual vector must be nonnegative")
-    dual = DualValue(game, y, x)
+    dual = DualValue(game, point, x)
     state = Rounding(dual, dual.start)
     if _stationary and state.value != 0:
         raise SolverError(_STATIONARY_FAILED)
@@ -369,38 +476,38 @@ def purify(
 # ---------- separation oracles ----------
 
 
-def _negative_coordinate(game: Game, y: Sequence[Fraction]) -> NonnegativityCut | None:
-    for pos, v in enumerate(y):
+def _negative_coordinate(game: Game, point: IntegerPoint) -> NonnegativityCut | None:
+    for pos, v in enumerate(point.numerators):
         if v < 0:
             return NonnegativityCut(row=row_at(game, pos), position=pos, n_rows=row_count(game))
     return None
 
 
-def purified_separation(game: Game, y: Sequence[Fraction], tie_break: str = "first") -> Cut:
+def purified_separation(game: Game, y: DualPoint, tie_break: str = "first") -> Cut:
     """Cut for the dual point y: nonnegativity first, else a pure profile.
 
     For y >= 0 the returned profile's column has nonnegative inner product
     with y, so the profile constraint (<= -1) is violated at y by at least 1.
     """
-    check_dual_vector(game, y)
-    negative = _negative_coordinate(game, y)
+    point = _checked_point(game, y)
+    negative = _negative_coordinate(game, point)
     if negative is not None:
         return negative
-    profile = purify(game, y, _stationary_x(game, y), tie_break, _stationary=True)
+    profile = purify(game, point, _stationary_x(game, point), tie_break, _stationary=True)
     column = profile_column(game, profile)
-    if column.dot(y) < 0:
+    if column.dot(point.numerators) < 0:
         raise SolverError("purified profile fails its nonnegativity guarantee")
     return ProfileCut(column=column)
 
 
-def product_separation(game: Game, y: Sequence[Fraction]) -> Cut:
+def product_separation(game: Game, y: DualPoint) -> Cut:
     """Cut from the stationary product itself, without purification."""
-    check_dual_vector(game, y)
-    negative = _negative_coordinate(game, y)
+    point = _checked_point(game, y)
+    negative = _negative_coordinate(game, point)
     if negative is not None:
         return negative
-    x = _stationary_x(game, y)
+    x = _stationary_x(game, point)
     values = incentive_row_values(game, x)
-    if sum((v * w for v, w in zip(values, y) if v), ZERO) != 0:
+    if _dot(values, point.numerators) != 0:
         raise SolverError(_STATIONARY_FAILED)
     return ProductCut(x=x, values=tuple(values))

@@ -326,6 +326,16 @@ class TestExitCodes:
         assert run_cli("solve", "--input", str(game)) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_solve_boolean_edge_endpoint(self, tmp_path, capsys):
+        game = tmp_path / "game.json"
+        game.write_text(json.dumps({
+            "type": "polymatrix", "players": 2, "actions": [2, 2],
+            "edges": [{"p": True, "q": False, "matrix": [[0, 1], [2, 3]]}],
+        }))
+        assert run_cli("solve", "--input", str(game)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert sum(line.startswith("error:") for line in err) == 1, err
+
     def test_verify_ce_not_utf8(self, tmp_path, capsys):
         ce = tmp_path / "ce.json"
         ce.write_bytes(NOT_UTF8)

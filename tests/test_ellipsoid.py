@@ -3,6 +3,7 @@
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,10 @@ from exactce import (
     EllipsoidState,
     Outcome,
     PrecisionError,
+    SolveConfig,
     SolverError,
+    compute_exact_ce,
+    cut_violation,
     iteration_bound,
     profile_column,
     random_game,
@@ -21,7 +25,8 @@ from exactce import (
     run,
     update,
 )
-from exactce.oracles import ProfileCut, purified_separation
+from exactce import solver
+from exactce.oracles import TIE_BREAKS, ProfileCut, purified_separation
 
 F = Fraction
 
@@ -302,6 +307,34 @@ class TestFixedPointUpdate:
                 state = checked_update(state, normal)
 
 
+class TestIntegerCenter:
+    @settings(max_examples=60, deadline=None)
+    @given(update_chains())
+    def test_equals_the_snapshot(self, chain):
+        n, bits, log2_radius, cuts = chain
+        state = EllipsoidState.initial_ball(n, log2_radius, bits)
+        for normal in [None, *cuts]:
+            if normal is not None:
+                state = update(state, normal)
+            point = state.integer_center()
+            d = point.denominator
+            assert d > 0 and d & (d - 1) == 0
+            assert all(isinstance(v, int) for v in point.numerators)
+            assert tuple(F(v, d) for v in point.numerators) == state.snapshot()
+
+    def test_zero_coordinates_at_a_large_radius(self):
+        # every exponent is positive, so the denominator is 1, and the
+        # coordinates the sparse cuts leave alone stay exactly zero
+        state = EllipsoidState.initial_ball(3, 1063.0, 64)
+        for k in (0, 2):
+            state = update(state, [F(-1) if j == k else F(0) for j in range(3)])
+        assert all(exp > 0 for man, exp in state.center if man)
+        point = state.integer_center()
+        assert point.denominator == 1
+        assert point.numerators[1] == 0 and all(point.numerators[::2])
+        assert point.numerators == state.snapshot()
+
+
 class TestIterationBound:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -509,3 +542,42 @@ class TestRunLoop:
         )
         assert result.outcome in (
             Outcome.ITERATION_CAP_REACHED, Outcome.INFEASIBLE_OR_SHALLOW)
+
+
+CONFIGS = [
+    *[pytest.param("polymatrix", 3, 3, 33, "purified_separation", SolveConfig(tie_break=tb),
+                   id=f"polymatrix-3x3-33-{tb}") for tb in TIE_BREAKS],
+    pytest.param("nfg", 2, 2, 0, "product_separation",
+                 SolveConfig(oracle="product", max_iters=60, probe_stride=3, precision_bits=96),
+                 id="nfg-2x2-0-product"),
+]
+
+
+@pytest.mark.parametrize("family, players, actions, seed, name, config", CONFIGS)
+def test_integer_point_matches_snapshot_every_iteration(family, players, actions, seed,
+                                                        name, config):
+    """The oracle on the integer center returns the cut it returns on the
+    Fraction snapshot, and run's violation is cut_violation at the snapshot,
+    at every iteration of a whole solve."""
+    g = random_game(family, players, actions, u_max=10, seed=seed)
+    separation = getattr(solver, name)
+    queried = []
+
+    def recording(game, y, *args):
+        queried.append(y)
+        return separation(game, y, *args)
+
+    with patch.object(solver, name, recording):
+        report = compute_exact_ce(g, config)
+    entries = report.transcript.entries
+    assert len(queried) == len(entries) == report.iterations > 1
+    extra = (config.tie_break,) if name == "purified_separation" else ()
+    state = EllipsoidState.initial_ball(row_count(g), 10.0, config.precision_bits)
+    for point, entry in zip(queried, entries):
+        snapshot = state.snapshot()
+        assert point == state.integer_center()
+        assert entry.center == snapshot
+        assert separation(g, snapshot, *extra) == entry.cut
+        assert entry.violation == cut_violation(entry.cut, snapshot)
+        if entry.log_volume_drop is not None:
+            state = update(state, entry.cut.normal())

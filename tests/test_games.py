@@ -186,6 +186,12 @@ class TestPolymatrix:
         with pytest.raises(GameFormatError, match="self edge"):
             load_game(self.doc([2, 2], [{"p": 1, "q": 1, "matrix": [[0, 0], [0, 0]]}]))
 
+    @pytest.mark.parametrize("p, q", [(True, False), (0, True), (False, 1)])
+    def test_boolean_endpoints_rejected(self, p, q):
+        # JSON true/false are Python ints, but not player indices
+        with pytest.raises(GameFormatError, match="bad player pair"):
+            load_game(self.doc([2, 2], [{"p": p, "q": q, "matrix": [[0, 1], [2, 3]]}]))
+
     def test_block_shape_checked(self):
         with pytest.raises(GameFormatError, match="rows"):
             load_game(self.doc([2, 3], [{"p": 0, "q": 1, "matrix": [[0, 0, 0]]}]))

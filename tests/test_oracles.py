@@ -1,5 +1,7 @@
 """Separation oracles: cut shapes, stationary construction, purification."""
 
+import itertools
+import math
 import random
 from fractions import Fraction
 from unittest.mock import patch
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 import helpers
 from exactce import (
+    IntegerPoint,
     NonnegativityCut,
     ProductCut,
     ProductDistribution,
@@ -24,8 +27,17 @@ from exactce import (
     row_count,
     stationary_product,
 )
+from exactce import oracles
+from exactce.exact_lp import stationary_distribution
 from exactce.incentives import iter_rows, row_at
-from exactce.oracles import DualValue, Rounding
+from exactce.oracles import (
+    TIE_BREAKS,
+    DualValue,
+    Rounding,
+    _determinant,
+    integer_point,
+    stationary_block,
+)
 
 F = Fraction
 
@@ -116,6 +128,74 @@ class TestStationaryProduct:
             g, y = seeded_pair("polymatrix" if seed % 2 else "nfg", 3, 2, seed)
             x = stationary_product(g, y)
             assert helpers.dual_objective(g, x.strategies, y) == 0
+
+
+@st.composite
+def rate_blocks(draw):
+    """Integer rate blocks, m = 1..4, zero diagonal; about half the rates are
+    zero, so blocks with several closed classes are drawn too."""
+    m = draw(st.integers(1, 4))
+    rate = st.one_of(st.just(0), st.integers(1, 30))
+    return [[0 if i == j else draw(rate) for j in range(m)] for i in range(m)]
+
+
+class TestStationaryBlock:
+    @settings(max_examples=300, deadline=None)
+    @given(rate_blocks(), st.sampled_from([1, 2, 3, 12, 2**40]))
+    def test_equals_the_simplex_vertex(self, rates, denominator):
+        fractions = [[F(r, denominator) for r in row] for row in rates]
+        assert stationary_block(rates, denominator) == stationary_distribution(fractions)
+
+    @pytest.mark.parametrize("rates", [
+        # {0, 1} and {2, 3} are closed cycles
+        [[0, 1, 0, 0], [2, 0, 0, 0], [0, 0, 0, 3], [0, 0, 1, 0]],
+        # 0 drains into the absorbing states 1 and 2
+        [[0, 1, 1], [0, 0, 0], [0, 0, 0]],
+    ])
+    def test_several_closed_classes_fall_back(self, rates):
+        fractions = [[F(r, 3) for r in row] for row in rates]
+        with patch.object(oracles, "stationary_distribution",
+                          wraps=stationary_distribution) as simplex:
+            got = stationary_block(rates, 3)
+        simplex.assert_called_once_with(fractions)
+        assert got == stationary_distribution(fractions)
+
+    def test_one_closed_class_skips_the_simplex(self):
+        # 0 drains into 1, and {1, 2} is the one closed class
+        rates = [[0, 4, 0], [0, 0, 1], [0, 2, 0]]
+        with patch.object(oracles, "stationary_distribution") as simplex:
+            got = stationary_block(rates, 1)
+        simplex.assert_not_called()
+        assert got == (0, F(2, 3), F(1, 3))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 4).flatmap(lambda n: st.lists(
+        st.lists(st.integers(-5, 5), min_size=n, max_size=n), min_size=n, max_size=n)))
+    def test_determinant_by_permutations(self, matrix):
+        n = len(matrix)
+        want = 0
+        for perm in itertools.permutations(range(n)):
+            inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+            want += (-1) ** inversions * math.prod(matrix[i][perm[i]] for i in range(n))
+        assert _determinant(matrix) == want
+
+
+class TestIntegerPoint:
+    def test_rational_sequence_over_its_lcm(self):
+        point = integer_point([F(1, 2), F(0), 3, F(-5, 6)])
+        assert point.denominator == 6
+        assert point.numerators == (3, 0, 18, -5)
+        assert integer_point(point) is point
+
+    def test_oracles_ignore_the_denominator(self):
+        for seed in range(10):
+            g, y = seeded_pair("nfg" if seed % 2 else "polymatrix", 3, 2, seed)
+            point = integer_point(y)
+            scaled = IntegerPoint(tuple(7 * v for v in point.numerators), 7 * point.denominator)
+            for tb in TIE_BREAKS:
+                assert purified_separation(g, scaled, tb) == purified_separation(g, y, tb)
+            assert product_separation(g, scaled) == product_separation(g, y)
+            assert stationary_product(g, scaled) == stationary_product(g, y)
 
 
 class TestPurify:
