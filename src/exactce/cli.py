@@ -9,13 +9,8 @@ import os
 import sys
 from dataclasses import replace
 
-from .errors import (
-    CertificateError,
-    CertificateMismatchError,
-    GameFormatError,
-    SolverError,
-)
-from .games import Game, load_game_file, random_game
+from .errors import GameFormatError, SolverError
+from .games import Game, load_game_file, random_game, rational_text
 from .incentives import SparseCE, row_count, verify_ce
 from .oracles import TIE_BREAKS
 from .solver import MODES, ORACLES, SolveConfig, SolveReport, compute_exact_ce
@@ -168,8 +163,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             document = json.load(handle)
         ce = SparseCE.from_json(document)
         ce.check_profiles(game)
-    except (GameFormatError, CertificateError, CertificateMismatchError,
-            json.JSONDecodeError) as exc:
+    except ValueError as exc:  # the format errors and JSON past the digit limit
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
@@ -180,17 +174,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         return EXIT_VERIFY_FAILED
 
     result = verify_ce(game, ce)
+    worst = rational_text(result.worst_value)
     if result.verdict:
         print(
             f"exact correlated equilibrium: support={ce.support} "
-            f"worst_row={list(result.worst_row)} worst_value={result.worst_value}",
+            f"worst_row={list(result.worst_row)} worst_value={worst}",
             file=sys.stderr,
         )
         return EXIT_OK
-    print(
-        f"violated: row={list(result.worst_row)} value={result.worst_value}",
-        file=sys.stderr,
-    )
+    print(f"violated: row={list(result.worst_row)} value={worst}", file=sys.stderr)
     return EXIT_VERIFY_FAILED
 
 

@@ -1,11 +1,18 @@
 """Exact rational linear programming for the cut-collection feasibility step.
 
-One dense two-phase primal simplex serves every exact LP here: the probe and
-final cut programs, the stationary distributions and the mixture programs.
-It picks the entering column by largest improvement for speed and switches
+One dense two-phase primal simplex serves every exact LP here: the cut
+programs, the stationary distributions and the mixture programs. It picks
+the entering column by largest improvement for speed and switches
 unconditionally to Bland's least-index rule once a degenerate basis has
 burned through the pivot budget, so termination never depends on luck and
 exact arithmetic never needs tolerances.
+
+Most probes of the cut program fail. A solve decides them with one
+FeasibilityVerdict: a phase-1 tableau on the same pivots that takes each new
+column and resumes from its last basis, in the manner of column generation
+(Gilmore and Gomory; Dantzig and Wolfe). Only a probe it finds feasible is
+solved cold by try_feasible_bfs, whose vertex is the certificate, so the
+certificate does not depend on the verdict's pivot path.
 
 The tableau holds Python integers, not fractions. Each column j of the
 constraint matrix, and the right-hand side, is multiplied by the lcm s_j of
@@ -52,8 +59,9 @@ def _pivot_budget(m: int, n: int) -> int:
 class _Tableau:
     """Integer tableau: the rational tableau of the scaled program is rows / det.
 
-    Each row holds the n real columns followed by the right-hand side; the
-    artificial columns are never read, so they are not stored. det is the
+    Each row holds the n real columns followed by the right-hand side.
+    solve_standard_form never reads its artificial columns, so it does not
+    store them; FeasibilityVerdict stores its one artificial. det is the
     absolute determinant of the current basis matrix and stays positive.
     """
 
@@ -93,22 +101,25 @@ def _pivot(tab: _Tableau, row: int, col: int, cost: list[int] | None = None) -> 
     return cost
 
 
-def _run_simplex(tab: _Tableau, cost: list[int], scale: list[int]) -> str:
-    """Pivot until optimal or unbounded.
+def _run_simplex(
+    tab: _Tableau, cost: list[int], scale: list[int], bland_after: int | None = None
+) -> str:
+    """Pivot until optimal or unbounded, updating cost in place.
 
     cost[j] / scale[j] is the reduced cost of column j up to one positive
     factor shared by every column. Entering column: most negative reduced
     cost, ties to the lowest index — fast, but it can cycle on degenerate
-    bases, so once the pivot budget is spent the loop switches to Bland's
-    least-index rule, which terminates unconditionally. Leaving row: smallest
-    ratio, ties to the smallest basis index (what Bland's rule requires;
-    harmless for the fast rule). Both rules are deterministic, so the
-    returned vertex is a pure function of the input. Ratios are compared by
-    cross-multiplication, so no rational is ever formed.
+    bases, so once bland_after pivots are spent (the pivot budget unless
+    given) the loop switches to Bland's least-index rule, which terminates
+    unconditionally. Leaving row: smallest ratio, ties to the smallest
+    basis index (what Bland's rule requires; harmless for the fast rule).
+    Both rules are deterministic, so the returned vertex is a pure function
+    of the input. Ratios are compared by cross-multiplication, so no
+    rational is ever formed.
     """
     rows, basis = tab.rows, tab.basis
     m, n = len(rows), len(scale)
-    budget = _pivot_budget(m, n)
+    budget = _pivot_budget(m, n) if bland_after is None else bland_after
     pivots = 0
     while True:
         enter = -1
@@ -139,7 +150,7 @@ def _run_simplex(tab: _Tableau, cost: list[int], scale: list[int]) -> str:
                     leave = i
         if leave < 0:
             return "unbounded"
-        cost = _pivot(tab, leave, enter, cost)
+        cost[:] = _pivot(tab, leave, enter, cost)
         pivots += 1
 
 
@@ -223,6 +234,75 @@ def solve_standard_form(
         if var < n:
             solution[var] = Fraction(row[-1] * scale[var], denominator)
     return "optimal", solution
+
+
+class FeasibilityVerdict:
+    """Whether {x >= 0, sum x = 1, columns . x >= 0} is feasible, as columns arrive.
+
+    This is phase 1 of the program's homogeneous form: a row -c_r . x + s_r = 0
+    for every row r that some column touches, and sum x + a = 1. The start
+    basis is the slacks s and the one artificial a; every other right-hand
+    side is 0, so one artificial is enough. The program is feasible exactly
+    when phase 1 drives a to 0.
+
+    Column 0 is a, and each row's slack is a column too, so the tableau
+    carries the identity block det * B^-1. An appended column's tableau
+    entries are that block times the column, and its reduced cost comes from
+    the same entries of the cost row: exact integers, no gcd. A row enters
+    when a column first touches it; every earlier column is zero there, so
+    its slack joins the basis and det is unchanged. Each verdict resumes
+    phase 1 from the last basis under Bland's rule from the first pivot. The
+    verdict does not depend on the pivot path, and the largest-improvement
+    rule can stall for long on degenerate probes before Bland's takes over.
+    Entries may be ints or Fractions.
+    """
+
+    def __init__(self) -> None:
+        self._tab = _Tableau(rows=[[1, 1]], basis=[0])  # row 0 is the sum row
+        self._cost = [0]
+        self._slack: dict[int, int] = {}  # row of the program -> column of its slack
+        self.added = 0
+
+    def _add_row(self, r: int) -> None:
+        tab = self._tab
+        col = len(self._cost)
+        for row in tab.rows:
+            row.insert(-1, 0)
+        row = [0] * (col + 2)
+        row[col] = tab.det
+        tab.rows.append(row)
+        tab.basis.append(col)
+        self._cost.append(0)
+        self._slack[r] = col
+
+    def add(self, column: Sequence[Rational]) -> None:
+        """Append one column of the program.
+
+        A positive multiple of a column leaves the verdict unchanged, so a
+        rational column enters times the lcm of its denominators.
+        """
+        scale = lcm(*(v.denominator for v in column))
+        entries = []
+        for r, v in enumerate(column):
+            if v:
+                if r not in self._slack:
+                    self._add_row(r)
+                entries.append((self._slack[r], v.numerator * (scale // v.denominator)))
+        for row in self._tab.rows:
+            row.insert(-1, row[0] - sum(row[k] * v for k, v in entries))
+        cost = self._cost
+        cost.append(cost[0] - self._tab.det - sum(cost[k] * v for k, v in entries))
+        self.added += 1
+
+    def feasible(self) -> bool:
+        """Resume phase 1; True when the columns so far admit a distribution.
+
+        a has the least index, so the ratio test's tie rule makes it leave
+        the basis as soon as its level could reach 0: a basic a is positive.
+        """
+        # Bland's rule never reads the column scales
+        _run_simplex(self._tab, self._cost, [1] * len(self._cost), bland_after=0)
+        return 0 not in self._tab.basis
 
 
 # ---------- the cut-collection program ----------

@@ -13,6 +13,7 @@ import itertools
 import json
 import math
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -96,6 +97,43 @@ class PlayerAdjustment:
 IDENTITY = PlayerAdjustment()
 
 
+def rational_from_text(text: str) -> Fraction:
+    """Fraction(text), refused before it is built if it would be too large.
+
+    Python converts an int to or from a decimal string only up to
+    sys.get_int_max_str_digits() digits. Fraction's own digit strings hit
+    that limit by themselves, but an exponent builds 10**e: "1e5000" could
+    never be printed, and "1e10000000" takes seconds to build. So the
+    mantissa digits and the exponent bound the numerator and denominator
+    first, and a value either would have beyond the limit raises ValueError.
+    """
+    limit = sys.get_int_max_str_digits()
+    mantissa, marker, exponent = text.lower().partition("e")
+    if limit and marker:
+        try:
+            shift = int(exponent)
+        except ValueError:
+            shift = 0  # malformed: Fraction rejects it below
+        fraction_digits = sum(c.isdigit() for c in mantissa.partition(".")[2])
+        shift -= fraction_digits
+        digits = sum(c.isdigit() for c in mantissa)
+        if max(digits, digits + shift, 1 - shift) > limit:
+            raise ValueError(f"more than {limit} decimal digits")
+    return Fraction(text)
+
+
+def rational_text(value: Fraction) -> str:
+    """str(value), or its size in digits if Python would refuse to print it.
+
+    A sum of printable rationals can have a denominator past the digit limit.
+    """
+    limit = sys.get_int_max_str_digits()
+    digits = max(value.numerator.bit_length(), value.denominator.bit_length()) * math.log10(2)
+    if limit and digits >= limit:
+        return f"a rational of about {digits:.0f} decimal digits"
+    return str(value)
+
+
 def _parse_utility(value, where: str) -> Fraction:
     if isinstance(value, bool):
         raise GameFormatError(f"{where}: boolean is not a utility")
@@ -103,9 +141,9 @@ def _parse_utility(value, where: str) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         try:
-            return Fraction(value)
+            return rational_from_text(value)
         except (ValueError, ZeroDivisionError) as exc:
-            raise GameFormatError(f"{where}: bad rational string {value!r}") from exc
+            raise GameFormatError(f"{where}: bad rational string {value!r}: {exc}") from exc
     raise GameFormatError(
         f"{where}: utilities must be integers or rational strings, got {type(value).__name__}"
     )
@@ -504,7 +542,7 @@ def load_game(document: dict | str) -> Game:
     if isinstance(document, str):
         try:
             document = json.loads(document)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # an int literal past the digit limit too
             raise GameFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(document, dict):
         raise GameFormatError("game document must be a JSON object")

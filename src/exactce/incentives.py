@@ -20,7 +20,7 @@ from numbers import Rational
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import CertificateError, CertificateMismatchError
-from .games import Game, ProductDistribution, PureProfile
+from .games import Game, ProductDistribution, PureProfile, rational_from_text, rational_text
 
 
 class RowIndex(NamedTuple):
@@ -181,7 +181,7 @@ class SparseCE:
                 problems.append(f"profile {list(s)} has negative probability {prob}")
         total = sum((prob for _, prob in self.atoms), Fraction(0))
         if total != 1:
-            problems.append(f"probabilities sum to {total}, not 1")
+            problems.append(f"probabilities sum to {rational_text(total)}, not 1")
         return problems
 
     def check_profiles(self, game: Game) -> None:
@@ -222,9 +222,9 @@ class SparseCE:
             if isinstance(raw, bool) or not isinstance(raw, (int, str)):
                 raise CertificateError(f"atom {k}: prob must be an integer or rational string")
             try:
-                prob = Fraction(raw)
+                prob = rational_from_text(raw) if isinstance(raw, str) else Fraction(raw)
             except (ValueError, ZeroDivisionError) as exc:
-                raise CertificateError(f"atom {k}: bad rational {raw!r}") from exc
+                raise CertificateError(f"atom {k}: bad rational {raw!r}: {exc}") from exc
             atoms.append((tuple(profile), prob))
         return cls(atoms=tuple(atoms))
 

@@ -28,6 +28,7 @@ from .ellipsoid import (
 from .errors import SolverError
 from .exact_lp import (
     CutLP,
+    FeasibilityVerdict,
     min_violation_mixture,
     mixture_feasible,
     try_feasible_bfs,
@@ -203,12 +204,18 @@ def _solve_purified(game: Game, config: SolveConfig, started: float) -> SolveRep
     n = row_count(game)
     params = _params_for(game, config)
     found: list[SparseCE] = []
+    verdict = FeasibilityVerdict()
 
     def probe(_cut, roster) -> bool:
+        # the verdict decides every probe from its last basis; only a
+        # feasible one pays for the cold solve, whose vertex is the certificate
         if len(roster) % config.probe_stride:
             return False
-        lp = CutLP.from_columns([c.column for c in roster])
-        ce = try_feasible_bfs(lp)
+        for cut in roster[verdict.added:]:
+            verdict.add(cut.column.dense())
+        if not verdict.feasible():
+            return False
+        ce = try_feasible_bfs(CutLP.from_columns([c.column for c in roster]))
         if ce is None:
             return False
         found.append(ce)

@@ -342,6 +342,48 @@ class TestExitCodes:
         assert run_cli("verify", "--input", str(gen_game(tmp_path)), "--ce", str(ce)) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("command, number", [
+        ("verify", "1" + "0" * 4400),  # a JSON int literal past the digit limit
+        ("verify", '"1e5000"'),  # fine to build, but its sum cannot be printed
+        ("solve", '"1e5000"'),  # solves, but u_max cannot be printed
+        ("solve", '"1e10000000"'),  # 30 bytes that take seconds to build
+    ], ids=["verify-int-literal", "verify-exponent", "solve-exponent", "solve-huge-exponent"])
+    def test_number_past_digit_limit_exits_2(self, tmp_path, command, number):
+        # Python prints and parses ints only up to sys.get_int_max_str_digits()
+        # digits; such a number is refused up front, never a traceback (1)
+        game = gen_game(tmp_path)
+        if command == "solve":
+            document = json.loads(game.read_text())
+            document["payoffs"][0][0] = json.loads(number)
+            game.write_text(json.dumps(document))
+            argv = ["solve", "--input", str(game)]
+        else:
+            ce = tmp_path / "ce.json"
+            ce.write_text('{"atoms": [{"profile": [0, 0], "prob": %s}]}' % number)
+            argv = ["verify", "--input", str(game), "--ce", str(ce)]
+        package_root = str(Path(exactce.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "exactce", *argv],
+                              capture_output=True, text=True, env=env, timeout=10)
+        assert proc.returncode == 2, proc.stderr[-2000:]
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert sum(line.startswith("error:") for line in lines) == 1, proc.stderr[-2000:]
+        assert "digit" in proc.stderr
+
+    def test_unprintable_sum_reported_by_size(self, tmp_path, capsys):
+        # each probability prints, but their sum's denominator has 4401 digits
+        ce = tmp_path / "ce.json"
+        ce.write_text(json.dumps({"atoms": [
+            {"profile": [0, 0], "prob": f"1/{10**2200 + 1}"},
+            {"profile": [1, 1], "prob": f"1/{10**2200 + 3}"}]}))
+        assert run_cli("verify", "--input", str(gen_game(tmp_path)), "--ce", str(ce)) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["not a distribution: probabilities sum to a rational of about "
+                       "4400 decimal digits, not 1"]
+
+
 
 def declared_console_script(name):
     """The ``module:attr`` target that ``[project.scripts]`` declares for name."""

@@ -295,6 +295,56 @@ class TestCutLP:
             assert verify_ce(g, ce).verdict
 
 
+@st.composite
+def column_batches(draw):
+    """Batches of dense columns, each batch followed by one verdict.
+
+    Small-int entries, sometimes rational; some rows zero in every column;
+    repeats of earlier columns; all-zero columns; batches of several columns,
+    as a probe stride above 1 gives.
+    """
+    if draw(st.booleans()):
+        entry = st.builds(F, st.integers(-4, 4), st.integers(1, 4))
+    else:
+        entry = st.integers(-3, 3)
+    n_rows = draw(st.integers(1, 6))
+    live = draw(st.lists(st.booleans(), min_size=n_rows, max_size=n_rows))
+    batches, seen = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        batch = []
+        for _ in range(draw(st.integers(1, 3))):
+            kind = draw(st.sampled_from(["fresh", "fresh", "fresh", "repeat", "zero"]))
+            if kind == "repeat" and seen:
+                column = draw(st.sampled_from(seen))
+            elif kind == "zero":
+                column = [0] * n_rows
+            else:
+                column = [draw(entry) if on else 0 for on in live]
+            seen.append(column)
+            batch.append(column)
+        batches.append(batch)
+    return batches
+
+
+class TestFeasibilityVerdict:
+    """The incremental phase-1 verdict agrees with the cold mixture program."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(column_batches())
+    @example([[[-1, 0]], [[1, -1]], [[0, 1]]])  # infeasible, then mixed to feasible
+    @example([[[1, -1], [-1, 1]]])  # a batch feasible only as a pair
+    def test_matches_mixture_feasible(self, batches):
+        verdict = exact_lp.FeasibilityVerdict()
+        columns = []
+        assert verdict.feasible() is False
+        for batch in batches:
+            for column in batch:
+                verdict.add(column)
+            columns += batch
+            assert verdict.added == len(columns)
+            assert verdict.feasible() == (mixture_feasible(columns) is not None)
+
+
 class TestMixtures:
     def test_feasible_mixture(self):
         alpha = mixture_feasible([[F(1)], [F(-1)]])

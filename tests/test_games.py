@@ -68,6 +68,22 @@ class TestHeaderValidation:
         with pytest.raises(GameFormatError, match="bad rational"):
             load_game(nfg_doc(1, [2], [["one half", 1]]))
 
+    @pytest.mark.parametrize("text, value", [
+        ("1e3", 1000), ("1.5e3", 1500), ("25e-1", Fraction(5, 2)), ("-2E+2", -200),
+        ("1e4299", 10**4299), ("1e-4299", Fraction(1, 10**4299)),
+        ("1e4300", None), ("1e-4300", None), ("12.5e4299", None), ("1e10000000", None),
+    ])
+    def test_exponent_within_digit_limit(self, text, value):
+        # numerator and denominator must stay printable: at most
+        # sys.get_int_max_str_digits() = 4300 decimal digits
+        doc = nfg_doc(1, [2], [[text, 0]])
+        if value is None:
+            with pytest.raises(GameFormatError, match="4300 decimal digits"):
+                load_game(doc)
+        else:
+            g = load_game(doc)
+            assert g.payoff(0, (0,)) - g.payoff(0, (1,)) == value * g.adjustments[0].scale
+
     def test_table_length_checked(self):
         with pytest.raises(GameFormatError, match="exactly 4"):
             load_game(nfg_doc(2, [2, 2], [[1, 2, 3], [1, 2, 3, 4]]))

@@ -6,6 +6,7 @@ import sys
 import textwrap
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -25,6 +26,7 @@ from exactce import (
     support_bound,
     verify_ce,
 )
+from exactce import solver
 from exactce.solver import probability_bit_bound
 
 F = Fraction
@@ -230,6 +232,40 @@ class TestPurifiedSolve:
         assert a.certificate == b.certificate
         assert a.iterations == b.iterations
         assert a.transcript.to_jsonl() == b.transcript.to_jsonl()
+
+    @pytest.mark.parametrize("family, players, actions, seed, config", [
+        ("polymatrix", 4, 3, 95, SolveConfig()),
+        ("polymatrix", 3, 3, 33, SolveConfig()),
+        ("polymatrix", 3, 3, 33, SolveConfig(tie_break="max-value")),
+        ("polymatrix", 3, 3, 33, SolveConfig(tie_break="welfare")),
+        ("polymatrix", 3, 3, 33, SolveConfig(probe_stride=3)),
+        # a stride-3 solve whose certificate needs columns of an earlier batch
+        ("polymatrix", 3, 3, 3, SolveConfig(probe_stride=3)),
+    ], ids=["4x3-95", "3x3-33", "3x3-33-max-value", "3x3-33-welfare", "3x3-33-stride-3",
+            "3x3-3-stride-3"])
+    def test_cold_lp_only_for_the_probe_that_succeeds(self, family, players, actions,
+                                                      seed, config):
+        # The incremental verdict turns failed probes away; the cold LP runs
+        # once and yields the certificate. A verdict that sends every probe
+        # to the cold LP gives the same certificate and transcript.
+        class EveryProbe:
+            added = 0
+
+            def add(self, column):
+                pass
+
+            def feasible(self):
+                return True
+
+        g = random_game(family, players, actions, u_max=10, seed=seed)
+        cold = exactce.exact_lp.try_feasible_bfs
+        with mock.patch.object(solver, "try_feasible_bfs", wraps=cold) as spy:
+            report = compute_exact_ce(g, config)
+        assert spy.call_count == 1
+        with mock.patch.object(solver, "FeasibilityVerdict", EveryProbe):
+            reference = compute_exact_ce(g, config)
+        assert report.certificate == reference.certificate
+        assert report.transcript.to_jsonl() == reference.transcript.to_jsonl()
 
 
 class TestProductSolve:
