@@ -2,24 +2,28 @@
 change leaves reports and transcripts byte-identical.
 
     PYTHONPATH=src python3 scripts/output_hashes.py > hashes.txt
+    PYTHONPATH=src python3 scripts/output_hashes.py product > product.txt
 
 Run it on two checkouts and diff the files. Each line names the solve and
 gives the sha256 of its JSON report (keys sorted, without the wall-clock
-`wall_ms`) and of its transcript JSONL. The solves are:
+`wall_ms`) and of its transcript JSONL. The first word of each label names
+its group, and the optional arguments pick groups; with none, all 371 solves
+run. The groups are:
 
-* the 100 acceptance-suite games under the default configuration;
-* the same games under the product oracle with acceptance criterion 10's
-  iteration caps and probe strides;
-* the 84 suite games below 4 players x 3 actions under the `welfare` and the
-  `max-value` tie breaks;
-* the polymatrix ladder rungs 5x3, 6x3 and 8x2 of the benchmark (its 4x3
-  rung, seed 95, is a suite game).
+* `default`: the 100 acceptance-suite games under the default configuration;
+* `product`: the same games under the product oracle with acceptance
+  criterion 10's iteration caps and probe strides;
+* `welfare` and `max-value`: the 84 suite games below 4 players x 3 actions
+  under those tie breaks;
+* `ladder`: the polymatrix ladder rungs 5x3, 6x3 and 8x2 of the benchmark
+  (its 4x3 rung, seed 95, is a suite game).
 
 A solve that raises prints its error message in place of the hashes.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import sys
@@ -30,6 +34,9 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmark")]
 
 import workloads  # noqa: E402
 from exactce import SolveConfig, SolverError, compute_exact_ce, random_game, row_count  # noqa: E402
+
+
+GROUPS = ("default", "product", "welfare", "max-value", "ladder")
 
 
 def _sha(text: str) -> str:
@@ -61,8 +68,17 @@ def solves():
         yield f"ladder {spec.label}", game, SolveConfig(**spec.config_kwargs())
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Hash the pinned solver outputs.")
+    parser.add_argument("groups", nargs="*", metavar="group",
+                        help=f"solve only these groups: {', '.join(GROUPS)} (default: all)")
+    groups = set(parser.parse_args(argv).groups or GROUPS)
+    unknown = sorted(groups.difference(GROUPS))
+    if unknown:
+        parser.error(f"unknown group {unknown[0]!r}; choose from {', '.join(GROUPS)}")
     for label, game, config in solves():
+        if label.split(" ", 1)[0] not in groups:
+            continue
         try:
             report = compute_exact_ce(game, config)
         except SolverError as exc:

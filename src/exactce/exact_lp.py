@@ -7,12 +7,14 @@ unconditionally to Bland's least-index rule once a degenerate basis has
 burned through the pivot budget, so termination never depends on luck and
 exact arithmetic never needs tolerances.
 
-Most probes of the cut program fail. A solve decides them with one
-FeasibilityVerdict: a phase-1 tableau on the same pivots that takes each new
-column and resumes from its last basis, in the manner of column generation
-(Gilmore and Gomory; Dantzig and Wolfe). Only a probe it finds feasible is
-solved cold by try_feasible_bfs, whose vertex is the certificate, so the
-certificate does not depend on the verdict's pivot path.
+Most probes of the cut program, and of the product oracle's mixture program,
+fail. A solve decides them with one FeasibilityVerdict: a phase-1 tableau on
+the same pivots that takes each new column and resumes from its last basis,
+in the manner of column generation (Gilmore and Gomory; Dantzig and Wolfe).
+Only a probe it finds feasible is solved cold, by try_feasible_bfs or
+mixture_feasible, whose vertex is the certificate or the mixture, so neither
+depends on the verdict's pivot path. min_violation_mixture, which the
+product oracle runs when no probe succeeded, stays a cold solve.
 
 The tableau holds Python integers, not fractions. Each column j of the
 constraint matrix, and the right-hand side, is multiplied by the lcm s_j of

@@ -134,6 +134,22 @@ def rational_text(value: Fraction) -> str:
     return str(value)
 
 
+def _check_printable(payoffs, where: str) -> None:
+    """Refuse stored payoffs that Python could not print as decimal ints.
+
+    Each utility passes rational_from_text, but scaling a player's table by
+    the lcm of its denominators and shifting it can still pass the limit:
+    "1e3000" and "1e-3000" in one table store 10**6000.
+    """
+    limit = sys.get_int_max_str_digits()
+    top = max(payoffs)
+    # 2**(3 limit) < 10**limit, so only a long value pays for the power
+    if limit and top.bit_length() > 3 * limit and top >= 10**limit:
+        raise GameFormatError(
+            f"{where}: scaled payoffs have more than {limit} decimal digits"
+        )
+
+
 def _parse_utility(value, where: str) -> Fraction:
     if isinstance(value, bool):
         raise GameFormatError(f"{where}: boolean is not a utility")
@@ -475,7 +491,9 @@ def _load_nfg(doc: dict) -> NormalFormGame:
         scaled = [v * scale for v in values]
         low = min(scaled)
         shift = -low if low < 0 else Fraction(0)
-        tables.append(tuple(int(v + shift) for v in scaled))
+        table = tuple(int(v + shift) for v in scaled)
+        _check_printable(table, f"player {p}")
+        tables.append(table)
         adjustments.append(PlayerAdjustment(scale, shift))
     return NormalFormGame(actions=actions, adjustments=tuple(adjustments), tables=tuple(tables))
 
@@ -529,6 +547,7 @@ def _load_polymatrix(doc: dict) -> PolymatrixGame:
             shift = -low if low < 0 else Fraction(0)
             total_shift += shift
             blocks[p][q] = tuple(tuple(int(v + shift) for v in row) for row in scaled)
+            _check_printable([max(row) for row in blocks[p][q]], f"player {p} block ({p},{q})")
         adjustments.append(PlayerAdjustment(scale, total_shift))
     return PolymatrixGame(
         actions=actions,

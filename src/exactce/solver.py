@@ -8,6 +8,11 @@ violation zero. The product pipeline keeps the unrounded product cuts
 instead and reports the best mixture it can, including its exact worst-row
 shortfall, which may be positive; it exists as a comparison baseline and
 makes no exactness claim.
+
+Both pipelines probe their collected columns through one gated probe: an
+incremental FeasibilityVerdict decides every probe, and only a probe it
+finds feasible runs the cold LP (try_feasible_bfs for profile columns,
+mixture_feasible for product columns) whose vertex is the answer.
 """
 
 from __future__ import annotations
@@ -200,26 +205,42 @@ def _params_for(game: Game, config: SolveConfig) -> EllipsoidParams:
     )
 
 
+def _gated_probe(stride: int, column_of, cold):
+    """A probe callback for run, and the list its successful answers go to.
+
+    Every stride-th roster, the new cuts' columns (column_of(cut)) join one
+    FeasibilityVerdict per solve, which decides the probe from its last
+    basis. Only a probe it finds feasible pays for cold(roster), the cold LP
+    whose vertex is the answer, so the answer does not depend on the
+    verdict's pivot path. A None from cold fails the probe.
+    """
+    verdict = FeasibilityVerdict()
+    found = []
+
+    def probe(_cut, roster) -> bool:
+        if len(roster) % stride:
+            return False
+        for cut in roster[verdict.added:]:
+            verdict.add(column_of(cut))
+        if not verdict.feasible():
+            return False
+        answer = cold(roster)
+        if answer is None:
+            return False
+        found.append(answer)
+        return True
+
+    return probe, found
+
+
 def _solve_purified(game: Game, config: SolveConfig, started: float) -> SolveReport:
     n = row_count(game)
     params = _params_for(game, config)
-    found: list[SparseCE] = []
-    verdict = FeasibilityVerdict()
-
-    def probe(_cut, roster) -> bool:
-        # the verdict decides every probe from its last basis; only a
-        # feasible one pays for the cold solve, whose vertex is the certificate
-        if len(roster) % config.probe_stride:
-            return False
-        for cut in roster[verdict.added:]:
-            verdict.add(cut.column.dense())
-        if not verdict.feasible():
-            return False
-        ce = try_feasible_bfs(CutLP.from_columns([c.column for c in roster]))
-        if ce is None:
-            return False
-        found.append(ce)
-        return True
+    probe, found = _gated_probe(
+        config.probe_stride,
+        lambda cut: cut.column.dense(),
+        lambda roster: try_feasible_bfs(CutLP.from_columns([c.column for c in roster])),
+    )
 
     result = run(n, params, lambda y: purified_separation(game, y, config.tie_break), probe)
 
@@ -288,16 +309,11 @@ def _solve_purified(game: Game, config: SolveConfig, started: float) -> SolveRep
 def _solve_product(game: Game, config: SolveConfig, started: float) -> SolveReport:
     n = row_count(game)
     params = _params_for(game, config)
-    found: list[list[Fraction]] = []
-
-    def probe(_cut, roster) -> bool:
-        if len(roster) % config.probe_stride:
-            return False
-        alpha = mixture_feasible([list(c.values) for c in roster])
-        if alpha is None:
-            return False
-        found.append(alpha)
-        return True
+    probe, found = _gated_probe(
+        config.probe_stride,
+        lambda cut: cut.values,
+        lambda roster: mixture_feasible([c.values for c in roster]),
+    )
 
     result = run(n, params, lambda y: product_separation(game, y), probe)
     roster = result.transcript.roster

@@ -372,6 +372,25 @@ class TestExitCodes:
         assert sum(line.startswith("error:") for line in lines) == 1, proc.stderr[-2000:]
         assert "digit" in proc.stderr
 
+    @pytest.mark.parametrize("document", [
+        {"type": "nfg", "players": 2, "actions": [2, 2],
+         "payoffs": [["1e3000", "1e-3000", 0, 1], [1, 0, 0, 1]]},
+        {"type": "polymatrix", "players": 3, "actions": [2, 2, 2],
+         "edges": [{"p": 0, "q": 1, "matrix": [["1e3000", 0], [0, 1]]},
+                   {"p": 0, "q": 2, "matrix": [[0, "1e-3000"], [1, 0]]}]},
+    ], ids=["nfg", "polymatrix"])
+    def test_payoffs_combining_past_digit_limit_exit_2(self, tmp_path, capsys, document):
+        # each utility passes the digit check, but scaling by 10**3000 stores
+        # 10**6000, which the report's u_max could not print
+        game = tmp_path / "game.json"
+        game.write_text(json.dumps(document))
+        report = tmp_path / "r.json"
+        assert run_cli("solve", "--input", str(game), "-o", str(report)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert sum(line.startswith("error:") for line in err) == 1, err
+        assert "digits" in err[-1]
+        assert not report.exists()
+
     def test_unprintable_sum_reported_by_size(self, tmp_path, capsys):
         # each probability prints, but their sum's denominator has 4401 digits
         ce = tmp_path / "ce.json"

@@ -4,12 +4,15 @@ import random
 from fractions import Fraction
 from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
 from exactce import (
     CutLP,
+    SolveConfig,
+    compute_exact_ce,
     load_game,
     min_violation_mixture,
     mixture_feasible,
@@ -343,6 +346,33 @@ class TestFeasibilityVerdict:
             columns += batch
             assert verdict.added == len(columns)
             assert verdict.feasible() == (mixture_feasible(columns) is not None)
+
+
+    @pytest.mark.parametrize("family, players, actions, seed, max_iters, stride", [
+        ("nfg", 3, 2, 3, 200, 1),  # its last column makes the roster feasible
+        ("nfg", 2, 3, 1, 60, 3),  # criterion 10's caps; never feasible
+        ("polymatrix", 3, 2, 2, 60, 3),
+    ], ids=["nfg-3x2-3", "nfg-2x3-1", "polymatrix-3x2-2"])
+    def test_matches_mixture_feasible_on_product_columns(self, family, players, actions,
+                                                         seed, max_iters, stride):
+        # product cuts are dense, and their denominators run to hundreds of
+        # bits and differ entry by entry
+        g = random_game(family, players, actions, u_max=10, seed=seed)
+        config = SolveConfig(oracle="product", max_iters=max_iters, probe_stride=stride,
+                             precision_bits=96)
+        roster = [cut.values for cut in compute_exact_ce(g, config).transcript.roster]
+        assert max(v.denominator.bit_length() for column in roster for v in column) > 200
+        orders = [roster, roster[::-1]]
+        alpha = mixture_feasible(roster)
+        if alpha is not None:
+            # the mixture's support first: feasible early, then more columns
+            orders.append([c for c, w in zip(roster, alpha) if w]
+                          + [c for c, w in zip(roster, alpha) if not w])
+        for order in orders:
+            verdict = exact_lp.FeasibilityVerdict()
+            for k, column in enumerate(order, 1):
+                verdict.add(column)
+                assert verdict.feasible() == (mixture_feasible(order[:k]) is not None)
 
 
 class TestMixtures:

@@ -119,6 +119,24 @@ class TestBruteForce:
             brute_force_ce(g)
 
 
+class EveryProbe:
+    """A stand-in verdict that sends every probe to the cold LP."""
+
+    added = 0
+
+    def add(self, column):
+        pass
+
+    def feasible(self):
+        return True
+
+
+def report_without_wall(report):
+    document = report.to_json(include_transcript=True)
+    del document["wall_ms"]
+    return document
+
+
 class TestPurifiedSolve:
     def test_dominant_game_point_mass(self):
         for tie_break in ("first", "max-value", "welfare"):
@@ -248,15 +266,6 @@ class TestPurifiedSolve:
         # The incremental verdict turns failed probes away; the cold LP runs
         # once and yields the certificate. A verdict that sends every probe
         # to the cold LP gives the same certificate and transcript.
-        class EveryProbe:
-            added = 0
-
-            def add(self, column):
-                pass
-
-            def feasible(self):
-                return True
-
         g = random_game(family, players, actions, u_max=10, seed=seed)
         cold = exactce.exact_lp.try_feasible_bfs
         with mock.patch.object(solver, "try_feasible_bfs", wraps=cold) as spy:
@@ -315,6 +324,27 @@ class TestProductSolve:
             F(item["weight"])  # rational strings parse
             for block in item["strategies"]:
                 assert sum(F(v) for v in block) == 1
+
+
+    @pytest.mark.parametrize("family, players, actions, seed, max_iters, calls", [
+        ("nfg", 3, 2, 3, 200, 1),  # reaches epsilon 0 on its last probe
+        ("nfg", 2, 3, 1, 60, 0),  # every probe fails
+    ], ids=["nfg-3x2-3", "nfg-2x3-1"])
+    def test_cold_mixture_only_for_the_probe_that_succeeds(self, family, players, actions,
+                                                           seed, max_iters, calls):
+        # The verdict turns failed mixture probes away; only a feasible one
+        # runs the cold mixture LP, whose weights are the mixture. A verdict
+        # that sends every probe to the cold LP gives the same report.
+        g = random_game(family, players, actions, u_max=10, seed=seed)
+        config = SolveConfig(oracle="product", max_iters=max_iters, precision_bits=96)
+        cold = exactce.exact_lp.mixture_feasible
+        with mock.patch.object(solver, "mixture_feasible", wraps=cold) as spy:
+            report = compute_exact_ce(g, config)
+        assert spy.call_count == calls
+        assert report.verified == (calls == 1)
+        with mock.patch.object(solver, "FeasibilityVerdict", EveryProbe):
+            reference = compute_exact_ce(g, config)
+        assert report_without_wall(report) == report_without_wall(reference)
 
 
 def helpers_incentive_values(game, dist):
