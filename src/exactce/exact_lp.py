@@ -1,6 +1,6 @@
 """Exact rational linear programming for the cut-collection feasibility step.
 
-One dense two-phase primal simplex serves every exact LP here: the cut
+One dense primal simplex serves every exact LP here: the cut
 programs, the stationary distributions and the mixture programs. It picks
 the entering column by largest improvement for speed and switches
 unconditionally to Bland's least-index rule once a degenerate basis has
@@ -14,7 +14,9 @@ in the manner of column generation (Gilmore and Gomory; Dantzig and Wolfe).
 Only a probe it finds feasible is solved cold, by try_feasible_bfs or
 mixture_feasible, whose vertex is the certificate or the mixture, so neither
 depends on the verdict's pivot path. min_violation_mixture, which the
-product oracle runs when no probe succeeded, stays a cold solve.
+product oracle runs when no probe succeeded, has no phase 1: its program is
+feasible at any single column with t at that column's worst shortfall, so it
+builds that basis for the best column and only minimizes t from there.
 
 The tableau holds Python integers, not fractions. Each column j of the
 constraint matrix, and the right-hand side, is multiplied by the lcm s_j of
@@ -62,8 +64,9 @@ class _Tableau:
     """Integer tableau: the rational tableau of the scaled program is rows / det.
 
     Each row holds the n real columns followed by the right-hand side.
-    solve_standard_form never reads its artificial columns, so it does not
-    store them; FeasibilityVerdict stores its one artificial. det is the
+    solve_standard_form and min_violation_mixture never read their artificial
+    columns, so they do not store them; FeasibilityVerdict stores its one
+    artificial. det is the
     absolute determinant of the current basis matrix and stays positive.
     """
 
@@ -416,26 +419,56 @@ def mixture_feasible(dense_columns: Sequence[Sequence[Fraction]]) -> list[Fracti
 
 
 def min_violation_mixture(
-    dense_columns: Sequence[Sequence[Fraction]],
+    dense_columns: Sequence[Sequence[Rational]],
 ) -> tuple[Fraction, list[Fraction]]:
     """Mixture weights minimizing the worst constraint shortfall.
 
     Solves min t subject to sum_k alpha_k col_k >= -t, alpha a distribution,
     t >= 0, and returns (t, alpha). t is zero exactly when the nonnegative
-    mixture program is feasible.
+    mixture program is feasible. alpha is an optimal vertex, a pure function
+    of the input; it is the only optimal mixture on the product oracle's
+    pinned games, but the optimal face can be wider in general.
+
+    The program is always feasible, so it needs no phase 1. Each kept row
+    enters negated, -sum_k alpha_k col_k - t + s = 0, whose surplus s is a
+    basis column already; the sum row pivots onto the column with the least
+    worst shortfall (ties to the lowest index), and if that column has a
+    negative entry, t pivots into its most negative row (ties to the first),
+    which lifts every surplus to zero or more. Phase 2 then minimizes t.
+    Entries may be ints or Fractions.
     """
-    cols = [list(c) for c in dense_columns]
-    if not cols:
+    if not dense_columns:
         raise ValueError("need at least one column")
-    rows, rhs, n_cols = _standard_rows_for(cols)
-    # t goes between the weights and the surpluses: +t in every kept row,
-    # nothing in the sum row
-    for row in rows[:-1]:
-        row.insert(n_cols, 1)
-    rows[-1].insert(n_cols, 0)
-    objective = [0] * len(rows[0])
-    objective[n_cols] = 1
-    status, solution = solve_standard_form(rows, rhs, objective)
-    if status != "optimal":
-        raise RuntimeError("violation program unexpectedly unsolvable")
-    return solution[n_cols], solution[:n_cols]
+    n_cols = len(dense_columns)
+    kept = [r for r in range(len(dense_columns[0])) if any(col[r] for col in dense_columns)]
+    scale = [lcm(*(col[r].denominator for r in kept)) for col in dense_columns]
+    n = n_cols + 1 + len(kept)  # the weights, t, one surplus per kept row
+    rows = []
+    for i, r in enumerate(kept):
+        row = [-col[r].numerator * (s // col[r].denominator)
+               for col, s in zip(dense_columns, scale)]
+        row += [-1] + [0] * (len(kept) + 1)
+        row[n_cols + 1 + i] = 1
+        rows.append(row)
+    rows.append(scale + [0] * len(kept) + [0, 1])
+    # the sum row's basic variable is an artificial that is never stored
+    tab = _Tableau(rows=rows, basis=list(range(n_cols + 1, n + 1)))
+    cost = [0] * n
+    cost[n_cols] = 1
+
+    low = [min([0, *(col[r] for r in kept)]) for col in dense_columns]
+    best = max(range(n_cols), key=low.__getitem__)
+    cost = _pivot(tab, len(kept), best, cost)
+    if low[best] < 0:
+        column = dense_columns[best]
+        worst = min(range(len(kept)), key=lambda i: column[kept[i]])
+        cost = _pivot(tab, worst, n_cols, cost)
+    _run_simplex(tab, cost, scale + [1] * (1 + len(kept)))
+
+    t, alpha = ZERO, [ZERO] * n_cols
+    for row, var in zip(tab.rows, tab.basis):
+        if var < n_cols:
+            alpha[var] = Fraction(row[-1] * scale[var], tab.det)
+        elif var == n_cols:
+            t = Fraction(row[-1], tab.det)
+    return t, alpha

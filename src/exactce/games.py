@@ -25,6 +25,11 @@ PureProfile = tuple[int, ...]
 
 FAMILIES = ("nfg", "polymatrix")
 
+# The most payoffs a game may store: players * prod(m) entries of a
+# normal-form table, or sum over ordered pairs p != q of m_p * m_q polymatrix
+# block entries. Larger games are refused before anything is allocated.
+MAX_STORED_PAYOFFS = 1 << 20
+
 
 # ---------- mixed strategy profiles ----------
 
@@ -462,7 +467,28 @@ class PolymatrixGame(Game):
 # ---------- loading ----------
 
 
-def _check_header(doc: dict) -> tuple[int, ...]:
+def _size_error(family: str, players: int) -> GameFormatError:
+    return GameFormatError(
+        f"a {family} game of {players} players stores more than "
+        f"{MAX_STORED_PAYOFFS} payoffs"
+    )
+
+
+def _check_size(family: str, actions: Sequence[int]) -> None:
+    """Refuse a game that would store more than MAX_STORED_PAYOFFS payoffs."""
+    if family == "nfg":
+        stored = len(actions)
+        for m in actions:
+            stored *= m
+            if stored > MAX_STORED_PAYOFFS:
+                break
+    else:
+        stored = sum(actions) ** 2 - sum(m * m for m in actions)
+    if stored > MAX_STORED_PAYOFFS:
+        raise _size_error(family, len(actions))
+
+
+def _check_header(doc: dict, family: str) -> tuple[int, ...]:
     players = doc.get("players")
     if not isinstance(players, int) or isinstance(players, bool) or players < 1:
         raise GameFormatError("players must be a positive integer")
@@ -472,11 +498,12 @@ def _check_header(doc: dict) -> tuple[int, ...]:
     for p, m in enumerate(actions):
         if not isinstance(m, int) or isinstance(m, bool) or m < 1:
             raise GameFormatError(f"player {p}: action count must be a positive integer")
+    _check_size(family, actions)
     return tuple(actions)
 
 
 def _load_nfg(doc: dict) -> NormalFormGame:
-    actions = _check_header(doc)
+    actions = _check_header(doc, "nfg")
     payoffs = doc.get("payoffs")
     m = math.prod(actions)
     if not isinstance(payoffs, list) or len(payoffs) != len(actions):
@@ -499,7 +526,7 @@ def _load_nfg(doc: dict) -> NormalFormGame:
 
 
 def _load_polymatrix(doc: dict) -> PolymatrixGame:
-    actions = _check_header(doc)
+    actions = _check_header(doc, "polymatrix")
     n = len(actions)
     edges = doc.get("edges")
     if not isinstance(edges, list):
@@ -592,6 +619,10 @@ def random_game(family: str, players: int, actions, u_max: int, seed: int) -> Ga
         raise GameFormatError(f"unknown family {family!r}")
     if not isinstance(players, int) or players < 1:
         raise GameFormatError("players must be a positive integer")
+    if players > MAX_STORED_PAYOFFS:
+        # checked before counts is built: with two players or more, either
+        # family stores at least one payoff per player
+        raise _size_error(family, players)
     if isinstance(actions, int):
         counts = (actions,) * players
     else:
@@ -602,6 +633,7 @@ def random_game(family: str, players: int, actions, u_max: int, seed: int) -> Ga
         raise GameFormatError("action counts must be positive integers")
     if not isinstance(u_max, int) or u_max < 0:
         raise GameFormatError("u_max must be a nonnegative integer")
+    _check_size(family, counts)
 
     rng = random.Random(seed)
     identity = tuple(IDENTITY for _ in range(players))

@@ -321,10 +321,10 @@ def _solve_product(game: Game, config: SolveConfig, started: float) -> SolveRepo
         raise SolverError("no product cuts were collected", result.transcript)
     columns = [list(c.values) for c in roster]
     if found:
-        alpha = found[-1]
+        t, alpha = Fraction(0), found[-1]
         alpha += [Fraction(0)] * (len(columns) - len(alpha))
     else:
-        _, alpha = min_violation_mixture(columns)
+        t, alpha = min_violation_mixture(columns)
 
     aggregate = [
         sum((alpha[k] * columns[k][r] for k in range(len(columns))), Fraction(0))
@@ -332,6 +332,11 @@ def _solve_product(game: Game, config: SolveConfig, started: float) -> SolveRepo
     ]
     shortfall = -min(aggregate)
     epsilon = shortfall if shortfall > 0 else Fraction(0)
+    if t != epsilon:
+        raise SolverError(
+            "the mixture LP's shortfall t differs from the epsilon its weights give",
+            result.transcript,
+        )
     mixture = ProductMixture(
         components=tuple(
             (alpha[k], roster[k].x) for k in range(len(columns)) if alpha[k] > 0

@@ -402,6 +402,29 @@ def reference_solve_standard_form(rows, rhs, objective=None, budget=reference_pi
     return "optimal", solution
 
 
+def reference_min_violation_mixture(columns):
+    """min t s.t. sum_k alpha_k col_k + t >= 0 rowwise, alpha a distribution.
+
+    The two-phase formulation the package solved before it built its own
+    start basis: weights, then t, then one surplus per row that some column
+    touches, with the sum row last, through reference_solve_standard_form.
+    Returns (t, alpha).
+    """
+    n_cols = len(columns)
+    kept = [r for r in range(len(columns[0])) if any(col[r] for col in columns)]
+    rows = []
+    for k, r in enumerate(kept):
+        surplus = [ZERO] * len(kept)
+        surplus[k] = -ONE
+        rows.append([col[r] for col in columns] + [ONE] + surplus)
+    rows.append([ONE] * n_cols + [ZERO] * (1 + len(kept)))
+    rhs = [ZERO] * len(kept) + [ONE]
+    objective = [ZERO] * n_cols + [ONE] + [ZERO] * len(kept)
+    status, solution = reference_solve_standard_form(rows, rhs, objective)
+    assert status == "optimal"
+    return solution[n_cols], solution[:n_cols]
+
+
 def random_nonneg_dual(rng: random.Random, length: int, density: float = 0.7):
     values = []
     for _ in range(length):

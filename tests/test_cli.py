@@ -80,6 +80,21 @@ class TestSolveVerify:
         expected = json.loads((GOLDEN / "report_nfg_2x2_seed0.json").read_text())
         assert doc == expected
 
+    def test_product_report_matches_golden(self, tmp_path):
+        # criterion 10's caps for 18 rows; every probe fails, so the mixture
+        # (6 components, epsilon > 0) comes from min_violation_mixture
+        game = gen_game(tmp_path, seed=7, players=2, actions=3, family="polymatrix")
+        report = tmp_path / "report.json"
+        assert run_cli("solve", "--input", str(game), "--output", str(report),
+                       "--oracle", "product", "--precision", "96",
+                       "--max-iters", "48", "--probe-stride", "4") == 0
+        doc = json.loads(report.read_text())
+        doc["wall_ms"] = 0.0
+        expected = json.loads(
+            (GOLDEN / "report_product_polymatrix_2x3_seed7.json").read_text())
+        assert doc["mixture"]["epsilon"] != "0" and doc["support"] == 6
+        assert doc == expected
+
     def test_certificate_matches_golden(self):
         game = random_game("nfg", 3, 2, u_max=10, seed=20)
         result = compute_exact_ce(game)
@@ -291,6 +306,9 @@ BAD_SETTINGS = [
     pytest.param(["solve", "--output", "r.json", "--transcript", "missing/x.json"], {},
                  id="solve-transcript-missing-dir"),
     pytest.param(["gen", "--output", "missing/x.json"], {}, id="gen-output-missing-dir"),
+    pytest.param(["gen", "--players", "2", "--actions", "1024"], {}, id="gen-oversize"),
+    pytest.param(["bench", "--family", "nfg", "--sizes", "2x1024", "--seeds", "0:1"], {},
+                 id="bench-oversize"),
     pytest.param(["bench", "--family", "nfg", "--sizes", "2x2", "--seeds", "0:1",
                   "--csv", "missing/x.json"], {}, id="bench-csv-missing-dir"),
 ]

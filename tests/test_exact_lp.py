@@ -403,3 +403,84 @@ class TestMixtures:
         t, alpha = min_violation_mixture([[F(-1), F(1)], [F(1), F(-1)]])
         assert t == 0
         assert alpha == [F(1, 2), F(1, 2)]
+
+
+def assert_optimal_vertex(columns, t, alpha):
+    """alpha is a distribution whose worst shortfall is t, and (alpha, t,
+    surpluses) is a vertex of {sum alpha col + t - s = 0, sum alpha = 1}:
+    its positive entries have linearly independent columns."""
+    expected_t, _ = helpers.reference_min_violation_mixture(columns)
+    assert t == expected_t
+    assert all(type(v) is F and v >= 0 for v in [t, *alpha])
+    assert sum(alpha) == 1
+    kept = [r for r in range(len(columns[0])) if any(col[r] for col in columns)]
+    levels = [sum((a * col[r] for a, col in zip(alpha, columns)), F(0)) for r in kept]
+    assert max([F(0), *(-v for v in levels)]) == t
+    support = [[*(col[r] for r in kept), 1] for col, a in zip(columns, alpha) if a]
+    if t:
+        support.append([1] * len(kept) + [0])
+    for i, level in enumerate(levels):
+        if level + t:
+            support.append([-1 if k == i else 0 for k in range(len(kept))] + [0])
+    assert helpers.rational_rank(support) == len(support)
+
+
+class TestMinViolationMixture:
+    """The phase-2-only program against the two-phase reference formulation."""
+
+    def test_random_columns_match_reference(self):
+        rng = random.Random(41)
+        for _ in range(150):
+            n_rows, n_cols = rng.randint(1, 6), rng.randint(1, 7)
+            live = [rng.random() < 0.8 for _ in range(n_rows)]
+            columns = []
+            for _ in range(n_cols):
+                if columns and rng.random() < 0.2:
+                    columns.append(list(rng.choice(columns)))
+                else:
+                    columns.append([F(rng.randint(-6, 6), rng.randint(1, 6)) if on else F(0)
+                                    for on in live])
+            t, alpha = min_violation_mixture(columns)
+            assert_optimal_vertex(columns, t, alpha)
+
+    @pytest.mark.parametrize("family, players, actions, seed, max_iters, stride", [
+        ("nfg", 2, 2, 0, 60, 3),
+        ("nfg", 2, 3, 1, 48, 4),
+        ("polymatrix", 2, 3, 7, 48, 4),
+        ("polymatrix", 3, 2, 8, 60, 3),
+    ], ids=["nfg-2x2-0", "nfg-2x3-1", "polymatrix-2x3-7", "polymatrix-3x2-8"])
+    def test_identical_to_reference_on_product_columns(self, family, players, actions,
+                                                       seed, max_iters, stride):
+        # suite games under criterion 10's caps, where every probe fails and
+        # the optimal mixture is unique, so any optimal vertex is the reference's
+        g = random_game(family, players, actions, u_max=10, seed=seed)
+        config = SolveConfig(oracle="product", max_iters=max_iters, probe_stride=stride,
+                             precision_bits=96)
+        roster = [cut.values for cut in compute_exact_ce(g, config).transcript.roster]
+        t, alpha = min_violation_mixture(roster)
+        assert t > 0 and sum(1 for a in alpha if a) >= 2
+        assert (t, alpha) == helpers.reference_min_violation_mixture(roster)
+
+    def test_one_column(self):
+        assert min_violation_mixture([[F(-3), F(1, 2), F(-5, 2)]]) == (F(3), [F(1)])
+
+    def test_all_zero_columns(self):
+        # no row is kept: the program is the sum row alone
+        assert min_violation_mixture([[0, 0], [0, 0], [0, 0]]) == (F(0), [F(1), F(0), F(0)])
+
+    def test_nonnegative_column_needs_no_t(self):
+        columns = [[F(-1), F(2)], [F(1, 3), F(0)], [F(1), F(1)]]
+        t, alpha = min_violation_mixture(columns)
+        assert t == 0
+        assert_optimal_vertex(columns, t, alpha)
+        # the first column with no shortfall, kept as it is
+        assert alpha == [F(0), F(1), F(0)]
+
+    def test_duplicated_columns(self):
+        # (-1, 1) and (1, -1) mix evenly to zero shortfall; a vertex puts
+        # each half on one copy of its column
+        columns = [[F(-1), F(1)], [F(1), F(-1)], [F(-1), F(1)], [F(1), F(-1)]]
+        t, alpha = min_violation_mixture(columns)
+        assert_optimal_vertex(columns, t, alpha)
+        assert t == 0
+        assert (alpha[0] + alpha[2], alpha[1] + alpha[3]) == (F(1, 2), F(1, 2))

@@ -16,6 +16,7 @@ from exactce import (
     load_game_file,
     random_game,
 )
+from exactce import games
 
 F = Fraction
 
@@ -315,6 +316,49 @@ class TestRandomGame:
         path.write_text(json.dumps(g.to_document()))
         again = load_game_file(path)
         assert again.tables == g.tables
+
+
+class TestSizeCeiling:
+    """Games storing more than 2^20 payoffs are refused before allocation.
+
+    Every oversize input here stays cheap to build, so a missing check shows
+    as a failed assertion, not a hang."""
+
+    @pytest.mark.parametrize("family, actions, refused", [
+        ("nfg", [1024, 512], False),  # 2 * 2^19 payoffs
+        ("nfg", [1024, 513], True),
+        ("nfg", [1 << 20], False),
+        ("nfg", [2] * 17, True),  # 17 * 2^17
+        ("polymatrix", [1] * 1024, False),  # 1024 * 1023 ordered pairs
+        ("polymatrix", [1] * 1025, True),
+        ("polymatrix", [724, 724], False),  # 2 * 724^2
+        ("polymatrix", [725, 725], True),
+    ])
+    def test_stored_payoff_count(self, family, actions, refused):
+        if refused:
+            with pytest.raises(GameFormatError, match="stores more than"):
+                games._check_size(family, actions)
+        else:
+            games._check_size(family, actions)
+
+    def test_nfg_document_refused(self):
+        with pytest.raises(GameFormatError, match="stores more than 1048576 payoffs"):
+            load_game(nfg_doc(2, [1024, 1024], [[], []]))
+
+    def test_polymatrix_document_refused(self):
+        doc = {"type": "polymatrix", "players": 2, "actions": [725, 725], "edges": []}
+        with pytest.raises(GameFormatError, match="stores more than"):
+            load_game(doc)
+
+    @pytest.mark.parametrize("family, players, actions", [
+        ("nfg", 1, (1 << 20) + 1),
+        ("polymatrix", 2, 725),
+        ("nfg", (1 << 20) + 1, 1),
+        ("polymatrix", (1 << 20) + 1, 1),
+    ])
+    def test_random_game_refused(self, family, players, actions):
+        with pytest.raises(GameFormatError, match="stores more than"):
+            random_game(family, players, actions, u_max=1, seed=0)
 
 
 class TestProductDistribution:

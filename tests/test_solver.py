@@ -346,6 +346,22 @@ class TestProductSolve:
             reference = compute_exact_ce(g, config)
         assert report_without_wall(report) == report_without_wall(reference)
 
+    def test_mixture_lp_shortfall_is_checked(self):
+        # the LP's t must equal the shortfall recomputed from its weights
+        g = random_game("nfg", 2, 3, u_max=10, seed=1)
+        config = SolveConfig(oracle="product", max_iters=48, probe_stride=4,
+                             precision_bits=96)
+        report = compute_exact_ce(g, config)
+        assert report.exact_epsilon > 0
+
+        def off(columns):
+            t, alpha = exactce.exact_lp.min_violation_mixture(columns)
+            return t + F(1, 2**100), alpha
+
+        with mock.patch.object(solver, "min_violation_mixture", off):
+            with pytest.raises(SolverError, match="shortfall"):
+                compute_exact_ce(g, config)
+
 
 def helpers_incentive_values(game, dist):
     return [
