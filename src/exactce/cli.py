@@ -10,7 +10,7 @@ import sys
 from dataclasses import replace
 
 from .errors import GameFormatError, SolverError
-from .games import Game, load_game_file, random_game, rational_text
+from .games import Game, check_random_setting, load_game_file, random_game, rational_text
 from .incentives import SparseCE, row_count, verify_ce
 from .oracles import TIE_BREAKS
 from .solver import MODES, ORACLES, SolveConfig, SolveReport, compute_exact_ce
@@ -242,8 +242,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                         max_iters=args.max_iters, probe_stride=args.probe_stride)
             for oracle, tie_break in runs
         ]
+        for family in families:
+            for players, actions in sizes:
+                check_random_setting(family, players, actions, args.umax)
         _check_output_dirs(args.csv)
-    except ValueError as exc:
+    except ValueError as exc:  # GameFormatError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
@@ -252,12 +255,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     for family in families:
         for players, actions in sizes:
             for seed in seeds:
-                try:
-                    game = random_game(family, players, actions,
-                                       u_max=args.umax, seed=seed)
-                except GameFormatError as exc:
-                    print(f"error: {exc}", file=sys.stderr)
-                    return EXIT_ERROR
+                game = random_game(family, players, actions, u_max=args.umax, seed=seed)
                 for config in configs:
                     try:
                         report = compute_exact_ce(game, replace(config, seed=seed))

@@ -8,15 +8,16 @@ burned through the pivot budget, so termination never depends on luck and
 exact arithmetic never needs tolerances.
 
 Most probes of the cut program, and of the product oracle's mixture program,
-fail. A solve decides them with one FeasibilityVerdict: a phase-1 tableau on
-the same pivots that takes each new column and resumes from its last basis,
-in the manner of column generation (Gilmore and Gomory; Dantzig and Wolfe).
-Only a probe it finds feasible is solved cold, by try_feasible_bfs or
-mixture_feasible, whose vertex is the certificate or the mixture, so neither
-depends on the verdict's pivot path. min_violation_mixture, which the
-product oracle runs when no probe succeeded, has no phase 1: its program is
-feasible at any single column with t at that column's worst shortfall, so it
-builds that basis for the best column and only minimizes t from there.
+fail. A solve decides every one of them with one FeasibilityVerdict alone: a
+phase-1 tableau on the same pivots that takes each new column and resumes
+from its last basis, in the manner of column generation (Gilmore and Gomory;
+Dantzig and Wolfe). A feasible verdict ends the run, and the final program is
+then solved cold once, by try_feasible_bfs or mixture_feasible, whose vertex
+is the certificate or the mixture, so neither depends on the verdict's pivot
+path. min_violation_mixture, which the product oracle runs instead when its
+last probe failed, has no phase 1: its program is feasible at any single
+column with t at that column's worst shortfall, so it builds that basis for
+the best column and only minimizes t from there.
 
 The tableau holds Python integers, not fractions. Each column j of the
 constraint matrix, and the right-hand side, is multiplied by the lcm s_j of
@@ -317,22 +318,12 @@ class FeasibilityVerdict:
 class CutLP:
     """Feasibility program over collected profile columns.
 
-    Seeks a distribution x over the columns' profiles with every incentive row
-    nonnegative: columns . x >= 0 rowwise, x >= 0, sum x = 1.
+    Seeks a distribution x over the columns' profiles, which are distinct,
+    with every incentive row nonnegative: columns . x >= 0 rowwise, x >= 0,
+    sum x = 1.
     """
 
     columns: tuple[IncentiveColumn, ...]
-
-    @classmethod
-    def from_columns(cls, columns: Sequence[IncentiveColumn]) -> "CutLP":
-        """Keep the first column of each profile."""
-        seen = set()
-        kept = []
-        for col in columns:
-            if col.profile not in seen:
-                seen.add(col.profile)
-                kept.append(col)
-        return cls(columns=tuple(kept))
 
 
 def _standard_rows_for(dense_columns: Sequence[Sequence[Rational]]):

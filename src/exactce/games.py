@@ -609,11 +609,11 @@ def load_game_file(path) -> Game:
 # ---------- generation ----------
 
 
-def random_game(family: str, players: int, actions, u_max: int, seed: int) -> Game:
-    """Deterministic random game; every drawn utility is uniform on {0..u_max}.
+def check_random_setting(family: str, players: int, actions, u_max: int) -> tuple[int, ...]:
+    """The action counts of random_game's setting, or GameFormatError.
 
-    The draw order is fixed (players ascending, then entries row-major; for
-    polymatrix, ordered pairs ascending), so a seed pins the game exactly.
+    Nothing is allocated before the size check, so an oversize setting is
+    refused at once.
     """
     if family not in FAMILIES:
         raise GameFormatError(f"unknown family {family!r}")
@@ -634,7 +634,16 @@ def random_game(family: str, players: int, actions, u_max: int, seed: int) -> Ga
     if not isinstance(u_max, int) or u_max < 0:
         raise GameFormatError("u_max must be a nonnegative integer")
     _check_size(family, counts)
+    return counts
 
+
+def random_game(family: str, players: int, actions, u_max: int, seed: int) -> Game:
+    """Deterministic random game; every drawn utility is uniform on {0..u_max}.
+
+    The draw order is fixed (players ascending, then entries row-major; for
+    polymatrix, ordered pairs ascending), so a seed pins the game exactly.
+    """
+    counts = check_random_setting(family, players, actions, u_max)
     rng = random.Random(seed)
     identity = tuple(IDENTITY for _ in range(players))
     if family == "nfg":

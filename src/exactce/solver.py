@@ -9,10 +9,12 @@ instead and reports the best mixture it can, including its exact worst-row
 shortfall, which may be positive; it exists as a comparison baseline and
 makes no exactness claim.
 
-Both pipelines probe their collected columns through one gated probe: an
-incremental FeasibilityVerdict decides every probe, and only a probe it
-finds feasible runs the cold LP (try_feasible_bfs for profile columns,
-mixture_feasible for product columns) whose vertex is the answer.
+Both oracles share one pipeline. An incremental FeasibilityVerdict alone
+decides every probe of the collected columns, and a feasible verdict ends
+the run. The cold LP then runs once over the final roster, and its vertex is
+the answer: try_feasible_bfs for profile columns; for product columns,
+mixture_feasible after a feasible verdict and min_violation_mixture
+otherwise.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .ellipsoid import (
     DEFAULT_PRECISION_BITS,
     EllipsoidParams,
     Outcome,
+    RunResult,
     Transcript,
     iteration_bound,
     run,
@@ -57,6 +60,8 @@ MODES = ("practical", "theoretical")
 ORACLES = ("purified", "product")
 
 BRUTE_FORCE_PROFILE_CAP = 4096
+# the ellipsoid stores an N(N-1)/2 factor, so N is bounded before the run
+MAX_INCENTIVE_ROWS = 1 << 10
 
 
 def support_bound(game: Game) -> int:
@@ -205,161 +210,82 @@ def _params_for(game: Game, config: SolveConfig) -> EllipsoidParams:
     )
 
 
-def _gated_probe(stride: int, column_of, cold):
-    """A probe callback for run, and the list its successful answers go to.
+def _certificate(
+    game: Game, config: SolveConfig, result: RunResult, max_iters: int
+) -> tuple[SparseCE, bool]:
+    """The purified solve's verified certificate, and whether the fallback gave it.
 
-    Every stride-th roster, the new cuts' columns (column_of(cut)) join one
-    FeasibilityVerdict per solve, which decides the probe from its last
-    basis. Only a probe it finds feasible pays for cold(roster), the cold LP
-    whose vertex is the answer, so the answer does not depend on the
-    verdict's pivot path. A None from cold fails the probe.
+    Unless the run hit its iteration cap, the certificate is the cold LP's
+    vertex over every collected profile column.
     """
-    verdict = FeasibilityVerdict()
-    found = []
-
-    def probe(_cut, roster) -> bool:
-        if len(roster) % stride:
-            return False
-        for cut in roster[verdict.added:]:
-            verdict.add(column_of(cut))
-        if not verdict.feasible():
-            return False
-        answer = cold(roster)
-        if answer is None:
-            return False
-        found.append(answer)
-        return True
-
-    return probe, found
-
-
-def _solve_purified(game: Game, config: SolveConfig, started: float) -> SolveReport:
-    n = row_count(game)
-    params = _params_for(game, config)
-    probe, found = _gated_probe(
-        config.probe_stride,
-        lambda cut: cut.column.dense(),
-        lambda roster: try_feasible_bfs(CutLP.from_columns([c.column for c in roster])),
-    )
-
-    result = run(n, params, lambda y: purified_separation(game, y, config.tie_break), probe)
-
-    used_fallback = False
-    if result.outcome is Outcome.ITERATION_CAP_REACHED:
-        if config.brute_force_fallback and game.num_profiles <= BRUTE_FORCE_PROFILE_CAP:
-            ce = brute_force_ce(game)
-            used_fallback = True
-        else:
-            raise SolverError(
-                f"iteration cap {params.max_iters} reached before the collected "
-                "cuts admitted a distribution",
-                result.transcript,
-            )
-    elif found:
-        ce = found[-1]
-    else:
-        lp = CutLP.from_columns(
-            [c.column for c in result.transcript.roster if c.kind == "profile"]
-        )
-        ce = try_feasible_bfs(lp)
+    transcript = result.transcript
+    if result.outcome is not Outcome.ITERATION_CAP_REACHED:
+        ce = try_feasible_bfs(CutLP(columns=tuple(cut.column for cut in transcript.roster)))
         if ce is None:
-            raise SolverError(
-                "run ended but the collected cuts admit no distribution",
-                result.transcript,
-            )
+            raise SolverError("run ended but the collected cuts admit no distribution", transcript)
+        used_fallback = False
+    elif config.brute_force_fallback and game.num_profiles <= BRUTE_FORCE_PROFILE_CAP:
+        ce, used_fallback = brute_force_ce(game), True
+    else:
+        raise SolverError(
+            f"iteration cap {max_iters} reached before the collected "
+            "cuts admitted a distribution",
+            transcript,
+        )
 
     check = verify_ce(game, ce)
     if not check.verdict:
         raise SolverError(
             f"certificate failed exact verification at row {check.worst_row} "
             f"with value {check.worst_value}",
-            result.transcript,
+            transcript,
         )
     if ce.support > support_bound(game):
         raise SolverError(
             f"certificate support {ce.support} exceeds the vertex bound "
             f"{support_bound(game)}",
-            result.transcript,
+            transcript,
         )
     if ce.max_probability_bits() > probability_bit_bound(game):
-        raise SolverError(
-            "certificate probabilities exceed the size ceiling", result.transcript
-        )
-
-    return SolveReport(
-        mode=config.mode,
-        oracle=config.oracle,
-        tie_break=config.tie_break,
-        precision_bits=config.precision_bits,
-        seed=config.seed,
-        iterations=len(result.transcript.entries),
-        distinct_cuts=len(result.transcript.roster),
-        support=ce.support,
-        exact_epsilon=Fraction(0),
-        verified=True,
-        used_fallback=used_fallback,
-        wall_ms=(time.perf_counter() - started) * 1000.0,
-        certificate=ce,
-        mixture=None,
-        transcript=result.transcript,
-        game_summary=_game_summary(game),
-    )
+        raise SolverError("certificate probabilities exceed the size ceiling", transcript)
+    return ce, used_fallback
 
 
-def _solve_product(game: Game, config: SolveConfig, started: float) -> SolveReport:
-    n = row_count(game)
-    params = _params_for(game, config)
-    probe, found = _gated_probe(
-        config.probe_stride,
-        lambda cut: cut.values,
-        lambda roster: mixture_feasible([c.values for c in roster]),
-    )
+def _mixture(transcript: Transcript, feasible: bool) -> ProductMixture:
+    """The product solve's best mixture of its collected cuts, with its exact shortfall.
 
-    result = run(n, params, lambda y: product_separation(game, y), probe)
-    roster = result.transcript.roster
+    A feasible last probe means the collected columns admit a mixture with
+    no shortfall, which the cold mixture LP returns; otherwise the mixture
+    minimizes the worst shortfall.
+    """
+    roster = transcript.roster
     if not roster:
-        raise SolverError("no product cuts were collected", result.transcript)
-    columns = [list(c.values) for c in roster]
-    if found:
-        t, alpha = Fraction(0), found[-1]
-        alpha += [Fraction(0)] * (len(columns) - len(alpha))
+        raise SolverError("no product cuts were collected", transcript)
+    columns = [cut.normal() for cut in roster]
+    if feasible:
+        t, alpha = Fraction(0), mixture_feasible(columns)
+        if alpha is None:
+            raise SolverError(
+                "the verdict found the collected cuts feasible but the mixture LP did not",
+                transcript,
+            )
     else:
         t, alpha = min_violation_mixture(columns)
 
     aggregate = [
-        sum((alpha[k] * columns[k][r] for k in range(len(columns))), Fraction(0))
-        for r in range(n)
+        sum((a * column[r] for a, column in zip(alpha, columns)), Fraction(0))
+        for r in range(transcript.n_rows)
     ]
     shortfall = -min(aggregate)
     epsilon = shortfall if shortfall > 0 else Fraction(0)
     if t != epsilon:
         raise SolverError(
             "the mixture LP's shortfall t differs from the epsilon its weights give",
-            result.transcript,
+            transcript,
         )
-    mixture = ProductMixture(
-        components=tuple(
-            (alpha[k], roster[k].x) for k in range(len(columns)) if alpha[k] > 0
-        ),
+    return ProductMixture(
+        components=tuple((a, cut.x) for a, cut in zip(alpha, roster) if a > 0),
         epsilon=epsilon,
-    )
-    return SolveReport(
-        mode=config.mode,
-        oracle=config.oracle,
-        tie_break=config.tie_break,
-        precision_bits=config.precision_bits,
-        seed=config.seed,
-        iterations=len(result.transcript.entries),
-        distinct_cuts=len(roster),
-        support=mixture.support,
-        exact_epsilon=epsilon,
-        verified=epsilon == 0,
-        used_fallback=False,
-        wall_ms=(time.perf_counter() - started) * 1000.0,
-        certificate=None,
-        mixture=mixture,
-        transcript=result.transcript,
-        game_summary=_game_summary(game),
     )
 
 
@@ -372,12 +298,61 @@ def compute_exact_ce(game: Game, config: SolveConfig | None = None) -> SolveRepo
 
     Product oracle: returns the best mixture of collected product
     distributions with its exact worst-row shortfall, zero or positive.
+
+    A game with more than MAX_INCENTIVE_ROWS incentive rows raises
+    SolverError before anything is allocated.
     """
     config = config or SolveConfig()
     started = time.perf_counter()
-    if config.oracle == "purified":
-        return _solve_purified(game, config, started)
-    return _solve_product(game, config, started)
+    n = row_count(game)
+    if n > MAX_INCENTIVE_ROWS:
+        raise SolverError(f"{n} incentive rows exceed the ceiling {MAX_INCENTIVE_ROWS}")
+    params = _params_for(game, config)
+    purified = config.oracle == "purified"
+    verdict = FeasibilityVerdict()
+
+    def probe(_cut, roster) -> bool:
+        if len(roster) % config.probe_stride:
+            return False
+        for cut in roster[verdict.added:]:
+            verdict.add(cut.normal())
+        return verdict.feasible()
+
+    def oracle(y):
+        if purified:
+            return purified_separation(game, y, config.tie_break)
+        return product_separation(game, y)
+
+    result = run(n, params, oracle, probe)
+
+    if purified:
+        certificate, used_fallback = _certificate(game, config, result, params.max_iters)
+        mixture, support, epsilon = None, certificate.support, Fraction(0)
+    else:
+        # the last probe's answer: asked again, the verdict resumes from an
+        # optimal basis and pivots nothing. result.outcome cannot tell, since
+        # a zero-normal cut between probes ends the run too.
+        mixture = _mixture(result.transcript, verdict.feasible())
+        certificate, used_fallback = None, False
+        support, epsilon = mixture.support, mixture.epsilon
+    return SolveReport(
+        mode=config.mode,
+        oracle=config.oracle,
+        tie_break=config.tie_break,
+        precision_bits=config.precision_bits,
+        seed=config.seed,
+        iterations=len(result.transcript.entries),
+        distinct_cuts=len(result.transcript.roster),
+        support=support,
+        exact_epsilon=epsilon,
+        verified=epsilon == 0,
+        used_fallback=used_fallback,
+        wall_ms=(time.perf_counter() - started) * 1000.0,
+        certificate=certificate,
+        mixture=mixture,
+        transcript=result.transcript,
+        game_summary=_game_summary(game),
+    )
 
 
 def brute_force_ce(game: Game) -> SparseCE:
@@ -387,8 +362,7 @@ def brute_force_ce(game: Game) -> SparseCE:
             f"{game.num_profiles} profiles exceed the brute-force cap "
             f"{BRUTE_FORCE_PROFILE_CAP}"
         )
-    columns = [profile_column(game, s) for s in game.profiles()]
-    ce = try_feasible_bfs(CutLP.from_columns(columns))
+    ce = try_feasible_bfs(CutLP(columns=tuple(profile_column(game, s) for s in game.profiles())))
     if ce is None:
         raise SolverError("no distribution clears every row; impossible for a finite game")
     return ce

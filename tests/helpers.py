@@ -11,7 +11,8 @@ import itertools
 import random
 from fractions import Fraction
 
-from exactce import Game, NormalFormGame, PolymatrixGame, ProductDistribution
+from exactce import Game
+from exactce.games import NormalFormGame, PolymatrixGame, ProductDistribution
 
 ZERO = Fraction(0)
 ONE = Fraction(1)

@@ -23,12 +23,11 @@ from exactce import (
     brute_force_ce,
     cli,
     compute_exact_ce,
-    iteration_bound,
     load_game,
     random_game,
-    support_bound,
     verify_ce,
 )
+from exactce.ellipsoid import iteration_bound
 from exactce.incentives import (
     RowIndex,
     incentive_row_values,
@@ -37,6 +36,7 @@ from exactce.incentives import (
     row_position,
 )
 from exactce.oracles import purify, stationary_product
+from exactce.solver import support_bound
 
 F = Fraction
 ZERO = F(0)

@@ -311,6 +311,13 @@ BAD_SETTINGS = [
                  id="bench-oversize"),
     pytest.param(["bench", "--family", "nfg", "--sizes", "2x2", "--seeds", "0:1",
                   "--csv", "missing/x.json"], {}, id="bench-csv-missing-dir"),
+    # every family and size is checked before the first solve
+    pytest.param(["bench", "--family", "nfg", "--sizes", "2x2,40x2", "--seeds", "0:1",
+                  "--csv", "r.json"], {}, id="bench-oversize-after-a-solvable-size"),
+    pytest.param(["bench", "--family", "nfg,foo", "--sizes", "2x2", "--seeds", "0:1",
+                  "--csv", "r.json"], {}, id="bench-unknown-family-after-nfg"),
+    pytest.param(["bench", "--family", "nfg", "--sizes", "2x2,0x2", "--seeds", "0:1",
+                  "--csv", "r.json"], {}, id="bench-zero-players-after-a-solvable-size"),
 ]
 
 NOT_UTF8 = b"\xff\xfe{not text"
@@ -353,6 +360,17 @@ class TestExitCodes:
         assert run_cli("solve", "--input", str(game)) == 2
         err = capsys.readouterr().err.splitlines()
         assert sum(line.startswith("error:") for line in err) == 1, err
+
+    def test_solve_past_the_row_ceiling(self, tmp_path, capsys):
+        # 33 actions store 33 payoffs but give 33^2 incentive rows
+        game = tmp_path / "game.json"
+        game.write_text(json.dumps(random_game("nfg", 1, 33, u_max=10, seed=0).to_document()))
+        report = tmp_path / "r.json"
+        assert run_cli("solve", "--input", str(game), "--output", str(report)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if line.startswith("error:")] == [
+            "error: 1089 incentive rows exceed the ceiling 1024"]
+        assert not report.exists()
 
     def test_verify_ce_not_utf8(self, tmp_path, capsys):
         ce = tmp_path / "ce.json"

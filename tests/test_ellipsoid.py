@@ -10,23 +10,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exactce import (
-    EllipsoidParams,
-    EllipsoidState,
-    Outcome,
     PrecisionError,
     SolveConfig,
     SolverError,
     compute_exact_ce,
-    cut_violation,
-    iteration_bound,
-    profile_column,
     random_game,
     row_count,
+)
+from exactce import solver
+from exactce.ellipsoid import (
+    EllipsoidParams,
+    EllipsoidState,
+    Outcome,
+    iteration_bound,
     run,
     update,
 )
-from exactce import solver
-from exactce.oracles import TIE_BREAKS, ProfileCut, purified_separation
+from exactce.incentives import profile_column
+from exactce.oracles import TIE_BREAKS, ProfileCut, cut_violation, purified_separation
 
 F = Fraction
 

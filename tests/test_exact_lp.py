@@ -10,20 +10,22 @@ from hypothesis import strategies as st
 
 import helpers
 from exactce import (
-    CutLP,
     SolveConfig,
     compute_exact_ce,
     load_game,
-    min_violation_mixture,
-    mixture_feasible,
-    profile_column,
     random_game,
-    solve_standard_form,
-    stationary_distribution,
-    try_feasible_bfs,
     verify_ce,
 )
 from exactce import exact_lp
+from exactce.exact_lp import (
+    CutLP,
+    min_violation_mixture,
+    mixture_feasible,
+    solve_standard_form,
+    stationary_distribution,
+    try_feasible_bfs,
+)
+from exactce.incentives import profile_column
 
 F = Fraction
 
@@ -258,17 +260,9 @@ class TestCutLP:
             "payoffs": [[1, 5, 0, 3], [1, 0, 5, 3]],
         })
 
-    def test_from_columns_dedupes(self):
-        g = self.dominant_game()
-        cols = [profile_column(g, (0, 0)), profile_column(g, (0, 0)),
-                profile_column(g, (1, 1))]
-        lp = CutLP.from_columns(cols)
-        assert len(lp.columns) == 2
-        assert [c.profile for c in lp.columns] == [(0, 0), (1, 1)]
-
     def test_single_equilibrium_column_feasible(self):
         g = self.dominant_game()
-        lp = CutLP.from_columns([profile_column(g, (0, 0))])
+        lp = CutLP(columns=(profile_column(g, (0, 0)),))
         ce = try_feasible_bfs(lp)
         assert ce is not None
         assert ce.atoms == (((0, 0), F(1)),)
@@ -278,13 +272,12 @@ class TestCutLP:
         g = self.dominant_game()
         # the column of (1, 1) has strictly negative deviation rows, so no
         # distribution over it alone can clear them
-        lp = CutLP.from_columns([profile_column(g, (1, 1))])
+        lp = CutLP(columns=(profile_column(g, (1, 1)),))
         assert try_feasible_bfs(lp) is None
 
     def test_mixed_columns_still_pick_good_vertex(self):
         g = self.dominant_game()
-        lp = CutLP.from_columns(
-            [profile_column(g, s) for s in [(1, 1), (0, 1), (0, 0)]])
+        lp = CutLP(columns=tuple(profile_column(g, s) for s in [(1, 1), (0, 1), (0, 0)]))
         ce = try_feasible_bfs(lp)
         assert ce is not None
         assert verify_ce(g, ce).verdict
@@ -292,7 +285,7 @@ class TestCutLP:
     def test_all_columns_feasible_for_any_game(self):
         for family in ("nfg", "polymatrix"):
             g = random_game(family, 2, 3, u_max=9, seed=13)
-            lp = CutLP.from_columns([profile_column(g, s) for s in g.profiles()])
+            lp = CutLP(columns=tuple(profile_column(g, s) for s in g.profiles()))
             ce = try_feasible_bfs(lp)
             assert ce is not None
             assert verify_ce(g, ce).verdict

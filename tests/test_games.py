@@ -9,14 +9,12 @@ import pytest
 import helpers
 from exactce import (
     GameFormatError,
-    NormalFormGame,
-    PolymatrixGame,
-    ProductDistribution,
     load_game,
     load_game_file,
     random_game,
 )
 from exactce import games
+from exactce.games import NormalFormGame, PolymatrixGame, ProductDistribution
 
 F = Fraction
 

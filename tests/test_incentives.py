@@ -9,19 +9,22 @@ import helpers
 from exactce import (
     CertificateError,
     CertificateMismatchError,
-    ProductDistribution,
-    RowIndex,
     SparseCE,
-    incentive_row_values,
     load_game,
-    profile_column,
     random_game,
-    row_at,
     row_count,
-    row_position,
     verify_ce,
 )
-from exactce.incentives import iter_rows, row_offsets
+from exactce.games import ProductDistribution
+from exactce.incentives import (
+    RowIndex,
+    incentive_row_values,
+    iter_rows,
+    profile_column,
+    row_at,
+    row_offsets,
+    row_position,
+)
 
 F = Fraction
 

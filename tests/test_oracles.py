@@ -11,32 +11,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from exactce import (
-    IntegerPoint,
-    NonnegativityCut,
-    ProductCut,
-    ProductDistribution,
-    ProfileCut,
-    cut_violation,
-    incentive_row_values,
-    product_separation,
-    profile_column,
-    purified_separation,
-    purify,
-    random_game,
-    row_count,
-    stationary_product,
-)
+from exactce import random_game, row_count
 from exactce import oracles
 from exactce.exact_lp import stationary_distribution
-from exactce.incentives import iter_rows, row_at
+from exactce.games import ProductDistribution
+from exactce.incentives import incentive_row_values, iter_rows, profile_column, row_at
 from exactce.oracles import (
     TIE_BREAKS,
     DualValue,
+    IntegerPoint,
+    NonnegativityCut,
+    ProductCut,
+    ProfileCut,
     Rounding,
     _determinant,
+    cut_violation,
     integer_point,
+    product_separation,
+    purified_separation,
+    purify,
     stationary_block,
+    stationary_product,
 )
 
 F = Fraction

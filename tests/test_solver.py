@@ -13,21 +13,19 @@ import pytest
 import exactce
 import helpers
 from exactce import (
-    Outcome,
     SolveConfig,
     SolverError,
     SparseCE,
     brute_force_ce,
     compute_exact_ce,
-    iteration_bound,
     load_game,
     random_game,
     row_count,
-    support_bound,
     verify_ce,
 )
-from exactce import solver
-from exactce.solver import probability_bit_bound
+from exactce import exact_lp, solver
+from exactce.ellipsoid import Outcome, iteration_bound
+from exactce.solver import probability_bit_bound, support_bound
 
 F = Fraction
 
@@ -119,8 +117,25 @@ class TestBruteForce:
             brute_force_ce(g)
 
 
-class EveryProbe:
-    """A stand-in verdict that sends every probe to the cold LP."""
+class ColdVerdict:
+    """A reference verdict that decides every probe with a cold mixture LP."""
+
+    def __init__(self):
+        self.columns = []
+
+    @property
+    def added(self):
+        return len(self.columns)
+
+    def add(self, column):
+        self.columns.append(column)
+
+    def feasible(self):
+        return exact_lp.mixture_feasible(self.columns) is not None
+
+
+class AlwaysFeasible:
+    """A broken stand-in verdict that finds every probe feasible."""
 
     added = 0
 
@@ -263,18 +278,62 @@ class TestPurifiedSolve:
             "3x3-3-stride-3"])
     def test_cold_lp_only_for_the_probe_that_succeeds(self, family, players, actions,
                                                       seed, config):
-        # The incremental verdict turns failed probes away; the cold LP runs
-        # once and yields the certificate. A verdict that sends every probe
-        # to the cold LP gives the same certificate and transcript.
+        # The incremental verdict alone decides each probe; the cold LP runs
+        # once, after the run, and yields the certificate. A verdict that
+        # decides every probe with a cold LP gives the same certificate and
+        # transcript.
         g = random_game(family, players, actions, u_max=10, seed=seed)
         cold = exactce.exact_lp.try_feasible_bfs
         with mock.patch.object(solver, "try_feasible_bfs", wraps=cold) as spy:
             report = compute_exact_ce(g, config)
         assert spy.call_count == 1
-        with mock.patch.object(solver, "FeasibilityVerdict", EveryProbe):
+        with mock.patch.object(solver, "FeasibilityVerdict", ColdVerdict):
             reference = compute_exact_ce(g, config)
         assert report.certificate == reference.certificate
         assert report.transcript.to_jsonl() == reference.transcript.to_jsonl()
+
+    def test_feasible_verdict_without_certificate_raises(self):
+        # seed 95's first profile column admits no distribution on its own
+        g = random_game("polymatrix", 4, 3, u_max=10, seed=95)
+        with mock.patch.object(solver, "FeasibilityVerdict", AlwaysFeasible):
+            with pytest.raises(SolverError, match="admit no distribution") as info:
+                compute_exact_ce(g)
+        assert len(info.value.transcript.roster) == 1  # the run ended at its first probe
+
+
+class TestRowCeiling:
+    @pytest.mark.parametrize("actions", [(33,), (32, 1)], ids=["1089-rows", "1025-rows"])
+    def test_refused_before_the_run(self, actions):
+        g = random_game("nfg", len(actions), actions, u_max=10, seed=0)
+        assert row_count(g) > solver.MAX_INCENTIVE_ROWS
+        with mock.patch.object(solver, "run") as spy:
+            with pytest.raises(SolverError, match="incentive rows exceed"):
+                compute_exact_ce(g, SolveConfig(max_iters=1))
+        assert spy.call_count == 0
+
+    def test_boundary_runs(self):
+        g = random_game("nfg", 1, 32, u_max=10, seed=0)
+        assert row_count(g) == solver.MAX_INCENTIVE_ROWS == 1024
+        with pytest.raises(SolverError, match="iteration cap 1"):
+            compute_exact_ce(g, SolveConfig(max_iters=1))
+
+
+class TestPublicSurface:
+    def test_all_names(self):
+        assert sorted(exactce.__all__) == sorted([
+            "__version__",
+            "CertificateError", "CertificateMismatchError", "GameFormatError",
+            "PrecisionError", "SolverError",
+            "Game", "SolveConfig", "SolveReport", "SparseCE", "VerifyResult",
+            "brute_force_ce", "compute_exact_ce", "load_game", "load_game_file",
+            "random_game", "row_count", "verify_ce",
+        ])
+        for name in exactce.__all__:
+            assert hasattr(exactce, name)
+
+    def test_traced_modules_are_attributes(self):
+        for name in ("solver", "ellipsoid", "oracles"):
+            assert getattr(exactce, name).__name__ == f"exactce.{name}"
 
 
 class TestProductSolve:
@@ -332,9 +391,10 @@ class TestProductSolve:
     ], ids=["nfg-3x2-3", "nfg-2x3-1"])
     def test_cold_mixture_only_for_the_probe_that_succeeds(self, family, players, actions,
                                                            seed, max_iters, calls):
-        # The verdict turns failed mixture probes away; only a feasible one
-        # runs the cold mixture LP, whose weights are the mixture. A verdict
-        # that sends every probe to the cold LP gives the same report.
+        # The verdict alone decides each mixture probe; the cold mixture LP
+        # runs once, after a feasible last probe, and its weights are the
+        # mixture. A verdict that decides every probe with a cold LP gives
+        # the same report.
         g = random_game(family, players, actions, u_max=10, seed=seed)
         config = SolveConfig(oracle="product", max_iters=max_iters, precision_bits=96)
         cold = exactce.exact_lp.mixture_feasible
@@ -342,9 +402,19 @@ class TestProductSolve:
             report = compute_exact_ce(g, config)
         assert spy.call_count == calls
         assert report.verified == (calls == 1)
-        with mock.patch.object(solver, "FeasibilityVerdict", EveryProbe):
+        with mock.patch.object(solver, "FeasibilityVerdict", ColdVerdict):
             reference = compute_exact_ce(g, config)
         assert report_without_wall(report) == report_without_wall(reference)
+
+    def test_feasible_verdict_without_mixture_raises(self):
+        # both programs are exact, so a feasible verdict that the cold
+        # mixture LP contradicts is a bug, not a failed probe
+        g = random_game("nfg", 2, 3, u_max=10, seed=1)
+        config = SolveConfig(oracle="product", max_iters=60, precision_bits=96)
+        with mock.patch.object(solver, "FeasibilityVerdict", AlwaysFeasible):
+            with pytest.raises(SolverError, match="mixture LP did not") as info:
+                compute_exact_ce(g, config)
+        assert len(info.value.transcript.roster) == 1
 
     def test_mixture_lp_shortfall_is_checked(self):
         # the LP's t must equal the shortfall recomputed from its weights
