@@ -18,7 +18,9 @@ run. The groups are:
 * `ladder`: the polymatrix ladder rungs 5x3, 6x3 and 8x2 of the benchmark
   (its 4x3 rung, seed 95, is a suite game).
 
-A solve that raises prints its error message in place of the hashes.
+A solve that raises prints its error message in place of the hashes, and
+the script then exits 1 once every solve has run, so that a failure on both
+checkouts does not diff as unchanged.
 """
 
 from __future__ import annotations
@@ -76,6 +78,7 @@ def main(argv=None) -> int:
     unknown = sorted(groups.difference(GROUPS))
     if unknown:
         parser.error(f"unknown group {unknown[0]!r}; choose from {', '.join(GROUPS)}")
+    failed = False
     for label, game, config in solves():
         if label.split(" ", 1)[0] not in groups:
             continue
@@ -83,13 +86,14 @@ def main(argv=None) -> int:
             report = compute_exact_ce(game, config)
         except SolverError as exc:
             print(f"{label}: error {exc}", flush=True)
+            failed = True
             continue
         document = report.to_json()
         del document["wall_ms"]
         report_hash = _sha(json.dumps(document, sort_keys=True))
         transcript_hash = _sha(report.transcript.to_jsonl())
         print(f"{label}: report {report_hash} transcript {transcript_hash}", flush=True)
-    return 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

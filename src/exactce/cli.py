@@ -13,7 +13,14 @@ from .errors import GameFormatError, SolverError
 from .games import Game, check_random_setting, load_game_file, random_game, rational_text
 from .incentives import SparseCE, row_count, verify_ce
 from .oracles import TIE_BREAKS
-from .solver import MODES, ORACLES, SolveConfig, SolveReport, compute_exact_ce
+from .solver import (
+    MODES,
+    ORACLES,
+    SolveConfig,
+    SolveReport,
+    check_row_count,
+    compute_exact_ce,
+)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -244,9 +251,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         ]
         for family in families:
             for players, actions in sizes:
-                check_random_setting(family, players, actions, args.umax)
+                counts = check_random_setting(family, players, actions, args.umax)
+                # gen writes such games; only a solve refuses them
+                check_row_count(sum(m * m for m in counts))
         _check_output_dirs(args.csv)
-    except ValueError as exc:  # GameFormatError included
+    except (ValueError, SolverError) as exc:  # GameFormatError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

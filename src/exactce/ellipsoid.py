@@ -180,8 +180,8 @@ def _round_dyadic(num: int, den: int, exp: int, bits: int) -> tuple[int, int]:
 def _integer_direction(normal: Sequence[int | Fraction]) -> Sequence[int]:
     """The normal scaled to coprime integers; the update ignores its scale.
 
-    An integer normal (profile and nonnegativity cuts) goes straight to the
-    gcd; math.gcd refuses anything else, which then takes the rational path.
+    An integer normal (every oracle cut's) goes straight to the gcd;
+    math.gcd refuses anything else, which then takes the rational path.
     """
     try:
         ints, common = normal, math.gcd(*normal)
@@ -491,7 +491,7 @@ def run(
         point = state.integer_center()
         cut = oracle(point)
         normal = cut.normal()
-        violation = normal_violation(normal, cut.rhs, point)
+        violation = normal_violation(normal, cut.unit, cut.rhs, point)
         if violation < -tolerance:
             raise SolverError(
                 f"oracle cut is satisfied at the query point (violation {violation})",

@@ -21,8 +21,12 @@ the best column and only minimizes t from there.
 
 The tableau holds Python integers, not fractions. Each column j of the
 constraint matrix, and the right-hand side, is multiplied by the lcm s_j of
-that column's own denominators, which makes it integral; the oracles' cut
-columns are integral already, so s_j is usually 1. Pivots follow Edmonds and
+that column's own denominators, which makes it integral; profile columns are
+integral already, so s_j is 1 for them. A product cut comes split as
+unit * direction, with coprime integer entries in direction, and
+min_violation_mixture takes it in that form: s_j is the unit's denominator,
+which is that lcm, and the scaled entries are the direction times the unit's
+numerator, so no column is split or scaled again. Pivots follow Edmonds and
 Bareiss, as in Avis's lrs: the stored rows are D times the scaled program's
 rational tableau, where D > 0 is the absolute determinant of the basis, and a
 pivot on entry p sets T_i <- (p*T_i - T_i[e]*T_r) // D and D <- p. The division
@@ -410,15 +414,22 @@ def mixture_feasible(dense_columns: Sequence[Sequence[Fraction]]) -> list[Fracti
 
 
 def min_violation_mixture(
-    dense_columns: Sequence[Sequence[Rational]],
+    directions: Sequence[Sequence[int]], units: Sequence[Rational]
 ) -> tuple[Fraction, list[Fraction]]:
     """Mixture weights minimizing the worst constraint shortfall.
 
-    Solves min t subject to sum_k alpha_k col_k >= -t, alpha a distribution,
-    t >= 0, and returns (t, alpha). t is zero exactly when the nonnegative
-    mixture program is feasible. alpha is an optimal vertex, a pure function
-    of the input; it is the only optimal mixture on the product oracle's
-    pinned games, but the optimal face can be wider in general.
+    Column k is units[k] * directions[k], the form ProductCut holds: integer
+    directions that are coprime or all zero, and positive units. Solves min t
+    subject to sum_k alpha_k col_k >= -t, alpha a distribution, t >= 0, and
+    returns (t, alpha). t is zero exactly when the nonnegative mixture
+    program is feasible. alpha is an optimal vertex, a pure function of the
+    columns; it is the only optimal mixture on the product oracle's pinned
+    games, but the optimal face can be wider in general.
+
+    Column k enters the tableau as directions[k] * units[k].numerator with
+    column scale units[k].denominator. A coprime direction makes that scale
+    the lcm of the column's denominators, so the tableau is the one the
+    Fraction column would give, entry for entry.
 
     The program is always feasible, so it needs no phase 1. Each kept row
     enters negated, -sum_k alpha_k col_k - t + s = 0, whose surplus s is a
@@ -426,18 +437,16 @@ def min_violation_mixture(
     worst shortfall (ties to the lowest index), and if that column has a
     negative entry, t pivots into its most negative row (ties to the first),
     which lifts every surplus to zero or more. Phase 2 then minimizes t.
-    Entries may be ints or Fractions.
     """
-    if not dense_columns:
+    if not directions:
         raise ValueError("need at least one column")
-    n_cols = len(dense_columns)
-    kept = [r for r in range(len(dense_columns[0])) if any(col[r] for col in dense_columns)]
-    scale = [lcm(*(col[r].denominator for r in kept)) for col in dense_columns]
+    n_cols = len(directions)
+    kept = [r for r in range(len(directions[0])) if any(d[r] for d in directions)]
+    scale = [u.denominator for u in units]
     n = n_cols + 1 + len(kept)  # the weights, t, one surplus per kept row
     rows = []
     for i, r in enumerate(kept):
-        row = [-col[r].numerator * (s // col[r].denominator)
-               for col, s in zip(dense_columns, scale)]
+        row = [-d[r] * u.numerator for d, u in zip(directions, units)]
         row += [-1] + [0] * (len(kept) + 1)
         row[n_cols + 1 + i] = 1
         rows.append(row)
@@ -447,12 +456,12 @@ def min_violation_mixture(
     cost = [0] * n
     cost[n_cols] = 1
 
-    low = [min([0, *(col[r] for r in kept)]) for col in dense_columns]
+    low = [u * min([0, *(d[r] for r in kept)]) for d, u in zip(directions, units)]
     best = max(range(n_cols), key=low.__getitem__)
     cost = _pivot(tab, len(kept), best, cost)
     if low[best] < 0:
-        column = dense_columns[best]
-        worst = min(range(len(kept)), key=lambda i: column[kept[i]])
+        direction = directions[best]
+        worst = min(range(len(kept)), key=lambda i: direction[kept[i]])
         cost = _pivot(tab, worst, n_cols, cost)
     _run_simplex(tab, cost, scale + [1] * (1 + len(kept)))
 

@@ -14,6 +14,7 @@ exactly when every row has nonnegative expectation under it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -117,31 +118,43 @@ def profile_column(game: Game, profile: Sequence[int]) -> IncentiveColumn:
     return IncentiveColumn(profile=s, n_rows=row_count(game), entries=tuple(entries))
 
 
-def incentive_row_values(game: Game, x: ProductDistribution) -> list[Fraction]:
+class RowValues(NamedTuple):
+    """An exact rational vector as unit * direction.
+
+    direction holds coprime integers and unit is a positive Fraction, so the
+    split is unique. The zero vector is the zero direction with unit 1.
+    """
+
+    direction: tuple[int, ...]
+    unit: Fraction
+
+    def fractions(self) -> list[Fraction]:
+        return [self.unit * v for v in self.direction]
+
+
+def incentive_row_values(game: Game, x: ProductDistribution) -> RowValues:
     """Expected value of every incentive row when play follows the product x.
 
     Row (p, i, j) gets x_p(i) times the gap between p's conditional expected
     payoff from playing i and from playing j, everyone else drawn from x.
     The gaps come from the game's integer conditional-payoff kernel on
     X = D * x, which carries the factor conditional_scale(D); with x_p(i) =
-    X_p(i) / D, each row is one exact Fraction over D * conditional_scale(D).
+    X_p(i) / D, every row is one integer over D * conditional_scale(D), and
+    the vector is returned split once into its coprime direction and unit.
     """
     x.check_for(game)
     d, weights = x.integer_weights()
-    scale = d * game.conditional_scale(d)
-    out = [Fraction(0)] * row_count(game)
+    out = [0] * row_count(game)
     offsets = row_offsets(game)
     for p, m in enumerate(game.actions):
         conditional = game.conditional_payoff_ints(p, weights)
         for i, weight in enumerate(weights[p]):
-            if not weight:
-                continue
-            for j in range(m):
-                if i != j:
-                    out[offsets[p] + i * m + j] = Fraction(
-                        weight * (conditional[i] - conditional[j]), scale
-                    )
-    return out
+            if weight:
+                start, own = offsets[p] + i * m, conditional[i]
+                out[start:start + m] = [weight * (own - c) for c in conditional]
+    scale = d * game.conditional_scale(d)
+    common = math.gcd(*out) or scale  # the zero vector gets unit 1
+    return RowValues(tuple(v // common for v in out), Fraction(common, scale))
 
 
 # ---------- certificates ----------

@@ -1,17 +1,23 @@
 """Separation oracles for the dual of the equilibrium feasibility program.
 
 The dual program asks for y >= 0 with every profile column's inner product
-at most -1; it is always infeasible, and each oracle answer below is a
-verbatim constraint of it, violated at the queried point:
+at most -1; it is always infeasible. Each oracle answer below is a
+constraint it implies, violated at the queried point, held as
+unit * normal . y <= rhs with an integer normal and a positive rational unit:
 
-* NonnegativityCut: some coordinate of y is negative.
+* NonnegativityCut: some coordinate of y is negative. Unit 1.
 * ProfileCut: a pure profile whose column has nonnegative inner product with
-  y. A product distribution x whose y-weighted incentive value V(x) is
+  y. The column is the normal, verbatim a row of the dual program; unit 1.
+  A product distribution x whose y-weighted incentive value V(x) is
   exactly zero is built from stationary distributions of y's blocks, then
   rounded to a pure profile one player at a time (the method of conditional
   probabilities) without letting V drop below zero.
 * ProductCut (product mode): the constraint induced by the product
-  distribution itself, skipping the rounding step.
+  distribution itself, skipping the rounding step: its row values, the
+  x-weighted mix of the profile rows. They are split once into a coprime
+  integer direction, the normal, and the unit (incentives.RowValues), so
+  the violation, the ellipsoid update, the probe verdict and the mixture
+  program all read integers.
 
 Every oracle reads y as one integer vector over one positive denominator,
 y = Y / L (IntegerPoint). The ellipsoid hands its center over in that form,
@@ -64,6 +70,7 @@ from .incentives import (
 )
 
 ZERO = Fraction(0)
+ONE = Fraction(1)
 
 TIE_BREAKS = ("first", "max-value", "welfare")
 
@@ -81,6 +88,7 @@ class NonnegativityCut:
 
     kind = "nonneg"
     rhs = ZERO
+    unit = ONE
 
     def normal(self) -> list[int]:
         out = [0] * self.n_rows
@@ -102,6 +110,7 @@ class ProfileCut:
 
     kind = "profile"
     rhs = Fraction(-1)
+    unit = ONE
 
     @property
     def profile(self) -> PureProfile:
@@ -122,17 +131,26 @@ class ProductCut:
     """Constraint values(x) . y <= -1 for a product distribution x.
 
     values(x) is the vector of expected incentive-row values under x, so the
-    inner product with the queried y is exactly zero by construction.
+    inner product with the queried y is exactly zero by construction. It is
+    held as unit * direction: direction, the normal, is coprime integers
+    (all zero only when every row value is), and unit is a positive Fraction
+    (1 for the zero vector).
     """
 
     x: ProductDistribution
-    values: tuple[Fraction, ...]
+    direction: tuple[int, ...]
+    unit: Fraction
 
     kind = "product"
     rhs = Fraction(-1)
 
-    def normal(self) -> list[Fraction]:
-        return list(self.values)
+    @property
+    def values(self) -> tuple[Fraction, ...]:
+        """The row values as Fractions."""
+        return tuple(self.unit * v for v in self.direction)
+
+    def normal(self) -> tuple[int, ...]:
+        return self.direction
 
     def roster_key(self):
         return ("product", self.x.strategies)
@@ -174,14 +192,16 @@ def integer_point(y: DualPoint) -> IntegerPoint:
     return IntegerPoint(tuple(v.numerator * (lcm // v.denominator) for v in y), lcm)
 
 
-def normal_violation(normal: Sequence[Rational], rhs: Fraction, point: IntegerPoint) -> Fraction:
-    """normal . y - rhs, from one dot product with the numerators."""
-    return Fraction(_dot(normal, point.numerators), point.denominator) - rhs
+def normal_violation(normal: Sequence[int], unit: Rational, rhs: Fraction,
+                     point: IntegerPoint) -> Fraction:
+    """unit * normal . y - rhs, from one integer dot product with the numerators."""
+    return Fraction(unit.numerator * _dot(normal, point.numerators),
+                    unit.denominator * point.denominator) - rhs
 
 
 def cut_violation(cut: Cut, y: DualPoint) -> Fraction:
     """By how much y breaks the cut's constraint (positive means violated)."""
-    return normal_violation(cut.normal(), cut.rhs, integer_point(y))
+    return normal_violation(cut.normal(), cut.unit, cut.rhs, integer_point(y))
 
 
 # ---------- product construction ----------
@@ -507,7 +527,7 @@ def product_separation(game: Game, y: DualPoint) -> Cut:
     if negative is not None:
         return negative
     x = _stationary_x(game, point)
-    values = incentive_row_values(game, x)
-    if _dot(values, point.numerators) != 0:
+    direction, unit = incentive_row_values(game, x)
+    if _dot(direction, point.numerators) != 0:
         raise SolverError(_STATIONARY_FAILED)
-    return ProductCut(x=x, values=tuple(values))
+    return ProductCut(x=x, direction=direction, unit=unit)

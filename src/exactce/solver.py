@@ -64,6 +64,12 @@ BRUTE_FORCE_PROFILE_CAP = 4096
 MAX_INCENTIVE_ROWS = 1 << 10
 
 
+def check_row_count(n: int) -> None:
+    """Refuse more than MAX_INCENTIVE_ROWS incentive rows with SolverError."""
+    if n > MAX_INCENTIVE_ROWS:
+        raise SolverError(f"{n} incentive rows exceed the ceiling {MAX_INCENTIVE_ROWS}")
+
+
 def support_bound(game: Game) -> int:
     """A vertex certificate never needs more atoms than this."""
     return 1 + sum(m * (m - 1) for m in game.actions)
@@ -256,28 +262,34 @@ def _mixture(transcript: Transcript, feasible: bool) -> ProductMixture:
 
     A feasible last probe means the collected columns admit a mixture with
     no shortfall, which the cold mixture LP returns; otherwise the mixture
-    minimizes the worst shortfall.
+    minimizes the worst shortfall. Either way the LP's t must equal the
+    shortfall recomputed from the weights, in integers: each weight times
+    its cut's unit, over their common denominator, scales the cut's
+    integer direction.
     """
     roster = transcript.roster
     if not roster:
         raise SolverError("no product cuts were collected", transcript)
-    columns = [cut.normal() for cut in roster]
     if feasible:
-        t, alpha = Fraction(0), mixture_feasible(columns)
+        t, alpha = Fraction(0), mixture_feasible([cut.values for cut in roster])
         if alpha is None:
             raise SolverError(
                 "the verdict found the collected cuts feasible but the mixture LP did not",
                 transcript,
             )
     else:
-        t, alpha = min_violation_mixture(columns)
+        t, alpha = min_violation_mixture([cut.direction for cut in roster],
+                                         [cut.unit for cut in roster])
 
-    aggregate = [
-        sum((a * column[r] for a, column in zip(alpha, columns)), Fraction(0))
-        for r in range(transcript.n_rows)
-    ]
-    shortfall = -min(aggregate)
-    epsilon = shortfall if shortfall > 0 else Fraction(0)
+    # the mixture's row values times one common denominator, as integers
+    weights = [(a * cut.unit, cut.direction) for a, cut in zip(alpha, roster) if a]
+    common = math.lcm(*(w.denominator for w, _ in weights))
+    aggregate = [0] * transcript.n_rows
+    for w, direction in weights:
+        factor = w.numerator * (common // w.denominator)
+        aggregate = [total + factor * v for total, v in zip(aggregate, direction)]
+    lowest = min(aggregate)
+    epsilon = Fraction(-lowest, common) if lowest < 0 else Fraction(0)
     if t != epsilon:
         raise SolverError(
             "the mixture LP's shortfall t differs from the epsilon its weights give",
@@ -305,8 +317,7 @@ def compute_exact_ce(game: Game, config: SolveConfig | None = None) -> SolveRepo
     config = config or SolveConfig()
     started = time.perf_counter()
     n = row_count(game)
-    if n > MAX_INCENTIVE_ROWS:
-        raise SolverError(f"{n} incentive rows exceed the ceiling {MAX_INCENTIVE_ROWS}")
+    check_row_count(n)
     params = _params_for(game, config)
     purified = config.oracle == "purified"
     verdict = FeasibilityVerdict()

@@ -1,5 +1,7 @@
 """Command-line behavior: exit codes, file outputs, schemas, goldens."""
 
+import contextlib
+import copy
 import csv
 import io
 import json
@@ -7,10 +9,13 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 try:
     import tomllib
@@ -18,7 +23,14 @@ except ModuleNotFoundError:  # Python 3.10
     tomllib = None
 
 import exactce
-from exactce import SparseCE, compute_exact_ce, load_game_file, random_game, verify_ce
+from exactce import (
+    SparseCE,
+    compute_exact_ce,
+    load_game,
+    load_game_file,
+    random_game,
+    verify_ce,
+)
 from exactce.cli import BENCH_COLUMNS, PRECISION_ENV, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -314,6 +326,8 @@ BAD_SETTINGS = [
     # every family and size is checked before the first solve
     pytest.param(["bench", "--family", "nfg", "--sizes", "2x2,40x2", "--seeds", "0:1",
                   "--csv", "r.json"], {}, id="bench-oversize-after-a-solvable-size"),
+    pytest.param(["bench", "--family", "nfg", "--sizes", "2x2,1x33", "--seeds", "0:1",
+                  "--csv", "r.json"], {}, id="bench-row-ceiling-after-a-solvable-size"),
     pytest.param(["bench", "--family", "nfg,foo", "--sizes", "2x2", "--seeds", "0:1",
                   "--csv", "r.json"], {}, id="bench-unknown-family-after-nfg"),
     pytest.param(["bench", "--family", "nfg", "--sizes", "2x2,0x2", "--seeds", "0:1",
@@ -438,6 +452,92 @@ class TestExitCodes:
         assert err == ["not a distribution: probabilities sum to a rational of about "
                        "4400 decimal digits, not 1"]
 
+
+FUZZ_BASES = [
+    random_game("nfg", 2, 2, u_max=10, seed=0).to_document(),
+    random_game("nfg", 3, 2, u_max=10, seed=1).to_document(),
+    random_game("polymatrix", 3, 2, u_max=10, seed=2).to_document(),
+    {"type": "nfg", "players": 2, "actions": [2, 1],
+     "payoffs": [["1/2", "-3/4"], ["0.25", 2]]},
+]
+
+JSON_VALUES = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), st.integers(-3, 40), st.integers(),
+        st.floats(), st.text(max_size=6),
+        st.sampled_from(["1/2", "-7/3", "1/0", "0.5", "1e3000", "1e-3000", "2e5000",
+                         "nan", "-inf", "nfg", "polymatrix"]),
+    ),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.sampled_from(["type", "players", "actions", "payoffs", "edges", "p", "q",
+                         "matrix", "x"]), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def mutated(draw, node):
+    """node with one change somewhere inside it: a value replaced, or a key
+    or an element dropped or added."""
+    if not isinstance(node, (dict, list)) or not node:
+        # mostly a value of the same kind, so that many documents still load
+        return draw(st.one_of(st.integers(-3, 40), st.sampled_from(["3/2", "-1/3", "0.75"]),
+                              JSON_VALUES))
+    move = draw(st.sampled_from(["descend"] * 6 + ["replace", "drop", "add"]))
+    if move == "replace":
+        return draw(JSON_VALUES)
+    if move == "add":
+        if isinstance(node, dict):
+            node[draw(st.sampled_from(["x", "edges", "payoffs", "p"]))] = draw(JSON_VALUES)
+        else:
+            node.insert(draw(st.integers(0, len(node))), draw(JSON_VALUES))
+        return node
+    if isinstance(node, dict):
+        # hypothesis leans to the first choice: the payoff tables, not the header
+        keys = sorted(node, key=lambda k: k not in ("payoffs", "edges", "matrix"))
+    else:
+        keys = range(len(node))
+    key = draw(st.sampled_from(keys))
+    if move == "drop":
+        del node[key]
+    else:
+        node[key] = draw(mutated(node[key]))
+    return node
+
+
+@st.composite
+def mutated_documents(draw):
+    document = copy.deepcopy(draw(st.sampled_from(FUZZ_BASES)))
+    for _ in range(draw(st.integers(1, 2))):
+        document = draw(mutated(document))
+    return document
+
+
+class TestFuzz:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(mutated_documents(), st.sampled_from(["purified", "product"]))
+    def test_mutated_documents_exit_0_or_2(self, document, oracle):
+        # the loader refuses a bad document with a ValueError (GameFormatError
+        # included), and solve turns every failure into exit 2 with one
+        # error line; an escaping exception fails the test with its traceback
+        try:
+            load_game(copy.deepcopy(document))
+            loaded = True
+        except ValueError:
+            loaded = False
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            game = os.path.join(tmp, "game.json")
+            with open(game, "w", encoding="utf-8") as handle:
+                json.dump(document, handle)
+            with contextlib.redirect_stderr(err):
+                code = run_cli("solve", "--input", game, "--oracle", oracle,
+                               "--max-iters", "20", "--output", os.path.join(tmp, "r.json"))
+        assert code in (0, 2)
+        assert loaded or code == 2
+        lines = err.getvalue().splitlines()
+        assert "Traceback" not in err.getvalue()
+        assert sum(line.startswith("error:") for line in lines) == (code == 2), lines
 
 
 def declared_console_script(name):

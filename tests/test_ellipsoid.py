@@ -40,6 +40,7 @@ class FakeCut:
     rhs: Fraction
     kind: str = "profile"
     key: object = None
+    unit: Fraction = Fraction(1)
 
     def normal(self):
         return list(self.vector)

@@ -1,5 +1,6 @@
 """Exact simplex, stationary distributions, cut LPs, mixture programs."""
 
+import math
 import random
 from fractions import Fraction
 from unittest import mock
@@ -368,6 +369,20 @@ class TestFeasibilityVerdict:
                 assert verdict.feasible() == (mixture_feasible(order[:k]) is not None)
 
 
+def min_violation(columns):
+    """min_violation_mixture on rational columns, each split as a product
+    cut holds it: a coprime integer direction times a positive unit (the
+    zero column is the zero direction with unit 1)."""
+    directions, units = [], []
+    for column in columns:
+        scale = math.lcm(*(F(v).denominator for v in column))
+        ints = [int(F(v) * scale) for v in column]
+        common = math.gcd(*ints) or scale  # a zero column's scale is 1
+        directions.append([v // common for v in ints])
+        units.append(F(common, scale))
+    return min_violation_mixture(directions, units)
+
+
 class TestMixtures:
     def test_feasible_mixture(self):
         alpha = mixture_feasible([[F(1)], [F(-1)]])
@@ -382,18 +397,18 @@ class TestMixtures:
         assert mixture_feasible([]) is None
 
     def test_min_violation_zero_when_feasible(self):
-        t, alpha = min_violation_mixture([[F(1)], [F(-1)]])
+        t, alpha = min_violation([[F(1)], [F(-1)]])
         assert t == 0
         assert sum(alpha) == 1
 
     def test_min_violation_exact_positive(self):
-        t, alpha = min_violation_mixture([[F(-2)], [F(-1)]])
+        t, alpha = min_violation([[F(-2)], [F(-1)]])
         assert t == 1
         assert alpha == [F(0), F(1)]
 
     def test_min_violation_mixes_columns(self):
         # columns (-1, 1) and (1, -1): the even mixture hits zero shortfall
-        t, alpha = min_violation_mixture([[F(-1), F(1)], [F(1), F(-1)]])
+        t, alpha = min_violation([[F(-1), F(1)], [F(1), F(-1)]])
         assert t == 0
         assert alpha == [F(1, 2), F(1, 2)]
 
@@ -433,7 +448,7 @@ class TestMinViolationMixture:
                 else:
                     columns.append([F(rng.randint(-6, 6), rng.randint(1, 6)) if on else F(0)
                                     for on in live])
-            t, alpha = min_violation_mixture(columns)
+            t, alpha = min_violation(columns)
             assert_optimal_vertex(columns, t, alpha)
 
     @pytest.mark.parametrize("family, players, actions, seed, max_iters, stride", [
@@ -449,21 +464,23 @@ class TestMinViolationMixture:
         g = random_game(family, players, actions, u_max=10, seed=seed)
         config = SolveConfig(oracle="product", max_iters=max_iters, probe_stride=stride,
                              precision_bits=96)
-        roster = [cut.values for cut in compute_exact_ce(g, config).transcript.roster]
-        t, alpha = min_violation_mixture(roster)
+        roster = compute_exact_ce(g, config).transcript.roster
+        t, alpha = min_violation_mixture([cut.direction for cut in roster],
+                                         [cut.unit for cut in roster])
         assert t > 0 and sum(1 for a in alpha if a) >= 2
-        assert (t, alpha) == helpers.reference_min_violation_mixture(roster)
+        values = [cut.values for cut in roster]
+        assert (t, alpha) == helpers.reference_min_violation_mixture(values)
 
     def test_one_column(self):
-        assert min_violation_mixture([[F(-3), F(1, 2), F(-5, 2)]]) == (F(3), [F(1)])
+        assert min_violation([[F(-3), F(1, 2), F(-5, 2)]]) == (F(3), [F(1)])
 
     def test_all_zero_columns(self):
         # no row is kept: the program is the sum row alone
-        assert min_violation_mixture([[0, 0], [0, 0], [0, 0]]) == (F(0), [F(1), F(0), F(0)])
+        assert min_violation([[0, 0], [0, 0], [0, 0]]) == (F(0), [F(1), F(0), F(0)])
 
     def test_nonnegative_column_needs_no_t(self):
         columns = [[F(-1), F(2)], [F(1, 3), F(0)], [F(1), F(1)]]
-        t, alpha = min_violation_mixture(columns)
+        t, alpha = min_violation(columns)
         assert t == 0
         assert_optimal_vertex(columns, t, alpha)
         # the first column with no shortfall, kept as it is
@@ -473,7 +490,7 @@ class TestMinViolationMixture:
         # (-1, 1) and (1, -1) mix evenly to zero shortfall; a vertex puts
         # each half on one copy of its column
         columns = [[F(-1), F(1)], [F(1), F(-1)], [F(-1), F(1)], [F(1), F(-1)]]
-        t, alpha = min_violation_mixture(columns)
+        t, alpha = min_violation(columns)
         assert_optimal_vertex(columns, t, alpha)
         assert t == 0
         assert (alpha[0] + alpha[2], alpha[1] + alpha[3]) == (F(1, 2), F(1, 2))

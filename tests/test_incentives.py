@@ -108,7 +108,7 @@ class TestRowValues:
             for seed in range(5):
                 g = random_game(family, 3, 2, u_max=8, seed=seed)
                 x = helpers.random_product(rng, g.actions)
-                values = incentive_row_values(g, x)
+                values = incentive_row_values(g, x).fractions()
                 for position, row in enumerate(iter_rows(g)):
                     assert values[position] == helpers.enum_row_expectation(
                         g, x.strategies, tuple(row))
@@ -117,7 +117,7 @@ class TestRowValues:
         g = random_game("nfg", 2, 3, u_max=9, seed=8)
         s = (2, 0)
         x = ProductDistribution.point_mass(g.actions, s)
-        assert incentive_row_values(g, x) == [
+        assert incentive_row_values(g, x).fractions() == [
             F(v) for v in profile_column(g, s).dense()]
 
 

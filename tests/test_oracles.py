@@ -66,13 +66,34 @@ class TestCutShapes:
     def test_product_cut(self):
         g = random_game("nfg", 2, 2, u_max=5, seed=2)
         x = ProductDistribution.uniform(g.actions)
-        values = tuple(incentive_row_values(g, x))
-        cut = ProductCut(x=x, values=values)
-        assert cut.normal() == list(values)
+        direction, unit = incentive_row_values(g, x)
+        cut = ProductCut(x=x, direction=direction, unit=unit)
+        assert cut.normal() == direction
+        assert list(cut.values) == incentive_row_values(g, x).fractions()
         assert cut.rhs == -1
         assert cut.roster_key() == ("product", x.strategies)
         assert cut.describe()["kind"] == "product"
         assert cut.describe()["x"] == [["1/2", "1/2"], ["1/2", "1/2"]]
+
+    @pytest.mark.parametrize("family, players, actions", [
+        ("nfg", 3, 2), ("polymatrix", 3, 2), ("nfg", 2, 3), ("polymatrix", 2, 3),
+    ])
+    def test_product_cut_splits_its_row_values(self, family, players, actions):
+        for seed in range(20):
+            g, y = seeded_pair(family, players, actions, seed)
+            cut = product_separation(g, y)
+            assert all(type(v) is int for v in cut.direction)
+            assert math.gcd(*cut.direction) == 1
+            assert type(cut.unit) is F and cut.unit > 0
+            assert list(cut.values) == helpers.fraction_row_values(g, cut.x.strategies)
+            assert cut_violation(cut, y) == 1
+
+    def test_product_cut_of_a_constant_game(self):
+        # every row value is zero: the zero direction, with unit 1
+        g = random_game("nfg", 2, 2, u_max=0, seed=0)
+        cut = product_separation(g, [F(1)] * 8)
+        assert cut.direction == (0,) * 8 and cut.unit == 1
+        assert cut_violation(cut, [F(1)] * 8) == 1
 
     def test_violation_sign_convention(self):
         g = random_game("nfg", 2, 2, u_max=5, seed=3)
@@ -294,7 +315,7 @@ class TestSeparationOracles:
             g, y = seeded_pair("polymatrix" if seed % 2 else "nfg", 3, 2, seed)
             cut = product_separation(g, y)
             assert isinstance(cut, ProductCut)
-            assert cut.values == tuple(incentive_row_values(g, cut.x))
+            assert list(cut.values) == incentive_row_values(g, cut.x).fractions()
             assert sum(v * w for v, w in zip(cut.values, y)) == 0
             assert cut_violation(cut, y) == 1
 
@@ -435,7 +456,8 @@ class TestIntegerValue:
     @given(value_cases())
     def test_row_values_match_fraction_formula(self, case):
         g, _, x = case
-        assert incentive_row_values(g, x) == helpers.fraction_row_values(g, x.strategies)
+        assert (incentive_row_values(g, x).fractions()
+                == helpers.fraction_row_values(g, x.strategies))
 
     @settings(max_examples=100, deadline=None)
     @given(value_cases())

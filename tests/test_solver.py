@@ -25,6 +25,7 @@ from exactce import (
 )
 from exactce import exact_lp, solver
 from exactce.ellipsoid import Outcome, iteration_bound
+from exactce.games import ProductDistribution
 from exactce.solver import probability_bit_bound, support_bound
 
 F = Fraction
@@ -349,6 +350,19 @@ class TestProductSolve:
         weights = [w for w, _ in report.mixture.components]
         assert sum(weights) == 1 and all(w > 0 for w in weights)
 
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_constant_game(self, stride):
+        # every row value is zero, so the first cut has the zero direction;
+        # stride 1 ends on the feasible probe, stride 2 on the zero normal
+        # before any probe, with no row kept in the min-violation program
+        g = load_game({"type": "nfg", "players": 2, "actions": [2, 2],
+                       "payoffs": [[3, 3, 3, 3], [3, 3, 3, 3]]})
+        report = compute_exact_ce(g, SolveConfig(oracle="product", probe_stride=stride))
+        assert report.iterations == 1
+        assert report.exact_epsilon == 0 and report.verified
+        assert report.mixture.components == (
+            (F(1), ProductDistribution.uniform(g.actions)),)
+
     def test_feasible_mixture_reaches_zero(self):
         # seed chosen so the mixture probe finds a feasible combination
         g = random_game("nfg", 3, 2, u_max=10, seed=3)
@@ -424,8 +438,8 @@ class TestProductSolve:
         report = compute_exact_ce(g, config)
         assert report.exact_epsilon > 0
 
-        def off(columns):
-            t, alpha = exactce.exact_lp.min_violation_mixture(columns)
+        def off(directions, units):
+            t, alpha = exactce.exact_lp.min_violation_mixture(directions, units)
             return t + F(1, 2**100), alpha
 
         with mock.patch.object(solver, "min_violation_mixture", off):
