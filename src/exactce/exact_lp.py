@@ -8,23 +8,22 @@ burned through the pivot budget, so termination never depends on luck and
 exact arithmetic never needs tolerances.
 
 Most probes of the cut program, and of the product oracle's mixture program,
-fail. A solve decides every one of them with one FeasibilityVerdict alone: a
-phase-1 tableau on the same pivots that takes each new column and resumes
-from its last basis, in the manner of column generation (Gilmore and Gomory;
-Dantzig and Wolfe). A feasible verdict ends the run, and the final program is
-then solved cold once, by try_feasible_bfs or mixture_feasible, whose vertex
-is the certificate or the mixture, so neither depends on the verdict's pivot
-path. min_violation_mixture, which the product oracle runs instead when its
-last probe failed, has no phase 1: its program is feasible at any single
-column with t at that column's worst shortfall, so it builds that basis for
-the best column and only minimizes t from there.
+fail. A solve decides every one of them on one MinViolation program, min t
+over mixtures of the collected columns shifted up by t, held open as columns
+arrive in the manner of column generation (Gilmore and Gomory; Dantzig and
+Wolfe): it takes the cuts' unit-free normals, and t is 0 exactly when some
+distribution clears every row. A feasible probe ends the run, and the final
+program is then solved cold once, by try_feasible_bfs or mixture_feasible,
+whose vertex is the certificate or the mixture, so neither depends on the
+probes' pivot path. When the product oracle's last probe failed,
+min_violation_mixture reads (t, alpha) from a fresh MinViolation instead.
 
 The tableau holds Python integers, not fractions. Each column j of the
 constraint matrix, and the right-hand side, is multiplied by the lcm s_j of
 that column's own denominators, which makes it integral; profile columns are
 integral already, so s_j is 1 for them. A product cut comes split as
 unit * direction, with coprime integer entries in direction, and
-min_violation_mixture takes it in that form: s_j is the unit's denominator,
+MinViolation takes it in that form: s_j is the unit's denominator,
 which is that lcm, and the scaled entries are the direction times the unit's
 numerator, so no column is split or scaled again. Pivots follow Edmonds and
 Bareiss, as in Avis's lrs: the stored rows are D times the scaled program's
@@ -44,6 +43,7 @@ per column keeps the integers small.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -69,10 +69,10 @@ class _Tableau:
     """Integer tableau: the rational tableau of the scaled program is rows / det.
 
     Each row holds the n real columns followed by the right-hand side.
-    solve_standard_form and min_violation_mixture never read their artificial
-    columns, so they do not store them; FeasibilityVerdict stores its one
-    artificial. det is the
-    absolute determinant of the current basis matrix and stays positive.
+    solve_standard_form never reads its artificial columns, so it does not
+    store them; MinViolation's one artificial has the right-hand side for its
+    column. det is the absolute determinant of the current basis matrix and
+    stays positive.
     """
 
     rows: list[list[int]]
@@ -96,8 +96,9 @@ def _pivot(tab: _Tableau, row: int, col: int, cost: list[int] | None = None) -> 
     pivot_row = rows[row]
     p = pivot_row[col]
     if p < 0:
-        # only a drive-out pivot can be negative; flipping the pivot row
-        # keeps det positive and the scaled tableau unchanged
+        # only a drive-out pivot or MinViolation's start pivot of t can be
+        # negative; flipping the pivot row keeps det positive and the scaled
+        # tableau unchanged
         pivot_row = rows[row] = [-v for v in pivot_row]
         p = -p
     det = tab.det
@@ -111,25 +112,23 @@ def _pivot(tab: _Tableau, row: int, col: int, cost: list[int] | None = None) -> 
     return cost
 
 
-def _run_simplex(
-    tab: _Tableau, cost: list[int], scale: list[int], bland_after: int | None = None
-) -> str:
+def _run_simplex(tab: _Tableau, cost: list[int], scale: list[int]) -> str:
     """Pivot until optimal or unbounded, updating cost in place.
 
     cost[j] / scale[j] is the reduced cost of column j up to one positive
     factor shared by every column. Entering column: most negative reduced
     cost, ties to the lowest index — fast, but it can cycle on degenerate
-    bases, so once bland_after pivots are spent (the pivot budget unless
-    given) the loop switches to Bland's least-index rule, which terminates
-    unconditionally. Leaving row: smallest ratio, ties to the smallest
-    basis index (what Bland's rule requires; harmless for the fast rule).
+    bases, so once the pivot budget is spent the loop switches to Bland's
+    least-index rule, which terminates unconditionally. Leaving row: smallest
+    ratio, ties to the smallest basis index (what Bland's rule requires;
+    harmless for the fast rule).
     Both rules are deterministic, so the returned vertex is a pure function
     of the input. Ratios are compared by cross-multiplication, so no
     rational is ever formed.
     """
     rows, basis = tab.rows, tab.basis
     m, n = len(rows), len(scale)
-    budget = _pivot_budget(m, n) if bland_after is None else bland_after
+    budget = _pivot_budget(m, n)
     pivots = 0
     while True:
         enter = -1
@@ -246,73 +245,115 @@ def solve_standard_form(
     return "optimal", solution
 
 
-class FeasibilityVerdict:
-    """Whether {x >= 0, sum x = 1, columns . x >= 0} is feasible, as columns arrive.
+class MinViolation:
+    """min t s.t. sum_k alpha_k unit_k direction_k + t >= 0, alpha a distribution.
 
-    This is phase 1 of the program's homogeneous form: a row -c_r . x + s_r = 0
-    for every row r that some column touches, and sum x + a = 1. The start
-    basis is the slacks s and the one artificial a; every other right-hand
-    side is 0, so one artificial is enough. The program is feasible exactly
-    when phase 1 drives a to 0.
+    The constraint holds on every row some column touches; t >= 0. Stored
+    columns are the weights in arrival order, t and one surplus per touched
+    row in row order. Row r reads -sum_k alpha_k unit_k direction_k[r] - t +
+    s_r = 0. Column k enters as direction_k * unit_k.numerator with column
+    scale unit_k.denominator, its entry in the sum row sum_k alpha_k + a = 1.
+    The surpluses and the artificial a start basic, so their columns are
+    det * B^-1, and a new column's entries and reduced cost are that block
+    times the column. a's column is det * B^-1 e_sum, the right-hand side,
+    so it is stored last, as the right-hand side, and the cost row's last
+    entry is its reduced cost; basis entry -1 marks it basic. A row enters
+    when a column first touches it, with its surplus basic: every earlier
+    column is zero there, so only t's row is folded in, and det is unchanged.
 
-    Column 0 is a, and each row's slack is a column too, so the tableau
-    carries the identity block det * B^-1. An appended column's tableau
-    entries are that block times the column, and its reduced cost comes from
-    the same entries of the cost row: exact integers, no gcd. A row enters
-    when a column first touches it; every earlier column is zero there, so
-    its slack joins the basis and det is unchanged. Each verdict resumes
-    phase 1 from the last basis under Bland's rule from the first pivot. The
-    verdict does not depend on the pivot path, and the largest-improvement
-    rule can stall for long on degenerate probes before Bland's takes over.
-    Entries may be ints or Fractions.
+    The program is feasible at any single column with t at its worst
+    shortfall, so it needs no phase 1. The first solve pivots the sum row
+    onto the column with the least worst shortfall (ties to the first), then
+    t into that column's most negative row, if any (ties to the lowest row);
+    a, not a stored column, never enters again. Each solve then resumes the
+    budgeted largest-improvement simplex from the last basis. A positive unit
+    does not change whether t reaches 0, so a probe may add every unit as 1.
     """
 
     def __init__(self) -> None:
-        self._tab = _Tableau(rows=[[1, 1]], basis=[0])  # row 0 is the sum row
-        self._cost = [0]
-        self._slack: dict[int, int] = {}  # row of the program -> column of its slack
-        self.added = 0
+        # tableau row 0 is the sum row, with a basic; the one column is t
+        self._tab = _Tableau(rows=[[0, 1]], basis=[-1])
+        self._cost = [1, 0]
+        self._scale = [1]
+        self._rows: list[int] = []  # the touched rows, ascending
+        self._start: tuple[Rational, int, int] | None = None
+        self.added = 0  # also the column of t
 
-    def _add_row(self, r: int) -> None:
+    def _insert_column(self, col: int, entries: list[int], cost: int, scale: int) -> None:
         tab = self._tab
-        col = len(self._cost)
-        for row in tab.rows:
-            row.insert(-1, 0)
-        row = [0] * (col + 2)
-        row[col] = tab.det
+        for row, entry in zip(tab.rows, entries):
+            row.insert(col, entry)
+        tab.basis = [b + (b >= col) for b in tab.basis]
+        self._cost.insert(col, cost)
+        self._scale.insert(col, scale)
+
+    def _touch(self, r: int) -> None:
+        """Add row r with its surplus basic, unless a column touched it before."""
+        pos = bisect_left(self._rows, r)
+        if pos < len(self._rows) and self._rows[pos] == r:
+            return
+        self._rows.insert(pos, r)
+        tab, t = self._tab, self.added
+        col = t + 1 + pos
+        self._insert_column(col, [0] * len(tab.rows), 0, 1)
+        row = [0] * len(self._cost)
+        row[col], row[t] = tab.det, -tab.det
+        if t in tab.basis:
+            row = [v + w for v, w in zip(row, tab.rows[tab.basis.index(t)])]
         tab.rows.append(row)
         tab.basis.append(col)
-        self._cost.append(0)
-        self._slack[r] = col
 
-    def add(self, column: Sequence[Rational]) -> None:
-        """Append one column of the program.
-
-        A positive multiple of a column leaves the verdict unchanged, so a
-        rational column enters times the lcm of its denominators.
-        """
-        scale = lcm(*(v.denominator for v in column))
-        entries = []
-        for r, v in enumerate(column):
+    def add(self, direction: Sequence[int], unit: Rational = 1) -> None:
+        """Append the column unit * direction: integer entries, a positive unit."""
+        for r, v in enumerate(direction):
             if v:
-                if r not in self._slack:
-                    self._add_row(r)
-                entries.append((self._slack[r], v.numerator * (scale // v.denominator)))
-        for row in self._tab.rows:
-            row.insert(-1, row[0] - sum(row[k] * v for k, v in entries))
-        cost = self._cost
-        cost.append(cost[0] - self._tab.det - sum(cost[k] * v for k, v in entries))
+                self._touch(r)
+        k, num = self.added, unit.numerator
+        block = [(k + 1 + i, -direction[r] * num)  # the surpluses, then a
+                 for i, r in enumerate(self._rows) if direction[r]]
+        block.append((-1, unit.denominator))
+        if self._tab.basis[0] >= 0:
+            entries = [sum(row[j] * w for j, w in block) for row in self._tab.rows]
+            cost = sum(self._cost[j] * w for j, w in block)
+            self._insert_column(k, entries, cost, unit.denominator)
+        else:
+            # a is basic, so nothing has pivoted: the block is the identity
+            weight = dict(block)
+            self._insert_column(k, [weight.get(b, 0) for b in self._tab.basis], 0,
+                                unit.denominator)
+            low = unit * min([0, *direction])
+            if self._start is None or low > self._start[0]:
+                worst = min(range(len(direction)), key=direction.__getitem__)
+                self._start = (low, k, worst)
         self.added += 1
 
-    def feasible(self) -> bool:
-        """Resume phase 1; True when the columns so far admit a distribution.
+    def _solve(self) -> None:
+        tab, t = self._tab, self.added
+        if tab.basis[0] < 0 and self._start is not None:
+            low, best, worst = self._start
+            self._cost = _pivot(tab, 0, best, self._cost)
+            if low < 0:
+                row = tab.basis.index(t + 1 + self._rows.index(worst))
+                self._cost = _pivot(tab, row, t, self._cost)
+        _run_simplex(tab, self._cost, self._scale)
 
-        a has the least index, so the ratio test's tie rule makes it leave
-        the basis as soon as its level could reach 0: a basic a is positive.
-        """
-        # Bland's rule never reads the column scales
-        _run_simplex(self._tab, self._cost, [1] * len(self._cost), bland_after=0)
-        return 0 not in self._tab.basis
+    def feasible(self) -> bool:
+        """Resume the solve; True when the columns so far admit a distribution."""
+        self._solve()
+        tab, t = self._tab, self.added
+        return self.added > 0 and not (t in tab.basis and tab.rows[tab.basis.index(t)][-1])
+
+    def mixture(self) -> tuple[Fraction, list[Fraction]]:
+        """Resume the solve and return (t, alpha) at its optimal vertex."""
+        if not self.added:
+            raise ValueError("need at least one column")
+        self._solve()
+        tab = self._tab
+        levels = [ZERO] * (self.added + 1)  # alpha, then t
+        for row, var in zip(tab.rows, tab.basis):
+            if var <= self.added:
+                levels[var] = Fraction(row[-1] * self._scale[var], tab.det)
+        return levels[-1], levels[:-1]
 
 
 # ---------- the cut-collection program ----------
@@ -416,59 +457,16 @@ def mixture_feasible(dense_columns: Sequence[Sequence[Fraction]]) -> list[Fracti
 def min_violation_mixture(
     directions: Sequence[Sequence[int]], units: Sequence[Rational]
 ) -> tuple[Fraction, list[Fraction]]:
-    """Mixture weights minimizing the worst constraint shortfall.
+    """(t, alpha) of a fresh MinViolation over the columns units[k] * directions[k].
 
-    Column k is units[k] * directions[k], the form ProductCut holds: integer
-    directions that are coprime or all zero, and positive units. Solves min t
-    subject to sum_k alpha_k col_k >= -t, alpha a distribution, t >= 0, and
-    returns (t, alpha). t is zero exactly when the nonnegative mixture
-    program is feasible. alpha is an optimal vertex, a pure function of the
-    columns; it is the only optimal mixture on the product oracle's pinned
-    games, but the optimal face can be wider in general.
-
-    Column k enters the tableau as directions[k] * units[k].numerator with
-    column scale units[k].denominator. A coprime direction makes that scale
-    the lcm of the column's denominators, so the tableau is the one the
-    Fraction column would give, entry for entry.
-
-    The program is always feasible, so it needs no phase 1. Each kept row
-    enters negated, -sum_k alpha_k col_k - t + s = 0, whose surplus s is a
-    basis column already; the sum row pivots onto the column with the least
-    worst shortfall (ties to the lowest index), and if that column has a
-    negative entry, t pivots into its most negative row (ties to the first),
-    which lifts every surplus to zero or more. Phase 2 then minimizes t.
+    The columns are in the form ProductCut holds: integer directions that are
+    coprime or all zero, and positive units. t is zero exactly when the
+    nonnegative mixture program is feasible. alpha is an optimal vertex, a
+    pure function of the columns; it is the only optimal mixture on the
+    product oracle's pinned games, but the optimal face can be wider in
+    general.
     """
-    if not directions:
-        raise ValueError("need at least one column")
-    n_cols = len(directions)
-    kept = [r for r in range(len(directions[0])) if any(d[r] for d in directions)]
-    scale = [u.denominator for u in units]
-    n = n_cols + 1 + len(kept)  # the weights, t, one surplus per kept row
-    rows = []
-    for i, r in enumerate(kept):
-        row = [-d[r] * u.numerator for d, u in zip(directions, units)]
-        row += [-1] + [0] * (len(kept) + 1)
-        row[n_cols + 1 + i] = 1
-        rows.append(row)
-    rows.append(scale + [0] * len(kept) + [0, 1])
-    # the sum row's basic variable is an artificial that is never stored
-    tab = _Tableau(rows=rows, basis=list(range(n_cols + 1, n + 1)))
-    cost = [0] * n
-    cost[n_cols] = 1
-
-    low = [u * min([0, *(d[r] for r in kept)]) for d, u in zip(directions, units)]
-    best = max(range(n_cols), key=low.__getitem__)
-    cost = _pivot(tab, len(kept), best, cost)
-    if low[best] < 0:
-        direction = directions[best]
-        worst = min(range(len(kept)), key=lambda i: direction[kept[i]])
-        cost = _pivot(tab, worst, n_cols, cost)
-    _run_simplex(tab, cost, scale + [1] * (1 + len(kept)))
-
-    t, alpha = ZERO, [ZERO] * n_cols
-    for row, var in zip(tab.rows, tab.basis):
-        if var < n_cols:
-            alpha[var] = Fraction(row[-1] * scale[var], tab.det)
-        elif var == n_cols:
-            t = Fraction(row[-1], tab.det)
-    return t, alpha
+    program = MinViolation()
+    for direction, unit in zip(directions, units):
+        program.add(direction, unit)
+    return program.mixture()

@@ -9,12 +9,14 @@ instead and reports the best mixture it can, including its exact worst-row
 shortfall, which may be positive; it exists as a comparison baseline and
 makes no exactness claim.
 
-Both oracles share one pipeline. An incremental FeasibilityVerdict alone
-decides every probe of the collected columns, and a feasible verdict ends
-the run. The cold LP then runs once over the final roster, and its vertex is
-the answer: try_feasible_bfs for profile columns; for product columns,
-mixture_feasible after a feasible verdict and min_violation_mixture
-otherwise.
+Both oracles share one pipeline. One incremental MinViolation program per
+solve alone decides every probe of the collected columns: it takes each
+cut's unit-free normal, since a positive column scale does not change
+whether the columns admit a distribution, and a feasible probe ends the run.
+The cold LP then runs once over the final roster, and its vertex is the
+answer: try_feasible_bfs for profile columns; for product columns,
+mixture_feasible after a feasible probe, and otherwise min_violation_mixture,
+a fresh MinViolation over the cuts with their units.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .ellipsoid import (
 from .errors import SolverError
 from .exact_lp import (
     CutLP,
-    FeasibilityVerdict,
+    MinViolation,
     min_violation_mixture,
     mixture_feasible,
     try_feasible_bfs,
@@ -320,14 +322,14 @@ def compute_exact_ce(game: Game, config: SolveConfig | None = None) -> SolveRepo
     check_row_count(n)
     params = _params_for(game, config)
     purified = config.oracle == "purified"
-    verdict = FeasibilityVerdict()
+    program = MinViolation()
 
     def probe(_cut, roster) -> bool:
         if len(roster) % config.probe_stride:
             return False
-        for cut in roster[verdict.added:]:
-            verdict.add(cut.normal())
-        return verdict.feasible()
+        for cut in roster[program.added:]:
+            program.add(cut.normal())
+        return program.feasible()
 
     def oracle(y):
         if purified:
@@ -340,10 +342,10 @@ def compute_exact_ce(game: Game, config: SolveConfig | None = None) -> SolveRepo
         certificate, used_fallback = _certificate(game, config, result, params.max_iters)
         mixture, support, epsilon = None, certificate.support, Fraction(0)
     else:
-        # the last probe's answer: asked again, the verdict resumes from an
+        # the last probe's answer: asked again, the program resumes from an
         # optimal basis and pivots nothing. result.outcome cannot tell, since
         # a zero-normal cut between probes ends the run too.
-        mixture = _mixture(result.transcript, verdict.feasible())
+        mixture = _mixture(result.transcript, program.feasible())
         certificate, used_fallback = None, False
         support, epsilon = mixture.support, mixture.epsilon
     return SolveReport(

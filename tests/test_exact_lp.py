@@ -323,24 +323,44 @@ def column_batches(draw):
     return batches
 
 
-class TestFeasibilityVerdict:
-    """The incremental phase-1 verdict agrees with the cold mixture program."""
+def split(column):
+    """A rational column as a product cut holds it: a coprime integer direction
+    times a positive unit (the zero column is the zero direction with unit 1)."""
+    scale = math.lcm(*(F(v).denominator for v in column))
+    ints = [int(F(v) * scale) for v in column]
+    common = math.gcd(*ints) or scale  # a zero column's scale is 1
+    return [v // common for v in ints], F(common, scale)
+
+
+def min_violation(columns):
+    """min_violation_mixture on rational columns, each split as a product cut holds it."""
+    directions, units = zip(*map(split, columns))
+    return min_violation_mixture(directions, units)
+
+
+class TestMinViolation:
+    """The incremental min-violation program agrees with the cold programs."""
 
     @settings(max_examples=300, deadline=None)
     @given(column_batches())
     @example([[[-1, 0]], [[1, -1]], [[0, 1]]])  # infeasible, then mixed to feasible
     @example([[[1, -1], [-1, 1]]])  # a batch feasible only as a pair
     def test_matches_mixture_feasible(self, batches):
-        verdict = exact_lp.FeasibilityVerdict()
+        program, unit_free = exact_lp.MinViolation(), exact_lp.MinViolation()
         columns = []
-        assert verdict.feasible() is False
+        assert program.feasible() is False
         for batch in batches:
             for column in batch:
-                verdict.add(column)
+                direction, unit = split(column)
+                program.add(direction, unit)
+                unit_free.add(direction)
             columns += batch
-            assert verdict.added == len(columns)
-            assert verdict.feasible() == (mixture_feasible(columns) is not None)
-
+            assert program.added == len(columns)
+            feasible = program.feasible()
+            assert feasible == (mixture_feasible(columns) is not None)
+            assert unit_free.feasible() == feasible
+            expected_t, _ = helpers.reference_min_violation_mixture(columns)
+            assert program.mixture()[0] == expected_t
 
     @pytest.mark.parametrize("family, players, actions, seed, max_iters, stride", [
         ("nfg", 3, 2, 3, 200, 1),  # its last column makes the roster feasible
@@ -363,24 +383,45 @@ class TestFeasibilityVerdict:
             orders.append([c for c, w in zip(roster, alpha) if w]
                           + [c for c, w in zip(roster, alpha) if not w])
         for order in orders:
-            verdict = exact_lp.FeasibilityVerdict()
+            program, unit_free = exact_lp.MinViolation(), exact_lp.MinViolation()
             for k, column in enumerate(order, 1):
-                verdict.add(column)
-                assert verdict.feasible() == (mixture_feasible(order[:k]) is not None)
+                direction, unit = split(column)
+                program.add(direction, unit)
+                unit_free.add(direction)
+                feasible = program.feasible()
+                assert feasible == (mixture_feasible(order[:k]) is not None)
+                assert unit_free.feasible() == feasible
+            expected_t, _ = helpers.reference_min_violation_mixture(order)
+            assert program.mixture()[0] == expected_t
 
+    @pytest.mark.parametrize("columns, feasible", [
+        ([[F(1), F(-1)], [F(-1), F(1)]], True),
+        ([[F(-1), F(0)], [F(0), F(-1, 2)], [F(2), F(-3)]], False),
+    ], ids=["feasible", "infeasible"])
+    def test_asked_again_pivots_nothing(self, columns, feasible):
+        # the product solve asks the probe again after the run and reads its
+        # answer from the basis the last probe left
+        program = exact_lp.MinViolation()
+        for column in columns:
+            program.add(*split(column))
+        with mock.patch.object(exact_lp, "_pivot", wraps=exact_lp._pivot) as spy:
+            assert program.feasible() is feasible
+            pivots = spy.call_count
+            assert pivots > 0
+            assert program.feasible() is feasible
+            t, alpha = program.mixture()
+            assert spy.call_count == pivots
+        assert (t == 0) is feasible
+        assert (t, alpha) == min_violation(columns)
 
-def min_violation(columns):
-    """min_violation_mixture on rational columns, each split as a product
-    cut holds it: a coprime integer direction times a positive unit (the
-    zero column is the zero direction with unit 1)."""
-    directions, units = [], []
-    for column in columns:
-        scale = math.lcm(*(F(v).denominator for v in column))
-        ints = [int(F(v) * scale) for v in column]
-        common = math.gcd(*ints) or scale  # a zero column's scale is 1
-        directions.append([v // common for v in ints])
-        units.append(F(common, scale))
-    return min_violation_mixture(directions, units)
+    def test_no_column(self):
+        program = exact_lp.MinViolation()
+        with mock.patch.object(exact_lp, "_pivot", wraps=exact_lp._pivot) as spy:
+            assert program.feasible() is False
+            assert program.feasible() is False
+        assert spy.call_count == 0
+        with pytest.raises(ValueError, match="at least one column"):
+            program.mixture()
 
 
 class TestMixtures:

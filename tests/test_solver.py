@@ -1,5 +1,6 @@
 """End-to-end solves: configs, certificates, fallbacks, product mode."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -27,6 +28,8 @@ from exactce import exact_lp, solver
 from exactce.ellipsoid import Outcome, iteration_bound
 from exactce.games import ProductDistribution
 from exactce.solver import probability_bit_bound, support_bound
+
+BENCHMARK = Path(__file__).resolve().parent.parent / "benchmark"
 
 F = Fraction
 
@@ -119,7 +122,7 @@ class TestBruteForce:
 
 
 class ColdVerdict:
-    """A reference verdict that decides every probe with a cold mixture LP."""
+    """A reference MinViolation that decides every probe with a cold mixture LP."""
 
     def __init__(self):
         self.columns = []
@@ -128,19 +131,19 @@ class ColdVerdict:
     def added(self):
         return len(self.columns)
 
-    def add(self, column):
-        self.columns.append(column)
+    def add(self, direction, unit=1):
+        self.columns.append([unit * v for v in direction])
 
     def feasible(self):
         return exact_lp.mixture_feasible(self.columns) is not None
 
 
 class AlwaysFeasible:
-    """A broken stand-in verdict that finds every probe feasible."""
+    """A broken stand-in MinViolation that finds every probe feasible."""
 
     added = 0
 
-    def add(self, column):
+    def add(self, direction, unit=1):
         pass
 
     def feasible(self):
@@ -279,16 +282,16 @@ class TestPurifiedSolve:
             "3x3-3-stride-3"])
     def test_cold_lp_only_for_the_probe_that_succeeds(self, family, players, actions,
                                                       seed, config):
-        # The incremental verdict alone decides each probe; the cold LP runs
-        # once, after the run, and yields the certificate. A verdict that
-        # decides every probe with a cold LP gives the same certificate and
-        # transcript.
+        # The incremental MinViolation alone decides each probe; the cold LP
+        # runs once, after the run, and yields the certificate. A stand-in
+        # that decides every probe with a cold LP gives the same certificate
+        # and transcript.
         g = random_game(family, players, actions, u_max=10, seed=seed)
         cold = exactce.exact_lp.try_feasible_bfs
         with mock.patch.object(solver, "try_feasible_bfs", wraps=cold) as spy:
             report = compute_exact_ce(g, config)
         assert spy.call_count == 1
-        with mock.patch.object(solver, "FeasibilityVerdict", ColdVerdict):
+        with mock.patch.object(solver, "MinViolation", ColdVerdict):
             reference = compute_exact_ce(g, config)
         assert report.certificate == reference.certificate
         assert report.transcript.to_jsonl() == reference.transcript.to_jsonl()
@@ -296,7 +299,7 @@ class TestPurifiedSolve:
     def test_feasible_verdict_without_certificate_raises(self):
         # seed 95's first profile column admits no distribution on its own
         g = random_game("polymatrix", 4, 3, u_max=10, seed=95)
-        with mock.patch.object(solver, "FeasibilityVerdict", AlwaysFeasible):
+        with mock.patch.object(solver, "MinViolation", AlwaysFeasible):
             with pytest.raises(SolverError, match="admit no distribution") as info:
                 compute_exact_ce(g)
         assert len(info.value.transcript.roster) == 1  # the run ended at its first probe
@@ -335,6 +338,17 @@ class TestPublicSurface:
     def test_traced_modules_are_attributes(self):
         for name in ("solver", "ellipsoid", "oracles"):
             assert getattr(exactce, name).__name__ == f"exactce.{name}"
+
+    def test_traced_call_sites_resolve(self):
+        # benchmark/run.py --trace wraps each of these where its caller looks
+        # it up, so a rename must fail here rather than in the traced run
+        spec = importlib.util.spec_from_file_location("tracing", BENCHMARK / "tracing.py")
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        points = tracing.wrap_points(exactce)
+        assert points
+        for owner, name, layer, _ in points:
+            assert callable(owner.__dict__[name]), (owner, name, layer)
 
 
 class TestProductSolve:
@@ -405,10 +419,10 @@ class TestProductSolve:
     ], ids=["nfg-3x2-3", "nfg-2x3-1"])
     def test_cold_mixture_only_for_the_probe_that_succeeds(self, family, players, actions,
                                                            seed, max_iters, calls):
-        # The verdict alone decides each mixture probe; the cold mixture LP
-        # runs once, after a feasible last probe, and its weights are the
-        # mixture. A verdict that decides every probe with a cold LP gives
-        # the same report.
+        # The incremental MinViolation alone decides each mixture probe; the
+        # cold mixture LP runs once, after a feasible last probe, and its
+        # weights are the mixture. A stand-in that decides every probe with a
+        # cold LP gives the same report.
         g = random_game(family, players, actions, u_max=10, seed=seed)
         config = SolveConfig(oracle="product", max_iters=max_iters, precision_bits=96)
         cold = exactce.exact_lp.mixture_feasible
@@ -416,7 +430,7 @@ class TestProductSolve:
             report = compute_exact_ce(g, config)
         assert spy.call_count == calls
         assert report.verified == (calls == 1)
-        with mock.patch.object(solver, "FeasibilityVerdict", ColdVerdict):
+        with mock.patch.object(solver, "MinViolation", ColdVerdict):
             reference = compute_exact_ce(g, config)
         assert report_without_wall(report) == report_without_wall(reference)
 
@@ -425,7 +439,7 @@ class TestProductSolve:
         # mixture LP contradicts is a bug, not a failed probe
         g = random_game("nfg", 2, 3, u_max=10, seed=1)
         config = SolveConfig(oracle="product", max_iters=60, precision_bits=96)
-        with mock.patch.object(solver, "FeasibilityVerdict", AlwaysFeasible):
+        with mock.patch.object(solver, "MinViolation", AlwaysFeasible):
             with pytest.raises(SolverError, match="mixture LP did not") as info:
                 compute_exact_ce(g, config)
         assert len(info.value.transcript.roster) == 1
