@@ -9,7 +9,7 @@ import os
 import sys
 from dataclasses import replace
 
-from .errors import GameFormatError, SolverError
+from .errors import CertificateError, GameFormatError, SolverError
 from .games import Game, check_random_setting, load_game_file, random_game, rational_text
 from .incentives import SparseCE, row_count, verify_ce
 from .oracles import TIE_BREAKS
@@ -167,7 +167,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     try:
         game = load_game_file(args.input)
         with open(args.ce, encoding="utf-8") as handle:
-            document = json.load(handle)
+            try:
+                document = json.load(handle)
+            except RecursionError as exc:
+                raise CertificateError("certificate is nested too deeply to decode") from exc
         ce = SparseCE.from_json(document)
         ce.check_profiles(game)
     except ValueError as exc:  # the format errors and JSON past the digit limit

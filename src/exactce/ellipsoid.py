@@ -177,22 +177,12 @@ def _round_dyadic(num: int, den: int, exp: int, bits: int) -> tuple[int, int]:
         shift += 1
 
 
-def _integer_direction(normal: Sequence[int | Fraction]) -> Sequence[int]:
-    """The normal scaled to coprime integers; the update ignores its scale.
-
-    An integer normal (every oracle cut's) goes straight to the gcd;
-    math.gcd refuses anything else, which then takes the rational path.
-    """
-    try:
-        ints, common = normal, math.gcd(*normal)
-    except TypeError:
-        values = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in normal]
-        scale = math.lcm(*(v.denominator for v in values))
-        ints = [v.numerator * (scale // v.denominator) for v in values]
-        common = math.gcd(*ints)
+def _integer_direction(normal: Sequence[int]) -> Sequence[int]:
+    """The integer normal over the gcd of its entries; the update ignores its scale."""
+    common = math.gcd(*normal)
     if common == 0:
         raise ValueError("cut normal must be nonzero")
-    return ints if common == 1 else [v // common for v in ints]
+    return normal if common == 1 else [v // common for v in normal]
 
 
 def _fractions(pairs: Sequence[tuple[int, int]]) -> tuple[Fraction, ...]:
@@ -288,7 +278,7 @@ class EllipsoidState:
         return _log_unit_ball_volume(self.dimension) + self.log_det() / 2
 
 
-def update(state: EllipsoidState, normal: Sequence[int | Fraction]) -> EllipsoidState:
+def update(state: EllipsoidState, normal: Sequence[int]) -> EllipsoidState:
     """Minimal-volume ellipsoid containing the half with normal . z <= normal . center.
 
     Scale-invariant in the normal. The new shape

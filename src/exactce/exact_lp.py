@@ -18,27 +18,28 @@ whose vertex is the certificate or the mixture, so neither depends on the
 probes' pivot path. When the product oracle's last probe failed,
 min_violation_mixture reads (t, alpha) from a fresh MinViolation instead.
 
-The tableau holds Python integers, not fractions. Each column j of the
-constraint matrix, and the right-hand side, is multiplied by the lcm s_j of
-that column's own denominators, which makes it integral; profile columns are
-integral already, so s_j is 1 for them. A product cut comes split as
-unit * direction, with coprime integer entries in direction, and
-MinViolation takes it in that form: s_j is the unit's denominator,
-which is that lcm, and the scaled entries are the direction times the unit's
-numerator, so no column is split or scaled again. Pivots follow Edmonds and
-Bareiss, as in Avis's lrs: the stored rows are D times the scaled program's
-rational tableau, where D > 0 is the absolute determinant of the basis, and a
-pivot on entry p sets T_i <- (p*T_i - T_i[e]*T_r) // D and D <- p. The division
-is exact, so no gcd is ever taken. Scaling column j scales its reduced cost
-by s_j and leaves every ratio of the ratio test in proportion, so ranking
-candidates by cost[j] / s_j (cross-multiplied) and comparing ratios the same
-way chooses exactly the pivots a Fraction tableau of the unscaled program
-would choose. The returned vertex is therefore the same one, rational entry
-for rational entry; the test suite keeps that Fraction simplex as the
-reference and checks the two agree. One lcm over the whole matrix would also
-make it integral, but on the product oracle's dense mixture columns, whose
-denominators differ from column to column, it inflates every entry; one scale
-per column keeps the integers small.
+The tableau holds Python integers, not fractions. Every program takes
+integer columns with one positive scale s_j each: column j of the rational
+program is the integer column over s_j, and the right-hand side is integral.
+Profile columns are integral, so their s_j is 1. A product cut comes split as
+unit * direction, with coprime integer entries in direction, and its column
+is the direction times the unit's numerator, with s_j the unit's
+denominator; a balance equation's column is its integer rates over the
+rates' denominator. No column is split or scaled again. Pivots follow
+Edmonds and Bareiss, as in Avis's lrs: the stored rows are D times the
+integer program's rational tableau, where D > 0 is the absolute determinant
+of the basis, and a pivot on entry p sets T_i <- (p*T_i - T_i[e]*T_r) // D
+and D <- p. The division is exact, so no gcd is ever taken. Scaling column j
+by s_j scales its reduced cost by s_j and leaves every ratio of the ratio
+test in proportion, so ranking candidates by cost[j] / s_j
+(cross-multiplied) and comparing ratios the same way chooses exactly the
+pivots a Fraction tableau of the rational program would choose, whatever
+positive s_j a caller picks. The returned vertex is therefore the same one,
+rational entry for rational entry; the test suite keeps that Fraction
+simplex as the reference and checks the two agree. One common scale for the
+whole matrix would also do, but on the product oracle's dense mixture
+columns, whose units differ from column to column, it inflates every entry;
+one scale per column keeps the integers small.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from numbers import Rational
 from typing import Sequence
 
@@ -66,7 +66,8 @@ def _pivot_budget(m: int, n: int) -> int:
 
 @dataclass
 class _Tableau:
-    """Integer tableau: the rational tableau of the scaled program is rows / det.
+    """Integer tableau: rows / det is the rational tableau of the integer
+    program, whose column j is scale[j] times the rational program's.
 
     Each row holds the n real columns followed by the right-hand side.
     solve_standard_form never reads its artificial columns, so it does not
@@ -163,42 +164,26 @@ def _run_simplex(tab: _Tableau, cost: list[int], scale: list[int]) -> str:
         pivots += 1
 
 
-def _column_scales(rows: Sequence[Sequence[Rational]], n: int) -> list[int]:
-    """Per column, the lcm of its denominators: the least scale making it integral."""
-    scale = [1] * n
-    for row in rows:
-        for j, v in enumerate(row):
-            d = v.denominator
-            if d != 1:
-                scale[j] = lcm(scale[j], d)
-    return scale
-
-
 def solve_standard_form(
-    rows: Sequence[Sequence[Rational]],
-    rhs: Sequence[Rational],
-    objective: Sequence[Rational] | None = None,
+    rows: Sequence[Sequence[int]],
+    rhs: Sequence[int],
+    scale: Sequence[int],
+    objective: Sequence[int] | None = None,
 ) -> tuple[str, list[Fraction] | None]:
-    """Solve min objective . x subject to rows . x = rhs, x >= 0.
+    """Solve min objective . x subject to A x = rhs, x >= 0, A[i][j] = rows[i][j] / scale[j].
 
-    Returns (status, x) with status one of "optimal", "infeasible",
-    "unbounded". With objective None this is a pure feasibility solve and any
-    basic feasible point is returned. The returned x is always a vertex of the
-    feasible region (positive entries have linearly independent columns).
-    Entries may be ints or Fractions.
+    rows, rhs and objective hold integers and every scale[j] is positive;
+    objective[j] is the cost of x_j. Returns (status, x) with status one of
+    "optimal", "infeasible", "unbounded". With objective None this is a pure
+    feasibility solve and any basic feasible point is returned. The returned
+    x is always a vertex of the feasible region (positive entries have
+    linearly independent columns).
     """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    scale = _column_scales(rows, n)
-    rhs_scale = lcm(*(b.denominator for b in rhs))
+    m, n = len(rows), len(scale)
     tableau = []
-    for i in range(m):
-        row = [v.numerator * (s // v.denominator) for v, s in zip(rows[i], scale)]
-        b = rhs[i]
-        row.append(b.numerator * (rhs_scale // b.denominator))
-        if b < 0:
-            row = [-v for v in row]
-        tableau.append(row)
+    for row, b in zip(rows, rhs):
+        row = [*row, b]
+        tableau.append([-v for v in row] if b < 0 else row)
     tab = _Tableau(rows=tableau, basis=list(range(n, n + m)))
 
     # Phase 1: minimize the artificial total. Reduced costs start at
@@ -224,10 +209,8 @@ def solve_standard_form(
         del tab.basis[i]
 
     if objective is not None:
-        # scale the objective like its columns, then clear its denominators
-        weighted = [Fraction(c) * s for c, s in zip(objective, scale)]
-        common = lcm(*(w.denominator for w in weighted))
-        obj = [w.numerator * (common // w.denominator) for w in weighted]
+        # x_j is scale[j] times the tableau's variable, so its cost scales too
+        obj = [c * s for c, s in zip(objective, scale)]
         cost = [tab.det * c for c in obj]
         for row, var in zip(tab.rows, tab.basis):
             factor = obj[var]
@@ -237,11 +220,10 @@ def solve_standard_form(
         if _run_simplex(tab, cost, scale) == "unbounded":
             return "unbounded", None
 
-    denominator = tab.det * rhs_scale
     solution = [ZERO] * n
     for row, var in zip(tab.rows, tab.basis):
         if var < n:
-            solution[var] = Fraction(row[-1] * scale[var], denominator)
+            solution[var] = Fraction(row[-1] * scale[var], tab.det)
     return "optimal", solution
 
 
@@ -371,26 +353,6 @@ class CutLP:
     columns: tuple[IncentiveColumn, ...]
 
 
-def _standard_rows_for(dense_columns: Sequence[Sequence[Rational]]):
-    """Equalities for {cols . x >= 0, sum x = 1} with surplus variables.
-
-    Identically zero rows are vacuous and skipped. Variables are the column
-    weights followed by one surplus per kept row; the sum row comes last.
-    """
-    n_cols = len(dense_columns)
-    n_rows = len(dense_columns[0])
-    kept = [r for r in range(n_rows) if any(col[r] for col in dense_columns)]
-    rows = []
-    for k, r in enumerate(kept):
-        row = [col[r] for col in dense_columns]
-        row += [0] * len(kept)
-        row[n_cols + k] = -1
-        rows.append(row)
-    rows.append([1] * n_cols + [0] * len(kept))
-    rhs = [0] * len(kept) + [1]
-    return rows, rhs, n_cols
-
-
 def try_feasible_bfs(lp: CutLP) -> SparseCE | None:
     """Basic feasible solution of the cut program as a sparse certificate.
 
@@ -398,7 +360,7 @@ def try_feasible_bfs(lp: CutLP) -> SparseCE | None:
     support is at most 1 plus the number of off-diagonal incentive rows,
     regardless of how many columns were collected.
     """
-    weights = mixture_feasible([col.dense() for col in lp.columns])
+    weights = mixture_feasible([col.dense() for col in lp.columns], [1] * len(lp.columns))
     if weights is None:
         return None
     atoms = tuple(
@@ -410,13 +372,19 @@ def try_feasible_bfs(lp: CutLP) -> SparseCE | None:
 # ---------- small exact systems used by the oracles ----------
 
 
-def stationary_distribution(rates: Sequence[Sequence[Fraction]]) -> tuple[Fraction, ...]:
-    """Vertex solution of the balance equations of a finite rate matrix.
+def stationary_distribution(
+    rates: Sequence[Sequence[int]], denominator: int
+) -> tuple[Fraction, ...]:
+    """Vertex solution of the balance equations of the rates rates[i][j] / denominator.
 
-    rates[i][j] is the flow rate from state i to state j (diagonal ignored).
-    Solves {x >= 0, sum x = 1, inflow = outflow at every state} by the
-    phase-1 simplex, so the selected stationary distribution is canonical:
-    Bland's rule makes it deterministic in the input.
+    rates[i][j] is the integer flow rate from state i to state j, over the
+    positive denominator (diagonal ignored). Solves {x >= 0, sum x = 1,
+    inflow = outflow at every state} with solve_standard_form. Its entering
+    rule, largest improvement until the pivot budget is spent and Bland's
+    rule after that, is deterministic either way, so the selected stationary
+    distribution is a pure function of the input. State i's column is its
+    rates with its negated outflow on the diagonal and denominator in the sum
+    row, all over the column scale denominator.
 
     The oracles call it only as the fallback for chains with several closed
     classes, where the stationary distribution is not unique; a chain with
@@ -426,29 +394,38 @@ def stationary_distribution(rates: Sequence[Sequence[Fraction]]) -> tuple[Fracti
     m = len(rates)
     if m == 1:
         return (ONE,)
-    rows = []
+    rows = [[rates[i][j] for i in range(m)] for j in range(m)]
     for j in range(m):
-        row = [ZERO] * m
-        for i in range(m):
-            if i != j:
-                row[i] = Fraction(rates[i][j])
-        row[j] -= sum((Fraction(rates[j][k]) for k in range(m) if k != j), ZERO)
-        rows.append(row)
-    rows.append([ONE] * m)
-    rhs = [ZERO] * m + [ONE]
-    status, solution = solve_standard_form(rows, rhs)
+        rows[j][j] = -sum(rates[j][k] for k in range(m) if k != j)
+    rows.append([denominator] * m)
+    status, solution = solve_standard_form(rows, [0] * m + [1], [denominator] * m)
     if status != "optimal":
         raise RuntimeError("balance system unexpectedly infeasible")
     return tuple(solution)
 
 
-def mixture_feasible(dense_columns: Sequence[Sequence[Fraction]]) -> list[Fraction] | None:
-    """Weights alpha >= 0 summing to 1 with sum_k alpha_k col_k >= 0, if any."""
-    cols = [list(c) for c in dense_columns]
-    if not cols:
+def mixture_feasible(
+    directions: Sequence[Sequence[int]], units: Sequence[Rational]
+) -> list[Fraction] | None:
+    """Weights alpha >= 0 summing to 1 with sum_k alpha_k units[k] directions[k] >= 0, if any.
+
+    The columns take the form min_violation_mixture takes. Rows that every
+    direction leaves zero are vacuous and skipped. The variables are the
+    weights, each column scaled by its unit's denominator, then one surplus
+    per kept row; the sum row comes last.
+    """
+    if not directions:
         return None
-    rows, rhs, n_cols = _standard_rows_for(cols)
-    status, solution = solve_standard_form(rows, rhs)
+    kept = [r for r in range(len(directions[0])) if any(d[r] for d in directions)]
+    n_cols = len(directions)
+    rows = []
+    for k, r in enumerate(kept):
+        row = [d[r] * u.numerator for d, u in zip(directions, units)] + [0] * len(kept)
+        row[n_cols + k] = -1
+        rows.append(row)
+    rows.append([u.denominator for u in units] + [0] * len(kept))
+    scale = [u.denominator for u in units] + [1] * len(kept)
+    status, solution = solve_standard_form(rows, [0] * len(kept) + [1], scale)
     if status != "optimal":
         return None
     return solution[:n_cols]

@@ -590,6 +590,8 @@ def load_game(document: dict | str) -> Game:
             document = json.loads(document)
         except ValueError as exc:  # an int literal past the digit limit too
             raise GameFormatError(f"not valid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise GameFormatError("not valid JSON: nested too deeply to decode") from exc
     if not isinstance(document, dict):
         raise GameFormatError("game document must be a JSON object")
     kind = document.get("type")

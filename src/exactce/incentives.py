@@ -128,9 +128,6 @@ class RowValues(NamedTuple):
     direction: tuple[int, ...]
     unit: Fraction
 
-    def fractions(self) -> list[Fraction]:
-        return [self.unit * v for v in self.direction]
-
 
 def incentive_row_values(game: Game, x: ProductDistribution) -> RowValues:
     """Expected value of every incentive row when play follows the product x.

@@ -15,9 +15,10 @@ unit * normal . y <= rhs with an integer normal and a positive rational unit:
 * ProductCut (product mode): the constraint induced by the product
   distribution itself, skipping the rounding step: its row values, the
   x-weighted mix of the profile rows. They are split once into a coprime
-  integer direction, the normal, and the unit (incentives.RowValues), so
-  the violation, the ellipsoid update, the probe verdict and the mixture
-  program all read integers.
+  integer direction, the normal, and the unit (incentives.RowValues), and
+  kept in that form: the violation, the ellipsoid update, the probe verdict
+  and both mixture programs read the direction and the unit, and no Fraction
+  row is ever formed.
 
 Every oracle reads y as one integer vector over one positive denominator,
 y = Y / L (IntegerPoint). The ellipsoid hands its center over in that form,
@@ -33,8 +34,8 @@ theorem (Leighton and Rivest, 1986): action i gets the determinant of the
 rate Laplacian with row and column i deleted. A positive total means one
 closed class, hence a unique stationary distribution, which is the weights
 over their total. Only a block with several closed classes goes to the
-simplex (exact_lp.stationary_distribution), whose Bland-rule vertex then
-picks one.
+simplex (exact_lp.stationary_distribution) on the same integer rates,
+whose vertex then picks one.
 
 The rounding holds V as one Python integer (DualValue). x is scaled by the
 lcm D of its denominators, kept for the whole rounding, so every term of V
@@ -144,11 +145,6 @@ class ProductCut:
     kind = "product"
     rhs = Fraction(-1)
 
-    @property
-    def values(self) -> tuple[Fraction, ...]:
-        """The row values as Fractions."""
-        return tuple(self.unit * v for v in self.direction)
-
     def normal(self) -> tuple[int, ...]:
         return self.direction
 
@@ -252,14 +248,14 @@ def stationary_block(rates: list[list[int]], denominator: int) -> tuple[Fraction
     A positive tree-weight total means one closed class. The balance
     equations then have one solution, the weights over their total, which is
     the simplex's vertex too. A zero total means several closed classes, and
-    only then is the simplex run on the rational rates, so that its
-    Bland-rule vertex picks among the stationary distributions as before.
+    only then is the simplex run, on the same integer rates, so that its
+    vertex picks among the stationary distributions.
     """
     weights = _tree_weights(rates)
     total = sum(weights)
     if total:
         return tuple(Fraction(w, total) for w in weights)
-    return stationary_distribution([[Fraction(r, denominator) for r in row] for row in rates])
+    return stationary_distribution(rates, denominator)
 
 
 def _rate_blocks(game: Game, point: IntegerPoint) -> list[list[list[int]]]:

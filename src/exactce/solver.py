@@ -273,7 +273,8 @@ def _mixture(transcript: Transcript, feasible: bool) -> ProductMixture:
     if not roster:
         raise SolverError("no product cuts were collected", transcript)
     if feasible:
-        t, alpha = Fraction(0), mixture_feasible([cut.values for cut in roster])
+        t, alpha = Fraction(0), mixture_feasible([cut.direction for cut in roster],
+                                                 [cut.unit for cut in roster])
         if alpha is None:
             raise SolverError(
                 "the verdict found the collected cuts feasible but the mixture LP did not",

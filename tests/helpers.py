@@ -8,6 +8,7 @@ shortcuts, so package results can be checked against a second opinion.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -401,6 +402,75 @@ def reference_solve_standard_form(rows, rhs, objective=None, budget=reference_pi
         if var < n:
             solution[var] = tableau[i][-1]
     return "optimal", solution
+
+
+def split_program(rows, rhs, objective=None):
+    """The rational program min objective . x, rows . x = rhs, x >= 0, as the
+    integer arguments (rows, rhs, scale, objective) of solve_standard_form.
+
+    Every row is first multiplied by the lcm of the rhs denominators, which
+    makes rhs integral; one positive factor on every row changes neither the
+    rational tableau nor any pivot. Column j is then its entries times
+    scale[j], the lcm of its denominators, and the objective is multiplied by
+    the lcm of its own denominators, which changes no pivot either.
+    """
+    common = math.lcm(*(Fraction(b).denominator for b in rhs))
+    scaled = [[Fraction(v) * common for v in row] for row in rows]
+    n = len(rows[0]) if rows else 0
+    scale = [math.lcm(*(row[j].denominator for row in scaled)) for j in range(n)]
+    int_rows = [[int(v * s) for v, s in zip(row, scale)] for row in scaled]
+    int_rhs = [int(Fraction(b) * common) for b in rhs]
+    if objective is not None:
+        factor = math.lcm(*(Fraction(c).denominator for c in objective))
+        objective = [int(Fraction(c) * factor) for c in objective]
+    return int_rows, int_rhs, scale, objective
+
+
+def split_column(values):
+    """A rational vector as a product cut holds it: a coprime integer direction
+    times a positive unit (the zero vector is the zero direction with unit 1)."""
+    scale = math.lcm(*(Fraction(v).denominator for v in values))
+    ints = [int(Fraction(v) * scale) for v in values]
+    common = math.gcd(*ints) or scale  # a zero vector's unit is 1
+    return [v // common for v in ints], Fraction(common, scale)
+
+
+def unit_values(split) -> list[Fraction]:
+    """The rational vector unit * direction of a RowValues or a ProductCut."""
+    return [split.unit * v for v in split.direction]
+
+
+def reference_mixture_feasible(columns):
+    """alpha >= 0 summing to 1 with sum_k alpha_k col_k >= 0 rowwise, or None.
+
+    Weights, then one surplus per row that some column touches, with the sum
+    row last, through reference_solve_standard_form.
+    """
+    n_cols = len(columns)
+    kept = [r for r in range(len(columns[0])) if any(col[r] for col in columns)]
+    rows = []
+    for k, r in enumerate(kept):
+        surplus = [ZERO] * len(kept)
+        surplus[k] = -ONE
+        rows.append([Fraction(col[r]) for col in columns] + surplus)
+    rows.append([ONE] * n_cols + [ZERO] * len(kept))
+    status, solution = reference_solve_standard_form(rows, [ZERO] * len(kept) + [ONE])
+    return solution[:n_cols] if status == "optimal" else None
+
+
+def reference_stationary_distribution(rates, denominator):
+    """The balance equations of the rates rates[i][j] / denominator (diagonal
+    ignored) with the sum row last, through reference_solve_standard_form."""
+    m = len(rates)
+    rows = []
+    for j in range(m):
+        row = [Fraction(rates[i][j], denominator) if i != j else ZERO for i in range(m)]
+        row[j] = -sum((Fraction(rates[j][k], denominator) for k in range(m) if k != j), ZERO)
+        rows.append(row)
+    rows.append([ONE] * m)
+    status, solution = reference_solve_standard_form(rows, [ZERO] * m + [ONE])
+    assert status == "optimal"
+    return tuple(solution)
 
 
 def reference_min_violation_mixture(columns):

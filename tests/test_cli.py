@@ -12,6 +12,7 @@ import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -392,6 +393,27 @@ class TestExitCodes:
         assert run_cli("verify", "--input", str(gen_game(tmp_path)), "--ce", str(ce)) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("command, deep_flag", [
+        ("solve", "--input"), ("verify", "--input"), ("verify", "--ce"),
+    ], ids=["solve-input", "verify-input", "verify-ce"])
+    def test_deeply_nested_json_exits_2(self, tmp_path, capsys, command, deep_flag):
+        # the JSON decoder gives up on deep nesting with a RecursionError,
+        # which is not a ValueError
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200000 + "]" * 200000)
+        ce = tmp_path / "ce.json"
+        ce.write_text(json.dumps({"atoms": [{"profile": [0, 0], "prob": 1}]}))
+        paths = {"--input": str(gen_game(tmp_path)), "--ce": str(ce), deep_flag: str(deep)}
+        argv = [command, "--input", paths["--input"]]
+        if command == "verify":
+            argv += ["--ce", paths["--ce"]]
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert sum(line.startswith("error:") for line in lines) == 1, lines
+        assert "nested too deeply" in lines[-1]
+
     @pytest.mark.parametrize("command, number", [
         ("verify", "1" + "0" * 4400),  # a JSON int literal past the digit limit
         ("verify", '"1e5000"'),  # fine to build, but its sum cannot be printed
@@ -475,33 +497,50 @@ JSON_VALUES = st.recursive(
 )
 
 
+class Mutations(NamedTuple):
+    """What mutated draws for one kind of document."""
+
+    leaf: st.SearchStrategy  # a leaf's replacement, mostly of the same kind
+    values: st.SearchStrategy  # any JSON value
+    new_keys: list  # keys an added entry gets
+    lead_keys: tuple  # keys to descend into first
+
+
+GAME_MUTATIONS = Mutations(
+    leaf=st.one_of(st.integers(-3, 40), st.sampled_from(["3/2", "-1/3", "0.75"]),
+                   JSON_VALUES),
+    values=JSON_VALUES,
+    new_keys=["x", "edges", "payoffs", "p"],
+    # hypothesis leans to the first choice: the payoff tables, not the header
+    lead_keys=("payoffs", "edges", "matrix"),
+)
+
+
 @st.composite
-def mutated(draw, node):
+def mutated(draw, node, how=GAME_MUTATIONS):
     """node with one change somewhere inside it: a value replaced, or a key
     or an element dropped or added."""
     if not isinstance(node, (dict, list)) or not node:
         # mostly a value of the same kind, so that many documents still load
-        return draw(st.one_of(st.integers(-3, 40), st.sampled_from(["3/2", "-1/3", "0.75"]),
-                              JSON_VALUES))
+        return draw(how.leaf)
     move = draw(st.sampled_from(["descend"] * 6 + ["replace", "drop", "add"]))
     if move == "replace":
-        return draw(JSON_VALUES)
+        return draw(how.values)
     if move == "add":
         if isinstance(node, dict):
-            node[draw(st.sampled_from(["x", "edges", "payoffs", "p"]))] = draw(JSON_VALUES)
+            node[draw(st.sampled_from(how.new_keys))] = draw(how.values)
         else:
-            node.insert(draw(st.integers(0, len(node))), draw(JSON_VALUES))
+            node.insert(draw(st.integers(0, len(node))), draw(how.values))
         return node
     if isinstance(node, dict):
-        # hypothesis leans to the first choice: the payoff tables, not the header
-        keys = sorted(node, key=lambda k: k not in ("payoffs", "edges", "matrix"))
+        keys = sorted(node, key=lambda k: k not in how.lead_keys)
     else:
         keys = range(len(node))
     key = draw(st.sampled_from(keys))
     if move == "drop":
         del node[key]
     else:
-        node[key] = draw(mutated(node[key]))
+        node[key] = draw(mutated(node[key], how))
     return node
 
 
@@ -511,6 +550,53 @@ def mutated_documents(draw):
     for _ in range(draw(st.integers(1, 2))):
         document = draw(mutated(document))
     return document
+
+
+CE_VALUES = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), st.integers(-3, 3), st.integers(), st.floats(),
+        st.text(max_size=6),
+        st.sampled_from(["1/2", "-1/2", "1/3", "2/3", "1/0", "0.5", "-0", "1e3000",
+                         "-1e3000", "1e-3000", "2e5000", "-2e5000", "nan"]),
+    ),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.sampled_from(["atoms", "profile", "prob", "x"]), inner, max_size=3),
+    max_leaves=8,
+)
+
+CE_MUTATIONS = Mutations(
+    leaf=st.one_of(st.integers(-1, 3), st.sampled_from(["1/2", "-1/2", "1/3", "3/4"]),
+                   CE_VALUES),
+    values=CE_VALUES,
+    new_keys=["atoms", "profile", "prob", "x"],
+    lead_keys=("atoms",),
+)
+
+
+def fuzz_certificate_bases():
+    """(game document, certificate document) pairs: solved small games and
+    one hand-written certificate that is a distribution but no equilibrium."""
+    bases = []
+    for family, players, seed in [("nfg", 2, 0), ("polymatrix", 3, 2)]:
+        game = random_game(family, players, 2, u_max=10, seed=seed)
+        ce = compute_exact_ce(game).certificate
+        bases.append((game.to_document(), ce.to_json()))
+    game = random_game("nfg", 2, 2, u_max=10, seed=0).to_document()
+    bases.append((game, {"atoms": [{"profile": [0, 0], "prob": "1/2"},
+                                   {"profile": [1, 1], "prob": "1/2"}]}))
+    return bases
+
+
+FUZZ_CERTIFICATE_BASES = fuzz_certificate_bases()
+
+
+@st.composite
+def mutated_certificates(draw):
+    game, document = draw(st.sampled_from(FUZZ_CERTIFICATE_BASES))
+    document = copy.deepcopy(document)
+    for _ in range(draw(st.integers(1, 2))):
+        document = draw(mutated(document, CE_MUTATIONS))
+    return game, document
 
 
 class TestFuzz:
@@ -537,6 +623,33 @@ class TestFuzz:
         assert loaded or code == 2
         lines = err.getvalue().splitlines()
         assert "Traceback" not in err.getvalue()
+        assert sum(line.startswith("error:") for line in lines) == (code == 2), lines
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(mutated_certificates())
+    def test_mutated_certificates_exit_0_1_or_2(self, case):
+        # exit 1 says the certificate was read and is no equilibrium, so it
+        # needs a document the certificate parser accepts; any other failure
+        # is exit 2 with one error line, and an escaping exception fails the
+        # test with its traceback
+        game, document = case
+        try:
+            SparseCE.from_json(copy.deepcopy(document))
+            parsed = True
+        except ValueError:
+            parsed = False
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = {name: os.path.join(tmp, f"{name}.json") for name in ("game", "ce")}
+            for name, content in (("game", game), ("ce", document)):
+                with open(paths[name], "w", encoding="utf-8") as handle:
+                    json.dump(content, handle)
+            with contextlib.redirect_stderr(err):
+                code = run_cli("verify", "--input", paths["game"], "--ce", paths["ce"])
+        assert code in (0, 1, 2)
+        assert parsed or code != 1
+        assert "Traceback" not in err.getvalue()
+        lines = err.getvalue().splitlines()
         assert sum(line.startswith("error:") for line in lines) == (code == 2), lines
 
 

@@ -65,7 +65,7 @@ class TestConversions:
         snap = state.snapshot()
         assert snap == (F(0), F(0), F(0))
         assert all(row[i] == F(2) ** 8 for i, row in enumerate(state.shape_matrix()))
-        after = update(state, [F(1), F(2, 3), F(-1)])
+        after = update(state, [3, 2, -3])
         for value, (man, exp) in zip(after.snapshot(), after.center):
             assert value == man * F(2) ** exp
             assert value.denominator & (value.denominator - 1) == 0
@@ -96,14 +96,14 @@ class TestInitialBall:
 class TestUpdate:
     def test_one_dimensional_halving_is_exact(self):
         state = EllipsoidState.initial_ball(1, 3.0, 128)
-        after = update(state, [F(1)])
+        after = update(state, [1])
         assert after.snapshot() == (F(-4),)  # center moves by r/2 = 4
         assert after.shape_matrix() == ((F(16),),)  # (r/2)^2
         assert after.iteration == 1
 
     def test_two_dimensional_hand_values(self):
         state = EllipsoidState.initial_ball(2, 0.0, 256)
-        after = update(state, [F(1), F(0)])
+        after = update(state, [1, 0])
         tol = F(1, 2**200)
         center = after.snapshot()
         assert abs(center[0] + F(1, 3)) <= tol and center[1] == 0
@@ -115,15 +115,15 @@ class TestUpdate:
     def test_rejects_bad_normals(self):
         state = EllipsoidState.initial_ball(2, 0.0, 128)
         with pytest.raises(ValueError):
-            update(state, [F(1)])
+            update(state, [1])
         with pytest.raises(ValueError):
-            update(state, [F(0), F(0)])
+            update(state, [0, 0])
 
     def test_volume_drop_matches_closed_form(self):
         for n in range(1, 7):
             state = EllipsoidState.initial_ball(n, 0.0, 256)
-            normal = [F(0)] * n
-            normal[0] = F(1)
+            normal = [0] * n
+            normal[0] = 1
             after = update(state, normal)
             drop = (state.log_det() - after.log_det()) / 2.0
             assert drop == pytest.approx(expected_drop(n), abs=1e-9)
@@ -132,7 +132,7 @@ class TestUpdate:
     def test_scale_equivariance_for_power_of_two_radii(self):
         # doubling the radius scales every iterate exactly: centers by 2,
         # shape entries by 4; fixed-point rounding commutes with the shift
-        cuts = [[F(1), F(0)], [F(0), F(1)], [F(-1), F(2)], [F(3), F(1)]]
+        cuts = [[1, 0], [0, 1], [-1, 2], [3, 1]]
         small = EllipsoidState.initial_ball(2, 5.0, 192)
         large = EllipsoidState.initial_ball(2, 6.0, 192)
         for normal in cuts:
@@ -218,6 +218,12 @@ def is_positive_definite(matrix):
     return len(pivots) == len(matrix) and pivots[-1] > 0
 
 
+def integer_normal(values):
+    """A rational normal times the lcm of its denominators."""
+    scale = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values]
+
+
 @st.composite
 def update_chains(draw):
     n = draw(st.integers(1, 8))
@@ -230,13 +236,14 @@ def update_chains(draw):
         st.sampled_from([999.5, 1063.0]),
     ))
     sparse = st.integers(0, n - 1).map(
-        lambda i: [F(-1) if j == i else F(0) for j in range(n)])
+        lambda i: [-1 if j == i else 0 for j in range(n)])
     entries = st.one_of(
         st.integers(-20, 20).map(F),
         st.builds(F, st.integers(-60, 60), st.integers(1, 12)),
         st.integers(-(2**400), 2**400).map(F),  # a . P a far wider than the step
     )
-    dense = st.lists(entries, min_size=n, max_size=n).filter(any)
+    # a rational normal, scaled to integers as every cut's normal is
+    dense = st.lists(entries, min_size=n, max_size=n).filter(any).map(integer_normal)
     # a central cut multiplies the condition number by at most
     # (n + 1) / (n - 1) <= 3, so short chains keep it far below 2**bits
     cuts = draw(st.lists(st.one_of(sparse, dense), min_size=1,
@@ -292,20 +299,20 @@ class TestFixedPointUpdate:
     def test_nonnegativity_cut_keeps_later_columns(self, n):
         # u = L^T (-e_k) vanishes past k, so no column after k is rewritten
         state = EllipsoidState.initial_ball(n, 10.0, 96)
-        for normal in ([F(j + 1, 3) for j in range(n)], [F(1)] * (n - 1) + [F(-2)]):
+        for normal in ([j + 1 for j in range(n)], [1] * (n - 1) + [-2]):
             state = update(state, normal)
         assert all(any(col) for col in state.columns[:-1])
         for k in range(n):
-            after = update(state, [F(-1) if j == k else F(0) for j in range(n)])
+            after = update(state, [-1 if j == k else 0 for j in range(n)])
             assert after.columns[k + 1:] == state.columns[k + 1:]
 
     @pytest.mark.parametrize("n, log2_radius, bits", [(2, 40.0, 16), (3, 1063.0, 256)])
     def test_radius_beyond_the_step_fraction(self, n, log2_radius, bits):
         # the initial center is all zeros and the axis exponents exceed the
         # step's fractional bits, so the step is shifted left onto them
-        for first in ([F(j + 1, 3) for j in range(n)], [F(-1)] + [F(0)] * (n - 1)):
+        for first in ([j + 1 for j in range(n)], [-1] + [0] * (n - 1)):
             state = EllipsoidState.initial_ball(n, log2_radius, bits)
-            for normal in (first, [F(0)] * (n - 1) + [F(-1)], [F(2)] * n):
+            for normal in (first, [0] * (n - 1) + [-1], [2] * n):
                 state = checked_update(state, normal)
 
 
@@ -329,7 +336,7 @@ class TestIntegerCenter:
         # coordinates the sparse cuts leave alone stay exactly zero
         state = EllipsoidState.initial_ball(3, 1063.0, 64)
         for k in (0, 2):
-            state = update(state, [F(-1) if j == k else F(0) for j in range(3)])
+            state = update(state, [-1 if j == k else 0 for j in range(3)])
         assert all(exp > 0 for man, exp in state.center if man)
         point = state.integer_center()
         assert point.denominator == 1
@@ -395,7 +402,7 @@ class TestParams:
 class TestRunLoop:
     def test_unviolated_cut_is_rejected(self):
         # a constraint satisfied at the query point means the oracle lied
-        oracle = lambda y: FakeCut((F(1), F(0)), rhs=F(1))
+        oracle = lambda y: FakeCut((1, 0), rhs=F(1))
         with pytest.raises(SolverError) as info:
             run(2, EllipsoidParams.practical(2.0, 10, 128), oracle)
         assert info.value.transcript is not None
@@ -415,7 +422,7 @@ class TestRunLoop:
 
         def oracle(y):
             flip["sign"] = -flip.get("sign", -1)
-            return FakeCut((F(flip["sign"]), F(0)), rhs=F(-1))
+            return FakeCut((flip["sign"], 0), rhs=F(-1))
 
         result = run(2, EllipsoidParams.practical(0.0, 7, 128), oracle)
         assert result.outcome is Outcome.ITERATION_CAP_REACHED
@@ -430,7 +437,7 @@ class TestRunLoop:
 
         def oracle(y):
             flip["sign"] = -flip.get("sign", -1)
-            return FakeCut((F(flip["sign"]), F(0)), rhs=F(-1))
+            return FakeCut((flip["sign"], 0), rhs=F(-1))
 
         result = run(2, params, oracle)
         assert result.outcome is Outcome.INFEASIBLE_OR_SHALLOW

@@ -31,59 +31,62 @@ from exactce.incentives import profile_column
 F = Fraction
 
 
-def frac_rows(rows):
-    return [[F(v) for v in row] for row in rows]
+def solve(rows, rhs, objective=None):
+    """solve_standard_form on a rational program, split into integer columns."""
+    return solve_standard_form(*helpers.split_program(rows, rhs, objective))
 
 
 class TestSolveStandardForm:
     def test_simple_feasible(self):
-        status, x = solve_standard_form(frac_rows([[1, 1]]), [F(1)])
+        status, x = solve_standard_form([[1, 1]], [1], [1, 1])
         assert status == "optimal"
         assert sum(x) == 1 and all(v >= 0 for v in x)
 
     def test_infeasible_pair(self):
-        rows = frac_rows([[1, 1], [1, 1]])
-        status, x = solve_standard_form(rows, [F(1), F(3)])
+        status, x = solve_standard_form([[1, 1], [1, 1]], [1, 3], [1, 1])
         assert status == "infeasible" and x is None
 
     def test_zero_row_infeasible(self):
-        status, x = solve_standard_form(frac_rows([[0, 0]]), [F(1)])
+        status, x = solve_standard_form([[0, 0]], [1], [1, 1])
         assert status == "infeasible" and x is None
 
     def test_unbounded(self):
         # min -x1 with x1 - x2 = 0 lets both grow without bound
-        status, x = solve_standard_form(
-            frac_rows([[1, -1]]), [F(0)], objective=[F(-1), F(0)])
+        status, x = solve_standard_form([[1, -1]], [0], [1, 1], objective=[-1, 0])
         assert status == "unbounded" and x is None
 
     def test_known_optimum(self):
         # min x1 + x2 with x1 + 2 x2 = 4: vertex (0, 2) wins with value 2
-        status, x = solve_standard_form(
-            frac_rows([[1, 2]]), [F(4)], objective=[F(1), F(1)])
+        status, x = solve_standard_form([[1, 2]], [4], [1, 1], objective=[1, 1])
+        assert status == "optimal"
+        assert x == [F(0), F(2)]
+
+    def test_column_scale_divides_the_column(self):
+        # x1 / 3 + x2 / 2 = 1 with cost x1 + x2: the vertex (0, 2) wins
+        status, x = solve_standard_form([[1, 1]], [1], [3, 2], objective=[1, 1])
         assert status == "optimal"
         assert x == [F(0), F(2)]
 
     def test_negative_rhs_normalized(self):
-        status, x = solve_standard_form(frac_rows([[-1, -1]]), [F(-1)])
+        status, x = solve_standard_form([[-1, -1]], [-1], [1, 1])
         assert status == "optimal"
         assert sum(x) == 1
 
     def test_redundant_rows_survive(self):
-        rows = frac_rows([[1, 1], [1, 1], [2, 2]])
-        status, x = solve_standard_form(rows, [F(1), F(1), F(2)])
+        status, x = solve_standard_form([[1, 1], [1, 1], [2, 2]], [1, 1, 2], [1, 1])
         assert status == "optimal"
         assert sum(x) == 1
 
     def test_beale_degenerate_lp_terminates(self):
         # the classic cycling instance; Bland's rule must reach the optimum
-        rows = frac_rows([
+        rows = [
             [F(1, 4), -60, F(-1, 25), 9, 1, 0, 0],
             [F(1, 2), -90, F(-1, 50), 3, 0, 1, 0],
             [0, 0, 1, 0, 0, 0, 1],
-        ])
-        rhs = [F(0), F(0), F(1)]
+        ]
+        rhs = [0, 0, 1]
         objective = [F(-3, 4), 150, F(-1, 50), 6, 0, 0, 0]
-        status, x = solve_standard_form(rows, rhs, objective)
+        status, x = solve(rows, rhs, objective)
         assert status == "optimal"
         value = sum(F(c) * v for c, v in zip(objective, x))
         ref_status, ref_value = helpers.lp_optimum_by_enumeration(rows, rhs, objective)
@@ -94,10 +97,10 @@ class TestSolveStandardForm:
         rng = random.Random(23)
         for _ in range(25):
             m, n = rng.randint(1, 3), rng.randint(3, 6)
-            rows = [[F(rng.randint(-4, 4)) for _ in range(n)] for _ in range(m)]
-            x0 = [F(rng.randint(0, 3)) for _ in range(n)]
+            rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
+            x0 = [rng.randint(0, 3) for _ in range(n)]
             rhs = [sum(r * v for r, v in zip(row, x0)) for row in rows]
-            status, x = solve_standard_form(rows, rhs)
+            status, x = solve_standard_form(rows, rhs, [1] * n)
             assert status == "optimal"
             assert all(v >= 0 for v in x)
             for row, b in zip(rows, rhs):
@@ -107,14 +110,14 @@ class TestSolveStandardForm:
         rng = random.Random(29)
         for _ in range(25):
             m, n = rng.randint(1, 3), rng.randint(3, 6)
-            rows = [[F(rng.randint(-4, 4)) for _ in range(n)] for _ in range(m)]
-            x0 = [F(rng.randint(0, 3)) for _ in range(n)]
+            rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
+            x0 = [rng.randint(0, 3) for _ in range(n)]
             rhs = [sum(r * v for r, v in zip(row, x0)) for row in rows]
-            status, x = solve_standard_form(rows, rhs)
+            status, x = solve_standard_form(rows, rhs, [1] * n)
             assert status == "optimal"
             support = [j for j in range(n) if x[j] > 0]
             if support:
-                columns = [[rows[i][j] for j in support] for i in range(m)]
+                columns = [[F(rows[i][j]) for j in support] for i in range(m)]
                 # vertex: the support columns are linearly independent
                 transposed = list(map(list, zip(*columns)))
                 assert helpers.rational_rank(transposed) == len(support)
@@ -132,7 +135,7 @@ class TestSolveStandardForm:
             objective = [F(rng.randint(-3, 3)) for _ in range(n)]
             ref_status, ref_value = helpers.lp_optimum_by_enumeration(
                 rows, rhs, objective)
-            status, x = solve_standard_form(rows, rhs, objective)
+            status, x = solve(rows, rhs, objective)
             assert status == ref_status
             if status == "optimal":
                 assert sum(c * v for c, v in zip(objective, x)) == ref_value
@@ -197,43 +200,51 @@ class TestAgainstReference:
               [-3, 0, 0], None, 1))
     def test_identical_status_and_vertex(self, program):
         rows, rhs, objective, budget = program
+        int_rows, int_rhs, scale, int_objective = helpers.split_program(rows, rhs, objective)
+        # any positive column scale states the same program: stretch some
+        stretch = [j % 3 + 1 for j in range(len(scale))]
+        stretched = [[v * f for v, f in zip(row, stretch)] for row in int_rows]
+        stretched_scale = [s * f for s, f in zip(scale, stretch)]
         if budget is None:
             expected = helpers.reference_solve_standard_form(rows, rhs, objective)
-            got = solve_standard_form(rows, rhs, objective)
+            got = solve_standard_form(int_rows, int_rhs, scale, int_objective)
+            again = solve_standard_form(stretched, int_rhs, stretched_scale, int_objective)
         else:
             def small(m, n):
                 return budget
             expected = helpers.reference_solve_standard_form(
                 rows, rhs, objective, budget=small)
             with mock.patch.object(exact_lp, "_pivot_budget", small):
-                got = solve_standard_form(rows, rhs, objective)
-        assert got == expected
+                got = solve_standard_form(int_rows, int_rhs, scale, int_objective)
+                again = solve_standard_form(stretched, int_rhs, stretched_scale,
+                                            int_objective)
+        assert got == again == expected
         assert got[1] is None or all(type(v) is F for v in got[1])
 
 
 class TestStationaryDistribution:
     def test_single_state(self):
-        assert stationary_distribution([[F(0)]]) == (F(1),)
+        assert stationary_distribution([[0]], 1) == (F(1),)
 
     def test_two_state_closed_form(self):
-        r1, r2 = F(3), F(5)
-        x = stationary_distribution([[F(0), r1], [r2, F(0)]])
-        assert x == (r2 / (r1 + r2), r1 / (r1 + r2))
+        r1, r2 = 3, 5
+        x = stationary_distribution([[0, r1], [r2, 0]], 7)
+        assert x == (F(r2, r1 + r2), F(r1, r1 + r2))
 
     def test_symmetric_swap_is_uniform(self):
-        x = stationary_distribution([[F(0), F(1)], [F(1), F(0)]])
+        x = stationary_distribution([[0, 1], [1, 0]], 1)
         assert x == (F(1, 2), F(1, 2))
 
     def test_one_way_chain_drains(self):
-        x = stationary_distribution([[F(0), F(1)], [F(0), F(0)]])
+        x = stationary_distribution([[0, 1], [0, 0]], 1)
         assert x == (F(0), F(1))
 
     def test_three_cycle_uniform(self):
-        rates = [[F(0), F(1), F(0)], [F(0), F(0), F(1)], [F(1), F(0), F(0)]]
-        assert stationary_distribution(rates) == (F(1, 3),) * 3
+        rates = [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
+        assert stationary_distribution(rates, 2) == (F(1, 3),) * 3
 
     def test_zero_rates_still_distribution(self):
-        x = stationary_distribution([[F(0), F(0)], [F(0), F(0)]])
+        x = stationary_distribution([[0, 0], [0, 0]], 1)
         assert sum(x) == 1 and all(v >= 0 for v in x)
 
     def test_balance_property(self):
@@ -242,7 +253,9 @@ class TestStationaryDistribution:
             m = rng.randint(2, 5)
             rates = [[F(0) if i == j else F(rng.randint(0, 6), rng.randint(1, 4))
                       for j in range(m)] for i in range(m)]
-            x = stationary_distribution(rates)
+            denominator = math.lcm(*(r.denominator for row in rates for r in row))
+            x = stationary_distribution(
+                [[int(r * denominator) for r in row] for row in rates], denominator)
             assert sum(x) == 1 and all(v >= 0 for v in x)
             for j in range(m):
                 inflow = sum(x[i] * rates[i][j] for i in range(m) if i != j)
@@ -250,8 +263,8 @@ class TestStationaryDistribution:
                 assert inflow == outflow
 
     def test_deterministic(self):
-        rates = [[F(0), F(1), F(2)], [F(0), F(0), F(0)], [F(0), F(3), F(0)]]
-        assert stationary_distribution(rates) == stationary_distribution(rates)
+        rates = [[0, 1, 2], [0, 0, 0], [0, 3, 0]]
+        assert stationary_distribution(rates, 5) == stationary_distribution(rates, 5)
 
 
 class TestCutLP:
@@ -323,19 +336,19 @@ def column_batches(draw):
     return batches
 
 
-def split(column):
-    """A rational column as a product cut holds it: a coprime integer direction
-    times a positive unit (the zero column is the zero direction with unit 1)."""
-    scale = math.lcm(*(F(v).denominator for v in column))
-    ints = [int(F(v) * scale) for v in column]
-    common = math.gcd(*ints) or scale  # a zero column's scale is 1
-    return [v // common for v in ints], F(common, scale)
+split = helpers.split_column
 
 
 def min_violation(columns):
     """min_violation_mixture on rational columns, each split as a product cut holds it."""
     directions, units = zip(*map(split, columns))
     return min_violation_mixture(directions, units)
+
+
+def mixture(columns):
+    """mixture_feasible on rational columns, each split as a product cut holds it."""
+    directions, units = zip(*map(split, columns))
+    return mixture_feasible(directions, units)
 
 
 class TestMinViolation:
@@ -357,7 +370,7 @@ class TestMinViolation:
             columns += batch
             assert program.added == len(columns)
             feasible = program.feasible()
-            assert feasible == (mixture_feasible(columns) is not None)
+            assert feasible == (mixture(columns) is not None)
             assert unit_free.feasible() == feasible
             expected_t, _ = helpers.reference_min_violation_mixture(columns)
             assert program.mixture()[0] == expected_t
@@ -374,10 +387,11 @@ class TestMinViolation:
         g = random_game(family, players, actions, u_max=10, seed=seed)
         config = SolveConfig(oracle="product", max_iters=max_iters, probe_stride=stride,
                              precision_bits=96)
-        roster = [cut.values for cut in compute_exact_ce(g, config).transcript.roster]
+        roster = [helpers.unit_values(cut)
+                  for cut in compute_exact_ce(g, config).transcript.roster]
         assert max(v.denominator.bit_length() for column in roster for v in column) > 200
         orders = [roster, roster[::-1]]
-        alpha = mixture_feasible(roster)
+        alpha = mixture(roster)
         if alpha is not None:
             # the mixture's support first: feasible early, then more columns
             orders.append([c for c, w in zip(roster, alpha) if w]
@@ -389,7 +403,7 @@ class TestMinViolation:
                 program.add(direction, unit)
                 unit_free.add(direction)
                 feasible = program.feasible()
-                assert feasible == (mixture_feasible(order[:k]) is not None)
+                assert feasible == (mixture(order[:k]) is not None)
                 assert unit_free.feasible() == feasible
             expected_t, _ = helpers.reference_min_violation_mixture(order)
             assert program.mixture()[0] == expected_t
@@ -424,18 +438,55 @@ class TestMinViolation:
             program.mixture()
 
 
+@st.composite
+def split_columns(draw):
+    """(directions, units) for mixture_feasible: small integer directions,
+    some all zero, with rows that every direction leaves zero, and units
+    that are the integer 1 or positive rationals up to 40 bits."""
+    n_rows = draw(st.integers(1, 5))
+    live = draw(st.lists(st.booleans(), min_size=n_rows, max_size=n_rows))
+    unit = st.one_of(st.just(1), st.builds(F, st.integers(1, 2**40), st.integers(1, 2**40)))
+    directions, units = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.integers(0, 4)):
+            directions.append([draw(st.integers(-5, 5)) if on else 0 for on in live])
+        else:
+            directions.append([0] * n_rows)
+        units.append(draw(unit))
+    return directions, units
+
+
 class TestMixtures:
     def test_feasible_mixture(self):
-        alpha = mixture_feasible([[F(1)], [F(-1)]])
+        alpha = mixture_feasible([[1], [-1]], [1, 1])
         assert alpha is not None
         assert sum(alpha) == 1
         assert alpha[0] * 1 + alpha[1] * -1 >= 0
 
     def test_infeasible_mixture(self):
-        assert mixture_feasible([[F(-1)], [F(-2)]]) is None
+        assert mixture_feasible([[-1], [-1]], [F(1), F(2)]) is None
+
+    def test_units_weigh_the_columns(self):
+        # alpha_0 - alpha_1 / 3 >= 0 and its negation leave one distribution,
+        # with three quarters of the weight on the second column
+        alpha = mixture_feasible([[1, -1], [-1, 1]], [F(1), F(1, 3)])
+        assert alpha == [F(1, 4), F(3, 4)]
 
     def test_empty(self):
-        assert mixture_feasible([]) is None
+        assert mixture_feasible([], []) is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(split_columns())
+    @example(([[0, 0], [1, -1], [-1, 1]], [1, F(2, 3), 1]))  # a zero direction
+    @example(([[-1, 2], [3, -1]], [1, 1]))  # integer columns, as profiles give
+    def test_feasible_matches_reference(self, columns):
+        # the integer columns built from (direction, unit) state the rational
+        # program the reference Fraction simplex solves, and give its vertex
+        directions, units = columns
+        values = [[u * v for v in d] for d, u in zip(directions, units)]
+        got = mixture_feasible(directions, units)
+        assert got == helpers.reference_mixture_feasible(values)
+        assert got is None or all(type(v) is F for v in got)
 
     def test_min_violation_zero_when_feasible(self):
         t, alpha = min_violation([[F(1)], [F(-1)]])
@@ -509,7 +560,7 @@ class TestMinViolationMixture:
         t, alpha = min_violation_mixture([cut.direction for cut in roster],
                                          [cut.unit for cut in roster])
         assert t > 0 and sum(1 for a in alpha if a) >= 2
-        values = [cut.values for cut in roster]
+        values = [helpers.unit_values(cut) for cut in roster]
         assert (t, alpha) == helpers.reference_min_violation_mixture(values)
 
     def test_one_column(self):

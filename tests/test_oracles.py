@@ -7,7 +7,7 @@ from fractions import Fraction
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
@@ -69,7 +69,7 @@ class TestCutShapes:
         direction, unit = incentive_row_values(g, x)
         cut = ProductCut(x=x, direction=direction, unit=unit)
         assert cut.normal() == direction
-        assert list(cut.values) == incentive_row_values(g, x).fractions()
+        assert helpers.unit_values(cut) == helpers.fraction_row_values(g, x.strategies)
         assert cut.rhs == -1
         assert cut.roster_key() == ("product", x.strategies)
         assert cut.describe()["kind"] == "product"
@@ -85,7 +85,7 @@ class TestCutShapes:
             assert all(type(v) is int for v in cut.direction)
             assert math.gcd(*cut.direction) == 1
             assert type(cut.unit) is F and cut.unit > 0
-            assert list(cut.values) == helpers.fraction_row_values(g, cut.x.strategies)
+            assert helpers.unit_values(cut) == helpers.fraction_row_values(g, cut.x.strategies)
             assert cut_violation(cut, y) == 1
 
     def test_product_cut_of_a_constant_game(self):
@@ -158,9 +158,13 @@ def rate_blocks(draw):
 class TestStationaryBlock:
     @settings(max_examples=300, deadline=None)
     @given(rate_blocks(), st.sampled_from([1, 2, 3, 12, 2**40]))
+    @example([[0, 0, 0], [0, 0, 0], [0, 0, 0]], 2**40)  # every state closed
     def test_equals_the_simplex_vertex(self, rates, denominator):
-        fractions = [[F(r, denominator) for r in row] for row in rates]
-        assert stationary_block(rates, denominator) == stationary_distribution(fractions)
+        # the simplex builds its integer columns over the rates' denominator
+        # and returns the reference Fraction simplex's vertex
+        got = stationary_block(rates, denominator)
+        assert got == stationary_distribution(rates, denominator)
+        assert got == helpers.reference_stationary_distribution(rates, denominator)
 
     @pytest.mark.parametrize("rates", [
         # {0, 1} and {2, 3} are closed cycles
@@ -169,12 +173,11 @@ class TestStationaryBlock:
         [[0, 1, 1], [0, 0, 0], [0, 0, 0]],
     ])
     def test_several_closed_classes_fall_back(self, rates):
-        fractions = [[F(r, 3) for r in row] for row in rates]
         with patch.object(oracles, "stationary_distribution",
                           wraps=stationary_distribution) as simplex:
             got = stationary_block(rates, 3)
-        simplex.assert_called_once_with(fractions)
-        assert got == stationary_distribution(fractions)
+        simplex.assert_called_once_with(rates, 3)
+        assert got == helpers.reference_stationary_distribution(rates, 3)
 
     def test_one_closed_class_skips_the_simplex(self):
         # 0 drains into 1, and {1, 2} is the one closed class
@@ -315,8 +318,9 @@ class TestSeparationOracles:
             g, y = seeded_pair("polymatrix" if seed % 2 else "nfg", 3, 2, seed)
             cut = product_separation(g, y)
             assert isinstance(cut, ProductCut)
-            assert list(cut.values) == incentive_row_values(g, cut.x).fractions()
-            assert sum(v * w for v, w in zip(cut.values, y)) == 0
+            values = helpers.unit_values(cut)
+            assert values == helpers.unit_values(incentive_row_values(g, cut.x))
+            assert sum(v * w for v, w in zip(values, y)) == 0
             assert cut_violation(cut, y) == 1
 
     def test_product_oracle_also_screens_negatives(self):
@@ -456,7 +460,7 @@ class TestIntegerValue:
     @given(value_cases())
     def test_row_values_match_fraction_formula(self, case):
         g, _, x = case
-        assert (incentive_row_values(g, x).fractions()
+        assert (helpers.unit_values(incentive_row_values(g, x))
                 == helpers.fraction_row_values(g, x.strategies))
 
     @settings(max_examples=100, deadline=None)

@@ -125,17 +125,18 @@ class ColdVerdict:
     """A reference MinViolation that decides every probe with a cold mixture LP."""
 
     def __init__(self):
-        self.columns = []
+        self.directions, self.units = [], []
 
     @property
     def added(self):
-        return len(self.columns)
+        return len(self.directions)
 
     def add(self, direction, unit=1):
-        self.columns.append([unit * v for v in direction])
+        self.directions.append(direction)
+        self.units.append(unit)
 
     def feasible(self):
-        return exact_lp.mixture_feasible(self.columns) is not None
+        return exact_lp.mixture_feasible(self.directions, self.units) is not None
 
 
 class AlwaysFeasible:
