@@ -32,6 +32,18 @@ signs.
 The update is the minimal-volume ellipsoid containing the half-ellipsoid on
 the satisfied side of the cut through the center. Its volume ratio is below
 exp(-1/(5 n)) for every dimension n >= 1, with room to spare for rounding.
+
+Many coordinates never move: the incentive rows (p, a, a) are zero in every
+cut, and other rows stay zero until the first cut that touches them. The
+state is therefore stored over the touched coordinates, those some cut
+normal has had nonzero. Every other coordinate has center 0, a zero row
+and column in L, and one pivot shared by all of them, since each update
+scales all of their pivots by the same rounded n^2 / (n^2 - 1). The rank-one
+update leaves such a coordinate exactly where it was, so an update over the
+touched coordinates, with the full dimension N in every constant, gives the
+same state bit for bit as one over all N coordinates; a coordinate enters
+when a normal first touches it. The center still goes out with all N
+coordinates.
 The initial radius must have a power-of-two square, so the starting ball is
 exact too. The iteration bound is a ceiling taken from the standard
 library's correctly rounded decimal logarithm.
@@ -51,9 +63,21 @@ from .errors import PrecisionError, SolverError
 from .oracles import Cut, IntegerPoint, normal_violation
 
 DEFAULT_PRECISION_BITS = 256
+# The most precision_bits a run may ask for. The starting ball alone holds a
+# precision_bits-bit pivot, so a larger value is refused before anything is
+# allocated; it is a constant, not a setting.
+MAX_PRECISION_BITS = 1 << 16
 
 
 # ---------- helpers ----------
+
+
+def check_precision_bits(bits: int) -> None:
+    """Refuse a precision below 16 or above MAX_PRECISION_BITS with ValueError."""
+    if bits < 16:
+        raise ValueError("precision_bits must be at least 16")
+    if bits > MAX_PRECISION_BITS:
+        raise ValueError(f"precision_bits must be at most {MAX_PRECISION_BITS}")
 
 
 def _log_unit_ball_volume(n: int) -> float:
@@ -112,8 +136,7 @@ class EllipsoidParams:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
-        if self.precision_bits < 16:
-            raise ValueError("precision_bits must be at least 16")
+        check_precision_bits(self.precision_bits)
 
     @classmethod
     def practical(
@@ -160,21 +183,24 @@ def _round_dyadic(num: int, den: int, exp: int, bits: int) -> tuple[int, int]:
     a (mantissa, exponent) pair; den must be positive."""
     if num == 0:
         return 0, 0
-    # the quotient num / (den 2**shift) then has bits or bits + 1 bits
+    # num / (den 2**shift) has bits or bits + 1 integer bits; one comparison
+    # moves shift up by one in the second case, so the quotient is below 2**bits
     shift = abs(num).bit_length() - den.bit_length() - bits
-    while True:
-        if shift >= 0:
-            divisor = den << shift
-            quotient, rest = divmod(num, divisor)
-        else:
-            divisor = den
-            quotient, rest = divmod(num << -shift, den)
-        twice = 2 * rest
-        if twice > divisor or (twice == divisor and quotient & 1):
-            quotient += 1
-        if abs(quotient).bit_length() <= bits:
-            return quotient, exp + shift
+    top = shift + bits
+    if (abs(num) >= den << top) if top >= 0 else (abs(num) << -top >= den):
         shift += 1
+    if shift >= 0:
+        divisor = den << shift
+        quotient, rest = divmod(num, divisor)
+    else:
+        divisor = den
+        quotient, rest = divmod(num << -shift, den)
+    twice = 2 * rest
+    if twice > divisor or (twice == divisor and quotient & 1):
+        quotient += 1
+    if abs(quotient) >> bits:  # rounded up to 2**bits, which has bits + 1 bits
+        return quotient >> 1, exp + shift + 1
+    return quotient, exp + shift
 
 
 def _integer_direction(normal: Sequence[int]) -> Sequence[int]:
@@ -195,22 +221,32 @@ def _fractions(pairs: Sequence[tuple[int, int]]) -> tuple[Fraction, ...]:
 
 @dataclass(frozen=True)
 class EllipsoidState:
-    """Center and factored shape matrix in fixed point.
+    """Center and factored shape matrix in fixed point, stored over the
+    coordinates some cut has touched.
 
-    center holds one (mantissa, exponent) pair per coordinate, the dyadic
-    mantissa * 2**exponent. The shape matrix is P = L diag(d) L^T with L unit
-    lower triangular: columns[j] holds the entries of column j below the
-    diagonal, rows j + 1 onwards, each an integer over
-    2**(precision_bits + 16). pivots[j] is d_j as a (mantissa, exponent) pair
-    whose mantissa has precision_bits bits. Each pivot carries its own
-    scale, so an ellipsoid that thins out in some direction keeps its
-    precision there, and P is positive definite exactly when every pivot
-    mantissa is positive.
+    touched lists, ascending, the coordinates that some cut normal has had
+    nonzero; center, columns and pivots are indexed by position in it. Every
+    other coordinate has center 0, a zero row and column in L, and the one
+    shared pivot rest_pivot: these start equal, and every update scales each
+    of them by the same rounded n^2 / (n^2 - 1), so they stay equal.
+
+    center holds one (mantissa, exponent) pair per touched coordinate, the
+    dyadic mantissa * 2**exponent. The shape matrix is P = L diag(d) L^T with
+    L unit lower triangular: columns[i] holds the entries of the column of
+    touched[i] in the rows touched[i + 1:], each an integer over
+    2**(precision_bits + 16). pivots[i] is its d as a (mantissa, exponent)
+    pair whose mantissa has precision_bits bits, as is rest_pivot. Each
+    pivot carries its own scale, so an ellipsoid that thins out in some
+    direction keeps its precision there, and P is positive definite exactly
+    when every pivot mantissa is positive.
     """
 
+    dimension: int
+    touched: tuple[int, ...]
     center: tuple[tuple[int, int], ...]
     columns: tuple[tuple[int, ...], ...]
     pivots: tuple[tuple[int, int], ...]
+    rest_pivot: tuple[int, int]
     precision_bits: int
     iteration: int = 0
 
@@ -226,62 +262,77 @@ class EllipsoidState:
                              "squared radius is a power of two")
         lift = precision_bits - 1
         return cls(
-            center=((0, 0),) * n,
-            columns=tuple((0,) * (n - 1 - j) for j in range(n)),
-            pivots=((1 << lift, int(twice) - lift),) * n,
+            dimension=n,
+            touched=(),
+            center=(),
+            columns=(),
+            pivots=(),
+            rest_pivot=(1 << lift, int(twice) - lift),
             precision_bits=precision_bits,
         )
 
-    @property
-    def dimension(self) -> int:
-        return len(self.center)
-
     def snapshot(self) -> tuple[Fraction, ...]:
-        """The exact center; dyadic state makes this lossless."""
-        return _fractions(self.center)
+        """The exact center, all N coordinates; dyadic state makes this lossless."""
+        values = [Fraction(0)] * self.dimension
+        for r, value in zip(self.touched, _fractions(self.center)):
+            values[r] = value
+        return tuple(values)
 
     def integer_center(self) -> IntegerPoint:
-        """The exact center as integers Y over 2**k, from the stored pairs by
+        """The exact center as N integers Y over 2**k, from the stored pairs by
         shifts alone; k is minus the least exponent of a nonzero coordinate,
         or zero when no such exponent is negative."""
         k = max(0, max((-exp for man, exp in self.center if man), default=0))
-        return IntegerPoint(
-            tuple(man << (exp + k) if man else 0 for man, exp in self.center), 1 << k)
-
-    def shape_matrix(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The exact shape matrix L diag(d) L^T, both triangles."""
-        n = self.dimension
-        unit = Fraction(1, 1 << (self.precision_bits + _GUARD_BITS))
-        # lower[j][r] is L[r][j]
-        lower = [[0] * j + [Fraction(1)] + [x * unit for x in col]
-                 for j, col in enumerate(self.columns)]
-        pivots = [man * Fraction(2) ** exp for man, exp in self.pivots]
-        return tuple(
-            tuple(sum(lower[k][i] * d * lower[k][j] for k, d in enumerate(pivots))
-                  for j in range(n))
-            for i in range(n)
-        )
+        numerators = [0] * self.dimension
+        for r, (man, exp) in zip(self.touched, self.center):
+            if man:
+                numerators[r] = man << (exp + k)
+        return IntegerPoint(tuple(numerators), 1 << k)
 
     def log_det(self) -> float:
         """Log-determinant of the shape matrix, the sum of log d_j.
 
         L is unit triangular, so the stored pivots are the whole
         determinant, and their mantissa signs decide positive definiteness
-        exactly.
+        exactly. The shared pivot counts once per untouched coordinate, so
+        fsum adds the same floats as over N stored pivots.
         """
-        if min(man for man, _ in self.pivots) <= 0:
+        rest = self.dimension - len(self.touched)
+        pivots = self.pivots + (self.rest_pivot,) * (rest > 0)
+        if min(man for man, _ in pivots) <= 0:
             raise PrecisionError(_NOT_POSITIVE_DEFINITE)
-        return (math.fsum(math.log(man) for man, _ in self.pivots)
-                + sum(exp for _, exp in self.pivots) * _LN2)
+        logs = [math.log(man) for man, _ in self.pivots]
+        if rest:
+            logs += [math.log(self.rest_pivot[0])] * rest
+        return (math.fsum(logs)
+                + (sum(exp for _, exp in self.pivots) + rest * self.rest_pivot[1]) * _LN2)
 
-    def log_volume(self) -> float:
-        return _log_unit_ball_volume(self.dimension) + self.log_det() / 2
+
+def _enter(state: EllipsoidState, rows: Sequence[int]) -> tuple[tuple, ...]:
+    """touched, center, columns and pivots with the untouched coordinates
+    `rows` added, each with center 0, a zero row and column in L and the
+    shared pivot: the same ellipsoid."""
+    touched = tuple(sorted((*state.touched, *rows)))
+    known = {r: i for i, r in enumerate(state.touched)}
+    where = [known.get(r) for r in touched]  # old position, None for a new row
+    center, columns, pivots = [], [], []
+    for j, i in enumerate(where):
+        if i is None:
+            center.append((0, 0))
+            columns.append((0,) * (len(touched) - j - 1))
+            pivots.append(state.rest_pivot)
+        else:
+            col = state.columns[i]
+            center.append(state.center[i])
+            columns.append(tuple([0 if o is None else col[o - i - 1] for o in where[j + 1:]]))
+            pivots.append(state.pivots[i])
+    return touched, tuple(center), tuple(columns), tuple(pivots)
 
 
 def update(state: EllipsoidState, normal: Sequence[int]) -> EllipsoidState:
     """Minimal-volume ellipsoid containing the half with normal . z <= normal . center.
 
-    Scale-invariant in the normal. The new shape
+    Scale-invariant in the normal, which has all N coordinates. The new shape
     n^2 / (n^2 - 1) (P - 2 / (n + 1) P a a^T P / a^T P a) is refactored by the
     stable rank-one modification of Gill, Golub, Murray and Saunders (Math.
     Comp. 28, 1974). With u = L^T a and the prefix sums G_j of d_i u_i^2, put
@@ -299,17 +350,33 @@ def update(state: EllipsoidState, normal: Sequence[int]) -> EllipsoidState:
     the exact P a and a square root carried with precision_bits plus guard
     bits. Positive definiteness is decided by the signs of the exact
     integers G_n and T_j. Dimension one degenerates to interval halving.
+
+    The pass runs over the touched coordinates only, after entering those
+    the normal touches first; n is the full dimension N throughout. This
+    is exact: an untouched coordinate r has a_r = 0 and a zero column, so
+    u_r = 0 and its pivot is only scaled by n^2 / (n^2 - 1), which is
+    rounded once for all of them; its row of L is zero, so w_r = 0, and its
+    row and center coordinate stay zero.
     """
     n = state.dimension
     if len(normal) != n:
         raise ValueError(f"normal has length {len(normal)}, expected {n}")
-    a = _integer_direction(normal)
+    dense = _integer_direction(normal)
     bits = state.precision_bits
     one = 1 << (bits + _GUARD_BITS)
-    columns, pivots = state.columns, state.pivots
+    touched, center, columns, pivots = (
+        state.touched, state.center, state.columns, state.pivots)
+    a = [dense[r] for r in touched]
+    rows = [r for r, ar in enumerate(dense) if ar]
+    if len(rows) > len(a) - a.count(0):  # the normal touches a new coordinate
+        known = set(touched)
+        touched, center, columns, pivots = _enter(
+            state, [r for r in rows if r not in known])
+        a = [dense[r] for r in touched]
+    size = len(touched)
 
     # u[j] = (L^T a)_j * one; it vanishes past the last nonzero of a
-    support = [(r, a[r]) for r in range(n) if a[r]]
+    support = [(r, ar) for r, ar in enumerate(a) if ar]
     last = support[-1][0]
     u = [
         a[j] * one + sum([ar * col[r - j - 1] for r, ar in support if r > j])
@@ -330,20 +397,23 @@ def update(state: EllipsoidState, normal: Sequence[int]) -> EllipsoidState:
     if gamma <= 0 or (n > 1 and min(after) <= 0):
         raise PrecisionError(_NOT_POSITIVE_DEFINITE)
 
+    rest_man, rest_exp = state.rest_pivot
     if n == 1:
         new_pivots = ((pivots[0][0], pivots[0][1] - 2),)
+        rest_pivot = (rest_man, rest_exp - 2)
     else:
-        # T_j / T_{j-1} is one where u_j = 0, and past the last column u has
+        # T_j / T_{j-1} is one where u_j = 0 and past the last column of u
         nn = n * n
         ratios = [(t, s) if uj else (1, 1) for uj, t, s in zip(u, after, [top, *after])]
-        ratios += [(1, 1)] * (n - last - 1)
+        ratios += [(1, 1)] * (size - last - 1)
         new_pivots = tuple(
             _round_dyadic(man * nn * t, (nn - 1) * s, exp, bits)
             for (man, exp), (t, s) in zip(pivots, ratios)
         )
+        rest_pivot = _round_dyadic(rest_man * nn, nn - 1, rest_exp, bits)
 
     new_columns = list(columns)
-    w = [0] * n  # sum of p[k] L[:, k] * one over the columns passed so far
+    w = [0] * size  # sum of p[k] L[:, k] * one over the columns passed so far
     for j in reversed(active):
         col = columns[j]
         if j < last:  # w is still zero at the last column
@@ -375,19 +445,22 @@ def update(state: EllipsoidState, normal: Sequence[int]) -> EllipsoidState:
     # center: c - step / (n + 1) as one fraction over den, rounded once; the
     # term with the larger exponent is shifted left onto the smaller one, and
     # a zero coordinate contributes nothing whatever its stored exponent
-    center = []
-    for (man, man_exp), wi in zip(state.center, w):
+    new_center = []
+    for (man, man_exp), wi in zip(center, w):
         if man:
             base = min(man_exp, step_exp)
             num = ((man * den) << (man_exp - base)) - (wi << (step_exp - base))
         else:
             base, num = step_exp, -wi
-        center.append(_round_dyadic(num, den, base, bits))
+        new_center.append(_round_dyadic(num, den, base, bits))
 
     return EllipsoidState(
-        center=tuple(center),
+        dimension=n,
+        touched=touched,
+        center=tuple(new_center),
         columns=tuple(new_columns),
         pivots=new_pivots,
+        rest_pivot=rest_pivot,
         precision_bits=bits,
         iteration=state.iteration + 1,
     )
@@ -404,14 +477,14 @@ class Outcome(str, Enum):
 @dataclass(frozen=True)
 class TranscriptEntry:
     iteration: int
-    center_pairs: tuple[tuple[int, int], ...]  # the queried center, as stored
+    point: IntegerPoint  # the queried center, as the oracle got it
     cut: Cut
     violation: Fraction
     log_volume_drop: float | None  # None when the run stopped before updating
 
     @property
     def center(self) -> tuple[Fraction, ...]:
-        return _fractions(self.center_pairs)
+        return tuple(Fraction(v, self.point.denominator) for v in self.point.numerators)
 
 
 @dataclass
@@ -477,7 +550,6 @@ def run(
         return RunResult(outcome=outcome, transcript=transcript, state=final_state)
 
     for iteration in range(1, params.max_iters + 1):
-        center = state.center
         point = state.integer_center()
         cut = oracle(point)
         normal = cut.normal()
@@ -494,12 +566,12 @@ def run(
             transcript.roster.append(cut)
         if fresh and on_new_cut is not None and on_new_cut(cut, transcript.roster):
             transcript.entries.append(
-                TranscriptEntry(iteration, center, cut, violation, None)
+                TranscriptEntry(iteration, point, cut, violation, None)
             )
             return finish(Outcome.INFEASIBLE_OR_SHALLOW, state)
         if not any(normal):
             transcript.entries.append(
-                TranscriptEntry(iteration, center, cut, violation, None)
+                TranscriptEntry(iteration, point, cut, violation, None)
             )
             return finish(Outcome.INFEASIBLE_OR_SHALLOW, state)
         state = update(state, normal)
@@ -512,7 +584,7 @@ def run(
                 transcript,
             )
         transcript.entries.append(
-            TranscriptEntry(iteration, center, cut, violation, drop)
+            TranscriptEntry(iteration, point, cut, violation, drop)
         )
         previous_log_det = new_log_det
         if params.stop_log_volume is not None:

@@ -291,23 +291,6 @@ def _nonnegative_point(game: Game, y: DualPoint) -> IntegerPoint:
     return point
 
 
-def stationary_product(game: Game, y: DualPoint) -> ProductDistribution:
-    """Product distribution whose row values are orthogonal to y, exactly.
-
-    Each player's block of y is read as transition rates between that
-    player's actions, and the player's mixed strategy is a stationary
-    distribution of those rates (uniform when the block is all zero). Balance
-    makes the y-weighted sum of that player's incentive values telescope to
-    zero; the result is verified exactly before returning.
-    """
-    point = _nonnegative_point(game, y)
-    x = _stationary_x(game, point)
-    value = DualValue(game, point, x)
-    if value.scores(value.start)[0] != 0:
-        raise SolverError(_STATIONARY_FAILED)
-    return x
-
-
 # ---------- purification ----------
 
 

@@ -32,6 +32,7 @@ from .ellipsoid import (
     Outcome,
     RunResult,
     Transcript,
+    check_precision_bits,
     iteration_bound,
     run,
 )
@@ -106,8 +107,7 @@ class SolveConfig:
             raise ValueError("theoretical mode requires the purified oracle")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
-        if self.precision_bits < 16:
-            raise ValueError("precision_bits must be at least 16")
+        check_precision_bits(self.precision_bits)
         if self.probe_stride < 1:
             raise ValueError("probe_stride must be positive")
 

@@ -10,10 +10,20 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
-from exactce import Game
+from exactce import Game, PrecisionError, SolverError
+from exactce.ellipsoid import EllipsoidState, _log_unit_ball_volume
 from exactce.games import NormalFormGame, PolymatrixGame, ProductDistribution
+from exactce.oracles import (
+    _STATIONARY_FAILED,
+    DualPoint,
+    DualValue,
+    _nonnegative_point,
+    _stationary_x,
+)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -528,3 +538,249 @@ def suite_specs(count: int = 100, u_max: int = 10):
     for index in range(count):
         family, players, actions = SUITE_COMBOS[index % len(SUITE_COMBOS)]
         yield (family, players, actions, u_max, index)
+
+
+def stationary_product(game: Game, y: DualPoint) -> ProductDistribution:
+    """Product distribution whose row values are orthogonal to y, exactly.
+
+    Each player's block of y is read as transition rates between that
+    player's actions, and the player's mixed strategy is a stationary
+    distribution of those rates (uniform when the block is all zero). Balance
+    makes the y-weighted sum of that player's incentive values telescope to
+    zero; the result is verified exactly before returning. The solver reaches
+    the same step through purified_separation.
+    """
+    point = _nonnegative_point(game, y)
+    x = _stationary_x(game, point)
+    value = DualValue(game, point, x)
+    if value.scores(value.start)[0] != 0:
+        raise SolverError(_STATIONARY_FAILED)
+    return x
+
+
+# ---------- the ellipsoid state over all N coordinates ----------
+
+# the reference below is the update as it was before the state kept only
+# the touched coordinates; it walks every coordinate, and the package's
+# update must reproduce it bit for bit
+
+_GUARD_BITS = 16
+
+_NOT_POSITIVE_DEFINITE = (
+    "shape matrix lost positive definiteness; increase precision_bits"
+)
+
+
+@dataclass(frozen=True)
+class DenseState:
+    """Center, factor columns and pivots for every one of the N coordinates,
+    in the layout of EllipsoidState with every coordinate touched."""
+
+    center: tuple[tuple[int, int], ...]
+    columns: tuple[tuple[int, ...], ...]
+    pivots: tuple[tuple[int, int], ...]
+    precision_bits: int
+    iteration: int = 0
+
+    @property
+    def dimension(self) -> int:
+        return len(self.center)
+
+
+def dense_state(state: EllipsoidState) -> DenseState:
+    """The state expanded to all N coordinates: an untouched coordinate has
+    center 0, a zero row and column, and the shared pivot."""
+    n = state.dimension
+    position = {r: i for i, r in enumerate(state.touched)}
+    columns = []
+    for j in range(n):
+        if j in position:
+            i = position[j]
+            col = state.columns[i]
+            columns.append(tuple(col[position[r] - i - 1] if r in position else 0
+                                 for r in range(j + 1, n)))
+        else:
+            columns.append((0,) * (n - 1 - j))
+    return DenseState(
+        center=tuple(state.center[position[r]] if r in position else (0, 0)
+                     for r in range(n)),
+        columns=tuple(columns),
+        pivots=tuple(state.pivots[position[r]] if r in position else state.rest_pivot
+                     for r in range(n)),
+        precision_bits=state.precision_bits,
+        iteration=state.iteration,
+    )
+
+
+def shape_matrix(state: EllipsoidState) -> tuple[tuple[Fraction, ...], ...]:
+    """The exact shape matrix L diag(d) L^T, both triangles, all N coordinates."""
+    dense = dense_state(state)
+    n = dense.dimension
+    unit = Fraction(1, 1 << (dense.precision_bits + _GUARD_BITS))
+    # lower[j][r] is L[r][j]
+    lower = [[0] * j + [Fraction(1)] + [x * unit for x in col]
+             for j, col in enumerate(dense.columns)]
+    pivots = [man * Fraction(2) ** exp for man, exp in dense.pivots]
+    return tuple(
+        tuple(sum(lower[k][i] * d * lower[k][j] for k, d in enumerate(pivots))
+              for j in range(n))
+        for i in range(n)
+    )
+
+
+def log_volume(state: EllipsoidState) -> float:
+    """Natural log of the ellipsoid's volume, from its log-determinant."""
+    return _log_unit_ball_volume(state.dimension) + state.log_det() / 2
+
+
+def reference_log_det(state: DenseState) -> float:
+    """The sum of log d_j over all N stored pivots."""
+    if min(man for man, _ in state.pivots) <= 0:
+        raise PrecisionError(_NOT_POSITIVE_DEFINITE)
+    return (math.fsum(math.log(man) for man, _ in state.pivots)
+            + sum(exp for _, exp in state.pivots) * math.log(2.0))
+
+
+def reference_round_dyadic(num: int, den: int, exp: int, bits: int) -> tuple[int, int]:
+    """(num / den) * 2**exp rounded half-even to `bits` significant bits, as
+    a (mantissa, exponent) pair; den must be positive."""
+    if num == 0:
+        return 0, 0
+    # the quotient num / (den 2**shift) then has bits or bits + 1 bits
+    shift = abs(num).bit_length() - den.bit_length() - bits
+    while True:
+        if shift >= 0:
+            divisor = den << shift
+            quotient, rest = divmod(num, divisor)
+        else:
+            divisor = den
+            quotient, rest = divmod(num << -shift, den)
+        twice = 2 * rest
+        if twice > divisor or (twice == divisor and quotient & 1):
+            quotient += 1
+        if abs(quotient).bit_length() <= bits:
+            return quotient, exp + shift
+        shift += 1
+
+
+def _integer_direction(normal):
+    """The integer normal over the gcd of its entries; the update ignores its scale."""
+    common = math.gcd(*normal)
+    if common == 0:
+        raise ValueError("cut normal must be nonzero")
+    return normal if common == 1 else [v // common for v in normal]
+
+
+def reference_update(state: DenseState, normal) -> DenseState:
+    """Minimal-volume ellipsoid containing the half with normal . z <= normal . center.
+
+    Scale-invariant in the normal. The new shape
+    n^2 / (n^2 - 1) (P - 2 / (n + 1) P a a^T P / a^T P a) is refactored by the
+    stable rank-one modification of Gill, Golub, Murray and Saunders (Math.
+    Comp. 28, 1974). With u = L^T a and the prefix sums G_j of d_i u_i^2, put
+    T_j = (n + 1) G_n - 2 G_j; every T_j is at least (n - 1) / (n + 1) of
+    T_0, so nothing cancels. Then
+
+    * new d_j = n^2 / (n^2 - 1) d_j T_j / T_{j-1}, rounded once;
+    * new L[r][j] = L[r][j] - 2 u_j w_r / T_j, to within one unit of the
+      last place, where w sums d_k u_k L[:, k] over the columns k > j.
+
+    The pass runs from the last column to the first, so w ends as P a,
+    exactly. Columns with u_j = 0 keep their entries, and the columns from
+    the cut's last nonzero coordinate on keep them too. The center
+    c - P a / ((n + 1) sqrt(a^T P a)) is rounded once per coordinate from
+    the exact P a and a square root carried with precision_bits plus guard
+    bits. Positive definiteness is decided by the signs of the exact
+    integers G_n and T_j. Dimension one degenerates to interval halving.
+    """
+    n = state.dimension
+    if len(normal) != n:
+        raise ValueError(f"normal has length {len(normal)}, expected {n}")
+    a = _integer_direction(normal)
+    bits = state.precision_bits
+    one = 1 << (bits + _GUARD_BITS)
+    columns, pivots = state.columns, state.pivots
+
+    # u[j] = (L^T a)_j * one; it vanishes past the last nonzero of a
+    support = [(r, a[r]) for r in range(n) if a[r]]
+    last = support[-1][0]
+    u = [
+        a[j] * one + sum([ar * col[r - j - 1] for r, ar in support if r > j])
+        for j, col in enumerate(columns[:last + 1])
+    ]
+
+    # with low the least exponent among the pivots that u touches, p[j] is
+    # d_j u_j over 2**(low - F), F = precision_bits + 16; a . P a is gamma
+    # over 2**(2 F - low), and the prefixes of the sum decide each T_j
+    active = [j for j, uj in enumerate(u) if uj]
+    low = min(pivots[j][1] for j in active)
+    p = [(pivots[j][0] << (pivots[j][1] - low)) * u[j] if u[j] else 0
+         for j in range(last + 1)]
+    prefix = list(accumulate([x * y for x, y in zip(p, u)]))
+    gamma = prefix[-1]
+    top = (n + 1) * gamma
+    after = [top - 2 * g for g in prefix]
+    if gamma <= 0 or (n > 1 and min(after) <= 0):
+        raise PrecisionError(_NOT_POSITIVE_DEFINITE)
+
+    if n == 1:
+        new_pivots = ((pivots[0][0], pivots[0][1] - 2),)
+    else:
+        # T_j / T_{j-1} is one where u_j = 0, and past the last column u has
+        nn = n * n
+        ratios = [(t, s) if uj else (1, 1) for uj, t, s in zip(u, after, [top, *after])]
+        ratios += [(1, 1)] * (n - last - 1)
+        new_pivots = tuple(
+            reference_round_dyadic(man * nn * t, (nn - 1) * s, exp, bits)
+            for (man, exp), (t, s) in zip(pivots, ratios)
+        )
+
+    new_columns = list(columns)
+    w = [0] * n  # sum of p[k] L[:, k] * one over the columns passed so far
+    for j in reversed(active):
+        col = columns[j]
+        if j < last:  # w is still zero at the last column
+            # 2 u_j / T_j to as many fractional bits as the widest w_r has,
+            # so that each entry stays within one unit of the exact value
+            tail = w[j + 1:]
+            shift = max(map(int.bit_length, tail)) + 1
+            ratio = ((u[j] << (shift + 2)) + after[j]) // (2 * after[j])
+            half = 1 << (shift - 1)
+            new_columns[j] = tuple([
+                x - ((ratio * y + half) >> shift) for x, y in zip(col, tail)
+            ])
+        pj = p[j]
+        w[j] = pj * one
+        w[j + 1:] = [y + pj * x for y, x in zip(w[j + 1:], col)]
+
+    # P a = w 2**(low - 2 F) and a . P a = gamma 2**(low - 2 F); with
+    # low - 2 F = 2 half + odd, the step P a / sqrt(a . P a) is
+    # w * 2**(half + odd) / sqrt(gamma 2**odd), and root carries
+    # sqrt(gamma 2**odd) * 2**lift to precision_bits plus guard bits
+    scale = low - 2 * (bits + _GUARD_BITS)
+    odd = scale & 1
+    radicand = gamma << odd
+    lift = bits + _GUARD_BITS + 2 - radicand.bit_length() // 2
+    root = math.isqrt(radicand << 2 * lift if lift >= 0 else radicand >> -2 * lift)
+    step_exp = (scale - odd) // 2 + odd + lift
+    den = (n + 1) * root
+
+    # center: c - step / (n + 1) as one fraction over den, rounded once; the
+    # term with the larger exponent is shifted left onto the smaller one, and
+    # a zero coordinate contributes nothing whatever its stored exponent
+    center = []
+    for (man, man_exp), wi in zip(state.center, w):
+        if man:
+            base = min(man_exp, step_exp)
+            num = ((man * den) << (man_exp - base)) - (wi << (step_exp - base))
+        else:
+            base, num = step_exp, -wi
+        center.append(reference_round_dyadic(num, den, base, bits))
+
+    return DenseState(
+        center=tuple(center),
+        columns=tuple(new_columns),
+        pivots=new_pivots,
+        precision_bits=bits,
+        iteration=state.iteration + 1,
+    )

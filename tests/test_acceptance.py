@@ -18,6 +18,7 @@ import pytest
 
 import conftest
 import helpers
+from helpers import stationary_product
 from exactce import (
     SolveConfig,
     brute_force_ce,
@@ -35,7 +36,7 @@ from exactce.incentives import (
     row_count,
     row_position,
 )
-from exactce.oracles import purify, stationary_product
+from exactce.oracles import purify
 from exactce.solver import support_bound
 
 F = Fraction

@@ -308,6 +308,14 @@ BAD_SETTINGS = [
     pytest.param(["solve"], {PRECISION_ENV: "4"}, id="solve-precision-env-4"),
     pytest.param(["solve"], {PRECISION_ENV: "lots"}, id="solve-precision-env-lots"),
     pytest.param(["bench"], {PRECISION_ENV: "lots"}, id="bench-precision-env-lots"),
+    # a precision past the ceiling is refused before the starting ball's
+    # precision-bit pivot is built, which would not fit in memory
+    pytest.param(["solve", "--precision", "99999999999"], {}, id="solve-precision-huge"),
+    pytest.param(["solve"], {PRECISION_ENV: "99999999999"}, id="solve-precision-env-huge"),
+    pytest.param(["bench", "--family", "nfg", "--sizes", "2x2", "--seeds", "0:1",
+                  "--precision", "99999999999"], {}, id="bench-precision-huge"),
+    pytest.param(["bench", "--family", "nfg", "--sizes", "2x2", "--seeds", "0:1"],
+                 {PRECISION_ENV: "65537"}, id="bench-precision-env-past-the-ceiling"),
     pytest.param(["bench", "--oracles", "bogus"], {}, id="bench-oracle-bogus"),
     pytest.param(["bench", "--max-iters", "0"], {}, id="bench-max-iters-0"),
     pytest.param(["bench", "--family", "nfg", "--sizes", "2x2", "--seeds", "0:1",

@@ -1,7 +1,7 @@
 """Central-cut engine: exact snapshots, contraction, the run loop."""
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from unittest.mock import patch
 
@@ -19,15 +19,25 @@ from exactce import (
 )
 from exactce import solver
 from exactce.ellipsoid import (
+    MAX_PRECISION_BITS,
     EllipsoidParams,
     EllipsoidState,
     Outcome,
+    _round_dyadic,
     iteration_bound,
     run,
     update,
 )
 from exactce.incentives import profile_column
 from exactce.oracles import TIE_BREAKS, ProfileCut, cut_violation, purified_separation
+from helpers import (
+    dense_state,
+    log_volume,
+    reference_log_det,
+    reference_round_dyadic,
+    reference_update,
+    shape_matrix,
+)
 
 F = Fraction
 
@@ -64,9 +74,9 @@ class TestConversions:
         state = EllipsoidState.initial_ball(3, 4.0, 128)
         snap = state.snapshot()
         assert snap == (F(0), F(0), F(0))
-        assert all(row[i] == F(2) ** 8 for i, row in enumerate(state.shape_matrix()))
+        assert all(row[i] == F(2) ** 8 for i, row in enumerate(shape_matrix(state)))
         after = update(state, [3, 2, -3])
-        for value, (man, exp) in zip(after.snapshot(), after.center):
+        for value, (man, exp) in zip(after.snapshot(), dense_state(after).center):
             assert value == man * F(2) ** exp
             assert value.denominator & (value.denominator - 1) == 0
             assert abs(man).bit_length() <= 128
@@ -77,16 +87,16 @@ class TestInitialBall:
         state = EllipsoidState.initial_ball(2, 10.0, 256)
         assert state.dimension == 2
         assert state.iteration == 0
-        assert state.shape_matrix() == ((F(2) ** 20, F(0)), (F(0), F(2) ** 20))
-        assert all(man.bit_length() == 256 for man, _ in state.pivots)
-        assert EllipsoidState.initial_ball(1, 0.5, 64).shape_matrix() == ((F(2),),)
+        assert shape_matrix(state) == ((F(2) ** 20, F(0)), (F(0), F(2) ** 20))
+        assert state.touched == () and state.rest_pivot[0].bit_length() == 256
+        assert shape_matrix(EllipsoidState.initial_ball(1, 0.5, 64)) == ((F(2),),)
         # a radius whose square is not a power of two is refused
         with pytest.raises(ValueError, match="log2_radius"):
             EllipsoidState.initial_ball(2, 0.3, 64)
 
     def test_log_volume_of_unit_ball(self):
         state = EllipsoidState.initial_ball(2, 0.0, 256)
-        assert state.log_volume() == pytest.approx(math.log(math.pi), abs=1e-12)
+        assert log_volume(state) == pytest.approx(math.log(math.pi), abs=1e-12)
 
     def test_log_det_diagonal(self):
         state = EllipsoidState.initial_ball(3, 2.0, 256)
@@ -98,7 +108,7 @@ class TestUpdate:
         state = EllipsoidState.initial_ball(1, 3.0, 128)
         after = update(state, [1])
         assert after.snapshot() == (F(-4),)  # center moves by r/2 = 4
-        assert after.shape_matrix() == ((F(16),),)  # (r/2)^2
+        assert shape_matrix(after) == ((F(16),),)  # (r/2)^2
         assert after.iteration == 1
 
     def test_two_dimensional_hand_values(self):
@@ -107,7 +117,7 @@ class TestUpdate:
         tol = F(1, 2**200)
         center = after.snapshot()
         assert abs(center[0] + F(1, 3)) <= tol and center[1] == 0
-        shape = after.shape_matrix()
+        shape = shape_matrix(after)
         assert abs(shape[0][0] - F(4, 9)) <= tol
         assert abs(shape[1][1] - F(4, 3)) <= tol
         assert shape[0][1] == 0 and shape[1][0] == 0
@@ -139,24 +149,26 @@ class TestUpdate:
             small = update(small, normal)
             large = update(large, normal)
             assert tuple(2 * c for c in small.snapshot()) == large.snapshot()
-            small_shape = small.shape_matrix()
-            large_shape = large.shape_matrix()
+            small_shape = shape_matrix(small)
+            large_shape = shape_matrix(large)
             for i in range(2):
                 for j in range(2):
                     assert 4 * small_shape[i][j] == large_shape[i][j]
 
     def test_non_positive_definite_shape_raises(self):
-        state = EllipsoidState.initial_ball(2, 0.0, 128)
+        state = update(EllipsoidState.initial_ball(3, 0.0, 128), [1, 1, 0])
+        assert state.touched == (0, 1)
         for pivot in ((0, 0), (-(2**127), -127)):
-            broken = EllipsoidState(
-                center=state.center,
-                columns=state.columns,
-                pivots=(state.pivots[0], pivot),
-                precision_bits=128,
-                iteration=0,
-            )
-            with pytest.raises(PrecisionError):
-                broken.log_det()
+            # a touched pivot, then the shared pivot of coordinate 2
+            broken = (replace(state, pivots=(state.pivots[0], pivot)),
+                      replace(state, rest_pivot=pivot))
+            for each in broken:
+                with pytest.raises(PrecisionError):
+                    each.log_det()
+        # with every coordinate touched, the shared pivot counts for none
+        full = update(state, [0, 0, 1])
+        assert full.touched == (0, 1, 2)
+        assert replace(full, rest_pivot=(0, 0)).log_det() == full.log_det()
 
     def test_exact_test_decides_what_floats_cannot(self):
         # [[1, 1], [1, 1 + d]] with d = +-2**-80: machine floats round 1 + d
@@ -165,9 +177,9 @@ class TestUpdate:
         one = 1 << (80 + 16)
         for sign in (1, -1):
             state = EllipsoidState(
-                center=((0, 0), (0, 0)), columns=((one,), ()),
-                pivots=((1, 0), (sign, -80)), precision_bits=80)
-            corner = state.shape_matrix()[1][1]
+                dimension=2, touched=(0, 1), center=((0, 0), (0, 0)), columns=((one,), ()),
+                pivots=((1, 0), (sign, -80)), rest_pivot=(1, 0), precision_bits=80)
+            corner = shape_matrix(state)[1][1]
             assert corner == 1 + sign * F(1, 2**80) and float(corner) == 1.0
             if sign > 0:
                 assert state.log_det() == pytest.approx(-80 * math.log(2.0), abs=1e-9)
@@ -255,10 +267,10 @@ def checked_update(state, normal):
     """update(), asserted against the exact central cut of the stored state."""
     n, bits = state.dimension, state.precision_bits
     tol = F(1, 2 ** (bits - 8))
-    shape, center = state.shape_matrix(), state.snapshot()
+    shape, center = shape_matrix(state), state.snapshot()
     want_shape, want_center = exact_central_cut(shape, center, normal, bits)
     state = update(state, normal)
-    got_shape, got_center = state.shape_matrix(), state.snapshot()
+    got_shape, got_center = shape_matrix(state), state.snapshot()
     scale = max(want_shape[i][i] for i in range(n))
     for i in range(n):
         for j in range(n):
@@ -268,7 +280,7 @@ def checked_update(state, normal):
     step_scale = max(shape[i][i] for i in range(n))
     for got, want in zip(got_center, want_center):
         assert (got - want) ** 2 <= tol * tol * max(want * want, step_scale)
-    assert all(man.bit_length() == bits for man, _ in state.pivots)
+    assert all(man.bit_length() == bits for man, _ in dense_state(state).pivots)
     assert is_positive_definite(got_shape)
     return state
 
@@ -289,7 +301,7 @@ class TestFixedPointUpdate:
         state = EllipsoidState.initial_ball(n, log2_radius, bits)
         for normal in cuts:
             state = update(state, normal)
-            shape = state.shape_matrix()
+            shape = shape_matrix(state)
             assert is_positive_definite(shape)
             det = math.prod(leading_pivots(shape))
             exact = math.log(det.numerator) - math.log(det.denominator)
@@ -301,6 +313,7 @@ class TestFixedPointUpdate:
         state = EllipsoidState.initial_ball(n, 10.0, 96)
         for normal in ([j + 1 for j in range(n)], [1] * (n - 1) + [-2]):
             state = update(state, normal)
+        assert state.touched == tuple(range(n))
         assert all(any(col) for col in state.columns[:-1])
         for k in range(n):
             after = update(state, [-1 if j == k else 0 for j in range(n)])
@@ -314,6 +327,138 @@ class TestFixedPointUpdate:
             state = EllipsoidState.initial_ball(n, log2_radius, bits)
             for normal in (first, [0] * (n - 1) + [-1], [2] * n):
                 state = checked_update(state, normal)
+
+
+@st.composite
+def subset_chains(draw):
+    """Normals supported on random subsets of the N coordinates, so that
+    coordinates enter the touched set mid-chain, one at a time or several
+    at once; a chain may touch a single coordinate of many."""
+    n = draw(st.integers(1, 8))
+    bits = draw(st.sampled_from([16, 53, 96, 256]))
+    log2_radius = draw(st.one_of(
+        st.integers(-12, 24).map(lambda k: k / 2),
+        st.sampled_from([999.5, 1063.0]),
+    ))
+    value = st.one_of(st.integers(-20, 20), st.integers(-(2**300), 2**300)).filter(bool)
+    supports = st.dictionaries(st.integers(0, n - 1), value, min_size=1)
+    cuts = draw(st.lists(supports, min_size=1, max_size=4 if bits == 16 else 12))
+    return n, bits, log2_radius, [[cut.get(r, 0) for r in range(n)] for cut in cuts]
+
+
+def reference_chain(n, bits, log2_radius, cuts):
+    """(normal, dense reference state) after each cut, up to the first cut
+    the reference refuses for lost positive definiteness."""
+    reference = dense_state(EllipsoidState.initial_ball(n, log2_radius, bits))
+    for normal in cuts:
+        try:
+            reference = reference_update(reference, normal)
+        except PrecisionError:
+            return
+        yield normal, reference
+
+
+class TestTouchedCoordinates:
+    """The state over the touched coordinates is the dense state of the
+    reference update, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(subset_chains())
+    def test_matches_the_dense_reference(self, chain):
+        n, bits, log2_radius, cuts = chain
+        state = EllipsoidState.initial_ball(n, log2_radius, bits)
+        assert state.log_det() == reference_log_det(dense_state(state))
+        steps = 0
+        for normal, reference in reference_chain(*chain):
+            state = update(state, normal)
+            assert dense_state(state) == reference
+            assert state.log_det() == reference_log_det(reference)
+            steps += 1
+        if steps < len(cuts):  # the reference lost positive definiteness
+            with pytest.raises(PrecisionError):
+                update(state, cuts[steps])
+
+    @settings(max_examples=100, deadline=None)
+    @given(subset_chains())
+    def test_untouched_coordinates_keep_the_start(self, chain):
+        # in the reference, every coordinate no normal has touched keeps
+        # center 0, a zero row and column of L and the pivot all such share
+        n, bits, log2_radius, cuts = chain
+        state = EllipsoidState.initial_ball(n, log2_radius, bits)
+        seen = set()
+        for normal, reference in reference_chain(*chain):
+            state = update(state, normal)
+            seen |= {r for r, v in enumerate(normal) if v}
+            assert state.touched == tuple(sorted(seen))
+            size = len(state.touched)
+            assert len(state.center) == len(state.pivots) == len(state.columns) == size
+            assert [len(col) for col in state.columns] == list(range(size - 1, -1, -1))
+            for r in set(range(n)) - seen:
+                assert reference.center[r] == (0, 0)
+                assert not any(reference.columns[r])
+                assert not any(reference.columns[j][r - j - 1] for j in range(r))
+                assert reference.pivots[r] == state.rest_pivot
+
+    def test_one_coordinate_of_many(self):
+        state = EllipsoidState.initial_ball(6, 10.0, 96)
+        for _ in range(3):
+            state = update(state, [0, 0, 0, -1, 0, 0])
+        assert state.touched == (3,)
+        assert state.columns == ((),)
+        assert state.integer_center().numerators[:3] == (0, 0, 0)
+        assert state.snapshot()[3] > 0  # the kept half is y_3 >= center
+        reference = dense_state(EllipsoidState.initial_ball(6, 10.0, 96))
+        for _ in range(3):
+            reference = reference_update(reference, [0, 0, 0, -1, 0, 0])
+        assert dense_state(state) == reference
+
+
+@st.composite
+def rounding_cases(draw):
+    """(num, den, exp, bits) with num / (den 2**shift) at or next to a
+    half-way point, up to just below 2**(bits + 1), so that ties and the
+    carry to 2**bits both occur, for shifts of either sign; or drawn freely."""
+    bits = draw(st.integers(1, 64))
+    exp = draw(st.integers(-200, 200))
+    sign = draw(st.sampled_from([1, -1]))
+    if draw(st.booleans()):
+        num = draw(st.integers(1, 2**300))
+        den = draw(st.one_of(st.integers(1, 50), st.integers(1, 2**200)))
+        return sign * num, den, exp, bits
+    shift = draw(st.integers(-80, 80))
+    twice = draw(st.one_of(
+        st.integers(2**bits - 4, 2**bits + 4),  # around 2**(bits - 1)
+        st.integers(2 ** (bits + 1) - 4, 2 ** (bits + 1) + 4),  # around 2**bits
+        st.integers(2**bits, 2 ** (bits + 2)),
+    ))
+    odd = draw(st.integers(1, 2**80).map(lambda d: 2 * d + 1))
+    m = draw(st.integers(max(0, 1 - shift), max(0, 1 - shift) + 8))
+    # num / (den 2**shift) = twice / 2 with den = odd 2**m, nudged by one
+    # unit of num or not at all
+    den = odd << m
+    num = (twice * odd << (m + shift - 1)) + draw(st.sampled_from([-1, 0, 0, 1]))
+    return sign * num, den, exp, bits
+
+
+class TestRoundDyadic:
+    @settings(max_examples=600, deadline=None)
+    @given(rounding_cases())
+    def test_matches_the_reference(self, case):
+        got = _round_dyadic(*case)
+        assert got == reference_round_dyadic(*case)
+        assert abs(got[0]).bit_length() <= case[3]
+
+    @pytest.mark.parametrize("num, den, bits, want", [
+        (5, 2, 2, (2, 0)),  # 2.5: a tie, to the even 2
+        (7, 2, 2, (2, 1)),  # 3.5 rounds up to 4, which takes 3 bits: a carry
+        (-7, 2, 2, (-2, 1)),
+        (15, 8, 3, (4, -1)),  # 1.875 = 7.5 / 4, a tie, to 8 / 4: a carry
+        (1, 3, 16, (43691, -17)),
+        (0, 7, 16, (0, 0)),
+    ])
+    def test_ties_and_carries(self, num, den, bits, want):
+        assert _round_dyadic(num, den, 0, bits) == want == reference_round_dyadic(
+            num, den, 0, bits)
 
 
 class TestIntegerCenter:
@@ -337,6 +482,7 @@ class TestIntegerCenter:
         state = EllipsoidState.initial_ball(3, 1063.0, 64)
         for k in (0, 2):
             state = update(state, [-1 if j == k else 0 for j in range(3)])
+        assert state.touched == (0, 2)
         assert all(exp > 0 for man, exp in state.center if man)
         point = state.integer_center()
         assert point.denominator == 1
@@ -397,6 +543,9 @@ class TestParams:
             EllipsoidParams(10.0, None, 0, 256)
         with pytest.raises(ValueError):
             EllipsoidParams(10.0, None, 10, 8)
+        with pytest.raises(ValueError, match="at most"):
+            EllipsoidParams(10.0, None, 10, MAX_PRECISION_BITS + 1)
+        assert EllipsoidParams(10.0, None, 10, MAX_PRECISION_BITS).precision_bits == 1 << 16
 
 
 class TestRunLoop:
@@ -431,7 +580,7 @@ class TestRunLoop:
 
     def test_volume_floor_stops_run(self):
         state = EllipsoidState.initial_ball(2, 2.0, 128)
-        floor = state.log_volume() - 3.0
+        floor = log_volume(state) - 3.0
         params = EllipsoidParams(2.0, floor, 500, 128)
         flip = {}
 
@@ -442,7 +591,7 @@ class TestRunLoop:
         result = run(2, params, oracle)
         assert result.outcome is Outcome.INFEASIBLE_OR_SHALLOW
         assert 2 <= len(result.transcript.entries) < 500
-        assert result.state.log_volume() < floor
+        assert log_volume(result.state) < floor
 
     def test_on_new_cut_early_stop(self):
         g = random_game("nfg", 4, 2, u_max=10, seed=7)

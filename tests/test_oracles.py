@@ -31,8 +31,8 @@ from exactce.oracles import (
     purified_separation,
     purify,
     stationary_block,
-    stationary_product,
 )
+from helpers import stationary_product
 
 F = Fraction
 

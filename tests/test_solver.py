@@ -57,6 +57,8 @@ class TestConfig:
         {"max_iters": 0},
         {"probe_stride": 0},
         {"precision_bits": 15},
+        {"precision_bits": (1 << 16) + 1},
+        {"precision_bits": 99999999999},
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(ValueError):
