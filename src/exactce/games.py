@@ -77,11 +77,35 @@ class ProductDistribution:
         )
 
     def check_for(self, game: "Game") -> None:
-        if len(self.strategies) != game.players:
-            raise ValueError("distribution has the wrong number of players")
-        for p, strat in enumerate(self.strategies):
-            if len(strat) != game.actions[p]:
-                raise ValueError(f"player {p}: strategy length {len(strat)} != {game.actions[p]}")
+        _check_blocks(self.strategies, game)
+
+
+class IntegerProduct:
+    """A product distribution held as integers: player p plays action i with
+    probability weights[p][i] / d. It is the (D, X) pair that
+    ProductDistribution.integer_weights returns, for a caller that has the
+    weights without their Fractions; the caller keeps each block nonnegative
+    and summing to d. (Not a dataclass: building one takes about 1 ms at
+    every import of the package.)"""
+
+    __slots__ = ("d", "weights")
+
+    def __init__(self, d: int, weights: tuple[tuple[int, ...], ...]):
+        self.d, self.weights = d, weights
+
+    def integer_weights(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        return self.d, self.weights
+
+    def check_for(self, game: "Game") -> None:
+        _check_blocks(self.weights, game)
+
+
+def _check_blocks(blocks: Sequence[Sequence], game: "Game") -> None:
+    if len(blocks) != game.players:
+        raise ValueError("distribution has the wrong number of players")
+    for p, strat in enumerate(blocks):
+        if len(strat) != game.actions[p]:
+            raise ValueError(f"player {p}: strategy length {len(strat)} != {game.actions[p]}")
 
 
 # ---------- integerization ----------

@@ -35,17 +35,25 @@ rate Laplacian with row and column i deleted. A positive total means one
 closed class, hence a unique stationary distribution, which is the weights
 over their total. Only a block with several closed classes goes to the
 simplex (exact_lp.stationary_distribution) on the same integer rates,
-whose vertex then picks one.
+whose vertex then picks one. The weights stay integers: each player's are
+reduced by one gcd against their total (stationary_block). The product
+oracle forms its Fractions from those, weights over total. The purified
+oracle forms no Fraction: it brings every player over D, the lcm of the
+totals (stationary_weights), and hands those integers to purify. That is
+the D and the X = D x that ProductDistribution.integer_weights gives for
+the same product.
 
-The rounding holds V as one Python integer (DualValue). x is scaled by the
-lcm D of its denominators, kept for the whole rounding, so every term of V
-carries the same positive factor D L conditional_scale(D) (D^(n-1) for
-normal form, D for polymatrix). Its sign tests and comparisons are then
-exact integer ones, with no gcd and no row vector. V is affine in each
-player's mix, so all of one player's branches are scored from one linear
-form (Rounding), built from the game's conditional payoff jacobians and
-updated as players are fixed; DualValue.scores, which evaluates V from
-scratch, is the reference those forms must equal.
+The rounding holds V as one Python integer (DualValue). D stays fixed for
+the whole rounding, so every term of V carries the same positive factor
+D L conditional_scale(D) (D^(n-1) for normal form, D for polymatrix). Its
+sign tests and comparisons are then exact integer ones, with no gcd and no
+row vector. V is affine in each player's mix, so all of one player's
+branches are scored from one linear form (Rounding), built from the game's
+conditional payoff jacobians and updated as players are fixed: only the
+kernels of the players still open move, and the welfare is scored only
+under the "welfare" tie break, the one that reads it. DualValue.scores,
+which evaluates V and the welfare from scratch, is the reference those
+forms must equal.
 """
 
 from __future__ import annotations
@@ -55,11 +63,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from numbers import Rational
+from operator import mul
 from typing import Callable, Sequence
 
 from .errors import SolverError
 from .exact_lp import stationary_distribution
-from .games import Game, ProductDistribution, PureProfile
+from .games import Game, IntegerProduct, ProductDistribution, PureProfile
 from .incentives import (
     IncentiveColumn,
     RowIndex,
@@ -165,7 +174,14 @@ Cut = NonnegativityCut | ProfileCut | ProductCut
 
 
 def _dot(a: Sequence[int], b: Sequence[int]) -> int:
+    """Inner product of a sparse a with b: a cut normal and a point."""
     return sum(u * v for u, v in zip(a, b) if u)
+
+
+def _inner(a: Sequence[int], b: Sequence[int]) -> int:
+    """Inner product of two short dense vectors: one player's weights,
+    kernel, flows or jacobian row."""
+    return sum(map(mul, a, b))
 
 
 @dataclass(frozen=True)
@@ -241,21 +257,27 @@ def _tree_weights(rates: list[list[int]]) -> list[int]:
     ]
 
 
-def stationary_block(rates: list[list[int]], denominator: int) -> tuple[Fraction, ...]:
-    """The stationary distribution stationary_distribution returns for the
-    rates rates[i][j] / denominator (diagonal zero), mostly without its LP.
+def stationary_block(rates: list[list[int]], denominator: int) -> tuple[int, tuple[int, ...]]:
+    """(T, W): the stationary distribution stationary_distribution returns
+    for the rates rates[i][j] / denominator (diagonal zero) is W / T, with T
+    positive and gcd(T, W) = 1, mostly without its LP.
 
     A positive tree-weight total means one closed class. The balance
     equations then have one solution, the weights over their total, which is
     the simplex's vertex too. A zero total means several closed classes, and
     only then is the simplex run, on the same integer rates, so that its
-    vertex picks among the stationary distributions.
+    vertex picks among the stationary distributions; W / T is then that
+    vertex over the lcm of its denominators. Either way one gcd reduces the
+    pair, so T is the lcm of the reduced denominators of W / T.
     """
     weights = _tree_weights(rates)
     total = sum(weights)
-    if total:
-        return tuple(Fraction(w, total) for w in weights)
-    return stationary_distribution(rates, denominator)
+    if not total:
+        vertex = stationary_distribution(rates, denominator)
+        total = math.lcm(*(v.denominator for v in vertex))
+        weights = [v.numerator * (total // v.denominator) for v in vertex]
+    common = math.gcd(total, *weights)
+    return total // common, tuple(w // common for w in weights)
 
 
 def _rate_blocks(game: Game, point: IntegerPoint) -> list[list[list[int]]]:
@@ -268,13 +290,37 @@ def _rate_blocks(game: Game, point: IntegerPoint) -> list[list[list[int]]]:
     return blocks
 
 
-def _stationary_x(game: Game, point: IntegerPoint) -> ProductDistribution:
-    """The stationary product of the point: one stationary_block per player,
-    uniform where the player's block is all zero."""
-    return ProductDistribution(tuple(
+def _stationary_blocks(game: Game, point: IntegerPoint) -> list[tuple[int, tuple[int, ...]]]:
+    """Each player's stationary distribution as stationary_block's (T, W):
+    one stationary_block per player, uniform where the player's block is
+    all zero."""
+    return [
         stationary_block(rates, point.denominator) if any(map(any, rates))
-        else tuple(Fraction(1, len(rates)) for _ in rates)
+        else (len(rates), (1,) * len(rates))
         for rates in _rate_blocks(game, point)
+    ]
+
+
+def stationary_weights(game: Game, point: IntegerPoint) -> IntegerProduct:
+    """The stationary product of the point as integers over one denominator:
+    each player's (T_p, W_p) brought over D, the lcm of the T_p.
+
+    Each T_p is the lcm of player p's reduced denominators, so D and
+    X_p = W_p D / T_p are the pair ProductDistribution.integer_weights gives
+    for the same distribution, with no Fraction formed on the way.
+    """
+    blocks = _stationary_blocks(game, point)
+    d = math.lcm(*(total for total, _ in blocks))
+    return IntegerProduct(d, tuple(
+        tuple(w * (d // total) for w in weights) for total, weights in blocks))
+
+
+def _stationary_x(game: Game, point: IntegerPoint) -> ProductDistribution:
+    """The stationary product of the point as Fractions, each player's
+    W_p / T_p: the distribution stationary_weights holds over D."""
+    return ProductDistribution(tuple(
+        tuple(Fraction(w, total) for w in weights)
+        for total, weights in _stationary_blocks(game, point)
     ))
 
 
@@ -305,12 +351,14 @@ class DualValue:
         w_p(i) = x_p(i) sum_{j != i} y_{p,i,j} - sum_{k != i} x_p(k) y_{p,k,i},
 
     action i's y-weighted outflow minus its inflow. y is read as Y / L
-    (integer_point), and x is scaled by D, the lcm of all its denominators. D is
-    fixed when the object is built, so fixing a player to action a later
-    means the weights D e_a (point_mass). On weights X = D x the game's
-    integer kernel gives conditional_scale(D) C_p and the flows carry D L,
-    so every term of V carries the same positive factor `scale`: scores(X)
-    returns V(x) * scale exactly, and its sign and order are those of V.
+    (integer_point), and x as integer weights X over one denominator D,
+    x.integer_weights(): a ProductDistribution's lcm of denominators, or the
+    D an IntegerProduct already carries. D is fixed when the object is
+    built, so fixing a player to action a later means the weights D e_a
+    (point_mass). On the weights X the game's integer kernel gives
+    conditional_scale(D) C_p and the flows carry D L, so every term of V
+    carries the same positive factor `scale`: scores(X) returns V(x) * scale
+    exactly, and its sign and order are those of V.
 
     V is affine in each player's weights, since C_p does not read X_p and
     every other C_q is linear in it. Rounding uses that to score all of one
@@ -318,7 +366,7 @@ class DualValue:
     scratch, is the reference those forms are tested against.
     """
 
-    def __init__(self, game: Game, y: DualPoint, x: ProductDistribution):
+    def __init__(self, game: Game, y: DualPoint, x: ProductDistribution | IntegerProduct):
         self.game = game
         self.d, self.start = x.integer_weights()
         point = integer_point(y)
@@ -343,7 +391,7 @@ class DualValue:
         value is scale * V(x). welfare is sum_q <C_q, X_q>, the players'
         total expected payoff under x times D * conditional_scale(D).
         """
-        state = Rounding(self, weights)
+        state = Rounding(self, weights, welfare=True)
         return state.value, state.welfare
 
 
@@ -351,70 +399,84 @@ class Rounding:
     """Integer state of the conditioning in purify, kept up to date as players
     are fixed one at a time.
 
-    It holds the weights X, every player's kernel C_q =
-    conditional_payoff_ints(q, X), the flows w_q, and the value V and welfare
-    W that DualValue.scores returns on X. Fixing player p moves each other
-    C_q by M_qp (X_p' - X_p), with M_qp the game's conditional payoff
-    jacobian, and leaves C_p and every other flow alone. So V and W at
-    X_p' = D e_a are V + D h(a) - <X_p, h> and W + D k(a) - <X_p, k>, where
+    It holds the weights X, the kernel C_q = conditional_payoff_ints(q, X) of
+    every player not yet fixed, the flows w_q, the value V that
+    DualValue.scores returns on X and, when built with welfare=True, the
+    welfare W it returns too (else welfare is None). Fixing player p moves
+    each other C_q by M_qp (X_p' - X_p), with M_qp the game's conditional
+    payoff jacobian, and leaves C_p and every other flow alone. So V and W
+    at X_p' = D e_a are V + D h(a) - <X_p, h> and W + D k(a) - <X_p, k>, where
 
         h(a) = C_p(a) out_p(a) - sum_i L y_{p,a,i} C_p(i)
                + sum_{q != p} sum_i w_q(i) M_qp[i][a],
         k(a) = C_p(a) + sum_{q != p} sum_i X_q(i) M_qp[i][a].
+
+    Neither form reads the kernel of a player other than p, so a fixed
+    player's kernel is never read again: step moves only the kernels of the
+    players still open, and drops p's once p is fixed. k is formed only
+    when welfare is tracked.
 
     step(p, choose) makes one pass over the jacobians to score every branch
     of p, instead of one evaluation of the whole game per branch, and then
     fixes p to the branch choose picks.
     """
 
-    def __init__(self, dual: DualValue, weights: Sequence[Sequence[int]]):
+    def __init__(self, dual: DualValue, weights: Sequence[Sequence[int]], welfare: bool):
         game = dual.game
         self.dual = dual
         self.weights = [tuple(mine) for mine in weights]
         self.conditionals = [game.conditional_payoff_ints(q, weights) for q in range(game.players)]
         self.flows = [dual.flows(q, mine) for q, mine in enumerate(weights)]
-        self.value = sum(_dot(c, w) for c, w in zip(self.conditionals, self.flows))
-        self.welfare = sum(_dot(c, mine) for c, mine in zip(self.conditionals, weights))
+        self.value = sum(_inner(c, w) for c, w in zip(self.conditionals, self.flows))
+        self.welfare = (sum(_inner(c, mine) for c, mine in zip(self.conditionals, weights))
+                        if welfare else None)
 
-    def step(self, player: int, choose: Callable[[list[tuple[int, int]]], int]) -> int:
+    def step(self, player: int, choose: Callable[[list[tuple[int, int | None]]], int]) -> int:
         """Fix player to the action choose picks and return that action.
 
         choose gets (value, welfare) after fixing player to each of its
-        actions, the integers scores returns on those weights.
+        actions, the integers scores returns on those weights; welfare is
+        None when it is not tracked.
         """
         dual, weights = self.dual, self.weights
         own = self.conditionals[player]
-        h = [c * out - _dot(row, own)
+        h = [c * out - _inner(row, own)
              for c, out, row in zip(own, dual.outflows[player], dual.rates[player])]
-        k = list(own)
-        jacobians = {}
+        k = None if self.welfare is None else list(own)
+        moved = []
         for q in range(dual.game.players):
             if q != player:
                 jacobian = dual.game.conditional_payoff_jacobian(q, player, weights)
-                jacobians[q] = jacobian
+                if self.conditionals[q] is not None:
+                    moved.append((q, jacobian))
                 for flow, mass, row in zip(self.flows[q], weights[q], jacobian):
                     if flow:
                         h = [ha + flow * v for ha, v in zip(h, row)]
-                    if mass:
+                    if mass and k is not None:
                         k = [ka + mass * v for ka, v in zip(k, row)]
         mine, d = weights[player], dual.d
-        value, welfare = self.value - _dot(mine, h), self.welfare - _dot(mine, k)
-        branches = [(value + d * ha, welfare + d * ka) for ha, ka in zip(h, k)]
+        value = self.value - _inner(mine, h)
+        if k is None:
+            branches = [(value + d * ha, None) for ha in h]
+        else:
+            welfare = self.welfare - _inner(mine, k)
+            branches = [(value + d * ha, welfare + d * ka) for ha, ka in zip(h, k)]
         action = choose(branches)
 
         target = dual.point_mass(player, action)
         delta = [t - x for t, x in zip(target, mine)]
-        for q, jacobian in jacobians.items():
+        for q, jacobian in moved:
             self.conditionals[q] = [
-                c + _dot(delta, row) for c, row in zip(self.conditionals[q], jacobian)
+                c + _inner(delta, row) for c, row in zip(self.conditionals[q], jacobian)
             ]
+        self.conditionals[player] = None
         weights[player] = target
         self.flows[player] = dual.flows(player, target)
         self.value, self.welfare = branches[action]
         return action
 
 
-def _choose(tie_break: str, branches: list[tuple[int, int]]) -> int:
+def _choose(tie_break: str, branches: list[tuple[int, int | None]]) -> int:
     """The action purify fixes, among the branches with nonnegative value."""
     kept = [(a, v, w) for a, (v, w) in enumerate(branches) if v >= 0]
     if not kept:
@@ -430,7 +492,7 @@ def _choose(tie_break: str, branches: list[tuple[int, int]]) -> int:
 def purify(
     game: Game,
     y: DualPoint,
-    x: ProductDistribution,
+    x: ProductDistribution | IntegerProduct,
     tie_break: str = "first",
     _stationary: bool = False,
 ) -> PureProfile:
@@ -444,15 +506,18 @@ def purify(
     branches: "first" takes the lowest action, "max-value" the branch with the
     largest value, "welfare" the branch with the largest total expected payoff.
 
-    Rounding scores all of one player's branches from one linear form in that
-    player's weights: one integer value and one integer welfare per branch,
-    equal to what DualValue.scores returns on those weights, each the exact
-    quantity times a positive factor that depends only on y's denominator
-    and the starting x. The sign tests and both comparisons are therefore
-    exact and pick the same branches as the rational values would. Scaling
-    the integer point Y by a positive constant multiplies every branch value
-    and welfare by that constant too, so the branches picked do not depend
-    on the denominator y comes with.
+    x is a ProductDistribution or, from purified_separation, the integer
+    weights of its stationary product (IntegerProduct); both give the same
+    D and X. Rounding scores all of one player's branches from one linear
+    form in that player's weights: one integer value per branch, and under
+    "welfare", the only tie break that reads it, one integer welfare, each
+    equal to what DualValue.scores returns on those weights and each the
+    exact quantity times a positive factor that depends only on y's
+    denominator and the starting x. The sign tests and the comparisons are
+    therefore exact and pick the same branches as the rational values would.
+    Scaling the integer point Y by a positive constant multiplies every
+    branch value and welfare by that constant too, so the branches picked do
+    not depend on the denominator y comes with.
     purified_separation passes _stationary=True for its stationary product,
     whose value must then be exactly zero.
     """
@@ -461,7 +526,7 @@ def purify(
     point = _nonnegative_point(game, y)
     x.check_for(game)
     dual = DualValue(game, point, x)
-    state = Rounding(dual, dual.start)
+    state = Rounding(dual, dual.start, welfare=tie_break == "welfare")
     if _stationary and state.value != 0:
         raise SolverError(_STATIONARY_FAILED)
     if state.value < 0:
@@ -492,7 +557,7 @@ def purified_separation(game: Game, y: DualPoint, tie_break: str = "first") -> C
     negative = _negative_coordinate(game, point)
     if negative is not None:
         return negative
-    profile = purify(game, point, _stationary_x(game, point), tie_break, _stationary=True)
+    profile = purify(game, point, stationary_weights(game, point), tie_break, _stationary=True)
     column = profile_column(game, profile)
     if column.dot(point.numerators) < 0:
         raise SolverError("purified profile fails its nonnegativity guarantee")

@@ -14,7 +14,7 @@ from exactce import (
     random_game,
 )
 from exactce import games
-from exactce.games import NormalFormGame, PolymatrixGame, ProductDistribution
+from exactce.games import IntegerProduct, NormalFormGame, PolymatrixGame, ProductDistribution
 
 F = Fraction
 
@@ -379,3 +379,14 @@ class TestProductDistribution:
         ProductDistribution.uniform((2, 2)).check_for(g)
         with pytest.raises(ValueError):
             ProductDistribution.uniform((2, 3)).check_for(g)
+
+    def test_integer_product_is_its_integer_weights(self):
+        g = random_game("nfg", 2, 2, u_max=1, seed=0)
+        x = ProductDistribution((((F(1, 3), F(2, 3)), (F(1, 2), F(1, 2)))))
+        held = IntegerProduct(*x.integer_weights())
+        assert held.integer_weights() == (6, ((2, 4), (3, 3)))
+        held.check_for(g)
+        with pytest.raises(ValueError, match="wrong number of players"):
+            IntegerProduct(6, ((2, 4),)).check_for(g)
+        with pytest.raises(ValueError, match="strategy length"):
+            IntegerProduct(6, ((2, 4), (1, 2, 3))).check_for(g)

@@ -25,12 +25,14 @@ from exactce.oracles import (
     ProfileCut,
     Rounding,
     _determinant,
+    _stationary_x,
     cut_violation,
     integer_point,
     product_separation,
     purified_separation,
     purify,
     stationary_block,
+    stationary_weights,
 )
 from helpers import stationary_product
 
@@ -155,6 +157,14 @@ def rate_blocks(draw):
     return [[0 if i == j else draw(rate) for j in range(m)] for i in range(m)]
 
 
+def block_fractions(rates, denominator):
+    """stationary_block's (T, W) as the distribution W / T, after checking
+    that one gcd reduced the pair."""
+    total, weights = stationary_block(rates, denominator)
+    assert total > 0 and math.gcd(total, *weights) == 1
+    return tuple(F(w, total) for w in weights)
+
+
 class TestStationaryBlock:
     @settings(max_examples=300, deadline=None)
     @given(rate_blocks(), st.sampled_from([1, 2, 3, 12, 2**40]))
@@ -162,7 +172,7 @@ class TestStationaryBlock:
     def test_equals_the_simplex_vertex(self, rates, denominator):
         # the simplex builds its integer columns over the rates' denominator
         # and returns the reference Fraction simplex's vertex
-        got = stationary_block(rates, denominator)
+        got = block_fractions(rates, denominator)
         assert got == stationary_distribution(rates, denominator)
         assert got == helpers.reference_stationary_distribution(rates, denominator)
 
@@ -175,7 +185,7 @@ class TestStationaryBlock:
     def test_several_closed_classes_fall_back(self, rates):
         with patch.object(oracles, "stationary_distribution",
                           wraps=stationary_distribution) as simplex:
-            got = stationary_block(rates, 3)
+            got = block_fractions(rates, 3)
         simplex.assert_called_once_with(rates, 3)
         assert got == helpers.reference_stationary_distribution(rates, 3)
 
@@ -185,7 +195,7 @@ class TestStationaryBlock:
         with patch.object(oracles, "stationary_distribution") as simplex:
             got = stationary_block(rates, 1)
         simplex.assert_not_called()
-        assert got == (0, F(2, 3), F(1, 3))
+        assert got == (3, (0, 2, 1))
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 4).flatmap(lambda n: st.lists(
@@ -197,6 +207,63 @@ class TestStationaryBlock:
             inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
             want += (-1) ** inversions * math.prod(matrix[i][perm[i]] for i in range(n))
         assert _determinant(matrix) == want
+
+
+@st.composite
+def integer_points(draw):
+    """(game, point): nfg up to 3x3 or polymatrix up to 4x3, and a point
+    y = Y / L >= 0 with some all-zero player blocks and some zero rows
+    (actions with no outflow, so some blocks have several closed classes)."""
+    family = draw(st.sampled_from(["nfg", "polymatrix"]))
+    players = draw(st.integers(1, 3 if family == "nfg" else 4))
+    actions = tuple(draw(st.integers(1, 3)) for _ in range(players))
+    g = random_game(family, players, actions, u_max=9, seed=draw(st.integers(0, 2**16)))
+    numerators = []
+    for m in actions:
+        zero_block = draw(st.integers(0, 3)) == 0
+        for _ in range(m):
+            zero_row = zero_block or draw(st.integers(0, 3)) == 0
+            numerators.extend(0 if zero_row else draw(st.integers(0, 30)) for _ in range(m))
+    return g, IntegerPoint(tuple(numerators), draw(st.sampled_from([1, 3, 2**20])))
+
+
+# player 0's actions {0, 1} form one closed class and action 2, which has no
+# outflow, another; player 1's block is all zero
+SEVERAL_CLOSED_CLASSES = (
+    random_game("nfg", 2, 3, u_max=9, seed=7),
+    IntegerPoint((0, 1, 0, 2, 0, 0, 0, 0, 0) + (0,) * 9, 4),
+)
+
+
+class TestStationaryWeights:
+    @settings(max_examples=200, deadline=None)
+    @given(integer_points())
+    @example(SEVERAL_CLOSED_CLASSES)
+    def test_equal_the_product_integer_weights(self, case):
+        g, point = case
+        assert (stationary_weights(g, point).integer_weights()
+                == _stationary_x(g, point).integer_weights())
+
+    def test_several_closed_classes_take_the_simplex(self):
+        g, point = SEVERAL_CLOSED_CLASSES
+        with patch.object(oracles, "stationary_distribution",
+                          wraps=stationary_distribution) as simplex:
+            d, weights = stationary_weights(g, point).integer_weights()
+        simplex.assert_called_once()
+        assert helpers.reference_stationary_distribution(
+            [[0, 1, 0], [2, 0, 0], [0, 0, 0]], 4) == tuple(F(w, d) for w in weights[0])
+        assert weights[1] == (d // 3,) * 3
+
+    @settings(max_examples=60, deadline=None)
+    @given(integer_points())
+    @example(SEVERAL_CLOSED_CLASSES)
+    def test_purified_separation_matches_reference(self, case):
+        g, point = case
+        y = [F(v, point.denominator) for v in point.numerators]
+        x = stationary_product(g, y)
+        for tb in TIE_BREAKS:
+            cut = purified_separation(g, y, tb)
+            assert cut.profile == helpers.purify_reference(g, y, x, tb), tb
 
 
 class TestIntegerPoint:
@@ -446,15 +513,19 @@ class TestIntegerValue:
             return
         value = DualValue(g, y, x)
         for tb in ("first", "max-value", "welfare"):
+            # the welfare is scored only under the tie break that reads it
+            def scored(pair, tb=tb):
+                return pair if tb == "welfare" else (pair[0], None)
+
             calls = record_branches(lambda: purify(g, y, x, tb))
             assert [p for p, _, _, _ in calls] == list(range(g.players))
             for p, weights, before, branches in calls:
                 # the state carried to this player equals a fresh evaluation
-                assert before == value.scores(weights)
+                assert before == scored(value.scores(weights))
                 for a, branch in enumerate(branches):
                     forced = list(weights)
                     forced[p] = value.point_mass(p, a)
-                    assert branch == value.scores(forced), (tb, p, a)
+                    assert branch == scored(value.scores(forced)), (tb, p, a)
 
     @settings(max_examples=150, deadline=None)
     @given(value_cases())
