@@ -17,6 +17,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import Iterator, Sequence
 
 from .errors import GameFormatError
@@ -434,7 +435,7 @@ class PolymatrixGame(Game):
         for q, theirs in enumerate(weights):
             if q != player:
                 for i, row in enumerate(self.blocks[player][q]):
-                    out[i] += sum(w * v for w, v in zip(theirs, row) if w)
+                    out[i] += sum(map(mul, theirs, row))
         return out
 
     def conditional_payoff_jacobian(

@@ -21,7 +21,14 @@ from numbers import Rational
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import CertificateError, CertificateMismatchError
-from .games import Game, ProductDistribution, PureProfile, rational_from_text, rational_text
+from .games import (
+    Game,
+    IntegerProduct,
+    ProductDistribution,
+    PureProfile,
+    rational_from_text,
+    rational_text,
+)
 
 
 class RowIndex(NamedTuple):
@@ -99,22 +106,22 @@ class IncentiveColumn:
 
 
 def profile_column(game: Game, profile: Sequence[int]) -> IncentiveColumn:
-    """Column at a profile, using one payoff query per (player, action)."""
+    """Column at a profile, from one kernel sweep per player.
+
+    The game's conditional-payoff kernel on the point masses of s (weights
+    1, so conditional_scale(1) = 1) gives player p's payoff from every own
+    action against the rest of s, which is each deviation's payoff.
+    """
     s = game.check_profile(profile)
+    masses = [[int(k == a) for k in range(m)] for m, a in zip(game.actions, s)]
     offsets = row_offsets(game)
     entries = []
-    for p, m in enumerate(game.actions):
-        base = game.payoff(p, s)
-        mutable = list(s)
-        for j in range(m):
-            if j == s[p]:
-                continue
-            mutable[p] = j
-            value = base - game.payoff(p, mutable)
-            if value:
-                pos = offsets[p] + s[p] * m + j
-                entries.append((pos, RowIndex(p, s[p], j), value))
-        mutable[p] = s[p]
+    for p, (m, a) in enumerate(zip(game.actions, s)):
+        payoffs = game.conditional_payoff_ints(p, masses)
+        start, base = offsets[p] + a * m, payoffs[a]
+        for j, deviation in enumerate(payoffs):
+            if deviation != base:
+                entries.append((start + j, RowIndex(p, a, j), base - deviation))
     return IncentiveColumn(profile=s, n_rows=row_count(game), entries=tuple(entries))
 
 
@@ -129,13 +136,14 @@ class RowValues(NamedTuple):
     unit: Fraction
 
 
-def incentive_row_values(game: Game, x: ProductDistribution) -> RowValues:
+def incentive_row_values(game: Game, x: ProductDistribution | IntegerProduct) -> RowValues:
     """Expected value of every incentive row when play follows the product x.
 
     Row (p, i, j) gets x_p(i) times the gap between p's conditional expected
     payoff from playing i and from playing j, everyone else drawn from x.
     The gaps come from the game's integer conditional-payoff kernel on
-    X = D * x, which carries the factor conditional_scale(D); with x_p(i) =
+    X = D * x (x.integer_weights(), or the weights an IntegerProduct
+    already holds), which carries the factor conditional_scale(D); with x_p(i) =
     X_p(i) / D, every row is one integer over D * conditional_scale(D), and
     the vector is returned split once into its coprime direction and unit.
     """

@@ -31,29 +31,35 @@ depend on which L a point comes with.
 
 Each player's stationary distribution is weighted by the Markov chain tree
 theorem (Leighton and Rivest, 1986): action i gets the determinant of the
-rate Laplacian with row and column i deleted. A positive total means one
+rate Laplacian with row and column i deleted, summed over the spanning
+trees directly for two and three actions. A positive total means one
 closed class, hence a unique stationary distribution, which is the weights
 over their total. Only a block with several closed classes goes to the
 simplex (exact_lp.stationary_distribution) on the same integer rates,
 whose vertex then picks one. The weights stay integers: each player's are
 reduced by one gcd against their total (stationary_block). The product
-oracle forms its Fractions from those, weights over total. The purified
-oracle forms no Fraction: it brings every player over D, the lcm of the
-totals (stationary_weights), and hands those integers to purify. That is
-the D and the X = D x that ProductDistribution.integer_weights gives for
-the same product.
+oracle forms Fractions from those, weights over total, only for the
+ProductCut's x. Both oracles bring every player over D, the lcm of the
+totals (stationary_weights): the product oracle's row values and the
+purified oracle's rounding read those integers. That is the D and the
+X = D x that ProductDistribution.integer_weights gives for the same
+product. The purified oracle reads the point's rate blocks once, for the
+stationary step and the rounding both.
 
 The rounding holds V as one Python integer (DualValue). D stays fixed for
 the whole rounding, so every term of V carries the same positive factor
 D L conditional_scale(D) (D^(n-1) for normal form, D for polymatrix). Its
 sign tests and comparisons are then exact integer ones, with no gcd and no
 row vector. V is affine in each player's mix, so all of one player's
-branches are scored from one linear form (Rounding), built from the game's
-conditional payoff jacobians and updated as players are fixed: only the
-kernels of the players still open move, and the welfare is scored only
-under the "welfare" tie break, the one that reads it. DualValue.scores,
-which evaluates V and the welfare from scratch, is the reference those
-forms must equal.
+branches are scored from one linear form (Rounding): the kernel of the
+player being fixed, built from the current weights when its turn comes,
+and the conditional payoff jacobians of the players whose flows are
+nonzero. No kernel is carried from one player to the next. From a
+stationary start every flow is zero, so only the players already fixed
+contribute a jacobian; the welfare, scored only under the "welfare" tie
+break, the one that reads it, needs all of them. DualValue.scores, which
+evaluates V and the welfare from scratch, is the reference those forms
+must equal.
 """
 
 from __future__ import annotations
@@ -245,10 +251,19 @@ def _determinant(matrix: list[list[int]]) -> int:
 def _tree_weights(rates: list[list[int]]) -> list[int]:
     """Action i's weight is the determinant of the rate Laplacian with row
     and column i deleted: the total rate of the spanning trees directed into
-    i, by the Markov chain tree theorem. The diagonal of rates must be zero."""
+    i, by the Markov chain tree theorem. The diagonal of rates must be zero.
+    For two and three actions the trees are summed directly, with no
+    determinant: j -> i alone for two, and for three the trees into i over
+    the other two actions j and k."""
     m = len(rates)
     if m == 2:
         return [rates[1][0], rates[0][1]]
+    if m == 3:
+        # the three trees into i: j -> i <- k, k -> j -> i and j -> k -> i
+        (_, r01, r02), (r10, _, r12), (r20, r21, _) = rates
+        return [r10 * (r20 + r21) + r12 * r20,
+                r01 * (r21 + r20) + r02 * r21,
+                r02 * (r12 + r10) + r01 * r12]
     laplacian = [[sum(row) if i == j else -r for j, r in enumerate(row)]
                  for i, row in enumerate(rates)]
     return [
@@ -290,38 +305,37 @@ def _rate_blocks(game: Game, point: IntegerPoint) -> list[list[list[int]]]:
     return blocks
 
 
-def _stationary_blocks(game: Game, point: IntegerPoint) -> list[tuple[int, tuple[int, ...]]]:
-    """Each player's stationary distribution as stationary_block's (T, W):
-    one stationary_block per player, uniform where the player's block is
-    all zero."""
+def _stationary_blocks(rates: list[list[list[int]]],
+                       denominator: int) -> list[tuple[int, tuple[int, ...]]]:
+    """Each player's stationary distribution as stationary_block's (T, W),
+    from the player's rate block over the point's denominator: one
+    stationary_block per player, uniform where the block is all zero."""
     return [
-        stationary_block(rates, point.denominator) if any(map(any, rates))
-        else (len(rates), (1,) * len(rates))
-        for rates in _rate_blocks(game, point)
+        stationary_block(block, denominator) if any(map(any, block))
+        else (len(block), (1,) * len(block))
+        for block in rates
     ]
 
 
-def stationary_weights(game: Game, point: IntegerPoint) -> IntegerProduct:
-    """The stationary product of the point as integers over one denominator:
-    each player's (T_p, W_p) brought over D, the lcm of the T_p.
+def stationary_weights(stationary: list[tuple[int, tuple[int, ...]]]) -> IntegerProduct:
+    """The stationary product as integers over one denominator: each
+    player's (T_p, W_p) from _stationary_blocks brought over D, the lcm of
+    the T_p.
 
     Each T_p is the lcm of player p's reduced denominators, so D and
     X_p = W_p D / T_p are the pair ProductDistribution.integer_weights gives
     for the same distribution, with no Fraction formed on the way.
     """
-    blocks = _stationary_blocks(game, point)
-    d = math.lcm(*(total for total, _ in blocks))
+    d = math.lcm(*(total for total, _ in stationary))
     return IntegerProduct(d, tuple(
-        tuple(w * (d // total) for w in weights) for total, weights in blocks))
+        tuple(w * (d // total) for w in weights) for total, weights in stationary))
 
 
-def _stationary_x(game: Game, point: IntegerPoint) -> ProductDistribution:
-    """The stationary product of the point as Fractions, each player's
-    W_p / T_p: the distribution stationary_weights holds over D."""
+def _stationary_x(stationary: list[tuple[int, tuple[int, ...]]]) -> ProductDistribution:
+    """The stationary product as Fractions, each player's W_p / T_p: the
+    distribution stationary_weights holds over D."""
     return ProductDistribution(tuple(
-        tuple(Fraction(w, total) for w in weights)
-        for total, weights in _stationary_blocks(game, point)
-    ))
+        tuple(Fraction(w, total) for w in weights) for total, weights in stationary))
 
 
 def _checked_point(game: Game, y: DualPoint) -> IntegerPoint:
@@ -363,14 +377,18 @@ class DualValue:
     V is affine in each player's weights, since C_p does not read X_p and
     every other C_q is linear in it. Rounding uses that to score all of one
     player's branches from one linear form; scores, which evaluates V from
-    scratch, is the reference those forms are tested against.
+    scratch, is the reference those forms are tested against. The rate
+    blocks are read from y unless the caller passes the ones it has already
+    built from the same point (_rates).
     """
 
-    def __init__(self, game: Game, y: DualPoint, x: ProductDistribution | IntegerProduct):
+    def __init__(self, game: Game, y: DualPoint, x: ProductDistribution | IntegerProduct,
+                 _rates: list[list[list[int]]] | None = None):
         self.game = game
         self.d, self.start = x.integer_weights()
         point = integer_point(y)
-        self.rates = _rate_blocks(game, point)  # per player: L y_{p,i,j}
+        # per player: L y_{p,i,j}, or the blocks the caller built from point
+        self.rates = _rate_blocks(game, point) if _rates is None else _rates
         self.outflows = [[sum(row) for row in rates] for rates in self.rates]
         self.scale = self.d * point.denominator * game.conditional_scale(self.d)
 
@@ -399,36 +417,40 @@ class Rounding:
     """Integer state of the conditioning in purify, kept up to date as players
     are fixed one at a time.
 
-    It holds the weights X, the kernel C_q = conditional_payoff_ints(q, X) of
-    every player not yet fixed, the flows w_q, the value V that
-    DualValue.scores returns on X and, when built with welfare=True, the
-    welfare W it returns too (else welfare is None). Fixing player p moves
-    each other C_q by M_qp (X_p' - X_p), with M_qp the game's conditional
-    payoff jacobian, and leaves C_p and every other flow alone. So V and W
-    at X_p' = D e_a are V + D h(a) - <X_p, h> and W + D k(a) - <X_p, k>, where
+    It holds the weights X, the flows w_q, the value V that DualValue.scores
+    returns on X and, when built with welfare=True, the welfare W it returns
+    too (else welfare is None). With C_q = conditional_payoff_ints(q, X) and
+    M_qp the game's conditional payoff jacobian, V and W at X_p' = D e_a are
+    V + D h(a) - <X_p, h> and W + D k(a) - <X_p, k>, where
 
         h(a) = C_p(a) out_p(a) - sum_i L y_{p,a,i} C_p(i)
                + sum_{q != p} sum_i w_q(i) M_qp[i][a],
         k(a) = C_p(a) + sum_{q != p} sum_i X_q(i) M_qp[i][a].
 
-    Neither form reads the kernel of a player other than p, so a fixed
-    player's kernel is never read again: step moves only the kernels of the
-    players still open, and drops p's once p is fixed. k is formed only
-    when welfare is tracked.
+    So step needs only the kernel C_p of the player being fixed, which it
+    builds from the current weights, and the M_qp of the players q with
+    nonzero flows (of every q under welfare, since k reads every X_q). No
+    other kernel is kept: each is linear in every other player's weights,
+    so one built when its turn comes equals one moved along as the players
+    before it were fixed. At a stationary start every flow is zero, so V = 0
+    needs no kernel, and the open players' jacobians are not read until
+    their turn; a fixed player's point mass has nonzero flows in general.
+    k is formed only when welfare is tracked.
 
-    step(p, choose) makes one pass over the jacobians to score every branch
-    of p, instead of one evaluation of the whole game per branch, and then
-    fixes p to the branch choose picks.
+    step(p, choose) scores every branch of p from that one linear form,
+    instead of one evaluation of the whole game per branch, and then fixes
+    p to the branch choose picks.
     """
 
     def __init__(self, dual: DualValue, weights: Sequence[Sequence[int]], welfare: bool):
         game = dual.game
         self.dual = dual
         self.weights = [tuple(mine) for mine in weights]
-        self.conditionals = [game.conditional_payoff_ints(q, weights) for q in range(game.players)]
         self.flows = [dual.flows(q, mine) for q, mine in enumerate(weights)]
-        self.value = sum(_inner(c, w) for c, w in zip(self.conditionals, self.flows))
-        self.welfare = (sum(_inner(c, mine) for c, mine in zip(self.conditionals, weights))
+        kernels = [game.conditional_payoff_ints(q, weights) if welfare or any(flows) else None
+                   for q, flows in enumerate(self.flows)]
+        self.value = sum(_inner(c, w) for c, w in zip(kernels, self.flows) if c is not None)
+        self.welfare = (sum(_inner(c, mine) for c, mine in zip(kernels, weights))
                         if welfare else None)
 
     def step(self, player: int, choose: Callable[[list[tuple[int, int | None]]], int]) -> int:
@@ -439,39 +461,31 @@ class Rounding:
         None when it is not tracked.
         """
         dual, weights = self.dual, self.weights
-        own = self.conditionals[player]
+        game, welfare = dual.game, self.welfare is not None
+        own = game.conditional_payoff_ints(player, weights)
         h = [c * out - _inner(row, own)
              for c, out, row in zip(own, dual.outflows[player], dual.rates[player])]
-        k = None if self.welfare is None else list(own)
-        moved = []
-        for q in range(dual.game.players):
-            if q != player:
-                jacobian = dual.game.conditional_payoff_jacobian(q, player, weights)
-                if self.conditionals[q] is not None:
-                    moved.append((q, jacobian))
-                for flow, mass, row in zip(self.flows[q], weights[q], jacobian):
-                    if flow:
-                        h = [ha + flow * v for ha, v in zip(h, row)]
-                    if mass and k is not None:
-                        k = [ka + mass * v for ka, v in zip(k, row)]
+        k = list(own) if welfare else None
+        for q, flows in enumerate(self.flows):
+            if q == player or not (welfare or any(flows)):
+                continue
+            jacobian = game.conditional_payoff_jacobian(q, player, weights)
+            for flow, mass, row in zip(flows, weights[q], jacobian):
+                if flow:
+                    h = [ha + flow * v for ha, v in zip(h, row)]
+                if mass and welfare:
+                    k = [ka + mass * v for ka, v in zip(k, row)]
         mine, d = weights[player], dual.d
         value = self.value - _inner(mine, h)
-        if k is None:
-            branches = [(value + d * ha, None) for ha in h]
+        if welfare:
+            total = self.welfare - _inner(mine, k)
+            branches = [(value + d * ha, total + d * ka) for ha, ka in zip(h, k)]
         else:
-            welfare = self.welfare - _inner(mine, k)
-            branches = [(value + d * ha, welfare + d * ka) for ha, ka in zip(h, k)]
+            branches = [(value + d * ha, None) for ha in h]
         action = choose(branches)
 
-        target = dual.point_mass(player, action)
-        delta = [t - x for t, x in zip(target, mine)]
-        for q, jacobian in moved:
-            self.conditionals[q] = [
-                c + _inner(delta, row) for c, row in zip(self.conditionals[q], jacobian)
-            ]
-        self.conditionals[player] = None
-        weights[player] = target
-        self.flows[player] = dual.flows(player, target)
+        weights[player] = dual.point_mass(player, action)
+        self.flows[player] = dual.flows(player, weights[player])
         self.value, self.welfare = branches[action]
         return action
 
@@ -494,7 +508,7 @@ def purify(
     y: DualPoint,
     x: ProductDistribution | IntegerProduct,
     tie_break: str = "first",
-    _stationary: bool = False,
+    _rates: list[list[list[int]]] | None = None,
 ) -> PureProfile:
     """Round a product distribution to a pure profile, conditioning player by
     player, so the y-weighted incentive value never goes negative.
@@ -518,16 +532,18 @@ def purify(
     Scaling the integer point Y by a positive constant multiplies every
     branch value and welfare by that constant too, so the branches picked do
     not depend on the denominator y comes with.
-    purified_separation passes _stationary=True for its stationary product,
-    whose value must then be exactly zero.
+    purified_separation passes _rates, the rate blocks of the point it has
+    already checked, with the stationary product they give; the point and x
+    are then not checked again, and the value must be exactly zero.
     """
     if tie_break not in TIE_BREAKS:
         raise ValueError(f"unknown tie break {tie_break!r}")
-    point = _nonnegative_point(game, y)
-    x.check_for(game)
-    dual = DualValue(game, point, x)
+    if _rates is None:
+        y = _nonnegative_point(game, y)
+        x.check_for(game)
+    dual = DualValue(game, y, x, _rates)
     state = Rounding(dual, dual.start, welfare=tie_break == "welfare")
-    if _stationary and state.value != 0:
+    if _rates is not None and state.value != 0:
         raise SolverError(_STATIONARY_FAILED)
     if state.value < 0:
         raise ValueError("purification requires a nonnegative starting value")
@@ -557,7 +573,9 @@ def purified_separation(game: Game, y: DualPoint, tie_break: str = "first") -> C
     negative = _negative_coordinate(game, point)
     if negative is not None:
         return negative
-    profile = purify(game, point, stationary_weights(game, point), tie_break, _stationary=True)
+    rates = _rate_blocks(game, point)
+    x = stationary_weights(_stationary_blocks(rates, point.denominator))
+    profile = purify(game, point, x, tie_break, _rates=rates)
     column = profile_column(game, profile)
     if column.dot(point.numerators) < 0:
         raise SolverError("purified profile fails its nonnegativity guarantee")
@@ -570,8 +588,8 @@ def product_separation(game: Game, y: DualPoint) -> Cut:
     negative = _negative_coordinate(game, point)
     if negative is not None:
         return negative
-    x = _stationary_x(game, point)
-    direction, unit = incentive_row_values(game, x)
+    stationary = _stationary_blocks(_rate_blocks(game, point), point.denominator)
+    direction, unit = incentive_row_values(game, stationary_weights(stationary))
     if _dot(direction, point.numerators) != 0:
         raise SolverError(_STATIONARY_FAILED)
-    return ProductCut(x=x, direction=direction, unit=unit)
+    return ProductCut(x=_stationary_x(stationary), direction=direction, unit=unit)

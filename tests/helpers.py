@@ -22,6 +22,8 @@ from exactce.oracles import (
     DualPoint,
     DualValue,
     _nonnegative_point,
+    _rate_blocks,
+    _stationary_blocks,
     _stationary_x,
 )
 
@@ -551,7 +553,7 @@ def stationary_product(game: Game, y: DualPoint) -> ProductDistribution:
     the same step through purified_separation.
     """
     point = _nonnegative_point(game, y)
-    x = _stationary_x(game, point)
+    x = _stationary_x(_stationary_blocks(_rate_blocks(game, point), point.denominator))
     value = DualValue(game, point, x)
     if value.scores(value.start)[0] != 0:
         raise SolverError(_STATIONARY_FAILED)

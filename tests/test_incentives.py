@@ -1,5 +1,6 @@
 """Incentive matrix columns, row indexing, certificates, exact verification."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -58,9 +59,11 @@ class TestRowIndexing:
 
 class TestProfileColumn:
     def test_matches_materialized_matrix(self):
-        for family in ("nfg", "polymatrix"):
+        # the kernel sweep is player-generic: mixed action counts, 2-4 players
+        shapes = [(2, 3), (3, (2, 3, 2)), (3, (3, 2, 2)), (4, 2)]
+        for family, (players, actions) in itertools.product(("nfg", "polymatrix"), shapes):
             for seed in range(6):
-                g = random_game(family, 2, 3, u_max=9, seed=seed)
+                g = random_game(family, players, actions, u_max=9, seed=seed)
                 matrix = helpers.materialize_matrix(g)
                 for k, s in enumerate(g.profiles()):
                     dense = profile_column(g, s).dense()

@@ -25,7 +25,10 @@ from exactce.oracles import (
     ProfileCut,
     Rounding,
     _determinant,
+    _rate_blocks,
+    _stationary_blocks,
     _stationary_x,
+    _tree_weights,
     cut_violation,
     integer_point,
     product_separation,
@@ -197,6 +200,22 @@ class TestStationaryBlock:
         simplex.assert_not_called()
         assert got == (3, (0, 2, 1))
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.lists(st.one_of(st.just(0), st.integers(1, 2**300)),
+                             min_size=3, max_size=3), min_size=3, max_size=3),
+           st.sets(st.integers(0, 2), max_size=3))
+    @example([[0, 1, 2], [3, 0, 4], [5, 6, 0]], {1})  # a state with no outflow
+    @example([[0, 1, 0], [1, 0, 0], [0, 0, 0]], set())  # two closed classes
+    def test_three_state_trees_equal_laplacian_minors(self, rows, zero_rows):
+        rates = [[0 if i == j or i in zero_rows else r for j, r in enumerate(row)]
+                 for i, row in enumerate(rows)]
+        laplacian = [[sum(row) if i == j else -r for j, r in enumerate(row)]
+                     for i, row in enumerate(rates)]
+        minors = [_determinant([row[:i] + row[i + 1:]
+                                for k, row in enumerate(laplacian) if k != i])
+                  for i in range(3)]
+        assert _tree_weights(rates) == minors
+
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 4).flatmap(lambda n: st.lists(
         st.lists(st.integers(-5, 5), min_size=n, max_size=n), min_size=n, max_size=n)))
@@ -227,6 +246,11 @@ def integer_points(draw):
     return g, IntegerPoint(tuple(numerators), draw(st.sampled_from([1, 3, 2**20])))
 
 
+def stationary_pairs(g, point):
+    """_stationary_blocks' (T, W) per player at the point."""
+    return _stationary_blocks(_rate_blocks(g, point), point.denominator)
+
+
 # player 0's actions {0, 1} form one closed class and action 2, which has no
 # outflow, another; player 1's block is all zero
 SEVERAL_CLOSED_CLASSES = (
@@ -241,14 +265,15 @@ class TestStationaryWeights:
     @example(SEVERAL_CLOSED_CLASSES)
     def test_equal_the_product_integer_weights(self, case):
         g, point = case
-        assert (stationary_weights(g, point).integer_weights()
-                == _stationary_x(g, point).integer_weights())
+        stationary = stationary_pairs(g, point)
+        assert (stationary_weights(stationary).integer_weights()
+                == _stationary_x(stationary).integer_weights())
 
     def test_several_closed_classes_take_the_simplex(self):
         g, point = SEVERAL_CLOSED_CLASSES
         with patch.object(oracles, "stationary_distribution",
                           wraps=stationary_distribution) as simplex:
-            d, weights = stationary_weights(g, point).integer_weights()
+            d, weights = stationary_weights(stationary_pairs(g, point)).integer_weights()
         simplex.assert_called_once()
         assert helpers.reference_stationary_distribution(
             [[0, 1, 0], [2, 0, 0], [0, 0, 0]], 4) == tuple(F(w, d) for w in weights[0])
@@ -264,6 +289,43 @@ class TestStationaryWeights:
         for tb in TIE_BREAKS:
             cut = purified_separation(g, y, tb)
             assert cut.profile == helpers.purify_reference(g, y, x, tb), tb
+
+
+def jacobian_requests(g, run):
+    """Call run() and return the (player, other) of every
+    conditional_payoff_jacobian request it makes on g's class."""
+    requests = []
+    original = type(g).conditional_payoff_jacobian
+
+    def recording(game, player, other, weights):
+        requests.append((player, other))
+        return original(game, player, other, weights)
+
+    with patch.object(type(g), "conditional_payoff_jacobian", recording):
+        run()
+    return requests
+
+
+class TestLazyKernels:
+    @settings(max_examples=100, deadline=None)
+    @given(integer_points())
+    @example(SEVERAL_CLOSED_CLASSES)
+    def test_stationary_start_reads_no_open_jacobian(self, case):
+        # every flow is zero at a stationary start, and only a fixed player's
+        # point mass moves them off zero
+        g, point = case
+        for tb in ("first", "max-value"):
+            requests = jacobian_requests(g, lambda tb=tb: purified_separation(g, point, tb))
+            assert all(q < p for q, p in requests), (tb, requests)
+
+    @settings(max_examples=30, deadline=None)
+    @given(integer_points())
+    def test_welfare_reads_every_jacobian(self, case):
+        # k(a) reads X_q M_qp for every q != p
+        g, point = case
+        requests = jacobian_requests(g, lambda: purified_separation(g, point, "welfare"))
+        assert requests == [(q, p) for p in range(g.players)
+                            for q in range(g.players) if q != p]
 
 
 class TestIntegerPoint:
