@@ -85,9 +85,10 @@ class IntegerProduct:
     """A product distribution held as integers: player p plays action i with
     probability weights[p][i] / d. It is the (D, X) pair that
     ProductDistribution.integer_weights returns, for a caller that has the
-    weights without their Fractions; the caller keeps each block nonnegative
-    and summing to d. (Not a dataclass: building one takes about 1 ms at
-    every import of the package.)"""
+    weights without their Fractions: the product oracle, whose stationary
+    weights feed incentive_row_values. The caller keeps each block
+    nonnegative and summing to d. (Not a dataclass: building one takes
+    about 1 ms at every import of the package.)"""
 
     __slots__ = ("d", "weights")
 
@@ -240,6 +241,11 @@ class Game:
     def payoff(self, player: int, profile: Sequence[int]) -> int:
         raise NotImplementedError
 
+    def deviation_payoffs(self, player: int, profile: PureProfile) -> list[int]:
+        """player's payoff from each own action against the rest of a checked
+        profile: conditional_payoff_ints on the profile's 0/1 point masses."""
+        raise NotImplementedError
+
     def conditional_payoff_ints(
         self, player: int, weights: Sequence[Sequence[int]]
     ) -> list[int]:
@@ -313,6 +319,13 @@ class NormalFormGame(Game):
     def payoff(self, player: int, profile: Sequence[int]) -> int:
         s = self.check_profile(profile)
         return self.tables[player][self.flat_index(s)]
+
+    def deviation_payoffs(self, player: int, profile: PureProfile) -> list[int]:
+        """One table lookup per own action."""
+        stride = self._strides[player]
+        rest = self.flat_index(profile) - profile[player] * stride
+        table = self.tables[player]
+        return [table[rest + a * stride] for a in range(self.actions[player])]
 
     def _assignments(
         self, weights: Sequence[Sequence[int]], skip: tuple[int, ...]
@@ -426,6 +439,14 @@ class PolymatrixGame(Game):
             if q != player:
                 total += self.blocks[player][q][s[player]][s[q]]
         return total
+
+    def deviation_payoffs(self, player: int, profile: PureProfile) -> list[int]:
+        """One entry of each block per own action."""
+        out = [0] * self.actions[player]
+        for q, (block, theirs) in enumerate(zip(self.blocks[player], profile)):
+            if q != player:
+                out = [total + row[theirs] for total, row in zip(out, block)]
+        return out
 
     def conditional_payoff_ints(
         self, player: int, weights: Sequence[Sequence[int]]

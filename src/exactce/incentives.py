@@ -106,18 +106,16 @@ class IncentiveColumn:
 
 
 def profile_column(game: Game, profile: Sequence[int]) -> IncentiveColumn:
-    """Column at a profile, from one kernel sweep per player.
+    """Column at a profile, from one lookup per player and deviation.
 
-    The game's conditional-payoff kernel on the point masses of s (weights
-    1, so conditional_scale(1) = 1) gives player p's payoff from every own
-    action against the rest of s, which is each deviation's payoff.
+    game.deviation_payoffs gives player p's payoff from every own action
+    against the rest of s, which is each deviation's payoff.
     """
     s = game.check_profile(profile)
-    masses = [[int(k == a) for k in range(m)] for m, a in zip(game.actions, s)]
     offsets = row_offsets(game)
     entries = []
     for p, (m, a) in enumerate(zip(game.actions, s)):
-        payoffs = game.conditional_payoff_ints(p, masses)
+        payoffs = game.deviation_payoffs(p, s)
         start, base = offsets[p] + a * m, payoffs[a]
         for j, deviation in enumerate(payoffs):
             if deviation != base:

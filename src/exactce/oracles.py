@@ -37,29 +37,29 @@ closed class, hence a unique stationary distribution, which is the weights
 over their total. Only a block with several closed classes goes to the
 simplex (exact_lp.stationary_distribution) on the same integer rates,
 whose vertex then picks one. The weights stay integers: each player's are
-reduced by one gcd against their total (stationary_block). The product
-oracle forms Fractions from those, weights over total, only for the
-ProductCut's x. Both oracles bring every player over D, the lcm of the
-totals (stationary_weights): the product oracle's row values and the
-purified oracle's rounding read those integers. That is the D and the
-X = D x that ProductDistribution.integer_weights gives for the same
-product. The purified oracle reads the point's rate blocks once, for the
-stationary step and the rounding both.
+reduced by one gcd against their total (stationary_block), giving (T, W).
+The product oracle forms Fractions from those, weights over total, only for
+the ProductCut's x, and brings every player over D, the lcm of the totals
+(stationary_weights), for its row values: the D and the X = D x that
+ProductDistribution.integer_weights gives for the same product. The
+purified oracle reads the point's rate blocks once, for the stationary step
+and the rounding both.
 
-The rounding holds V as one Python integer (DualValue). D stays fixed for
-the whole rounding, so every term of V carries the same positive factor
-D L conditional_scale(D) (D^(n-1) for normal form, D for polymatrix). Its
-sign tests and comparisons are then exact integer ones, with no gcd and no
-row vector. V is affine in each player's mix, so all of one player's
-branches are scored from one linear form (Rounding): the kernel of the
-player being fixed, built from the current weights when its turn comes,
-and the conditional payoff jacobians of the players whose flows are
-nonzero. No kernel is carried from one player to the next. From a
-stationary start every flow is zero, so only the players already fixed
-contribute a jacobian; the welfare, scored only under the "welfare" tie
-break, the one that reads it, needs all of them. DualValue.scores, which
-evaluates V and the welfare from scratch, is the reference those forms
-must equal.
+The rounding (purify) keeps each player's own (T, W) and never forms D. A
+fixed player is a point mass, and at a stationary start every open
+player's flows are zero, so step p scores its branches over the open
+players' denominators only: L prod_{q > p} T_q for normal form, whose
+kernels are products over the players, and L lcm_{q > p} T_q for
+polymatrix, whose kernels are sums. Each branch is one Python integer, the
+branch's value V times that positive factor, so its sign tests and
+comparisons are exact integer ones, with no gcd and no row vector. V is
+affine in each player's mix, so all of one player's branches are scored
+from one linear form: the kernel of the player being fixed and, for normal
+form, the conditional payoff jacobians of the players whose flows are
+nonzero, or, for polymatrix, two running sums over the fixed players'
+flows. The welfare, scored only under the "welfare" tie break, the one
+that reads it, needs every jacobian. The exactness guard is on the flows:
+each player's must vanish at its stationary weights, which makes V zero.
 """
 
 from __future__ import annotations
@@ -67,10 +67,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from numbers import Rational
 from operator import mul
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import SolverError
 from .exact_lp import stationary_distribution
@@ -201,13 +200,19 @@ class IntegerPoint:
 DualPoint = Sequence[Rational] | IntegerPoint
 
 
+def _over_lcm(values: Sequence[Rational]) -> tuple[int, tuple[int, ...]]:
+    """(T, V): the lcm T of the values' denominators and the values times T."""
+    lcm = math.lcm(*(v.denominator for v in values))
+    return lcm, tuple(v.numerator * (lcm // v.denominator) for v in values)
+
+
 def integer_point(y: DualPoint) -> IntegerPoint:
     """y as integers over one denominator: the lcm of a rational sequence's
     denominators, or the point itself when it already is one."""
     if isinstance(y, IntegerPoint):
         return y
-    lcm = math.lcm(*(v.denominator for v in y))
-    return IntegerPoint(tuple(v.numerator * (lcm // v.denominator) for v in y), lcm)
+    lcm, numerators = _over_lcm(y)
+    return IntegerPoint(numerators, lcm)
 
 
 def normal_violation(normal: Sequence[int], unit: Rational, rhs: Fraction,
@@ -288,9 +293,7 @@ def stationary_block(rates: list[list[int]], denominator: int) -> tuple[int, tup
     weights = _tree_weights(rates)
     total = sum(weights)
     if not total:
-        vertex = stationary_distribution(rates, denominator)
-        total = math.lcm(*(v.denominator for v in vertex))
-        weights = [v.numerator * (total // v.denominator) for v in vertex]
+        total, weights = _over_lcm(stationary_distribution(rates, denominator))
     common = math.gcd(total, *weights)
     return total // common, tuple(w // common for w in weights)
 
@@ -318,9 +321,10 @@ def _stationary_blocks(rates: list[list[list[int]]],
 
 
 def stationary_weights(stationary: list[tuple[int, tuple[int, ...]]]) -> IntegerProduct:
-    """The stationary product as integers over one denominator: each
-    player's (T_p, W_p) from _stationary_blocks brought over D, the lcm of
-    the T_p.
+    """The stationary product as integers over one denominator, for the
+    product oracle's row values (the purified oracle's rounding keeps each
+    player's own pair): each player's (T_p, W_p) from _stationary_blocks
+    brought over D, the lcm of the T_p.
 
     Each T_p is the lcm of player p's reduced denominators, so D and
     X_p = W_p D / T_p are the pair ProductDistribution.integer_weights gives
@@ -354,159 +358,136 @@ def _nonnegative_point(game: Game, y: DualPoint) -> IntegerPoint:
 # ---------- purification ----------
 
 
-class DualValue:
-    """The y-weighted incentive value of product distributions, as integers.
-
-    For a product x the value is V(x) = sum_r y_r E_x[row r]. Summing row
-    (p, i, j) = x_p(i) (C_p(i) - C_p(j)) over j, with C_p(i) player p's
-    conditional expected payoff for action i, gives
-
-        V(x) = sum_p sum_i C_p(i) w_p(i),
-        w_p(i) = x_p(i) sum_{j != i} y_{p,i,j} - sum_{k != i} x_p(k) y_{p,k,i},
-
-    action i's y-weighted outflow minus its inflow. y is read as Y / L
-    (integer_point), and x as integer weights X over one denominator D,
-    x.integer_weights(): a ProductDistribution's lcm of denominators, or the
-    D an IntegerProduct already carries. D is fixed when the object is
-    built, so fixing a player to action a later means the weights D e_a
-    (point_mass). On the weights X the game's integer kernel gives
-    conditional_scale(D) C_p and the flows carry D L, so every term of V
-    carries the same positive factor `scale`: scores(X) returns V(x) * scale
-    exactly, and its sign and order are those of V.
-
-    V is affine in each player's weights, since C_p does not read X_p and
-    every other C_q is linear in it. Rounding uses that to score all of one
-    player's branches from one linear form; scores, which evaluates V from
-    scratch, is the reference those forms are tested against. The rate
-    blocks are read from y unless the caller passes the ones it has already
-    built from the same point (_rates).
-    """
-
-    def __init__(self, game: Game, y: DualPoint, x: ProductDistribution | IntegerProduct,
-                 _rates: list[list[list[int]]] | None = None):
-        self.game = game
-        self.d, self.start = x.integer_weights()
-        point = integer_point(y)
-        # per player: L y_{p,i,j}, or the blocks the caller built from point
-        self.rates = _rate_blocks(game, point) if _rates is None else _rates
-        self.outflows = [[sum(row) for row in rates] for rates in self.rates]
-        self.scale = self.d * point.denominator * game.conditional_scale(self.d)
-
-    def point_mass(self, player: int, action: int) -> tuple[int, ...]:
-        return tuple(self.d if a == action else 0 for a in range(self.game.actions[player]))
-
-    def flows(self, player: int, mine: Sequence[int]) -> list[int]:
-        """w_p at the player's weights: each action's outflow minus its inflow."""
-        rates = self.rates[player]
-        return [
-            mine[i] * out - sum(w * row[i] for w, row in zip(mine, rates) if w)
-            for i, out in enumerate(self.outflows[player])
-        ]
-
-    def scores(self, weights: Sequence[Sequence[int]]) -> tuple[int, int]:
-        """(value, welfare) at the weights X = D x, evaluated from scratch.
-
-        value is scale * V(x). welfare is sum_q <C_q, X_q>, the players'
-        total expected payoff under x times D * conditional_scale(D).
-        """
-        state = Rounding(self, weights, welfare=True)
-        return state.value, state.welfare
+def _flows(rates: list[list[int]], outflows: list[int], mine: Sequence[int]) -> list[int]:
+    """w_p at the player's weights: each action's outflow minus its inflow."""
+    return [w * out - _inner(mine, column)
+            for w, out, column in zip(mine, outflows, zip(*rates))]
 
 
-class Rounding:
-    """Integer state of the conditioning in purify, kept up to date as players
-    are fixed one at a time.
+def _unit_flows(rates: list[list[int]], outflows: list[int], action: int) -> list[int]:
+    """w_p at the 0/1 point mass on action."""
+    unit = [-r for r in rates[action]]
+    unit[action] += outflows[action]
+    return unit
 
-    It holds the weights X, the flows w_q, the value V that DualValue.scores
-    returns on X and, when built with welfare=True, the welfare W it returns
-    too (else welfare is None). With C_q = conditional_payoff_ints(q, X) and
-    M_qp the game's conditional payoff jacobian, V and W at X_p' = D e_a are
-    V + D h(a) - <X_p, h> and W + D k(a) - <X_p, k>, where
+
+def _branches(game: Game, player: int, own: list[int], held: list[Sequence[int]],
+              flows: list[Sequence[int]], rates: list[list[int]], outflows: list[int],
+              welfare: bool) -> tuple[list[int], list[int] | None]:
+    """(h, k) of player against the others' held weights X_q:
 
         h(a) = C_p(a) out_p(a) - sum_i L y_{p,a,i} C_p(i)
                + sum_{q != p} sum_i w_q(i) M_qp[i][a],
-        k(a) = C_p(a) + sum_{q != p} sum_i X_q(i) M_qp[i][a].
+        k(a) = C_p(a) + sum_{q != p} sum_i X_q(i) M_qp[i][a],
 
-    So step needs only the kernel C_p of the player being fixed, which it
-    builds from the current weights, and the M_qp of the players q with
-    nonzero flows (of every q under welfare, since k reads every X_q). No
-    other kernel is kept: each is linear in every other player's weights,
-    so one built when its turn comes equals one moved along as the players
-    before it were fixed. At a stationary start every flow is zero, so V = 0
-    needs no kernel, and the open players' jacobians are not read until
-    their turn; a fixed player's point mass has nonzero flows in general.
-    k is formed only when welfare is tracked.
-
-    step(p, choose) scores every branch of p from that one linear form,
-    instead of one evaluation of the whole game per branch, and then fixes
-    p to the branch choose picks.
+    with own = C_p = conditional_payoff_ints(player, held), M_qp the
+    jacobian on held and w_q the flows given (all zero for a q whose flows
+    are counted elsewhere). M_qp is fetched only for a q with nonzero flows,
+    or for every q when welfare is asked for; k is None otherwise.
     """
-
-    def __init__(self, dual: DualValue, weights: Sequence[Sequence[int]], welfare: bool):
-        game = dual.game
-        self.dual = dual
-        self.weights = [tuple(mine) for mine in weights]
-        self.flows = [dual.flows(q, mine) for q, mine in enumerate(weights)]
-        kernels = [game.conditional_payoff_ints(q, weights) if welfare or any(flows) else None
-                   for q, flows in enumerate(self.flows)]
-        self.value = sum(_inner(c, w) for c, w in zip(kernels, self.flows) if c is not None)
-        self.welfare = (sum(_inner(c, mine) for c, mine in zip(kernels, weights))
-                        if welfare else None)
-
-    def step(self, player: int, choose: Callable[[list[tuple[int, int | None]]], int]) -> int:
-        """Fix player to the action choose picks and return that action.
-
-        choose gets (value, welfare) after fixing player to each of its
-        actions, the integers scores returns on those weights; welfare is
-        None when it is not tracked.
-        """
-        dual, weights = self.dual, self.weights
-        game, welfare = dual.game, self.welfare is not None
-        own = game.conditional_payoff_ints(player, weights)
-        h = [c * out - _inner(row, own)
-             for c, out, row in zip(own, dual.outflows[player], dual.rates[player])]
-        k = list(own) if welfare else None
-        for q, flows in enumerate(self.flows):
-            if q == player or not (welfare or any(flows)):
-                continue
-            jacobian = game.conditional_payoff_jacobian(q, player, weights)
-            for flow, mass, row in zip(flows, weights[q], jacobian):
-                if flow:
-                    h = [ha + flow * v for ha, v in zip(h, row)]
-                if mass and welfare:
-                    k = [ka + mass * v for ka, v in zip(k, row)]
-        mine, d = weights[player], dual.d
-        value = self.value - _inner(mine, h)
-        if welfare:
-            total = self.welfare - _inner(mine, k)
-            branches = [(value + d * ha, total + d * ka) for ha, ka in zip(h, k)]
-        else:
-            branches = [(value + d * ha, None) for ha in h]
-        action = choose(branches)
-
-        weights[player] = dual.point_mass(player, action)
-        self.flows[player] = dual.flows(player, weights[player])
-        self.value, self.welfare = branches[action]
-        return action
+    h = [c * out - _inner(row, own) for c, out, row in zip(own, outflows, rates)]
+    k = list(own) if welfare else None
+    for q, flow in enumerate(flows):
+        if q == player or not (welfare or any(flow)):
+            continue
+        jacobian = game.conditional_payoff_jacobian(q, player, held)
+        for w, mass, row in zip(flow, held[q], jacobian):
+            if w:
+                h = [ha + w * v for ha, v in zip(h, row)]
+            if mass and welfare:
+                k = [ka + mass * v for ka, v in zip(k, row)]
+    return h, k
 
 
-def _choose(tie_break: str, branches: list[tuple[int, int | None]]) -> int:
+def _point_mass(m: int, action: int, mass: int = 1) -> tuple[int, ...]:
+    return tuple(mass if a == action else 0 for a in range(m))
+
+
+def _normal_form_steps(game, rates, outflows, mixes, flows, profile, welfare):
+    """Each step's (values, welfare) for a normal-form game. Its kernels are
+    products over the other players, so each can keep its own scale: fixed
+    players are held at 0/1 point masses and open ones at their own W_q, and
+    step p scores over L prod_{q > p} T_q. V is linear in X_p, so h(a) is
+    branch a's value itself. After yielding step p, reads the action picked
+    for player p from profile[p]."""
+    held = [weights for _, weights in mixes]
+    for p, m in enumerate(game.actions):
+        own = game.conditional_payoff_ints(p, held)
+        yield _branches(game, p, own, held, flows, rates[p], outflows[p], welfare)
+        held[p] = _point_mass(m, profile[p])
+        flows[p] = _unit_flows(rates[p], outflows[p], profile[p])
+
+
+def _polymatrix_steps(game, rates, outflows, mixes, flows, profile, welfare):
+    """Each step's (values, welfare) for a polymatrix game, whose kernels
+    are sums over the other players, so every player is held over one
+    scale: E_p = lcm_{q > p} T_q. Open players sit at W_q E_p / T_q, a
+    fixed player q at E_p e_{s_q} and p at E_p e_a. Branch a, over L E_p, is
+
+        E_p F + sum_{q > p} J_q . X_q + E_p J_p[a] + h(a),
+
+    where the fixed players' unit flows f_r = w_r(e_{s_r}) enter through
+    J_q = sum_{r < p} f_r M_rq and F = sum of f_r M_rt[.][s_t] over fixed
+    r != t. A third running sum, G_p = sum_{t < p} M_pt[.][s_t], gives the
+    fixed players' share of C_p. A start off the stationary product leaves
+    open flows nonzero; they are scored over L E_p^2 (every term times E_p,
+    plus their own kernels against the flows w_q on the held weights)."""
+    n, matrices = game.players, game.blocks
+    scales = [1] * n
+    for p in range(n - 1, 0, -1):
+        scales[p - 1] = math.lcm(scales[p], mixes[p][0])
+    zeros = [(0,) * m for m in game.actions]
+    open_flows = list(zeros)
+    drifting = [q for q, w in enumerate(flows) if any(w)]
+    # the docstring's J, G and F
+    incoming = [[0] * m for m in game.actions]
+    outgoing = [[0] * m for m in game.actions]
+    fixed = 0
+    for p, m in enumerate(game.actions):
+        e = scales[p]
+        # the fixed players' masses are read only by k and by drifting flows
+        held = ([_point_mass(game.actions[q], s, e) for q, s in enumerate(profile)]
+                if welfare or drifting else zeros[:p])
+        held += [zeros[p]] + [[w * (e // t) for w in weights] for t, weights in mixes[p + 1:]]
+        own, base = [e * g for g in outgoing[p]], e * fixed
+        for q in range(p + 1, n):
+            base += _inner(incoming[q], held[q])
+            own = [c + _inner(row, held[q]) for c, row in zip(own, matrices[p][q])]
+        for q in drifting:
+            open_flows[q] = [(e // mixes[q][0]) * v for v in flows[q]] if q > p else zeros[q]
+        h, k = _branches(game, p, own, held, open_flows, rates[p], outflows[p], welfare)
+        values = [base + e * j + v for j, v in zip(incoming[p], h)]
+        if any(q > p for q in drifting):
+            shift = sum(_inner(open_flows[q], game.conditional_payoff_ints(q, held))
+                        for q in drifting if q > p)
+            values = [e * v + shift for v in values]
+        yield values, k
+        a = profile[p]
+        unit = _unit_flows(rates[p], outflows[p], a)
+        fixed += incoming[p][a] + _inner(unit, outgoing[p])
+        for q in range(p + 1, n):
+            incoming[q] = [j + _inner(unit, column)
+                           for j, column in zip(incoming[q], zip(*matrices[p][q]))]
+            outgoing[q] = [g + row[a] for g, row in zip(outgoing[q], matrices[q][p])]
+
+
+def _choose(tie_break: str, values: list[int], welfare: list[int] | None) -> int:
     """The action purify fixes, among the branches with nonnegative value."""
-    kept = [(a, v, w) for a, (v, w) in enumerate(branches) if v >= 0]
+    kept = [a for a, v in enumerate(values) if v >= 0]
     if not kept:
         raise SolverError("no nonnegative branch while purifying; invariant broken")
     # max keeps the first of equal scores, so ties go to the lowest action
     if tie_break == "max-value":
-        return max(kept, key=lambda b: b[1])[0]
+        return max(kept, key=values.__getitem__)
     if tie_break == "welfare":
-        return max(kept, key=lambda b: b[2])[0]
-    return kept[0][0]
+        return max(kept, key=welfare.__getitem__)
+    return kept[0]
 
 
 def purify(
     game: Game,
     y: DualPoint,
-    x: ProductDistribution | IntegerProduct,
+    x: ProductDistribution | Sequence[tuple[int, tuple[int, ...]]],
     tie_break: str = "first",
     _rates: list[list[list[int]]] | None = None,
 ) -> PureProfile:
@@ -520,36 +501,43 @@ def purify(
     branches: "first" takes the lowest action, "max-value" the branch with the
     largest value, "welfare" the branch with the largest total expected payoff.
 
-    x is a ProductDistribution or, from purified_separation, the integer
-    weights of its stationary product (IntegerProduct); both give the same
-    D and X. Rounding scores all of one player's branches from one linear
-    form in that player's weights: one integer value per branch, and under
-    "welfare", the only tie break that reads it, one integer welfare, each
-    equal to what DualValue.scores returns on those weights and each the
-    exact quantity times a positive factor that depends only on y's
-    denominator and the starting x. The sign tests and the comparisons are
-    therefore exact and pick the same branches as the rational values would.
-    Scaling the integer point Y by a positive constant multiplies every
-    branch value and welfare by that constant too, so the branches picked do
-    not depend on the denominator y comes with.
+    x is a ProductDistribution or, from purified_separation, its stationary
+    product as _stationary_blocks' (T_q, W_q) per player. Every player keeps
+    its own weights W_q over T_q (a ProductDistribution's are its mix over the
+    lcm of its denominators), and a fixed player is a point mass, so step p
+    scores its branches over the open players' denominators only: one
+    integer value per branch, the exact value times a positive factor of that
+    step (_normal_form_steps, _polymatrix_steps), and under "welfare", the
+    only tie break that reads it, one integer welfare, the exact welfare times
+    a positive factor of the step plus a term equal for every branch of it.
+    Branches are compared only within a step, so the sign tests and the
+    comparisons are exact and pick the same branches as the rational values
+    would; scaling the integer point Y by a positive constant scales every
+    branch too, so the choice does not depend on the denominator y comes with.
     purified_separation passes _rates, the rate blocks of the point it has
-    already checked, with the stationary product they give; the point and x
-    are then not checked again, and the value must be exactly zero.
+    already checked; the point and x are then not checked again, and every
+    player's flows must vanish exactly at its stationary weights.
     """
     if tie_break not in TIE_BREAKS:
         raise ValueError(f"unknown tie break {tie_break!r}")
-    if _rates is None:
-        y = _nonnegative_point(game, y)
+    stationary = _rates is not None
+    if not stationary:
+        point = _nonnegative_point(game, y)
         x.check_for(game)
-    dual = DualValue(game, y, x, _rates)
-    state = Rounding(dual, dual.start, welfare=tie_break == "welfare")
-    if _rates is not None and state.value != 0:
+        _rates, x = _rate_blocks(game, point), [_over_lcm(mix) for mix in x.strategies]
+    outflows = [[sum(row) for row in block] for block in _rates]
+    flows = [_flows(block, out, weights) for block, out, (_, weights) in zip(_rates, outflows, x)]
+    if stationary and any(map(any, flows)):
         raise SolverError(_STATIONARY_FAILED)
-    if state.value < 0:
-        raise ValueError("purification requires a nonnegative starting value")
 
-    choose = partial(_choose, tie_break)
-    profile = [state.step(p, choose) for p in range(game.players)]
+    steps = _polymatrix_steps if game.family == "polymatrix" else _normal_form_steps
+    profile: list[int] = []
+    for values, welfare in steps(game, _rates, outflows, x, flows, profile,
+                                 tie_break == "welfare"):
+        # V(x) is x_0's mix of step 0's branches, all over one scale
+        if not profile and _inner(x[0][1], values) < 0:
+            raise ValueError("purification requires a nonnegative starting value")
+        profile.append(_choose(tie_break, values, welfare))
     return tuple(profile)
 
 
@@ -574,8 +562,8 @@ def purified_separation(game: Game, y: DualPoint, tie_break: str = "first") -> C
     if negative is not None:
         return negative
     rates = _rate_blocks(game, point)
-    x = stationary_weights(_stationary_blocks(rates, point.denominator))
-    profile = purify(game, point, x, tie_break, _rates=rates)
+    stationary = _stationary_blocks(rates, point.denominator)
+    profile = purify(game, point, stationary, tie_break, _rates=rates)
     column = profile_column(game, profile)
     if column.dot(point.numerators) < 0:
         raise SolverError("purified profile fails its nonnegativity guarantee")

@@ -20,11 +20,11 @@ from exactce.games import NormalFormGame, PolymatrixGame, ProductDistribution
 from exactce.oracles import (
     _STATIONARY_FAILED,
     DualPoint,
-    DualValue,
     _nonnegative_point,
     _rate_blocks,
     _stationary_blocks,
     _stationary_x,
+    integer_point,
 )
 
 ZERO = Fraction(0)
@@ -540,6 +540,61 @@ def suite_specs(count: int = 100, u_max: int = 10):
     for index in range(count):
         family, players, actions = SUITE_COMBOS[index % len(SUITE_COMBOS)]
         yield (family, players, actions, u_max, index)
+
+
+class DualValue:
+    """The y-weighted incentive value of product distributions, as integers.
+
+    For a product x the value is V(x) = sum_r y_r E_x[row r]. Summing row
+    (p, i, j) = x_p(i) (C_p(i) - C_p(j)) over j, with C_p(i) player p's
+    conditional expected payoff for action i, gives
+
+        V(x) = sum_p sum_i C_p(i) w_p(i),
+        w_p(i) = x_p(i) sum_{j != i} y_{p,i,j} - sum_{k != i} x_p(k) y_{p,k,i},
+
+    action i's y-weighted outflow minus its inflow. y is read as Y / L
+    (integer_point), and x as integer weights X over one denominator D,
+    x.integer_weights(). D is fixed when the object is built, so fixing a
+    player to action a later means the weights D e_a (point_mass). On the
+    weights X the game's integer kernel gives conditional_scale(D) C_p and
+    the flows carry D L, so every term of V carries the same positive factor
+    `scale`: scores(X) returns V(x) * scale exactly, and its sign and order
+    are those of V. It evaluates every kernel from scratch, as the reference
+    that purify's branch scores are tested against.
+    """
+
+    def __init__(self, game: Game, y: DualPoint, x: ProductDistribution):
+        self.game = game
+        self.d, self.start = x.integer_weights()
+        point = integer_point(y)
+        # per player: L y_{p,i,j}
+        self.rates = _rate_blocks(game, point)
+        self.outflows = [[sum(row) for row in rates] for rates in self.rates]
+        self.scale = self.d * point.denominator * game.conditional_scale(self.d)
+
+    def point_mass(self, player: int, action: int) -> tuple[int, ...]:
+        return tuple(self.d if a == action else 0 for a in range(self.game.actions[player]))
+
+    def flows(self, player: int, mine) -> list[int]:
+        """w_p at the player's weights: each action's outflow minus its inflow."""
+        rates = self.rates[player]
+        return [
+            mine[i] * out - sum(w * row[i] for w, row in zip(mine, rates))
+            for i, out in enumerate(self.outflows[player])
+        ]
+
+    def scores(self, weights) -> tuple[int, int]:
+        """(value, welfare) at the weights X = D x, evaluated from scratch.
+
+        value is scale * V(x). welfare is sum_q <C_q, X_q>, the players'
+        total expected payoff under x times D * conditional_scale(D).
+        """
+        value = welfare = 0
+        for q, mine in enumerate(weights):
+            kernel = self.game.conditional_payoff_ints(q, weights)
+            value += sum(c * w for c, w in zip(kernel, self.flows(q, mine)))
+            welfare += sum(c * w for c, w in zip(kernel, mine))
+        return value, welfare
 
 
 def stationary_product(game: Game, y: DualPoint) -> ProductDistribution:

@@ -34,6 +34,14 @@ def nfg_doc(players, actions, payoffs):
     return {"type": "nfg", "players": players, "actions": actions, "payoffs": payoffs}
 
 
+def assert_deviation_payoffs_are_the_point_mass_kernel(g):
+    """deviation_payoffs(p, s) is conditional_payoff_ints on s's 0/1 masses."""
+    for s in g.profiles():
+        masses = [[int(k == a) for k in range(m)] for m, a in zip(g.actions, s)]
+        for p in range(g.players):
+            assert g.deviation_payoffs(p, s) == g.conditional_payoff_ints(p, masses)
+
+
 class TestHeaderValidation:
     def test_unknown_type(self):
         with pytest.raises(GameFormatError, match="unknown game type"):
@@ -154,6 +162,11 @@ class TestNormalForm:
         kernel = g.conditional_payoff_ints(0, weights)
         assert kernel[2] == g.conditional_scale(d) * g.payoff(0, (2, 1))
 
+    def test_deviation_payoffs(self):
+        for seed in range(4):
+            assert_deviation_payoffs_are_the_point_mass_kernel(
+                random_game("nfg", 3, (2, 3, 2), u_max=9, seed=seed))
+
     def test_document_round_trip(self):
         g = random_game("nfg", 2, (2, 3), u_max=9, seed=3)
         again = load_game(g.to_document())
@@ -248,6 +261,11 @@ class TestPolymatrix:
         for seed in range(10):
             g = random_game("polymatrix", 3, (2, 3, 2), u_max=6, seed=seed)
             assert_kernel_matches_enumeration(g, helpers.random_product(rng, g.actions))
+
+    def test_deviation_payoffs(self):
+        for seed in range(4):
+            assert_deviation_payoffs_are_the_point_mass_kernel(
+                random_game("polymatrix", 3, (2, 3, 2), u_max=9, seed=seed))
 
     def test_ceiling_equals_best_profile_payoff(self):
         for seed in range(6):

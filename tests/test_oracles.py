@@ -11,19 +11,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
-from exactce import random_game, row_count
+from exactce import SolverError, random_game, row_count
 from exactce import oracles
 from exactce.exact_lp import stationary_distribution
 from exactce.games import ProductDistribution
 from exactce.incentives import incentive_row_values, iter_rows, profile_column, row_at
 from exactce.oracles import (
     TIE_BREAKS,
-    DualValue,
     IntegerPoint,
     NonnegativityCut,
     ProductCut,
     ProfileCut,
-    Rounding,
     _determinant,
     _rate_blocks,
     _stationary_blocks,
@@ -37,7 +35,7 @@ from exactce.oracles import (
     stationary_block,
     stationary_weights,
 )
-from helpers import stationary_product
+from helpers import DualValue, stationary_product
 
 F = Fraction
 
@@ -230,12 +228,13 @@ class TestStationaryBlock:
 
 @st.composite
 def integer_points(draw):
-    """(game, point): nfg up to 3x3 or polymatrix up to 4x3, and a point
-    y = Y / L >= 0 with some all-zero player blocks and some zero rows
+    """(game, point): nfg up to 3x3 and 4x2 or polymatrix up to 4x3, and a
+    point y = Y / L >= 0 with some all-zero player blocks and some zero rows
     (actions with no outflow, so some blocks have several closed classes)."""
     family = draw(st.sampled_from(["nfg", "polymatrix"]))
-    players = draw(st.integers(1, 3 if family == "nfg" else 4))
-    actions = tuple(draw(st.integers(1, 3)) for _ in range(players))
+    players = draw(st.integers(1, 4))
+    most = 2 if family == "nfg" and players == 4 else 3
+    actions = tuple(draw(st.integers(1, most)) for _ in range(players))
     g = random_game(family, players, actions, u_max=9, seed=draw(st.integers(0, 2**16)))
     numerators = []
     for m in actions:
@@ -256,6 +255,23 @@ def stationary_pairs(g, point):
 SEVERAL_CLOSED_CLASSES = (
     random_game("nfg", 2, 3, u_max=9, seed=7),
     IntegerPoint((0, 1, 0, 2, 0, 0, 0, 0, 0) + (0,) * 9, 4),
+)
+
+
+# every player's stationary (T, W) a corner case: player 0 moves 0 -> 1 and
+# 1 has no outflow (a point mass, T = 1), player 1's block is all zero
+# (uniform), player 2 has one closed class, and player 3's action 0 has no
+# outflow and draws the others in (a point mass again)
+CORNER_BLOCKS = (
+    random_game("nfg", 4, 2, u_max=9, seed=3),
+    IntegerPoint((0, 2, 0, 0) + (0,) * 4 + (0, 1, 3, 0) + (0, 0, 5, 0), 6),
+)
+# player 0's actions {0, 1} and {2} are two closed classes, player 1's block
+# is all zero, players 2 and 3 are point masses (T = 1) behind zero rows
+POLYMATRIX_CORNERS = (
+    random_game("polymatrix", 4, 3, u_max=9, seed=5),
+    IntegerPoint((0, 1, 0, 2, 0, 0, 0, 0, 0) + (0,) * 9
+                 + (0, 1, 0, 0, 0, 0, 1, 0, 0) + (0, 0, 0, 1, 0, 2, 3, 1, 0), 6),
 )
 
 
@@ -282,6 +298,10 @@ class TestStationaryWeights:
     @settings(max_examples=60, deadline=None)
     @given(integer_points())
     @example(SEVERAL_CLOSED_CLASSES)
+    @example(CORNER_BLOCKS)
+    @example(POLYMATRIX_CORNERS)
+    @example((random_game("polymatrix", 4, 3, u_max=9, seed=6),
+              IntegerPoint((0,) * 36, 1)))  # every block all zero
     def test_purified_separation_matches_reference(self, case):
         g, point = case
         y = [F(v, point.denominator) for v in point.numerators]
@@ -452,6 +472,27 @@ class TestSeparationOracles:
             assert sum(v * w for v, w in zip(values, y)) == 0
             assert cut_violation(cut, y) == 1
 
+    @pytest.mark.parametrize("family", ["nfg", "polymatrix"])
+    def test_non_stationary_weights_fail_the_exactness_check(self, family):
+        # player 0 moves 0 -> 1 at rate 1 and 1 -> 0 at rate 3, so its
+        # stationary weights are (3, 1) / 4; uniform weights leave its
+        # flows at (-2, 2), which the flow check must refuse before any
+        # branch is scored
+        g = random_game(family, 3, 2, u_max=9, seed=4)
+        point = IntegerPoint((0, 1, 3, 0) + (0, 2, 1, 0) + (0, 0, 0, 0), 1)
+        stationary = stationary_pairs(g, point)
+        assert stationary[0] == (4, (3, 1))
+
+        def skewed(rates, denominator):
+            return [(2, (1, 1))] + _stationary_blocks(rates, denominator)[1:]
+
+        with patch.object(oracles, "_stationary_blocks", skewed):
+            for tb in TIE_BREAKS:
+                with pytest.raises(SolverError, match=oracles._STATIONARY_FAILED):
+                    purified_separation(g, point, tb)
+            with pytest.raises(SolverError, match=oracles._STATIONARY_FAILED):
+                product_separation(g, point)
+
     def test_product_oracle_also_screens_negatives(self):
         g = random_game("nfg", 2, 2, u_max=5, seed=0)
         y = [F(0)] * 8
@@ -467,23 +508,25 @@ probabilities = st.builds(F, st.integers(1, 9), st.sampled_from([1, 2, 3, 5, 7])
 
 
 def record_branches(run):
-    """Call run() and return (player, weights, (value, welfare), branches) for
-    every Rounding.step it makes, with the state as it was before the step."""
+    """Call run() and return the (values, welfare) that purify scores at each
+    step, in the order of the players it fixes."""
     calls = []
-    original = Rounding.step
+    original = oracles._choose
 
-    def recording(state, player, choose):
-        before = (player, list(state.weights), (state.value, state.welfare))
+    def recording(tie_break, values, welfare):
+        calls.append((values, welfare))
+        return original(tie_break, values, welfare)
 
-        def spy(branches):
-            calls.append((*before, branches))
-            return choose(branches)
-
-        return original(state, player, spy)
-
-    with patch.object(Rounding, "step", recording):
+    with patch.object(oracles, "_choose", recording):
         run()
     return calls
+
+
+def same_positive_multiple(got, exact):
+    """Whether got = s * exact entry by entry for one s > 0, as Fractions."""
+    ratios = {F(g) / e for g, e in zip(got, exact) if e}
+    return (all((g == 0) == (e == 0) for g, e in zip(got, exact))
+            and len(ratios) <= 1 and all(r > 0 for r in ratios))
 
 
 @st.composite
@@ -575,19 +618,29 @@ class TestIntegerValue:
             return
         value = DualValue(g, y, x)
         for tb in ("first", "max-value", "welfare"):
-            # the welfare is scored only under the tie break that reads it
-            def scored(pair, tb=tb):
-                return pair if tb == "welfare" else (pair[0], None)
-
-            calls = record_branches(lambda: purify(g, y, x, tb))
-            assert [p for p, _, _, _ in calls] == list(range(g.players))
-            for p, weights, before, branches in calls:
-                # the state carried to this player equals a fresh evaluation
-                assert before == scored(value.scores(weights))
-                for a, branch in enumerate(branches):
-                    forced = list(weights)
-                    forced[p] = value.point_mass(p, a)
-                    assert branch == scored(value.scores(forced)), (tb, p, a)
+            profile = []
+            calls = record_branches(lambda tb=tb: profile.extend(purify(g, y, x, tb)))
+            assert len(calls) == g.players
+            for p, (values, welfare) in enumerate(calls):
+                # branch a: the players before p fixed as purify fixed them,
+                # p fixed to a, the rest still at x
+                weights = list(value.start)
+                for q in range(p):
+                    weights[q] = value.point_mass(q, profile[q])
+                exact = []
+                for a in range(g.actions[p]):
+                    weights[p] = value.point_mass(p, a)
+                    exact.append(value.scores(weights))
+                # each step scores over its own positive scale
+                assert same_positive_multiple(values, [v for v, _ in exact]), (tb, p)
+                # the welfare is scored only under the tie break that reads
+                # it, over a positive scale of its own plus a term equal for
+                # every branch of the step
+                if tb != "welfare":
+                    assert welfare is None
+                    continue
+                assert same_positive_multiple([w - welfare[0] for w in welfare],
+                                              [w - exact[0][1] for _, w in exact]), (tb, p)
 
     @settings(max_examples=150, deadline=None)
     @given(value_cases())
