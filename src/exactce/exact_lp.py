@@ -1,11 +1,14 @@
 """Exact rational linear programming for the cut-collection feasibility step.
 
-One dense primal simplex serves every exact LP here: the cut
-programs, the stationary distributions and the mixture programs. It picks
-the entering column by largest improvement for speed and switches
-unconditionally to Bland's least-index rule once a degenerate basis has
-burned through the pivot budget, so termination never depends on luck and
-exact arithmetic never needs tolerances.
+One primal simplex rule serves every exact LP here: the cut programs, the
+stationary distributions and the mixture programs. It picks the entering
+column by largest improvement for speed and switches unconditionally to
+Bland's least-index rule once a degenerate basis has burned through the
+pivot budget, so termination never depends on luck and exact arithmetic
+never needs tolerances. The rule is written once, as _entering and
+_leaving, and two storage forms share it: solve_standard_form keeps the
+dense two-phase tableau, and MinViolation the revised form, which stores
+det * B^-1 and prices its weight columns from it when a pivot needs them.
 
 Most probes of the cut program, and of the product oracle's mixture program,
 fail. A solve decides every one of them on one MinViolation program, min t
@@ -18,7 +21,7 @@ whose vertex is the certificate or the mixture, so neither depends on the
 probes' pivot path. When the product oracle's last probe failed,
 min_violation_mixture reads (t, alpha) from a fresh MinViolation instead.
 
-The tableau holds Python integers, not fractions. Every program takes
+The tableaus hold Python integers, not fractions. Every program takes
 integer columns with one positive scale s_j each: column j of the rational
 program is the integer column over s_j, and the right-hand side is integral.
 Profile columns are integral, so their s_j is 1. A product cut comes split as
@@ -40,6 +43,15 @@ simplex as the reference and checks the two agree. One common scale for the
 whole matrix would also do, but on the product oracle's dense mixture
 columns, whose units differ from column to column, it inflates every entry;
 one scale per column keeps the integers small.
+
+A column a revised program prices is the same integer a full tableau would
+store, since both are D * B^-1 times the integer column, so the revised
+program takes the full tableau's pivots and reaches its vertex; the test
+suite keeps the full-tableau MinViolation as a reference and checks that
+too. What the revised form saves is the pivots' work on the weight columns:
+a full tableau rewrites every one of them in every row at every pivot,
+while pricing takes one product per nonzero entry, and a reduced cost whose
+dual price is zero costs next to nothing however wide the entry.
 """
 
 from __future__ import annotations
@@ -47,7 +59,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from numbers import Rational
+from operator import mul
 from typing import Sequence
 
 from .incentives import IncentiveColumn, SparseCE
@@ -69,11 +83,11 @@ class _Tableau:
     """Integer tableau: rows / det is the rational tableau of the integer
     program, whose column j is scale[j] times the rational program's.
 
-    Each row holds the n real columns followed by the right-hand side.
-    solve_standard_form never reads its artificial columns, so it does not
-    store them; MinViolation's one artificial has the right-hand side for its
-    column. det is the absolute determinant of the current basis matrix and
-    stays positive.
+    solve_standard_form's rows hold the n real columns followed by the
+    right-hand side; it never reads its artificial columns, so it does not
+    store them. MinViolation's rows hold only t, the surpluses and the
+    right-hand side (see there). det is the absolute determinant of the
+    current basis matrix and stays positive.
     """
 
     rows: list[list[int]]
@@ -81,9 +95,9 @@ class _Tableau:
     det: int = 1
 
 
-def _eliminate(other: list[int], pivot_row: list[int], p: int, col: int, det: int) -> list[int]:
-    """One Bareiss row update; the division is exact for a consistent tableau."""
-    factor = other[col]
+def _eliminate(other: list[int], pivot_row: list[int], p: int, factor: int, det: int) -> list[int]:
+    """One Bareiss row update of a row whose entering-column entry is factor;
+    the division is exact for a consistent tableau."""
     if factor:
         return [(p * v - factor * w) // det for v, w in zip(other, pivot_row)]
     if p == det:
@@ -91,11 +105,16 @@ def _eliminate(other: list[int], pivot_row: list[int], p: int, col: int, det: in
     return [p * v // det for v in other]
 
 
-def _pivot(tab: _Tableau, row: int, col: int, cost: list[int] | None = None) -> list[int] | None:
-    """Pivot on (row, col) and return the updated cost row, if one is given."""
+def _pivot_on(tab: _Tableau, row: int, var: int, column: Sequence[int],
+              cost: list[int] | None = None, cost_entry: int = 0) -> list[int] | None:
+    """Pivot row onto variable var and return the updated cost row, if one is given.
+
+    column holds var's entry in every stored row and cost_entry its entry in
+    the cost row, so var's own column need not be stored.
+    """
     rows = tab.rows
     pivot_row = rows[row]
-    p = pivot_row[col]
+    p = column[row]
     if p < 0:
         # only a drive-out pivot or MinViolation's start pivot of t can be
         # negative; flipping the pivot row keeps det positive and the scaled
@@ -105,59 +124,77 @@ def _pivot(tab: _Tableau, row: int, col: int, cost: list[int] | None = None) -> 
     det = tab.det
     for i, other in enumerate(rows):
         if i != row:
-            rows[i] = _eliminate(other, pivot_row, p, col, det)
+            rows[i] = _eliminate(other, pivot_row, p, column[i], det)
     if cost is not None:
-        cost = _eliminate(cost, pivot_row, p, col, det)
-    tab.basis[row] = col
+        cost = _eliminate(cost, pivot_row, p, cost_entry, det)
+    tab.basis[row] = var
     tab.det = p
     return cost
+
+
+def _pivot(tab: _Tableau, row: int, col: int, cost: list[int] | None = None) -> list[int] | None:
+    """Pivot on (row, col) of a tableau that stores column col."""
+    return _pivot_on(tab, row, col, [r[col] for r in tab.rows], cost,
+                     0 if cost is None else cost[col])
+
+
+def _entering(cost: Sequence[int], scale: Sequence[int], bland: bool) -> int:
+    """The entering column, or -1 when no reduced cost is negative.
+
+    cost[j] / scale[j] is the reduced cost of column j up to one positive
+    factor shared by every column. The fast rule takes the most negative
+    reduced cost, ties to the lowest index, comparing by cross-multiplication
+    so no rational is ever formed; Bland's rule takes the first negative one.
+    """
+    if bland:
+        for j in range(len(scale)):
+            if cost[j] < 0:
+                return j
+        return -1
+    enter, most, most_scale = -1, 0, 1
+    for j, s in enumerate(scale):
+        value = cost[j]
+        if value < 0 and value * most_scale < most * s:
+            enter, most, most_scale = j, value, s
+    return enter
+
+
+def _leaving(column: Sequence[int], rows: Sequence[Sequence[int]], basis: Sequence[int]) -> int:
+    """The leaving row for an entering column with these entries, or -1 (unbounded).
+
+    Smallest ratio rows[i][-1] / column[i] over the positive entries,
+    compared by cross-multiplication, ties to the smallest basis index (what
+    Bland's rule requires; harmless for the fast rule).
+    """
+    leave = -1
+    for i, coeff in enumerate(column):
+        if coeff > 0:
+            if leave < 0:
+                leave = i
+                continue
+            lhs = rows[i][-1] * column[leave]
+            rhs = rows[leave][-1] * coeff
+            if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                leave = i
+    return leave
 
 
 def _run_simplex(tab: _Tableau, cost: list[int], scale: list[int]) -> str:
     """Pivot until optimal or unbounded, updating cost in place.
 
-    cost[j] / scale[j] is the reduced cost of column j up to one positive
-    factor shared by every column. Entering column: most negative reduced
-    cost, ties to the lowest index — fast, but it can cycle on degenerate
-    bases, so once the pivot budget is spent the loop switches to Bland's
-    least-index rule, which terminates unconditionally. Leaving row: smallest
-    ratio, ties to the smallest basis index (what Bland's rule requires;
-    harmless for the fast rule).
-    Both rules are deterministic, so the returned vertex is a pure function
-    of the input. Ratios are compared by cross-multiplication, so no
-    rational is ever formed.
+    The entering rule is the fast one, which can cycle on degenerate bases,
+    until the pivot budget is spent, then Bland's least-index rule, which
+    terminates unconditionally. Both rules are deterministic, so the
+    returned vertex is a pure function of the input.
     """
     rows, basis = tab.rows, tab.basis
-    m, n = len(rows), len(scale)
-    budget = _pivot_budget(m, n)
+    budget = _pivot_budget(len(rows), len(scale))
     pivots = 0
     while True:
-        enter = -1
-        if pivots < budget:
-            most, most_scale = 0, 1
-            for j in range(n):
-                value = cost[j]
-                if value < 0 and value * most_scale < most * scale[j]:
-                    most, most_scale = value, scale[j]
-                    enter = j
-        else:
-            for j in range(n):
-                if cost[j] < 0:
-                    enter = j
-                    break
+        enter = _entering(cost, scale, pivots >= budget)
         if enter < 0:
             return "optimal"
-        leave = -1
-        for i in range(m):
-            coeff = rows[i][enter]
-            if coeff > 0:
-                if leave < 0:
-                    leave = i
-                    continue
-                lhs = rows[i][-1] * rows[leave][enter]
-                rhs = rows[leave][-1] * coeff
-                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
-                    leave = i
+        leave = _leaving([row[enter] for row in rows], rows, basis)
         if leave < 0:
             return "unbounded"
         cost[:] = _pivot(tab, leave, enter, cost)
@@ -230,18 +267,38 @@ def solve_standard_form(
 class MinViolation:
     """min t s.t. sum_k alpha_k unit_k direction_k + t >= 0, alpha a distribution.
 
-    The constraint holds on every row some column touches; t >= 0. Stored
-    columns are the weights in arrival order, t and one surplus per touched
-    row in row order. Row r reads -sum_k alpha_k unit_k direction_k[r] - t +
-    s_r = 0. Column k enters as direction_k * unit_k.numerator with column
-    scale unit_k.denominator, its entry in the sum row sum_k alpha_k + a = 1.
-    The surpluses and the artificial a start basic, so their columns are
-    det * B^-1, and a new column's entries and reduced cost are that block
-    times the column. a's column is det * B^-1 e_sum, the right-hand side,
-    so it is stored last, as the right-hand side, and the cost row's last
-    entry is its reduced cost; basis entry -1 marks it basic. A row enters
-    when a column first touches it, with its surplus basic: every earlier
-    column is zero there, so only t's row is folded in, and det is unchanged.
+    The constraint holds on every row some column touches; t >= 0. The
+    columns, in the order the simplex ranks them, are the weights in arrival
+    order, t and one surplus per touched row in row order. Row r reads
+    -sum_k alpha_k unit_k direction_k[r] - t + s_r = 0. Column k enters as
+    direction_k * unit_k.numerator with column scale unit_k.denominator, its
+    entry in the sum row sum_k alpha_k + a = 1.
+
+    This is the revised simplex (Dantzig and Orchard-Hays) with the Bareiss
+    update. The surpluses and the artificial a start basic, so their columns
+    in the scaled tableau are det * B^-1, and any column's tableau entries
+    and reduced cost are that block, and the cost entries over it, times the
+    column. The tableau therefore stores only t's column, the surpluses' and
+    the right-hand side, which is det * B^-1 e_sum and so a's column: every
+    stored row holds R + 2 entries over R touched rows, t first, the
+    surpluses in the order their rows were touched, the right-hand side
+    last. The cost row holds the same columns, its last entry a's reduced
+    cost. Each weight column is kept as its sparse integer entries over the
+    stored columns: the surpluses of the rows its direction touches, then
+    its denominator on the right-hand side. Pricing multiplies them into the
+    cost row, and only the entering column is built, the same way from each
+    stored row. These integers are exactly the stored entries a full
+    tableau would hold, since they are the same minors of the same basis, so
+    the same candidates win by the same comparisons: the pivots and the
+    vertex are the full tableau's. Basis entries number the columns in rank
+    order (weights, t, surpluses in row order), -1 marking a basic.
+
+    A row enters when a column first touches it, with its surplus basic:
+    every earlier column is zero there, so only t's row is folded in, and
+    det and the cost row are unchanged. So after an optimal solve every
+    weight column present then keeps its nonnegative reduced cost until the
+    next pivot, and a resumed solve prices only the new columns on its first
+    pass.
 
     The program is feasible at any single column with t at its worst
     shortfall, so it needs no phase 1. The first solve pivots the sum row
@@ -253,71 +310,104 @@ class MinViolation:
     """
 
     def __init__(self) -> None:
-        # tableau row 0 is the sum row, with a basic; the one column is t
+        # row 0 is the sum row, with a basic; the stored columns are t and the
+        # right-hand side
         self._tab = _Tableau(rows=[[0, 1]], basis=[-1])
         self._cost = [1, 0]
-        self._scale = [1]
+        self._scale = [1]  # of every column, in rank order
+        self._columns: list[tuple[list[int], list[int]]] = []  # (stored columns, entries)
         self._rows: list[int] = []  # the touched rows, ascending
-        self._start: tuple[Rational, int, int] | None = None
-        self.added = 0  # also the column of t
+        self._slots: list[int] = []  # the stored column of each one's surplus
+        self._start: tuple[int, int, int, int] | None = None
+        self._priced = 0  # weight columns known not to enter at this basis
+        self.added = 0  # also the rank of t
 
-    def _insert_column(self, col: int, entries: list[int], cost: int, scale: int) -> None:
-        tab = self._tab
-        for row, entry in zip(tab.rows, entries):
-            row.insert(col, entry)
-        tab.basis = [b + (b >= col) for b in tab.basis]
-        self._cost.insert(col, cost)
-        self._scale.insert(col, scale)
-
-    def _touch(self, r: int) -> None:
-        """Add row r with its surplus basic, unless a column touched it before."""
+    def _touch(self, r: int) -> int:
+        """The stored column of r's surplus, adding row r with its surplus basic if new."""
         pos = bisect_left(self._rows, r)
         if pos < len(self._rows) and self._rows[pos] == r:
-            return
-        self._rows.insert(pos, r)
+            return self._slots[pos]
         tab, t = self._tab, self.added
-        col = t + 1 + pos
-        self._insert_column(col, [0] * len(tab.rows), 0, 1)
+        slot = len(self._cost) - 1  # just before the right-hand side
+        for row in tab.rows:
+            row.insert(slot, 0)
+        self._cost.insert(slot, 0)
         row = [0] * len(self._cost)
-        row[col], row[t] = tab.det, -tab.det
+        row[slot], row[0] = tab.det, -tab.det
         if t in tab.basis:
             row = [v + w for v, w in zip(row, tab.rows[tab.basis.index(t)])]
+        rank = t + 1 + pos
+        tab.basis = [b + (b >= rank) for b in tab.basis]
         tab.rows.append(row)
-        tab.basis.append(col)
+        tab.basis.append(rank)
+        self._rows.insert(pos, r)
+        self._slots.insert(pos, slot)
+        self._scale.append(1)
+        return slot
 
     def add(self, direction: Sequence[int], unit: Rational = 1) -> None:
         """Append the column unit * direction: integer entries, a positive unit."""
+        k, num, den = self.added, unit.numerator, unit.denominator
+        slots, entries = [], []
         for r, v in enumerate(direction):
             if v:
-                self._touch(r)
-        k, num = self.added, unit.numerator
-        block = [(k + 1 + i, -direction[r] * num)  # the surpluses, then a
-                 for i, r in enumerate(self._rows) if direction[r]]
-        block.append((-1, unit.denominator))
-        if self._tab.basis[0] >= 0:
-            entries = [sum(row[j] * w for j, w in block) for row in self._tab.rows]
-            cost = sum(self._cost[j] * w for j, w in block)
-            self._insert_column(k, entries, cost, unit.denominator)
-        else:
-            # a is basic, so nothing has pivoted: the block is the identity
-            weight = dict(block)
-            self._insert_column(k, [weight.get(b, 0) for b in self._tab.basis], 0,
-                                unit.denominator)
-            low = unit * min([0, *direction])
-            if self._start is None or low > self._start[0]:
+                slots.append(self._touch(r))
+                entries.append(-v * num)
+        slots.append(-1)
+        entries.append(den)
+        self._columns.append((slots, entries))
+        self._scale.insert(k, den)
+        tab = self._tab
+        tab.basis = [b + (b >= k) for b in tab.basis]
+        if tab.basis[0] < 0:
+            # a is basic, so nothing has pivoted: keep the column with the
+            # least worst shortfall num * low / den, compared across columns
+            low = num * min([0, *direction])
+            if self._start is None or low * self._start[1] > self._start[0] * den:
                 worst = min(range(len(direction)), key=direction.__getitem__)
-                self._start = (low, k, worst)
+                self._start = (low, den, k, worst)
         self.added += 1
+
+    def _column(self, var: int) -> list[int]:
+        """The tableau column of var, given its rank: one entry per stored row."""
+        rows, t = self._tab.rows, self.added
+        if var < t:
+            slots, entries = self._columns[var]
+            return [sum(map(mul, entries, map(row.__getitem__, slots))) for row in rows]
+        slot = 0 if var == t else self._slots[var - t - 1]
+        return [row[slot] for row in rows]
+
+    def _exchange(self, row: int, var: int, column: list[int], cost_entry: int) -> None:
+        """Pivot row onto var, whose tableau column and cost entry these are."""
+        self._cost = _pivot_on(self._tab, row, var, column, self._cost, cost_entry)
+        self._priced = 0
 
     def _solve(self) -> None:
         tab, t = self._tab, self.added
         if tab.basis[0] < 0 and self._start is not None:
-            low, best, worst = self._start
-            self._cost = _pivot(tab, 0, best, self._cost)
+            low, _, best, worst = self._start
+            self._exchange(0, best, self._column(best), 0)  # every weight costs 0 here
             if low < 0:
                 row = tab.basis.index(t + 1 + self._rows.index(worst))
-                self._cost = _pivot(tab, row, t, self._cost)
-        _run_simplex(tab, self._cost, self._scale)
+                self._exchange(row, t, self._column(t), self._cost[0])
+        budget = _pivot_budget(len(tab.rows), len(self._scale))
+        pivots = 0
+        while True:
+            price = self._cost.__getitem__
+            # the weights priced at the last optimum cannot enter: 0 stands in
+            costs = [0] * self._priced
+            costs += [sum(map(mul, entries, map(price, slots)))
+                      for slots, entries in islice(self._columns, self._priced, None)]
+            costs.append(price(0))
+            costs += map(price, self._slots)
+            enter = _entering(costs, self._scale, pivots >= budget)
+            if enter < 0:
+                break
+            column = self._column(enter)
+            # t >= 0 bounds the objective, so some row always leaves
+            self._exchange(_leaving(column, tab.rows, tab.basis), enter, column, costs[enter])
+            pivots += 1
+        self._priced = t
 
     def feasible(self) -> bool:
         """Resume the solve; True when the columns so far admit a distribution."""
@@ -333,7 +423,7 @@ class MinViolation:
         tab = self._tab
         levels = [ZERO] * (self.added + 1)  # alpha, then t
         for row, var in zip(tab.rows, tab.basis):
-            if var <= self.added:
+            if 0 <= var <= self.added:
                 levels[var] = Fraction(row[-1] * self._scale[var], tab.det)
         return levels[-1], levels[:-1]
 

@@ -7,6 +7,7 @@ shortcuts, so package results can be checked against a second opinion.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import random
@@ -16,6 +17,7 @@ from itertools import accumulate
 
 from exactce import Game, PrecisionError, SolverError
 from exactce.ellipsoid import EllipsoidState, _log_unit_ball_volume
+from exactce.exact_lp import _pivot, _run_simplex, _Tableau
 from exactce.games import NormalFormGame, PolymatrixGame, ProductDistribution
 from exactce.oracles import (
     _STATIONARY_FAILED,
@@ -506,6 +508,99 @@ def reference_min_violation_mixture(columns):
     status, solution = reference_solve_standard_form(rows, rhs, objective)
     assert status == "optimal"
     return solution[n_cols], solution[:n_cols]
+
+
+class TableauMinViolation:
+    """The min-violation program on a full integer tableau, every weight
+    column stored and carried through every pivot.
+
+    It states exactly the program exactce.exact_lp.MinViolation states and
+    resumes the same way, but pivots with the dense core that
+    solve_standard_form uses, which TestAgainstReference pins to the
+    Fraction simplex above. Stored columns are the weights in arrival order,
+    t and one surplus per touched row in row order, then the right-hand
+    side, which is the artificial a's column; basis entry -1 marks a basic.
+    """
+
+    def __init__(self) -> None:
+        # tableau row 0 is the sum row, with a basic; the one column is t
+        self._tab = _Tableau(rows=[[0, 1]], basis=[-1])
+        self._cost = [1, 0]
+        self._scale = [1]
+        self._rows: list[int] = []  # the touched rows, ascending
+        self._start = None
+        self.added = 0  # also the column of t
+
+    def _insert_column(self, col, entries, cost, scale) -> None:
+        tab = self._tab
+        for row, entry in zip(tab.rows, entries):
+            row.insert(col, entry)
+        tab.basis = [b + (b >= col) for b in tab.basis]
+        self._cost.insert(col, cost)
+        self._scale.insert(col, scale)
+
+    def _touch(self, r: int) -> None:
+        """Add row r with its surplus basic, unless a column touched it before."""
+        pos = bisect.bisect_left(self._rows, r)
+        if pos < len(self._rows) and self._rows[pos] == r:
+            return
+        self._rows.insert(pos, r)
+        tab, t = self._tab, self.added
+        col = t + 1 + pos
+        self._insert_column(col, [0] * len(tab.rows), 0, 1)
+        row = [0] * len(self._cost)
+        row[col], row[t] = tab.det, -tab.det
+        if t in tab.basis:
+            row = [v + w for v, w in zip(row, tab.rows[tab.basis.index(t)])]
+        tab.rows.append(row)
+        tab.basis.append(col)
+
+    def add(self, direction, unit=1) -> None:
+        for r, v in enumerate(direction):
+            if v:
+                self._touch(r)
+        k, num = self.added, unit.numerator
+        block = [(k + 1 + i, -direction[r] * num)  # the surpluses, then a
+                 for i, r in enumerate(self._rows) if direction[r]]
+        block.append((-1, unit.denominator))
+        if self._tab.basis[0] >= 0:
+            entries = [sum(row[j] * w for j, w in block) for row in self._tab.rows]
+            cost = sum(self._cost[j] * w for j, w in block)
+            self._insert_column(k, entries, cost, unit.denominator)
+        else:
+            # a is basic, so nothing has pivoted: the block is the identity
+            weight = dict(block)
+            self._insert_column(k, [weight.get(b, 0) for b in self._tab.basis], 0,
+                                unit.denominator)
+            low = Fraction(unit) * min([0, *direction])
+            if self._start is None or low > self._start[0]:
+                worst = min(range(len(direction)), key=direction.__getitem__)
+                self._start = (low, k, worst)
+        self.added += 1
+
+    def _solve(self) -> None:
+        tab, t = self._tab, self.added
+        if tab.basis[0] < 0 and self._start is not None:
+            low, best, worst = self._start
+            self._cost = _pivot(tab, 0, best, self._cost)
+            if low < 0:
+                row = tab.basis.index(t + 1 + self._rows.index(worst))
+                self._cost = _pivot(tab, row, t, self._cost)
+        _run_simplex(tab, self._cost, self._scale)
+
+    def feasible(self) -> bool:
+        self._solve()
+        tab, t = self._tab, self.added
+        return self.added > 0 and not (t in tab.basis and tab.rows[tab.basis.index(t)][-1])
+
+    def mixture(self):
+        self._solve()
+        tab = self._tab
+        levels = [ZERO] * (self.added + 1)  # alpha, then t
+        for row, var in zip(tab.rows, tab.basis):
+            if 0 <= var <= self.added:
+                levels[var] = Fraction(row[-1] * self._scale[var], tab.det)
+        return levels[-1], levels[:-1]
 
 
 def random_nonneg_dual(rng: random.Random, length: int, density: float = 0.7):

@@ -336,6 +336,24 @@ def column_batches(draw):
     return batches
 
 
+@st.composite
+def split_columns(draw):
+    """(directions, units) for mixture_feasible: small integer directions,
+    some all zero, with rows that every direction leaves zero, and units
+    that are the integer 1 or positive rationals up to 40 bits."""
+    n_rows = draw(st.integers(1, 5))
+    live = draw(st.lists(st.booleans(), min_size=n_rows, max_size=n_rows))
+    unit = st.one_of(st.just(1), st.builds(F, st.integers(1, 2**40), st.integers(1, 2**40)))
+    directions, units = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.integers(0, 4)):
+            directions.append([draw(st.integers(-5, 5)) if on else 0 for on in live])
+        else:
+            directions.append([0] * n_rows)
+        units.append(draw(unit))
+    return directions, units
+
+
 split = helpers.split_column
 
 
@@ -351,13 +369,32 @@ def mixture(columns):
     return mixture_feasible(directions, units)
 
 
+def assert_same_as_tableau(batches):
+    """MinViolation against the full-tableau reference on batches of
+    (direction, unit) columns, once with the units and once with every unit
+    1: after each batch the same verdict on the same basis, at the end the
+    same (t, alpha) vertex."""
+    for unit_free in (False, True):
+        program, reference = exact_lp.MinViolation(), helpers.TableauMinViolation()
+        for batch in batches:
+            for direction, unit in batch:
+                program.add(direction, 1 if unit_free else unit)
+                reference.add(direction, 1 if unit_free else unit)
+            assert program.feasible() == reference.feasible()
+            assert (program._tab.basis, program._tab.det) == (reference._tab.basis,
+                                                              reference._tab.det)
+        assert program.mixture() == reference.mixture()
+
+
 class TestMinViolation:
-    """The incremental min-violation program agrees with the cold programs."""
+    """The incremental min-violation program agrees with the cold programs,
+    and with the full-tableau program pivot for pivot."""
 
     @settings(max_examples=300, deadline=None)
     @given(column_batches())
     @example([[[-1, 0]], [[1, -1]], [[0, 1]]])  # infeasible, then mixed to feasible
     @example([[[1, -1], [-1, 1]]])  # a batch feasible only as a pair
+    @example([[[F(-1, 2), F(3, 4)], [F(2, 3), F(-1, 3)]], [[F(-1, 3), 0]]])
     def test_matches_mixture_feasible(self, batches):
         program, unit_free = exact_lp.MinViolation(), exact_lp.MinViolation()
         columns = []
@@ -374,6 +411,7 @@ class TestMinViolation:
             assert unit_free.feasible() == feasible
             expected_t, _ = helpers.reference_min_violation_mixture(columns)
             assert program.mixture()[0] == expected_t
+        assert_same_as_tableau([[split(column) for column in batch] for batch in batches])
 
     @pytest.mark.parametrize("family, players, actions, seed, max_iters, stride", [
         ("nfg", 3, 2, 3, 200, 1),  # its last column makes the roster feasible
@@ -407,6 +445,28 @@ class TestMinViolation:
                 assert unit_free.feasible() == feasible
             expected_t, _ = helpers.reference_min_violation_mixture(order)
             assert program.mixture()[0] == expected_t
+            assert_same_as_tableau([[split(column)] for column in order])
+
+    @settings(max_examples=300, deadline=None)
+    @given(split_columns())
+    @example(([[0, 0], [1, -1], [-1, 1]], [1, F(2, 3), 1]))
+    def test_same_vertex_as_tableau_on_split_columns(self, columns):
+        assert_same_as_tableau([[column] for column in zip(*columns)])
+
+    def test_stored_rows_hold_the_touched_rows_and_two(self):
+        # t, one surplus per touched row and the right-hand side, however
+        # many weight columns have arrived: no weight column is stored
+        rng = random.Random(43)
+        program, touched = exact_lp.MinViolation(), set()
+        for k in range(40):
+            direction = [rng.randint(-3, 3) if rng.random() < 0.3 else 0 for _ in range(8)]
+            program.add(direction, F(rng.randint(1, 9), rng.randint(1, 9)))
+            touched.update(r for r, v in enumerate(direction) if v)
+            if k % 3 == 0:
+                program.feasible()
+            assert len(program._tab.rows) == len(touched) + 1
+            for row in [*program._tab.rows, program._cost]:
+                assert len(row) == len(touched) + 2
 
     @pytest.mark.parametrize("columns, feasible", [
         ([[F(1), F(-1)], [F(-1), F(1)]], True),
@@ -418,7 +478,7 @@ class TestMinViolation:
         program = exact_lp.MinViolation()
         for column in columns:
             program.add(*split(column))
-        with mock.patch.object(exact_lp, "_pivot", wraps=exact_lp._pivot) as spy:
+        with mock.patch.object(exact_lp, "_pivot_on", wraps=exact_lp._pivot_on) as spy:
             assert program.feasible() is feasible
             pivots = spy.call_count
             assert pivots > 0
@@ -430,30 +490,12 @@ class TestMinViolation:
 
     def test_no_column(self):
         program = exact_lp.MinViolation()
-        with mock.patch.object(exact_lp, "_pivot", wraps=exact_lp._pivot) as spy:
+        with mock.patch.object(exact_lp, "_pivot_on", wraps=exact_lp._pivot_on) as spy:
             assert program.feasible() is False
             assert program.feasible() is False
         assert spy.call_count == 0
         with pytest.raises(ValueError, match="at least one column"):
             program.mixture()
-
-
-@st.composite
-def split_columns(draw):
-    """(directions, units) for mixture_feasible: small integer directions,
-    some all zero, with rows that every direction leaves zero, and units
-    that are the integer 1 or positive rationals up to 40 bits."""
-    n_rows = draw(st.integers(1, 5))
-    live = draw(st.lists(st.booleans(), min_size=n_rows, max_size=n_rows))
-    unit = st.one_of(st.just(1), st.builds(F, st.integers(1, 2**40), st.integers(1, 2**40)))
-    directions, units = [], []
-    for _ in range(draw(st.integers(1, 6))):
-        if draw(st.integers(0, 4)):
-            directions.append([draw(st.integers(-5, 5)) if on else 0 for on in live])
-        else:
-            directions.append([0] * n_rows)
-        units.append(draw(unit))
-    return directions, units
 
 
 class TestMixtures:
