@@ -72,8 +72,16 @@ MAX_PRECISION_BITS = 1 << 16
 # ---------- helpers ----------
 
 
+def check_int(name: str, value) -> None:
+    """Refuse a value that is not an int, or is a bool, with ValueError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+
+
 def check_precision_bits(bits: int) -> None:
-    """Refuse a precision below 16 or above MAX_PRECISION_BITS with ValueError."""
+    """Refuse a precision that is not an int, or is below 16 or above
+    MAX_PRECISION_BITS, with ValueError."""
+    check_int("precision_bits", bits)
     if bits < 16:
         raise ValueError("precision_bits must be at least 16")
     if bits > MAX_PRECISION_BITS:
@@ -134,6 +142,7 @@ class EllipsoidParams:
     precision_bits: int = DEFAULT_PRECISION_BITS
 
     def __post_init__(self):
+        check_int("max_iters", self.max_iters)
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
         check_precision_bits(self.precision_bits)

@@ -38,12 +38,15 @@ over their total. Only a block with several closed classes goes to the
 simplex (exact_lp.stationary_distribution) on the same integer rates,
 whose vertex then picks one. The weights stay integers: each player's are
 reduced by one gcd against their total (stationary_block), giving (T, W).
-The product oracle forms Fractions from those, weights over total, only for
-the ProductCut's x, and brings every player over D, the lcm of the totals
+The product oracle brings every player over D, the lcm of the totals
 (stationary_weights), for its row values: the D and the X = D x that
-ProductDistribution.integer_weights gives for the same product. The
-purified oracle reads the point's rate blocks once, for the stationary step
-and the rounding both.
+ProductDistribution.integer_weights gives for the same product. Its cut
+holds the pairs themselves, and the pairs are its roster key: each is
+reduced, so two cuts have equal pairs exactly when their products are
+equal. Fractions, weights over total, are formed (_stationary_x) only when
+the cut's x is read: for a transcript line, or for a component of the
+reported mixture. The purified oracle reads the point's rate blocks once,
+for the stationary step and the rounding both.
 
 The rounding (purify) keeps each player's own (T, W) and never forms D. A
 fixed player is a point mass, and at a stationary start every open
@@ -150,20 +153,30 @@ class ProductCut:
     held as unit * direction: direction, the normal, is coprime integers
     (all zero only when every row value is), and unit is a positive Fraction
     (1 for the zero vector).
+
+    x itself is held as stationary, one (T_p, W_p) pair per player as
+    stationary_block gives it: player p plays action i with probability
+    W_p[i] / T_p, T_p positive and gcd(T_p, W_p) = 1. A distribution has one
+    such form, so the pairs are the roster key, and the property x forms the
+    Fractions only when it is read.
     """
 
-    x: ProductDistribution
+    stationary: tuple[tuple[int, tuple[int, ...]], ...]
     direction: tuple[int, ...]
     unit: Fraction
 
     kind = "product"
     rhs = Fraction(-1)
 
+    @property
+    def x(self) -> ProductDistribution:
+        return _stationary_x(self.stationary)
+
     def normal(self) -> tuple[int, ...]:
         return self.direction
 
     def roster_key(self):
-        return ("product", self.x.strategies)
+        return ("product", self.stationary)
 
     def describe(self) -> dict:
         return {
@@ -320,7 +333,7 @@ def _stationary_blocks(rates: list[list[list[int]]],
     ]
 
 
-def stationary_weights(stationary: list[tuple[int, tuple[int, ...]]]) -> IntegerProduct:
+def stationary_weights(stationary: Sequence[tuple[int, tuple[int, ...]]]) -> IntegerProduct:
     """The stationary product as integers over one denominator, for the
     product oracle's row values (the purified oracle's rounding keeps each
     player's own pair): each player's (T_p, W_p) from _stationary_blocks
@@ -335,7 +348,7 @@ def stationary_weights(stationary: list[tuple[int, tuple[int, ...]]]) -> Integer
         tuple(w * (d // total) for w in weights) for total, weights in stationary))
 
 
-def _stationary_x(stationary: list[tuple[int, tuple[int, ...]]]) -> ProductDistribution:
+def _stationary_x(stationary: Sequence[tuple[int, tuple[int, ...]]]) -> ProductDistribution:
     """The stationary product as Fractions, each player's W_p / T_p: the
     distribution stationary_weights holds over D."""
     return ProductDistribution(tuple(
@@ -576,8 +589,13 @@ def product_separation(game: Game, y: DualPoint) -> Cut:
     negative = _negative_coordinate(game, point)
     if negative is not None:
         return negative
-    stationary = _stationary_blocks(_rate_blocks(game, point), point.denominator)
+    stationary = tuple(_stationary_blocks(_rate_blocks(game, point), point.denominator))
+    # what ProductDistribution checks of x, on the integers
+    for p, (total, weights) in enumerate(stationary):
+        if min(weights) < 0 or sum(weights) != total:
+            raise ValueError(f"player {p}: stationary weights {weights} are not a "
+                             f"distribution over {total}")
     direction, unit = incentive_row_values(game, stationary_weights(stationary))
     if _dot(direction, point.numerators) != 0:
         raise SolverError(_STATIONARY_FAILED)
-    return ProductCut(x=_stationary_x(stationary), direction=direction, unit=unit)
+    return ProductCut(stationary=stationary, direction=direction, unit=unit)

@@ -32,6 +32,7 @@ from .ellipsoid import (
     Outcome,
     RunResult,
     Transcript,
+    check_int,
     check_precision_bits,
     iteration_bound,
     run,
@@ -105,9 +106,11 @@ class SolveConfig:
             raise ValueError(f"unknown tie break {self.tie_break!r}")
         if self.mode == "theoretical" and self.oracle != "purified":
             raise ValueError("theoretical mode requires the purified oracle")
+        check_int("max_iters", self.max_iters)
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
         check_precision_bits(self.precision_bits)
+        check_int("probe_stride", self.probe_stride)
         if self.probe_stride < 1:
             raise ValueError("probe_stride must be positive")
 

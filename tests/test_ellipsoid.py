@@ -545,6 +545,9 @@ class TestParams:
             EllipsoidParams(10.0, None, 10, 8)
         with pytest.raises(ValueError, match="at most"):
             EllipsoidParams(10.0, None, 10, MAX_PRECISION_BITS + 1)
+        for max_iters, bits in ((10, 256.0), (10, True), (2.5, 256)):
+            with pytest.raises(ValueError, match="must be an integer"):
+                EllipsoidParams(10.0, None, max_iters, bits)
         assert EllipsoidParams(10.0, None, 10, MAX_PRECISION_BITS).precision_bits == 1 << 16
 
 

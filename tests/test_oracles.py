@@ -69,14 +69,45 @@ class TestCutShapes:
     def test_product_cut(self):
         g = random_game("nfg", 2, 2, u_max=5, seed=2)
         x = ProductDistribution.uniform(g.actions)
+        pairs = ((2, (1, 1)), (2, (1, 1)))
         direction, unit = incentive_row_values(g, x)
-        cut = ProductCut(x=x, direction=direction, unit=unit)
+        cut = ProductCut(stationary=pairs, direction=direction, unit=unit)
+        assert cut.x == x
         assert cut.normal() == direction
         assert helpers.unit_values(cut) == helpers.fraction_row_values(g, x.strategies)
         assert cut.rhs == -1
-        assert cut.roster_key() == ("product", x.strategies)
+        assert cut.roster_key() == ("product", pairs)
         assert cut.describe()["kind"] == "product"
         assert cut.describe()["x"] == [["1/2", "1/2"], ["1/2", "1/2"]]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([("nfg", 3, 2), ("polymatrix", 3, 2), ("nfg", 2, 3),
+                            ("polymatrix", 2, 3)]),
+           st.integers(0, 3), st.integers(0, 3), st.integers(1, 3),
+           st.sampled_from([0.0, 0.3, 0.6]))
+    def test_product_roster_key_is_the_distribution(self, shape, seed, other, scale,
+                                                    density):
+        # equal seeds give equal points, a positive scale leaves the
+        # stationary product alone, and density 0 gives every point the
+        # uniform product, so equal keys come up as well as unequal ones
+        g, y = seeded_pair(*shape, seed, density)
+        _, z = seeded_pair(*shape, other, density)
+        a = product_separation(g, y)
+        b = product_separation(g, [scale * v for v in z])
+        assert (a.roster_key() == b.roster_key()) == (a.x.strategies == b.x.strategies)
+        for cut in (a, b):
+            assert cut.x == _stationary_x(cut.stationary)
+
+    @pytest.mark.parametrize("pair", [(3, (1, 1)), (2, (3, -1))], ids=["sum", "negative"])
+    def test_product_cut_refuses_weights_that_are_no_distribution(self, pair):
+        g, y = seeded_pair("nfg", 2, 2, 0)
+
+        def broken(rates, denominator):
+            return [pair] + _stationary_blocks(rates, denominator)[1:]
+
+        with patch.object(oracles, "_stationary_blocks", broken):
+            with pytest.raises(ValueError, match="player 0"):
+                product_separation(g, y)
 
     @pytest.mark.parametrize("family, players, actions", [
         ("nfg", 3, 2), ("polymatrix", 3, 2), ("nfg", 2, 3), ("polymatrix", 2, 3),

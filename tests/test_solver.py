@@ -24,7 +24,7 @@ from exactce import (
     row_count,
     verify_ce,
 )
-from exactce import exact_lp, solver
+from exactce import exact_lp, oracles, solver
 from exactce.ellipsoid import Outcome, iteration_bound
 from exactce.games import ProductDistribution
 from exactce.solver import probability_bit_bound, support_bound
@@ -59,6 +59,13 @@ class TestConfig:
         {"precision_bits": 15},
         {"precision_bits": (1 << 16) + 1},
         {"precision_bits": 99999999999},
+        {"precision_bits": 256.0},
+        {"precision_bits": True},
+        {"max_iters": 2.5},
+        {"max_iters": True},
+        {"probe_stride": 1.5},
+        {"probe_stride": True},
+        {"probe_stride": "2"},
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(ValueError):
@@ -462,6 +469,17 @@ class TestProductSolve:
         with mock.patch.object(solver, "min_violation_mixture", off):
             with pytest.raises(SolverError, match="shortfall"):
                 compute_exact_ce(g, config)
+
+    def test_fractions_only_for_the_reported_components(self):
+        # the roster is keyed on the integer stationary pairs; a cut's x is
+        # formed as Fractions only for a component of the mixture
+        g = random_game("polymatrix", 2, 2, u_max=10, seed=66)
+        config = SolveConfig(oracle="product", max_iters=60, probe_stride=3,
+                             precision_bits=96)
+        with mock.patch.object(oracles, "_stationary_x", wraps=oracles._stationary_x) as spy:
+            report = compute_exact_ce(g, config)
+        assert report.distinct_cuts > report.support
+        assert spy.call_count <= report.support
 
 
 def helpers_incentive_values(game, dist):
