@@ -218,7 +218,10 @@ def _parse_sizes(text: str) -> list[tuple[int, int]]:
 def _parse_seeds(text: str) -> list[int]:
     if ":" in text:
         lo, _, hi = text.partition(":")
-        return list(range(int(lo), int(hi)))
+        seeds = list(range(int(lo), int(hi)))
+        if not seeds:
+            raise ValueError(f"empty seed range {text!r}")
+        return seeds
     return [int(chunk) for chunk in text.split(",")]
 
 

@@ -109,9 +109,11 @@ def iteration_bound(n_rows: int, u_max: int) -> int:
     N is the incentive-row count and u the utility bound, substituted by 2
     when below 2 so the logarithm stays positive.
     """
-    if not isinstance(n_rows, int) or n_rows < 1:
+    check_int("n_rows", n_rows)
+    check_int("u_max", u_max)
+    if n_rows < 1:
         raise ValueError("n_rows must be a positive integer")
-    if not isinstance(u_max, int) or u_max < 0:
+    if u_max < 0:
         raise ValueError("u_max must be a nonnegative integer")
     u = max(2, u_max)
     k = 5 * n_rows * (5 * n_rows**4 + 7 * n_rows**5)

@@ -17,6 +17,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from numbers import Rational
 from operator import mul
 from typing import Iterator, Sequence
 
@@ -35,9 +36,20 @@ MAX_STORED_PAYOFFS = 1 << 20
 # ---------- mixed strategy profiles ----------
 
 
+Mix = tuple[int, tuple[int, ...]]
+
+
+def over_lcm(values: Sequence[Rational]) -> Mix:
+    """(T, V): the lcm T of the values' denominators and the values times T."""
+    lcm = math.lcm(*(v.denominator for v in values))
+    return lcm, tuple(v.numerator * (lcm // v.denominator) for v in values)
+
+
 @dataclass(frozen=True)
 class ProductDistribution:
-    """One independent mixed strategy per player, all probabilities exact."""
+    """One independent mixed strategy per player, all probabilities exact.
+
+    pairs() is its integer form, the one row values and purify read."""
 
     strategies: tuple[tuple[Fraction, ...], ...]
 
@@ -65,49 +77,24 @@ class ProductDistribution:
             rows.append(tuple(Fraction(1) if k == a else Fraction(0) for k in range(m)))
         return cls(tuple(rows))
 
-    def integer_weights(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """(D, X): D the lcm of every probability's denominator, X = D * x.
-
-        One D for all players, so a weighted sum over any player's actions
-        carries the same factor D.
-        """
-        d = math.lcm(*(prob.denominator for strat in self.strategies for prob in strat))
-        return d, tuple(
-            tuple(prob.numerator * (d // prob.denominator) for prob in strat)
-            for strat in self.strategies
-        )
-
-    def check_for(self, game: "Game") -> None:
-        _check_blocks(self.strategies, game)
+    def pairs(self) -> tuple[Mix, ...]:
+        """One (T_p, W_p) per player, p playing i with probability
+        W_p[i] / T_p: the mix over the lcm of its denominators, which are
+        reduced, so each pair is reduced by one gcd."""
+        return tuple(over_lcm(strat) for strat in self.strategies)
 
 
-class IntegerProduct:
-    """A product distribution held as integers: player p plays action i with
-    probability weights[p][i] / d. It is the (D, X) pair that
-    ProductDistribution.integer_weights returns, for a caller that has the
-    weights without their Fractions: the product oracle, whose stationary
-    weights feed incentive_row_values. The caller keeps each block
-    nonnegative and summing to d. (Not a dataclass: building one takes
-    about 1 ms at every import of the package.)"""
-
-    __slots__ = ("d", "weights")
-
-    def __init__(self, d: int, weights: tuple[tuple[int, ...], ...]):
-        self.d, self.weights = d, weights
-
-    def integer_weights(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        return self.d, self.weights
-
-    def check_for(self, game: "Game") -> None:
-        _check_blocks(self.weights, game)
-
-
-def _check_blocks(blocks: Sequence[Sequence], game: "Game") -> None:
-    if len(blocks) != game.players:
+def check_pairs(game: "Game", pairs: Sequence[Mix]) -> None:
+    """Refuse pairs that are no product distribution for the game: one
+    (T_p, W_p) per player, W_p one nonnegative weight per action, and
+    summing to a positive T_p."""
+    if len(pairs) != game.players:
         raise ValueError("distribution has the wrong number of players")
-    for p, strat in enumerate(blocks):
-        if len(strat) != game.actions[p]:
-            raise ValueError(f"player {p}: strategy length {len(strat)} != {game.actions[p]}")
+    for p, ((total, weights), m) in enumerate(zip(pairs, game.actions)):
+        if len(weights) != m:
+            raise ValueError(f"player {p}: strategy length {len(weights)} != {m}")
+        if min(weights) < 0 or sum(weights) != total or total < 1:
+            raise ValueError(f"player {p}: weights {weights} are not a distribution over {total}")
 
 
 # ---------- integerization ----------
@@ -196,6 +183,11 @@ def _parse_utility(value, where: str) -> Fraction:
     )
 
 
+def _is_count(value) -> bool:
+    """A positive int and no bool, although a bool is an int too."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
 # ---------- game types ----------
 
 
@@ -211,7 +203,7 @@ class Game:
     def __post_init__(self):
         if not self.actions:
             raise GameFormatError("a game needs at least one player")
-        if any(not isinstance(m, int) or m < 1 for m in self.actions):
+        if not all(map(_is_count, self.actions)):
             raise GameFormatError("every player needs a positive action count")
         if len(self.adjustments) != len(self.actions):
             raise GameFormatError("one adjustment record per player required")
@@ -536,13 +528,13 @@ def _check_size(family: str, actions: Sequence[int]) -> None:
 
 def _check_header(doc: dict, family: str) -> tuple[int, ...]:
     players = doc.get("players")
-    if not isinstance(players, int) or isinstance(players, bool) or players < 1:
+    if not _is_count(players):
         raise GameFormatError("players must be a positive integer")
     actions = doc.get("actions")
     if not isinstance(actions, list) or len(actions) != players:
         raise GameFormatError("actions must list one entry per player")
     for p, m in enumerate(actions):
-        if not isinstance(m, int) or isinstance(m, bool) or m < 1:
+        if not _is_count(m):
             raise GameFormatError(f"player {p}: action count must be a positive integer")
     _check_size(family, actions)
     return tuple(actions)
@@ -665,7 +657,7 @@ def check_random_setting(family: str, players: int, actions, u_max: int) -> tupl
     """
     if family not in FAMILIES:
         raise GameFormatError(f"unknown family {family!r}")
-    if not isinstance(players, int) or players < 1:
+    if not _is_count(players):
         raise GameFormatError("players must be a positive integer")
     if players > MAX_STORED_PAYOFFS:
         # checked before counts is built: with two players or more, either
@@ -677,9 +669,9 @@ def check_random_setting(family: str, players: int, actions, u_max: int) -> tupl
         counts = tuple(actions)
         if len(counts) != players:
             raise GameFormatError("actions must be an int or one count per player")
-    if any(not isinstance(m, int) or m < 1 for m in counts):
+    if not all(map(_is_count, counts)):
         raise GameFormatError("action counts must be positive integers")
-    if not isinstance(u_max, int) or u_max < 0:
+    if not isinstance(u_max, int) or isinstance(u_max, bool) or u_max < 0:
         raise GameFormatError("u_max must be a nonnegative integer")
     _check_size(family, counts)
     return counts

@@ -21,14 +21,7 @@ from numbers import Rational
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import CertificateError, CertificateMismatchError
-from .games import (
-    Game,
-    IntegerProduct,
-    ProductDistribution,
-    PureProfile,
-    rational_from_text,
-    rational_text,
-)
+from .games import Game, Mix, PureProfile, check_pairs, rational_from_text, rational_text
 
 
 class RowIndex(NamedTuple):
@@ -134,19 +127,22 @@ class RowValues(NamedTuple):
     unit: Fraction
 
 
-def incentive_row_values(game: Game, x: ProductDistribution | IntegerProduct) -> RowValues:
-    """Expected value of every incentive row when play follows the product x.
+def incentive_row_values(game: Game, pairs: Sequence[Mix]) -> RowValues:
+    """Expected value of every incentive row when play follows the product
+    whose per-player (T_p, W_p) are pairs (ProductDistribution.pairs).
 
     Row (p, i, j) gets x_p(i) times the gap between p's conditional expected
     payoff from playing i and from playing j, everyone else drawn from x.
-    The gaps come from the game's integer conditional-payoff kernel on
-    X = D * x (x.integer_weights(), or the weights an IntegerProduct
-    already holds), which carries the factor conditional_scale(D); with x_p(i) =
-    X_p(i) / D, every row is one integer over D * conditional_scale(D), and
-    the vector is returned split once into its coprime direction and unit.
+    Every player's weights are brought over one denominator D, the lcm of
+    the T_p, as X = D * x. The gaps come from the game's integer
+    conditional-payoff kernel on X, which carries the factor
+    conditional_scale(D); with x_p(i) = X_p(i) / D, every row is one integer
+    over D * conditional_scale(D), and the vector is returned split once
+    into its coprime direction and unit.
     """
-    x.check_for(game)
-    d, weights = x.integer_weights()
+    check_pairs(game, pairs)
+    d = math.lcm(*(total for total, _ in pairs))
+    weights = [[w * (d // total) for w in mix] for total, mix in pairs]
     out = [0] * row_count(game)
     offsets = row_offsets(game)
     for p, m in enumerate(game.actions):

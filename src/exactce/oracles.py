@@ -37,16 +37,15 @@ closed class, hence a unique stationary distribution, which is the weights
 over their total. Only a block with several closed classes goes to the
 simplex (exact_lp.stationary_distribution) on the same integer rates,
 whose vertex then picks one. The weights stay integers: each player's are
-reduced by one gcd against their total (stationary_block), giving (T, W).
-The product oracle brings every player over D, the lcm of the totals
-(stationary_weights), for its row values: the D and the X = D x that
-ProductDistribution.integer_weights gives for the same product. Its cut
-holds the pairs themselves, and the pairs are its roster key: each is
-reduced, so two cuts have equal pairs exactly when their products are
-equal. Fractions, weights over total, are formed (_stationary_x) only when
-the cut's x is read: for a transcript line, or for a component of the
-reported mixture. The purified oracle reads the point's rate blocks once,
-for the stationary step and the rounding both.
+reduced by one gcd against their total (stationary_block), giving (T, W),
+the integer form of a product distribution (ProductDistribution.pairs).
+The product oracle computes its row values from the pairs, and its cut
+holds them as its roster key: each is reduced, so two cuts have equal pairs
+exactly when their products are equal. Fractions, weights over total, are
+formed (_stationary_x) only when the cut's x is read: for a transcript
+line, or for a component of the reported mixture. The purified oracle
+reads the point's rate blocks once, for the stationary step and the
+rounding both.
 
 The rounding (purify) keeps each player's own (T, W) and never forms D. A
 fixed player is a point mass, and at a stationary start every open
@@ -76,7 +75,7 @@ from typing import Sequence
 
 from .errors import SolverError
 from .exact_lp import stationary_distribution
-from .games import Game, IntegerProduct, ProductDistribution, PureProfile
+from .games import Game, Mix, ProductDistribution, PureProfile, check_pairs, over_lcm
 from .incentives import (
     IncentiveColumn,
     RowIndex,
@@ -161,7 +160,7 @@ class ProductCut:
     Fractions only when it is read.
     """
 
-    stationary: tuple[tuple[int, tuple[int, ...]], ...]
+    stationary: tuple[Mix, ...]
     direction: tuple[int, ...]
     unit: Fraction
 
@@ -213,18 +212,12 @@ class IntegerPoint:
 DualPoint = Sequence[Rational] | IntegerPoint
 
 
-def _over_lcm(values: Sequence[Rational]) -> tuple[int, tuple[int, ...]]:
-    """(T, V): the lcm T of the values' denominators and the values times T."""
-    lcm = math.lcm(*(v.denominator for v in values))
-    return lcm, tuple(v.numerator * (lcm // v.denominator) for v in values)
-
-
 def integer_point(y: DualPoint) -> IntegerPoint:
     """y as integers over one denominator: the lcm of a rational sequence's
     denominators, or the point itself when it already is one."""
     if isinstance(y, IntegerPoint):
         return y
-    lcm, numerators = _over_lcm(y)
+    lcm, numerators = over_lcm(y)
     return IntegerPoint(numerators, lcm)
 
 
@@ -290,7 +283,7 @@ def _tree_weights(rates: list[list[int]]) -> list[int]:
     ]
 
 
-def stationary_block(rates: list[list[int]], denominator: int) -> tuple[int, tuple[int, ...]]:
+def stationary_block(rates: list[list[int]], denominator: int) -> Mix:
     """(T, W): the stationary distribution stationary_distribution returns
     for the rates rates[i][j] / denominator (diagonal zero) is W / T, with T
     positive and gcd(T, W) = 1, mostly without its LP.
@@ -306,7 +299,7 @@ def stationary_block(rates: list[list[int]], denominator: int) -> tuple[int, tup
     weights = _tree_weights(rates)
     total = sum(weights)
     if not total:
-        total, weights = _over_lcm(stationary_distribution(rates, denominator))
+        total, weights = over_lcm(stationary_distribution(rates, denominator))
     common = math.gcd(total, *weights)
     return total // common, tuple(w // common for w in weights)
 
@@ -321,8 +314,7 @@ def _rate_blocks(game: Game, point: IntegerPoint) -> list[list[list[int]]]:
     return blocks
 
 
-def _stationary_blocks(rates: list[list[list[int]]],
-                       denominator: int) -> list[tuple[int, tuple[int, ...]]]:
+def _stationary_blocks(rates: list[list[list[int]]], denominator: int) -> list[Mix]:
     """Each player's stationary distribution as stationary_block's (T, W),
     from the player's rate block over the point's denominator: one
     stationary_block per player, uniform where the block is all zero."""
@@ -333,24 +325,9 @@ def _stationary_blocks(rates: list[list[list[int]]],
     ]
 
 
-def stationary_weights(stationary: Sequence[tuple[int, tuple[int, ...]]]) -> IntegerProduct:
-    """The stationary product as integers over one denominator, for the
-    product oracle's row values (the purified oracle's rounding keeps each
-    player's own pair): each player's (T_p, W_p) from _stationary_blocks
-    brought over D, the lcm of the T_p.
-
-    Each T_p is the lcm of player p's reduced denominators, so D and
-    X_p = W_p D / T_p are the pair ProductDistribution.integer_weights gives
-    for the same distribution, with no Fraction formed on the way.
-    """
-    d = math.lcm(*(total for total, _ in stationary))
-    return IntegerProduct(d, tuple(
-        tuple(w * (d // total) for w in weights) for total, weights in stationary))
-
-
-def _stationary_x(stationary: Sequence[tuple[int, tuple[int, ...]]]) -> ProductDistribution:
+def _stationary_x(stationary: Sequence[Mix]) -> ProductDistribution:
     """The stationary product as Fractions, each player's W_p / T_p: the
-    distribution stationary_weights holds over D."""
+    distribution whose pairs() are the stationary pairs."""
     return ProductDistribution(tuple(
         tuple(Fraction(w, total) for w in weights) for total, weights in stationary))
 
@@ -500,7 +477,7 @@ def _choose(tie_break: str, values: list[int], welfare: list[int] | None) -> int
 def purify(
     game: Game,
     y: DualPoint,
-    x: ProductDistribution | Sequence[tuple[int, tuple[int, ...]]],
+    pairs: Sequence[Mix],
     tie_break: str = "first",
     _rates: list[list[list[int]]] | None = None,
 ) -> PureProfile:
@@ -514,41 +491,42 @@ def purify(
     branches: "first" takes the lowest action, "max-value" the branch with the
     largest value, "welfare" the branch with the largest total expected payoff.
 
-    x is a ProductDistribution or, from purified_separation, its stationary
-    product as _stationary_blocks' (T_q, W_q) per player. Every player keeps
-    its own weights W_q over T_q (a ProductDistribution's are its mix over the
-    lcm of its denominators), and a fixed player is a point mass, so step p
-    scores its branches over the open players' denominators only: one
-    integer value per branch, the exact value times a positive factor of that
-    step (_normal_form_steps, _polymatrix_steps), and under "welfare", the
-    only tie break that reads it, one integer welfare, the exact welfare times
-    a positive factor of the step plus a term equal for every branch of it.
-    Branches are compared only within a step, so the sign tests and the
-    comparisons are exact and pick the same branches as the rational values
-    would; scaling the integer point Y by a positive constant scales every
-    branch too, so the choice does not depend on the denominator y comes with.
-    purified_separation passes _rates, the rate blocks of the point it has
-    already checked; the point and x are then not checked again, and every
-    player's flows must vanish exactly at its stationary weights.
+    x is given as pairs, one (T_q, W_q) per player (ProductDistribution.pairs,
+    or from purified_separation the stationary product's _stationary_blocks).
+    Every player keeps its own weights W_q over T_q, and a fixed player is a
+    point mass, so step p scores its branches over the open players'
+    denominators only: one integer value per branch, the exact value times a
+    positive factor of that step (_normal_form_steps, _polymatrix_steps), and
+    under "welfare", the only tie break that reads it, one integer welfare,
+    the exact welfare times a positive factor of the step plus a term equal
+    for every branch of it. Branches are compared only within a step, so the
+    sign tests and the comparisons are exact and pick the same branches as
+    the rational values would; scaling the integer point Y by a positive
+    constant scales every branch too, so the choice does not depend on the
+    denominator y comes with. purified_separation passes _rates, the rate
+    blocks of the point it has already checked; the point and the pairs are
+    then not checked again, and every player's flows must vanish exactly at
+    its stationary weights.
     """
     if tie_break not in TIE_BREAKS:
         raise ValueError(f"unknown tie break {tie_break!r}")
     stationary = _rates is not None
     if not stationary:
         point = _nonnegative_point(game, y)
-        x.check_for(game)
-        _rates, x = _rate_blocks(game, point), [_over_lcm(mix) for mix in x.strategies]
+        check_pairs(game, pairs)
+        _rates = _rate_blocks(game, point)
     outflows = [[sum(row) for row in block] for block in _rates]
-    flows = [_flows(block, out, weights) for block, out, (_, weights) in zip(_rates, outflows, x)]
+    flows = [_flows(block, out, weights)
+             for block, out, (_, weights) in zip(_rates, outflows, pairs)]
     if stationary and any(map(any, flows)):
         raise SolverError(_STATIONARY_FAILED)
 
     steps = _polymatrix_steps if game.family == "polymatrix" else _normal_form_steps
     profile: list[int] = []
-    for values, welfare in steps(game, _rates, outflows, x, flows, profile,
+    for values, welfare in steps(game, _rates, outflows, pairs, flows, profile,
                                  tie_break == "welfare"):
         # V(x) is x_0's mix of step 0's branches, all over one scale
-        if not profile and _inner(x[0][1], values) < 0:
+        if not profile and _inner(pairs[0][1], values) < 0:
             raise ValueError("purification requires a nonnegative starting value")
         profile.append(_choose(tie_break, values, welfare))
     return tuple(profile)
@@ -590,12 +568,7 @@ def product_separation(game: Game, y: DualPoint) -> Cut:
     if negative is not None:
         return negative
     stationary = tuple(_stationary_blocks(_rate_blocks(game, point), point.denominator))
-    # what ProductDistribution checks of x, on the integers
-    for p, (total, weights) in enumerate(stationary):
-        if min(weights) < 0 or sum(weights) != total:
-            raise ValueError(f"player {p}: stationary weights {weights} are not a "
-                             f"distribution over {total}")
-    direction, unit = incentive_row_values(game, stationary_weights(stationary))
+    direction, unit = incentive_row_values(game, stationary)
     if _dot(direction, point.numerators) != 0:
         raise SolverError(_STATIONARY_FAILED)
     return ProductCut(stationary=stationary, direction=direction, unit=unit)

@@ -613,6 +613,26 @@ def random_nonneg_dual(rng: random.Random, length: int, density: float = 0.7):
     return tuple(values)
 
 
+def integer_weights(x: ProductDistribution) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(D, X): x.pairs() brought over D, the lcm of their totals, X = D x.
+
+    One D for all players, so a weighted sum over any player's actions
+    carries the same factor D."""
+    pairs = x.pairs()
+    d = math.lcm(*(total for total, _ in pairs))
+    return d, tuple(tuple(w * (d // total) for w in mix) for total, mix in pairs)
+
+
+# pairs that are no product distribution for a 2x2 game, with what is wrong
+BAD_PAIRS = [
+    (((2, (1, 1)),), "wrong number of players"),
+    (((2, (1, 1)), (3, (1, 1, 1))), "strategy length"),
+    (((2, (1, 1)), (1, (2, -1))), "not a distribution"),
+    (((2, (1, 1)), (3, (1, 1))), "not a distribution"),
+    (((2, (1, 1)), (0, (0, 0))), "not a distribution"),
+]
+
+
 def random_product(rng: random.Random, actions) -> ProductDistribution:
     strategies = []
     for m in actions:
@@ -649,7 +669,7 @@ class DualValue:
 
     action i's y-weighted outflow minus its inflow. y is read as Y / L
     (integer_point), and x as integer weights X over one denominator D,
-    x.integer_weights(). D is fixed when the object is built, so fixing a
+    integer_weights(x). D is fixed when the object is built, so fixing a
     player to action a later means the weights D e_a (point_mass). On the
     weights X the game's integer kernel gives conditional_scale(D) C_p and
     the flows carry D L, so every term of V carries the same positive factor
@@ -660,7 +680,7 @@ class DualValue:
 
     def __init__(self, game: Game, y: DualPoint, x: ProductDistribution):
         self.game = game
-        self.d, self.start = x.integer_weights()
+        self.d, self.start = integer_weights(x)
         point = integer_point(y)
         # per player: L y_{p,i,j}
         self.rates = _rate_blocks(game, point)

@@ -123,7 +123,7 @@ def test_criterion_02_support_bound(suite):
 
 def test_criterion_03_purified_rounding_soundness(pairs):
     for game, y, x in pairs:
-        profile = purify(game, y, x)
+        profile = purify(game, y, x.pairs())
         # final pure profile clears the dual: column(s) . y >= 0, recomputed
         # from raw payoff differences
         final = sum(
@@ -179,7 +179,7 @@ def test_criterion_05_brute_force_equivalence(suite):
         rng = random.Random(rec.seed + 777)
         for _ in range(2):
             x = helpers.random_product(rng, rec.game.actions)
-            values = helpers.unit_values(incentive_row_values(rec.game, x))
+            values = helpers.unit_values(incentive_row_values(rec.game, x.pairs()))
             probs = [helpers.product_probability(x.strategies, s) for s in profiles]
             expected = [
                 sum((p * v for p, v in zip(probs, matrix[r])), ZERO)

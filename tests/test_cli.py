@@ -318,6 +318,7 @@ BAD_SETTINGS = [
                  {PRECISION_ENV: "65537"}, id="bench-precision-env-past-the-ceiling"),
     pytest.param(["bench", "--oracles", "bogus"], {}, id="bench-oracle-bogus"),
     pytest.param(["bench", "--max-iters", "0"], {}, id="bench-max-iters-0"),
+    pytest.param(["bench", "--seeds", "3:1"], {}, id="bench-seeds-empty-range"),
     pytest.param(["bench", "--family", "nfg", "--sizes", "2x2", "--seeds", "0:1",
                   "--oracles", "product", "--tie-breaks", "bogus"], {},
                  id="bench-product-tie-break-bogus"),

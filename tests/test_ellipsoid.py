@@ -492,10 +492,10 @@ class TestIntegerCenter:
 
 class TestIterationBound:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            iteration_bound(0, 2)
-        with pytest.raises(ValueError):
-            iteration_bound(2, -1)
+        # a bool is an int to isinstance, and True would count as 1
+        for n, u in [(0, 2), (2, -1), (True, 5), (2, True), (2.0, 5), (2, 5.0)]:
+            with pytest.raises(ValueError):
+                iteration_bound(n, u)
 
     def test_low_u_substitution(self):
         assert iteration_bound(3, 0) == iteration_bound(3, 2)

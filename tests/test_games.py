@@ -14,7 +14,7 @@ from exactce import (
     random_game,
 )
 from exactce import games
-from exactce.games import IntegerProduct, NormalFormGame, PolymatrixGame, ProductDistribution
+from exactce.games import NormalFormGame, PolymatrixGame, ProductDistribution, check_pairs
 
 F = Fraction
 
@@ -22,7 +22,7 @@ F = Fraction
 def assert_kernel_matches_enumeration(g, x):
     """sum_a X_p(a) kernel[a] is D conditional_scale(D) times p's expected
     payoff under x, where X = D x and kernel is conditional_payoff_ints on X."""
-    d, weights = x.integer_weights()
+    d, weights = helpers.integer_weights(x)
     for p in range(g.players):
         kernel = g.conditional_payoff_ints(p, weights)
         total = sum(w * k for w, k in zip(weights[p], kernel))
@@ -158,7 +158,7 @@ class TestNormalForm:
 
     def test_expected_utility_at_point_mass(self):
         g = random_game("nfg", 2, 3, u_max=9, seed=4)
-        d, weights = ProductDistribution.point_mass(g.actions, (2, 1)).integer_weights()
+        d, weights = helpers.integer_weights(ProductDistribution.point_mass(g.actions, (2, 1)))
         kernel = g.conditional_payoff_ints(0, weights)
         assert kernel[2] == g.conditional_scale(d) * g.payoff(0, (2, 1))
 
@@ -326,6 +326,20 @@ class TestRandomGame:
         with pytest.raises(GameFormatError, match="family"):
             random_game("graphical", 2, 2, u_max=3, seed=0)
 
+    @pytest.mark.parametrize("players, actions, u_max", [
+        (True, 2, 5), (2, True, 5), (2, (2, True), 5), (2, 2, True), (2, 2, False),
+    ])
+    def test_bool_setting_refused(self, players, actions, u_max):
+        # isinstance(True, int) holds, but a document whose action counts
+        # are JSON booleans does not load
+        with pytest.raises(GameFormatError):
+            random_game("nfg", players, actions, u_max=u_max, seed=0)
+
+    def test_bool_action_count_refused(self):
+        with pytest.raises(GameFormatError, match="positive action count"):
+            NormalFormGame(actions=(True, 2), adjustments=(games.IDENTITY,) * 2,
+                           tables=((0, 0),) * 2)
+
     def test_load_game_file(self, tmp_path):
         g = random_game("nfg", 2, 2, u_max=5, seed=7)
         path = tmp_path / "game.json"
@@ -392,19 +406,16 @@ class TestProductDistribution:
         with pytest.raises(ValueError):
             ProductDistribution(strategies=((F(3, 2), F(-1, 2)),))
 
-    def test_check_for(self):
-        g = random_game("nfg", 2, 2, u_max=1, seed=0)
-        ProductDistribution.uniform((2, 2)).check_for(g)
-        with pytest.raises(ValueError):
-            ProductDistribution.uniform((2, 3)).check_for(g)
+    def test_pairs(self):
+        # each player over the lcm of its own denominators
+        x = ProductDistribution(((F(1, 3), F(2, 3)), (F(1, 2), F(1, 4), F(1, 4))))
+        assert x.pairs() == ((3, (1, 2)), (4, (2, 1, 1)))
+        assert ProductDistribution.point_mass((2, 3), (1, 2)).pairs() == (
+            (1, (0, 1)), (1, (0, 0, 1)))
 
-    def test_integer_product_is_its_integer_weights(self):
+    def test_check_pairs(self):
         g = random_game("nfg", 2, 2, u_max=1, seed=0)
-        x = ProductDistribution((((F(1, 3), F(2, 3)), (F(1, 2), F(1, 2)))))
-        held = IntegerProduct(*x.integer_weights())
-        assert held.integer_weights() == (6, ((2, 4), (3, 3)))
-        held.check_for(g)
-        with pytest.raises(ValueError, match="wrong number of players"):
-            IntegerProduct(6, ((2, 4),)).check_for(g)
-        with pytest.raises(ValueError, match="strategy length"):
-            IntegerProduct(6, ((2, 4), (1, 2, 3))).check_for(g)
+        check_pairs(g, ProductDistribution.uniform((2, 2)).pairs())
+        for pairs, problem in helpers.BAD_PAIRS:
+            with pytest.raises(ValueError, match=problem):
+                check_pairs(g, pairs)

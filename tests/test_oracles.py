@@ -33,7 +33,6 @@ from exactce.oracles import (
     purified_separation,
     purify,
     stationary_block,
-    stationary_weights,
 )
 from helpers import DualValue, stationary_product
 
@@ -70,7 +69,7 @@ class TestCutShapes:
         g = random_game("nfg", 2, 2, u_max=5, seed=2)
         x = ProductDistribution.uniform(g.actions)
         pairs = ((2, (1, 1)), (2, (1, 1)))
-        direction, unit = incentive_row_values(g, x)
+        direction, unit = incentive_row_values(g, pairs)
         cut = ProductCut(stationary=pairs, direction=direction, unit=unit)
         assert cut.x == x
         assert cut.normal() == direction
@@ -311,20 +310,20 @@ class TestStationaryWeights:
     @given(integer_points())
     @example(SEVERAL_CLOSED_CLASSES)
     def test_equal_the_product_integer_weights(self, case):
+        # the stationary pairs are the integer form of their own Fractions
         g, point = case
         stationary = stationary_pairs(g, point)
-        assert (stationary_weights(stationary).integer_weights()
-                == _stationary_x(stationary).integer_weights())
+        assert _stationary_x(stationary).pairs() == tuple(stationary)
 
     def test_several_closed_classes_take_the_simplex(self):
         g, point = SEVERAL_CLOSED_CLASSES
         with patch.object(oracles, "stationary_distribution",
                           wraps=stationary_distribution) as simplex:
-            d, weights = stationary_weights(stationary_pairs(g, point)).integer_weights()
+            (total, weights), uniform = stationary_pairs(g, point)
         simplex.assert_called_once()
         assert helpers.reference_stationary_distribution(
-            [[0, 1, 0], [2, 0, 0], [0, 0, 0]], 4) == tuple(F(w, d) for w in weights[0])
-        assert weights[1] == (d // 3,) * 3
+            [[0, 1, 0], [2, 0, 0], [0, 0, 0]], 4) == tuple(F(w, total) for w in weights)
+        assert uniform == (3, (1, 1, 1))
 
     @settings(max_examples=60, deadline=None)
     @given(integer_points())
@@ -404,28 +403,28 @@ class TestPurify:
             g, y = seeded_pair(family, 2, 3, seed, density=0.5)
             x = stationary_product(g, y)
             for tb in ("first", "max-value", "welfare"):
-                got = purify(g, y, x, tb)
+                got = purify(g, y, x.pairs(), tb)
                 want = helpers.purify_reference(g, y, x, tb)
                 assert got == want, (seed, tb)
 
     def test_policies_can_disagree(self):
         g, y = seeded_pair("nfg", 2, 3, 0, density=0.5)
         x = stationary_product(g, y)
-        outcomes = {tb: purify(g, y, x, tb) for tb in ("first", "max-value", "welfare")}
+        outcomes = {tb: purify(g, y, x.pairs(), tb) for tb in ("first", "max-value", "welfare")}
         assert len(set(outcomes.values())) == 3
 
     def test_output_profile_clears_dual(self):
         for seed in range(30):
             g, y = seeded_pair("nfg", 3, 2, seed)
             x = stationary_product(g, y)
-            s = purify(g, y, x)
+            s = purify(g, y, x.pairs())
             assert profile_column(g, s).dot(y) >= 0
 
     def test_intermediate_values_stay_nonnegative(self):
         for seed in range(15):
             g, y = seeded_pair("nfg", 3, 2, seed)
             x = stationary_product(g, y)
-            s = purify(g, y, x)
+            s = purify(g, y, x.pairs())
             strategies = [list(b) for b in x.strategies]
             for p in range(g.players):
                 strategies[p] = [
@@ -441,7 +440,7 @@ class TestPurify:
             x = ProductDistribution.uniform(g.actions)
             if helpers.dual_objective(g, x.strategies, y) < 0:
                 continue
-            s = purify(g, y, x)
+            s = purify(g, y, x.pairs())
             assert profile_column(g, s).dot(y) >= 0
 
     def test_rejects_negative_start(self):
@@ -454,13 +453,21 @@ class TestPurify:
         y[row_position(g, RowIndex(0, 0, 1))] = F(1)
         x = ProductDistribution.point_mass(g.actions, (0,))
         with pytest.raises(ValueError, match="nonnegative starting value"):
-            purify(g, y, x)
+            purify(g, y, x.pairs())
 
     def test_rejects_bad_tie_break(self):
         g = random_game("nfg", 2, 2, u_max=5, seed=0)
         x = ProductDistribution.uniform(g.actions)
         with pytest.raises(ValueError, match="tie break"):
-            purify(g, [F(0)] * 8, x, "random")
+            purify(g, [F(0)] * 8, x.pairs(), "random")
+
+    @pytest.mark.parametrize("pairs, problem", helpers.BAD_PAIRS)
+    def test_rejects_pairs_that_are_no_distribution(self, pairs, problem):
+        g = random_game("nfg", 2, 2, u_max=5, seed=0)
+        with pytest.raises(ValueError, match=problem):
+            purify(g, [F(0)] * 8, pairs)
+        with pytest.raises(ValueError, match=problem):
+            incentive_row_values(g, pairs)
 
 
 class TestSeparationOracles:
@@ -499,7 +506,7 @@ class TestSeparationOracles:
             cut = product_separation(g, y)
             assert isinstance(cut, ProductCut)
             values = helpers.unit_values(cut)
-            assert values == helpers.unit_values(incentive_row_values(g, cut.x))
+            assert values == helpers.unit_values(incentive_row_values(g, cut.x.pairs()))
             assert sum(v * w for v, w in zip(values, y)) == 0
             assert cut_violation(cut, y) == 1
 
@@ -617,7 +624,7 @@ class TestIntegerValue:
     @given(value_cases(), st.data())
     def test_jacobian_moves_kernel_exactly(self, case, data):
         g, _, x = case
-        _, start = x.integer_weights()
+        _, start = helpers.integer_weights(x)
         p = data.draw(st.integers(0, g.players - 1))
         before, after = list(start), list(start)
         before[p] = data.draw(st.lists(st.integers(0, 40), min_size=g.actions[p],
@@ -650,7 +657,7 @@ class TestIntegerValue:
         value = DualValue(g, y, x)
         for tb in ("first", "max-value", "welfare"):
             profile = []
-            calls = record_branches(lambda tb=tb: profile.extend(purify(g, y, x, tb)))
+            calls = record_branches(lambda tb=tb: profile.extend(purify(g, y, x.pairs(), tb)))
             assert len(calls) == g.players
             for p, (values, welfare) in enumerate(calls):
                 # branch a: the players before p fixed as purify fixed them,
@@ -673,11 +680,17 @@ class TestIntegerValue:
                 assert same_positive_multiple([w - welfare[0] for w in welfare],
                                               [w - exact[0][1] for _, w in exact]), (tb, p)
 
+    @settings(max_examples=100, deadline=None)
+    @given(value_cases())
+    def test_pairs_round_trip(self, case):
+        _, _, x = case
+        assert _stationary_x(x.pairs()) == x
+
     @settings(max_examples=150, deadline=None)
     @given(value_cases())
     def test_row_values_match_fraction_formula(self, case):
         g, _, x = case
-        assert (helpers.unit_values(incentive_row_values(g, x))
+        assert (helpers.unit_values(incentive_row_values(g, x.pairs()))
                 == helpers.fraction_row_values(g, x.strategies))
 
     @settings(max_examples=100, deadline=None)
@@ -686,7 +699,7 @@ class TestIntegerValue:
         g, y, x = case
         if helpers.dual_objective(g, x.strategies, y) < 0:
             with pytest.raises(ValueError, match="nonnegative starting value"):
-                purify(g, y, x)
+                purify(g, y, x.pairs())
             return
         for tb in ("first", "max-value", "welfare"):
-            assert purify(g, y, x, tb) == helpers.purify_reference(g, y, x, tb), tb
+            assert purify(g, y, x.pairs(), tb) == helpers.purify_reference(g, y, x, tb), tb
