@@ -19,7 +19,22 @@ distribution clears every row. A feasible probe ends the run, and the final
 program is then solved cold once, by try_feasible_bfs or mixture_feasible,
 whose vertex is the certificate or the mixture, so neither depends on the
 probes' pivot path. When the product oracle's last probe failed,
-min_violation_mixture reads (t, alpha) from a fresh MinViolation instead.
+min_violation_mixture reads (t, alpha) off the optimum of a fresh program
+instead.
+
+That program's columns are the product cuts' row values, whose entries run
+to hundreds of bits, so min_violation_mixture guesses its optimal basis
+cheaply and certifies it exactly, after Applegate, Cook, Dash and Espinoza
+(QSopt_ex). MinViolation first solves the program with every entry rounded
+to GUESS_BITS fractional bits, a nonzero entry never to zero, so both
+programs touch the same rows. _certified then solves the guessed basis on
+the exact columns, over its binding rows and the sum row only, for the
+primal (alpha, t) and the duals, and accepts it when it is primal feasible
+and every nonbasic variable's reduced cost is strictly positive: then every
+other feasible point costs more, the optimum is unique, and the exact
+simplex would reach the same (t, alpha), rational for rational. Otherwise,
+when the rounding moved the optimum or the optimal face is wider than a
+point, MinViolation solves the exact program.
 
 The tableaus hold Python integers, not fractions. Every program takes
 integer columns with one positive scale s_j each: column j of the rational
@@ -521,6 +536,95 @@ def mixture_feasible(
     return solution[:n_cols]
 
 
+# fractional bits of the rounded program min_violation_mixture solves first
+GUESS_BITS = 24
+
+
+def _rounded(direction: Sequence[int], unit: Rational) -> list[int]:
+    """unit * direction times 2**GUESS_BITS, rounded to integers, half up.
+
+    A nonzero entry that rounds to zero becomes its sign instead, so the
+    rounded column touches exactly the rows the exact one touches.
+    """
+    num, den = unit.numerator << (GUESS_BITS + 1), unit.denominator
+    twice = 2 * den
+    return [(num * v + den) // twice or (v > 0) - (v < 0) for v in direction]
+
+
+def _certified(guess: MinViolation, directions: Sequence[Sequence[int]],
+               units: Sequence[Rational]) -> tuple[Fraction, list[Fraction]] | None:
+    """(t, alpha) at guess's optimal basis, taken over the exact columns, if
+    that basis is provably the exact program's one optimum; else None.
+
+    The basis is read off the solved guess: its basic weights, whether t is
+    basic, and the binding rows, those whose surplus is nonbasic. Over the
+    binding rows and the sum row, t and the basic weights form a square
+    matrix M, each weight column its direction times the unit's numerator
+    over the binding rows with the unit's denominator in the sum row, so
+    alpha_k is the denominator times its solved entry. One fraction-free
+    Gauss-Jordan on [M | I] leaves det * M^-1 with det > 0: its last column
+    is the primal (the right-hand side is the sum row's 1), and t's row the
+    duals (y over the binding rows, z on the sum row), since t alone costs 1.
+    The basis is primal feasible when alpha, t and every other touched row's
+    slack are nonnegative. The reduced costs of the nonbasic variables are
+    -(y . column + z * den) for a weight, y_r for a binding row's surplus and
+    1 - sum y for t. When every one of them is strictly positive, any other
+    feasible point has some nonbasic variable positive and so costs more:
+    this vertex is the only optimum, and the exact simplex returns it too.
+    """
+    n, basic = guess.added, set(guess._tab.basis)
+    weights = [k for k in range(n) if k in basic]
+    t_basic = n in basic
+    binding, slack = [], []
+    for pos, r in enumerate(guess._rows):
+        (slack if n + 1 + pos in basic else binding).append(r)
+    # the artificial left the basis at the start pivot, so M is square
+    size = len(binding) + 1
+    nums = [u.numerator for u in units]
+    dens = [u.denominator for u in units]
+    # t's column comes first: it is 1 on every binding row, so each minor
+    # the elimination builds holds one product of wide entries fewer
+    matrix = [[1] * t_basic + [nums[k] * directions[k][r] for k in weights]
+              for r in binding]
+    matrix.append([0] * t_basic + [dens[k] for k in weights])
+    tab = _Tableau(rows=[[*row, *(int(i == j) for j in range(size))]
+                         for i, row in enumerate(matrix)],
+                   basis=[-1] * size)
+    for j in range(size):
+        row = next((i for i in range(size) if tab.basis[i] < 0 and tab.rows[i][j]), -1)
+        if row < 0:
+            return None  # the basis is singular on the exact columns
+        _pivot(tab, row, j)
+    det = tab.det
+    inverse = [[]] * size  # det * M^-1, row by row
+    for var, row in zip(tab.basis, tab.rows):
+        inverse[var] = row[size:]
+
+    # primal feasibility, everything times det
+    levels = [row[-1] for row in inverse]  # t if basic, then the basic weights
+    if min(levels) < 0:
+        return None
+    level_t = levels[0] if t_basic else 0
+    levels = levels[t_basic:]
+    if any(sum(x * nums[k] * directions[k][r] for x, k in zip(levels, weights)) + level_t < 0
+           for r in slack):
+        return None
+
+    # strictly positive reduced costs, everything times det: the binding
+    # rows' surpluses, t if nonbasic, then the nonbasic weights
+    *y, z = inverse[0] if t_basic else [0] * size
+    reduced = y + [det - sum(y)] * (not t_basic)
+    reduced += [-(sum(w * directions[k][r] for w, r in zip(y, binding)) * nums[k]
+                  + z * dens[k]) for k in range(n) if k not in basic]
+    if not all(d > 0 for d in reduced):
+        return None
+
+    alpha = [ZERO] * n
+    for x, k in zip(levels, weights):
+        alpha[k] = Fraction(dens[k] * x, det)
+    return Fraction(level_t, det), alpha
+
+
 def min_violation_mixture(
     directions: Sequence[Sequence[int]], units: Sequence[Rational]
 ) -> tuple[Fraction, list[Fraction]]:
@@ -532,7 +636,21 @@ def min_violation_mixture(
     pure function of the columns; it is the only optimal mixture on the
     product oracle's pinned games, but the optimal face can be wider in
     general.
+
+    It first solves the program rounded by _rounded. When _certified proves
+    that optimum's basis, taken over the exact columns, the exact program's
+    only optimum, which the exact MinViolation would return too, its vertex
+    is the result. Otherwise the exact MinViolation runs, so the result
+    stays exact whatever the rounding did and is the cold program's vertex
+    where the optimal face is wider than a point.
     """
+    guess = MinViolation()
+    for direction, unit in zip(directions, units):
+        guess.add(_rounded(direction, unit))
+    guess.mixture()
+    certified = _certified(guess, directions, units)
+    if certified is not None:
+        return certified
     program = MinViolation()
     for direction, unit in zip(directions, units):
         program.add(direction, unit)

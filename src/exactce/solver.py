@@ -113,6 +113,10 @@ class SolveConfig:
         check_int("probe_stride", self.probe_stride)
         if self.probe_stride < 1:
             raise ValueError("probe_stride must be positive")
+        check_int("seed", self.seed)
+        if not isinstance(self.brute_force_fallback, bool):
+            raise ValueError(
+                f"brute_force_fallback must be a bool, not {self.brute_force_fallback!r}")
 
 
 @dataclass(frozen=True)

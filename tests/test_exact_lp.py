@@ -628,3 +628,153 @@ class TestMinViolationMixture:
         assert_optimal_vertex(columns, t, alpha)
         assert t == 0
         assert (alpha[0] + alpha[2], alpha[1] + alpha[3]) == (F(1, 2), F(1, 2))
+
+
+@st.composite
+def wide_columns(draw):
+    """(directions, units) as product cuts hold them, with entries of 3 to
+    800 bits: coprime directions, some all zero, some repeated, with rows
+    that every direction leaves zero, and positive units up to 800 bits."""
+    n_rows = draw(st.integers(1, 6))
+    live = draw(st.lists(st.booleans(), min_size=n_rows, max_size=n_rows))
+    directions, units = [], []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["fresh", "fresh", "fresh", "repeat", "zero"]))
+        if kind == "repeat" and directions:
+            direction = draw(st.sampled_from(directions))
+        elif kind == "zero":
+            direction = [0] * n_rows
+        else:
+            bound = 1 << draw(st.integers(3, 800))
+            direction = [draw(st.integers(-bound, bound)) if on else 0 for on in live]
+            common = math.gcd(*direction) or 1
+            direction = [v // common for v in direction]
+        directions.append(direction)
+        units.append(F(draw(st.integers(1, 1 << draw(st.integers(1, 800)))),
+                       draw(st.integers(1, 1 << draw(st.integers(1, 800))))))
+    return directions, units
+
+
+def cold_mixture(directions, units, program=exact_lp.MinViolation):
+    """(t, alpha) of a fresh exact program over the columns, never rounded."""
+    program = program()
+    for direction, unit in zip(directions, units):
+        program.add(direction, unit)
+    return program.mixture()
+
+
+def traced_mixture(directions, units):
+    """min_violation_mixture, with each certification's result and every
+    MinViolation it made: the rounded guess first, then any cold program."""
+    certified, programs = [], []
+    certify = exact_lp._certified
+
+    def record(*args):
+        certified.append(certify(*args))
+        return certified[-1]
+
+    class Recorded(exact_lp.MinViolation):
+        def __init__(self):
+            super().__init__()
+            programs.append(self)
+
+    with mock.patch.object(exact_lp, "_certified", record), \
+            mock.patch.object(exact_lp, "MinViolation", Recorded):
+        result = min_violation_mixture(directions, units)
+    return result, certified, programs
+
+
+EPS = F(1, 2**30)
+
+
+def assert_falls_back(directions, units):
+    """Certification refuses, the cold program runs, and the answer is its."""
+    got, certified, programs = traced_mixture(directions, units)
+    assert certified == [None]
+    assert len(programs) == 2
+    assert got == cold_mixture(directions, units)
+    assert got == cold_mixture(directions, units, helpers.TableauMinViolation)
+
+
+class TestGuessAndCertify:
+    """min_violation_mixture solves the program rounded to GUESS_BITS
+    fractional bits, certifies that basis on the exact columns, and falls
+    back to the cold exact program when it cannot: either way its (t, alpha)
+    is the cold program's, rational for rational."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(wide_columns())
+    @example(([[1, -1], [-1, 1]], [F(1, 3), F(1, 5)]))
+    @example(([[3, 0], [0, -7]], [F(1, 2**700), F(5, 3)]))
+    def test_matches_cold_and_tableau(self, columns):
+        directions, units = columns
+        got, certified, programs = traced_mixture(directions, units)
+        assert got == cold_mixture(directions, units)
+        assert got == cold_mixture(directions, units, helpers.TableauMinViolation)
+        # the cold program runs exactly when certification refused
+        assert len(programs) == 1 + (certified == [None])
+
+    @pytest.mark.parametrize("family, players, actions, seed, max_iters, stride", [
+        ("nfg", 3, 2, 3, 200, 1),
+        ("nfg", 2, 3, 1, 60, 3),
+        ("polymatrix", 3, 2, 2, 60, 3),
+    ], ids=["nfg-3x2-3", "nfg-2x3-1", "polymatrix-3x2-2"])
+    def test_matches_cold_and_tableau_on_product_columns(self, family, players, actions,
+                                                         seed, max_iters, stride):
+        g = random_game(family, players, actions, u_max=10, seed=seed)
+        config = SolveConfig(oracle="product", max_iters=max_iters, probe_stride=stride,
+                             precision_bits=96)
+        roster = compute_exact_ce(g, config).transcript.roster
+        directions, units = [cut.direction for cut in roster], [cut.unit for cut in roster]
+        got, certified, programs = traced_mixture(directions, units)
+        assert got == cold_mixture(directions, units)
+        assert got == cold_mixture(directions, units, helpers.TableauMinViolation)
+        if got[0] > 0:
+            # the optimal mixture is unique here, and the guess finds its basis
+            assert certified != [None] and len(programs) == 1
+
+    @pytest.mark.parametrize("directions, units", [
+        # a duplicated column: its copy prices at zero
+        ([[-1, 0], [0, -1], [-1, 0]], [1, 1, 1]),
+        # every mixture leaves t = 1, so both columns price at zero
+        ([[-1, 0], [-1, -1]], [1, 1]),
+        # parallel columns under other units; the rounded program's basis,
+        # taken with reduced costs >= 0, gives another optimal vertex
+        ([[3, -2], [-2, -1], [-3, 2], [-3, 2], [3, -2]],
+         [F(17, 18), F(5, 26), F(5, 2), F(27, 17), F(17, 54)]),
+        # a binding row whose surplus prices at zero; taken anyway, it gives
+        # another optimal vertex
+        ([[3, -2, 2], [0, 0, -2], [3, -3, 1], [-3, 2, 0]],
+         [F(14, 25), F(25, 3), F(27), F(20, 13)]),
+    ], ids=["duplicate", "same-t", "parallel", "zero-dual-surplus"])
+    def test_dual_degenerate_falls_back(self, directions, units):
+        assert_falls_back(directions, units)
+
+    @pytest.mark.parametrize("columns", [
+        # the rounded optimum's basis gives the first column a negative weight
+        [[-2 - 2 * EPS, 2 - 3 * EPS, F(-2)], [F(0), -1 + 3 * EPS, -1 + 2 * EPS]],
+        # the rounded optimum's basis leaves a non-binding row short of t
+        [[-1 + 3 * EPS, -1 - 2 * EPS, -EPS], [-2 + 2 * EPS, 2 + 3 * EPS, 2 - EPS]],
+    ], ids=["negative-weight", "short-row"])
+    def test_moved_optimum_falls_back(self, columns):
+        # offsets of a few 2^-30 vanish in the rounding, so the rounded
+        # program's optimum sits at another basis, one that is not even
+        # feasible on the exact columns
+        assert_falls_back(*zip(*map(split, columns)))
+
+    def test_rounding_keeps_every_touched_row(self):
+        # a unit of 2^-3000 puts every entry of its column far below
+        # 2^-GUESS_BITS, yet each rounds to its sign, not to zero
+        tiny = F(1, 2**3000)
+        assert exact_lp._rounded([3, -1, 0, 2**10], tiny) == [1, -1, 0, 1]
+        assert exact_lp._rounded([1, -1], F(1, 3)) == [5592405, -5592405]
+        # rows 0 and 1 only the tiny column touches; the optimum is unique
+        # and its basis holds that column
+        directions = [[0, 0, 1, -1], [0, 0, 0, -3], [3, -3, 0, 0]]
+        units = [F(2, 5), F(1, 3), tiny]
+        got, certified, programs = traced_mixture(directions, units)
+        assert programs[0]._rows == [0, 1, 2, 3]
+        assert certified != [None] and len(programs) == 1
+        assert got[1][2] > 0
+        assert got == cold_mixture(directions, units)
+        assert got == cold_mixture(directions, units, helpers.TableauMinViolation)

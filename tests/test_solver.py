@@ -66,6 +66,12 @@ class TestConfig:
         {"probe_stride": 1.5},
         {"probe_stride": True},
         {"probe_stride": "2"},
+        {"seed": "x"},
+        {"seed": 1.5},
+        {"seed": True},
+        {"brute_force_fallback": "no"},
+        {"brute_force_fallback": 1},
+        {"brute_force_fallback": None},
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(ValueError):
