@@ -3,9 +3,10 @@
 The ellipsoid state lives in Python integers, and every oracle exchange is
 exact: the center goes to the oracle as one integer vector over a power of
 two (integer_center), and each cut's violation is one integer dot product
-with it, turned into a single rational. Exactness of final answers
-never rests on this module; it only has to keep shrinking volume, and each
-update is checked against the guaranteed contraction rate.
+with it, an exact (numerator, denominator) pair that is checked in integers
+and becomes a Fraction only when the transcript is read. Exactness of final
+answers never rests on this module; it only has to keep shrinking volume,
+and each update is checked against the guaranteed contraction rate.
 
 The state is rounded to a fixed number of binary places, as in the
 finite-precision ellipsoid method of Groetschel, Lovasz and Schrijver
@@ -490,8 +491,12 @@ class TranscriptEntry:
     iteration: int
     point: IntegerPoint  # the queried center, as the oracle got it
     cut: Cut
-    violation: Fraction
+    violation_pair: tuple[int, int]  # (num, den), den > 0, as normal_violation gives it
     log_volume_drop: float | None  # None when the run stopped before updating
+
+    @property
+    def violation(self) -> Fraction:
+        return Fraction(*self.violation_pair)
 
     @property
     def center(self) -> tuple[Fraction, ...]:
@@ -550,8 +555,8 @@ def run(
     """
     state = EllipsoidState.initial_ball(n_rows, params.log2_radius, params.precision_bits)
     transcript = Transcript(n_rows=n_rows, precision_bits=params.precision_bits)
-    tolerance = Fraction(1, 2 ** (params.precision_bits // 2))
-    min_drop = 1.0 / (5 * n_rows) - float(tolerance)
+    half = params.precision_bits // 2
+    min_drop = 1.0 / (5 * n_rows) - 2.0 ** -half
     previous_log_det = state.log_det()
     log_unit_ball = _log_unit_ball_volume(n_rows)
     seen = set()
@@ -565,9 +570,10 @@ def run(
         cut = oracle(point)
         normal = cut.normal()
         violation = normal_violation(normal, cut.unit, cut.rhs, point)
-        if violation < -tolerance:
+        num, den = violation
+        if num << half < -den:  # num / den < -2**-half
             raise SolverError(
-                f"oracle cut is satisfied at the query point (violation {violation})",
+                f"oracle cut is satisfied at the query point (violation {Fraction(num, den)})",
                 transcript,
             )
         key = cut.roster_key()

@@ -245,22 +245,26 @@ def solve_standard_form(
     if any(row[-1] for row, var in zip(tab.rows, tab.basis) if var >= n):
         return "infeasible", None
 
-    # Drive leftover zero-level artificials out of the basis; a row that
-    # cannot pivot on any real column is redundant and gets dropped.
-    drop = []
-    for i in range(m):
-        if tab.basis[i] >= n:
-            for j in range(n):
-                if tab.rows[i][j]:
-                    _pivot(tab, i, j)
-                    break
-            else:
-                drop.append(i)
-    for i in reversed(drop):
-        del tab.rows[i]
-        del tab.basis[i]
-
     if objective is not None:
+        # Phase 2 prices every basic variable by its objective entry, which an
+        # artificial has none of: drive leftover zero-level artificials out of
+        # the basis, and drop a row that cannot pivot on any real column as
+        # redundant. A feasibility solve skips this. A drive-out pivot's row
+        # has level 0, so it leaves every basic level, and the returned x,
+        # unchanged.
+        drop = []
+        for i in range(m):
+            if tab.basis[i] >= n:
+                for j in range(n):
+                    if tab.rows[i][j]:
+                        _pivot(tab, i, j)
+                        break
+                else:
+                    drop.append(i)
+        for i in reversed(drop):
+            del tab.rows[i]
+            del tab.basis[i]
+
         # x_j is scale[j] times the tableau's variable, so its cost scales too
         obj = [c * s for c, s in zip(objective, scale)]
         cost = [tab.det * c for c in obj]

@@ -66,17 +66,6 @@ class ProductDistribution:
     def uniform(cls, actions: Sequence[int]) -> "ProductDistribution":
         return cls(tuple(tuple(Fraction(1, m) for _ in range(m)) for m in actions))
 
-    @classmethod
-    def point_mass(cls, actions: Sequence[int], profile: Sequence[int]) -> "ProductDistribution":
-        if len(profile) != len(actions):
-            raise ValueError("profile length does not match player count")
-        rows = []
-        for m, a in zip(actions, profile):
-            if not 0 <= a < m:
-                raise ValueError(f"action {a} out of range for {m} actions")
-            rows.append(tuple(Fraction(1) if k == a else Fraction(0) for k in range(m)))
-        return cls(tuple(rows))
-
     def pairs(self) -> tuple[Mix, ...]:
         """One (T_p, W_p) per player, p playing i with probability
         W_p[i] / T_p: the mix over the lcm of its denominators, which are
@@ -155,9 +144,10 @@ def rational_text(value: Fraction) -> str:
 def _check_printable(payoffs, where: str) -> None:
     """Refuse stored payoffs that Python could not print as decimal ints.
 
-    Each utility passes rational_from_text, but scaling a player's table by
-    the lcm of its denominators and shifting it can still pass the limit:
-    "1e3000" and "1e-3000" in one table store 10**6000.
+    Each rational string passes rational_from_text, but scaling a player's
+    table by the lcm of its denominators and shifting it can still pass the
+    limit: "1e3000" and "1e-3000" in one table store 10**6000. An int in a
+    parsed document is stored as given, so a long one is refused only here.
     """
     limit = sys.get_int_max_str_digits()
     top = max(payoffs)
@@ -168,19 +158,47 @@ def _check_printable(payoffs, where: str) -> None:
         )
 
 
-def _parse_utility(value, where: str) -> Fraction:
+def _parse_utility(value, where: str, index: int) -> int | Fraction:
+    """An int utility as that int, a rational string as a Fraction.
+
+    where names the utility's row in an error, with {} for its index, so a
+    valid utility costs no message.
+    """
     if isinstance(value, bool):
-        raise GameFormatError(f"{where}: boolean is not a utility")
+        raise GameFormatError(f"{where.format(index)}: boolean is not a utility")
     if isinstance(value, int):
-        return Fraction(value)
+        return value
     if isinstance(value, str):
         try:
             return rational_from_text(value)
         except (ValueError, ZeroDivisionError) as exc:
-            raise GameFormatError(f"{where}: bad rational string {value!r}: {exc}") from exc
+            raise GameFormatError(
+                f"{where.format(index)}: bad rational string {value!r}: {exc}") from exc
     raise GameFormatError(
-        f"{where}: utilities must be integers or rational strings, got {type(value).__name__}"
+        f"{where.format(index)}: utilities must be integers or rational strings, "
+        f"got {type(value).__name__}"
     )
+
+
+def _integerize(
+    blocks: Sequence[Sequence[Sequence[int | Fraction]]],
+) -> tuple[PlayerAdjustment, list[tuple[tuple[int, ...], ...]]]:
+    """One player's utilities on integers, in whatever type each one holds.
+
+    Every value is scaled by the lcm of all the denominators (an int's is 1),
+    and each block is shifted by its negated minimum when that is positive;
+    the scale and the total shift are the player's adjustment. Only the
+    adjustment is built from Fractions.
+    """
+    scale = math.lcm(*{v.denominator for block in blocks for row in block for v in row})
+    stored, total_shift = [], 0
+    for block in blocks:
+        scaled = [[v.numerator * (scale // v.denominator) for v in row] for row in block]
+        low = min(min(row) for row in scaled)
+        shift = -low if low < 0 else 0
+        total_shift += shift
+        stored.append(tuple(tuple(v + shift for v in row) for row in scaled))
+    return PlayerAdjustment(Fraction(scale), Fraction(total_shift)), stored
 
 
 def _is_count(value) -> bool:
@@ -551,15 +569,12 @@ def _load_nfg(doc: dict) -> NormalFormGame:
     for p, raw in enumerate(payoffs):
         if not isinstance(raw, list) or len(raw) != m:
             raise GameFormatError(f"player {p}: payoff table must have exactly {m} entries")
-        values = [_parse_utility(v, f"player {p} entry {k}") for k, v in enumerate(raw)]
-        scale = Fraction(math.lcm(*(v.denominator for v in values)))
-        scaled = [v * scale for v in values]
-        low = min(scaled)
-        shift = -low if low < 0 else Fraction(0)
-        table = tuple(int(v + shift) for v in scaled)
+        where = f"player {p} entry {{}}"
+        values = [_parse_utility(v, where, k) for k, v in enumerate(raw)]
+        adjustment, ((table,),) = _integerize([[values]])
         _check_printable(table, f"player {p}")
         tables.append(table)
-        adjustments.append(PlayerAdjustment(scale, shift))
+        adjustments.append(adjustment)
     return NormalFormGame(actions=actions, adjustments=tuple(adjustments), tables=tuple(tables))
 
 
@@ -569,7 +584,7 @@ def _load_polymatrix(doc: dict) -> PolymatrixGame:
     edges = doc.get("edges")
     if not isinstance(edges, list):
         raise GameFormatError("edges must be a list")
-    raw: dict[tuple[int, int], list[list[Fraction]]] = {}
+    raw: dict[tuple[int, int], list[list[int | Fraction]]] = {}
     for k, edge in enumerate(edges):
         if not isinstance(edge, dict):
             raise GameFormatError(f"edge {k}: must be an object")
@@ -588,32 +603,21 @@ def _load_polymatrix(doc: dict) -> PolymatrixGame:
         for i, row in enumerate(matrix):
             if not isinstance(row, list) or len(row) != actions[q]:
                 raise GameFormatError(f"edge {k} row {i}: expected {actions[q]} entries")
-            parsed.append([_parse_utility(v, f"edge {k} entry ({i},{j})") for j, v in enumerate(row)])
+            where = f"edge {k} entry ({i},{{}})"
+            parsed.append([_parse_utility(v, where, j) for j, v in enumerate(row)])
         raw[(p, q)] = parsed
 
     blocks: list[list[tuple[tuple[int, ...], ...] | None]] = [[None] * n for _ in range(n)]
     adjustments = []
     for p in range(n):
-        denominators = (
-            v.denominator
-            for q in range(n)
-            if q != p
-            for row in raw.get((p, q), [[Fraction(0)] * actions[q]] * actions[p])
-            for v in row
-        )
-        scale = Fraction(math.lcm(*denominators))
-        total_shift = Fraction(0)
-        for q in range(n):
-            if q == p:
-                continue
-            matrix = raw.get((p, q), [[Fraction(0)] * actions[q] for _ in range(actions[p])])
-            scaled = [[v * scale for v in row] for row in matrix]
-            low = min(min(row) for row in scaled)
-            shift = -low if low < 0 else Fraction(0)
-            total_shift += shift
-            blocks[p][q] = tuple(tuple(int(v + shift) for v in row) for row in scaled)
-            _check_printable([max(row) for row in blocks[p][q]], f"player {p} block ({p},{q})")
-        adjustments.append(PlayerAdjustment(scale, total_shift))
+        others = [q for q in range(n) if q != p]
+        # an absent interaction is a zero matrix
+        adjustment, stored = _integerize(
+            [raw.get((p, q), [[0] * actions[q]] * actions[p]) for q in others])
+        for q, block in zip(others, stored):
+            _check_printable([max(row) for row in block], f"player {p} block ({p},{q})")
+            blocks[p][q] = block
+        adjustments.append(adjustment)
     return PolymatrixGame(
         actions=actions,
         adjustments=tuple(adjustments),

@@ -222,15 +222,12 @@ def integer_point(y: DualPoint) -> IntegerPoint:
 
 
 def normal_violation(normal: Sequence[int], unit: Rational, rhs: Fraction,
-                     point: IntegerPoint) -> Fraction:
-    """unit * normal . y - rhs, from one integer dot product with the numerators."""
-    return Fraction(unit.numerator * _dot(normal, point.numerators),
-                    unit.denominator * point.denominator) - rhs
-
-
-def cut_violation(cut: Cut, y: DualPoint) -> Fraction:
-    """By how much y breaks the cut's constraint (positive means violated)."""
-    return normal_violation(cut.normal(), cut.unit, cut.rhs, integer_point(y))
+                     point: IntegerPoint) -> tuple[int, int]:
+    """unit * normal . y - rhs as an exact pair (num, den) with den > 0, from
+    one integer dot product with the numerators; no Fraction is built."""
+    scale = unit.denominator * point.denominator
+    return (unit.numerator * _dot(normal, point.numerators) * rhs.denominator
+            - rhs.numerator * scale, scale * rhs.denominator)
 
 
 # ---------- product construction ----------

@@ -18,15 +18,17 @@ from itertools import accumulate
 from exactce import Game, PrecisionError, SolverError
 from exactce.ellipsoid import EllipsoidState, _log_unit_ball_volume
 from exactce.exact_lp import _pivot, _run_simplex, _Tableau
-from exactce.games import NormalFormGame, PolymatrixGame, ProductDistribution
+from exactce.games import NormalFormGame, PlayerAdjustment, PolymatrixGame, ProductDistribution
 from exactce.oracles import (
     _STATIONARY_FAILED,
+    Cut,
     DualPoint,
     _nonnegative_point,
     _rate_blocks,
     _stationary_blocks,
     _stationary_x,
     integer_point,
+    normal_violation,
 )
 
 ZERO = Fraction(0)
@@ -611,6 +613,56 @@ def random_nonneg_dual(rng: random.Random, length: int, density: float = 0.7):
         else:
             values.append(ZERO)
     return tuple(values)
+
+
+def reference_integerize(blocks):
+    """(adjustment, stored blocks) of one player's utilities on Fractions:
+    every utility times the lcm of their denominators, each block shifted by
+    its negated minimum when that is positive."""
+    values = [[[Fraction(v) for v in row] for row in block] for block in blocks]
+    scale = Fraction(math.lcm(*(v.denominator for block in values for row in block for v in row)))
+    total_shift, stored = ZERO, []
+    for block in values:
+        scaled = [[v * scale for v in row] for row in block]
+        low = min(min(row) for row in scaled)
+        shift = -low if low < 0 else ZERO
+        total_shift += shift
+        stored.append(tuple(tuple(int(v + shift) for v in row) for row in scaled))
+    return PlayerAdjustment(scale, total_shift), stored
+
+
+def reference_load(doc: dict):
+    """(adjustments, tables or blocks) that the Fraction integerizer gives a
+    valid nfg or polymatrix document."""
+    actions = doc["actions"]
+    if doc["type"] == "nfg":
+        players = [reference_integerize([[table]]) for table in doc["payoffs"]]
+        return (tuple(adj for adj, _ in players),
+                tuple(block[0] for _, (block,) in players))
+    n = len(actions)
+    matrices = {(e["p"], e["q"]): e["matrix"] for e in doc["edges"]}
+    adjustments, blocks = [], []
+    for p in range(n):
+        others = [q for q in range(n) if q != p]
+        adj, stored = reference_integerize(
+            [matrices.get((p, q), [[0] * actions[q]] * actions[p]) for q in others])
+        adjustments.append(adj)
+        row = [None] * n
+        for q, block in zip(others, stored):
+            row[q] = block
+        blocks.append(tuple(row))
+    return tuple(adjustments), tuple(blocks)
+
+
+def point_mass(actions, profile) -> ProductDistribution:
+    """The product distribution that plays profile with certainty."""
+    return ProductDistribution(tuple(
+        tuple(Fraction(int(k == a)) for k in range(m)) for m, a in zip(actions, profile)))
+
+
+def cut_violation(cut: Cut, y: DualPoint) -> Fraction:
+    """By how much y breaks the cut's constraint (positive means violated)."""
+    return Fraction(*normal_violation(cut.normal(), cut.unit, cut.rhs, integer_point(y)))
 
 
 def integer_weights(x: ProductDistribution) -> tuple[int, tuple[tuple[int, ...], ...]]:

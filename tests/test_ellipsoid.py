@@ -29,8 +29,9 @@ from exactce.ellipsoid import (
     update,
 )
 from exactce.incentives import profile_column
-from exactce.oracles import TIE_BREAKS, ProfileCut, cut_violation, purified_separation
+from exactce.oracles import TIE_BREAKS, ProfileCut, purified_separation
 from helpers import (
+    cut_violation,
     dense_state,
     log_volume,
     reference_log_det,
@@ -558,6 +559,19 @@ class TestRunLoop:
         with pytest.raises(SolverError) as info:
             run(2, EllipsoidParams.practical(2.0, 10, 128), oracle)
         assert info.value.transcript is not None
+
+    @pytest.mark.parametrize("bits", [16, 17, 128])
+    def test_slack_is_exactly_half_the_precision(self, bits):
+        # the center starts at 0, so a cut y[0] <= rhs is violated by -rhs
+        slack = F(1, 2 ** (bits // 2))
+        params = EllipsoidParams.practical(2.0, 1, bits)
+        result = run(2, params, lambda y: FakeCut((1, 0), rhs=slack))
+        (entry,) = result.transcript.entries
+        assert entry.violation == -slack
+        assert entry.violation_pair[1] > 0
+        below = slack + F(1, 2 ** (bits + 40))
+        with pytest.raises(SolverError, match="satisfied at the query point"):
+            run(2, params, lambda y: FakeCut((1, 0), rhs=below))
 
     def test_zero_normal_certifies_infeasibility(self):
         g = random_game("nfg", 2, 2, u_max=0, seed=0)  # constant game

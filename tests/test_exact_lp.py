@@ -77,6 +77,26 @@ class TestSolveStandardForm:
         assert status == "optimal"
         assert sum(x) == 1
 
+    @pytest.mark.parametrize("rows, rhs", [
+        ([[1, 1], [1, 1], [2, 2]], [1, 1, 2]),
+        ([[-2, 3, -1], [-2, -2, 0]], [-3, 0]),
+    ])
+    def test_zero_level_artificial_stays_basic(self, rows, rhs):
+        # a feasibility solve returns its vertex without driving the
+        # artificial out; the reference drives it out and reads the same x
+        run_simplex = exact_lp._run_simplex
+        bases = []
+
+        def recording(tab, cost, scale):
+            status = run_simplex(tab, cost, scale)
+            bases.append(list(tab.basis))
+            return status
+
+        with mock.patch.object(exact_lp, "_run_simplex", recording):
+            got = solve(rows, rhs)
+        assert len(bases) == 1 and max(bases[0]) >= len(rows[0])
+        assert got == helpers.reference_solve_standard_form(rows, rhs)
+
     def test_beale_degenerate_lp_terminates(self):
         # the classic cycling instance; Bland's rule must reach the optimum
         rows = [

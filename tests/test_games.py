@@ -1,10 +1,14 @@
 """Game model: parsing, integerization, payoff queries, generation."""
 
 import json
+import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from exactce import (
@@ -158,7 +162,7 @@ class TestNormalForm:
 
     def test_expected_utility_at_point_mass(self):
         g = random_game("nfg", 2, 3, u_max=9, seed=4)
-        d, weights = helpers.integer_weights(ProductDistribution.point_mass(g.actions, (2, 1)))
+        d, weights = helpers.integer_weights(helpers.point_mass(g.actions, (2, 1)))
         kernel = g.conditional_payoff_ints(0, weights)
         assert kernel[2] == g.conditional_scale(d) * g.payoff(0, (2, 1))
 
@@ -391,13 +395,84 @@ class TestSizeCeiling:
             random_game(family, players, actions, u_max=1, seed=0)
 
 
+UTILITIES = st.one_of(
+    st.integers(0, 40),
+    st.integers(-40, -1),
+    st.builds(lambda a, b: f"{a}/{b}", st.integers(-40, 40), st.integers(1, 12)),
+    st.sampled_from(["0.25", "-1.5e1", "3e-2", "7", "-7/9"]),
+)
+
+
+@st.composite
+def payoff_documents(draw):
+    """nfg and polymatrix documents whose utilities mix nonnegative ints,
+    negative ints and rational strings, within one table too."""
+    players = draw(st.integers(1, 3))
+    actions = draw(st.lists(st.integers(1, 3), min_size=players, max_size=players))
+    if draw(st.booleans()):
+        m = math.prod(actions)
+        payoffs = [draw(st.lists(UTILITIES, min_size=m, max_size=m)) for _ in actions]
+        return nfg_doc(players, actions, payoffs)
+    edges = [
+        {"p": p, "q": q, "matrix": [draw(st.lists(UTILITIES, min_size=actions[q],
+                                                  max_size=actions[q]))
+                                    for _ in range(actions[p])]}
+        for p in range(players) for q in range(players)
+        if p != q and draw(st.booleans())
+    ]
+    return {"type": "polymatrix", "players": players, "actions": actions, "edges": edges}
+
+
+class TestIntegerization:
+    @settings(max_examples=300, deadline=None)
+    @given(payoff_documents())
+    def test_matches_the_fraction_integerizer(self, doc):
+        g = load_game(doc)
+        adjustments, stored = helpers.reference_load(doc)
+        assert g.adjustments == adjustments
+        assert all(type(a.scale) is F and type(a.shift) is F for a in g.adjustments)
+        assert (g.tables if g.family == "nfg" else g.blocks) == stored
+
+    @pytest.mark.parametrize("family, players, actions", [("nfg", 3, 3), ("polymatrix", 4, 3)])
+    def test_int_documents_build_no_fraction_per_payoff(self, family, players, actions):
+        doc = random_game(family, players, actions, u_max=10, seed=1).to_document()
+        if family == "nfg":
+            doc["payoffs"][1] = [v - 20 for v in doc["payoffs"][1]]
+        else:
+            doc["edges"][1]["matrix"] = [[v - 20 for v in row] for row in doc["edges"][1]["matrix"]]
+        made = []
+
+        def counting(*args):
+            made.append(args)
+            return F(*args)
+
+        with mock.patch.object(games, "Fraction", counting):
+            g = load_game(doc)
+        assert len(made) <= 2 * players
+        assert any(a.shift > 0 for a in g.adjustments)
+        assert g.adjustments == helpers.reference_load(doc)[0]
+
+    @pytest.mark.parametrize("family", ["nfg", "polymatrix"])
+    @pytest.mark.parametrize("value, problem", [
+        (True, "boolean"), (1.5, "float"), (10**4399, "4300 decimal digits"),
+    ], ids=["bool", "float", "4400-digit-int"])
+    def test_refusals_on_int_documents(self, family, value, problem):
+        doc = random_game(family, 2, 2, u_max=10, seed=0).to_document()
+        if family == "nfg":
+            doc["payoffs"][1][2] = value
+        else:
+            doc["edges"][1]["matrix"][1][0] = value
+        with pytest.raises(GameFormatError, match=problem):
+            load_game(doc)
+
+
 class TestProductDistribution:
     def test_uniform(self):
         x = ProductDistribution.uniform((2, 4))
         assert x.strategies == ((F(1, 2), F(1, 2)),) + ((F(1, 4),) * 4,)
 
     def test_point_mass_and_profile(self):
-        x = ProductDistribution.point_mass((2, 3), (1, 2))
+        x = helpers.point_mass((2, 3), (1, 2))
         assert x.strategies == ((F(0), F(1)), (F(0), F(0), F(1)))
 
     def test_validation(self):
@@ -410,7 +485,7 @@ class TestProductDistribution:
         # each player over the lcm of its own denominators
         x = ProductDistribution(((F(1, 3), F(2, 3)), (F(1, 2), F(1, 4), F(1, 4))))
         assert x.pairs() == ((3, (1, 2)), (4, (2, 1, 1)))
-        assert ProductDistribution.point_mass((2, 3), (1, 2)).pairs() == (
+        assert helpers.point_mass((2, 3), (1, 2)).pairs() == (
             (1, (0, 1)), (1, (0, 0, 1)))
 
     def test_check_pairs(self):

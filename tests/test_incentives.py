@@ -16,7 +16,6 @@ from exactce import (
     row_count,
     verify_ce,
 )
-from exactce.games import ProductDistribution
 from exactce.incentives import (
     RowIndex,
     incentive_row_values,
@@ -119,7 +118,7 @@ class TestRowValues:
     def test_point_mass_recovers_column(self):
         g = random_game("nfg", 2, 3, u_max=9, seed=8)
         s = (2, 0)
-        x = ProductDistribution.point_mass(g.actions, s)
+        x = helpers.point_mass(g.actions, s)
         assert helpers.unit_values(incentive_row_values(g, x.pairs())) == [
             F(v) for v in profile_column(g, s).dense()]
 

@@ -27,14 +27,13 @@ from exactce.oracles import (
     _stationary_blocks,
     _stationary_x,
     _tree_weights,
-    cut_violation,
     integer_point,
     product_separation,
     purified_separation,
     purify,
     stationary_block,
 )
-from helpers import DualValue, stationary_product
+from helpers import DualValue, cut_violation, stationary_product
 
 F = Fraction
 
@@ -451,7 +450,7 @@ class TestPurify:
         from exactce.incentives import RowIndex, row_position
         y = [F(0)] * 4
         y[row_position(g, RowIndex(0, 0, 1))] = F(1)
-        x = ProductDistribution.point_mass(g.actions, (0,))
+        x = helpers.point_mass(g.actions, (0,))
         with pytest.raises(ValueError, match="nonnegative starting value"):
             purify(g, y, x.pairs())
 
