@@ -45,6 +45,12 @@ touched coordinates, with the full dimension N in every constant, gives the
 same state bit for bit as one over all N coordinates; a coordinate enters
 when a normal first touches it. The center still goes out with all N
 coordinates.
+
+The transcript keeps the cut sequence and no center: the entries of a run
+share one object per distinct cut, and the centers follow from the cuts by
+replaying their normals through update from the starting ball. Its size
+grows with the iterations plus the distinct cuts, not with iterations * N.
+
 The initial radius must have a power-of-two square, so the starting ball is
 exact too. The iteration bound is a ceiling taken from the standard
 library's correctly rounded decimal logarithm.
@@ -61,7 +67,7 @@ from itertools import accumulate
 from typing import Callable, Sequence
 
 from .errors import PrecisionError, SolverError
-from .oracles import Cut, IntegerPoint, normal_violation
+from .oracles import Cut, IntegerPoint, NonnegativityCut, normal_violation
 
 DEFAULT_PRECISION_BITS = 256
 # The most precision_bits a run may ask for. The starting ball alone holds a
@@ -486,10 +492,20 @@ class Outcome(str, Enum):
     ITERATION_CAP_REACHED = "iteration_cap_reached"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TranscriptEntry:
+    """One iteration: the cut the oracle returned and its exact violation at
+    the queried center.
+
+    The center itself is not kept. It is a function of the cuts before it:
+    replaying their normals through update from the initial ball gives every
+    center bit for bit. cut is shared: an entry whose cut repeats a roster
+    key holds the roster's instance, and the nonnegativity cuts of one
+    coordinate are one object, so the entries of a run hold one cut object
+    per distinct cut.
+    """
+
     iteration: int
-    point: IntegerPoint  # the queried center, as the oracle got it
     cut: Cut
     violation_pair: tuple[int, int]  # (num, den), den > 0, as normal_violation gives it
     log_volume_drop: float | None  # None when the run stopped before updating
@@ -498,13 +514,17 @@ class TranscriptEntry:
     def violation(self) -> Fraction:
         return Fraction(*self.violation_pair)
 
-    @property
-    def center(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(v, self.point.denominator) for v in self.point.numerators)
-
 
 @dataclass
 class Transcript:
+    """The cut sequence of a run.
+
+    It grows with the iterations plus the distinct cuts, not with the
+    dimension: each entry is a few integers and a reference to a shared
+    cut, and roster lists the distinct profile or product cuts, the
+    instances the entries refer to, in first-seen order.
+    """
+
     n_rows: int
     precision_bits: int
     entries: list[TranscriptEntry] = field(default_factory=list)
@@ -543,7 +563,13 @@ def run(
 
     The oracle gets the center as an IntegerPoint (integer_center), and the
     cut's normal is built once per iteration, for both the violation and the
-    update.
+    update. The center is not kept: the transcript's cut sequence replays
+    it.
+
+    A cut that repeats a roster key is replaced by the roster's instance
+    before anything reads it, and a nonnegativity cut by the first one of its
+    coordinate: equal keys mean equal cuts, so the normal, the violation and
+    the update are the same, and the oracle's duplicate is freed at once.
 
     Every returned cut must be violated at the query point (checked exactly,
     with slack 2**(-precision_bits/2)); every update must shrink log-volume by
@@ -559,7 +585,8 @@ def run(
     min_drop = 1.0 / (5 * n_rows) - 2.0 ** -half
     previous_log_det = state.log_det()
     log_unit_ball = _log_unit_ball_volume(n_rows)
-    seen = set()
+    known: dict = {}  # roster key -> the roster's instance
+    nonneg: dict[int, NonnegativityCut] = {}  # position -> the run's one cut
 
     def finish(outcome: Outcome, final_state: EllipsoidState) -> RunResult:
         transcript.outcome = outcome
@@ -568,6 +595,16 @@ def run(
     for iteration in range(1, params.max_iters + 1):
         point = state.integer_center()
         cut = oracle(point)
+        key = cut.roster_key()
+        fresh = False
+        if key is None:
+            if isinstance(cut, NonnegativityCut):
+                cut = nonneg.setdefault(cut.position, cut)
+        elif key in known:
+            cut = known[key]
+        else:
+            known[key] = cut
+            fresh = True
         normal = cut.normal()
         violation = normal_violation(normal, cut.unit, cut.rhs, point)
         num, den = violation
@@ -576,20 +613,13 @@ def run(
                 f"oracle cut is satisfied at the query point (violation {Fraction(num, den)})",
                 transcript,
             )
-        key = cut.roster_key()
-        fresh = key is not None and key not in seen
         if fresh:
-            seen.add(key)
             transcript.roster.append(cut)
-        if fresh and on_new_cut is not None and on_new_cut(cut, transcript.roster):
-            transcript.entries.append(
-                TranscriptEntry(iteration, point, cut, violation, None)
-            )
-            return finish(Outcome.INFEASIBLE_OR_SHALLOW, state)
+            if on_new_cut is not None and on_new_cut(cut, transcript.roster):
+                transcript.entries.append(TranscriptEntry(iteration, cut, violation, None))
+                return finish(Outcome.INFEASIBLE_OR_SHALLOW, state)
         if not any(normal):
-            transcript.entries.append(
-                TranscriptEntry(iteration, point, cut, violation, None)
-            )
+            transcript.entries.append(TranscriptEntry(iteration, cut, violation, None))
             return finish(Outcome.INFEASIBLE_OR_SHALLOW, state)
         state = update(state, normal)
         new_log_det = state.log_det()
@@ -600,9 +630,7 @@ def run(
                 f"{min_drop}; increase precision_bits",
                 transcript,
             )
-        transcript.entries.append(
-            TranscriptEntry(iteration, point, cut, violation, drop)
-        )
+        transcript.entries.append(TranscriptEntry(iteration, cut, violation, drop))
         previous_log_det = new_log_det
         if params.stop_log_volume is not None:
             if log_unit_ball + new_log_det / 2 < params.stop_log_volume:

@@ -201,6 +201,15 @@ def _integerize(
     return PlayerAdjustment(Fraction(scale), Fraction(total_shift)), stored
 
 
+def _nonnegative_ints(rows: Sequence[Sequence]) -> bool:
+    """Whether every entry of the rows is an int (a bool counts, being one)
+    and none is negative: one isinstance map over all of them, then one min,
+    at C level."""
+    flat = itertools.chain.from_iterable
+    return (all(map(isinstance, flat(rows), itertools.repeat(int)))
+            and min(flat(rows), default=0) >= 0)
+
+
 def _is_count(value) -> bool:
     """A positive int and no bool, although a bool is an int too."""
     return isinstance(value, int) and not isinstance(value, bool) and value >= 1
@@ -313,8 +322,9 @@ class NormalFormGame(Game):
         for p, table in enumerate(self.tables):
             if len(table) != m:
                 raise GameFormatError(f"player {p}: table has {len(table)} entries, expected {m}")
-            if any(not isinstance(v, int) or v < 0 for v in table):
-                raise GameFormatError(f"player {p}: stored payoffs must be nonnegative integers")
+        if not _nonnegative_ints(self.tables):
+            p = next(p for p, table in enumerate(self.tables) if not _nonnegative_ints((table,)))
+            raise GameFormatError(f"player {p}: stored payoffs must be nonnegative integers")
 
     @cached_property
     def _strides(self) -> tuple[int, ...]:
@@ -421,6 +431,7 @@ class PolymatrixGame(Game):
         n = self.players
         if len(self.blocks) != n:
             raise GameFormatError("blocks must be an n x n grid")
+        rows = []
         for p in range(n):
             if len(self.blocks[p]) != n:
                 raise GameFormatError("blocks must be an n x n grid")
@@ -437,10 +448,11 @@ class PolymatrixGame(Game):
                         raise GameFormatError(
                             f"block ({p},{q}) rows must have {self.actions[q]} entries"
                         )
-                    if any(not isinstance(v, int) or v < 0 for v in row):
-                        raise GameFormatError(
-                            f"block ({p},{q}): stored payoffs must be nonnegative integers"
-                        )
+                rows += block
+        if not _nonnegative_ints(rows):
+            p, q = next((p, q) for p in range(n) for q in range(n)
+                        if p != q and not _nonnegative_ints(self.blocks[p][q]))
+            raise GameFormatError(f"block ({p},{q}): stored payoffs must be nonnegative integers")
 
     def payoff(self, player: int, profile: Sequence[int]) -> int:
         s = self.check_profile(profile)

@@ -1,6 +1,8 @@
 """Central-cut engine: exact snapshots, contraction, the run loop."""
 
+import gc
 import math
+import tracemalloc
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from unittest.mock import patch
@@ -29,7 +31,12 @@ from exactce.ellipsoid import (
     update,
 )
 from exactce.incentives import profile_column
-from exactce.oracles import TIE_BREAKS, ProfileCut, purified_separation
+from exactce.oracles import (
+    TIE_BREAKS,
+    ProfileCut,
+    product_separation,
+    purified_separation,
+)
 from helpers import (
     cut_violation,
     dense_state,
@@ -41,6 +48,19 @@ from helpers import (
 )
 
 F = Fraction
+
+
+def rational_center(point):
+    """The queried center an oracle got, as exact rationals."""
+    return tuple(F(v, point.denominator) for v in point.numerators)
+
+
+def recording(oracle, centers):
+    """oracle, appending each center it is asked about to centers."""
+    def recorded(y):
+        centers.append(rational_center(y))
+        return oracle(y)
+    return recorded
 
 
 @dataclass(frozen=True)
@@ -652,10 +672,11 @@ class TestRunLoop:
         n = row_count(g)
         certified = EllipsoidParams.certified(n, g.payoff_ceiling())
         assert certified.log2_radius > 8000
+        big_centers, little_centers = [], []
         result = run(
             n,
             EllipsoidParams(certified.log2_radius, certified.stop_log_volume, 60),
-            lambda y: purified_separation(g, y),
+            recording(lambda y: purified_separation(g, y), big_centers),
         )
         assert result.outcome is Outcome.ITERATION_CAP_REACHED
         assert all(e.log_volume_drop >= 1.0 / (5 * n) - 2.0**-128
@@ -665,13 +686,14 @@ class TestRunLoop:
         small = run(
             n,
             EllipsoidParams.practical(10.0, 60),
-            lambda y: purified_separation(g, y),
+            recording(lambda y: purified_separation(g, y), little_centers),
         )
         big, little = result.transcript.entries, small.transcript.entries
         assert [e.cut.describe() for e in big] == [e.cut.describe() for e in little]
+        assert len(big_centers) == len(little_centers) == len(big)
         scale = F(2) ** int(certified.log2_radius - 10)
-        for b, s in zip(big, little):
-            assert b.center == tuple(scale * c for c in s.center)
+        for b, s in zip(big_centers, little_centers):
+            assert b == tuple(scale * c for c in s)
 
     def test_transcript_jsonl_format(self):
         import json
@@ -693,20 +715,53 @@ class TestRunLoop:
     def test_determinism(self):
         g = random_game("nfg", 3, 2, u_max=10, seed=5)
 
-        def once():
+        def once(centers):
             return run(
                 row_count(g),
                 EllipsoidParams.practical(10.0, 40, 256),
-                lambda y: purified_separation(g, y),
+                recording(lambda y: purified_separation(g, y), centers),
             )
 
-        a, b = once(), once()
+        a_centers, b_centers = [], []
+        a, b = once(a_centers), once(b_centers)
         assert a.outcome == b.outcome
-        assert [e.center for e in a.transcript.entries] == [
-            e.center for e in b.transcript.entries]
+        assert len(a_centers) == len(a.transcript.entries)
+        assert a_centers == b_centers
         assert [e.violation for e in a.transcript.entries] == [
             e.violation for e in b.transcript.entries]
         assert a.state.snapshot() == b.state.snapshot()
+
+    def test_repeated_cut_holds_the_roster_instance(self):
+        g = random_game("polymatrix", 3, 3, u_max=10, seed=33)
+        returned = []
+
+        def oracle(y):
+            returned.append(purified_separation(g, y))
+            return returned[-1]
+
+        result = run(row_count(g), EllipsoidParams.practical(10.0, 200, 256), oracle)
+        transcript = result.transcript
+        roster = {cut.roster_key(): cut for cut in transcript.roster}
+        assert len(roster) == len(transcript.roster)
+        assert len(returned) == len(transcript.entries)
+        repeats = 0
+        for entry, cut in zip(transcript.entries, returned):
+            assert entry.cut == cut
+            key = cut.roster_key()
+            if key is not None:
+                assert entry.cut is roster[key]
+                repeats += entry.cut is not cut
+        assert repeats > 0
+
+    @pytest.mark.parametrize("separation", [purified_separation, product_separation])
+    def test_one_nonnegativity_cut_per_coordinate(self, separation):
+        g = random_game("polymatrix", 3, 3, u_max=10, seed=33)
+        result = run(row_count(g), EllipsoidParams.practical(10.0, 200, 256),
+                     lambda y: separation(g, y))
+        cuts = [e.cut for e in result.transcript.entries if e.cut.kind == "nonneg"]
+        positions = {cut.position for cut in cuts}
+        assert len(cuts) > len(positions) > 1
+        assert len({id(cut) for cut in cuts}) == len(positions)
 
     def test_lower_precision_still_contracts(self):
         g = random_game("nfg", 2, 3, u_max=10, seed=3)
@@ -751,8 +806,26 @@ def test_integer_point_matches_snapshot_every_iteration(family, players, actions
     for point, entry in zip(queried, entries):
         snapshot = state.snapshot()
         assert point == state.integer_center()
-        assert entry.center == snapshot
+        assert rational_center(point) == snapshot
         assert separation(g, snapshot, *extra) == entry.cut
         assert entry.violation == cut_violation(entry.cut, snapshot)
         if entry.log_volume_drop is not None:
             state = update(state, entry.cut.normal())
+
+
+def test_transcript_memory_does_not_grow_with_the_dimension():
+    """The report of criterion 01's seed 95 (905 iterations over 108 rows)
+    holds its transcript in well under 1 MB: no stored centers, and one
+    object per distinct cut."""
+    g = random_game("polymatrix", 4, 3, u_max=10, seed=95)
+    compute_exact_ce(random_game("polymatrix", 2, 2, u_max=10, seed=1))  # warm up
+    gc.collect()
+    tracemalloc.start()
+    try:
+        report = compute_exact_ce(g)
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.iterations == len(report.transcript.entries) > 800
+    assert held < 1_000_000

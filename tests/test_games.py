@@ -344,6 +344,22 @@ class TestRandomGame:
             NormalFormGame(actions=(True, 2), adjustments=(games.IDENTITY,) * 2,
                            tables=((0, 0),) * 2)
 
+    @pytest.mark.parametrize("bad", [-1, 1.0, Fraction(1), "1", None])
+    def test_stored_payoff_refused(self, bad):
+        ok = (3, 0, True, False)  # a bool is an int, and is stored as given
+        NormalFormGame(actions=(2, 2), adjustments=(games.IDENTITY,) * 2, tables=(ok, ok))
+        with pytest.raises(GameFormatError,
+                           match=r"^player 1: stored payoffs must be nonnegative integers$"):
+            NormalFormGame(actions=(2, 2), adjustments=(games.IDENTITY,) * 2,
+                           tables=(ok, (0, 5, bad, 2)))
+        good = ((3, True), (False, 0))
+        PolymatrixGame(actions=(2, 2), adjustments=(games.IDENTITY,) * 2,
+                       blocks=((None, good), (good, None)))
+        with pytest.raises(GameFormatError,
+                           match=r"^block \(1,0\): stored payoffs must be nonnegative integers$"):
+            PolymatrixGame(actions=(2, 2), adjustments=(games.IDENTITY,) * 2,
+                           blocks=((None, good), (((0, 1), (bad, 2)), None)))
+
     def test_load_game_file(self, tmp_path):
         g = random_game("nfg", 2, 2, u_max=5, seed=7)
         path = tmp_path / "game.json"
