@@ -271,9 +271,19 @@ class Game:
         """Own-action payoffs against nonnegative integer weights on the other
         players' actions: entry a sums payoff(player, a, rest) times the
         product of the weights of rest, over every assignment rest of the
-        others. With weights D * x this is conditional_scale(D) times the
-        conditional expected payoffs under x, so it is exact with no
-        denominators. The player's own weights are not read."""
+        others. With each other player q's weights summing to T_q, this is
+        the conditional expected payoffs under x_q = weights_q / T_q times
+        prod_{q != player} T_q for normal form; a polymatrix kernel is a sum
+        of one block per other player, so it is T times them when every T_q
+        is one T. Either way it is exact with no denominators. The player's
+        own weights are not read."""
+        raise NotImplementedError
+
+    def kernel_weights(self, pairs: Sequence[Mix]) -> tuple[Sequence[Sequence[int]], int]:
+        """(X, S) for checked pairs (T_p, W_p): integer weights X_p, a positive
+        multiple of W_p, and one positive scale S such that the product's
+        row (p, i, j) is X_p(i) (K_p(i) - K_p(j)) / S, with K_p the kernel
+        conditional_payoff_ints(p, X)."""
         raise NotImplementedError
 
     def conditional_payoff_jacobian(
@@ -286,11 +296,6 @@ class Game:
         assignment rest. The kernel is linear in each other player's weights,
         so moving that player from weights X to X' moves the kernel by exactly
         this matrix times X' - X. Neither player's own weights are read."""
-        raise NotImplementedError
-
-    def conditional_scale(self, d: int) -> int:
-        """Factor by which conditional_payoff_ints on D * x exceeds the
-        conditional expected payoffs under x."""
         raise NotImplementedError
 
     @property
@@ -394,8 +399,10 @@ class NormalFormGame(Game):
             for i in range(self.actions[player])
         ]
 
-    def conditional_scale(self, d: int) -> int:
-        return d ** (self.players - 1)
+    def kernel_weights(self, pairs: Sequence[Mix]) -> tuple[Sequence[Sequence[int]], int]:
+        """Each player's own W_p, unscaled: K_p carries prod_{q != p} T_q, so
+        every row is over S = prod_p T_p."""
+        return [mix for _, mix in pairs], math.prod(total for total, _ in pairs)
 
     @cached_property
     def u_max(self) -> int:
@@ -490,9 +497,12 @@ class PolymatrixGame(Game):
             raise ValueError("the jacobian needs two distinct players")
         return self.blocks[player][other]
 
-    def conditional_scale(self, d: int) -> int:
-        # each block row is weighted by one other player's D * x_q
-        return d
+    def kernel_weights(self, pairs: Sequence[Mix]) -> tuple[Sequence[Sequence[int]], int]:
+        """Every player over D = lcm_p T_p, as X_p = D x_p: each block row is
+        weighted by one other player's X_q, so K_p carries D and every row is
+        over S = D^2."""
+        d = math.lcm(*(total for total, _ in pairs))
+        return [[w * (d // total) for w in mix] for total, mix in pairs], d * d
 
     @cached_property
     def u_max(self) -> int:

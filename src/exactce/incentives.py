@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import CertificateError, CertificateMismatchError
 from .games import Game, Mix, PureProfile, check_pairs, rational_from_text, rational_text
@@ -41,21 +41,6 @@ def row_offsets(game: Game) -> tuple[int, ...]:
         offsets.append(total)
         total += m * m
     return tuple(offsets)
-
-
-def iter_rows(game: Game) -> Iterator[RowIndex]:
-    for p, m in enumerate(game.actions):
-        for i in range(m):
-            for j in range(m):
-                yield RowIndex(p, i, j)
-
-
-def row_position(game: Game, row: RowIndex) -> int:
-    p, i, j = row
-    m = game.actions[p]
-    if not (0 <= i < m and 0 <= j < m):
-        raise ValueError(f"row {row} out of range")
-    return row_offsets(game)[p] + i * m + j
 
 
 def row_at(game: Game, position: int) -> RowIndex:
@@ -133,16 +118,16 @@ def incentive_row_values(game: Game, pairs: Sequence[Mix]) -> RowValues:
 
     Row (p, i, j) gets x_p(i) times the gap between p's conditional expected
     payoff from playing i and from playing j, everyone else drawn from x.
-    Every player's weights are brought over one denominator D, the lcm of
-    the T_p, as X = D * x. The gaps come from the game's integer
-    conditional-payoff kernel on X, which carries the factor
-    conditional_scale(D); with x_p(i) = X_p(i) / D, every row is one integer
-    over D * conditional_scale(D), and the vector is returned split once
-    into its coprime direction and unit.
+    The game picks the integer weights X and the scale S
+    (Game.kernel_weights) such that, with K_p the integer kernel
+    conditional_payoff_ints(p, X), every row is X_p(i) (K_p(i) - K_p(j))
+    over S: normal form keeps each player's own W_p, over prod_p T_p, and
+    polymatrix brings every player over D = lcm_p T_p, over D^2. The vector
+    is returned split once into its coprime direction and unit, which are
+    unique, so they do not depend on S.
     """
     check_pairs(game, pairs)
-    d = math.lcm(*(total for total, _ in pairs))
-    weights = [[w * (d // total) for w in mix] for total, mix in pairs]
+    weights, scale = game.kernel_weights(pairs)
     out = [0] * row_count(game)
     offsets = row_offsets(game)
     for p, m in enumerate(game.actions):
@@ -151,7 +136,6 @@ def incentive_row_values(game: Game, pairs: Sequence[Mix]) -> RowValues:
             if weight:
                 start, own = offsets[p] + i * m, conditional[i]
                 out[start:start + m] = [weight * (own - c) for c in conditional]
-    scale = d * game.conditional_scale(d)
     common = math.gcd(*out) or scale  # the zero vector gets unit 1
     return RowValues(tuple(v // common for v in out), Fraction(common, scale))
 

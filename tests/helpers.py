@@ -19,6 +19,7 @@ from exactce import Game, PrecisionError, SolverError
 from exactce.ellipsoid import EllipsoidState, _log_unit_ball_volume
 from exactce.exact_lp import _pivot, _run_simplex, _Tableau
 from exactce.games import NormalFormGame, PlayerAdjustment, PolymatrixGame, ProductDistribution
+from exactce.incentives import RowValues
 from exactce.oracles import (
     _STATIONARY_FAILED,
     Cut,
@@ -75,6 +76,16 @@ def all_rows(game: Game):
         for action in range(m):
             for deviation in range(m):
                 yield (player, action, deviation)
+
+
+def row_position(game: Game, row) -> int:
+    """Flat position of row (p, i, j): every row of the players before p,
+    then row-major over the action pair."""
+    p, i, j = row
+    m = game.actions[p]
+    if not (0 <= i < m and 0 <= j < m):
+        raise ValueError(f"row {row} out of range")
+    return sum(k * k for k in game.actions[:p]) + i * m + j
 
 
 def column_dual_value(game: Game, profile, y) -> Fraction:
@@ -665,6 +676,30 @@ def cut_violation(cut: Cut, y: DualPoint) -> Fraction:
     return Fraction(*normal_violation(cut.normal(), cut.unit, cut.rhs, integer_point(y)))
 
 
+def conditional_scale(game: Game, d: int) -> int:
+    """Factor by which conditional_payoff_ints on D * x, every player over one
+    D, exceeds the conditional expected payoffs under x: D per other player
+    for normal form, whose kernel is a product over them, and D for
+    polymatrix, whose kernel is a sum of one block per other player."""
+    return d ** (game.players - 1) if game.family == "nfg" else d
+
+
+def lcm_row_values(game: Game, pairs) -> RowValues:
+    """incentive_row_values with every player brought over D, the lcm of the
+    totals, and every row over D * conditional_scale(D): the row values as
+    they were computed before each game type chose its own weights."""
+    d = math.lcm(*(total for total, _ in pairs))
+    weights = [[w * (d // total) for w in mix] for total, mix in pairs]
+    out = []
+    for p, m in enumerate(game.actions):
+        conditional = game.conditional_payoff_ints(p, weights)
+        for i in range(m):
+            out += [weights[p][i] * (conditional[i] - c) for c in conditional]
+    scale = d * conditional_scale(game, d)
+    common = math.gcd(*out) or scale
+    return RowValues(tuple(v // common for v in out), Fraction(common, scale))
+
+
 def integer_weights(x: ProductDistribution) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """(D, X): x.pairs() brought over D, the lcm of their totals, X = D x.
 
@@ -737,7 +772,7 @@ class DualValue:
         # per player: L y_{p,i,j}
         self.rates = _rate_blocks(game, point)
         self.outflows = [[sum(row) for row in rates] for rates in self.rates]
-        self.scale = self.d * point.denominator * game.conditional_scale(self.d)
+        self.scale = self.d * point.denominator * conditional_scale(game, self.d)
 
     def point_mass(self, player: int, action: int) -> tuple[int, ...]:
         return tuple(self.d if a == action else 0 for a in range(self.game.actions[player]))

@@ -34,7 +34,6 @@ from exactce.incentives import (
     incentive_row_values,
     profile_column,
     row_count,
-    row_position,
 )
 from exactce.oracles import purify
 from exactce.solver import support_bound
@@ -152,7 +151,7 @@ def test_criterion_04_stationarity(pairs):
             m = game.actions[p]
 
             def rate(i, j, p=p):
-                return y[row_position(game, RowIndex(p, i, j))]
+                return y[helpers.row_position(game, RowIndex(p, i, j))]
 
             for j in range(m):
                 inflow = sum(

@@ -4,6 +4,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from operator import mul
 from unittest import mock
 
 import pytest
@@ -30,7 +31,7 @@ def assert_kernel_matches_enumeration(g, x):
     for p in range(g.players):
         kernel = g.conditional_payoff_ints(p, weights)
         total = sum(w * k for w, k in zip(weights[p], kernel))
-        assert total == d * g.conditional_scale(d) * helpers.enum_expected_utility(
+        assert total == d * helpers.conditional_scale(g, d) * helpers.enum_expected_utility(
             g, x.strategies, p)
 
 
@@ -164,7 +165,7 @@ class TestNormalForm:
         g = random_game("nfg", 2, 3, u_max=9, seed=4)
         d, weights = helpers.integer_weights(helpers.point_mass(g.actions, (2, 1)))
         kernel = g.conditional_payoff_ints(0, weights)
-        assert kernel[2] == g.conditional_scale(d) * g.payoff(0, (2, 1))
+        assert kernel[2] == helpers.conditional_scale(g, d) * g.payoff(0, (2, 1))
 
     def test_deviation_payoffs(self):
         for seed in range(4):
@@ -503,6 +504,27 @@ class TestProductDistribution:
         assert x.pairs() == ((3, (1, 2)), (4, (2, 1, 1)))
         assert helpers.point_mass((2, 3), (1, 2)).pairs() == (
             (1, (0, 1)), (1, (0, 0, 1)))
+
+    @pytest.mark.parametrize("family", ["nfg", "polymatrix"])
+    def test_kernel_weights_carry_one_scale(self, family):
+        # sum_a X_p(a) K_p(a) is S times p's expected payoff, with normal form
+        # on each player's own weights over prod T and polymatrix over lcm(T)^2
+        rng = random.Random(5)
+        for seed in range(6):
+            g = random_game(family, 3, (2, 3, 2), u_max=9, seed=seed)
+            x = helpers.random_product(rng, g.actions)
+            pairs = x.pairs()
+            weights, scale = g.kernel_weights(pairs)
+            totals = [total for total, _ in pairs]
+            if family == "nfg":
+                assert [tuple(w) for w in weights] == [mix for _, mix in pairs]
+                assert scale == math.prod(totals)
+            else:
+                assert scale == math.lcm(*totals) ** 2
+            for p in range(g.players):
+                kernel = g.conditional_payoff_ints(p, weights)
+                assert F(sum(map(mul, weights[p], kernel)), scale) == (
+                    helpers.enum_expected_utility(g, x.strategies, p))
 
     def test_check_pairs(self):
         g = random_game("nfg", 2, 2, u_max=1, seed=0)

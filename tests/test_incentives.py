@@ -1,10 +1,14 @@
 """Incentive matrix columns, row indexing, certificates, exact verification."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from exactce import (
@@ -16,17 +20,39 @@ from exactce import (
     row_count,
     verify_ce,
 )
+from exactce.games import NormalFormGame
 from exactce.incentives import (
     RowIndex,
     incentive_row_values,
-    iter_rows,
     profile_column,
     row_at,
     row_offsets,
-    row_position,
 )
 
 F = Fraction
+
+# distinct primes, so any choice of totals is pairwise coprime and their
+# product is far wider than any one of them
+PRIMES = (998_244_353, 1_000_000_007, 2**31 - 1, 2**61 - 1, 2**89 - 1, 2**127 - 1)
+
+
+@st.composite
+def games_with_pairs(draw):
+    """A game of 1-4 players with 1-3 actions each, and a product as
+    (T_p, W_p) pairs over large pairwise coprime totals (1 for a player with
+    one action, whose only reduced pair is (1, (1,)))."""
+    family = draw(st.sampled_from(["nfg", "polymatrix"]))
+    actions = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=4)))
+    game = random_game(family, len(actions), actions, u_max=draw(st.integers(0, 50)),
+                       seed=draw(st.integers(0, 2**16)))
+    pairs = []
+    for m, total in zip(actions, draw(st.permutations(PRIMES))):
+        if m == 1:
+            pairs.append((1, (1,)))
+            continue
+        cuts = sorted(draw(st.lists(st.integers(0, total), min_size=m - 1, max_size=m - 1)))
+        pairs.append((total, tuple(b - a for a, b in zip([0, *cuts], [*cuts, total]))))
+    return game, tuple(pairs)
 
 
 class TestRowIndexing:
@@ -40,12 +66,12 @@ class TestRowIndexing:
 
     def test_iter_matches_reference_order(self):
         g = random_game("polymatrix", 2, (2, 3), u_max=1, seed=0)
-        assert [tuple(r) for r in iter_rows(g)] == list(helpers.all_rows(g))
+        assert [tuple(row_at(g, k)) for k in range(row_count(g))] == list(helpers.all_rows(g))
 
     def test_position_round_trip(self):
         g = random_game("nfg", 3, (2, 3, 2), u_max=1, seed=0)
-        for k, row in enumerate(iter_rows(g)):
-            assert row_position(g, row) == k
+        for k, row in enumerate(helpers.all_rows(g)):
+            assert helpers.row_position(g, row) == k
             assert row_at(g, k) == row
 
     def test_row_at_bounds(self):
@@ -74,7 +100,7 @@ class TestProfileColumn:
             dense = profile_column(g, s).dense()
             for p in range(g.players):
                 for i in range(2):
-                    assert dense[row_position(g, RowIndex(p, i, i))] == 0
+                    assert dense[helpers.row_position(g, RowIndex(p, i, i))] == 0
 
     def test_entries_are_sparse(self):
         # rows for actions the profile does not play never appear
@@ -111,7 +137,7 @@ class TestRowValues:
                 g = random_game(family, 3, 2, u_max=8, seed=seed)
                 x = helpers.random_product(rng, g.actions)
                 values = helpers.unit_values(incentive_row_values(g, x.pairs()))
-                for position, row in enumerate(iter_rows(g)):
+                for position, row in enumerate(helpers.all_rows(g)):
                     assert values[position] == helpers.enum_row_expectation(
                         g, x.strategies, tuple(row))
 
@@ -121,6 +147,39 @@ class TestRowValues:
         x = helpers.point_mass(g.actions, s)
         assert helpers.unit_values(incentive_row_values(g, x.pairs())) == [
             F(v) for v in profile_column(g, s).dense()]
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(games_with_pairs())
+    def test_same_split_as_the_lcm_scale_and_enumeration(self, case):
+        # the split is unique, so each game type's own weights and scale give
+        # bit for bit the values of one common D and of plain enumeration
+        g, pairs = case
+        values = incentive_row_values(g, pairs)
+        assert values == helpers.lcm_row_values(g, pairs)
+        strategies = [[F(w, total) for w in mix] for total, mix in pairs]
+        direction, unit = helpers.split_column(helpers.fraction_row_values(g, strategies))
+        assert values == (tuple(direction), unit)
+        assert unit > 0 and math.gcd(*direction) in (0, 1)
+
+    def test_normal_form_kernels_read_the_players_own_weights(self):
+        # a common D = lcm(T) would widen player p's weights by D / T_p, about
+        # the other two totals' bits; the own weights W_p are never wider
+        g = random_game("nfg", 3, (2, 3, 2), u_max=9, seed=3)
+        pairs = ((2**61 - 1, (2**60, 2**60 - 1)),
+                 (1_000_000_007, (1, 500_000_000, 500_000_006)),
+                 (998_244_353, (998_244_350, 3)))
+        widest = max(w.bit_length() for _, mix in pairs for w in mix)
+        seen = []
+        kernel = NormalFormGame.conditional_payoff_ints
+
+        def recording(game, player, weights):
+            seen.extend(w for mix in weights for w in mix)
+            return kernel(game, player, weights)
+
+        with patch.object(NormalFormGame, "conditional_payoff_ints", recording):
+            values = incentive_row_values(g, pairs)
+        assert seen and max(w.bit_length() for w in seen) <= widest
+        assert values == helpers.lcm_row_values(g, pairs)
 
 
 class TestSparseCE:

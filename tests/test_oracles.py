@@ -15,7 +15,7 @@ from exactce import SolverError, random_game, row_count
 from exactce import oracles
 from exactce.exact_lp import stationary_distribution
 from exactce.games import ProductDistribution
-from exactce.incentives import incentive_row_values, iter_rows, profile_column, row_at
+from exactce.incentives import RowIndex, incentive_row_values, profile_column, row_at
 from exactce.oracles import (
     TIE_BREAKS,
     IntegerPoint,
@@ -154,8 +154,6 @@ class TestStationaryProduct:
         assert x == ProductDistribution.uniform(g.actions)
 
     def test_balance_equations_hold(self):
-        from exactce.incentives import RowIndex, row_position
-
         for seed in range(20):
             g, y = seeded_pair("nfg" if seed % 2 else "polymatrix", 2, 3, seed)
             x = stationary_product(g, y)
@@ -164,10 +162,10 @@ class TestStationaryProduct:
                 block = x.strategies[p]
                 for j in range(m):
                     inflow = sum(
-                        block[i] * y[row_position(g, RowIndex(p, i, j))]
+                        block[i] * y[helpers.row_position(g, RowIndex(p, i, j))]
                         for i in range(m) if i != j)
                     outflow = block[j] * sum(
-                        y[row_position(g, RowIndex(p, j, k))]
+                        y[helpers.row_position(g, RowIndex(p, j, k))]
                         for k in range(m) if k != j)
                     assert inflow == outflow
 
@@ -447,9 +445,8 @@ class TestPurify:
         # on the (0, 0->1) row has chain value 2 - 9 < 0
         g = random_game("nfg", 1, 2, u_max=9, seed=1)
         assert g.tables[0] == (2, 9)
-        from exactce.incentives import RowIndex, row_position
         y = [F(0)] * 4
-        y[row_position(g, RowIndex(0, 0, 1))] = F(1)
+        y[helpers.row_position(g, RowIndex(0, 0, 1))] = F(1)
         x = helpers.point_mass(g.actions, (0,))
         with pytest.raises(ValueError, match="nonnegative starting value"):
             purify(g, y, x.pairs())
@@ -606,7 +603,7 @@ class TestIntegerValue:
         assert value.scale > 0
         assert (v > 0) - (v < 0) == (exact > 0) - (exact < 0)
         assert F(v, value.scale) == exact
-        welfare_scale = value.d * g.conditional_scale(value.d)
+        welfare_scale = value.d * helpers.conditional_scale(g, value.d)
         assert F(welfare, welfare_scale) == sum(
             helpers.enum_expected_utility(g, x.strategies, q) for q in range(g.players))
         # every branch purify scores: one player fixed to one action, same scale

@@ -1,6 +1,5 @@
 """End-to-end solves: configs, certificates, fallbacks, product mode."""
 
-import importlib.util
 import os
 import subprocess
 import sys
@@ -32,6 +31,29 @@ from exactce.solver import probability_bit_bound, support_bound
 BENCHMARK = Path(__file__).resolve().parent.parent / "benchmark"
 
 F = Fraction
+
+# run in a child process with the benchmark directory as its argument
+TRACE_ROUND_TRIP = textwrap.dedent("""
+    import sys
+    import time
+
+    sys.path.insert(0, sys.argv[1])
+    import run
+    import tracing
+
+    exactce = run.import_exactce()
+    points = tracing.wrap_points(exactce)
+    missing = [(owner, name) for owner, name, _, _ in points
+               if not callable(owner.__dict__.get(name))]
+    assert not missing, missing
+    originals = [owner.__dict__[name] for owner, name, _, _ in points]
+    with tracing.Tracer(time.perf_counter).installed(exactce):
+        for (owner, name, _, _), original in zip(points, originals):
+            assert owner.__dict__[name] is not original, name
+    for (owner, name, _, _), original in zip(points, originals):
+        assert owner.__dict__[name] is original, name
+    print(len(points))
+""")
 
 
 def dominant_game():
@@ -357,14 +379,14 @@ class TestPublicSurface:
 
     def test_traced_call_sites_resolve(self):
         # benchmark/run.py --trace wraps each of these where its caller looks
-        # it up, so a rename must fail here rather than in the traced run
-        spec = importlib.util.spec_from_file_location("tracing", BENCHMARK / "tracing.py")
-        tracing = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tracing)
-        points = tracing.wrap_points(exactce)
-        assert points
-        for owner, name, layer, _ in points:
-            assert callable(owner.__dict__[name]), (owner, name, layer)
+        # it up, so a rename must fail here rather than in the traced run:
+        # after run.py's own fresh import of the checkout, every point must
+        # resolve, and the tracer wraps each and puts back the original on
+        # exit. A child process, so this session's modules stay.
+        proc = subprocess.run([sys.executable, "-c", TRACE_ROUND_TRIP, str(BENCHMARK)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) > 0
 
 
 class TestProductSolve:
