@@ -531,9 +531,6 @@ class Transcript:
     roster: list[Cut] = field(default_factory=list)  # distinct cuts, first seen order
     outcome: "Outcome | None" = None
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
     def to_jsonl(self) -> str:
         import json
 

@@ -73,19 +73,6 @@ class ProductDistribution:
         return tuple(over_lcm(strat) for strat in self.strategies)
 
 
-def check_pairs(game: "Game", pairs: Sequence[Mix]) -> None:
-    """Refuse pairs that are no product distribution for the game: one
-    (T_p, W_p) per player, W_p one nonnegative weight per action, and
-    summing to a positive T_p."""
-    if len(pairs) != game.players:
-        raise ValueError("distribution has the wrong number of players")
-    for p, ((total, weights), m) in enumerate(zip(pairs, game.actions)):
-        if len(weights) != m:
-            raise ValueError(f"player {p}: strategy length {len(weights)} != {m}")
-        if min(weights) < 0 or sum(weights) != total or total < 1:
-            raise ValueError(f"player {p}: weights {weights} are not a distribution over {total}")
-
-
 # ---------- integerization ----------
 
 

@@ -21,7 +21,7 @@ from numbers import Rational
 from typing import NamedTuple, Sequence
 
 from .errors import CertificateError, CertificateMismatchError
-from .games import Game, Mix, PureProfile, check_pairs, rational_from_text, rational_text
+from .games import Game, Mix, PureProfile, rational_from_text, rational_text
 
 
 class RowIndex(NamedTuple):
@@ -65,22 +65,23 @@ def check_dual_vector(game: Game, y: Sequence[Fraction]) -> None:
 class IncentiveColumn:
     """Sparse column of the incentive system at one pure profile.
 
-    entries hold (flat position, row, value) for the nonzero rows only; all of
-    them sit at rows whose recommended action matches the profile.
+    entries hold (flat position, value) for the nonzero rows only; all of
+    them sit at rows whose recommended action matches the profile (row_at
+    reads a position's row).
     """
 
     profile: PureProfile
     n_rows: int
-    entries: tuple[tuple[int, RowIndex, int], ...]
+    entries: tuple[tuple[int, int], ...]
 
     def dense(self) -> list[int]:
         out = [0] * self.n_rows
-        for pos, _, value in self.entries:
+        for pos, value in self.entries:
             out[pos] = value
         return out
 
     def dot(self, y: Sequence[Rational]) -> Rational:
-        return sum(y[pos] * value for pos, _, value in self.entries)
+        return sum(y[pos] * value for pos, value in self.entries)
 
 
 def profile_column(game: Game, profile: Sequence[int]) -> IncentiveColumn:
@@ -97,7 +98,7 @@ def profile_column(game: Game, profile: Sequence[int]) -> IncentiveColumn:
         start, base = offsets[p] + a * m, payoffs[a]
         for j, deviation in enumerate(payoffs):
             if deviation != base:
-                entries.append((start + j, RowIndex(p, a, j), base - deviation))
+                entries.append((start + j, base - deviation))
     return IncentiveColumn(profile=s, n_rows=row_count(game), entries=tuple(entries))
 
 
@@ -114,7 +115,9 @@ class RowValues(NamedTuple):
 
 def incentive_row_values(game: Game, pairs: Sequence[Mix]) -> RowValues:
     """Expected value of every incentive row when play follows the product
-    whose per-player (T_p, W_p) are pairs (ProductDistribution.pairs).
+    whose per-player (T_p, W_p) are pairs, each reduced and summing to T_p as
+    stationary_block and ProductDistribution.pairs build them; they are not
+    checked again here.
 
     Row (p, i, j) gets x_p(i) times the gap between p's conditional expected
     payoff from playing i and from playing j, everyone else drawn from x.
@@ -126,7 +129,6 @@ def incentive_row_values(game: Game, pairs: Sequence[Mix]) -> RowValues:
     is returned split once into its coprime direction and unit, which are
     unique, so they do not depend on S.
     """
-    check_pairs(game, pairs)
     weights, scale = game.kernel_weights(pairs)
     out = [0] * row_count(game)
     offsets = row_offsets(game)
@@ -244,7 +246,7 @@ def verify_ce(game: Game, ce: SparseCE) -> VerifyResult:
         raise CertificateError("; ".join(problems))
     totals = [Fraction(0)] * row_count(game)
     for s, prob in ce.atoms:
-        for pos, _, value in profile_column(game, s).entries:
+        for pos, value in profile_column(game, s).entries:
             totals[pos] += prob * value
     worst_pos = 0
     for pos in range(1, len(totals)):

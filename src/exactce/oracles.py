@@ -48,21 +48,21 @@ line, or for a component of the reported mixture. The purified oracle
 reads the point's rate blocks once, for the stationary step and the
 rounding both.
 
-The rounding (purify) keeps each player's own (T, W) and never forms D. A
-fixed player is a point mass, and at a stationary start every open
-player's flows are zero, so step p scores its branches over the open
-players' denominators only: L prod_{q > p} T_q for normal form, whose
+The rounding (purify) starts at the stationary product and keeps each
+player's own (T, W); it never forms D. A fixed player is a point mass, and
+every open player's flows are zero, so step p scores its branches over the
+open players' denominators only: L prod_{q > p} T_q for normal form, whose
 kernels are products over the players, and L lcm_{q > p} T_q for
 polymatrix, whose kernels are sums. Each branch is one Python integer, the
 branch's value V times that positive factor, so its sign tests and
 comparisons are exact integer ones, with no gcd and no row vector. V is
 affine in each player's mix, so all of one player's branches are scored
 from one linear form: the kernel of the player being fixed and, for normal
-form, the conditional payoff jacobians of the players whose flows are
-nonzero, or, for polymatrix, two running sums over the fixed players'
-flows. The welfare, scored only under the "welfare" tie break, the one
-that reads it, needs every jacobian. The exactness guard is on the flows:
-each player's must vanish at its stationary weights, which makes V zero.
+form, the conditional payoff jacobians of the players already fixed, or,
+for polymatrix, two running sums over the fixed players' flows. The
+welfare, scored only under the "welfare" tie break, the one that reads it,
+needs every jacobian. The exactness guard is on the flows: each player's
+must vanish at its stationary weights, which makes V zero.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ from typing import Sequence
 
 from .errors import SolverError
 from .exact_lp import stationary_distribution
-from .games import Game, Mix, ProductDistribution, PureProfile, check_pairs, over_lcm
+from .games import Game, Mix, ProductDistribution, PureProfile, over_lcm
 from .incentives import (
     IncentiveColumn,
     RowIndex,
@@ -336,13 +336,6 @@ def _checked_point(game: Game, y: DualPoint) -> IntegerPoint:
     return point
 
 
-def _nonnegative_point(game: Game, y: DualPoint) -> IntegerPoint:
-    point = _checked_point(game, y)
-    if any(v < 0 for v in point.numerators):
-        raise ValueError("dual vector must be nonnegative")
-    return point
-
-
 # ---------- purification ----------
 
 
@@ -391,7 +384,7 @@ def _point_mass(m: int, action: int, mass: int = 1) -> tuple[int, ...]:
     return tuple(mass if a == action else 0 for a in range(m))
 
 
-def _normal_form_steps(game, rates, outflows, mixes, flows, profile, welfare):
+def _normal_form_steps(game, rates, outflows, mixes, profile, welfare):
     """Each step's (values, welfare) for a normal-form game. Its kernels are
     products over the other players, so each can keep its own scale: fixed
     players are held at 0/1 point masses and open ones at their own W_q, and
@@ -399,6 +392,7 @@ def _normal_form_steps(game, rates, outflows, mixes, flows, profile, welfare):
     branch a's value itself. After yielding step p, reads the action picked
     for player p from profile[p]."""
     held = [weights for _, weights in mixes]
+    flows = [(0,) * m for m in game.actions]
     for p, m in enumerate(game.actions):
         own = game.conditional_payoff_ints(p, held)
         yield _branches(game, p, own, held, flows, rates[p], outflows[p], welfare)
@@ -406,7 +400,7 @@ def _normal_form_steps(game, rates, outflows, mixes, flows, profile, welfare):
         flows[p] = _unit_flows(rates[p], outflows[p], profile[p])
 
 
-def _polymatrix_steps(game, rates, outflows, mixes, flows, profile, welfare):
+def _polymatrix_steps(game, rates, outflows, mixes, profile, welfare):
     """Each step's (values, welfare) for a polymatrix game, whose kernels
     are sums over the other players, so every player is held over one
     scale: E_p = lcm_{q > p} T_q. Open players sit at W_q E_p / T_q, a
@@ -417,39 +411,29 @@ def _polymatrix_steps(game, rates, outflows, mixes, flows, profile, welfare):
     where the fixed players' unit flows f_r = w_r(e_{s_r}) enter through
     J_q = sum_{r < p} f_r M_rq and F = sum of f_r M_rt[.][s_t] over fixed
     r != t. A third running sum, G_p = sum_{t < p} M_pt[.][s_t], gives the
-    fixed players' share of C_p. A start off the stationary product leaves
-    open flows nonzero; they are scored over L E_p^2 (every term times E_p,
-    plus their own kernels against the flows w_q on the held weights)."""
+    fixed players' share of C_p. The open players' flows are zero and the
+    fixed players' enter through these sums, so _branches gets zero flows."""
     n, matrices = game.players, game.blocks
     scales = [1] * n
     for p in range(n - 1, 0, -1):
         scales[p - 1] = math.lcm(scales[p], mixes[p][0])
     zeros = [(0,) * m for m in game.actions]
-    open_flows = list(zeros)
-    drifting = [q for q, w in enumerate(flows) if any(w)]
     # the docstring's J, G and F
     incoming = [[0] * m for m in game.actions]
     outgoing = [[0] * m for m in game.actions]
     fixed = 0
     for p, m in enumerate(game.actions):
         e = scales[p]
-        # the fixed players' masses are read only by k and by drifting flows
+        # the fixed players' masses are read only by k
         held = ([_point_mass(game.actions[q], s, e) for q, s in enumerate(profile)]
-                if welfare or drifting else zeros[:p])
+                if welfare else zeros[:p])
         held += [zeros[p]] + [[w * (e // t) for w in weights] for t, weights in mixes[p + 1:]]
         own, base = [e * g for g in outgoing[p]], e * fixed
         for q in range(p + 1, n):
             base += _inner(incoming[q], held[q])
             own = [c + _inner(row, held[q]) for c, row in zip(own, matrices[p][q])]
-        for q in drifting:
-            open_flows[q] = [(e // mixes[q][0]) * v for v in flows[q]] if q > p else zeros[q]
-        h, k = _branches(game, p, own, held, open_flows, rates[p], outflows[p], welfare)
-        values = [base + e * j + v for j, v in zip(incoming[p], h)]
-        if any(q > p for q in drifting):
-            shift = sum(_inner(open_flows[q], game.conditional_payoff_ints(q, held))
-                        for q in drifting if q > p)
-            values = [e * v + shift for v in values]
-        yield values, k
+        h, k = _branches(game, p, own, held, zeros, rates[p], outflows[p], welfare)
+        yield [base + e * j + v for j, v in zip(incoming[p], h)], k
         a = profile[p]
         unit = _unit_flows(rates[p], outflows[p], a)
         fixed += incoming[p][a] + _inner(unit, outgoing[p])
@@ -472,60 +456,50 @@ def _choose(tie_break: str, values: list[int], welfare: list[int] | None) -> int
     return kept[0]
 
 
-def purify(
-    game: Game,
-    y: DualPoint,
-    pairs: Sequence[Mix],
-    tie_break: str = "first",
-    _rates: list[list[list[int]]] | None = None,
-) -> PureProfile:
-    """Round a product distribution to a pure profile, conditioning player by
-    player, so the y-weighted incentive value never goes negative.
+def purify(game: Game, y: DualPoint, tie_break: str = "first") -> PureProfile:
+    """Round the stationary product of y >= 0 to a pure profile, conditioning
+    player by player, so the y-weighted incentive value never goes negative.
 
-    The value at x is a convex combination, weighted by player p's mix, of the
-    values after fixing p to each action; a nonnegative branch therefore
-    always exists, and fixing players in ascending order keeps the invariant
-    until the distribution is a point mass. tie_break picks among nonnegative
-    branches: "first" takes the lowest action, "max-value" the branch with the
-    largest value, "welfare" the branch with the largest total expected payoff.
+    The rounding starts at the stationary product, whose value is exactly
+    zero. The value at x is a convex combination, weighted by player p's mix,
+    of the values after fixing p to each action; a nonnegative branch
+    therefore always exists, and fixing players in ascending order keeps the
+    invariant until the distribution is a point mass. tie_break picks among
+    nonnegative branches: "first" takes the lowest action, "max-value" the
+    branch with the largest value, "welfare" the branch with the largest
+    total expected payoff.
 
-    x is given as pairs, one (T_q, W_q) per player (ProductDistribution.pairs,
-    or from purified_separation the stationary product's _stationary_blocks).
-    Every player keeps its own weights W_q over T_q, and a fixed player is a
-    point mass, so step p scores its branches over the open players'
-    denominators only: one integer value per branch, the exact value times a
-    positive factor of that step (_normal_form_steps, _polymatrix_steps), and
-    under "welfare", the only tie break that reads it, one integer welfare,
-    the exact welfare times a positive factor of the step plus a term equal
-    for every branch of it. Branches are compared only within a step, so the
-    sign tests and the comparisons are exact and pick the same branches as
-    the rational values would; scaling the integer point Y by a positive
-    constant scales every branch too, so the choice does not depend on the
-    denominator y comes with. purified_separation passes _rates, the rate
-    blocks of the point it has already checked; the point and the pairs are
-    then not checked again, and every player's flows must vanish exactly at
-    its stationary weights.
+    Every player keeps its own stationary weights W_q over T_q
+    (_stationary_blocks), and a fixed player is a point mass, so step p
+    scores its branches over the open players' denominators only: one
+    integer value per branch, the exact value times a positive factor of
+    that step (_normal_form_steps, _polymatrix_steps), and under "welfare",
+    the only tie break that reads it, one integer welfare, the exact welfare
+    times a positive factor of the step plus a term equal for every branch
+    of it. Branches are compared only within a step, so the sign tests and
+    the comparisons are exact and pick the same branches as the rational
+    values would; scaling the integer point Y by a positive constant scales
+    every branch too, so the choice does not depend on the denominator y
+    comes with. Every player's flows must vanish exactly at its stationary
+    weights. A y with a negative coordinate is refused; purified_separation
+    answers such a point with a nonnegativity cut before it rounds.
     """
     if tie_break not in TIE_BREAKS:
         raise ValueError(f"unknown tie break {tie_break!r}")
-    stationary = _rates is not None
-    if not stationary:
-        point = _nonnegative_point(game, y)
-        check_pairs(game, pairs)
-        _rates = _rate_blocks(game, point)
-    outflows = [[sum(row) for row in block] for block in _rates]
-    flows = [_flows(block, out, weights)
-             for block, out, (_, weights) in zip(_rates, outflows, pairs)]
-    if stationary and any(map(any, flows)):
+    point = _checked_point(game, y)
+    if any(v < 0 for v in point.numerators):
+        raise ValueError("dual vector must be nonnegative")
+    rates = _rate_blocks(game, point)
+    stationary = _stationary_blocks(rates, point.denominator)
+    outflows = [[sum(row) for row in block] for block in rates]
+    if any(any(_flows(block, out, weights))
+           for block, out, (_, weights) in zip(rates, outflows, stationary)):
         raise SolverError(_STATIONARY_FAILED)
 
     steps = _polymatrix_steps if game.family == "polymatrix" else _normal_form_steps
     profile: list[int] = []
-    for values, welfare in steps(game, _rates, outflows, pairs, flows, profile,
+    for values, welfare in steps(game, rates, outflows, stationary, profile,
                                  tie_break == "welfare"):
-        # V(x) is x_0's mix of step 0's branches, all over one scale
-        if not profile and _inner(pairs[0][1], values) < 0:
-            raise ValueError("purification requires a nonnegative starting value")
         profile.append(_choose(tie_break, values, welfare))
     return tuple(profile)
 
@@ -550,10 +524,7 @@ def purified_separation(game: Game, y: DualPoint, tie_break: str = "first") -> C
     negative = _negative_coordinate(game, point)
     if negative is not None:
         return negative
-    rates = _rate_blocks(game, point)
-    stationary = _stationary_blocks(rates, point.denominator)
-    profile = purify(game, point, stationary, tie_break, _rates=rates)
-    column = profile_column(game, profile)
+    column = profile_column(game, purify(game, point, tie_break))
     if column.dot(point.numerators) < 0:
         raise SolverError("purified profile fails its nonnegativity guarantee")
     return ProfileCut(column=column)

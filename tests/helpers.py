@@ -24,7 +24,7 @@ from exactce.oracles import (
     _STATIONARY_FAILED,
     Cut,
     DualPoint,
-    _nonnegative_point,
+    _checked_point,
     _rate_blocks,
     _stationary_blocks,
     _stationary_x,
@@ -710,16 +710,6 @@ def integer_weights(x: ProductDistribution) -> tuple[int, tuple[tuple[int, ...],
     return d, tuple(tuple(w * (d // total) for w in mix) for total, mix in pairs)
 
 
-# pairs that are no product distribution for a 2x2 game, with what is wrong
-BAD_PAIRS = [
-    (((2, (1, 1)),), "wrong number of players"),
-    (((2, (1, 1)), (3, (1, 1, 1))), "strategy length"),
-    (((2, (1, 1)), (1, (2, -1))), "not a distribution"),
-    (((2, (1, 1)), (3, (1, 1))), "not a distribution"),
-    (((2, (1, 1)), (0, (0, 0))), "not a distribution"),
-]
-
-
 def random_product(rng: random.Random, actions) -> ProductDistribution:
     strategies = []
     for m in actions:
@@ -809,7 +799,9 @@ def stationary_product(game: Game, y: DualPoint) -> ProductDistribution:
     zero; the result is verified exactly before returning. The solver reaches
     the same step through purified_separation.
     """
-    point = _nonnegative_point(game, y)
+    point = _checked_point(game, y)
+    if any(v < 0 for v in point.numerators):
+        raise ValueError("dual vector must be nonnegative")
     x = _stationary_x(_stationary_blocks(_rate_blocks(game, point), point.denominator))
     value = DualValue(game, point, x)
     if value.scores(value.start)[0] != 0:

@@ -122,7 +122,7 @@ def test_criterion_02_support_bound(suite):
 
 def test_criterion_03_purified_rounding_soundness(pairs):
     for game, y, x in pairs:
-        profile = purify(game, y, x.pairs())
+        profile = purify(game, y)
         # final pure profile clears the dual: column(s) . y >= 0, recomputed
         # from raw payoff differences
         final = sum(

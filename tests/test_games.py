@@ -19,7 +19,7 @@ from exactce import (
     random_game,
 )
 from exactce import games
-from exactce.games import NormalFormGame, PolymatrixGame, ProductDistribution, check_pairs
+from exactce.games import NormalFormGame, PolymatrixGame, ProductDistribution
 
 F = Fraction
 
@@ -525,10 +525,3 @@ class TestProductDistribution:
                 kernel = g.conditional_payoff_ints(p, weights)
                 assert F(sum(map(mul, weights[p], kernel)), scale) == (
                     helpers.enum_expected_utility(g, x.strategies, p))
-
-    def test_check_pairs(self):
-        g = random_game("nfg", 2, 2, u_max=1, seed=0)
-        check_pairs(g, ProductDistribution.uniform((2, 2)).pairs())
-        for pairs, problem in helpers.BAD_PAIRS:
-            with pytest.raises(ValueError, match=problem):
-                check_pairs(g, pairs)

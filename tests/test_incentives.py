@@ -107,7 +107,8 @@ class TestProfileColumn:
         g = random_game("nfg", 3, 3, u_max=9, seed=2)
         s = (1, 0, 2)
         col = profile_column(g, s)
-        for _, row, value in col.entries:
+        for pos, value in col.entries:
+            row = row_at(g, pos)
             assert value != 0
             assert row.action == s[row.player]
             assert row.deviation != row.action

@@ -96,17 +96,6 @@ class TestCutShapes:
         for cut in (a, b):
             assert cut.x == _stationary_x(cut.stationary)
 
-    @pytest.mark.parametrize("pair", [(3, (1, 1)), (2, (3, -1))], ids=["sum", "negative"])
-    def test_product_cut_refuses_weights_that_are_no_distribution(self, pair):
-        g, y = seeded_pair("nfg", 2, 2, 0)
-
-        def broken(rates, denominator):
-            return [pair] + _stationary_blocks(rates, denominator)[1:]
-
-        with patch.object(oracles, "_stationary_blocks", broken):
-            with pytest.raises(ValueError, match="player 0"):
-                product_separation(g, y)
-
     @pytest.mark.parametrize("family, players, actions", [
         ("nfg", 3, 2), ("polymatrix", 3, 2), ("nfg", 2, 3), ("polymatrix", 2, 3),
     ])
@@ -400,70 +389,46 @@ class TestPurify:
             g, y = seeded_pair(family, 2, 3, seed, density=0.5)
             x = stationary_product(g, y)
             for tb in ("first", "max-value", "welfare"):
-                got = purify(g, y, x.pairs(), tb)
+                got = purify(g, y, tb)
                 want = helpers.purify_reference(g, y, x, tb)
                 assert got == want, (seed, tb)
 
     def test_policies_can_disagree(self):
         g, y = seeded_pair("nfg", 2, 3, 0, density=0.5)
-        x = stationary_product(g, y)
-        outcomes = {tb: purify(g, y, x.pairs(), tb) for tb in ("first", "max-value", "welfare")}
+        outcomes = {tb: purify(g, y, tb) for tb in ("first", "max-value", "welfare")}
         assert len(set(outcomes.values())) == 3
 
     def test_output_profile_clears_dual(self):
         for seed in range(30):
             g, y = seeded_pair("nfg", 3, 2, seed)
-            x = stationary_product(g, y)
-            s = purify(g, y, x.pairs())
+            s = purify(g, y)
             assert profile_column(g, s).dot(y) >= 0
 
     def test_intermediate_values_stay_nonnegative(self):
         for seed in range(15):
             g, y = seeded_pair("nfg", 3, 2, seed)
             x = stationary_product(g, y)
-            s = purify(g, y, x.pairs())
+            s = purify(g, y)
             strategies = [list(b) for b in x.strategies]
             for p in range(g.players):
                 strategies[p] = [
                     F(1) if a == s[p] else F(0) for a in range(g.actions[p])]
                 assert helpers.dual_objective(g, strategies, y) >= 0
 
-    def test_starts_from_any_nonnegative_product(self):
-        # uniform start: value can be positive, the invariant still holds
-        rng = random.Random(99)
-        for seed in range(10):
-            g = random_game("nfg", 2, 3, u_max=9, seed=seed)
-            y = helpers.random_nonneg_dual(rng, row_count(g), density=0.4)
-            x = ProductDistribution.uniform(g.actions)
-            if helpers.dual_objective(g, x.strategies, y) < 0:
-                continue
-            s = purify(g, y, x.pairs())
-            assert profile_column(g, s).dot(y) >= 0
-
-    def test_rejects_negative_start(self):
-        # seed 1 draws payoffs (2, 9): a point mass on action 0 with weight
-        # on the (0, 0->1) row has chain value 2 - 9 < 0
-        g = random_game("nfg", 1, 2, u_max=9, seed=1)
-        assert g.tables[0] == (2, 9)
-        y = [F(0)] * 4
-        y[helpers.row_position(g, RowIndex(0, 0, 1))] = F(1)
-        x = helpers.point_mass(g.actions, (0,))
-        with pytest.raises(ValueError, match="nonnegative starting value"):
-            purify(g, y, x.pairs())
-
     def test_rejects_bad_tie_break(self):
         g = random_game("nfg", 2, 2, u_max=5, seed=0)
-        x = ProductDistribution.uniform(g.actions)
         with pytest.raises(ValueError, match="tie break"):
-            purify(g, [F(0)] * 8, x.pairs(), "random")
+            purify(g, [F(0)] * 8, "random")
 
-    @pytest.mark.parametrize("pairs, problem", helpers.BAD_PAIRS)
-    def test_rejects_pairs_that_are_no_distribution(self, pairs, problem):
+    def test_rejects_a_negative_dual(self):
+        # the rounding's guarantee needs y >= 0; this point would round to
+        # a profile whose column does not clear it
         g = random_game("nfg", 2, 2, u_max=5, seed=0)
-        with pytest.raises(ValueError, match=problem):
-            purify(g, [F(0)] * 8, pairs)
-        with pytest.raises(ValueError, match=problem):
-            incentive_row_values(g, pairs)
+        y = [F(0), F(3), F(-1), F(0), F(0), F(1), F(1), F(0)]
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            purify(g, y)
+        with pytest.raises(ValueError, match="length"):
+            purify(g, [F(0)] * 7)
 
 
 class TestSeparationOracles:
@@ -564,9 +529,9 @@ def same_positive_multiple(got, exact):
 
 
 @st.composite
-def value_cases(draw):
-    """(game, y, x): nfg up to 3x3 or polymatrix up to 4x3, y >= 0 with some
-    all-zero player blocks, x uniform, rational, partly pure or stationary."""
+def dual_cases(draw):
+    """(game, y): nfg up to 3x3 or polymatrix up to 4x3, y >= 0 with some
+    all-zero player blocks."""
     family = draw(st.sampled_from(["nfg", "polymatrix"]))
     players = draw(st.integers(1, 3 if family == "nfg" else 4))
     actions = tuple(draw(st.integers(1, 3)) for _ in range(players))
@@ -576,6 +541,15 @@ def value_cases(draw):
     for m in actions:
         zero_block = draw(st.integers(0, 3)) == 0
         y.extend(F(0) if zero_block else draw(dual_entries) for _ in range(m * m))
+    return g, y
+
+
+@st.composite
+def value_cases(draw):
+    """(game, y, x): a dual case and x uniform, rational, partly pure or
+    stationary."""
+    g, y = draw(dual_cases())
+    actions = g.actions
     kind = draw(st.sampled_from(["uniform", "rational", "partly pure", "stationary"]))
     if kind == "uniform":
         return g, y, ProductDistribution.uniform(actions)
@@ -645,19 +619,17 @@ class TestIntegerValue:
                 g.conditional_payoff_jacobian(1, 1, [(1, 1), (1, 1)])
 
     @settings(max_examples=100, deadline=None)
-    @given(value_cases())
+    @given(dual_cases())
     def test_purify_branches_match_scores(self, case):
-        g, y, x = case
-        if helpers.dual_objective(g, x.strategies, y) < 0:
-            return
-        value = DualValue(g, y, x)
+        g, y = case
+        value = DualValue(g, y, stationary_product(g, y))
         for tb in ("first", "max-value", "welfare"):
             profile = []
-            calls = record_branches(lambda tb=tb: profile.extend(purify(g, y, x.pairs(), tb)))
+            calls = record_branches(lambda tb=tb: profile.extend(purify(g, y, tb)))
             assert len(calls) == g.players
             for p, (values, welfare) in enumerate(calls):
                 # branch a: the players before p fixed as purify fixed them,
-                # p fixed to a, the rest still at x
+                # p fixed to a, the rest still at the stationary product
                 weights = list(value.start)
                 for q in range(p):
                     weights[q] = value.point_mass(q, profile[q])
@@ -690,12 +662,9 @@ class TestIntegerValue:
                 == helpers.fraction_row_values(g, x.strategies))
 
     @settings(max_examples=100, deadline=None)
-    @given(value_cases())
+    @given(dual_cases())
     def test_purify_matches_reference(self, case):
-        g, y, x = case
-        if helpers.dual_objective(g, x.strategies, y) < 0:
-            with pytest.raises(ValueError, match="nonnegative starting value"):
-                purify(g, y, x.pairs())
-            return
+        g, y = case
+        x = stationary_product(g, y)
         for tb in ("first", "max-value", "welfare"):
-            assert purify(g, y, x.pairs(), tb) == helpers.purify_reference(g, y, x, tb), tb
+            assert purify(g, y, tb) == helpers.purify_reference(g, y, x, tb), tb
