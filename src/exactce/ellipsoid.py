@@ -266,7 +266,6 @@ class EllipsoidState:
     pivots: tuple[tuple[int, int], ...]
     rest_pivot: tuple[int, int]
     precision_bits: int
-    iteration: int = 0
 
     @classmethod
     def initial_ball(cls, n: int, log2_radius: float, precision_bits: int) -> "EllipsoidState":
@@ -480,7 +479,6 @@ def update(state: EllipsoidState, normal: Sequence[int]) -> EllipsoidState:
         pivots=new_pivots,
         rest_pivot=rest_pivot,
         precision_bits=bits,
-        iteration=state.iteration + 1,
     )
 
 

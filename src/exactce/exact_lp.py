@@ -7,8 +7,9 @@ Bland's least-index rule once a degenerate basis has burned through the
 pivot budget, so termination never depends on luck and exact arithmetic
 never needs tolerances. The rule is written once, as _entering and
 _leaving, and two storage forms share it: solve_standard_form keeps the
-dense two-phase tableau, and MinViolation the revised form, which stores
-det * B^-1 and prices its weight columns from it when a pivot needs them.
+dense phase-1 tableau, which seeks a feasible vertex and nothing more, and
+MinViolation the revised form, which stores det * B^-1 and prices its
+weight columns from it when a pivot needs them.
 
 Most probes of the cut program, and of the product oracle's mixture program,
 fail. A solve decides every one of them on one MinViolation program, min t
@@ -99,8 +100,8 @@ class _Tableau:
     program, whose column j is scale[j] times the rational program's.
 
     solve_standard_form's rows hold the n real columns followed by the
-    right-hand side; it never reads its artificial columns, so it does not
-    store them. MinViolation's rows hold only t, the surpluses and the
+    right-hand side; phase 1 never reads its artificial columns, so it does
+    not store them. MinViolation's rows hold only t, the surpluses and the
     right-hand side (see there). det is the absolute determinant of the
     current basis matrix and stays positive.
     """
@@ -131,9 +132,10 @@ def _pivot_on(tab: _Tableau, row: int, var: int, column: Sequence[int],
     pivot_row = rows[row]
     p = column[row]
     if p < 0:
-        # only a drive-out pivot or MinViolation's start pivot of t can be
-        # negative; flipping the pivot row keeps det positive and the scaled
-        # tableau unchanged
+        # the ratio test pivots on positive entries only, so this is
+        # MinViolation's start pivot of t or a step of _certified's
+        # Gauss-Jordan; flipping the pivot row keeps det positive and the
+        # scaled tableau unchanged
         pivot_row = rows[row] = [-v for v in pivot_row]
         p = -p
     det = tab.det
@@ -175,11 +177,13 @@ def _entering(cost: Sequence[int], scale: Sequence[int], bland: bool) -> int:
 
 
 def _leaving(column: Sequence[int], rows: Sequence[Sequence[int]], basis: Sequence[int]) -> int:
-    """The leaving row for an entering column with these entries, or -1 (unbounded).
+    """The leaving row for an entering column with these entries.
 
     Smallest ratio rows[i][-1] / column[i] over the positive entries,
     compared by cross-multiplication, ties to the smallest basis index (what
-    Bland's rule requires; harmless for the fast rule).
+    Bland's rule requires; harmless for the fast rule). Phase 1 and
+    MinViolation are bounded below by 0, so a column with no positive entry,
+    which would prove the program unbounded, raises RuntimeError.
     """
     leave = -1
     for i, coeff in enumerate(column):
@@ -191,16 +195,18 @@ def _leaving(column: Sequence[int], rows: Sequence[Sequence[int]], basis: Sequen
             rhs = rows[leave][-1] * coeff
             if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                 leave = i
+    if leave < 0:
+        raise RuntimeError("entering column bounds no row: the program is unbounded")
     return leave
 
 
-def _run_simplex(tab: _Tableau, cost: list[int], scale: list[int]) -> str:
-    """Pivot until optimal or unbounded, updating cost in place.
+def _run_simplex(tab: _Tableau, cost: list[int], scale: list[int]) -> None:
+    """Pivot until no reduced cost is negative, updating cost in place.
 
     The entering rule is the fast one, which can cycle on degenerate bases,
     until the pivot budget is spent, then Bland's least-index rule, which
-    terminates unconditionally. Both rules are deterministic, so the
-    returned vertex is a pure function of the input.
+    terminates unconditionally. Both rules are deterministic, so the basis
+    it stops at is a pure function of the input.
     """
     rows, basis = tab.rows, tab.basis
     budget = _pivot_budget(len(rows), len(scale))
@@ -208,28 +214,23 @@ def _run_simplex(tab: _Tableau, cost: list[int], scale: list[int]) -> str:
     while True:
         enter = _entering(cost, scale, pivots >= budget)
         if enter < 0:
-            return "optimal"
+            return
         leave = _leaving([row[enter] for row in rows], rows, basis)
-        if leave < 0:
-            return "unbounded"
         cost[:] = _pivot(tab, leave, enter, cost)
         pivots += 1
 
 
 def solve_standard_form(
-    rows: Sequence[Sequence[int]],
-    rhs: Sequence[int],
-    scale: Sequence[int],
-    objective: Sequence[int] | None = None,
-) -> tuple[str, list[Fraction] | None]:
-    """Solve min objective . x subject to A x = rhs, x >= 0, A[i][j] = rows[i][j] / scale[j].
+    rows: Sequence[Sequence[int]], rhs: Sequence[int], scale: Sequence[int]
+) -> list[Fraction] | None:
+    """A vertex x of {A x = rhs, x >= 0}, A[i][j] = rows[i][j] / scale[j], or None.
 
-    rows, rhs and objective hold integers and every scale[j] is positive;
-    objective[j] is the cost of x_j. Returns (status, x) with status one of
-    "optimal", "infeasible", "unbounded". With objective None this is a pure
-    feasibility solve and any basic feasible point is returned. The returned
-    x is always a vertex of the feasible region (positive entries have
-    linearly independent columns).
+    rows and rhs hold integers and every scale[j] is positive. This is phase
+    1 of the two-phase simplex alone: it minimizes the artificials' total
+    from the all-artificial basis and returns None when that stays positive.
+    Otherwise the basis it stops at is feasible, and x its vertex: the
+    positive entries have linearly independent columns. An artificial left
+    basic at level 0 stays there, since no phase 2 needs it out.
     """
     m, n = len(rows), len(scale)
     tableau = []
@@ -238,49 +239,17 @@ def solve_standard_form(
         tableau.append([-v for v in row] if b < 0 else row)
     tab = _Tableau(rows=tableau, basis=list(range(n, n + m)))
 
-    # Phase 1: minimize the artificial total. Reduced costs start at
-    # -(column sums) for the real columns since every artificial costs 1.
+    # reduced costs start at -(column sums) for the real columns, since every
+    # artificial costs 1
     cost = [-sum(row[j] for row in tableau) for j in range(n)]
     _run_simplex(tab, cost, scale)
     if any(row[-1] for row, var in zip(tab.rows, tab.basis) if var >= n):
-        return "infeasible", None
-
-    if objective is not None:
-        # Phase 2 prices every basic variable by its objective entry, which an
-        # artificial has none of: drive leftover zero-level artificials out of
-        # the basis, and drop a row that cannot pivot on any real column as
-        # redundant. A feasibility solve skips this. A drive-out pivot's row
-        # has level 0, so it leaves every basic level, and the returned x,
-        # unchanged.
-        drop = []
-        for i in range(m):
-            if tab.basis[i] >= n:
-                for j in range(n):
-                    if tab.rows[i][j]:
-                        _pivot(tab, i, j)
-                        break
-                else:
-                    drop.append(i)
-        for i in reversed(drop):
-            del tab.rows[i]
-            del tab.basis[i]
-
-        # x_j is scale[j] times the tableau's variable, so its cost scales too
-        obj = [c * s for c, s in zip(objective, scale)]
-        cost = [tab.det * c for c in obj]
-        for row, var in zip(tab.rows, tab.basis):
-            factor = obj[var]
-            if factor:
-                for j in range(n):
-                    cost[j] -= factor * row[j]
-        if _run_simplex(tab, cost, scale) == "unbounded":
-            return "unbounded", None
-
+        return None
     solution = [ZERO] * n
     for row, var in zip(tab.rows, tab.basis):
         if var < n:
             solution[var] = Fraction(row[-1] * scale[var], tab.det)
-    return "optimal", solution
+    return solution
 
 
 class MinViolation:
@@ -423,7 +392,7 @@ class MinViolation:
             if enter < 0:
                 break
             column = self._column(enter)
-            # t >= 0 bounds the objective, so some row always leaves
+            # t >= 0 bounds the program below, so some row always leaves
             self._exchange(_leaving(column, tab.rows, tab.basis), enter, column, costs[enter])
             pivots += 1
         self._priced = t
@@ -487,13 +456,14 @@ def stationary_distribution(
     """Vertex solution of the balance equations of the rates rates[i][j] / denominator.
 
     rates[i][j] is the integer flow rate from state i to state j, over the
-    positive denominator (diagonal ignored). Solves {x >= 0, sum x = 1,
-    inflow = outflow at every state} with solve_standard_form. Its entering
-    rule, largest improvement until the pivot budget is spent and Bland's
-    rule after that, is deterministic either way, so the selected stationary
-    distribution is a pure function of the input. State i's column is its
-    rates with its negated outflow on the diagonal and denominator in the sum
-    row, all over the column scale denominator.
+    positive denominator (diagonal ignored). Returns solve_standard_form's
+    vertex of {x >= 0, sum x = 1, inflow = outflow at every state}, which is
+    never empty. Its entering rule, largest improvement until the pivot
+    budget is spent and Bland's rule after that, is deterministic either
+    way, so the selected stationary distribution is a pure function of the
+    input. State i's column is its rates with its negated outflow on the
+    diagonal and denominator in the sum row, all over the column scale
+    denominator.
 
     The oracles call it only as the fallback for chains with several closed
     classes, where the stationary distribution is not unique; a chain with
@@ -507,8 +477,8 @@ def stationary_distribution(
     for j in range(m):
         rows[j][j] = -sum(rates[j][k] for k in range(m) if k != j)
     rows.append([denominator] * m)
-    status, solution = solve_standard_form(rows, [0] * m + [1], [denominator] * m)
-    if status != "optimal":
+    solution = solve_standard_form(rows, [0] * m + [1], [denominator] * m)
+    if solution is None:
         raise RuntimeError("balance system unexpectedly infeasible")
     return tuple(solution)
 
@@ -521,7 +491,8 @@ def mixture_feasible(
     The columns take the form min_violation_mixture takes. Rows that every
     direction leaves zero are vacuous and skipped. The variables are the
     weights, each column scaled by its unit's denominator, then one surplus
-    per kept row; the sum row comes last.
+    per kept row; the sum row comes last. The weights are those of
+    solve_standard_form's vertex, None when it finds the program infeasible.
     """
     if not directions:
         return None
@@ -534,10 +505,8 @@ def mixture_feasible(
         rows.append(row)
     rows.append([u.denominator for u in units] + [0] * len(kept))
     scale = [u.denominator for u in units] + [1] * len(kept)
-    status, solution = solve_standard_form(rows, [0] * len(kept) + [1], scale)
-    if status != "optimal":
-        return None
-    return solution[:n_cols]
+    solution = solve_standard_form(rows, [0] * len(kept) + [1], scale)
+    return None if solution is None else solution[:n_cols]
 
 
 # fractional bits of the rounded program min_violation_mixture solves first

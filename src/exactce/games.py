@@ -62,10 +62,6 @@ class ProductDistribution:
             if sum(strat) != 1:
                 raise ValueError(f"player {p}: probabilities sum to {sum(strat)}, not 1")
 
-    @classmethod
-    def uniform(cls, actions: Sequence[int]) -> "ProductDistribution":
-        return cls(tuple(tuple(Fraction(1, m) for _ in range(m)) for m in actions))
-
     def pairs(self) -> tuple[Mix, ...]:
         """One (T_p, W_p) per player, p playing i with probability
         W_p[i] / T_p: the mix over the lcm of its denominators, which are

@@ -161,13 +161,6 @@ class SparseCE:
     def support(self) -> int:
         return len(self.atoms)
 
-    def probability(self, profile: Sequence[int]) -> Fraction:
-        wanted = tuple(profile)
-        for s, prob in self.atoms:
-            if s == wanted:
-                return prob
-        return Fraction(0)
-
     def distribution_problems(self) -> list[str]:
         problems = []
         seen = set()

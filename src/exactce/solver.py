@@ -162,8 +162,8 @@ class SolveReport:
     transcript: Transcript
     game_summary: dict
 
-    def to_json(self, include_transcript: bool = False) -> dict:
-        out = {
+    def to_json(self) -> dict:
+        return {
             "status": "ok",
             "mode": self.mode,
             "oracle": self.oracle,
@@ -181,9 +181,6 @@ class SolveReport:
             "certificate": self.certificate.to_json() if self.certificate else None,
             "mixture": self.mixture.to_json() if self.mixture else None,
         }
-        if include_transcript:
-            out["transcript"] = self.transcript.to_jsonl().splitlines()
-        return out
 
 
 def _game_summary(game: Game) -> dict:

@@ -19,7 +19,7 @@ from exactce import Game, PrecisionError, SolverError
 from exactce.ellipsoid import EllipsoidState, _log_unit_ball_volume
 from exactce.exact_lp import _pivot, _run_simplex, _Tableau
 from exactce.games import NormalFormGame, PlayerAdjustment, PolymatrixGame, ProductDistribution
-from exactce.incentives import RowValues
+from exactce.incentives import RowValues, SparseCE
 from exactce.oracles import (
     _STATIONARY_FAILED,
     Cut,
@@ -215,104 +215,12 @@ def rational_rank(rows) -> int:
     return rank
 
 
-def solve_square(matrix, rhs):
-    """Solve a square rational system; None if singular."""
-    n = len(matrix)
-    work = [[Fraction(v) for v in row] + [Fraction(rhs[i])] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col]), None)
-        if pivot is None:
-            return None
-        work[col], work[pivot] = work[pivot], work[col]
-        inv = 1 / work[col][col]
-        work[col] = [v * inv for v in work[col]]
-        for r in range(n):
-            if r != col and work[r][col]:
-                factor = work[r][col]
-                work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
-    return [work[i][n] for i in range(n)]
-
-
-def lp_optimum_by_enumeration(rows, rhs, objective):
-    """Optimal value of min c.x s.t. rows.x = rhs, x >= 0, by basis enumeration.
-
-    Returns (status, value): ("infeasible", None), ("optimal", value), or
-    ("unbounded", None). Small instances only.
-    """
-    m = len(rows)
-    n = len(rows[0]) if rows else 0
-    best = None
-    feasible = False
-    for basis in itertools.combinations(range(n), m):
-        square = [[rows[r][c] for c in basis] for r in range(m)]
-        point = solve_square(square, rhs)
-        if point is None or any(v < 0 for v in point):
-            continue
-        feasible = True
-        full = [ZERO] * n
-        for k, c in enumerate(basis):
-            full[c] += point[k]
-        value = sum(Fraction(objective[c]) * full[c] for c in range(n))
-        if best is None or value < best:
-            best = value
-    if not feasible:
-        # a feasible LP with rank-deficient constraints can still hide all
-        # its vertices from full-size bases; callers keep instances full rank
-        return ("infeasible", None)
-    # unboundedness: scan recession directions d >= 0, rows.d = 0, c.d < 0
-    for support in range(1, min(n, m + 2) + 1):
-        for cols in itertools.combinations(range(n), support):
-            sub = [[rows[r][c] for c in cols] for r in range(m)]
-            if rational_rank(sub) >= support:
-                continue
-            direction = _null_direction(sub)
-            if direction is None:
-                continue
-            for sign in (1, -1):
-                d = [sign * v for v in direction]
-                if all(v >= 0 for v in d) and any(v > 0 for v in d):
-                    cost = sum(Fraction(objective[cols[k]]) * d[k] for k in range(support))
-                    if cost < 0:
-                        return ("unbounded", None)
-    return ("optimal", best)
-
-
-def _null_direction(matrix):
-    """A nonzero rational null vector of the column space, if one exists."""
-    if not matrix:
-        return None
-    m, n = len(matrix), len(matrix[0])
-    work = [[Fraction(v) for v in row] for row in matrix]
-    pivots = {}
-    rank = 0
-    for col in range(n):
-        pivot = next((r for r in range(rank, m) if work[r][col]), None)
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        inv = 1 / work[rank][col]
-        work[rank] = [v * inv for v in work[rank]]
-        for r in range(m):
-            if r != rank and work[r][col]:
-                factor = work[r][col]
-                work[r] = [a - factor * b for a, b in zip(work[r], work[rank])]
-        pivots[col] = rank
-        rank += 1
-    free = [c for c in range(n) if c not in pivots]
-    if not free:
-        return None
-    direction = [ZERO] * n
-    direction[free[0]] = ONE
-    for col, row in pivots.items():
-        direction[col] = -work[row][free[0]]
-    return direction
-
-
 # ---------- reference simplex ----------
 #
 # The Fraction-tableau two-phase simplex the package used before its integer
-# core. The package core must take the same pivots, so both return the same
-# (status, x) on every input.
+# core. The package's phase 1 must take the same pivots, so a feasibility
+# solve returns the same x, or None where this returns "infeasible", on every
+# input. Phase 2, with an objective, serves reference_min_violation_mixture.
 
 
 def reference_pivot_budget(m: int, n: int) -> int:
@@ -376,7 +284,9 @@ def reference_solve_standard_form(rows, rhs, objective=None, budget=reference_pi
     Phase 1 starts from an all-artificial basis; entering column: most
     negative reduced cost (lowest index on ties) until budget(m, n) pivots
     are spent, then Bland's least index; leaving row: smallest ratio, ties to
-    the smallest basis index. Returns (status, x) like solve_standard_form.
+    the smallest basis index. Returns (status, x): ("infeasible", None),
+    ("unbounded", None) or ("optimal", x); without an objective, x is the
+    vertex solve_standard_form returns.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
@@ -431,15 +341,14 @@ def reference_solve_standard_form(rows, rhs, objective=None, budget=reference_pi
     return "optimal", solution
 
 
-def split_program(rows, rhs, objective=None):
-    """The rational program min objective . x, rows . x = rhs, x >= 0, as the
-    integer arguments (rows, rhs, scale, objective) of solve_standard_form.
+def split_program(rows, rhs):
+    """The rational program rows . x = rhs, x >= 0, as the integer arguments
+    (rows, rhs, scale) of solve_standard_form.
 
     Every row is first multiplied by the lcm of the rhs denominators, which
     makes rhs integral; one positive factor on every row changes neither the
     rational tableau nor any pivot. Column j is then its entries times
-    scale[j], the lcm of its denominators, and the objective is multiplied by
-    the lcm of its own denominators, which changes no pivot either.
+    scale[j], the lcm of its denominators.
     """
     common = math.lcm(*(Fraction(b).denominator for b in rhs))
     scaled = [[Fraction(v) * common for v in row] for row in rows]
@@ -447,10 +356,7 @@ def split_program(rows, rhs, objective=None):
     scale = [math.lcm(*(row[j].denominator for row in scaled)) for j in range(n)]
     int_rows = [[int(v * s) for v, s in zip(row, scale)] for row in scaled]
     int_rhs = [int(Fraction(b) * common) for b in rhs]
-    if objective is not None:
-        factor = math.lcm(*(Fraction(c).denominator for c in objective))
-        objective = [int(Fraction(c) * factor) for c in objective]
-    return int_rows, int_rhs, scale, objective
+    return int_rows, int_rhs, scale
 
 
 def split_column(values):
@@ -665,6 +571,16 @@ def reference_load(doc: dict):
     return tuple(adjustments), tuple(blocks)
 
 
+def uniform_product(actions) -> ProductDistribution:
+    """The product distribution under which every player mixes uniformly."""
+    return ProductDistribution(tuple(tuple(Fraction(1, m) for _ in range(m)) for m in actions))
+
+
+def ce_probability(ce: SparseCE, profile) -> Fraction:
+    """The weight ce puts on profile, 0 off its support."""
+    return dict(ce.atoms).get(tuple(profile), ZERO)
+
+
 def point_mass(actions, profile) -> ProductDistribution:
     """The product distribution that plays profile with certainty."""
     return ProductDistribution(tuple(
@@ -831,7 +747,6 @@ class DenseState:
     columns: tuple[tuple[int, ...], ...]
     pivots: tuple[tuple[int, int], ...]
     precision_bits: int
-    iteration: int = 0
 
     @property
     def dimension(self) -> int:
@@ -859,7 +774,6 @@ def dense_state(state: EllipsoidState) -> DenseState:
         pivots=tuple(state.pivots[position[r]] if r in position else state.rest_pivot
                      for r in range(n)),
         precision_bits=state.precision_bits,
-        iteration=state.iteration,
     )
 
 
@@ -1033,5 +947,4 @@ def reference_update(state: DenseState, normal) -> DenseState:
         columns=tuple(new_columns),
         pivots=new_pivots,
         precision_bits=bits,
-        iteration=state.iteration + 1,
     )

@@ -107,7 +107,6 @@ class TestInitialBall:
     def test_geometry(self):
         state = EllipsoidState.initial_ball(2, 10.0, 256)
         assert state.dimension == 2
-        assert state.iteration == 0
         assert shape_matrix(state) == ((F(2) ** 20, F(0)), (F(0), F(2) ** 20))
         assert state.touched == () and state.rest_pivot[0].bit_length() == 256
         assert shape_matrix(EllipsoidState.initial_ball(1, 0.5, 64)) == ((F(2),),)
@@ -130,7 +129,6 @@ class TestUpdate:
         after = update(state, [1])
         assert after.snapshot() == (F(-4),)  # center moves by r/2 = 4
         assert shape_matrix(after) == ((F(16),),)  # (r/2)^2
-        assert after.iteration == 1
 
     def test_two_dimensional_hand_values(self):
         state = EllipsoidState.initial_ball(2, 0.0, 256)

@@ -31,50 +31,35 @@ from exactce.incentives import profile_column
 F = Fraction
 
 
-def solve(rows, rhs, objective=None):
+def solve(rows, rhs):
     """solve_standard_form on a rational program, split into integer columns."""
-    return solve_standard_form(*helpers.split_program(rows, rhs, objective))
+    return solve_standard_form(*helpers.split_program(rows, rhs))
 
 
 class TestSolveStandardForm:
     def test_simple_feasible(self):
-        status, x = solve_standard_form([[1, 1]], [1], [1, 1])
-        assert status == "optimal"
+        x = solve_standard_form([[1, 1]], [1], [1, 1])
         assert sum(x) == 1 and all(v >= 0 for v in x)
 
     def test_infeasible_pair(self):
-        status, x = solve_standard_form([[1, 1], [1, 1]], [1, 3], [1, 1])
-        assert status == "infeasible" and x is None
+        assert solve_standard_form([[1, 1], [1, 1]], [1, 3], [1, 1]) is None
 
     def test_zero_row_infeasible(self):
-        status, x = solve_standard_form([[0, 0]], [1], [1, 1])
-        assert status == "infeasible" and x is None
-
-    def test_unbounded(self):
-        # min -x1 with x1 - x2 = 0 lets both grow without bound
-        status, x = solve_standard_form([[1, -1]], [0], [1, 1], objective=[-1, 0])
-        assert status == "unbounded" and x is None
-
-    def test_known_optimum(self):
-        # min x1 + x2 with x1 + 2 x2 = 4: vertex (0, 2) wins with value 2
-        status, x = solve_standard_form([[1, 2]], [4], [1, 1], objective=[1, 1])
-        assert status == "optimal"
-        assert x == [F(0), F(2)]
+        assert solve_standard_form([[0, 0]], [1], [1, 1]) is None
 
     def test_column_scale_divides_the_column(self):
-        # x1 / 3 + x2 / 2 = 1 with cost x1 + x2: the vertex (0, 2) wins
-        status, x = solve_standard_form([[1, 1]], [1], [3, 2], objective=[1, 1])
-        assert status == "optimal"
-        assert x == [F(0), F(2)]
+        # x1 / 3 + x2 / 2 = 1: x2's reduced cost -1/2 beats x1's -1/3, so x2
+        # enters, at 2, not 1
+        assert solve_standard_form([[1, 1]], [1], [3, 2]) == [F(0), F(2)]
+        # with x1 / 3 = x2 / 2 too, the one solution is (3/2, 1)
+        assert solve_standard_form([[1, 1], [1, -1]], [1, 0], [3, 2]) == [F(3, 2), F(1)]
 
     def test_negative_rhs_normalized(self):
-        status, x = solve_standard_form([[-1, -1]], [-1], [1, 1])
-        assert status == "optimal"
+        x = solve_standard_form([[-1, -1]], [-1], [1, 1])
         assert sum(x) == 1
 
     def test_redundant_rows_survive(self):
-        status, x = solve_standard_form([[1, 1], [1, 1], [2, 2]], [1, 1, 2], [1, 1])
-        assert status == "optimal"
+        x = solve_standard_form([[1, 1], [1, 1], [2, 2]], [1, 1, 2], [1, 1])
         assert sum(x) == 1
 
     @pytest.mark.parametrize("rows, rhs", [
@@ -82,36 +67,26 @@ class TestSolveStandardForm:
         ([[-2, 3, -1], [-2, -2, 0]], [-3, 0]),
     ])
     def test_zero_level_artificial_stays_basic(self, rows, rhs):
-        # a feasibility solve returns its vertex without driving the
-        # artificial out; the reference drives it out and reads the same x
+        # the solve returns its vertex without driving the artificial out;
+        # the reference drives it out and reads the same x
         run_simplex = exact_lp._run_simplex
         bases = []
 
         def recording(tab, cost, scale):
-            status = run_simplex(tab, cost, scale)
+            run_simplex(tab, cost, scale)
             bases.append(list(tab.basis))
-            return status
 
         with mock.patch.object(exact_lp, "_run_simplex", recording):
             got = solve(rows, rhs)
         assert len(bases) == 1 and max(bases[0]) >= len(rows[0])
-        assert got == helpers.reference_solve_standard_form(rows, rhs)
+        assert got == helpers.reference_solve_standard_form(rows, rhs)[1]
 
-    def test_beale_degenerate_lp_terminates(self):
-        # the classic cycling instance; Bland's rule must reach the optimum
-        rows = [
-            [F(1, 4), -60, F(-1, 25), 9, 1, 0, 0],
-            [F(1, 2), -90, F(-1, 50), 3, 0, 1, 0],
-            [0, 0, 1, 0, 0, 0, 1],
-        ]
-        rhs = [0, 0, 1]
-        objective = [F(-3, 4), 150, F(-1, 50), 6, 0, 0, 0]
-        status, x = solve(rows, rhs, objective)
-        assert status == "optimal"
-        value = sum(F(c) * v for c, v in zip(objective, x))
-        ref_status, ref_value = helpers.lp_optimum_by_enumeration(rows, rhs, objective)
-        assert ref_status == "optimal"
-        assert value == ref_value == F(-1, 20)
+    def test_column_bounding_no_row_raises(self):
+        # phase 1 and MinViolation are bounded below, so the ratio test always
+        # finds a row; an entering column with no positive entry is refused
+        tab = exact_lp._Tableau(rows=[[-1, 0]], basis=[1])
+        with pytest.raises(RuntimeError, match="unbounded"):
+            exact_lp._run_simplex(tab, [-1], [1])
 
     def test_random_feasible_systems(self):
         rng = random.Random(23)
@@ -120,8 +95,7 @@ class TestSolveStandardForm:
             rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
             x0 = [rng.randint(0, 3) for _ in range(n)]
             rhs = [sum(r * v for r, v in zip(row, x0)) for row in rows]
-            status, x = solve_standard_form(rows, rhs, [1] * n)
-            assert status == "optimal"
+            x = solve_standard_form(rows, rhs, [1] * n)
             assert all(v >= 0 for v in x)
             for row, b in zip(rows, rhs):
                 assert sum(r * v for r, v in zip(row, x)) == b
@@ -133,8 +107,7 @@ class TestSolveStandardForm:
             rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
             x0 = [rng.randint(0, 3) for _ in range(n)]
             rhs = [sum(r * v for r, v in zip(row, x0)) for row in rows]
-            status, x = solve_standard_form(rows, rhs, [1] * n)
-            assert status == "optimal"
+            x = solve_standard_form(rows, rhs, [1] * n)
             support = [j for j in range(n) if x[j] > 0]
             if support:
                 columns = [[F(rows[i][j]) for j in support] for i in range(m)]
@@ -142,44 +115,25 @@ class TestSolveStandardForm:
                 transposed = list(map(list, zip(*columns)))
                 assert helpers.rational_rank(transposed) == len(support)
 
-    def test_optimum_matches_enumeration(self):
-        rng = random.Random(31)
-        done = 0
-        while done < 15:
-            m, n = rng.randint(1, 2), rng.randint(3, 5)
-            rows = [[F(rng.randint(-3, 3)) for _ in range(n)] for _ in range(m)]
-            if helpers.rational_rank(rows) < m:
-                continue
-            x0 = [F(rng.randint(0, 2)) for _ in range(n)]
-            rhs = [sum(r * v for r, v in zip(row, x0)) for row in rows]
-            objective = [F(rng.randint(-3, 3)) for _ in range(n)]
-            ref_status, ref_value = helpers.lp_optimum_by_enumeration(
-                rows, rhs, objective)
-            status, x = solve(rows, rhs, objective)
-            assert status == ref_status
-            if status == "optimal":
-                assert sum(c * v for c, v in zip(objective, x)) == ref_value
-            done += 1
 
-
+# Beale's cycling instance, as a feasibility program
 BEALE = (
     [[F(1, 4), -60, F(-1, 25), 9, 1, 0, 0],
      [F(1, 2), -90, F(-1, 50), 3, 0, 1, 0],
      [0, 0, 1, 0, 0, 0, 1]],
     [0, 0, 1],
-    [F(-3, 4), 150, F(-1, 50), 6, 0, 0, 0],
 )
 
 
 @st.composite
 def standard_programs(draw):
-    """(rows, rhs, objective, budget) for solve_standard_form.
+    """(rows, rhs, budget) for solve_standard_form.
 
     Integer or rational entries; rows that repeat a combination of earlier
     ones; a right-hand side either made from a nonnegative point with zero
     entries (feasible and often degenerate) or drawn freely (negative
-    entries, often infeasible); an objective or none; and a pivot budget
-    that is either the package's or so small that Bland's rule takes over.
+    entries, often infeasible); and a pivot budget that is either the
+    package's or so small that Bland's rule takes over.
     """
     if draw(st.booleans()):
         entry = st.builds(F, st.integers(-6, 6), st.integers(1, 6))
@@ -198,48 +152,48 @@ def standard_programs(draw):
         rhs = [sum(a * v for a, v in zip(row, point)) for row in rows]
     else:
         rhs = [draw(st.just(0) | entry) for _ in rows]
-    objective = draw(st.none() | st.lists(entry, min_size=n, max_size=n))
     budget = draw(st.sampled_from([None, 0, 1, 3]))
-    return rows, rhs, objective, budget
+    return rows, rhs, budget
 
 
 class TestAgainstReference:
-    """The integer core takes the reference Fraction simplex's pivots, so its
-    (status, x) is identical, vertex for vertex, on every program."""
+    """The integer core takes the reference Fraction simplex's phase-1 pivots,
+    so its vertex is identical on every program, and it is None exactly
+    where the reference finds the program infeasible."""
 
     @settings(max_examples=400, deadline=None)
     @given(standard_programs())
     @example((*BEALE, None))
     @example((*BEALE, 0))
-    @example(([[1, 1], [1, 1], [2, 2]], [F(1, 2), F(1, 2), 1], None, None))
-    @example(([[-1, F(-1, 3)]], [-1], [F(1, 2), 1], 1))
-    # a zero-level artificial leaves by a negative pivot before phase 2
-    @example(([[-2, 3, -1], [-2, -2, 0]], [-3, 0], [-4, 0, 4], None))
+    @example(([[1, 1], [1, 1], [2, 2]], [F(1, 2), F(1, 2), 1], None))
+    @example(([[-1, F(-1, 3)]], [-1], 1))
+    # a zero-level artificial stays basic; the reference drives it out by a
+    # negative pivot
+    @example(([[-2, 3, -1], [-2, -2, 0]], [-3, 0], None))
     # two zero ratios tie; the smaller basis index must leave
     @example(([[2, -2, -4, -2, -1, -3], [3, 1, 1, -2, -3, 3], [3, 3, -2, -3, -3, 1]],
-              [-3, 0, 0], None, 1))
+              [-3, 0, 0], 1))
     def test_identical_status_and_vertex(self, program):
-        rows, rhs, objective, budget = program
-        int_rows, int_rhs, scale, int_objective = helpers.split_program(rows, rhs, objective)
+        rows, rhs, budget = program
+        int_rows, int_rhs, scale = helpers.split_program(rows, rhs)
         # any positive column scale states the same program: stretch some
         stretch = [j % 3 + 1 for j in range(len(scale))]
         stretched = [[v * f for v, f in zip(row, stretch)] for row in int_rows]
         stretched_scale = [s * f for s, f in zip(scale, stretch)]
         if budget is None:
-            expected = helpers.reference_solve_standard_form(rows, rhs, objective)
-            got = solve_standard_form(int_rows, int_rhs, scale, int_objective)
-            again = solve_standard_form(stretched, int_rhs, stretched_scale, int_objective)
+            status, expected = helpers.reference_solve_standard_form(rows, rhs)
+            got = solve_standard_form(int_rows, int_rhs, scale)
+            again = solve_standard_form(stretched, int_rhs, stretched_scale)
         else:
             def small(m, n):
                 return budget
-            expected = helpers.reference_solve_standard_form(
-                rows, rhs, objective, budget=small)
+            status, expected = helpers.reference_solve_standard_form(rows, rhs, budget=small)
             with mock.patch.object(exact_lp, "_pivot_budget", small):
-                got = solve_standard_form(int_rows, int_rhs, scale, int_objective)
-                again = solve_standard_form(stretched, int_rhs, stretched_scale,
-                                            int_objective)
+                got = solve_standard_form(int_rows, int_rhs, scale)
+                again = solve_standard_form(stretched, int_rhs, stretched_scale)
         assert got == again == expected
-        assert got[1] is None or all(type(v) is F for v in got[1])
+        assert (got is None) == (status == "infeasible")
+        assert got is None or all(type(v) is F for v in got)
 
 
 class TestStationaryDistribution:

@@ -485,7 +485,7 @@ class TestIntegerization:
 
 class TestProductDistribution:
     def test_uniform(self):
-        x = ProductDistribution.uniform((2, 4))
+        x = helpers.uniform_product((2, 4))
         assert x.strategies == ((F(1, 2), F(1, 2)),) + ((F(1, 4),) * 4,)
 
     def test_point_mass_and_profile(self):

@@ -66,7 +66,7 @@ class TestCutShapes:
 
     def test_product_cut(self):
         g = random_game("nfg", 2, 2, u_max=5, seed=2)
-        x = ProductDistribution.uniform(g.actions)
+        x = helpers.uniform_product(g.actions)
         pairs = ((2, (1, 1)), (2, (1, 1)))
         direction, unit = incentive_row_values(g, pairs)
         cut = ProductCut(stationary=pairs, direction=direction, unit=unit)
@@ -140,7 +140,7 @@ class TestStationaryProduct:
     def test_uniform_when_dual_is_zero(self):
         g = random_game("nfg", 2, 3, u_max=5, seed=0)
         x = stationary_product(g, [F(0)] * row_count(g))
-        assert x == ProductDistribution.uniform(g.actions)
+        assert x == helpers.uniform_product(g.actions)
 
     def test_balance_equations_hold(self):
         for seed in range(20):
@@ -552,7 +552,7 @@ def value_cases(draw):
     actions = g.actions
     kind = draw(st.sampled_from(["uniform", "rational", "partly pure", "stationary"]))
     if kind == "uniform":
-        return g, y, ProductDistribution.uniform(actions)
+        return g, y, helpers.uniform_product(actions)
     if kind == "stationary":
         return g, y, stationary_product(g, y)
     strategies = []

@@ -25,7 +25,6 @@ from exactce import (
 )
 from exactce import exact_lp, oracles, solver
 from exactce.ellipsoid import Outcome, iteration_bound
-from exactce.games import ProductDistribution
 from exactce.solver import probability_bit_bound, support_bound
 
 BENCHMARK = Path(__file__).resolve().parent.parent / "benchmark"
@@ -189,9 +188,10 @@ class AlwaysFeasible:
 
 
 def report_without_wall(report):
-    document = report.to_json(include_transcript=True)
+    """The report document without its wall time, and the transcript."""
+    document = report.to_json()
     del document["wall_ms"]
-    return document
+    return document, report.transcript.to_jsonl()
 
 
 class TestPurifiedSolve:
@@ -297,8 +297,7 @@ class TestPurifiedSolve:
         assert doc["certificate"]["atoms"]
         assert doc["mixture"] is None
         assert set(doc["game"]) == {"family", "players", "actions", "u_max"}
-        with_t = report.to_json(include_transcript=True)
-        assert len(with_t["transcript"]) == report.iterations
+        assert len(report.transcript.to_jsonl().splitlines()) == report.iterations
 
     def test_determinism_bit_identical(self):
         g = random_game("polymatrix", 3, 3, u_max=10, seed=12)
@@ -413,7 +412,7 @@ class TestProductSolve:
         assert report.iterations == 1
         assert report.exact_epsilon == 0 and report.verified
         assert report.mixture.components == (
-            (F(1), ProductDistribution.uniform(g.actions)),)
+            (F(1), helpers.uniform_product(g.actions)),)
 
     def test_feasible_mixture_reaches_zero(self):
         # seed chosen so the mixture probe finds a feasible combination
