@@ -25,10 +25,10 @@ the certified 2**(5 N^3 log u) one included. Rounding to significant bits
 also makes a run scale-equivariant: a ball 2**k times larger gives the same
 cuts with every center scaled by 2**k. Solves therefore always start from
 the practical radius 2**10, and the theoretical mode moves the certified
-volume floor down to it (solver._params_for). The cut normal is scaled to
-integers, which makes L^T a, a^T P a and P a exact. The volume is read off
-the stored pivots, and the pivots decide positive definiteness by their
-signs.
+volume floor down to it (EllipsoidParams.certified). The cut normal is
+scaled to integers, which makes L^T a, a^T P a and P a exact. The volume is
+read off the stored pivots, and the pivots decide positive definiteness by
+their signs.
 
 The update is the minimal-volume ellipsoid containing the half-ellipsoid on
 the satisfied side of the cut through the center. Its volume ratio is below
@@ -46,8 +46,10 @@ same state bit for bit as one over all N coordinates; a coordinate enters
 when a normal first touches it. The center still goes out with all N
 coordinates.
 
-The transcript keeps the cut sequence and no center: the entries of a run
-share one object per distinct cut, and the centers follow from the cuts by
+The transcript is the one record of a run: run returns it with the run's
+outcome set. It keeps the cut sequence and no center: the entries of a run
+share one object per distinct cut, an entry's iteration is its position,
+and the centers, the final state included, follow from the cuts by
 replaying their normals through update from the starting ball. Its size
 grows with the iterations plus the distinct cuts, not with iterations * N.
 
@@ -170,17 +172,25 @@ class EllipsoidParams:
     def certified(
         cls, n_rows: int, u_max: int, precision_bits: int = DEFAULT_PRECISION_BITS
     ) -> "EllipsoidParams":
-        """Radius and volume floor large enough for the worst-case guarantee.
+        """The parameters of the theoretical mode: the worst-case guarantee's
+        iteration cap and volume floor, carried to the practical radius 2**10.
 
-        The radius is 2**ceil(5 N^3 log2 u) and the floor is the unit-ball
-        volume times u**(-7 N^5), in log form. Solves do not run at this
-        radius: the theoretical mode keeps the cap and carries the floor over
-        to the practical radius, where the run is the same up to scale.
+        The guarantee holds at the radius 2**rho, rho = ceil(5 N^3 log2 u),
+        with the floor the unit-ball volume times u**(-7 N^5), in log form.
+        The run is equivariant under a power-of-two scale of the starting
+        ball: the oracle reads y only up to a positive scale, every cut is
+        central, and the center and pivots are rounded to significant bits,
+        relative to their own size. A ball 2**(rho - 10) times larger
+        therefore gives the same cuts, with every center scaled by that power
+        of two and every volume by 2**(N (rho - 10)). Lowering the floor by
+        N (rho - 10) ln 2 makes the small run stop where the certified one
+        would, without carrying rho-bit exponents through every update.
         """
         u = max(2, u_max)
-        log2_radius = float(math.ceil(5 * n_rows**3 * math.log2(u)))
+        rho = float(math.ceil(5 * n_rows**3 * math.log2(u)))
         floor = _log_unit_ball_volume(n_rows) - 7 * n_rows**5 * math.log(u)
-        return cls(log2_radius, floor, iteration_bound(n_rows, u), precision_bits)
+        return cls(10.0, floor - n_rows * (rho - 10.0) * math.log(2),
+                   iteration_bound(n_rows, u), precision_bits)
 
 
 # ---------- state ----------
@@ -503,7 +513,6 @@ class TranscriptEntry:
     per distinct cut.
     """
 
-    iteration: int
     cut: Cut
     violation_pair: tuple[int, int]  # (num, den), den > 0, as normal_violation gives it
     log_volume_drop: float | None  # None when the run stopped before updating
@@ -515,7 +524,8 @@ class TranscriptEntry:
 
 @dataclass
 class Transcript:
-    """The cut sequence of a run.
+    """The cut sequence of a run and how the run ended; entry k (from 0) is
+    iteration k + 1.
 
     It grows with the iterations plus the distinct cuts, not with the
     dimension: each entry is a few integers and a reference to a shared
@@ -524,7 +534,6 @@ class Transcript:
     """
 
     n_rows: int
-    precision_bits: int
     entries: list[TranscriptEntry] = field(default_factory=list)
     roster: list[Cut] = field(default_factory=list)  # distinct cuts, first seen order
     outcome: "Outcome | None" = None
@@ -533,19 +542,12 @@ class Transcript:
         import json
 
         lines = []
-        for e in self.entries:
-            record = {"iter": e.iteration}
+        for iteration, e in enumerate(self.entries, 1):
+            record = {"iter": iteration}
             record.update(e.cut.describe())
             record["violation"] = _decimal_str(e.violation)
             lines.append(json.dumps(record))
         return "\n".join(lines) + ("\n" if lines else "")
-
-
-@dataclass
-class RunResult:
-    outcome: Outcome
-    transcript: Transcript
-    state: EllipsoidState
 
 
 def run(
@@ -553,7 +555,7 @@ def run(
     params: EllipsoidParams,
     oracle: Callable[[IntegerPoint], Cut],
     on_new_cut: Callable[[Cut, list[Cut]], bool] | None = None,
-) -> RunResult:
+) -> Transcript:
     """Drive the cut loop: read the center, query, verify, update, repeat.
 
     The oracle gets the center as an IntegerPoint (integer_center), and the
@@ -572,10 +574,11 @@ def run(
     zero certifies infeasibility outright (its constraint is 0 <= -1) and
     ends the run. on_new_cut fires when a distinct profile or product cut
     first appears; returning True stops the run early, which the practical
-    mode uses once its collected columns admit a solution.
+    mode uses once its collected columns admit a solution. The transcript
+    comes back with its outcome set.
     """
     state = EllipsoidState.initial_ball(n_rows, params.log2_radius, params.precision_bits)
-    transcript = Transcript(n_rows=n_rows, precision_bits=params.precision_bits)
+    transcript = Transcript(n_rows=n_rows)
     half = params.precision_bits // 2
     min_drop = 1.0 / (5 * n_rows) - 2.0 ** -half
     previous_log_det = state.log_det()
@@ -583,11 +586,11 @@ def run(
     known: dict = {}  # roster key -> the roster's instance
     nonneg: dict[int, NonnegativityCut] = {}  # position -> the run's one cut
 
-    def finish(outcome: Outcome, final_state: EllipsoidState) -> RunResult:
+    def finish(outcome: Outcome) -> Transcript:
         transcript.outcome = outcome
-        return RunResult(outcome=outcome, transcript=transcript, state=final_state)
+        return transcript
 
-    for iteration in range(1, params.max_iters + 1):
+    for _ in range(params.max_iters):
         point = state.integer_center()
         cut = oracle(point)
         key = cut.roster_key()
@@ -610,12 +613,10 @@ def run(
             )
         if fresh:
             transcript.roster.append(cut)
-            if on_new_cut is not None and on_new_cut(cut, transcript.roster):
-                transcript.entries.append(TranscriptEntry(iteration, cut, violation, None))
-                return finish(Outcome.INFEASIBLE_OR_SHALLOW, state)
-        if not any(normal):
-            transcript.entries.append(TranscriptEntry(iteration, cut, violation, None))
-            return finish(Outcome.INFEASIBLE_OR_SHALLOW, state)
+        if (fresh and on_new_cut is not None and on_new_cut(cut, transcript.roster)
+                or not any(normal)):
+            transcript.entries.append(TranscriptEntry(cut, violation, None))
+            return finish(Outcome.INFEASIBLE_OR_SHALLOW)
         state = update(state, normal)
         new_log_det = state.log_det()
         drop = (previous_log_det - new_log_det) / 2
@@ -625,9 +626,9 @@ def run(
                 f"{min_drop}; increase precision_bits",
                 transcript,
             )
-        transcript.entries.append(TranscriptEntry(iteration, cut, violation, drop))
+        transcript.entries.append(TranscriptEntry(cut, violation, drop))
         previous_log_det = new_log_det
         if params.stop_log_volume is not None:
             if log_unit_ball + new_log_det / 2 < params.stop_log_volume:
-                return finish(Outcome.INFEASIBLE_OR_SHALLOW, state)
-    return finish(Outcome.ITERATION_CAP_REACHED, state)
+                return finish(Outcome.INFEASIBLE_OR_SHALLOW)
+    return finish(Outcome.ITERATION_CAP_REACHED)

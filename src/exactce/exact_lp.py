@@ -5,11 +5,13 @@ stationary distributions and the mixture programs. It picks the entering
 column by largest improvement for speed and switches unconditionally to
 Bland's least-index rule once a degenerate basis has burned through the
 pivot budget, so termination never depends on luck and exact arithmetic
-never needs tolerances. The rule is written once, as _entering and
-_leaving, and two storage forms share it: solve_standard_form keeps the
-dense phase-1 tableau, which seeks a feasible vertex and nothing more, and
+never needs tolerances. The rule is written once, in _simplex, the one
+loop that spends the pivot budget, and two storage forms hand it their
+pricing, entering column and pivot: solve_standard_form keeps the dense
+phase-1 tableau, which seeks a feasible vertex and nothing more, and
 MinViolation the revised form, which stores det * B^-1 and prices its
-weight columns from it when a pivot needs them.
+weight columns from it when a pivot needs them. _gauss_jordan, on the same
+pivot, inverts the square blocks of _certified and the tree theorem.
 
 Most probes of the cut program, and of the product oracle's mixture program,
 fail. A solve decides every one of them on one MinViolation program, min t
@@ -75,10 +77,11 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import islice
 from numbers import Rational
 from operator import mul
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .incentives import IncentiveColumn, SparseCE
 
@@ -122,8 +125,8 @@ def _eliminate(other: list[int], pivot_row: list[int], p: int, factor: int, det:
 
 
 def _pivot_on(tab: _Tableau, row: int, var: int, column: Sequence[int],
-              cost: list[int] | None = None, cost_entry: int = 0) -> list[int] | None:
-    """Pivot row onto variable var and return the updated cost row, if one is given.
+              cost_entry: int = 0, cost: list[int] | None = None) -> None:
+    """Pivot row onto variable var, updating the cost row in place if one is given.
 
     column holds var's entry in every stored row and cost_entry its entry in
     the cost row, so var's own column need not be stored.
@@ -133,9 +136,9 @@ def _pivot_on(tab: _Tableau, row: int, var: int, column: Sequence[int],
     p = column[row]
     if p < 0:
         # the ratio test pivots on positive entries only, so this is
-        # MinViolation's start pivot of t or a step of _certified's
-        # Gauss-Jordan; flipping the pivot row keeps det positive and the
-        # scaled tableau unchanged
+        # MinViolation's start pivot of t or a step of _gauss_jordan;
+        # flipping the pivot row keeps det positive and the scaled tableau
+        # unchanged
         pivot_row = rows[row] = [-v for v in pivot_row]
         p = -p
     det = tab.det
@@ -143,16 +146,9 @@ def _pivot_on(tab: _Tableau, row: int, var: int, column: Sequence[int],
         if i != row:
             rows[i] = _eliminate(other, pivot_row, p, column[i], det)
     if cost is not None:
-        cost = _eliminate(cost, pivot_row, p, cost_entry, det)
+        cost[:] = _eliminate(cost, pivot_row, p, cost_entry, det)
     tab.basis[row] = var
     tab.det = p
-    return cost
-
-
-def _pivot(tab: _Tableau, row: int, col: int, cost: list[int] | None = None) -> list[int] | None:
-    """Pivot on (row, col) of a tableau that stores column col."""
-    return _pivot_on(tab, row, col, [r[col] for r in tab.rows], cost,
-                     0 if cost is None else cost[col])
 
 
 def _entering(cost: Sequence[int], scale: Sequence[int], bland: bool) -> int:
@@ -200,23 +196,28 @@ def _leaving(column: Sequence[int], rows: Sequence[Sequence[int]], basis: Sequen
     return leave
 
 
-def _run_simplex(tab: _Tableau, cost: list[int], scale: list[int]) -> None:
-    """Pivot until no reduced cost is negative, updating cost in place.
+def _simplex(tab: _Tableau, scale: Sequence[int], prices: Callable[[], Sequence[int]],
+             column: Callable[[int], list[int]],
+             exchange: Callable[[int, int, list[int], int], None]) -> None:
+    """Pivot until no reduced cost is negative.
 
-    The entering rule is the fast one, which can cycle on degenerate bases,
-    until the pivot budget is spent, then Bland's least-index rule, which
-    terminates unconditionally. Both rules are deterministic, so the basis
-    it stops at is a pure function of the input.
+    prices() gives the reduced cost of every candidate column, up to the
+    factors _entering allows; column(j) gives column j's entry in every
+    stored row; exchange(row, j, entries, cost) pivots row onto column j and
+    updates the cost row. The entering rule is the fast one, which can cycle
+    on degenerate bases, until the pivot budget is spent, then Bland's
+    least-index rule, which terminates unconditionally. Both rules are
+    deterministic, so the basis it stops at is a pure function of the input.
     """
-    rows, basis = tab.rows, tab.basis
-    budget = _pivot_budget(len(rows), len(scale))
+    budget = _pivot_budget(len(tab.rows), len(scale))
     pivots = 0
     while True:
-        enter = _entering(cost, scale, pivots >= budget)
+        costs = prices()
+        enter = _entering(costs, scale, pivots >= budget)
         if enter < 0:
             return
-        leave = _leaving([row[enter] for row in rows], rows, basis)
-        cost[:] = _pivot(tab, leave, enter, cost)
+        entries = column(enter)
+        exchange(_leaving(entries, tab.rows, tab.basis), enter, entries, costs[enter])
         pivots += 1
 
 
@@ -242,7 +243,8 @@ def solve_standard_form(
     # reduced costs start at -(column sums) for the real columns, since every
     # artificial costs 1
     cost = [-sum(row[j] for row in tableau) for j in range(n)]
-    _run_simplex(tab, cost, scale)
+    _simplex(tab, scale, lambda: cost, lambda j: [row[j] for row in tab.rows],
+             partial(_pivot_on, tab, cost=cost))
     if any(row[-1] for row, var in zip(tab.rows, tab.basis) if var >= n):
         return None
     solution = [ZERO] * n
@@ -367,8 +369,19 @@ class MinViolation:
 
     def _exchange(self, row: int, var: int, column: list[int], cost_entry: int) -> None:
         """Pivot row onto var, whose tableau column and cost entry these are."""
-        self._cost = _pivot_on(self._tab, row, var, column, self._cost, cost_entry)
+        _pivot_on(self._tab, row, var, column, cost_entry, self._cost)
         self._priced = 0
+
+    def _prices(self) -> list[int]:
+        """The reduced costs in rank order, each times det and its column's scale."""
+        price = self._cost.__getitem__
+        # the weights priced at the last optimum cannot enter: 0 stands in
+        costs = [0] * self._priced
+        costs += [sum(map(mul, entries, map(price, slots)))
+                  for slots, entries in islice(self._columns, self._priced, None)]
+        costs.append(price(0))
+        costs += map(price, self._slots)
+        return costs
 
     def _solve(self) -> None:
         tab, t = self._tab, self.added
@@ -378,23 +391,8 @@ class MinViolation:
             if low < 0:
                 row = tab.basis.index(t + 1 + self._rows.index(worst))
                 self._exchange(row, t, self._column(t), self._cost[0])
-        budget = _pivot_budget(len(tab.rows), len(self._scale))
-        pivots = 0
-        while True:
-            price = self._cost.__getitem__
-            # the weights priced at the last optimum cannot enter: 0 stands in
-            costs = [0] * self._priced
-            costs += [sum(map(mul, entries, map(price, slots)))
-                      for slots, entries in islice(self._columns, self._priced, None)]
-            costs.append(price(0))
-            costs += map(price, self._slots)
-            enter = _entering(costs, self._scale, pivots >= budget)
-            if enter < 0:
-                break
-            column = self._column(enter)
-            # t >= 0 bounds the program below, so some row always leaves
-            self._exchange(_leaving(column, tab.rows, tab.basis), enter, column, costs[enter])
-            pivots += 1
+        # t >= 0 bounds the program below, so some row always leaves
+        _simplex(tab, self._scale, self._prices, self._column, self._exchange)
         self._priced = t
 
     def feasible(self) -> bool:
@@ -448,6 +446,22 @@ def try_feasible_bfs(lp: CutLP) -> SparseCE | None:
 
 
 # ---------- small exact systems used by the oracles ----------
+
+
+def _gauss_jordan(rows: list[list[int]], size: int) -> _Tableau | None:
+    """Fraction-free Gauss-Jordan elimination of the leading size x size block M.
+
+    rows holds size integer rows, updated in place. On return row i of the
+    tableau is row basis[i] of det * M^-1 times the input rows, and det is
+    |det M| > 0. None when M is singular.
+    """
+    tab = _Tableau(rows=rows, basis=[-1] * size)
+    for j in range(size):
+        row = next((i for i in range(size) if tab.basis[i] < 0 and rows[i][j]), -1)
+        if row < 0:
+            return None
+        _pivot_on(tab, row, j, [r[j] for r in rows])
+    return tab
 
 
 def stationary_distribution(
@@ -560,14 +574,10 @@ def _certified(guess: MinViolation, directions: Sequence[Sequence[int]],
     matrix = [[1] * t_basic + [nums[k] * directions[k][r] for k in weights]
               for r in binding]
     matrix.append([0] * t_basic + [dens[k] for k in weights])
-    tab = _Tableau(rows=[[*row, *(int(i == j) for j in range(size))]
-                         for i, row in enumerate(matrix)],
-                   basis=[-1] * size)
-    for j in range(size):
-        row = next((i for i in range(size) if tab.basis[i] < 0 and tab.rows[i][j]), -1)
-        if row < 0:
-            return None  # the basis is singular on the exact columns
-        _pivot(tab, row, j)
+    tab = _gauss_jordan([[*row, *(int(i == j) for j in range(size))]
+                         for i, row in enumerate(matrix)], size)
+    if tab is None:
+        return None  # the basis is singular on the exact columns
     det = tab.det
     inverse = [[]] * size  # det * M^-1, row by row
     for var, row in zip(tab.basis, tab.rows):

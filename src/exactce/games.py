@@ -239,10 +239,12 @@ class Game:
                 raise ValueError(f"player {p}: action {a!r} out of range")
         return s
 
-    # subclass surface
     def payoff(self, player: int, profile: Sequence[int]) -> int:
-        raise NotImplementedError
+        """player's payoff at a pure profile, checked first."""
+        s = self.check_profile(profile)
+        return self.deviation_payoffs(player, s)[s[player]]
 
+    # subclass surface
     def deviation_payoffs(self, player: int, profile: PureProfile) -> list[int]:
         """player's payoff from each own action against the rest of a checked
         profile: conditional_payoff_ints on the profile's 0/1 point masses."""
@@ -323,10 +325,6 @@ class NormalFormGame(Game):
 
     def flat_index(self, profile: PureProfile) -> int:
         return sum(a * st for a, st in zip(profile, self._strides))
-
-    def payoff(self, player: int, profile: Sequence[int]) -> int:
-        s = self.check_profile(profile)
-        return self.tables[player][self.flat_index(s)]
 
     def deviation_payoffs(self, player: int, profile: PureProfile) -> list[int]:
         """One table lookup per own action."""
@@ -443,14 +441,6 @@ class PolymatrixGame(Game):
             p, q = next((p, q) for p in range(n) for q in range(n)
                         if p != q and not _nonnegative_ints(self.blocks[p][q]))
             raise GameFormatError(f"block ({p},{q}): stored payoffs must be nonnegative integers")
-
-    def payoff(self, player: int, profile: Sequence[int]) -> int:
-        s = self.check_profile(profile)
-        total = 0
-        for q in range(self.players):
-            if q != player:
-                total += self.blocks[player][q][s[player]][s[q]]
-        return total
 
     def deviation_payoffs(self, player: int, profile: PureProfile) -> list[int]:
         """One entry of each block per own action."""

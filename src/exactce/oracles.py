@@ -32,13 +32,15 @@ depend on which L a point comes with.
 Each player's stationary distribution is weighted by the Markov chain tree
 theorem (Leighton and Rivest, 1986): action i gets the determinant of the
 rate Laplacian with row and column i deleted, summed over the spanning
-trees directly for two and three actions. A positive total means one
-closed class, hence a unique stationary distribution, which is the weights
-over their total. Only a block with several closed classes goes to the
-simplex (exact_lp.stationary_distribution) on the same integer rates,
-whose vertex then picks one. The weights stay integers: each player's are
-reduced by one gcd against their total (stationary_block), giving (T, W),
-the integer form of a product distribution (ProductDistribution.pairs).
+trees directly for two and three actions, and for more read off the LP
+core's one fraction-free elimination (exact_lp._gauss_jordan). A positive
+total means one closed class, hence a unique stationary distribution,
+which is the weights over their total. Only a block with several closed
+classes goes to the simplex (exact_lp.stationary_distribution) on the
+same integer rates, whose vertex then picks one. The weights stay
+integers: each player's are reduced by one gcd against their total
+(stationary_block), giving (T, W), the integer form of a product
+distribution (ProductDistribution.pairs).
 The product oracle computes its row values from the pairs, over the
 denominator the game type picks (Game.kernel_weights), and its cut
 holds them as its roster key: each is reduced, so two cuts have equal pairs
@@ -75,7 +77,7 @@ from operator import mul
 from typing import Sequence
 
 from .errors import SolverError
-from .exact_lp import stationary_distribution
+from .exact_lp import _gauss_jordan, stationary_distribution
 from .games import Game, Mix, ProductDistribution, PureProfile, over_lcm
 from .incentives import (
     IncentiveColumn,
@@ -237,33 +239,15 @@ def normal_violation(normal: Sequence[int], unit: Rational, rhs: Fraction,
 _STATIONARY_FAILED = "stationary construction failed its exactness check"
 
 
-def _determinant(matrix: list[list[int]]) -> int:
-    """Determinant of a square integer matrix by Bareiss elimination."""
-    a = [list(row) for row in matrix]
-    n, sign, previous = len(a), 1, 1
-    for k in range(n - 1):
-        if not a[k][k]:
-            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        pivot, row_k = a[k][k], a[k]
-        for row in a[k + 1:]:
-            lead = row[k]
-            for j in range(k + 1, n):
-                row[j] = (row[j] * pivot - lead * row_k[j]) // previous
-        previous = pivot
-    return sign * a[-1][-1] if n else 1
-
-
 def _tree_weights(rates: list[list[int]]) -> list[int]:
     """Action i's weight is the determinant of the rate Laplacian with row
     and column i deleted: the total rate of the spanning trees directed into
     i, by the Markov chain tree theorem. The diagonal of rates must be zero.
     For two and three actions the trees are summed directly, with no
     determinant: j -> i alone for two, and for three the trees into i over
-    the other two actions j and k."""
+    the other two actions j and k. For more, each minor is the |det| that
+    exact_lp._gauss_jordan leaves: a sum of tree weights is never negative,
+    so it is the determinant itself."""
     m = len(rates)
     if m == 2:
         return [rates[1][0], rates[0][1]]
@@ -275,10 +259,9 @@ def _tree_weights(rates: list[list[int]]) -> list[int]:
                 r02 * (r12 + r10) + r01 * r12]
     laplacian = [[sum(row) if i == j else -r for j, r in enumerate(row)]
                  for i, row in enumerate(rates)]
-    return [
-        _determinant([row[:i] + row[i + 1:] for k, row in enumerate(laplacian) if k != i])
-        for i in range(m)
-    ]
+    minors = [_gauss_jordan([row[:i] + row[i + 1:] for k, row in enumerate(laplacian) if k != i],
+                            m - 1) for i in range(m)]
+    return [0 if minor is None else minor.det for minor in minors]
 
 
 def stationary_block(rates: list[list[int]], denominator: int) -> Mix:

@@ -30,7 +30,6 @@ from .ellipsoid import (
     DEFAULT_PRECISION_BITS,
     EllipsoidParams,
     Outcome,
-    RunResult,
     Transcript,
     check_int,
     check_precision_bits,
@@ -193,45 +192,23 @@ def _game_summary(game: Game) -> dict:
 
 
 def _params_for(game: Game, config: SolveConfig) -> EllipsoidParams:
-    """Ellipsoid parameters; both modes start from the practical radius.
-
-    Theoretical mode keeps the certified iteration cap and moves the
-    certified volume floor from the radius 2**rho down to the practical one.
-    The run is equivariant under a power-of-two scale of the starting ball:
-    the oracle reads y only up to a positive scale, every cut is central,
-    and the center and pivots are rounded to significant bits, relative to
-    their own size. A ball 2**(rho - r) times larger therefore gives the
-    same cuts, with every center scaled by that power of two and every
-    volume by 2**(N (rho - r)). Lowering the floor by N (rho - r) ln 2 makes
-    the small run stop where the certified one would, without carrying
-    rho-bit exponents through every update.
-    """
-    practical = EllipsoidParams.practical(
-        max_iters=config.max_iters, precision_bits=config.precision_bits
-    )
+    """Ellipsoid parameters; both modes start from the practical radius."""
     if config.mode == "practical":
-        return practical
-    n = row_count(game)
-    certified = EllipsoidParams.certified(n, game.payoff_ceiling(), config.precision_bits)
-    shift = n * (certified.log2_radius - practical.log2_radius) * math.log(2)
-    return EllipsoidParams(
-        practical.log2_radius,
-        certified.stop_log_volume - shift,
-        certified.max_iters,
-        config.precision_bits,
-    )
+        return EllipsoidParams.practical(
+            max_iters=config.max_iters, precision_bits=config.precision_bits)
+    return EllipsoidParams.certified(row_count(game), game.payoff_ceiling(),
+                                     config.precision_bits)
 
 
 def _certificate(
-    game: Game, config: SolveConfig, result: RunResult, max_iters: int
+    game: Game, config: SolveConfig, transcript: Transcript, max_iters: int
 ) -> tuple[SparseCE, bool]:
     """The purified solve's verified certificate, and whether the fallback gave it.
 
     Unless the run hit its iteration cap, the certificate is the cold LP's
     vertex over every collected profile column.
     """
-    transcript = result.transcript
-    if result.outcome is not Outcome.ITERATION_CAP_REACHED:
+    if transcript.outcome is not Outcome.ITERATION_CAP_REACHED:
         ce = try_feasible_bfs(CutLP(columns=tuple(cut.column for cut in transcript.roster)))
         if ce is None:
             raise SolverError("run ended but the collected cuts admit no distribution", transcript)
@@ -341,16 +318,16 @@ def compute_exact_ce(game: Game, config: SolveConfig | None = None) -> SolveRepo
             return purified_separation(game, y, config.tie_break)
         return product_separation(game, y)
 
-    result = run(n, params, oracle, probe)
+    transcript = run(n, params, oracle, probe)
 
     if purified:
-        certificate, used_fallback = _certificate(game, config, result, params.max_iters)
+        certificate, used_fallback = _certificate(game, config, transcript, params.max_iters)
         mixture, support, epsilon = None, certificate.support, Fraction(0)
     else:
         # the last probe's answer: asked again, the program resumes from an
-        # optimal basis and pivots nothing. result.outcome cannot tell, since
-        # a zero-normal cut between probes ends the run too.
-        mixture = _mixture(result.transcript, program.feasible())
+        # optimal basis and pivots nothing. transcript.outcome cannot tell,
+        # since a zero-normal cut between probes ends the run too.
+        mixture = _mixture(transcript, program.feasible())
         certificate, used_fallback = None, False
         support, epsilon = mixture.support, mixture.epsilon
     return SolveReport(
@@ -359,8 +336,8 @@ def compute_exact_ce(game: Game, config: SolveConfig | None = None) -> SolveRepo
         tie_break=config.tie_break,
         precision_bits=config.precision_bits,
         seed=config.seed,
-        iterations=len(result.transcript.entries),
-        distinct_cuts=len(result.transcript.roster),
+        iterations=len(transcript.entries),
+        distinct_cuts=len(transcript.roster),
         support=support,
         exact_epsilon=epsilon,
         verified=epsilon == 0,
@@ -368,7 +345,7 @@ def compute_exact_ce(game: Game, config: SolveConfig | None = None) -> SolveRepo
         wall_ms=(time.perf_counter() - started) * 1000.0,
         certificate=certificate,
         mixture=mixture,
-        transcript=result.transcript,
+        transcript=transcript,
         game_summary=_game_summary(game),
     )
 

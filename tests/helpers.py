@@ -15,9 +15,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
-from exactce import Game, PrecisionError, SolverError
-from exactce.ellipsoid import EllipsoidState, _log_unit_ball_volume
-from exactce.exact_lp import _pivot, _run_simplex, _Tableau
+from exactce import Game, PrecisionError, SolverError, row_count
+from exactce.ellipsoid import (
+    EllipsoidParams,
+    EllipsoidState,
+    _log_unit_ball_volume,
+    iteration_bound,
+)
+from exactce.exact_lp import _pivot_on, _simplex, _Tableau
 from exactce.games import NormalFormGame, PlayerAdjustment, PolymatrixGame, ProductDistribution
 from exactce.incentives import RowValues, SparseCE
 from exactce.oracles import (
@@ -213,6 +218,15 @@ def rational_rank(rows) -> int:
                 matrix[r] = [a - factor * b for a, b in zip(matrix[r], matrix[rank])]
         rank += 1
     return rank
+
+
+def permutation_determinant(matrix) -> int:
+    """Determinant by the Leibniz expansion over every permutation."""
+    n, total = len(matrix), 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * math.prod(matrix[i][perm[i]] for i in range(n))
+    return total
 
 
 # ---------- reference simplex ----------
@@ -497,15 +511,21 @@ class TableauMinViolation:
                 self._start = (low, k, worst)
         self.added += 1
 
+    def _column(self, col: int) -> list[int]:
+        return [row[col] for row in self._tab.rows]
+
+    def _exchange(self, row: int, col: int, entries: list[int], cost_entry: int) -> None:
+        _pivot_on(self._tab, row, col, entries, cost_entry, self._cost)
+
     def _solve(self) -> None:
         tab, t = self._tab, self.added
         if tab.basis[0] < 0 and self._start is not None:
             low, best, worst = self._start
-            self._cost = _pivot(tab, 0, best, self._cost)
+            self._exchange(0, best, self._column(best), self._cost[best])
             if low < 0:
                 row = tab.basis.index(t + 1 + self._rows.index(worst))
-                self._cost = _pivot(tab, row, t, self._cost)
-        _run_simplex(tab, self._cost, self._scale)
+                self._exchange(row, t, self._column(t), self._cost[t])
+        _simplex(tab, self._scale, lambda: self._cost, self._column, self._exchange)
 
     def feasible(self) -> bool:
         self._solve()
@@ -791,6 +811,26 @@ def shape_matrix(state: EllipsoidState) -> tuple[tuple[Fraction, ...], ...]:
               for j in range(n))
         for i in range(n)
     )
+
+
+def reference_certified(n_rows: int, u_max: int) -> tuple[float, float, int]:
+    """(rho, floor, cap) of the certified run at its own radius 2**rho: rho =
+    ceil(5 N^3 log2 u), the floor the unit-ball volume times u**(-7 N^5) in
+    log form, and the iteration bound, with u = max(2, u_max)."""
+    u = max(2, u_max)
+    rho = float(math.ceil(5 * n_rows**3 * math.log2(u)))
+    floor = _log_unit_ball_volume(n_rows) - 7 * n_rows**5 * math.log(u)
+    return rho, floor, iteration_bound(n_rows, u)
+
+
+def reference_theoretical_params(game: Game, precision_bits: int) -> EllipsoidParams:
+    """The theoretical mode's parameters built the long way: the certified
+    floor at radius 2**rho, moved down by N (rho - 10) ln 2 to the practical
+    radius 2**10, and the certified cap."""
+    n = row_count(game)
+    rho, floor, cap = reference_certified(n, game.payoff_ceiling())
+    shift = n * (rho - 10.0) * math.log(2)
+    return EllipsoidParams(10.0, floor - shift, cap, precision_bits)
 
 
 def log_volume(state: EllipsoidState) -> float:

@@ -37,6 +37,7 @@ from exactce.oracles import (
     product_separation,
     purified_separation,
 )
+import helpers
 from helpers import (
     cut_violation,
     dense_state,
@@ -61,6 +62,16 @@ def recording(oracle, centers):
         centers.append(rational_center(y))
         return oracle(y)
     return recorded
+
+
+def final_state(n, params, transcript):
+    """The state a run ended in: its cut normals replayed through update
+    from the starting ball, skipping the entries the run did not update on."""
+    state = EllipsoidState.initial_ball(n, params.log2_radius, params.precision_bits)
+    for entry in transcript.entries:
+        if entry.log_volume_drop is not None:
+            state = update(state, entry.cut.normal())
+    return state
 
 
 @dataclass(frozen=True)
@@ -552,7 +563,7 @@ class TestParams:
     def test_certified_shapes(self):
         n, u = 2, 10
         params = EllipsoidParams.certified(n, u)
-        assert params.log2_radius == float(math.ceil(5 * n**3 * math.log2(u)))
+        assert params.log2_radius == 10.0  # the run is the certified one scaled down
         assert params.max_iters == iteration_bound(n, u)
         assert params.stop_log_volume is not None
         assert params.stop_log_volume < 0
@@ -578,13 +589,31 @@ class TestRunLoop:
             run(2, EllipsoidParams.practical(2.0, 10, 128), oracle)
         assert info.value.transcript is not None
 
+    def test_rejected_cut_leaves_the_lines_numbered(self):
+        # three violated cuts, then one the center satisfies: the transcript
+        # the error carries numbers the three lines 1, 2, 3
+        import json
+
+        calls = []
+
+        def oracle(y):
+            calls.append(y)
+            if len(calls) > 3:
+                return FakeCut((1, 0), rhs=F(1))
+            return FakeCut((-1 if len(calls) % 2 else 1, 0), rhs=F(-1))
+
+        with pytest.raises(SolverError, match="satisfied at the query point") as info:
+            run(2, EllipsoidParams.practical(0.0, 10, 128), oracle)
+        lines = info.value.transcript.to_jsonl().splitlines()
+        assert [json.loads(line)["iter"] for line in lines] == [1, 2, 3]
+
     @pytest.mark.parametrize("bits", [16, 17, 128])
     def test_slack_is_exactly_half_the_precision(self, bits):
         # the center starts at 0, so a cut y[0] <= rhs is violated by -rhs
         slack = F(1, 2 ** (bits // 2))
         params = EllipsoidParams.practical(2.0, 1, bits)
-        result = run(2, params, lambda y: FakeCut((1, 0), rhs=slack))
-        (entry,) = result.transcript.entries
+        transcript = run(2, params, lambda y: FakeCut((1, 0), rhs=slack))
+        (entry,) = transcript.entries
         assert entry.violation == -slack
         assert entry.violation_pair[1] > 0
         below = slack + F(1, 2 ** (bits + 40))
@@ -596,10 +625,10 @@ class TestRunLoop:
         column = profile_column(g, (0, 0))
         assert column.entries == ()
         oracle = lambda y: ProfileCut(column=column)
-        result = run(row_count(g), EllipsoidParams.practical(4.0, 50, 128), oracle)
-        assert result.outcome is Outcome.INFEASIBLE_OR_SHALLOW
-        assert len(result.transcript.entries) == 1
-        assert result.transcript.entries[0].log_volume_drop is None
+        transcript = run(row_count(g), EllipsoidParams.practical(4.0, 50, 128), oracle)
+        assert transcript.outcome is Outcome.INFEASIBLE_OR_SHALLOW
+        assert len(transcript.entries) == 1
+        assert transcript.entries[0].log_volume_drop is None
 
     def test_iteration_cap(self):
         flip = {}
@@ -608,10 +637,10 @@ class TestRunLoop:
             flip["sign"] = -flip.get("sign", -1)
             return FakeCut((flip["sign"], 0), rhs=F(-1))
 
-        result = run(2, EllipsoidParams.practical(0.0, 7, 128), oracle)
-        assert result.outcome is Outcome.ITERATION_CAP_REACHED
-        assert len(result.transcript.entries) == 7
-        assert all(e.log_volume_drop is not None for e in result.transcript.entries)
+        transcript = run(2, EllipsoidParams.practical(0.0, 7, 128), oracle)
+        assert transcript.outcome is Outcome.ITERATION_CAP_REACHED
+        assert len(transcript.entries) == 7
+        assert all(e.log_volume_drop is not None for e in transcript.entries)
 
     def test_volume_floor_stops_run(self):
         state = EllipsoidState.initial_ball(2, 2.0, 128)
@@ -623,10 +652,10 @@ class TestRunLoop:
             flip["sign"] = -flip.get("sign", -1)
             return FakeCut((flip["sign"], 0), rhs=F(-1))
 
-        result = run(2, params, oracle)
-        assert result.outcome is Outcome.INFEASIBLE_OR_SHALLOW
-        assert 2 <= len(result.transcript.entries) < 500
-        assert log_volume(result.state) < floor
+        transcript = run(2, params, oracle)
+        assert transcript.outcome is Outcome.INFEASIBLE_OR_SHALLOW
+        assert 2 <= len(transcript.entries) < 500
+        assert log_volume(final_state(2, params, transcript)) < floor
 
     def test_on_new_cut_early_stop(self):
         g = random_game("nfg", 4, 2, u_max=10, seed=7)
@@ -638,26 +667,26 @@ class TestRunLoop:
                 return True
             return False
 
-        result = run(
+        transcript = run(
             row_count(g),
             EllipsoidParams.practical(10.0, 500, 256),
             lambda y: purified_separation(g, y),
             probe,
         )
-        assert result.outcome is Outcome.INFEASIBLE_OR_SHALLOW
+        assert transcript.outcome is Outcome.INFEASIBLE_OR_SHALLOW
         assert stops == [2]
-        assert len(result.transcript.roster) == 2
+        assert len(transcript.roster) == 2
 
     def test_every_drop_clears_the_floor(self):
         g = random_game("polymatrix", 3, 2, u_max=10, seed=11)
         n = row_count(g)
-        result = run(
+        transcript = run(
             n,
             EllipsoidParams.practical(10.0, 60, 256),
             lambda y: purified_separation(g, y),
         )
         checked = 0
-        for entry in result.transcript.entries:
+        for entry in transcript.entries:
             if entry.log_volume_drop is not None:
                 assert entry.log_volume_drop >= 1.0 / (5 * n) - 2.0**-128
                 checked += 1
@@ -668,17 +697,17 @@ class TestRunLoop:
         # no exponent limit, so the first updates run like any other
         g = random_game("nfg", 2, 2, u_max=10, seed=1)
         n = row_count(g)
-        certified = EllipsoidParams.certified(n, g.payoff_ceiling())
-        assert certified.log2_radius > 8000
+        rho, floor, _ = helpers.reference_certified(n, g.payoff_ceiling())
+        assert rho > 8000
         big_centers, little_centers = [], []
-        result = run(
+        transcript = run(
             n,
-            EllipsoidParams(certified.log2_radius, certified.stop_log_volume, 60),
+            EllipsoidParams(rho, floor, 60),
             recording(lambda y: purified_separation(g, y), big_centers),
         )
-        assert result.outcome is Outcome.ITERATION_CAP_REACHED
+        assert transcript.outcome is Outcome.ITERATION_CAP_REACHED
         assert all(e.log_volume_drop >= 1.0 / (5 * n) - 2.0**-128
-                   for e in result.transcript.entries)
+                   for e in transcript.entries)
         # the same iterations at radius 2**10 are the certified run scaled
         # down exactly, which is what lets theoretical mode run small
         small = run(
@@ -686,10 +715,10 @@ class TestRunLoop:
             EllipsoidParams.practical(10.0, 60),
             recording(lambda y: purified_separation(g, y), little_centers),
         )
-        big, little = result.transcript.entries, small.transcript.entries
+        big, little = transcript.entries, small.entries
         assert [e.cut.describe() for e in big] == [e.cut.describe() for e in little]
         assert len(big_centers) == len(little_centers) == len(big)
-        scale = F(2) ** int(certified.log2_radius - 10)
+        scale = F(2) ** int(rho - 10)
         for b, s in zip(big_centers, little_centers):
             assert b == tuple(scale * c for c in s)
 
@@ -697,13 +726,13 @@ class TestRunLoop:
         import json
 
         g = random_game("nfg", 2, 2, u_max=9, seed=1)
-        result = run(
+        transcript = run(
             row_count(g),
             EllipsoidParams.practical(10.0, 5, 256),
             lambda y: purified_separation(g, y),
         )
-        lines = result.transcript.to_jsonl().strip().splitlines()
-        assert len(lines) == len(result.transcript.entries)
+        lines = transcript.to_jsonl().strip().splitlines()
+        assert len(lines) == len(transcript.entries)
         for line in lines:
             record = json.loads(line)
             assert record["kind"] in ("profile", "nonneg", "product")
@@ -713,21 +742,21 @@ class TestRunLoop:
     def test_determinism(self):
         g = random_game("nfg", 3, 2, u_max=10, seed=5)
 
+        params = EllipsoidParams.practical(10.0, 40, 256)
+
         def once(centers):
-            return run(
-                row_count(g),
-                EllipsoidParams.practical(10.0, 40, 256),
-                recording(lambda y: purified_separation(g, y), centers),
-            )
+            return run(row_count(g), params,
+                       recording(lambda y: purified_separation(g, y), centers))
 
         a_centers, b_centers = [], []
         a, b = once(a_centers), once(b_centers)
         assert a.outcome == b.outcome
-        assert len(a_centers) == len(a.transcript.entries)
+        assert len(a_centers) == len(a.entries)
         assert a_centers == b_centers
-        assert [e.violation for e in a.transcript.entries] == [
-            e.violation for e in b.transcript.entries]
-        assert a.state.snapshot() == b.state.snapshot()
+        assert [e.violation for e in a.entries] == [
+            e.violation for e in b.entries]
+        assert (final_state(row_count(g), params, a).snapshot()
+                == final_state(row_count(g), params, b).snapshot())
 
     def test_repeated_cut_holds_the_roster_instance(self):
         g = random_game("polymatrix", 3, 3, u_max=10, seed=33)
@@ -737,8 +766,7 @@ class TestRunLoop:
             returned.append(purified_separation(g, y))
             return returned[-1]
 
-        result = run(row_count(g), EllipsoidParams.practical(10.0, 200, 256), oracle)
-        transcript = result.transcript
+        transcript = run(row_count(g), EllipsoidParams.practical(10.0, 200, 256), oracle)
         roster = {cut.roster_key(): cut for cut in transcript.roster}
         assert len(roster) == len(transcript.roster)
         assert len(returned) == len(transcript.entries)
@@ -754,21 +782,21 @@ class TestRunLoop:
     @pytest.mark.parametrize("separation", [purified_separation, product_separation])
     def test_one_nonnegativity_cut_per_coordinate(self, separation):
         g = random_game("polymatrix", 3, 3, u_max=10, seed=33)
-        result = run(row_count(g), EllipsoidParams.practical(10.0, 200, 256),
+        transcript = run(row_count(g), EllipsoidParams.practical(10.0, 200, 256),
                      lambda y: separation(g, y))
-        cuts = [e.cut for e in result.transcript.entries if e.cut.kind == "nonneg"]
+        cuts = [e.cut for e in transcript.entries if e.cut.kind == "nonneg"]
         positions = {cut.position for cut in cuts}
         assert len(cuts) > len(positions) > 1
         assert len({id(cut) for cut in cuts}) == len(positions)
 
     def test_lower_precision_still_contracts(self):
         g = random_game("nfg", 2, 3, u_max=10, seed=3)
-        result = run(
+        transcript = run(
             row_count(g),
             EllipsoidParams.practical(10.0, 30, 64),
             lambda y: purified_separation(g, y),
         )
-        assert result.outcome in (
+        assert transcript.outcome in (
             Outcome.ITERATION_CAP_REACHED, Outcome.INFEASIBLE_OR_SHALLOW)
 
 

@@ -69,14 +69,14 @@ class TestSolveStandardForm:
     def test_zero_level_artificial_stays_basic(self, rows, rhs):
         # the solve returns its vertex without driving the artificial out;
         # the reference drives it out and reads the same x
-        run_simplex = exact_lp._run_simplex
+        simplex = exact_lp._simplex
         bases = []
 
-        def recording(tab, cost, scale):
-            run_simplex(tab, cost, scale)
+        def recording(tab, *args):
+            simplex(tab, *args)
             bases.append(list(tab.basis))
 
-        with mock.patch.object(exact_lp, "_run_simplex", recording):
+        with mock.patch.object(exact_lp, "_simplex", recording):
             got = solve(rows, rhs)
         assert len(bases) == 1 and max(bases[0]) >= len(rows[0])
         assert got == helpers.reference_solve_standard_form(rows, rhs)[1]
@@ -86,7 +86,8 @@ class TestSolveStandardForm:
         # finds a row; an entering column with no positive entry is refused
         tab = exact_lp._Tableau(rows=[[-1, 0]], basis=[1])
         with pytest.raises(RuntimeError, match="unbounded"):
-            exact_lp._run_simplex(tab, [-1], [1])
+            exact_lp._simplex(tab, [1], lambda: [-1],
+                              lambda j: [row[j] for row in tab.rows], None)
 
     def test_random_feasible_systems(self):
         rng = random.Random(23)

@@ -1,6 +1,5 @@
 """Separation oracles: cut shapes, stationary construction, purification."""
 
-import itertools
 import math
 import random
 from fractions import Fraction
@@ -13,7 +12,7 @@ from hypothesis import strategies as st
 import helpers
 from exactce import SolverError, random_game, row_count
 from exactce import oracles
-from exactce.exact_lp import stationary_distribution
+from exactce.exact_lp import _gauss_jordan, stationary_distribution
 from exactce.games import ProductDistribution
 from exactce.incentives import RowIndex, incentive_row_values, profile_column, row_at
 from exactce.oracles import (
@@ -22,7 +21,6 @@ from exactce.oracles import (
     NonnegativityCut,
     ProductCut,
     ProfileCut,
-    _determinant,
     _rate_blocks,
     _stationary_blocks,
     _stationary_x,
@@ -167,11 +165,22 @@ class TestStationaryProduct:
 
 @st.composite
 def rate_blocks(draw):
-    """Integer rate blocks, m = 1..4, zero diagonal; about half the rates are
-    zero, so blocks with several closed classes are drawn too."""
-    m = draw(st.integers(1, 4))
+    """Integer rate blocks, m = 1..5, zero diagonal; about half the rates are
+    zero, so blocks with several closed classes are drawn too. From m = 4 on,
+    stationary_block reads the tree weights off Laplacian minors."""
+    m = draw(st.integers(1, 5))
     rate = st.one_of(st.just(0), st.integers(1, 30))
     return [[0 if i == j else draw(rate) for j in range(m)] for i in range(m)]
+
+
+def laplacian_minors(rates):
+    """The determinant of the rate Laplacian with row and column i deleted,
+    for each i, by permutation expansion."""
+    laplacian = [[sum(row) if i == j else -r for j, r in enumerate(row)]
+                 for i, row in enumerate(rates)]
+    return [helpers.permutation_determinant(
+                [row[:i] + row[i + 1:] for k, row in enumerate(laplacian) if k != i])
+            for i in range(len(rates))]
 
 
 def block_fractions(rates, denominator):
@@ -223,23 +232,32 @@ class TestStationaryBlock:
     def test_three_state_trees_equal_laplacian_minors(self, rows, zero_rows):
         rates = [[0 if i == j or i in zero_rows else r for j, r in enumerate(row)]
                  for i, row in enumerate(rows)]
-        laplacian = [[sum(row) if i == j else -r for j, r in enumerate(row)]
-                     for i, row in enumerate(rates)]
-        minors = [_determinant([row[:i] + row[i + 1:]
-                                for k, row in enumerate(laplacian) if k != i])
-                  for i in range(3)]
-        assert _tree_weights(rates) == minors
+        assert _tree_weights(rates) == laplacian_minors(rates)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(4, 5).flatmap(lambda m: st.lists(
+        st.lists(st.one_of(st.just(0), st.integers(1, 2**40)), min_size=m, max_size=m),
+        min_size=m, max_size=m)))
+    @example([[0, 1, 0, 0], [2, 0, 0, 0], [0, 0, 0, 3], [0, 0, 1, 0]])  # two closed classes
+    def test_general_trees_equal_laplacian_minors(self, rows):
+        # four or more actions take the minors from _gauss_jordan
+        rates = [[0 if i == j else r for j, r in enumerate(row)] for i, row in enumerate(rows)]
+        assert _tree_weights(rates) == laplacian_minors(rates)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 4).flatmap(lambda n: st.lists(
         st.lists(st.integers(-5, 5), min_size=n, max_size=n), min_size=n, max_size=n)))
-    def test_determinant_by_permutations(self, matrix):
-        n = len(matrix)
-        want = 0
-        for perm in itertools.permutations(range(n)):
-            inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
-            want += (-1) ** inversions * math.prod(matrix[i][perm[i]] for i in range(n))
-        assert _determinant(matrix) == want
+    @example([[0, 1], [1, 0]])  # the first column needs a later pivot row
+    @example([[1, 2], [2, 4]])  # singular with no zero entry
+    def test_gauss_jordan_by_permutations(self, matrix):
+        want = helpers.permutation_determinant(matrix)
+        tab = _gauss_jordan([list(row) for row in matrix], len(matrix))
+        assert (tab is None) == (want == 0)
+        if tab is not None:
+            assert tab.det == abs(want)
+            # each row is det times a unit row of the identity
+            for var, row in zip(tab.basis, tab.rows):
+                assert row == [tab.det * (j == var) for j in range(len(matrix))]
 
 
 @st.composite

@@ -1,5 +1,6 @@
 """End-to-end solves: configs, certificates, fallbacks, product mode."""
 
+import json
 import os
 import subprocess
 import sys
@@ -250,6 +251,14 @@ class TestPurifiedSolve:
         assert info.value.transcript is not None
         assert len(info.value.transcript.entries) == 2
 
+    def test_capped_solve_numbers_its_transcript_lines(self):
+        # a failed solve's transcript is numbered like a finished one's
+        g = random_game("nfg", 4, 2, u_max=10, seed=7)
+        with pytest.raises(SolverError, match="iteration cap 6") as info:
+            compute_exact_ce(g, SolveConfig(max_iters=6))
+        lines = info.value.transcript.to_jsonl().splitlines()
+        assert [json.loads(line)["iter"] for line in lines] == [1, 2, 3, 4, 5, 6]
+
     def test_brute_force_fallback(self):
         g = random_game("nfg", 4, 2, u_max=10, seed=7)
         report = compute_exact_ce(
@@ -287,6 +296,21 @@ class TestPurifiedSolve:
             assert theoretical.iterations == practical.iterations
             assert theoretical.iterations <= iteration_bound(
                 row_count(g), g.payoff_ceiling())
+
+    @pytest.mark.parametrize("family, players, actions, u_max, seed", [
+        ("nfg", 2, 2, 10, 0), ("nfg", 2, 3, 10, 1), ("nfg", 3, 2, 0, 2),
+        ("nfg", 4, 2, 1, 3), ("polymatrix", 3, 3, 10, 4), ("polymatrix", 4, 3, 10, 95),
+        ("polymatrix", 2, 1, 10, 5),
+    ])
+    def test_theoretical_params_match_the_certified_formula(self, family, players,
+                                                             actions, u_max, seed):
+        # bit for bit the floor the certified radius gives, moved down to 2**10
+        g = random_game(family, players, actions, u_max=u_max, seed=seed)
+        got = solver._params_for(g, SolveConfig(mode="theoretical", precision_bits=96))
+        want = helpers.reference_theoretical_params(g, 96)
+        assert (got.log2_radius, got.stop_log_volume.hex(), got.max_iters,
+                got.precision_bits) == (want.log2_radius, want.stop_log_volume.hex(),
+                                        want.max_iters, want.precision_bits)
 
     def test_report_json_shape(self):
         g = random_game("nfg", 2, 2, u_max=10, seed=3)
