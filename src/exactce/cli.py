@@ -1,4 +1,9 @@
-"""Command line front end: solve, verify, gen, and bench subcommands."""
+"""Command line front end: solve, verify, gen, and bench subcommands.
+
+main is the one exit: every error that ends a subcommand reaches it, and it
+prints one `error:` line and returns 2. SolveConfig owns every solve
+setting's default and check.
+"""
 
 from __future__ import annotations
 
@@ -7,10 +12,12 @@ import csv
 import json
 import os
 import sys
+from dataclasses import fields as dataclass_fields
 from dataclasses import replace
 
-from .errors import CertificateError, GameFormatError, SolverError
-from .games import Game, check_random_setting, load_game_file, random_game, rational_text
+from .ellipsoid import DEFAULT_PRECISION_BITS
+from .errors import CertificateError, SolverError
+from .games import FAMILIES, Game, check_random_setting, load_game_file, random_game, rational_text
 from .incentives import SparseCE, row_count, verify_ce
 from .oracles import TIE_BREAKS
 from .solver import (
@@ -45,10 +52,10 @@ BENCH_COLUMNS = [
 
 
 def _precision(args: argparse.Namespace) -> int:
-    """--precision, else $EXACTCE_PRECISION, else 256."""
+    """--precision, else $EXACTCE_PRECISION, else DEFAULT_PRECISION_BITS."""
     if args.precision is not None:
         return args.precision
-    raw = os.environ.get(PRECISION_ENV, "256")
+    raw = os.environ.get(PRECISION_ENV, str(DEFAULT_PRECISION_BITS))
     try:
         return int(raw)
     except ValueError:
@@ -80,15 +87,14 @@ def write_bench_csv(stream, rows: list[dict]) -> None:
 
 
 def _write_text(path: str | None, text: str) -> None:
+    """Write text, ending in one newline, to path, or to stdout for None or -."""
+    if not text.endswith("\n"):
+        text += "\n"
     if path is None or path == "-":
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
         return
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(text)
-        if not text.endswith("\n"):
-            handle.write("\n")
 
 
 def _check_output_dirs(*paths: str | None) -> None:
@@ -101,38 +107,18 @@ def _check_output_dirs(*paths: str | None) -> None:
             raise ValueError(f"cannot write {path}: no directory {directory}")
 
 
-def _add_solve_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--mode", choices=MODES, default="practical")
-    sub.add_argument("--oracle", choices=ORACLES, default="purified")
-    sub.add_argument("--tie-break", choices=TIE_BREAKS, default="first")
-    sub.add_argument("--precision", type=int, default=None, metavar="BITS",
-                     help=f"working precision; default 256 or ${PRECISION_ENV}")
-    sub.add_argument("--max-iters", type=int, default=2000)
-    sub.add_argument("--probe-stride", type=int, default=1)
-    sub.add_argument("--brute-force-fallback", action="store_true",
-                     help="on iteration cap, fall back to the full LP for small games")
-
-
-def _config_from(args: argparse.Namespace) -> SolveConfig:
-    return SolveConfig(
-        mode=args.mode,
-        oracle=args.oracle,
-        tie_break=args.tie_break,
-        precision_bits=_precision(args),
-        max_iters=args.max_iters,
-        brute_force_fallback=args.brute_force_fallback,
-        probe_stride=args.probe_stride,
-    )
+def _config_from(args: argparse.Namespace, **fields) -> SolveConfig:
+    """SolveConfig from the flags named after its fields, the precision and
+    then fields, each checked by SolveConfig alone."""
+    flags = {f.name: getattr(args, f.name)
+             for f in dataclass_fields(SolveConfig) if f.name in args}
+    return SolveConfig(**flags, precision_bits=_precision(args), **fields)
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    try:
-        config = _config_from(args)
-        _check_output_dirs(args.output, args.ce_output, args.transcript)
-        game = load_game_file(args.input)
-    except ValueError as exc:  # GameFormatError and JSONDecodeError included
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    config = _config_from(args)
+    _check_output_dirs(args.output, args.ce_output, args.transcript)
+    game = load_game_file(args.input)
 
     print(
         f"solving: family={game.family} players={game.players} "
@@ -143,15 +129,15 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     try:
         report = compute_exact_ce(game, config)
     except SolverError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # the failed run's cut log is still written; main reports the error
         if args.transcript and exc.transcript is not None:
             _write_text(args.transcript, exc.transcript.to_jsonl())
             print(f"transcript written to {args.transcript}", file=sys.stderr)
-        return EXIT_ERROR
+        raise
 
     print(
         f"done: iterations={report.iterations} distinct_cuts={report.distinct_cuts} "
-        f"support={report.support} epsilon={report.exact_epsilon} "
+        f"support={report.support} epsilon={rational_text(report.exact_epsilon)} "
         f"verified={report.verified} wall_ms={report.wall_ms:.1f}",
         file=sys.stderr,
     )
@@ -164,18 +150,14 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        game = load_game_file(args.input)
-        with open(args.ce, encoding="utf-8") as handle:
-            try:
-                document = json.load(handle)
-            except RecursionError as exc:
-                raise CertificateError("certificate is nested too deeply to decode") from exc
-        ce = SparseCE.from_json(document)
-        ce.check_profiles(game)
-    except ValueError as exc:  # the format errors and JSON past the digit limit
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    game = load_game_file(args.input)
+    with open(args.ce, encoding="utf-8") as handle:
+        try:
+            document = json.load(handle)
+        except RecursionError as exc:
+            raise CertificateError("certificate is nested too deeply to decode") from exc
+    ce = SparseCE.from_json(document)
+    ce.check_profiles(game)
 
     problems = ce.distribution_problems()
     if problems:
@@ -197,12 +179,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    try:
-        game = random_game(args.family, args.players, args.actions,
-                           u_max=args.umax, seed=args.seed)
-    except (ValueError, GameFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    game = random_game(args.family, args.players, args.actions,
+                       u_max=args.umax, seed=args.seed)
     _write_text(args.output, json.dumps(game.to_document(), indent=2))
     return EXIT_OK
 
@@ -225,45 +203,38 @@ def _parse_seeds(text: str) -> list[int]:
     return [int(chunk) for chunk in text.split(",")]
 
 
+def _bench_configs(args: argparse.Namespace) -> list[SolveConfig]:
+    """One SolveConfig per distinct (oracle, tie break), in the order given.
+
+    SolveConfig checks every name given, although only the purified oracle
+    reads a tie break: any other oracle runs once, at "first".
+    """
+    configs: list[SolveConfig] = []
+    for oracle in args.oracles.split(","):
+        for tie_break in args.tie_breaks.split(","):
+            config = _config_from(args, oracle=oracle.strip(), tie_break=tie_break.strip())
+            if config.oracle != "purified":
+                config = replace(config, tie_break="first")
+            if config not in configs:
+                configs.append(config)
+    return configs
+
+
 def _cmd_bench(args: argparse.Namespace) -> int:
-    if args.family == "both":
-        families = ["nfg", "polymatrix"]
-    else:
-        families = [f.strip() for f in args.family.split(",")]
+    families = (FAMILIES if args.family == "both"
+                else [f.strip() for f in args.family.split(",")])
     try:
         sizes = _parse_sizes(args.sizes)
         seeds = _parse_seeds(args.seeds)
     except ValueError as exc:
-        print(f"error: bad --sizes or --seeds: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    oracles = [o.strip() for o in args.oracles.split(",")]
-    tie_breaks = [t.strip() for t in args.tie_breaks.split(",")]
-    # each distinct (oracle, tie break) pair runs once, in the order given
-    runs = list(dict.fromkeys(
-        (oracle, tie_break if oracle == "purified" else "first")
-        for oracle in oracles
-        for tie_break in tie_breaks
-    ))
-    try:
-        # checked here: a non-purified oracle runs with "first" and never sees them
-        unknown = [t for t in tie_breaks if t not in TIE_BREAKS]
-        if unknown:
-            raise ValueError(f"unknown tie break {unknown[0]!r}")
-        bits = _precision(args)
-        configs = [
-            SolveConfig(oracle=oracle, tie_break=tie_break, precision_bits=bits,
-                        max_iters=args.max_iters, probe_stride=args.probe_stride)
-            for oracle, tie_break in runs
-        ]
-        for family in families:
-            for players, actions in sizes:
-                counts = check_random_setting(family, players, actions, args.umax)
-                # gen writes such games; only a solve refuses them
-                check_row_count(sum(m * m for m in counts))
-        _check_output_dirs(args.csv)
-    except (ValueError, SolverError) as exc:  # GameFormatError included
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        raise ValueError(f"bad --sizes or --seeds: {exc}") from exc
+    configs = _bench_configs(args)
+    for family in families:
+        for players, actions in sizes:
+            counts = check_random_setting(family, players, actions, args.umax)
+            # gen writes such games; only a solve refuses them
+            check_row_count(sum(m * m for m in counts))
+    _check_output_dirs(args.csv)
 
     rows = []
     failed = 0
@@ -274,6 +245,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 for config in configs:
                     try:
                         report = compute_exact_ce(game, replace(config, seed=seed))
+                        rows.append(bench_row(report, game, seed))
                     except (SolverError, ValueError) as exc:
                         # keep sweeping; the failure still sets the exit code
                         failed += 1
@@ -284,11 +256,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                             file=sys.stderr,
                         )
                         continue
-                    rows.append(bench_row(report, game, seed))
                     print(
-                        f"bench: {rows[-1]['family']} n={players} a={actions} "
+                        f"bench: {family} n={players} a={actions} "
                         f"seed={seed} oracle={config.oracle} "
-                        f"iters={report.iterations} eps={report.exact_epsilon} "
+                        f"iters={report.iterations} eps={rational_text(report.exact_epsilon)} "
                         f"wall={report.wall_ms:.1f}ms",
                         file=sys.stderr,
                     )
@@ -308,9 +279,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    solve = subs.add_parser("solve", help="solve a game file and emit a JSON report")
+    defaults = SolveConfig()
+    # the settings solve and bench share
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--precision", type=int, default=None, metavar="BITS",
+                     help=f"working precision; default {DEFAULT_PRECISION_BITS} "
+                          f"or ${PRECISION_ENV}")
+    run.add_argument("--max-iters", type=int, default=defaults.max_iters)
+    run.add_argument("--probe-stride", type=int, default=defaults.probe_stride)
+
+    solve = subs.add_parser("solve", parents=[run],
+                            help="solve a game file and emit a JSON report")
     solve.add_argument("--input", required=True, help="path to a game JSON document")
-    _add_solve_options(solve)
+    solve.add_argument("--mode", choices=MODES, default=defaults.mode)
+    solve.add_argument("--oracle", choices=ORACLES, default=defaults.oracle)
+    solve.add_argument("--tie-break", choices=TIE_BREAKS, default=defaults.tie_break)
+    solve.add_argument("--brute-force-fallback", action="store_true",
+                       help="on iteration cap, fall back to the full LP for small games")
     solve.add_argument("--output", "-o", default=None, help="report path, - for stdout")
     solve.add_argument("--ce-output", default=None,
                        help="also write the bare certificate JSON here")
@@ -323,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.set_defaults(func=_cmd_verify)
 
     gen = subs.add_parser("gen", help="generate a seeded random game document")
-    gen.add_argument("--family", choices=["nfg", "polymatrix"], default="nfg")
+    gen.add_argument("--family", choices=FAMILIES, default="nfg")
     gen.add_argument("--players", type=int, default=2)
     gen.add_argument("--actions", type=int, default=2)
     gen.add_argument("--umax", type=int, default=10)
@@ -331,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--output", "-o", default=None)
     gen.set_defaults(func=_cmd_gen)
 
-    bench = subs.add_parser("bench", help="run a sweep and emit CSV timings")
+    bench = subs.add_parser("bench", parents=[run], help="run a sweep and emit CSV timings")
     bench.add_argument("--family", default="both",
                        help="nfg, polymatrix, both, or a comma list")
     bench.add_argument("--sizes", default="2x2,3x2",
@@ -340,9 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--oracles", default="purified", help="comma list")
     bench.add_argument("--tie-breaks", default="first", help="comma list")
     bench.add_argument("--umax", type=int, default=10)
-    bench.add_argument("--max-iters", type=int, default=2000)
-    bench.add_argument("--probe-stride", type=int, default=1)
-    bench.add_argument("--precision", type=int, default=None, metavar="BITS")
     bench.add_argument("--csv", default=None, help="CSV path, - for stdout")
     bench.set_defaults(func=_cmd_bench)
 
@@ -353,9 +335,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, UnicodeDecodeError) as exc:
-        # an input that cannot be read as UTF-8 text, or an output path
-        # that cannot be written, wherever the subcommand opens it
+    except (OSError, ValueError, SolverError) as exc:
+        # a refused setting, an unusable input or an unwritable path: the
+        # decode, format and digit-limit errors are all ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -69,6 +69,7 @@ from itertools import accumulate
 from typing import Callable, Sequence
 
 from .errors import PrecisionError, SolverError
+from .games import is_int
 from .oracles import Cut, IntegerPoint, NonnegativityCut, normal_violation
 
 DEFAULT_PRECISION_BITS = 256
@@ -83,7 +84,7 @@ MAX_PRECISION_BITS = 1 << 16
 
 def check_int(name: str, value) -> None:
     """Refuse a value that is not an int, or is a bool, with ValueError."""
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not is_int(value):
         raise ValueError(f"{name} must be an integer, not {value!r}")
 
 

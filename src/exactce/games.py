@@ -185,17 +185,22 @@ def _integerize(
 
 
 def _nonnegative_ints(rows: Sequence[Sequence]) -> bool:
-    """Whether every entry of the rows is an int (a bool counts, being one)
-    and none is negative: one isinstance map over all of them, then one min,
-    at C level."""
+    """Whether every entry of the rows is an int and none is negative: one
+    isinstance map over all of them, then one min, at C level. A bool counts
+    as an int here, unlike is_int, on purpose: refusing it would cost a
+    second pass over every stored payoff."""
     flat = itertools.chain.from_iterable
     return (all(map(isinstance, flat(rows), itertools.repeat(int)))
             and min(flat(rows), default=0) >= 0)
 
 
+def is_int(value) -> bool:
+    """An int and not a bool, although a bool is an int too."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _is_count(value) -> bool:
-    """A positive int and no bool, although a bool is an int too."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+    return is_int(value) and value >= 1
 
 
 # ---------- game types ----------
@@ -235,7 +240,7 @@ class Game:
         if len(s) != self.players:
             raise ValueError(f"profile length {len(s)} != {self.players} players")
         for p, a in enumerate(s):
-            if not isinstance(a, int) or not 0 <= a < self.actions[p]:
+            if not is_int(a) or not 0 <= a < self.actions[p]:
                 raise ValueError(f"player {p}: action {a!r} out of range")
         return s
 
@@ -584,8 +589,7 @@ def _load_polymatrix(doc: dict) -> PolymatrixGame:
         if not isinstance(edge, dict):
             raise GameFormatError(f"edge {k}: must be an object")
         p, q = edge.get("p"), edge.get("q")
-        if (not all(isinstance(v, int) and not isinstance(v, bool) for v in (p, q))
-                or not (0 <= p < n and 0 <= q < n)):
+        if not (is_int(p) and is_int(q) and 0 <= p < n and 0 <= q < n):
             raise GameFormatError(f"edge {k}: bad player pair ({p!r}, {q!r})")
         if p == q:
             raise GameFormatError(f"edge {k}: self edge on player {p}")
@@ -670,7 +674,7 @@ def check_random_setting(family: str, players: int, actions, u_max: int) -> tupl
             raise GameFormatError("actions must be an int or one count per player")
     if not all(map(_is_count, counts)):
         raise GameFormatError("action counts must be positive integers")
-    if not isinstance(u_max, int) or isinstance(u_max, bool) or u_max < 0:
+    if not is_int(u_max) or u_max < 0:
         raise GameFormatError("u_max must be a nonnegative integer")
     _check_size(family, counts)
     return counts

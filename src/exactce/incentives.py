@@ -21,7 +21,7 @@ from numbers import Rational
 from typing import NamedTuple, Sequence
 
 from .errors import CertificateError, CertificateMismatchError
-from .games import Game, Mix, PureProfile, rational_from_text, rational_text
+from .games import Game, Mix, PureProfile, is_int, rational_from_text, rational_text
 
 
 class RowIndex(NamedTuple):
@@ -205,9 +205,7 @@ class SparseCE:
             if not isinstance(atom, dict):
                 raise CertificateError(f"atom {k}: must be an object")
             profile = atom.get("profile")
-            if not isinstance(profile, list) or any(
-                not isinstance(a, int) or isinstance(a, bool) for a in profile
-            ):
+            if not isinstance(profile, list) or not all(map(is_int, profile)):
                 raise CertificateError(f"atom {k}: profile must be a list of integers")
             raw = atom.get("prob")
             if isinstance(raw, bool) or not isinstance(raw, (int, str)):

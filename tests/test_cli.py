@@ -32,7 +32,15 @@ from exactce import (
     random_game,
     verify_ce,
 )
-from exactce.cli import BENCH_COLUMNS, PRECISION_ENV, main
+from exactce.cli import (
+    BENCH_COLUMNS,
+    PRECISION_ENV,
+    _bench_configs,
+    _config_from,
+    build_parser,
+    main,
+)
+from exactce.solver import SolveConfig
 
 GOLDEN = Path(__file__).parent / "golden"
 PYPROJECT = Path(__file__).parent.parent / "pyproject.toml"
@@ -40,6 +48,16 @@ PYPROJECT = Path(__file__).parent.parent / "pyproject.toml"
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def run_module(*argv, env=None, cwd=None, timeout=None):
+    """`python -m exactce argv` in a child process that imports this package."""
+    package_root = str(Path(exactce.__file__).resolve().parent.parent)
+    child_env = dict(os.environ, **(env or {}))
+    child_env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [package_root, child_env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "exactce", *argv], capture_output=True,
+                          text=True, env=child_env, cwd=cwd, timeout=timeout)
 
 
 def gen_game(tmp_path, seed=0, players=2, actions=2, family="nfg"):
@@ -303,6 +321,44 @@ class TestBench:
         assert "bad --sizes" in capsys.readouterr().err
 
 
+class TestSettings:
+    """The CLI's defaults and checks are SolveConfig's."""
+
+    def test_solve_defaults_are_solve_configs(self, monkeypatch):
+        monkeypatch.delenv(PRECISION_ENV, raising=False)
+        args = build_parser().parse_args(["solve", "--input", "x"])
+        assert _config_from(args) == SolveConfig()
+
+    def test_bench_configs_carry_solve_config_settings(self, monkeypatch):
+        monkeypatch.delenv(PRECISION_ENV, raising=False)
+        args = build_parser().parse_args([
+            "bench", "--oracles", "purified,product",
+            "--tie-breaks", "first,welfare,max-value"])
+        configs = _bench_configs(args)
+        # the product oracle reads no tie break, so it runs once
+        assert [(c.oracle, c.tie_break) for c in configs] == [
+            ("purified", "first"), ("purified", "welfare"), ("purified", "max-value"),
+            ("product", "first")]
+        default = SolveConfig()
+        for config in configs:
+            assert config.max_iters == default.max_iters
+            assert config.probe_stride == default.probe_stride
+            assert config.precision_bits == default.precision_bits
+
+    @pytest.mark.parametrize("names, field", [
+        (["--oracles", "bogus"], "oracle"),
+        # checked even though the product oracle never reads it
+        (["--oracles", "product", "--tie-breaks", "bogus"], "tie_break"),
+    ], ids=["oracle", "product-tie-break"])
+    def test_bogus_bench_name_exits_2_with_solve_configs_message(self, capsys, names,
+                                                                 field):
+        with pytest.raises(ValueError) as refused:
+            SolveConfig(**{field: "bogus"})
+        assert run_cli("bench", "--family", "nfg", "--sizes", "2x2", "--seeds", "0:1",
+                       *names) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {refused.value}"]
+
+
 BAD_SETTINGS = [
     pytest.param(["solve", "--precision", "8"], {}, id="solve-precision-8"),
     pytest.param(["solve"], {PRECISION_ENV: "4"}, id="solve-precision-env-4"),
@@ -354,13 +410,7 @@ class TestExitCodes:
         # "certificate invalid" code (1) that an escaping exception gives
         if argv[0] == "solve":
             argv = [*argv, "--input", str(gen_game(tmp_path))]
-        package_root = str(Path(exactce.__file__).resolve().parent.parent)
-        child_env = dict(os.environ, **env)
-        child_env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [package_root, child_env.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-m", "exactce", *argv],
-                              capture_output=True, text=True, env=child_env,
-                              cwd=tmp_path)
+        proc = run_module(*argv, env=env, cwd=tmp_path)
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
         # refused before any work: one error, no progress line, no output file
@@ -442,11 +492,7 @@ class TestExitCodes:
             ce = tmp_path / "ce.json"
             ce.write_text('{"atoms": [{"profile": [0, 0], "prob": %s}]}' % number)
             argv = ["verify", "--input", str(game), "--ce", str(ce)]
-        package_root = str(Path(exactce.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [package_root, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-m", "exactce", *argv],
-                              capture_output=True, text=True, env=env, timeout=10)
+        proc = run_module(*argv, timeout=10)
         assert proc.returncode == 2, proc.stderr[-2000:]
         assert "Traceback" not in proc.stderr
         lines = proc.stderr.splitlines()
@@ -471,6 +517,29 @@ class TestExitCodes:
         assert sum(line.startswith("error:") for line in err) == 1, err
         assert "digits" in err[-1]
         assert not report.exists()
+
+    def test_unprintable_product_epsilon_exits_2(self, tmp_path):
+        # at 200 iterations the product oracle's exact epsilon on this game
+        # has about 5437 decimal digits, past what Python prints: the report
+        # cannot be written, which is an error (2), never a traceback (1)
+        game = str(gen_game(tmp_path, players=5, actions=3, family="polymatrix"))
+        proc = run_module("solve", "--input", game, "--oracle", "product",
+                          "--max-iters", "200", "-o", "r.json", cwd=tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert sum(line.startswith("error:") for line in lines) == 1, lines
+        assert "epsilon=a rational of about 5437 decimal digits" in proc.stderr
+        assert not (tmp_path / "r.json").exists()
+
+        proc = run_module("bench", "--family", "polymatrix", "--sizes", "5x3",
+                          "--seeds", "0:1", "--oracles", "product", "--max-iters", "200",
+                          "--csv", "r.csv", cwd=tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        failures = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+        assert len(failures) == 1 and "seed=0 " in failures[0], failures
+        assert (tmp_path / "r.csv").read_text().splitlines() == [",".join(BENCH_COLUMNS)]
 
     def test_unprintable_sum_reported_by_size(self, tmp_path, capsys):
         # each probability prints, but their sum's denominator has 4401 digits

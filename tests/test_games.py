@@ -154,6 +154,10 @@ class TestNormalForm:
             g.check_profile((1,))
         with pytest.raises(ValueError):
             g.check_profile((2, 0))
+        # a bool is an int to isinstance, but a certificate holding one
+        # would write [true, false], which SparseCE.from_json refuses
+        with pytest.raises(ValueError, match="True"):
+            g.check_profile((True, False))
 
     def test_expected_utility_matches_enumeration(self):
         rng = random.Random(11)

@@ -307,3 +307,5 @@ class TestVerifyCE:
         g = random_game("nfg", 2, 2, u_max=1, seed=0)
         with pytest.raises(CertificateMismatchError):
             verify_ce(g, SparseCE(atoms=(((0, 0, 0), F(1)),)))
+        with pytest.raises(CertificateMismatchError):
+            verify_ce(g, SparseCE(atoms=(((True, False), F(1)),)))
