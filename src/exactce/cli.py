@@ -15,7 +15,6 @@ import sys
 from dataclasses import fields as dataclass_fields
 from dataclasses import replace
 
-from .ellipsoid import DEFAULT_PRECISION_BITS
 from .errors import CertificateError, SolverError
 from .games import FAMILIES, Game, check_random_setting, load_game_file, random_game, rational_text
 from .incentives import SparseCE, row_count, verify_ce
@@ -52,10 +51,10 @@ BENCH_COLUMNS = [
 
 
 def _precision(args: argparse.Namespace) -> int:
-    """--precision, else $EXACTCE_PRECISION, else DEFAULT_PRECISION_BITS."""
+    """--precision, else $EXACTCE_PRECISION, else SolveConfig's default."""
     if args.precision is not None:
         return args.precision
-    raw = os.environ.get(PRECISION_ENV, str(DEFAULT_PRECISION_BITS))
+    raw = os.environ.get(PRECISION_ENV, str(SolveConfig.precision_bits))
     try:
         return int(raw)
     except ValueError:
@@ -117,6 +116,9 @@ def _config_from(args: argparse.Namespace, **fields) -> SolveConfig:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     config = _config_from(args)
+    if args.ce_output and config.oracle != "purified":
+        raise ValueError("--ce-output needs the purified oracle: "
+                         f"the {config.oracle} oracle gives a mixture, not a certificate")
     _check_output_dirs(args.output, args.ce_output, args.transcript)
     game = load_game_file(args.input)
 
@@ -142,7 +144,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         file=sys.stderr,
     )
     _write_text(args.output, json.dumps(report.to_json(), indent=2))
-    if args.ce_output and report.certificate is not None:
+    if args.ce_output:
         _write_text(args.ce_output, json.dumps(report.certificate.to_json(), indent=2))
     if args.transcript:
         _write_text(args.transcript, report.transcript.to_jsonl())
@@ -283,9 +285,11 @@ def build_parser() -> argparse.ArgumentParser:
     # the settings solve and bench share
     run = argparse.ArgumentParser(add_help=False)
     run.add_argument("--precision", type=int, default=None, metavar="BITS",
-                     help=f"working precision; default {DEFAULT_PRECISION_BITS} "
+                     help=f"working precision; default {defaults.precision_bits} "
                           f"or ${PRECISION_ENV}")
-    run.add_argument("--max-iters", type=int, default=defaults.max_iters)
+    run.add_argument("--max-iters", type=int, default=defaults.max_iters,
+                     help="iteration cap, default %(default)s; theoretical mode "
+                          "ignores it and stops by its certified iteration bound")
     run.add_argument("--probe-stride", type=int, default=defaults.probe_stride)
 
     solve = subs.add_parser("solve", parents=[run],

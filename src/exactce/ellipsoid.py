@@ -24,11 +24,11 @@ Integers have no exponent range, so the arithmetic holds at any radius,
 the certified 2**(5 N^3 log u) one included. Rounding to significant bits
 also makes a run scale-equivariant: a ball 2**k times larger gives the same
 cuts with every center scaled by 2**k. Solves therefore always start from
-the practical radius 2**10, and the theoretical mode moves the certified
-volume floor down to it (EllipsoidParams.certified). The cut normal is
-scaled to integers, which makes L^T a, a^T P a and P a exact. The volume is
-read off the stored pivots, and the pivots decide positive definiteness by
-their signs.
+the practical radius 2**10 (PRACTICAL_LOG2_RADIUS), and the theoretical
+mode moves the certified volume floor down to it (certified_stop). The cut
+normal is scaled to integers, which makes L^T a, a^T P a and P a exact. The
+volume is read off the stored pivots, and the pivots decide positive
+definiteness by their signs.
 
 The update is the minimal-volume ellipsoid containing the half-ellipsoid on
 the satisfied side of the cut through the center. Its volume ratio is below
@@ -46,12 +46,13 @@ same state bit for bit as one over all N coordinates; a coordinate enters
 when a normal first touches it. The center still goes out with all N
 coordinates.
 
-The transcript is the one record of a run: run returns it with the run's
-outcome set. It keeps the cut sequence and no center: the entries of a run
-share one object per distinct cut, an entry's iteration is its position,
-and the centers, the final state included, follow from the cuts by
-replaying their normals through update from the starting ball. Its size
-grows with the iterations plus the distinct cuts, not with iterations * N.
+The transcript is the one record of a run: run returns it marked capped
+when the iterations ran out. It keeps the cut sequence and no center: the
+entries of a run share one object per distinct cut, an entry's iteration is
+its position, and the centers, the final state included, follow from the
+cuts by replaying their normals through update from the starting ball. Its
+size grows with the iterations plus the distinct cuts, not with
+iterations * N.
 
 The initial radius must have a power-of-two square, so the starting ball is
 exact too. The iteration bound is a ceiling taken from the standard
@@ -63,7 +64,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from decimal import ROUND_CEILING, Decimal, localcontext
-from enum import Enum
 from fractions import Fraction
 from itertools import accumulate
 from typing import Callable, Sequence
@@ -72,11 +72,12 @@ from .errors import PrecisionError, SolverError
 from .games import is_int
 from .oracles import Cut, IntegerPoint, NonnegativityCut, normal_violation
 
-DEFAULT_PRECISION_BITS = 256
 # The most precision_bits a run may ask for. The starting ball alone holds a
 # precision_bits-bit pivot, so a larger value is refused before anything is
 # allocated; it is a constant, not a setting.
 MAX_PRECISION_BITS = 1 << 16
+# log2 of the starting ball's radius; both modes start there
+PRACTICAL_LOG2_RADIUS = 10.0
 
 
 # ---------- helpers ----------
@@ -86,16 +87,6 @@ def check_int(name: str, value) -> None:
     """Refuse a value that is not an int, or is a bool, with ValueError."""
     if not is_int(value):
         raise ValueError(f"{name} must be an integer, not {value!r}")
-
-
-def check_precision_bits(bits: int) -> None:
-    """Refuse a precision that is not an int, or is below 16 or above
-    MAX_PRECISION_BITS, with ValueError."""
-    check_int("precision_bits", bits)
-    if bits < 16:
-        raise ValueError("precision_bits must be at least 16")
-    if bits > MAX_PRECISION_BITS:
-        raise ValueError(f"precision_bits must be at most {MAX_PRECISION_BITS}")
 
 
 def _log_unit_ball_volume(n: int) -> float:
@@ -143,55 +134,27 @@ def iteration_bound(n_rows: int, u_max: int) -> int:
         digits *= 2
 
 
-@dataclass(frozen=True)
-class EllipsoidParams:
-    """Initial radius (as log2), optional volume floor (as natural log of
-    volume), iteration cap, and working precision."""
+def certified_stop(n_rows: int, u_max: int) -> tuple[float, int]:
+    """(stop_log_volume, max_iters) of the theoretical mode: the worst-case
+    guarantee's volume floor, carried to the practical radius 2**10, and its
+    iteration cap.
 
-    log2_radius: float
-    stop_log_volume: float | None
-    max_iters: int
-    precision_bits: int = DEFAULT_PRECISION_BITS
-
-    def __post_init__(self):
-        check_int("max_iters", self.max_iters)
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be positive")
-        check_precision_bits(self.precision_bits)
-
-    @classmethod
-    def practical(
-        cls,
-        log2_radius: float = 10.0,
-        max_iters: int = 2000,
-        precision_bits: int = DEFAULT_PRECISION_BITS,
-    ) -> "EllipsoidParams":
-        """Modest radius, no volume floor; termination comes from the caller."""
-        return cls(log2_radius, None, max_iters, precision_bits)
-
-    @classmethod
-    def certified(
-        cls, n_rows: int, u_max: int, precision_bits: int = DEFAULT_PRECISION_BITS
-    ) -> "EllipsoidParams":
-        """The parameters of the theoretical mode: the worst-case guarantee's
-        iteration cap and volume floor, carried to the practical radius 2**10.
-
-        The guarantee holds at the radius 2**rho, rho = ceil(5 N^3 log2 u),
-        with the floor the unit-ball volume times u**(-7 N^5), in log form.
-        The run is equivariant under a power-of-two scale of the starting
-        ball: the oracle reads y only up to a positive scale, every cut is
-        central, and the center and pivots are rounded to significant bits,
-        relative to their own size. A ball 2**(rho - 10) times larger
-        therefore gives the same cuts, with every center scaled by that power
-        of two and every volume by 2**(N (rho - 10)). Lowering the floor by
-        N (rho - 10) ln 2 makes the small run stop where the certified one
-        would, without carrying rho-bit exponents through every update.
-        """
-        u = max(2, u_max)
-        rho = float(math.ceil(5 * n_rows**3 * math.log2(u)))
-        floor = _log_unit_ball_volume(n_rows) - 7 * n_rows**5 * math.log(u)
-        return cls(10.0, floor - n_rows * (rho - 10.0) * math.log(2),
-                   iteration_bound(n_rows, u), precision_bits)
+    The guarantee holds at the radius 2**rho, rho = ceil(5 N^3 log2 u),
+    with the floor the unit-ball volume times u**(-7 N^5), in log form.
+    The run is equivariant under a power-of-two scale of the starting
+    ball: the oracle reads y only up to a positive scale, every cut is
+    central, and the center and pivots are rounded to significant bits,
+    relative to their own size. A ball 2**(rho - 10) times larger
+    therefore gives the same cuts, with every center scaled by that power
+    of two and every volume by 2**(N (rho - 10)). Lowering the floor by
+    N (rho - 10) ln 2 makes the small run stop where the certified one
+    would, without carrying rho-bit exponents through every update.
+    """
+    u = max(2, u_max)
+    rho = float(math.ceil(5 * n_rows**3 * math.log2(u)))
+    floor = _log_unit_ball_volume(n_rows) - 7 * n_rows**5 * math.log(u)
+    return (floor - n_rows * (rho - PRACTICAL_LOG2_RADIUS) * math.log(2),
+            iteration_bound(n_rows, u))
 
 
 # ---------- state ----------
@@ -496,11 +459,6 @@ def update(state: EllipsoidState, normal: Sequence[int]) -> EllipsoidState:
 # ---------- transcripts and the run loop ----------
 
 
-class Outcome(str, Enum):
-    INFEASIBLE_OR_SHALLOW = "infeasible_or_shallow"
-    ITERATION_CAP_REACHED = "iteration_cap_reached"
-
-
 @dataclass(frozen=True, slots=True)
 class TranscriptEntry:
     """One iteration: the cut the oracle returned and its exact violation at
@@ -525,8 +483,8 @@ class TranscriptEntry:
 
 @dataclass
 class Transcript:
-    """The cut sequence of a run and how the run ended; entry k (from 0) is
-    iteration k + 1.
+    """The cut sequence of a run and whether it ran out of iterations
+    (capped); entry k (from 0) is iteration k + 1.
 
     It grows with the iterations plus the distinct cuts, not with the
     dimension: each entry is a few integers and a reference to a shared
@@ -537,7 +495,7 @@ class Transcript:
     n_rows: int
     entries: list[TranscriptEntry] = field(default_factory=list)
     roster: list[Cut] = field(default_factory=list)  # distinct cuts, first seen order
-    outcome: "Outcome | None" = None
+    capped: bool = False
 
     def to_jsonl(self) -> str:
         import json
@@ -553,9 +511,13 @@ class Transcript:
 
 def run(
     n_rows: int,
-    params: EllipsoidParams,
     oracle: Callable[[IntegerPoint], Cut],
-    on_new_cut: Callable[[Cut, list[Cut]], bool] | None = None,
+    on_new_cut: Callable[[list[Cut]], bool] | None = None,
+    *,
+    max_iters: int,
+    precision_bits: int,
+    stop_log_volume: float | None = None,
+    log2_radius: float = PRACTICAL_LOG2_RADIUS,
 ) -> Transcript:
     """Drive the cut loop: read the center, query, verify, update, repeat.
 
@@ -573,25 +535,23 @@ def run(
     with slack 2**(-precision_bits/2)); every update must shrink log-volume by
     at least 1/(5 n) minus the same slack. A cut whose normal is identically
     zero certifies infeasibility outright (its constraint is 0 <= -1) and
-    ends the run. on_new_cut fires when a distinct profile or product cut
-    first appears; returning True stops the run early, which the practical
-    mode uses once its collected columns admit a solution. The transcript
-    comes back with its outcome set.
+    ends the run. on_new_cut(roster) fires when a distinct profile or
+    product cut first appears; returning True stops the run early, which
+    the solver's probe does once the collected columns admit a solution. A run
+    whose ellipsoid falls below stop_log_volume (a natural log) also stops;
+    one that does neither within max_iters comes back capped. The settings
+    are taken as given: SolveConfig checks them.
     """
-    state = EllipsoidState.initial_ball(n_rows, params.log2_radius, params.precision_bits)
+    state = EllipsoidState.initial_ball(n_rows, log2_radius, precision_bits)
     transcript = Transcript(n_rows=n_rows)
-    half = params.precision_bits // 2
+    half = precision_bits // 2
     min_drop = 1.0 / (5 * n_rows) - 2.0 ** -half
     previous_log_det = state.log_det()
     log_unit_ball = _log_unit_ball_volume(n_rows)
     known: dict = {}  # roster key -> the roster's instance
     nonneg: dict[int, NonnegativityCut] = {}  # position -> the run's one cut
 
-    def finish(outcome: Outcome) -> Transcript:
-        transcript.outcome = outcome
-        return transcript
-
-    for _ in range(params.max_iters):
+    for _ in range(max_iters):
         point = state.integer_center()
         cut = oracle(point)
         key = cut.roster_key()
@@ -614,10 +574,10 @@ def run(
             )
         if fresh:
             transcript.roster.append(cut)
-        if (fresh and on_new_cut is not None and on_new_cut(cut, transcript.roster)
+        if (fresh and on_new_cut is not None and on_new_cut(transcript.roster)
                 or not any(normal)):
             transcript.entries.append(TranscriptEntry(cut, violation, None))
-            return finish(Outcome.INFEASIBLE_OR_SHALLOW)
+            return transcript
         state = update(state, normal)
         new_log_det = state.log_det()
         drop = (previous_log_det - new_log_det) / 2
@@ -629,7 +589,7 @@ def run(
             )
         transcript.entries.append(TranscriptEntry(cut, violation, drop))
         previous_log_det = new_log_det
-        if params.stop_log_volume is not None:
-            if log_unit_ball + new_log_det / 2 < params.stop_log_volume:
-                return finish(Outcome.INFEASIBLE_OR_SHALLOW)
-    return finish(Outcome.ITERATION_CAP_REACHED)
+        if stop_log_volume is not None and log_unit_ball + new_log_det / 2 < stop_log_volume:
+            return transcript
+    transcript.capped = True
+    return transcript

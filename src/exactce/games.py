@@ -49,7 +49,8 @@ def over_lcm(values: Sequence[Rational]) -> Mix:
 class ProductDistribution:
     """One independent mixed strategy per player, all probabilities exact.
 
-    pairs() is its integer form, the one row values and purify read."""
+    Row values and purify read the integer form (T_p, W_p) per player that
+    oracles.stationary_block builds, not this one."""
 
     strategies: tuple[tuple[Fraction, ...], ...]
 
@@ -61,12 +62,6 @@ class ProductDistribution:
                 raise ValueError(f"player {p}: negative probability")
             if sum(strat) != 1:
                 raise ValueError(f"player {p}: probabilities sum to {sum(strat)}, not 1")
-
-    def pairs(self) -> tuple[Mix, ...]:
-        """One (T_p, W_p) per player, p playing i with probability
-        W_p[i] / T_p: the mix over the lcm of its denominators, which are
-        reduced, so each pair is reduced by one gcd."""
-        return tuple(over_lcm(strat) for strat in self.strategies)
 
 
 # ---------- integerization ----------

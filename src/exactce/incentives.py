@@ -116,8 +116,7 @@ class RowValues(NamedTuple):
 def incentive_row_values(game: Game, pairs: Sequence[Mix]) -> RowValues:
     """Expected value of every incentive row when play follows the product
     whose per-player (T_p, W_p) are pairs, each reduced and summing to T_p as
-    stationary_block and ProductDistribution.pairs build them; they are not
-    checked again here.
+    stationary_block builds them; they are not checked again here.
 
     Row (p, i, j) gets x_p(i) times the gap between p's conditional expected
     payoff from playing i and from playing j, everyone else drawn from x.

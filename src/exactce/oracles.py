@@ -40,7 +40,7 @@ classes goes to the simplex (exact_lp.stationary_distribution) on the
 same integer rates, whose vertex then picks one. The weights stay
 integers: each player's are reduced by one gcd against their total
 (stationary_block), giving (T, W), the integer form of a product
-distribution (ProductDistribution.pairs).
+distribution.
 The product oracle computes its row values from the pairs, over the
 denominator the game type picks (Game.kernel_weights), and its cut
 holds them as its roster key: each is reduced, so two cuts have equal pairs

@@ -27,12 +27,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .ellipsoid import (
-    DEFAULT_PRECISION_BITS,
-    EllipsoidParams,
-    Outcome,
+    MAX_PRECISION_BITS,
     Transcript,
+    certified_stop,
     check_int,
-    check_precision_bits,
     iteration_bound,
     run,
 )
@@ -90,8 +88,8 @@ class SolveConfig:
     mode: str = "practical"
     oracle: str = "purified"
     tie_break: str = "first"
-    precision_bits: int = DEFAULT_PRECISION_BITS
-    max_iters: int = 2000
+    precision_bits: int = 256
+    max_iters: int = 2000  # the practical cap; theoretical mode runs to its certified one
     seed: int = 0  # recorded for provenance; the solve itself is deterministic
     brute_force_fallback: bool = False
     probe_stride: int = 1
@@ -108,7 +106,11 @@ class SolveConfig:
         check_int("max_iters", self.max_iters)
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
-        check_precision_bits(self.precision_bits)
+        check_int("precision_bits", self.precision_bits)
+        if self.precision_bits < 16:
+            raise ValueError("precision_bits must be at least 16")
+        if self.precision_bits > MAX_PRECISION_BITS:
+            raise ValueError(f"precision_bits must be at most {MAX_PRECISION_BITS}")
         check_int("probe_stride", self.probe_stride)
         if self.probe_stride < 1:
             raise ValueError("probe_stride must be positive")
@@ -191,15 +193,6 @@ def _game_summary(game: Game) -> dict:
     }
 
 
-def _params_for(game: Game, config: SolveConfig) -> EllipsoidParams:
-    """Ellipsoid parameters; both modes start from the practical radius."""
-    if config.mode == "practical":
-        return EllipsoidParams.practical(
-            max_iters=config.max_iters, precision_bits=config.precision_bits)
-    return EllipsoidParams.certified(row_count(game), game.payoff_ceiling(),
-                                     config.precision_bits)
-
-
 def _certificate(
     game: Game, config: SolveConfig, transcript: Transcript, max_iters: int
 ) -> tuple[SparseCE, bool]:
@@ -208,7 +201,7 @@ def _certificate(
     Unless the run hit its iteration cap, the certificate is the cold LP's
     vertex over every collected profile column.
     """
-    if transcript.outcome is not Outcome.ITERATION_CAP_REACHED:
+    if not transcript.capped:
         ce = try_feasible_bfs(CutLP(columns=tuple(cut.column for cut in transcript.roster)))
         if ce is None:
             raise SolverError("run ended but the collected cuts admit no distribution", transcript)
@@ -302,11 +295,12 @@ def compute_exact_ce(game: Game, config: SolveConfig | None = None) -> SolveRepo
     started = time.perf_counter()
     n = row_count(game)
     check_row_count(n)
-    params = _params_for(game, config)
+    stop, cap = ((None, config.max_iters) if config.mode == "practical"
+                 else certified_stop(n, game.payoff_ceiling()))
     purified = config.oracle == "purified"
     program = MinViolation()
 
-    def probe(_cut, roster) -> bool:
+    def probe(roster) -> bool:
         if len(roster) % config.probe_stride:
             return False
         for cut in roster[program.added:]:
@@ -318,15 +312,16 @@ def compute_exact_ce(game: Game, config: SolveConfig | None = None) -> SolveRepo
             return purified_separation(game, y, config.tie_break)
         return product_separation(game, y)
 
-    transcript = run(n, params, oracle, probe)
+    transcript = run(n, oracle, probe, max_iters=cap, precision_bits=config.precision_bits,
+                     stop_log_volume=stop)
 
     if purified:
-        certificate, used_fallback = _certificate(game, config, transcript, params.max_iters)
+        certificate, used_fallback = _certificate(game, config, transcript, cap)
         mixture, support, epsilon = None, certificate.support, Fraction(0)
     else:
         # the last probe's answer: asked again, the program resumes from an
-        # optimal basis and pivots nothing. transcript.outcome cannot tell,
-        # since a zero-normal cut between probes ends the run too.
+        # optimal basis and pivots nothing. transcript.capped cannot tell,
+        # since a zero-normal cut between probes ends the run uncapped too.
         mixture = _mixture(transcript, program.feasible())
         certificate, used_fallback = None, False
         support, epsilon = mixture.support, mixture.epsilon

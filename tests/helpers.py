@@ -16,14 +16,15 @@ from fractions import Fraction
 from itertools import accumulate
 
 from exactce import Game, PrecisionError, SolverError, row_count
-from exactce.ellipsoid import (
-    EllipsoidParams,
-    EllipsoidState,
-    _log_unit_ball_volume,
-    iteration_bound,
-)
+from exactce.ellipsoid import EllipsoidState, _log_unit_ball_volume, iteration_bound
 from exactce.exact_lp import _pivot_on, _simplex, _Tableau
-from exactce.games import NormalFormGame, PlayerAdjustment, PolymatrixGame, ProductDistribution
+from exactce.games import (
+    Mix,
+    NormalFormGame,
+    PlayerAdjustment,
+    PolymatrixGame,
+    ProductDistribution,
+)
 from exactce.incentives import RowValues, SparseCE
 from exactce.oracles import (
     _STATIONARY_FAILED,
@@ -636,12 +637,23 @@ def lcm_row_values(game: Game, pairs) -> RowValues:
     return RowValues(tuple(v // common for v in out), Fraction(common, scale))
 
 
+def product_pairs(x: ProductDistribution) -> tuple[Mix, ...]:
+    """One (T_p, W_p) per player, p playing i with probability W_p[i] / T_p:
+    the mix over the lcm of its denominators, which are reduced, so each
+    pair is reduced by one gcd."""
+    pairs = []
+    for strat in x.strategies:
+        total = math.lcm(*(p.denominator for p in strat))
+        pairs.append((total, tuple(p.numerator * (total // p.denominator) for p in strat)))
+    return tuple(pairs)
+
+
 def integer_weights(x: ProductDistribution) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """(D, X): x.pairs() brought over D, the lcm of their totals, X = D x.
+    """(D, X): product_pairs(x) brought over D, the lcm of their totals, X = D x.
 
     One D for all players, so a weighted sum over any player's actions
     carries the same factor D."""
-    pairs = x.pairs()
+    pairs = product_pairs(x)
     d = math.lcm(*(total for total, _ in pairs))
     return d, tuple(tuple(w * (d // total) for w in mix) for total, mix in pairs)
 
@@ -823,14 +835,14 @@ def reference_certified(n_rows: int, u_max: int) -> tuple[float, float, int]:
     return rho, floor, iteration_bound(n_rows, u)
 
 
-def reference_theoretical_params(game: Game, precision_bits: int) -> EllipsoidParams:
-    """The theoretical mode's parameters built the long way: the certified
+def reference_theoretical_params(game: Game) -> tuple[float, int]:
+    """The theoretical mode's (floor, cap) built the long way: the certified
     floor at radius 2**rho, moved down by N (rho - 10) ln 2 to the practical
     radius 2**10, and the certified cap."""
     n = row_count(game)
     rho, floor, cap = reference_certified(n, game.payoff_ceiling())
     shift = n * (rho - 10.0) * math.log(2)
-    return EllipsoidParams(10.0, floor - shift, cap, precision_bits)
+    return floor - shift, cap
 
 
 def log_volume(state: EllipsoidState) -> float:

@@ -178,7 +178,7 @@ def test_criterion_05_brute_force_equivalence(suite):
         rng = random.Random(rec.seed + 777)
         for _ in range(2):
             x = helpers.random_product(rng, rec.game.actions)
-            values = helpers.unit_values(incentive_row_values(rec.game, x.pairs()))
+            values = helpers.unit_values(incentive_row_values(rec.game, helpers.product_pairs(x)))
             probs = [helpers.product_probability(x.strategies, s) for s in profiles]
             expected = [
                 sum((p * v for p, v in zip(probs, matrix[r])), ZERO)

@@ -446,6 +446,16 @@ class TestExitCodes:
             "error: 1089 incentive rows exceed the ceiling 1024"]
         assert not report.exists()
 
+    def test_solve_product_refuses_ce_output(self, tmp_path, capsys):
+        # the product oracle gives a mixture, never a certificate to write
+        report, ce = tmp_path / "r.json", tmp_path / "ce.json"
+        assert run_cli("solve", "--input", str(gen_game(tmp_path)), "--oracle", "product",
+                       "--output", str(report), "--ce-output", str(ce)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert sum(line.startswith("error:") for line in err) == 1, err
+        assert not any(line.startswith("solving:") for line in err)
+        assert not report.exists() and not ce.exists()
+
     def test_verify_ce_not_utf8(self, tmp_path, capsys):
         ce = tmp_path / "ce.json"
         ce.write_bytes(NOT_UTF8)

@@ -21,11 +21,10 @@ from exactce import (
 )
 from exactce import solver
 from exactce.ellipsoid import (
-    MAX_PRECISION_BITS,
-    EllipsoidParams,
+    PRACTICAL_LOG2_RADIUS,
     EllipsoidState,
-    Outcome,
     _round_dyadic,
+    certified_stop,
     iteration_bound,
     run,
     update,
@@ -64,10 +63,10 @@ def recording(oracle, centers):
     return recorded
 
 
-def final_state(n, params, transcript):
+def final_state(n, transcript, *, precision_bits, log2_radius=PRACTICAL_LOG2_RADIUS):
     """The state a run ended in: its cut normals replayed through update
     from the starting ball, skipping the entries the run did not update on."""
-    state = EllipsoidState.initial_ball(n, params.log2_radius, params.precision_bits)
+    state = EllipsoidState.initial_ball(n, log2_radius, precision_bits)
     for entry in transcript.entries:
         if entry.log_volume_drop is not None:
             state = update(state, entry.cut.normal())
@@ -554,31 +553,12 @@ class TestIterationBound:
 
 
 class TestParams:
-    def test_practical_defaults(self):
-        params = EllipsoidParams.practical()
-        assert params.log2_radius == 10.0
-        assert params.stop_log_volume is None
-        assert params.max_iters == 2000
-
     def test_certified_shapes(self):
         n, u = 2, 10
-        params = EllipsoidParams.certified(n, u)
-        assert params.log2_radius == 10.0  # the run is the certified one scaled down
-        assert params.max_iters == iteration_bound(n, u)
-        assert params.stop_log_volume is not None
-        assert params.stop_log_volume < 0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            EllipsoidParams(10.0, None, 0, 256)
-        with pytest.raises(ValueError):
-            EllipsoidParams(10.0, None, 10, 8)
-        with pytest.raises(ValueError, match="at most"):
-            EllipsoidParams(10.0, None, 10, MAX_PRECISION_BITS + 1)
-        for max_iters, bits in ((10, 256.0), (10, True), (2.5, 256)):
-            with pytest.raises(ValueError, match="must be an integer"):
-                EllipsoidParams(10.0, None, max_iters, bits)
-        assert EllipsoidParams(10.0, None, 10, MAX_PRECISION_BITS).precision_bits == 1 << 16
+        stop, cap = certified_stop(n, u)
+        assert PRACTICAL_LOG2_RADIUS == 10.0  # the run is the certified one scaled down
+        assert cap == iteration_bound(n, u)
+        assert stop < 0
 
 
 class TestRunLoop:
@@ -586,7 +566,7 @@ class TestRunLoop:
         # a constraint satisfied at the query point means the oracle lied
         oracle = lambda y: FakeCut((1, 0), rhs=F(1))
         with pytest.raises(SolverError) as info:
-            run(2, EllipsoidParams.practical(2.0, 10, 128), oracle)
+            run(2, oracle, max_iters=10, precision_bits=128, log2_radius=2.0)
         assert info.value.transcript is not None
 
     def test_rejected_cut_leaves_the_lines_numbered(self):
@@ -603,7 +583,7 @@ class TestRunLoop:
             return FakeCut((-1 if len(calls) % 2 else 1, 0), rhs=F(-1))
 
         with pytest.raises(SolverError, match="satisfied at the query point") as info:
-            run(2, EllipsoidParams.practical(0.0, 10, 128), oracle)
+            run(2, oracle, max_iters=10, precision_bits=128, log2_radius=0.0)
         lines = info.value.transcript.to_jsonl().splitlines()
         assert [json.loads(line)["iter"] for line in lines] == [1, 2, 3]
 
@@ -611,22 +591,22 @@ class TestRunLoop:
     def test_slack_is_exactly_half_the_precision(self, bits):
         # the center starts at 0, so a cut y[0] <= rhs is violated by -rhs
         slack = F(1, 2 ** (bits // 2))
-        params = EllipsoidParams.practical(2.0, 1, bits)
-        transcript = run(2, params, lambda y: FakeCut((1, 0), rhs=slack))
+        settings = dict(max_iters=1, precision_bits=bits, log2_radius=2.0)
+        transcript = run(2, lambda y: FakeCut((1, 0), rhs=slack), **settings)
         (entry,) = transcript.entries
         assert entry.violation == -slack
         assert entry.violation_pair[1] > 0
         below = slack + F(1, 2 ** (bits + 40))
         with pytest.raises(SolverError, match="satisfied at the query point"):
-            run(2, params, lambda y: FakeCut((1, 0), rhs=below))
+            run(2, lambda y: FakeCut((1, 0), rhs=below), **settings)
 
     def test_zero_normal_certifies_infeasibility(self):
         g = random_game("nfg", 2, 2, u_max=0, seed=0)  # constant game
         column = profile_column(g, (0, 0))
         assert column.entries == ()
         oracle = lambda y: ProfileCut(column=column)
-        transcript = run(row_count(g), EllipsoidParams.practical(4.0, 50, 128), oracle)
-        assert transcript.outcome is Outcome.INFEASIBLE_OR_SHALLOW
+        transcript = run(row_count(g), oracle, max_iters=50, precision_bits=128, log2_radius=4.0)
+        assert not transcript.capped
         assert len(transcript.entries) == 1
         assert transcript.entries[0].log_volume_drop is None
 
@@ -637,31 +617,31 @@ class TestRunLoop:
             flip["sign"] = -flip.get("sign", -1)
             return FakeCut((flip["sign"], 0), rhs=F(-1))
 
-        transcript = run(2, EllipsoidParams.practical(0.0, 7, 128), oracle)
-        assert transcript.outcome is Outcome.ITERATION_CAP_REACHED
+        transcript = run(2, oracle, max_iters=7, precision_bits=128, log2_radius=0.0)
+        assert transcript.capped
         assert len(transcript.entries) == 7
         assert all(e.log_volume_drop is not None for e in transcript.entries)
 
     def test_volume_floor_stops_run(self):
         state = EllipsoidState.initial_ball(2, 2.0, 128)
         floor = log_volume(state) - 3.0
-        params = EllipsoidParams(2.0, floor, 500, 128)
+        settings = dict(precision_bits=128, log2_radius=2.0)
         flip = {}
 
         def oracle(y):
             flip["sign"] = -flip.get("sign", -1)
             return FakeCut((flip["sign"], 0), rhs=F(-1))
 
-        transcript = run(2, params, oracle)
-        assert transcript.outcome is Outcome.INFEASIBLE_OR_SHALLOW
+        transcript = run(2, oracle, max_iters=500, stop_log_volume=floor, **settings)
+        assert not transcript.capped
         assert 2 <= len(transcript.entries) < 500
-        assert log_volume(final_state(2, params, transcript)) < floor
+        assert log_volume(final_state(2, transcript, **settings)) < floor
 
     def test_on_new_cut_early_stop(self):
         g = random_game("nfg", 4, 2, u_max=10, seed=7)
         stops = []
 
-        def probe(cut, roster):
+        def probe(roster):
             if len(roster) >= 2:
                 stops.append(len(roster))
                 return True
@@ -669,11 +649,12 @@ class TestRunLoop:
 
         transcript = run(
             row_count(g),
-            EllipsoidParams.practical(10.0, 500, 256),
             lambda y: purified_separation(g, y),
             probe,
+            max_iters=500,
+            precision_bits=256,
         )
-        assert transcript.outcome is Outcome.INFEASIBLE_OR_SHALLOW
+        assert not transcript.capped
         assert stops == [2]
         assert len(transcript.roster) == 2
 
@@ -682,8 +663,9 @@ class TestRunLoop:
         n = row_count(g)
         transcript = run(
             n,
-            EllipsoidParams.practical(10.0, 60, 256),
             lambda y: purified_separation(g, y),
+            max_iters=60,
+            precision_bits=256,
         )
         checked = 0
         for entry in transcript.entries:
@@ -702,18 +684,22 @@ class TestRunLoop:
         big_centers, little_centers = [], []
         transcript = run(
             n,
-            EllipsoidParams(rho, floor, 60),
             recording(lambda y: purified_separation(g, y), big_centers),
+            max_iters=60,
+            precision_bits=256,
+            stop_log_volume=floor,
+            log2_radius=rho,
         )
-        assert transcript.outcome is Outcome.ITERATION_CAP_REACHED
+        assert transcript.capped
         assert all(e.log_volume_drop >= 1.0 / (5 * n) - 2.0**-128
                    for e in transcript.entries)
         # the same iterations at radius 2**10 are the certified run scaled
         # down exactly, which is what lets theoretical mode run small
         small = run(
             n,
-            EllipsoidParams.practical(10.0, 60),
             recording(lambda y: purified_separation(g, y), little_centers),
+            max_iters=60,
+            precision_bits=256,
         )
         big, little = transcript.entries, small.entries
         assert [e.cut.describe() for e in big] == [e.cut.describe() for e in little]
@@ -728,8 +714,9 @@ class TestRunLoop:
         g = random_game("nfg", 2, 2, u_max=9, seed=1)
         transcript = run(
             row_count(g),
-            EllipsoidParams.practical(10.0, 5, 256),
             lambda y: purified_separation(g, y),
+            max_iters=5,
+            precision_bits=256,
         )
         lines = transcript.to_jsonl().strip().splitlines()
         assert len(lines) == len(transcript.entries)
@@ -742,21 +729,19 @@ class TestRunLoop:
     def test_determinism(self):
         g = random_game("nfg", 3, 2, u_max=10, seed=5)
 
-        params = EllipsoidParams.practical(10.0, 40, 256)
-
         def once(centers):
-            return run(row_count(g), params,
-                       recording(lambda y: purified_separation(g, y), centers))
+            return run(row_count(g), recording(lambda y: purified_separation(g, y), centers),
+                       max_iters=40, precision_bits=256)
 
         a_centers, b_centers = [], []
         a, b = once(a_centers), once(b_centers)
-        assert a.outcome == b.outcome
+        assert a.capped == b.capped
         assert len(a_centers) == len(a.entries)
         assert a_centers == b_centers
         assert [e.violation for e in a.entries] == [
             e.violation for e in b.entries]
-        assert (final_state(row_count(g), params, a).snapshot()
-                == final_state(row_count(g), params, b).snapshot())
+        assert (final_state(row_count(g), a, precision_bits=256).snapshot()
+                == final_state(row_count(g), b, precision_bits=256).snapshot())
 
     def test_repeated_cut_holds_the_roster_instance(self):
         g = random_game("polymatrix", 3, 3, u_max=10, seed=33)
@@ -766,7 +751,7 @@ class TestRunLoop:
             returned.append(purified_separation(g, y))
             return returned[-1]
 
-        transcript = run(row_count(g), EllipsoidParams.practical(10.0, 200, 256), oracle)
+        transcript = run(row_count(g), oracle, max_iters=200, precision_bits=256)
         roster = {cut.roster_key(): cut for cut in transcript.roster}
         assert len(roster) == len(transcript.roster)
         assert len(returned) == len(transcript.entries)
@@ -782,8 +767,8 @@ class TestRunLoop:
     @pytest.mark.parametrize("separation", [purified_separation, product_separation])
     def test_one_nonnegativity_cut_per_coordinate(self, separation):
         g = random_game("polymatrix", 3, 3, u_max=10, seed=33)
-        transcript = run(row_count(g), EllipsoidParams.practical(10.0, 200, 256),
-                     lambda y: separation(g, y))
+        transcript = run(row_count(g), lambda y: separation(g, y),
+                         max_iters=200, precision_bits=256)
         cuts = [e.cut for e in transcript.entries if e.cut.kind == "nonneg"]
         positions = {cut.position for cut in cuts}
         assert len(cuts) > len(positions) > 1
@@ -793,11 +778,14 @@ class TestRunLoop:
         g = random_game("nfg", 2, 3, u_max=10, seed=3)
         transcript = run(
             row_count(g),
-            EllipsoidParams.practical(10.0, 30, 64),
             lambda y: purified_separation(g, y),
+            max_iters=30,
+            precision_bits=64,
         )
-        assert transcript.outcome in (
-            Outcome.ITERATION_CAP_REACHED, Outcome.INFEASIBLE_OR_SHALLOW)
+        # no probe and no floor: every one of the 30 iterations updates
+        assert transcript.capped
+        assert len(transcript.entries) == 30
+        assert all(e.log_volume_drop is not None for e in transcript.entries)
 
 
 CONFIGS = [

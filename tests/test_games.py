@@ -505,8 +505,8 @@ class TestProductDistribution:
     def test_pairs(self):
         # each player over the lcm of its own denominators
         x = ProductDistribution(((F(1, 3), F(2, 3)), (F(1, 2), F(1, 4), F(1, 4))))
-        assert x.pairs() == ((3, (1, 2)), (4, (2, 1, 1)))
-        assert helpers.point_mass((2, 3), (1, 2)).pairs() == (
+        assert helpers.product_pairs(x) == ((3, (1, 2)), (4, (2, 1, 1)))
+        assert helpers.product_pairs(helpers.point_mass((2, 3), (1, 2))) == (
             (1, (0, 1)), (1, (0, 0, 1)))
 
     @pytest.mark.parametrize("family", ["nfg", "polymatrix"])
@@ -517,7 +517,7 @@ class TestProductDistribution:
         for seed in range(6):
             g = random_game(family, 3, (2, 3, 2), u_max=9, seed=seed)
             x = helpers.random_product(rng, g.actions)
-            pairs = x.pairs()
+            pairs = helpers.product_pairs(x)
             weights, scale = g.kernel_weights(pairs)
             totals = [total for total, _ in pairs]
             if family == "nfg":

@@ -137,7 +137,7 @@ class TestRowValues:
             for seed in range(5):
                 g = random_game(family, 3, 2, u_max=8, seed=seed)
                 x = helpers.random_product(rng, g.actions)
-                values = helpers.unit_values(incentive_row_values(g, x.pairs()))
+                values = helpers.unit_values(incentive_row_values(g, helpers.product_pairs(x)))
                 for position, row in enumerate(helpers.all_rows(g)):
                     assert values[position] == helpers.enum_row_expectation(
                         g, x.strategies, tuple(row))
@@ -146,7 +146,7 @@ class TestRowValues:
         g = random_game("nfg", 2, 3, u_max=9, seed=8)
         s = (2, 0)
         x = helpers.point_mass(g.actions, s)
-        assert helpers.unit_values(incentive_row_values(g, x.pairs())) == [
+        assert helpers.unit_values(incentive_row_values(g, helpers.product_pairs(x))) == [
             F(v) for v in profile_column(g, s).dense()]
 
     @settings(max_examples=120, deadline=None, derandomize=True)

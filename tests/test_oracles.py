@@ -317,7 +317,7 @@ class TestStationaryWeights:
         # the stationary pairs are the integer form of their own Fractions
         g, point = case
         stationary = stationary_pairs(g, point)
-        assert _stationary_x(stationary).pairs() == tuple(stationary)
+        assert helpers.product_pairs(_stationary_x(stationary)) == tuple(stationary)
 
     def test_several_closed_classes_take_the_simplex(self):
         g, point = SEVERAL_CLOSED_CLASSES
@@ -485,7 +485,8 @@ class TestSeparationOracles:
             cut = product_separation(g, y)
             assert isinstance(cut, ProductCut)
             values = helpers.unit_values(cut)
-            assert values == helpers.unit_values(incentive_row_values(g, cut.x.pairs()))
+            pairs = helpers.product_pairs(cut.x)
+            assert values == helpers.unit_values(incentive_row_values(g, pairs))
             assert sum(v * w for v, w in zip(values, y)) == 0
             assert cut_violation(cut, y) == 1
 
@@ -670,13 +671,13 @@ class TestIntegerValue:
     @given(value_cases())
     def test_pairs_round_trip(self, case):
         _, _, x = case
-        assert _stationary_x(x.pairs()) == x
+        assert _stationary_x(helpers.product_pairs(x)) == x
 
     @settings(max_examples=150, deadline=None)
     @given(value_cases())
     def test_row_values_match_fraction_formula(self, case):
         g, _, x = case
-        assert (helpers.unit_values(incentive_row_values(g, x.pairs()))
+        assert (helpers.unit_values(incentive_row_values(g, helpers.product_pairs(x)))
                 == helpers.fraction_row_values(g, x.strategies))
 
     @settings(max_examples=100, deadline=None)

@@ -25,7 +25,7 @@ from exactce import (
     verify_ce,
 )
 from exactce import exact_lp, oracles, solver
-from exactce.ellipsoid import Outcome, iteration_bound
+from exactce.ellipsoid import MAX_PRECISION_BITS, certified_stop, iteration_bound
 from exactce.solver import probability_bit_bound, support_bound
 
 BENCHMARK = Path(__file__).resolve().parent.parent / "benchmark"
@@ -70,6 +70,7 @@ class TestConfig:
         cfg = SolveConfig()
         assert cfg.mode == "practical" and cfg.oracle == "purified"
         assert cfg.tie_break == "first" and cfg.precision_bits == 256
+        assert cfg.max_iters == 2000
 
     @pytest.mark.parametrize("kwargs", [
         {"mode": "magic"},
@@ -98,6 +99,23 @@ class TestConfig:
     def test_rejects(self, kwargs):
         with pytest.raises(ValueError):
             SolveConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"precision_bits": 8}, "at least 16"),
+        ({"precision_bits": MAX_PRECISION_BITS + 1}, "at most"),
+        ({"precision_bits": 256.0}, "must be an integer"),
+        ({"precision_bits": True}, "must be an integer"),
+        ({"max_iters": 2.5}, "must be an integer"),
+    ])
+    def test_rejection_says_why(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            SolveConfig(**kwargs)
+
+    def test_accepts_the_bounds(self):
+        # both precision bounds are inclusive, and one iteration is a cap
+        assert SolveConfig(precision_bits=16).precision_bits == 16
+        assert SolveConfig(precision_bits=MAX_PRECISION_BITS).precision_bits == 1 << 16
+        assert SolveConfig(max_iters=1).max_iters == 1
 
 
 class TestStandardLibraryOnly:
@@ -281,7 +299,7 @@ class TestPurifiedSolve:
         report = compute_exact_ce(g, SolveConfig(mode="theoretical"))
         assert report.certificate.atoms == (((0, 0), F(1)),)
         assert report.iterations == 1
-        assert report.transcript.outcome is Outcome.INFEASIBLE_OR_SHALLOW
+        assert not report.transcript.capped
 
     def test_theoretical_mode_matches_practical(self):
         # the same loop with a floor the probe outruns: every suite game
@@ -306,11 +324,20 @@ class TestPurifiedSolve:
                                                              actions, u_max, seed):
         # bit for bit the floor the certified radius gives, moved down to 2**10
         g = random_game(family, players, actions, u_max=u_max, seed=seed)
-        got = solver._params_for(g, SolveConfig(mode="theoretical", precision_bits=96))
-        want = helpers.reference_theoretical_params(g, 96)
-        assert (got.log2_radius, got.stop_log_volume.hex(), got.max_iters,
-                got.precision_bits) == (want.log2_radius, want.stop_log_volume.hex(),
-                                        want.max_iters, want.precision_bits)
+        stop, cap = certified_stop(row_count(g), g.payoff_ceiling())
+        floor, want_cap = helpers.reference_theoretical_params(g)
+        assert (stop.hex(), cap) == (floor.hex(), want_cap)
+
+    def test_theoretical_mode_ignores_max_iters(self):
+        # the certified cap takes max_iters' place: a cap of 3 fails in
+        # practical mode, and theoretical mode still gives its default answer
+        g = random_game("polymatrix", 3, 3, u_max=10, seed=33)
+        with pytest.raises(SolverError, match="iteration cap 3 "):
+            compute_exact_ce(g, SolveConfig(max_iters=3))
+        default = compute_exact_ce(g, SolveConfig(mode="theoretical"))
+        report = compute_exact_ce(g, SolveConfig(mode="theoretical", max_iters=3))
+        assert report.certificate == default.certificate
+        assert report.iterations == default.iterations == 32
 
     def test_report_json_shape(self):
         g = random_game("nfg", 2, 2, u_max=10, seed=3)
