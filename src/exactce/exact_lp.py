@@ -29,15 +29,20 @@ That program's columns are the product cuts' row values, whose entries run
 to hundreds of bits, so min_violation_mixture guesses its optimal basis
 cheaply and certifies it exactly, after Applegate, Cook, Dash and Espinoza
 (QSopt_ex). MinViolation first solves the program with every entry rounded
-to GUESS_BITS fractional bits, a nonzero entry never to zero, so both
-programs touch the same rows. _certified then solves the guessed basis on
-the exact columns, over its binding rows and the sum row only, for the
-primal (alpha, t) and the duals, and accepts it when it is primal feasible
-and every nonbasic variable's reduced cost is strictly positive: then every
+to 24 fractional bits, a nonzero entry never to zero, so both programs
+touch the same rows. _certified then solves the guessed basis on the exact
+columns, over its binding rows and the sum row only, for the primal
+(alpha, t) and the duals, and accepts it when it is primal feasible and
+every nonbasic variable's reduced cost is strictly positive: then every
 other feasible point costs more, the optimum is unique, and the exact
-simplex would reach the same (t, alpha), rational for rational. Otherwise,
-when the rounding moved the optimum or the optimal face is wider than a
-point, MinViolation solves the exact program.
+simplex would reach the same (t, alpha), rational for rational. Whatever
+the width of the guess, the certificate is exact. When the rounding moved
+the optimum to another basis, the guess is tried again at each wider width
+of GUESS_LADDER, 96 and then 384 bits, as QSopt_ex raises its precision.
+When the guessed basis is optimal with a zero reduced cost, the optimal
+face may be wider than a point and no width certifies it, so the ladder
+stops there. When no guess is certified, MinViolation solves the exact
+program.
 
 The tableaus hold Python integers, not fractions. Every program takes
 integer columns with one positive scale s_j each: column j of the rational
@@ -523,25 +528,32 @@ def mixture_feasible(
     return None if solution is None else solution[:n_cols]
 
 
-# fractional bits of the rounded program min_violation_mixture solves first
-GUESS_BITS = 24
+# fractional bits of each rounded program min_violation_mixture solves, in
+# turn, before the exact one
+GUESS_LADDER = (24, 96, 384)
 
 
-def _rounded(direction: Sequence[int], unit: Rational) -> list[int]:
-    """unit * direction times 2**GUESS_BITS, rounded to integers, half up.
+def _rounded(direction: Sequence[int], unit: Rational, bits: int) -> list[int]:
+    """unit * direction times 2**bits, rounded to integers, half up.
 
     A nonzero entry that rounds to zero becomes its sign instead, so the
     rounded column touches exactly the rows the exact one touches.
     """
-    num, den = unit.numerator << (GUESS_BITS + 1), unit.denominator
+    num, den = unit.numerator << (bits + 1), unit.denominator
     twice = 2 * den
     return [(num * v + den) // twice or (v > 0) - (v < 0) for v in direction]
 
 
 def _certified(guess: MinViolation, directions: Sequence[Sequence[int]],
-               units: Sequence[Rational]) -> tuple[Fraction, list[Fraction]] | None:
+               units: Sequence[Rational]) -> tuple[Fraction, list[Fraction]] | str:
     """(t, alpha) at guess's optimal basis, taken over the exact columns, if
-    that basis is provably the exact program's one optimum; else None.
+    that basis is provably the exact program's one optimum; else why not.
+
+    The refusal is "moved" when the basis is singular, primal infeasible or
+    has a negative reduced cost on the exact columns, so the rounding moved
+    the optimum and a finer one may find its basis. It is "face" when the
+    basis is optimal but some reduced cost is zero: the optimal face may be
+    wider than a point, and no rounding certifies it.
 
     The basis is read off the solved guess: its basic weights, whether t is
     basic, and the binding rows, those whose surplus is nonbasic. Over the
@@ -577,7 +589,7 @@ def _certified(guess: MinViolation, directions: Sequence[Sequence[int]],
     tab = _gauss_jordan([[*row, *(int(i == j) for j in range(size))]
                          for i, row in enumerate(matrix)], size)
     if tab is None:
-        return None  # the basis is singular on the exact columns
+        return "moved"  # the basis is singular on the exact columns
     det = tab.det
     inverse = [[]] * size  # det * M^-1, row by row
     for var, row in zip(tab.basis, tab.rows):
@@ -586,12 +598,12 @@ def _certified(guess: MinViolation, directions: Sequence[Sequence[int]],
     # primal feasibility, everything times det
     levels = [row[-1] for row in inverse]  # t if basic, then the basic weights
     if min(levels) < 0:
-        return None
+        return "moved"
     level_t = levels[0] if t_basic else 0
     levels = levels[t_basic:]
     if any(sum(x * nums[k] * directions[k][r] for x, k in zip(levels, weights)) + level_t < 0
            for r in slack):
-        return None
+        return "moved"
 
     # strictly positive reduced costs, everything times det: the binding
     # rows' surpluses, t if nonbasic, then the nonbasic weights
@@ -599,8 +611,9 @@ def _certified(guess: MinViolation, directions: Sequence[Sequence[int]],
     reduced = y + [det - sum(y)] * (not t_basic)
     reduced += [-(sum(w * directions[k][r] for w, r in zip(y, binding)) * nums[k]
                   + z * dens[k]) for k in range(n) if k not in basic]
-    if not all(d > 0 for d in reduced):
-        return None
+    lowest = min(reduced, default=1)
+    if lowest <= 0:
+        return "moved" if lowest < 0 else "face"
 
     alpha = [ZERO] * n
     for x, k in zip(levels, weights):
@@ -620,20 +633,25 @@ def min_violation_mixture(
     product oracle's pinned games, but the optimal face can be wider in
     general.
 
-    It first solves the program rounded by _rounded. When _certified proves
-    that optimum's basis, taken over the exact columns, the exact program's
-    only optimum, which the exact MinViolation would return too, its vertex
-    is the result. Otherwise the exact MinViolation runs, so the result
-    stays exact whatever the rounding did and is the cold program's vertex
-    where the optimal face is wider than a point.
+    It solves the program rounded by _rounded to each width of GUESS_LADDER
+    in turn. When _certified proves a rounded optimum's basis, taken over
+    the exact columns, the exact program's only optimum, which the exact
+    MinViolation would return too, its vertex is the result. A guess the
+    rounding moved is retried at the next width; a guess with a zero
+    reduced cost ends the ladder. Then the exact MinViolation runs, so the
+    result stays exact whatever the rounding did and is the cold program's
+    vertex where the optimal face is wider than a point.
     """
-    guess = MinViolation()
-    for direction, unit in zip(directions, units):
-        guess.add(_rounded(direction, unit))
-    guess.mixture()
-    certified = _certified(guess, directions, units)
-    if certified is not None:
-        return certified
+    for bits in GUESS_LADDER:
+        guess = MinViolation()
+        for direction, unit in zip(directions, units):
+            guess.add(_rounded(direction, unit, bits))
+        guess.mixture()
+        certified = _certified(guess, directions, units)
+        if certified == "face":
+            break
+        if certified != "moved":
+            return certified
     program = MinViolation()
     for direction, unit in zip(directions, units):
         program.add(direction, unit)

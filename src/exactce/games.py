@@ -3,8 +3,10 @@
 Two families are supported: full normal-form tables and polymatrix games,
 where a player's payoff is the sum of bilinear interactions with every other
 player. Rational input utilities are integerized at load time by a per-player
-positive scale (clearing denominators) followed by a nonnegative shift; both
-are recorded on the game and neither changes the set of correlated equilibria.
+positive scale (clearing denominators), then a nonnegative shift of each table
+or block. An incentive constraint is one player's payoff difference between
+two of that player's actions, so the scale multiplies it by a positive number
+and the shift cancels from it: the set of correlated equilibria is unchanged.
 """
 
 from __future__ import annotations
@@ -65,21 +67,6 @@ class ProductDistribution:
 
 
 # ---------- integerization ----------
-
-
-@dataclass(frozen=True)
-class PlayerAdjustment:
-    """Per-player (scale, shift) applied to raw utilities when loading.
-
-    stored = scale * raw + shift, with scale > 0, so best responses and the
-    whole correlated-equilibrium set are preserved.
-    """
-
-    scale: Fraction = Fraction(1)
-    shift: Fraction = Fraction(0)
-
-
-IDENTITY = PlayerAdjustment()
 
 
 def rational_from_text(text: str) -> Fraction:
@@ -160,23 +147,20 @@ def _parse_utility(value, where: str, index: int) -> int | Fraction:
 
 def _integerize(
     blocks: Sequence[Sequence[Sequence[int | Fraction]]],
-) -> tuple[PlayerAdjustment, list[tuple[tuple[int, ...], ...]]]:
+) -> list[tuple[tuple[int, ...], ...]]:
     """One player's utilities on integers, in whatever type each one holds.
 
     Every value is scaled by the lcm of all the denominators (an int's is 1),
-    and each block is shifted by its negated minimum when that is positive;
-    the scale and the total shift are the player's adjustment. Only the
-    adjustment is built from Fractions.
+    and each block is shifted by its negated minimum when that is positive.
     """
     scale = math.lcm(*{v.denominator for block in blocks for row in block for v in row})
-    stored, total_shift = [], 0
+    stored = []
     for block in blocks:
         scaled = [[v.numerator * (scale // v.denominator) for v in row] for row in block]
         low = min(min(row) for row in scaled)
         shift = -low if low < 0 else 0
-        total_shift += shift
         stored.append(tuple(tuple(v + shift for v in row) for row in scaled))
-    return PlayerAdjustment(Fraction(scale), Fraction(total_shift)), stored
+    return stored
 
 
 def _nonnegative_ints(rows: Sequence[Sequence]) -> bool:
@@ -206,7 +190,6 @@ class Game:
     """Base type: immutable game with nonnegative integer payoffs."""
 
     actions: tuple[int, ...]
-    adjustments: tuple[PlayerAdjustment, ...]
 
     family = "abstract"
 
@@ -215,8 +198,6 @@ class Game:
             raise GameFormatError("a game needs at least one player")
         if not all(map(_is_count, self.actions)):
             raise GameFormatError("every player needs a positive action count")
-        if len(self.adjustments) != len(self.actions):
-            raise GameFormatError("one adjustment record per player required")
 
     @property
     def players(self) -> int:
@@ -560,17 +541,15 @@ def _load_nfg(doc: dict) -> NormalFormGame:
     if not isinstance(payoffs, list) or len(payoffs) != len(actions):
         raise GameFormatError("payoffs must list one table per player")
     tables = []
-    adjustments = []
     for p, raw in enumerate(payoffs):
         if not isinstance(raw, list) or len(raw) != m:
             raise GameFormatError(f"player {p}: payoff table must have exactly {m} entries")
         where = f"player {p} entry {{}}"
         values = [_parse_utility(v, where, k) for k, v in enumerate(raw)]
-        adjustment, ((table,),) = _integerize([[values]])
+        ((table,),) = _integerize([[values]])
         _check_printable(table, f"player {p}")
         tables.append(table)
-        adjustments.append(adjustment)
-    return NormalFormGame(actions=actions, adjustments=tuple(adjustments), tables=tuple(tables))
+    return NormalFormGame(actions=actions, tables=tuple(tables))
 
 
 def _load_polymatrix(doc: dict) -> PolymatrixGame:
@@ -602,21 +581,15 @@ def _load_polymatrix(doc: dict) -> PolymatrixGame:
         raw[(p, q)] = parsed
 
     blocks: list[list[tuple[tuple[int, ...], ...] | None]] = [[None] * n for _ in range(n)]
-    adjustments = []
     for p in range(n):
         others = [q for q in range(n) if q != p]
         # an absent interaction is a zero matrix
-        adjustment, stored = _integerize(
+        stored = _integerize(
             [raw.get((p, q), [[0] * actions[q]] * actions[p]) for q in others])
         for q, block in zip(others, stored):
             _check_printable([max(row) for row in block], f"player {p} block ({p},{q})")
             blocks[p][q] = block
-        adjustments.append(adjustment)
-    return PolymatrixGame(
-        actions=actions,
-        adjustments=tuple(adjustments),
-        blocks=tuple(tuple(row) for row in blocks),
-    )
+    return PolymatrixGame(actions=actions, blocks=tuple(tuple(row) for row in blocks))
 
 
 def load_game(document: dict | str) -> Game:
@@ -683,13 +656,12 @@ def random_game(family: str, players: int, actions, u_max: int, seed: int) -> Ga
     """
     counts = check_random_setting(family, players, actions, u_max)
     rng = random.Random(seed)
-    identity = tuple(IDENTITY for _ in range(players))
     if family == "nfg":
         m = math.prod(counts)
         tables = tuple(
             tuple(rng.randint(0, u_max) for _ in range(m)) for _ in range(players)
         )
-        return NormalFormGame(actions=counts, adjustments=identity, tables=tables)
+        return NormalFormGame(actions=counts, tables=tables)
     blocks: list[list[tuple[tuple[int, ...], ...] | None]] = [
         [None] * players for _ in range(players)
     ]
@@ -700,6 +672,4 @@ def random_game(family: str, players: int, actions, u_max: int, seed: int) -> Ga
                     tuple(rng.randint(0, u_max) for _ in range(counts[q]))
                     for _ in range(counts[p])
                 )
-    return PolymatrixGame(
-        actions=counts, adjustments=identity, blocks=tuple(tuple(row) for row in blocks)
-    )
+    return PolymatrixGame(actions=counts, blocks=tuple(tuple(row) for row in blocks))

@@ -21,7 +21,6 @@ from exactce.exact_lp import _pivot_on, _simplex, _Tableau
 from exactce.games import (
     Mix,
     NormalFormGame,
-    PlayerAdjustment,
     PolymatrixGame,
     ProductDistribution,
 )
@@ -109,7 +108,7 @@ def expand_to_normal_form(game: Game) -> NormalFormGame:
         tuple(payoff_direct(game, s, p) for s in enum_profiles(game.actions))
         for p in range(len(game.actions))
     )
-    return NormalFormGame(actions=game.actions, adjustments=game.adjustments, tables=tables)
+    return NormalFormGame(actions=game.actions, tables=tables)
 
 
 def materialize_matrix(game: Game) -> list[list[int]]:
@@ -554,42 +553,38 @@ def random_nonneg_dual(rng: random.Random, length: int, density: float = 0.7):
 
 
 def reference_integerize(blocks):
-    """(adjustment, stored blocks) of one player's utilities on Fractions:
-    every utility times the lcm of their denominators, each block shifted by
-    its negated minimum when that is positive."""
+    """The stored blocks of one player's utilities, on Fractions: every
+    utility times the lcm of their denominators, each block shifted by its
+    negated minimum when that is positive."""
     values = [[[Fraction(v) for v in row] for row in block] for block in blocks]
     scale = Fraction(math.lcm(*(v.denominator for block in values for row in block for v in row)))
-    total_shift, stored = ZERO, []
+    stored = []
     for block in values:
         scaled = [[v * scale for v in row] for row in block]
         low = min(min(row) for row in scaled)
         shift = -low if low < 0 else ZERO
-        total_shift += shift
         stored.append(tuple(tuple(int(v + shift) for v in row) for row in scaled))
-    return PlayerAdjustment(scale, total_shift), stored
+    return stored
 
 
 def reference_load(doc: dict):
-    """(adjustments, tables or blocks) that the Fraction integerizer gives a
-    valid nfg or polymatrix document."""
+    """The tables or blocks that the Fraction integerizer gives a valid nfg or
+    polymatrix document."""
     actions = doc["actions"]
     if doc["type"] == "nfg":
-        players = [reference_integerize([[table]]) for table in doc["payoffs"]]
-        return (tuple(adj for adj, _ in players),
-                tuple(block[0] for _, (block,) in players))
+        return tuple(reference_integerize([[table]])[0][0] for table in doc["payoffs"])
     n = len(actions)
     matrices = {(e["p"], e["q"]): e["matrix"] for e in doc["edges"]}
-    adjustments, blocks = [], []
+    blocks = []
     for p in range(n):
         others = [q for q in range(n) if q != p]
-        adj, stored = reference_integerize(
+        stored = reference_integerize(
             [matrices.get((p, q), [[0] * actions[q]] * actions[p]) for q in others])
-        adjustments.append(adj)
         row = [None] * n
         for q, block in zip(others, stored):
             row[q] = block
         blocks.append(tuple(row))
-    return tuple(adjustments), tuple(blocks)
+    return tuple(blocks)
 
 
 def uniform_product(actions) -> ProductDistribution:

@@ -640,7 +640,8 @@ def cold_mixture(directions, units, program=exact_lp.MinViolation):
 
 def traced_mixture(directions, units):
     """min_violation_mixture, with each certification's result and every
-    MinViolation it made: the rounded guess first, then any cold program."""
+    MinViolation it made: the rounded guesses first, one per certification,
+    then any cold program."""
     certified, programs = [], []
     certify = exact_lp._certified
 
@@ -660,22 +661,26 @@ def traced_mixture(directions, units):
 
 
 EPS = F(1, 2**30)
+REFUSALS = ("moved", "face")
 
 
 def assert_falls_back(directions, units):
-    """Certification refuses, the cold program runs, and the answer is its."""
+    """Certification refuses, the last time on a zero reduced cost, the cold
+    program runs, and the answer is its."""
     got, certified, programs = traced_mixture(directions, units)
-    assert certified == [None]
-    assert len(programs) == 2
+    assert all(c in REFUSALS for c in certified) and certified[-1] == "face"
+    assert len(programs) == len(certified) + 1
     assert got == cold_mixture(directions, units)
     assert got == cold_mixture(directions, units, helpers.TableauMinViolation)
 
 
 class TestGuessAndCertify:
-    """min_violation_mixture solves the program rounded to GUESS_BITS
-    fractional bits, certifies that basis on the exact columns, and falls
-    back to the cold exact program when it cannot: either way its (t, alpha)
-    is the cold program's, rational for rational."""
+    """min_violation_mixture solves the program rounded to 24 fractional
+    bits and certifies that basis on the exact columns. When the rounding
+    moved the optimum, it guesses again at each wider width of GUESS_LADDER;
+    when no guess is certified, or one has a zero reduced cost, it falls back
+    to the cold exact program. Either way its (t, alpha) is the cold
+    program's, rational for rational."""
 
     @settings(max_examples=200, deadline=None)
     @given(wide_columns())
@@ -686,8 +691,8 @@ class TestGuessAndCertify:
         got, certified, programs = traced_mixture(directions, units)
         assert got == cold_mixture(directions, units)
         assert got == cold_mixture(directions, units, helpers.TableauMinViolation)
-        # the cold program runs exactly when certification refused
-        assert len(programs) == 1 + (certified == [None])
+        # the cold program runs exactly when every certification refused
+        assert len(programs) == len(certified) + (certified[-1] in REFUSALS)
 
     @pytest.mark.parametrize("family, players, actions, seed, max_iters, stride", [
         ("nfg", 3, 2, 3, 200, 1),
@@ -705,8 +710,8 @@ class TestGuessAndCertify:
         assert got == cold_mixture(directions, units)
         assert got == cold_mixture(directions, units, helpers.TableauMinViolation)
         if got[0] > 0:
-            # the optimal mixture is unique here, and the guess finds its basis
-            assert certified != [None] and len(programs) == 1
+            # the optimal mixture is unique here, and the first guess finds its basis
+            assert certified[0] not in REFUSALS and len(programs) == 1
 
     @pytest.mark.parametrize("directions, units", [
         # a duplicated column: its copy prices at zero
@@ -731,25 +736,32 @@ class TestGuessAndCertify:
         # the rounded optimum's basis leaves a non-binding row short of t
         [[-1 + 3 * EPS, -1 - 2 * EPS, -EPS], [-2 + 2 * EPS, 2 + 3 * EPS, 2 - EPS]],
     ], ids=["negative-weight", "short-row"])
-    def test_moved_optimum_falls_back(self, columns):
-        # offsets of a few 2^-30 vanish in the rounding, so the rounded
+    def test_moved_optimum_certifies_wider(self, columns):
+        # offsets of a few 2^-30 vanish in the 24-bit rounding, so that
         # program's optimum sits at another basis, one that is not even
-        # feasible on the exact columns
-        assert_falls_back(*zip(*map(split, columns)))
+        # feasible on the exact columns; a wider rounding keeps them
+        directions, units = zip(*map(split, columns))
+        got, certified, programs = traced_mixture(directions, units)
+        assert certified[0] == "moved"
+        assert certified[-1] not in REFUSALS
+        assert len(programs) == len(certified)  # no cold program
+        assert got == cold_mixture(directions, units)
+        assert got == cold_mixture(directions, units, helpers.TableauMinViolation)
 
     def test_rounding_keeps_every_touched_row(self):
-        # a unit of 2^-3000 puts every entry of its column far below
-        # 2^-GUESS_BITS, yet each rounds to its sign, not to zero
+        # a unit of 2^-3000 puts every entry of its column far below 2^-24,
+        # yet each rounds to its sign, not to zero
         tiny = F(1, 2**3000)
-        assert exact_lp._rounded([3, -1, 0, 2**10], tiny) == [1, -1, 0, 1]
-        assert exact_lp._rounded([1, -1], F(1, 3)) == [5592405, -5592405]
+        assert exact_lp._rounded([3, -1, 0, 2**10], tiny, 24) == [1, -1, 0, 1]
+        assert exact_lp._rounded([1, -1], F(1, 3), 24) == [5592405, -5592405]
+        assert exact_lp._rounded([1, -1], F(1, 3), 96) == [2**96 // 3, -(2**96 // 3)]
         # rows 0 and 1 only the tiny column touches; the optimum is unique
         # and its basis holds that column
         directions = [[0, 0, 1, -1], [0, 0, 0, -3], [3, -3, 0, 0]]
         units = [F(2, 5), F(1, 3), tiny]
         got, certified, programs = traced_mixture(directions, units)
         assert programs[0]._rows == [0, 1, 2, 3]
-        assert certified != [None] and len(programs) == 1
+        assert certified[0] not in REFUSALS and len(programs) == 1
         assert got[1][2] > 0
         assert got == cold_mixture(directions, units)
         assert got == cold_mixture(directions, units, helpers.TableauMinViolation)

@@ -94,7 +94,8 @@ class TestHeaderValidation:
                 load_game(doc)
         else:
             g = load_game(doc)
-            assert g.payoff(0, (0,)) - g.payoff(0, (1,)) == value * g.adjustments[0].scale
+            # the scale is the lcm of the denominators, here the value's own
+            assert g.payoff(0, (0,)) - g.payoff(0, (1,)) == value * F(value).denominator
 
     def test_table_length_checked(self):
         with pytest.raises(GameFormatError, match="exactly 4"):
@@ -117,24 +118,23 @@ class TestNormalForm:
                     assert g.payoff(p, s) == helpers.payoff_direct(g, s, p)
 
     def test_rational_utilities_integerized(self):
+        # scaled by lcm(2, 3) = 6, and not shifted
         g = load_game(nfg_doc(1, [2], [["1/2", "1/3"]]))
-        adj = g.adjustments[0]
-        assert adj.scale == 6 and adj.shift == 0
         assert g.tables[0] == (3, 2)
 
     def test_negative_utilities_shifted(self):
+        # not scaled, and shifted by 2
         g = load_game(nfg_doc(1, [3], [[-2, 0, 5]]))
-        adj = g.adjustments[0]
-        assert adj.scale == 1 and adj.shift == 2
         assert g.tables[0] == (0, 2, 7)
 
     def test_adjustment_is_affine_per_player(self):
         raw = [["-1/2", "3/4", 2, 0], [5, "1/5", "-7/5", 1]]
         g = load_game(nfg_doc(2, [2, 2], raw))
-        for p in range(2):
-            adj = g.adjustments[p]
+        # player 0 is scaled by lcm(2, 4) = 4 to -2, 3, 8, 0 and shifted by 2;
+        # player 1 by 5 to 25, 1, -7, 5 and shifted by 7
+        for p, scale, shift in [(0, 4, 2), (1, 5, 7)]:
             for k, s in enumerate(g.profiles()):
-                assert F(g.payoff(p, s)) == adj.scale * F(raw[p][k]) + adj.shift
+                assert g.payoff(p, s) == scale * F(raw[p][k]) + shift
 
     def test_u_max_and_ceiling(self):
         g = load_game(nfg_doc(2, [2, 2], [[1, 7, 3, 2], [0, 1, 2, 3]]))
@@ -239,9 +239,7 @@ class TestPolymatrix:
             {"p": 1, "q": 0, "matrix": [["-1/2", 0], [0, 0]]},
         ]))
         # player 0: integer block shifted by 1; player 1: scaled by 2, shifted by 1
-        assert g.adjustments[0].scale == 1 and g.adjustments[0].shift == 1
         assert g.blocks[0][1] == ((0, 1), (3, 4))
-        assert g.adjustments[1].scale == 2 and g.adjustments[1].shift == 1
         assert g.blocks[1][0] == ((0, 1), (1, 1))
 
     def test_shift_preserves_deviation_differences(self):
@@ -261,8 +259,8 @@ class TestPolymatrix:
                     dev = list(s)
                     dev[p] = j
                     got = g.payoff(p, s) - g.payoff(p, tuple(dev))
-                    want = g.adjustments[p].scale * (
-                        raw_payoff(p, s) - raw_payoff(p, tuple(dev)))
+                    # integer utilities: the scale is 1
+                    want = raw_payoff(p, s) - raw_payoff(p, tuple(dev))
                     assert got == want
 
     def test_expected_utility_matches_enumeration(self):
@@ -346,24 +344,20 @@ class TestRandomGame:
 
     def test_bool_action_count_refused(self):
         with pytest.raises(GameFormatError, match="positive action count"):
-            NormalFormGame(actions=(True, 2), adjustments=(games.IDENTITY,) * 2,
-                           tables=((0, 0),) * 2)
+            NormalFormGame(actions=(True, 2), tables=((0, 0),) * 2)
 
     @pytest.mark.parametrize("bad", [-1, 1.0, Fraction(1), "1", None])
     def test_stored_payoff_refused(self, bad):
         ok = (3, 0, True, False)  # a bool is an int, and is stored as given
-        NormalFormGame(actions=(2, 2), adjustments=(games.IDENTITY,) * 2, tables=(ok, ok))
+        NormalFormGame(actions=(2, 2), tables=(ok, ok))
         with pytest.raises(GameFormatError,
                            match=r"^player 1: stored payoffs must be nonnegative integers$"):
-            NormalFormGame(actions=(2, 2), adjustments=(games.IDENTITY,) * 2,
-                           tables=(ok, (0, 5, bad, 2)))
+            NormalFormGame(actions=(2, 2), tables=(ok, (0, 5, bad, 2)))
         good = ((3, True), (False, 0))
-        PolymatrixGame(actions=(2, 2), adjustments=(games.IDENTITY,) * 2,
-                       blocks=((None, good), (good, None)))
+        PolymatrixGame(actions=(2, 2), blocks=((None, good), (good, None)))
         with pytest.raises(GameFormatError,
                            match=r"^block \(1,0\): stored payoffs must be nonnegative integers$"):
-            PolymatrixGame(actions=(2, 2), adjustments=(games.IDENTITY,) * 2,
-                           blocks=((None, good), (((0, 1), (bad, 2)), None)))
+            PolymatrixGame(actions=(2, 2), blocks=((None, good), (((0, 1), (bad, 2)), None)))
 
     def test_load_game_file(self, tmp_path):
         g = random_game("nfg", 2, 2, u_max=5, seed=7)
@@ -449,10 +443,15 @@ class TestIntegerization:
     @given(payoff_documents())
     def test_matches_the_fraction_integerizer(self, doc):
         g = load_game(doc)
-        adjustments, stored = helpers.reference_load(doc)
-        assert g.adjustments == adjustments
-        assert all(type(a.scale) is F and type(a.shift) is F for a in g.adjustments)
-        assert (g.tables if g.family == "nfg" else g.blocks) == stored
+        assert (g.tables if g.family == "nfg" else g.blocks) == helpers.reference_load(doc)
+
+    @settings(max_examples=100, deadline=None)
+    @given(payoff_documents())
+    def test_reloaded_document_gives_an_equal_game(self, doc):
+        # a game holds only its stored payoffs, so the integerized document
+        # of a rational one loads to the same game
+        g = load_game(doc)
+        assert load_game(g.to_document()) == g
 
     @pytest.mark.parametrize("family, players, actions", [("nfg", 3, 3), ("polymatrix", 4, 3)])
     def test_int_documents_build_no_fraction_per_payoff(self, family, players, actions):
@@ -469,9 +468,16 @@ class TestIntegerization:
 
         with mock.patch.object(games, "Fraction", counting):
             g = load_game(doc)
-        assert len(made) <= 2 * players
-        assert any(a.shift > 0 for a in g.adjustments)
-        assert g.adjustments == helpers.reference_load(doc)[0]
+        assert made == []
+        # the negative table or block is stored shifted to a minimum of 0
+        if family == "nfg":
+            raw, got = [doc["payoffs"][1]], (g.tables[1],)
+        else:
+            edge = doc["edges"][1]
+            raw, got = edge["matrix"], g.blocks[edge["p"]][edge["q"]]
+        low = min(map(min, raw))
+        assert low < 0 and got == tuple(tuple(v - low for v in row) for row in raw)
+        assert (g.tables if family == "nfg" else g.blocks) == helpers.reference_load(doc)
 
     @pytest.mark.parametrize("family", ["nfg", "polymatrix"])
     @pytest.mark.parametrize("value, problem", [
