@@ -2,7 +2,8 @@
 
 main is the one exit: every error that ends a subcommand reaches it, and it
 prints one `error:` line and returns 2. SolveConfig owns every solve
-setting's default and check.
+setting's default and check: a setting comes from its flag or that default
+alone, and nothing outside the command line sets one.
 """
 
 from __future__ import annotations
@@ -32,8 +33,6 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_ERROR = 2
 
-PRECISION_ENV = "EXACTCE_PRECISION"
-
 BENCH_COLUMNS = [
     "family",
     "n",
@@ -48,17 +47,6 @@ BENCH_COLUMNS = [
     "exact_epsilon",
     "wall_ms",
 ]
-
-
-def _precision(args: argparse.Namespace) -> int:
-    """--precision, else $EXACTCE_PRECISION, else SolveConfig's default."""
-    if args.precision is not None:
-        return args.precision
-    raw = os.environ.get(PRECISION_ENV, str(SolveConfig.precision_bits))
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{PRECISION_ENV} must be an integer, got {raw!r}") from None
 
 
 def bench_row(report: SolveReport, game: Game, seed: int) -> dict:
@@ -86,32 +74,41 @@ def write_bench_csv(stream, rows: list[dict]) -> None:
 
 
 def _write_text(path: str | None, text: str) -> None:
-    """Write text, ending in one newline, to path, or to stdout for None or -."""
+    """Write text, ending in one newline, to path, or to stdout for no path or -."""
     if not text.endswith("\n"):
         text += "\n"
-    if path is None or path == "-":
+    if not path or path == "-":
         sys.stdout.write(text)
         return
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(text)
 
 
-def _check_output_dirs(*paths: str | None) -> None:
-    """Refuse an output path in a missing directory before any work is done."""
-    for path in paths:
-        if path is None or path == "-":
-            continue
-        directory = os.path.dirname(path) or "."
-        if not os.path.isdir(directory):
-            raise ValueError(f"cannot write {path}: no directory {directory}")
+def _check_outputs(*paths: str | None) -> None:
+    """Refuse, before any work is done, an output path that is a directory
+    or in a missing one, and two outputs to one destination: the same file
+    twice, or stdout (-) twice. None or an empty path is not written."""
+    seen = set()
+    for path in filter(None, paths):
+        if path != "-":
+            if os.path.isdir(path):
+                raise ValueError(f"cannot write {path}: it is a directory")
+            directory = os.path.dirname(path) or "."
+            if not os.path.isdir(directory):
+                raise ValueError(f"cannot write {path}: no directory {directory}")
+        destination = "-" if path == "-" else os.path.realpath(path)
+        if destination in seen:
+            raise ValueError("cannot write two outputs to "
+                             + ("stdout" if path == "-" else path))
+        seen.add(destination)
 
 
 def _config_from(args: argparse.Namespace, **fields) -> SolveConfig:
-    """SolveConfig from the flags named after its fields, the precision and
-    then fields, each checked by SolveConfig alone."""
+    """SolveConfig from the flags named after its fields and then fields,
+    each checked by SolveConfig alone."""
     flags = {f.name: getattr(args, f.name)
              for f in dataclass_fields(SolveConfig) if f.name in args}
-    return SolveConfig(**flags, precision_bits=_precision(args), **fields)
+    return SolveConfig(**flags, **fields)
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
@@ -119,7 +116,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if args.ce_output and config.oracle != "purified":
         raise ValueError("--ce-output needs the purified oracle: "
                          f"the {config.oracle} oracle gives a mixture, not a certificate")
-    _check_output_dirs(args.output, args.ce_output, args.transcript)
+    # the report goes to stdout unless --output names a file
+    _check_outputs(args.output or "-", args.ce_output, args.transcript)
     game = load_game_file(args.input)
 
     print(
@@ -236,7 +234,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             counts = check_random_setting(family, players, actions, args.umax)
             # gen writes such games; only a solve refuses them
             check_row_count(sum(m * m for m in counts))
-    _check_output_dirs(args.csv)
+    _check_outputs(args.csv)
 
     rows = []
     failed = 0
@@ -284,9 +282,9 @@ def build_parser() -> argparse.ArgumentParser:
     defaults = SolveConfig()
     # the settings solve and bench share
     run = argparse.ArgumentParser(add_help=False)
-    run.add_argument("--precision", type=int, default=None, metavar="BITS",
-                     help=f"working precision; default {defaults.precision_bits} "
-                          f"or ${PRECISION_ENV}")
+    run.add_argument("--precision", dest="precision_bits", type=int,
+                     default=defaults.precision_bits, metavar="BITS",
+                     help="working precision in bits, default %(default)s")
     run.add_argument("--max-iters", type=int, default=defaults.max_iters,
                      help="iteration cap, default %(default)s; theoretical mode "
                           "ignores it and stops by its certified iteration bound")

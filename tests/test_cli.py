@@ -34,7 +34,6 @@ from exactce import (
 )
 from exactce.cli import (
     BENCH_COLUMNS,
-    PRECISION_ENV,
     _bench_configs,
     _config_from,
     build_parser,
@@ -50,10 +49,10 @@ def run_cli(*argv):
     return main(list(argv))
 
 
-def run_module(*argv, env=None, cwd=None, timeout=None):
+def run_module(*argv, cwd=None, timeout=None):
     """`python -m exactce argv` in a child process that imports this package."""
     package_root = str(Path(exactce.__file__).resolve().parent.parent)
-    child_env = dict(os.environ, **(env or {}))
+    child_env = dict(os.environ)
     child_env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [package_root, child_env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "exactce", *argv], capture_output=True,
@@ -238,28 +237,6 @@ class TestSolveVerify:
         assert doc["certificate"] is None
         assert Fraction(doc["mixture"]["epsilon"]) >= 0
 
-    def test_precision_env_honored(self, tmp_path, monkeypatch):
-        game = gen_game(tmp_path, seed=0)
-        report = tmp_path / "r.json"
-        monkeypatch.setenv(PRECISION_ENV, "128")
-        assert run_cli("solve", "--input", str(game),
-                       "--output", str(report)) == 0
-        assert json.loads(report.read_text())["precision_bits"] == 128
-
-    def test_precision_flag_beats_env(self, tmp_path, monkeypatch):
-        game = gen_game(tmp_path, seed=0)
-        report = tmp_path / "r.json"
-        monkeypatch.setenv(PRECISION_ENV, "128")
-        assert run_cli("solve", "--input", str(game), "--precision", "192",
-                       "--output", str(report)) == 0
-        assert json.loads(report.read_text())["precision_bits"] == 192
-
-    def test_garbage_precision_env(self, tmp_path, monkeypatch, capsys):
-        game = gen_game(tmp_path, seed=0)
-        monkeypatch.setenv(PRECISION_ENV, "lots")
-        assert run_cli("solve", "--input", str(game)) == 2
-        assert f"error: {PRECISION_ENV} must be an integer" in capsys.readouterr().err
-
 
 class TestBench:
     def test_two_oracles_schema(self, tmp_path):
@@ -324,13 +301,16 @@ class TestBench:
 class TestSettings:
     """The CLI's defaults and checks are SolveConfig's."""
 
-    def test_solve_defaults_are_solve_configs(self, monkeypatch):
-        monkeypatch.delenv(PRECISION_ENV, raising=False)
+    def test_solve_defaults_are_solve_configs(self):
         args = build_parser().parse_args(["solve", "--input", "x"])
         assert _config_from(args) == SolveConfig()
 
-    def test_bench_configs_carry_solve_config_settings(self, monkeypatch):
-        monkeypatch.delenv(PRECISION_ENV, raising=False)
+    def test_environment_sets_nothing(self, monkeypatch):
+        monkeypatch.setenv("EXACTCE_PRECISION", "128")
+        args = build_parser().parse_args(["solve", "--input", "x"])
+        assert _config_from(args) == SolveConfig()
+
+    def test_bench_configs_carry_solve_config_settings(self):
         args = build_parser().parse_args([
             "bench", "--oracles", "purified,product",
             "--tie-breaks", "first,welfare,max-value"])
@@ -360,57 +340,67 @@ class TestSettings:
 
 
 BAD_SETTINGS = [
-    pytest.param(["solve", "--precision", "8"], {}, id="solve-precision-8"),
-    pytest.param(["solve"], {PRECISION_ENV: "4"}, id="solve-precision-env-4"),
-    pytest.param(["solve"], {PRECISION_ENV: "lots"}, id="solve-precision-env-lots"),
-    pytest.param(["bench"], {PRECISION_ENV: "lots"}, id="bench-precision-env-lots"),
+    pytest.param(["solve", "--precision", "8"], id="solve-precision-8"),
     # a precision past the ceiling is refused before the starting ball's
     # precision-bit pivot is built, which would not fit in memory
-    pytest.param(["solve", "--precision", "99999999999"], {}, id="solve-precision-huge"),
-    pytest.param(["solve"], {PRECISION_ENV: "99999999999"}, id="solve-precision-env-huge"),
+    pytest.param(["solve", "--precision", "99999999999"], id="solve-precision-huge"),
     pytest.param(["bench", "--family", "nfg", "--sizes", "2x2", "--seeds", "0:1",
-                  "--precision", "99999999999"], {}, id="bench-precision-huge"),
-    pytest.param(["bench", "--family", "nfg", "--sizes", "2x2", "--seeds", "0:1"],
-                 {PRECISION_ENV: "65537"}, id="bench-precision-env-past-the-ceiling"),
-    pytest.param(["bench", "--oracles", "bogus"], {}, id="bench-oracle-bogus"),
-    pytest.param(["bench", "--max-iters", "0"], {}, id="bench-max-iters-0"),
-    pytest.param(["bench", "--seeds", "3:1"], {}, id="bench-seeds-empty-range"),
+                  "--precision", "99999999999"], id="bench-precision-huge"),
     pytest.param(["bench", "--family", "nfg", "--sizes", "2x2", "--seeds", "0:1",
-                  "--oracles", "product", "--tie-breaks", "bogus"], {},
+                  "--precision", "65537"], id="bench-precision-past-the-ceiling"),
+    pytest.param(["bench", "--oracles", "bogus"], id="bench-oracle-bogus"),
+    pytest.param(["bench", "--max-iters", "0"], id="bench-max-iters-0"),
+    pytest.param(["bench", "--seeds", "3:1"], id="bench-seeds-empty-range"),
+    pytest.param(["bench", "--family", "nfg", "--sizes", "2x2", "--seeds", "0:1",
+                  "--oracles", "product", "--tie-breaks", "bogus"],
                  id="bench-product-tie-break-bogus"),
-    pytest.param(["solve", "--output", "missing/x.json"], {}, id="solve-output-missing-dir"),
-    pytest.param(["solve", "--output", "r.json", "--ce-output", "missing/x.json"], {},
+    pytest.param(["solve", "--output", "missing/x.json"], id="solve-output-missing-dir"),
+    pytest.param(["solve", "--output", "r.json", "--ce-output", "missing/x.json"],
                  id="solve-ce-output-missing-dir"),
-    pytest.param(["solve", "--output", "r.json", "--transcript", "missing/x.json"], {},
+    pytest.param(["solve", "--output", "r.json", "--transcript", "missing/x.json"],
                  id="solve-transcript-missing-dir"),
-    pytest.param(["gen", "--output", "missing/x.json"], {}, id="gen-output-missing-dir"),
-    pytest.param(["gen", "--players", "2", "--actions", "1024"], {}, id="gen-oversize"),
-    pytest.param(["bench", "--family", "nfg", "--sizes", "2x1024", "--seeds", "0:1"], {},
+    # a directory is refused before the solve, not when it is opened after it
+    pytest.param(["solve", "--output", "."], id="solve-output-is-a-dir"),
+    pytest.param(["solve", "--output", "r.json", "--transcript", "."],
+                 id="solve-transcript-is-a-dir"),
+    # two outputs to one destination would leave only the last one written
+    pytest.param(["solve", "--output", "r.json", "--transcript", "r.json"],
+                 id="solve-output-and-transcript-one-file"),
+    pytest.param(["solve", "--output", "r.json", "--ce-output", "./r.json"],
+                 id="solve-output-and-ce-output-one-file"),
+    pytest.param(["solve", "--transcript", "-"], id="solve-transcript-and-report-on-stdout"),
+    pytest.param(["solve", "--output", "-", "--ce-output", "-"],
+                 id="solve-ce-output-and-report-on-stdout"),
+    pytest.param(["gen", "--output", "missing/x.json"], id="gen-output-missing-dir"),
+    pytest.param(["gen", "--players", "2", "--actions", "1024"], id="gen-oversize"),
+    pytest.param(["bench", "--family", "nfg", "--sizes", "2x1024", "--seeds", "0:1"],
                  id="bench-oversize"),
     pytest.param(["bench", "--family", "nfg", "--sizes", "2x2", "--seeds", "0:1",
-                  "--csv", "missing/x.json"], {}, id="bench-csv-missing-dir"),
+                  "--csv", "missing/x.json"], id="bench-csv-missing-dir"),
+    pytest.param(["bench", "--family", "nfg", "--sizes", "2x2", "--seeds", "0:1",
+                  "--csv", "."], id="bench-csv-is-a-dir"),
     # every family and size is checked before the first solve
     pytest.param(["bench", "--family", "nfg", "--sizes", "2x2,40x2", "--seeds", "0:1",
-                  "--csv", "r.json"], {}, id="bench-oversize-after-a-solvable-size"),
+                  "--csv", "r.json"], id="bench-oversize-after-a-solvable-size"),
     pytest.param(["bench", "--family", "nfg", "--sizes", "2x2,1x33", "--seeds", "0:1",
-                  "--csv", "r.json"], {}, id="bench-row-ceiling-after-a-solvable-size"),
+                  "--csv", "r.json"], id="bench-row-ceiling-after-a-solvable-size"),
     pytest.param(["bench", "--family", "nfg,foo", "--sizes", "2x2", "--seeds", "0:1",
-                  "--csv", "r.json"], {}, id="bench-unknown-family-after-nfg"),
+                  "--csv", "r.json"], id="bench-unknown-family-after-nfg"),
     pytest.param(["bench", "--family", "nfg", "--sizes", "2x2,0x2", "--seeds", "0:1",
-                  "--csv", "r.json"], {}, id="bench-zero-players-after-a-solvable-size"),
+                  "--csv", "r.json"], id="bench-zero-players-after-a-solvable-size"),
 ]
 
 NOT_UTF8 = b"\xff\xfe{not text"
 
 
 class TestExitCodes:
-    @pytest.mark.parametrize("argv, env", BAD_SETTINGS)
-    def test_bad_setting_exits_2_without_traceback(self, tmp_path, argv, env):
+    @pytest.mark.parametrize("argv", BAD_SETTINGS)
+    def test_bad_setting_exits_2_without_traceback(self, tmp_path, argv):
         # a setting the solver rejects is "anything else" (2), never the
         # "certificate invalid" code (1) that an escaping exception gives
         if argv[0] == "solve":
             argv = [*argv, "--input", str(gen_game(tmp_path))]
-        proc = run_module(*argv, env=env, cwd=tmp_path)
+        proc = run_module(*argv, cwd=tmp_path)
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
         # refused before any work: one error, no progress line, no output file
