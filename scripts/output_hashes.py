@@ -7,7 +7,7 @@ change leaves reports and transcripts byte-identical.
 Run it on two checkouts and diff the files. Each line names the solve and
 gives the sha256 of its JSON report (keys sorted, without the wall-clock
 `wall_ms`) and of its transcript JSONL. The first word of each label names
-its group, and the optional arguments pick groups; with none, all 371 solves
+its group, and the optional arguments pick groups; with none, all 471 solves
 run. The groups are:
 
 * `default`: the 100 acceptance-suite games under the default configuration;
@@ -16,7 +16,10 @@ run. The groups are:
 * `welfare` and `max-value`: the 84 suite games below 4 players x 3 actions
   under those tie breaks;
 * `ladder`: the polymatrix ladder rungs 5x3, 6x3 and 8x2 of the benchmark
-  (its 4x3 rung, seed 95, is a suite game).
+  (its 4x3 rung, seed 95, is a suite game);
+* `rescue`: the suite games capped at 2 iterations and finished with
+  colgen, which prices on the probe program past the cap (84 of them reach
+  it).
 
 A solve that raises prints its error message in place of the hashes, and
 the script then exits 1 once every solve has run, so that a failure on both
@@ -38,7 +41,7 @@ import workloads  # noqa: E402
 from exactce import SolveConfig, SolverError, compute_exact_ce, random_game, row_count  # noqa: E402
 
 
-GROUPS = ("default", "product", "welfare", "max-value", "ladder")
+GROUPS = ("default", "product", "welfare", "max-value", "ladder", "rescue")
 
 
 def _sha(text: str) -> str:
@@ -68,6 +71,10 @@ def solves():
         game = random_game(spec.family, spec.players, spec.actions,
                            u_max=workloads.U_MAX, seed=spec.game_seed)
         yield f"ladder {spec.label}", game, SolveConfig(**spec.config_kwargs())
+    for family, players, actions, seed in suite:
+        game = random_game(family, players, actions, u_max=workloads.U_MAX, seed=seed)
+        config = SolveConfig(max_iters=2, finish_with_colgen=True, seed=seed)
+        yield f"rescue {family} {players}x{actions} seed {seed}", game, config
 
 
 def main(argv=None) -> int:

@@ -296,8 +296,9 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--mode", choices=MODES, default=defaults.mode)
     solve.add_argument("--oracle", choices=ORACLES, default=defaults.oracle)
     solve.add_argument("--tie-break", choices=TIE_BREAKS, default=defaults.tie_break)
-    solve.add_argument("--brute-force-fallback", action="store_true",
-                       help="on iteration cap, fall back to the full LP for small games")
+    solve.add_argument("--finish-with-colgen", action="store_true",
+                       help="on iteration cap, finish by pricing profiles on the "
+                            "collected columns (purified oracle only)")
     solve.add_argument("--output", "-o", default=None, help="report path, - for stdout")
     solve.add_argument("--ce-output", default=None,
                        help="also write the bare certificate JSON here")

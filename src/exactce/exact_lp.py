@@ -418,6 +418,18 @@ class MinViolation:
                 levels[var] = Fraction(row[-1] * self._scale[var], tab.det)
         return levels[-1], levels[:-1]
 
+    def dual(self, n_rows: int) -> tuple[tuple[int, ...], int]:
+        """Resume the solve and return its optimal dual y as (numerators, det).
+
+        y_r is row r's surplus reduced cost, 0 on an untouched row. So y >= 0,
+        sum(y) <= 1 (= 1 if t > 0) and unit_k direction_k . y <= -t (= on basic k).
+        """
+        self._solve()
+        y = [0] * n_rows
+        for r, slot in zip(self._rows, self._slots):
+            y[r] = self._cost[slot]
+        return tuple(y), self._tab.det
+
 
 # ---------- the cut-collection program ----------
 

@@ -17,6 +17,11 @@ The cold LP then runs once over the final roster, and its vertex is the
 answer: try_feasible_bfs for profile columns; for product columns,
 mixture_feasible after a feasible probe, and otherwise min_violation_mixture,
 a fresh MinViolation over the cuts with their units.
+
+A capped purified run raises SolverError unless finish_with_colgen is set;
+then the probe program prices on, one fresh oracle profile per round at its
+optimal dual, until the columns admit a distribution. No solve calls the
+reference brute_force_ce.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ from .exact_lp import (
 )
 from .games import Game, ProductDistribution
 from .incentives import SparseCE, profile_column, row_count, verify_ce
-from .oracles import TIE_BREAKS, product_separation, purified_separation
+from .oracles import TIE_BREAKS, IntegerPoint, product_separation, purified_separation
 
 __all__ = [
     "SolveConfig",
@@ -91,7 +96,7 @@ class SolveConfig:
     precision_bits: int = 256
     max_iters: int = 2000  # the practical cap; theoretical mode runs to its certified one
     seed: int = 0  # recorded for provenance; the solve itself is deterministic
-    brute_force_fallback: bool = False
+    finish_with_colgen: bool = False  # price on the probe program past the cap
     probe_stride: int = 1
 
     def __post_init__(self):
@@ -101,8 +106,8 @@ class SolveConfig:
             raise ValueError(f"unknown oracle {self.oracle!r}")
         if self.tie_break not in TIE_BREAKS:
             raise ValueError(f"unknown tie break {self.tie_break!r}")
-        if self.mode == "theoretical" and self.oracle != "purified":
-            raise ValueError("theoretical mode requires the purified oracle")
+        if self.oracle != "purified" and (self.mode == "theoretical" or self.finish_with_colgen):
+            raise ValueError("theoretical mode and finish_with_colgen need the purified oracle")
         check_int("max_iters", self.max_iters)
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
@@ -115,9 +120,9 @@ class SolveConfig:
         if self.probe_stride < 1:
             raise ValueError("probe_stride must be positive")
         check_int("seed", self.seed)
-        if not isinstance(self.brute_force_fallback, bool):
+        if not isinstance(self.finish_with_colgen, bool):
             raise ValueError(
-                f"brute_force_fallback must be a bool, not {self.brute_force_fallback!r}")
+                f"finish_with_colgen must be a bool, not {self.finish_with_colgen!r}")
 
 
 @dataclass(frozen=True)
@@ -193,27 +198,33 @@ def _game_summary(game: Game) -> dict:
     }
 
 
-def _certificate(
-    game: Game, config: SolveConfig, transcript: Transcript, max_iters: int
-) -> tuple[SparseCE, bool]:
-    """The purified solve's verified certificate, and whether the fallback gave it.
+def _certificate(game: Game, config: SolveConfig, transcript: Transcript,
+                 program: MinViolation, max_iters: int) -> tuple[SparseCE, int]:
+    """The purified solve's verified certificate and how many profile columns it had.
 
-    Unless the run hit its iteration cap, the certificate is the cold LP's
-    vertex over every collected profile column.
+    It is the cold LP's vertex over the collected columns. A capped run with
+    finish_with_colgen first prices on the probe program: at its optimal dual
+    y >= 0 each held column has c.y <= -t < 0 and the oracle's c.y >= 0, so
+    each round brings a fresh profile until the columns admit a distribution.
     """
-    if not transcript.capped:
-        ce = try_feasible_bfs(CutLP(columns=tuple(cut.column for cut in transcript.roster)))
-        if ce is None:
-            raise SolverError("run ended but the collected cuts admit no distribution", transcript)
-        used_fallback = False
-    elif config.brute_force_fallback and game.num_profiles <= BRUTE_FORCE_PROFILE_CAP:
-        ce, used_fallback = brute_force_ce(game), True
-    else:
-        raise SolverError(
-            f"iteration cap {max_iters} reached before the collected "
-            "cuts admitted a distribution",
-            transcript,
-        )
+    columns = [cut.column for cut in transcript.roster]
+    if transcript.capped:
+        if not config.finish_with_colgen:
+            raise SolverError(f"iteration cap {max_iters} reached before the collected "
+                              "cuts admitted a distribution", transcript)
+        for column in columns[program.added:]:  # the ones probe_stride skipped
+            program.add(column.dense())
+        while not program.feasible():
+            point = IntegerPoint(*program.dual(transcript.n_rows))
+            column = purified_separation(game, point, config.tie_break).column
+            if any(held.profile == column.profile for held in columns):
+                raise SolverError(f"the oracle repeated profile {column.profile} "
+                                  "at the probe program's dual", transcript)
+            columns.append(column)
+            program.add(column.dense())
+    ce = try_feasible_bfs(CutLP(columns=tuple(columns)))
+    if ce is None:
+        raise SolverError("run ended but the collected cuts admit no distribution", transcript)
 
     check = verify_ce(game, ce)
     if not check.verdict:
@@ -230,7 +241,7 @@ def _certificate(
         )
     if ce.max_probability_bits() > probability_bit_bound(game):
         raise SolverError("certificate probabilities exceed the size ceiling", transcript)
-    return ce, used_fallback
+    return ce, len(columns)
 
 
 def _mixture(transcript: Transcript, feasible: bool) -> ProductMixture:
@@ -283,7 +294,7 @@ def compute_exact_ce(game: Game, config: SolveConfig | None = None) -> SolveRepo
 
     Purified oracle: returns an exactly verified sparse certificate with
     violation zero, or raises SolverError (with the transcript attached) if
-    the iteration cap is hit and the brute-force fallback is off.
+    the iteration cap is hit and finish_with_colgen is off.
 
     Product oracle: returns the best mixture of collected product
     distributions with its exact worst-row shortfall, zero or positive.
@@ -316,14 +327,14 @@ def compute_exact_ce(game: Game, config: SolveConfig | None = None) -> SolveRepo
                      stop_log_volume=stop)
 
     if purified:
-        certificate, used_fallback = _certificate(game, config, transcript, cap)
+        certificate, distinct_cuts = _certificate(game, config, transcript, program, cap)
         mixture, support, epsilon = None, certificate.support, Fraction(0)
     else:
         # the last probe's answer: asked again, the program resumes from an
         # optimal basis and pivots nothing. transcript.capped cannot tell,
         # since a zero-normal cut between probes ends the run uncapped too.
         mixture = _mixture(transcript, program.feasible())
-        certificate, used_fallback = None, False
+        certificate, distinct_cuts = None, len(transcript.roster)
         support, epsilon = mixture.support, mixture.epsilon
     return SolveReport(
         mode=config.mode,
@@ -332,11 +343,11 @@ def compute_exact_ce(game: Game, config: SolveConfig | None = None) -> SolveRepo
         precision_bits=config.precision_bits,
         seed=config.seed,
         iterations=len(transcript.entries),
-        distinct_cuts=len(transcript.roster),
+        distinct_cuts=distinct_cuts,
         support=support,
         exact_epsilon=epsilon,
         verified=epsilon == 0,
-        used_fallback=used_fallback,
+        used_fallback=transcript.capped and config.finish_with_colgen,
         wall_ms=(time.perf_counter() - started) * 1000.0,
         certificate=certificate,
         mixture=mixture,

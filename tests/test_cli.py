@@ -221,10 +221,24 @@ class TestSolveVerify:
         game = gen_game(tmp_path, seed=7, players=4)
         report = tmp_path / "r.json"
         rc = run_cli("solve", "--input", str(game), "--max-iters", "2",
-                     "--brute-force-fallback", "--output", str(report))
+                     "--finish-with-colgen", "--output", str(report))
         assert rc == 0
         doc = json.loads(report.read_text())
         assert doc["used_fallback"] is True and doc["verified"] is True
+
+    @pytest.mark.parametrize("family", ["polymatrix", "nfg"])
+    def test_colgen_finishes_past_the_brute_force_cap(self, tmp_path, family):
+        # 2^13 profiles: the rescue prices a few of them, whatever the count
+        game = gen_game(tmp_path, players=13, family=family)
+        report, ce = tmp_path / "r.json", tmp_path / "ce.json"
+        assert run_cli("solve", "--input", str(game), "--max-iters", "10") == 2
+        rc = run_cli("solve", "--input", str(game), "--max-iters", "10",
+                     "--finish-with-colgen", "--output", str(report), "--ce-output", str(ce))
+        assert rc == 0
+        doc = json.loads(report.read_text())
+        assert doc["used_fallback"] is True and doc["iterations"] == 10
+        assert doc["support"] <= doc["distinct_cuts"]
+        assert run_cli("verify", "--input", str(game), "--ce", str(ce)) == 0
 
     def test_product_oracle_reports_epsilon(self, tmp_path):
         game = gen_game(tmp_path, seed=1)
@@ -354,6 +368,9 @@ BAD_SETTINGS = [
     pytest.param(["bench", "--family", "nfg", "--sizes", "2x2", "--seeds", "0:1",
                   "--oracles", "product", "--tie-breaks", "bogus"],
                  id="bench-product-tie-break-bogus"),
+    # the rescue prices profiles, which the product oracle does not give
+    pytest.param(["solve", "--oracle", "product", "--finish-with-colgen"],
+                 id="solve-product-finish-with-colgen"),
     pytest.param(["solve", "--output", "missing/x.json"], id="solve-output-missing-dir"),
     pytest.param(["solve", "--output", "r.json", "--ce-output", "missing/x.json"],
                  id="solve-ce-output-missing-dir"),

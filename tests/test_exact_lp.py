@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from operator import mul
 from unittest import mock
 
 import pytest
@@ -462,6 +463,31 @@ class TestMinViolation:
             assert spy.call_count == pivots
         assert (t == 0) is feasible
         assert (t, alpha) == min_violation(columns)
+
+    @settings(max_examples=300, deadline=None)
+    @given(column_batches())
+    @example([[[-1, 0]], [[1, -1]], [[0, 1]]])  # t > 0, then 0
+    @example([[[0, 0, 0]]])  # no row touched: y is 0
+    def test_dual_prices_every_column(self, batches):
+        # y = numerators / det is an optimal dual of min t: it sits on the
+        # touched rows, sums to 1 when t > 0, and unit_k direction_k . y
+        # never exceeds -t, which the best column meets; its objective -t
+        # then proves it optimal, and a fresh column with a nonnegative
+        # price is one no column held has
+        program, columns, touched = exact_lp.MinViolation(), [], set()
+        for batch in batches:
+            for column in batch:
+                columns.append(split(column))
+                program.add(*columns[-1])
+                touched.update(r for r, v in enumerate(column) if v)
+            t, _ = program.mixture()
+            y, det = program.dual(len(batch[0]))
+            assert len(y) == len(batch[0]) and det > 0
+            assert min(y) >= 0
+            assert all(v == 0 for r, v in enumerate(y) if r not in touched)
+            assert sum(y) <= det and (t == 0 or sum(y) == det)
+            assert max(unit * sum(map(mul, direction, y))
+                       for direction, unit in columns) == -t * det
 
     def test_no_column(self):
         program = exact_lp.MinViolation()

@@ -49,7 +49,7 @@ def test_output_hashes_match_golden():
     assert proc.returncode == 0, proc.stderr
     want = GOLDEN_HASHES.read_text().splitlines()
     got = proc.stdout.splitlines()
-    assert len(got) == len(want) == 371
+    assert len(got) == len(want) == 471
     # the label before the colon names the group and the solve
     changed = [w.split(":", 1)[0] for w, g in zip(want, got) if w != g]
     assert not changed, f"{len(changed)} of {len(want)} lines changed: {', '.join(changed)}"

@@ -92,9 +92,10 @@ class TestConfig:
         {"seed": "x"},
         {"seed": 1.5},
         {"seed": True},
-        {"brute_force_fallback": "no"},
-        {"brute_force_fallback": 1},
-        {"brute_force_fallback": None},
+        {"finish_with_colgen": "no"},
+        {"finish_with_colgen": 1},
+        {"finish_with_colgen": None},
+        {"oracle": "product", "finish_with_colgen": True},
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(ValueError):
@@ -277,14 +278,6 @@ class TestPurifiedSolve:
         lines = info.value.transcript.to_jsonl().splitlines()
         assert [json.loads(line)["iter"] for line in lines] == [1, 2, 3, 4, 5, 6]
 
-    def test_brute_force_fallback(self):
-        g = random_game("nfg", 4, 2, u_max=10, seed=7)
-        report = compute_exact_ce(
-            g, SolveConfig(max_iters=2, brute_force_fallback=True))
-        assert report.used_fallback
-        assert report.verified
-        assert verify_ce(g, report.certificate).verdict
-
     def test_probe_stride_still_finishes(self):
         g = random_game("nfg", 4, 2, u_max=10, seed=7)
         a = compute_exact_ce(g, SolveConfig(probe_stride=3))
@@ -391,6 +384,80 @@ class TestPurifiedSolve:
             with pytest.raises(SolverError, match="admit no distribution") as info:
                 compute_exact_ce(g)
         assert len(info.value.transcript.roster) == 1  # the run ended at its first probe
+
+
+def assert_certified(game, report):
+    """The certificate of a solve passes every check the solver makes, and
+    is a vertex over the columns the report counts."""
+    assert report.verified and verify_ce(game, report.certificate).verdict
+    assert report.support <= support_bound(game)
+    assert report.certificate.max_probability_bits() <= probability_bit_bound(game)
+    assert report.support <= report.distinct_cuts
+
+
+class TestFinishWithColgen:
+    """A capped purified run finished by pricing on its probe program."""
+
+    def test_rescues_the_cap(self):
+        g = random_game("nfg", 4, 2, u_max=10, seed=7)
+        report = compute_exact_ce(g, SolveConfig(max_iters=2, finish_with_colgen=True))
+        assert report.used_fallback
+        assert_certified(g, report)
+
+    @pytest.mark.parametrize("family", ["polymatrix", "nfg"])
+    def test_past_the_brute_force_cap(self, family):
+        # 2^13 profiles, more than the brute-force reference takes. The
+        # rescue writes no transcript line: the report's transcript is the
+        # one the failed run attaches, and iterations stays the cap, while
+        # distinct_cuts counts the profiles priced after it too
+        g = random_game(family, 13, 2, u_max=10, seed=0)
+        assert g.num_profiles > solver.BRUTE_FORCE_PROFILE_CAP
+        with pytest.raises(SolverError, match="iteration cap 10") as info:
+            compute_exact_ce(g, SolveConfig(max_iters=10))
+        report = compute_exact_ce(g, SolveConfig(max_iters=10, finish_with_colgen=True))
+        assert report.used_fallback
+        assert report.transcript.to_jsonl() == info.value.transcript.to_jsonl()
+        assert report.iterations == 10
+        assert report.distinct_cuts > len(report.transcript.roster)
+        assert_certified(g, report)
+
+    def test_probe_stride_with_a_cap(self):
+        # the columns the stride left unprobed join the program first
+        g = random_game("polymatrix", 4, 3, u_max=10, seed=95)
+        config = SolveConfig(max_iters=50, probe_stride=3, finish_with_colgen=True)
+        with mock.patch.object(solver.MinViolation, "dual",
+                               autospec=True, side_effect=exact_lp.MinViolation.dual) as spy:
+            report = compute_exact_ce(g, config)
+        assert report.used_fallback and spy.call_count > 0
+        assert len(report.transcript.roster) % 3
+        assert_certified(g, report)
+
+    def test_repeated_profile_raises(self, monkeypatch):
+        # an oracle that answers the rescue with a profile already collected
+        g = random_game("nfg", 4, 2, u_max=10, seed=7)
+        cuts = []
+
+        def repeating(game, y, tie_break):
+            cuts.append(oracles.purified_separation(game, y, tie_break))
+            if len(cuts) <= 2:  # the ellipsoid's two iterations
+                return cuts[-1]
+            assert len(cuts) < 10, "the rescue went on after a repeat"
+            return next(cut for cut in cuts if isinstance(cut, oracles.ProfileCut))
+
+        monkeypatch.setattr(solver, "purified_separation", repeating)
+        with pytest.raises(SolverError, match="repeated profile"):
+            compute_exact_ce(g, SolveConfig(max_iters=2, finish_with_colgen=True))
+
+    @pytest.mark.parametrize("tie_break", oracles.TIE_BREAKS)
+    def test_every_suite_game(self, tie_break):
+        for family, players, actions, u_max, seed in helpers.suite_specs():
+            g = random_game(family, players, actions, u_max=u_max, seed=seed)
+            for cap in (2, 10, 50):
+                config = SolveConfig(max_iters=cap, tie_break=tie_break,
+                                     finish_with_colgen=True)
+                report = compute_exact_ce(g, config)
+                assert report.iterations <= cap
+                assert_certified(g, report)
 
 
 class TestRowCeiling:
