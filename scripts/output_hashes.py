@@ -17,9 +17,8 @@ run. The groups are:
   under those tie breaks;
 * `ladder`: the polymatrix ladder rungs 5x3, 6x3 and 8x2 of the benchmark
   (its 4x3 rung, seed 95, is a suite game);
-* `rescue`: the suite games capped at 2 iterations and finished with
-  colgen, which prices on the probe program past the cap (84 of them reach
-  it).
+* `rescue`: the suite games at 2 ellipsoid iterations, after which the
+  probe program prices on alone (84 of them reach it).
 
 A solve that raises prints its error message in place of the hashes, and
 the script then exits 1 once every solve has run, so that a failure on both
@@ -73,7 +72,7 @@ def solves():
         yield f"ladder {spec.label}", game, SolveConfig(**spec.config_kwargs())
     for family, players, actions, seed in suite:
         game = random_game(family, players, actions, u_max=workloads.U_MAX, seed=seed)
-        config = SolveConfig(max_iters=2, finish_with_colgen=True, seed=seed)
+        config = SolveConfig(max_iters=2, seed=seed)
         yield f"rescue {family} {players}x{actions} seed {seed}", game, config
 
 

@@ -286,7 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
                      default=defaults.precision_bits, metavar="BITS",
                      help="working precision in bits, default %(default)s")
     run.add_argument("--max-iters", type=int, default=defaults.max_iters,
-                     help="iteration cap, default %(default)s; theoretical mode "
+                     help="ellipsoid iterations, default %(default)s, before the purified "
+                          "solve prices on its probe program alone; theoretical mode "
                           "ignores it and stops by its certified iteration bound")
     run.add_argument("--probe-stride", type=int, default=defaults.probe_stride)
 
@@ -296,9 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--mode", choices=MODES, default=defaults.mode)
     solve.add_argument("--oracle", choices=ORACLES, default=defaults.oracle)
     solve.add_argument("--tie-break", choices=TIE_BREAKS, default=defaults.tie_break)
-    solve.add_argument("--finish-with-colgen", action="store_true",
-                       help="on iteration cap, finish by pricing profiles on the "
-                            "collected columns (purified oracle only)")
     solve.add_argument("--output", "-o", default=None, help="report path, - for stdout")
     solve.add_argument("--ce-output", default=None,
                        help="also write the bare certificate JSON here")

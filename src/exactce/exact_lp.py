@@ -18,12 +18,13 @@ fail. A solve decides every one of them on one MinViolation program, min t
 over mixtures of the collected columns shifted up by t, held open as columns
 arrive in the manner of column generation (Gilmore and Gomory; Dantzig and
 Wolfe): it takes the cuts' unit-free normals, and t is 0 exactly when some
-distribution clears every row. A feasible probe ends the run, and the final
-program is then solved cold once, by try_feasible_bfs or mixture_feasible,
-whose vertex is the certificate or the mixture, so neither depends on the
-probes' pivot path. When the product oracle's last probe failed,
-min_violation_mixture reads (t, alpha) off the optimum of a fresh program
-instead.
+distribution clears every row. A feasible probe ends the run; a purified
+run that stopped otherwise prices fresh profiles on this program at its
+dual until it is feasible. The final program is then solved cold once, by
+try_feasible_bfs or mixture_feasible, whose vertex is the certificate or
+the mixture, so neither depends on the probes' pivot path. When the
+product oracle's last probe failed, min_violation_mixture reads (t, alpha)
+off the optimum of a fresh program instead.
 
 That program's columns are the product cuts' row values, whose entries run
 to hundreds of bits, so min_violation_mixture guesses its optimal basis

@@ -13,15 +13,15 @@ Both oracles share one pipeline. One incremental MinViolation program per
 solve alone decides every probe of the collected columns: it takes each
 cut's unit-free normal, since a positive column scale does not change
 whether the columns admit a distribution, and a feasible probe ends the run.
-The cold LP then runs once over the final roster, and its vertex is the
+The cold LP then runs once over the final columns, and its vertex is the
 answer: try_feasible_bfs for profile columns; for product columns,
 mixture_feasible after a feasible probe, and otherwise min_violation_mixture,
 a fresh MinViolation over the cuts with their units.
 
-A capped purified run raises SolverError unless finish_with_colgen is set;
-then the probe program prices on, one fresh oracle profile per round at its
-optimal dual, until the columns admit a distribution. No solve calls the
-reference brute_force_ce.
+Every purified run ends one way, however the ellipsoid stopped: the probe
+program takes the columns it has not seen, then prices on, one fresh oracle
+profile per round at its optimal dual, until the columns admit a
+distribution. No solve calls the reference brute_force_ce.
 """
 
 from __future__ import annotations
@@ -94,9 +94,8 @@ class SolveConfig:
     oracle: str = "purified"
     tie_break: str = "first"
     precision_bits: int = 256
-    max_iters: int = 2000  # the practical cap; theoretical mode runs to its certified one
+    max_iters: int = 2000  # ellipsoid iterations before the probe prices alone (practical)
     seed: int = 0  # recorded for provenance; the solve itself is deterministic
-    finish_with_colgen: bool = False  # price on the probe program past the cap
     probe_stride: int = 1
 
     def __post_init__(self):
@@ -106,8 +105,8 @@ class SolveConfig:
             raise ValueError(f"unknown oracle {self.oracle!r}")
         if self.tie_break not in TIE_BREAKS:
             raise ValueError(f"unknown tie break {self.tie_break!r}")
-        if self.oracle != "purified" and (self.mode == "theoretical" or self.finish_with_colgen):
-            raise ValueError("theoretical mode and finish_with_colgen need the purified oracle")
+        if self.oracle != "purified" and self.mode == "theoretical":
+            raise ValueError("theoretical mode needs the purified oracle")
         check_int("max_iters", self.max_iters)
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
@@ -120,9 +119,6 @@ class SolveConfig:
         if self.probe_stride < 1:
             raise ValueError("probe_stride must be positive")
         check_int("seed", self.seed)
-        if not isinstance(self.finish_with_colgen, bool):
-            raise ValueError(
-                f"finish_with_colgen must be a bool, not {self.finish_with_colgen!r}")
 
 
 @dataclass(frozen=True)
@@ -199,32 +195,30 @@ def _game_summary(game: Game) -> dict:
 
 
 def _certificate(game: Game, config: SolveConfig, transcript: Transcript,
-                 program: MinViolation, max_iters: int) -> tuple[SparseCE, int]:
+                 program: MinViolation) -> tuple[SparseCE, int]:
     """The purified solve's verified certificate and how many profile columns it had.
 
-    It is the cold LP's vertex over the collected columns. A capped run with
-    finish_with_colgen first prices on the probe program: at its optimal dual
-    y >= 0 each held column has c.y <= -t < 0 and the oracle's c.y >= 0, so
-    each round brings a fresh profile until the columns admit a distribution.
+    The probe program first takes the columns probe_stride skipped, then
+    prices on: at its optimal dual y >= 0 each held column has c.y <= -t < 0
+    and the oracle's c.y >= 0, so each round brings a fresh profile until the
+    columns admit a distribution. A run that a probe ended prices nothing.
+    The certificate is the cold LP's vertex over every column.
     """
     columns = [cut.column for cut in transcript.roster]
-    if transcript.capped:
-        if not config.finish_with_colgen:
-            raise SolverError(f"iteration cap {max_iters} reached before the collected "
-                              "cuts admitted a distribution", transcript)
-        for column in columns[program.added:]:  # the ones probe_stride skipped
-            program.add(column.dense())
-        while not program.feasible():
-            point = IntegerPoint(*program.dual(transcript.n_rows))
-            column = purified_separation(game, point, config.tie_break).column
-            if any(held.profile == column.profile for held in columns):
-                raise SolverError(f"the oracle repeated profile {column.profile} "
-                                  "at the probe program's dual", transcript)
-            columns.append(column)
-            program.add(column.dense())
+    for column in columns[program.added:]:
+        program.add(column.dense())
+    while not program.feasible():
+        point = IntegerPoint(*program.dual(transcript.n_rows))
+        column = purified_separation(game, point, config.tie_break).column
+        if any(held.profile == column.profile for held in columns):
+            raise SolverError(f"the oracle repeated profile {column.profile} "
+                              "at the probe program's dual", transcript)
+        columns.append(column)
+        program.add(column.dense())
     ce = try_feasible_bfs(CutLP(columns=tuple(columns)))
     if ce is None:
-        raise SolverError("run ended but the collected cuts admit no distribution", transcript)
+        raise SolverError("the probe program found the collected columns feasible "
+                          "but the cold LP did not", transcript)
 
     check = verify_ce(game, ce)
     if not check.verdict:
@@ -293,8 +287,9 @@ def compute_exact_ce(game: Game, config: SolveConfig | None = None) -> SolveRepo
     """Solve for a correlated equilibrium under the given configuration.
 
     Purified oracle: returns an exactly verified sparse certificate with
-    violation zero, or raises SolverError (with the transcript attached) if
-    the iteration cap is hit and finish_with_colgen is off.
+    violation zero. Past max_iters (or the theoretical volume floor) the
+    probe program prices on alone, so a run ends with a certificate; a
+    SolverError (with the transcript attached) means a failed internal check.
 
     Product oracle: returns the best mixture of collected product
     distributions with its exact worst-row shortfall, zero or positive.
@@ -327,7 +322,7 @@ def compute_exact_ce(game: Game, config: SolveConfig | None = None) -> SolveRepo
                      stop_log_volume=stop)
 
     if purified:
-        certificate, distinct_cuts = _certificate(game, config, transcript, program, cap)
+        certificate, distinct_cuts = _certificate(game, config, transcript, program)
         mixture, support, epsilon = None, certificate.support, Fraction(0)
     else:
         # the last probe's answer: asked again, the program resumes from an
@@ -347,7 +342,7 @@ def compute_exact_ce(game: Game, config: SolveConfig | None = None) -> SolveRepo
         support=support,
         exact_epsilon=epsilon,
         verified=epsilon == 0,
-        used_fallback=transcript.capped and config.finish_with_colgen,
+        used_fallback=distinct_cuts > len(transcript.roster),
         wall_ms=(time.perf_counter() - started) * 1000.0,
         certificate=certificate,
         mixture=mixture,

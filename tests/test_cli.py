@@ -24,12 +24,14 @@ except ModuleNotFoundError:  # Python 3.10
     tomllib = None
 
 import exactce
+import helpers
 from exactce import (
     SparseCE,
     compute_exact_ce,
     load_game,
     load_game_file,
     random_game,
+    solver,
     verify_ce,
 )
 from exactce.cli import (
@@ -208,32 +210,41 @@ class TestSolveVerify:
         assert run_cli("verify", "--input", str(game),
                        "--ce", str(tmp_path / "nope.json")) == 2
 
-    def test_iteration_cap_exits_2_with_transcript(self, tmp_path, capsys):
+    def test_capped_solve_exits_0_with_transcript(self, tmp_path):
+        # past the cap the probe program prices on; the transcript keeps the
+        # ellipsoid's two iterations only
+        game = gen_game(tmp_path, seed=7, players=4)
+        transcript = tmp_path / "cuts.jsonl"
+        report, ce = tmp_path / "r.json", tmp_path / "ce.json"
+        rc = run_cli("solve", "--input", str(game), "--max-iters", "2",
+                     "--transcript", str(transcript), "--output", str(report),
+                     "--ce-output", str(ce))
+        assert rc == 0
+        assert len(transcript.read_text().splitlines()) == 2
+        doc = json.loads(report.read_text())
+        assert doc["used_fallback"] is True and doc["verified"] is True
+        assert doc["iterations"] == 2
+        assert run_cli("verify", "--input", str(game), "--ce", str(ce)) == 0
+
+    def test_failed_solve_exits_2_with_transcript(self, tmp_path, capsys, monkeypatch):
+        # an oracle that repeats a profile at the probe program's dual fails
+        # the solve after the ellipsoid's two iterations, which are written
+        monkeypatch.setattr(solver, "purified_separation", helpers.repeating_separation(2))
         game = gen_game(tmp_path, seed=7, players=4)
         transcript = tmp_path / "cuts.jsonl"
         rc = run_cli("solve", "--input", str(game), "--max-iters", "2",
                      "--transcript", str(transcript))
         assert rc == 2
-        assert "error" in capsys.readouterr().err
+        assert "repeated profile" in capsys.readouterr().err
         assert len(transcript.read_text().splitlines()) == 2
-
-    def test_fallback_flag_rescues_cap(self, tmp_path):
-        game = gen_game(tmp_path, seed=7, players=4)
-        report = tmp_path / "r.json"
-        rc = run_cli("solve", "--input", str(game), "--max-iters", "2",
-                     "--finish-with-colgen", "--output", str(report))
-        assert rc == 0
-        doc = json.loads(report.read_text())
-        assert doc["used_fallback"] is True and doc["verified"] is True
 
     @pytest.mark.parametrize("family", ["polymatrix", "nfg"])
     def test_colgen_finishes_past_the_brute_force_cap(self, tmp_path, family):
-        # 2^13 profiles: the rescue prices a few of them, whatever the count
+        # 2^13 profiles: pricing takes a few of them, whatever the count
         game = gen_game(tmp_path, players=13, family=family)
         report, ce = tmp_path / "r.json", tmp_path / "ce.json"
-        assert run_cli("solve", "--input", str(game), "--max-iters", "10") == 2
         rc = run_cli("solve", "--input", str(game), "--max-iters", "10",
-                     "--finish-with-colgen", "--output", str(report), "--ce-output", str(ce))
+                     "--output", str(report), "--ce-output", str(ce))
         assert rc == 0
         doc = json.loads(report.read_text())
         assert doc["used_fallback"] is True and doc["iterations"] == 10
@@ -293,19 +304,20 @@ class TestBench:
         assert [r["seed"] for r in rows] == ["3", "5"]
 
     def test_failed_game_is_error_and_rest_still_written(self, tmp_path, capsys):
-        # at one iteration seed 0 solves and seed 1 hits the cap
+        # 2x2 solves; the 5x3 product epsilon at 200 iterations has more
+        # digits than a report can print
         csv_path = tmp_path / "bench.csv"
-        rc = run_cli("bench", "--family", "nfg", "--sizes", "2x2",
-                     "--seeds", "0:2", "--max-iters", "1",
+        rc = run_cli("bench", "--family", "polymatrix", "--sizes", "2x2,5x3",
+                     "--seeds", "0:1", "--oracles", "product", "--max-iters", "200",
                      "--csv", str(csv_path))
         assert rc == 2
         err = capsys.readouterr().err
         failures = [line for line in err.splitlines() if line.startswith("error:")]
         assert len(failures) == 1
-        assert "seed=1 " in failures[0] and "iteration cap 1" in failures[0]
+        assert "players=5 actions=3 seed=0 " in failures[0] and "digits" in failures[0]
         with open(csv_path, newline="") as handle:
             rows = list(csv.DictReader(handle))
-        assert [r["seed"] for r in rows] == ["0"]
+        assert [(r["n"], r["actions"]) for r in rows] == [("2", "2x2")]
 
     def test_bad_sizes_is_error(self, capsys):
         assert run_cli("bench", "--sizes", "twoxtwo") == 2
@@ -368,9 +380,8 @@ BAD_SETTINGS = [
     pytest.param(["bench", "--family", "nfg", "--sizes", "2x2", "--seeds", "0:1",
                   "--oracles", "product", "--tie-breaks", "bogus"],
                  id="bench-product-tie-break-bogus"),
-    # the rescue prices profiles, which the product oracle does not give
-    pytest.param(["solve", "--oracle", "product", "--finish-with-colgen"],
-                 id="solve-product-finish-with-colgen"),
+    pytest.param(["solve", "--mode", "theoretical", "--oracle", "product"],
+                 id="solve-theoretical-product"),
     pytest.param(["solve", "--output", "missing/x.json"], id="solve-output-missing-dir"),
     pytest.param(["solve", "--output", "r.json", "--ce-output", "missing/x.json"],
                  id="solve-ce-output-missing-dir"),

@@ -92,10 +92,6 @@ class TestConfig:
         {"seed": "x"},
         {"seed": 1.5},
         {"seed": True},
-        {"finish_with_colgen": "no"},
-        {"finish_with_colgen": 1},
-        {"finish_with_colgen": None},
-        {"oracle": "product", "finish_with_colgen": True},
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(ValueError):
@@ -263,19 +259,12 @@ class TestPurifiedSolve:
         ce = compute_exact_ce(g).certificate
         assert SparseCE.from_json(ce.to_json()) == ce
 
-    def test_iteration_cap_raises_with_transcript(self):
-        g = random_game("nfg", 4, 2, u_max=10, seed=7)  # needs several cuts
-        with pytest.raises(SolverError) as info:
-            compute_exact_ce(g, SolveConfig(max_iters=2))
-        assert info.value.transcript is not None
-        assert len(info.value.transcript.entries) == 2
-
     def test_capped_solve_numbers_its_transcript_lines(self):
-        # a failed solve's transcript is numbered like a finished one's
+        # a capped solve's transcript is numbered like an uncapped one's
         g = random_game("nfg", 4, 2, u_max=10, seed=7)
-        with pytest.raises(SolverError, match="iteration cap 6") as info:
-            compute_exact_ce(g, SolveConfig(max_iters=6))
-        lines = info.value.transcript.to_jsonl().splitlines()
+        report = compute_exact_ce(g, SolveConfig(max_iters=6))
+        assert report.transcript.capped
+        lines = report.transcript.to_jsonl().splitlines()
         assert [json.loads(line)["iter"] for line in lines] == [1, 2, 3, 4, 5, 6]
 
     def test_probe_stride_still_finishes(self):
@@ -322,15 +311,17 @@ class TestPurifiedSolve:
         assert (stop.hex(), cap) == (floor.hex(), want_cap)
 
     def test_theoretical_mode_ignores_max_iters(self):
-        # the certified cap takes max_iters' place: a cap of 3 fails in
-        # practical mode, and theoretical mode still gives its default answer
+        # the certified cap takes max_iters' place: practical mode prices on
+        # after 3 iterations, and theoretical mode still gives its default answer
         g = random_game("polymatrix", 3, 3, u_max=10, seed=33)
-        with pytest.raises(SolverError, match="iteration cap 3 "):
-            compute_exact_ce(g, SolveConfig(max_iters=3))
+        practical = compute_exact_ce(g, SolveConfig(max_iters=3))
+        assert practical.iterations == 3 and practical.used_fallback
+        assert_certified(g, practical)
         default = compute_exact_ce(g, SolveConfig(mode="theoretical"))
         report = compute_exact_ce(g, SolveConfig(mode="theoretical", max_iters=3))
         assert report.certificate == default.certificate
         assert report.iterations == default.iterations == 32
+        assert not report.used_fallback
 
     def test_report_json_shape(self):
         g = random_game("nfg", 2, 2, u_max=10, seed=3)
@@ -381,7 +372,7 @@ class TestPurifiedSolve:
         # seed 95's first profile column admits no distribution on its own
         g = random_game("polymatrix", 4, 3, u_max=10, seed=95)
         with mock.patch.object(solver, "MinViolation", AlwaysFeasible):
-            with pytest.raises(SolverError, match="admit no distribution") as info:
+            with pytest.raises(SolverError, match="the cold LP did not") as info:
                 compute_exact_ce(g)
         assert len(info.value.transcript.roster) == 1  # the run ended at its first probe
 
@@ -396,35 +387,57 @@ def assert_certified(game, report):
 
 
 class TestFinishWithColgen:
-    """A capped purified run finished by pricing on its probe program."""
+    """Every purified run's one finish: pricing on its probe program."""
 
     def test_rescues_the_cap(self):
+        # the transcript keeps the ellipsoid's two iterations only
         g = random_game("nfg", 4, 2, u_max=10, seed=7)
-        report = compute_exact_ce(g, SolveConfig(max_iters=2, finish_with_colgen=True))
-        assert report.used_fallback
+        report = compute_exact_ce(g, SolveConfig(max_iters=2))
+        assert report.used_fallback and report.transcript.capped
+        assert report.iterations == len(report.transcript.entries) == 2
         assert_certified(g, report)
 
     @pytest.mark.parametrize("family", ["polymatrix", "nfg"])
     def test_past_the_brute_force_cap(self, family):
-        # 2^13 profiles, more than the brute-force reference takes. The
-        # rescue writes no transcript line: the report's transcript is the
-        # one the failed run attaches, and iterations stays the cap, while
+        # 2^13 profiles, more than the brute-force reference takes. Pricing
+        # writes no transcript line, so iterations stays the cap, while
         # distinct_cuts counts the profiles priced after it too
         g = random_game(family, 13, 2, u_max=10, seed=0)
         assert g.num_profiles > solver.BRUTE_FORCE_PROFILE_CAP
-        with pytest.raises(SolverError, match="iteration cap 10") as info:
-            compute_exact_ce(g, SolveConfig(max_iters=10))
-        report = compute_exact_ce(g, SolveConfig(max_iters=10, finish_with_colgen=True))
-        assert report.used_fallback
-        assert report.transcript.to_jsonl() == info.value.transcript.to_jsonl()
-        assert report.iterations == 10
+        report = compute_exact_ce(g, SolveConfig(max_iters=10))
+        assert report.used_fallback and report.transcript.capped
+        assert report.iterations == len(report.transcript.entries) == 10
         assert report.distinct_cuts > len(report.transcript.roster)
         assert_certified(g, report)
+
+    @pytest.mark.parametrize("tie_break", oracles.TIE_BREAKS)
+    def test_volume_floor_before_the_columns_are_feasible(self, tie_break):
+        # a theoretical run that reaches its floor uncapped prices on too
+        g = random_game("nfg", 4, 2, u_max=10, seed=7)
+        config = SolveConfig(mode="theoretical", tie_break=tie_break)
+        with mock.patch.object(solver, "certified_stop", return_value=(1e9, 100)):
+            report = compute_exact_ce(g, config)
+        assert not report.transcript.capped and report.iterations == 1
+        assert len(report.transcript.roster) == 1
+        assert report.used_fallback and report.distinct_cuts > 1
+        assert_certified(g, report)
+
+    @pytest.mark.parametrize("tie_break", oracles.TIE_BREAKS)
+    def test_no_pricing_when_the_probe_finished(self, tie_break):
+        # a run that a feasible probe ended asks the program for no dual
+        with mock.patch.object(solver.MinViolation, "dual", autospec=True,
+                               side_effect=exact_lp.MinViolation.dual) as spy:
+            for family, players, actions, u_max, seed in helpers.suite_specs():
+                g = random_game(family, players, actions, u_max=u_max, seed=seed)
+                report = compute_exact_ce(g, SolveConfig(tie_break=tie_break))
+                assert not report.used_fallback
+                assert report.distinct_cuts == len(report.transcript.roster)
+        assert spy.call_count == 0
 
     def test_probe_stride_with_a_cap(self):
         # the columns the stride left unprobed join the program first
         g = random_game("polymatrix", 4, 3, u_max=10, seed=95)
-        config = SolveConfig(max_iters=50, probe_stride=3, finish_with_colgen=True)
+        config = SolveConfig(max_iters=50, probe_stride=3)
         with mock.patch.object(solver.MinViolation, "dual",
                                autospec=True, side_effect=exact_lp.MinViolation.dual) as spy:
             report = compute_exact_ce(g, config)
@@ -433,28 +446,18 @@ class TestFinishWithColgen:
         assert_certified(g, report)
 
     def test_repeated_profile_raises(self, monkeypatch):
-        # an oracle that answers the rescue with a profile already collected
+        # an oracle that answers the pricing with a profile already collected
         g = random_game("nfg", 4, 2, u_max=10, seed=7)
-        cuts = []
-
-        def repeating(game, y, tie_break):
-            cuts.append(oracles.purified_separation(game, y, tie_break))
-            if len(cuts) <= 2:  # the ellipsoid's two iterations
-                return cuts[-1]
-            assert len(cuts) < 10, "the rescue went on after a repeat"
-            return next(cut for cut in cuts if isinstance(cut, oracles.ProfileCut))
-
-        monkeypatch.setattr(solver, "purified_separation", repeating)
+        monkeypatch.setattr(solver, "purified_separation", helpers.repeating_separation(2))
         with pytest.raises(SolverError, match="repeated profile"):
-            compute_exact_ce(g, SolveConfig(max_iters=2, finish_with_colgen=True))
+            compute_exact_ce(g, SolveConfig(max_iters=2))
 
     @pytest.mark.parametrize("tie_break", oracles.TIE_BREAKS)
     def test_every_suite_game(self, tie_break):
         for family, players, actions, u_max, seed in helpers.suite_specs():
             g = random_game(family, players, actions, u_max=u_max, seed=seed)
             for cap in (2, 10, 50):
-                config = SolveConfig(max_iters=cap, tie_break=tie_break,
-                                     finish_with_colgen=True)
+                config = SolveConfig(max_iters=cap, tie_break=tie_break)
                 report = compute_exact_ce(g, config)
                 assert report.iterations <= cap
                 assert_certified(g, report)
@@ -471,10 +474,16 @@ class TestRowCeiling:
         assert spy.call_count == 0
 
     def test_boundary_runs(self):
+        # the run starts and reaches the finish, which is stopped there: on
+        # 1024 rows pricing to a certificate takes seconds
         g = random_game("nfg", 1, 32, u_max=10, seed=0)
         assert row_count(g) == solver.MAX_INCENTIVE_ROWS == 1024
-        with pytest.raises(SolverError, match="iteration cap 1"):
-            compute_exact_ce(g, SolveConfig(max_iters=1))
+        with mock.patch.object(solver, "_certificate",
+                               side_effect=SolverError("stopped at the finish")) as spy:
+            with pytest.raises(SolverError, match="stopped at the finish"):
+                compute_exact_ce(g, SolveConfig(max_iters=1))
+        transcript = spy.call_args.args[2]
+        assert transcript.n_rows == 1024 and len(transcript.entries) == 1
 
 
 class TestPublicSurface:
