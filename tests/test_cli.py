@@ -214,17 +214,23 @@ class TestSolveVerify:
         # past the cap the probe program prices on; the transcript keeps the
         # ellipsoid's two iterations only
         game = gen_game(tmp_path, seed=7, players=4)
-        transcript = tmp_path / "cuts.jsonl"
-        report, ce = tmp_path / "r.json", tmp_path / "ce.json"
+        transcript, ce = tmp_path / "cuts.jsonl", tmp_path / "ce.json"
         rc = run_cli("solve", "--input", str(game), "--max-iters", "2",
-                     "--transcript", str(transcript), "--output", str(report),
-                     "--ce-output", str(ce))
+                     "--transcript", str(transcript), "--ce-output", str(ce))
         assert rc == 0
         assert len(transcript.read_text().splitlines()) == 2
+        assert run_cli("verify", "--input", str(game), "--ce", str(ce)) == 0
+
+    def test_capped_solve_reports_the_pricing(self, tmp_path):
+        # the profiles priced after the cap count in distinct_cuts only
+        game = gen_game(tmp_path, seed=7, players=4)
+        report = tmp_path / "r.json"
+        rc = run_cli("solve", "--input", str(game), "--max-iters", "2",
+                     "--output", str(report))
+        assert rc == 0
         doc = json.loads(report.read_text())
         assert doc["used_fallback"] is True and doc["verified"] is True
-        assert doc["iterations"] == 2
-        assert run_cli("verify", "--input", str(game), "--ce", str(ce)) == 0
+        assert doc["iterations"] == 2 and doc["distinct_cuts"] > 2
 
     def test_failed_solve_exits_2_with_transcript(self, tmp_path, capsys, monkeypatch):
         # an oracle that repeats a profile at the probe program's dual fails

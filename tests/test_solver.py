@@ -259,6 +259,15 @@ class TestPurifiedSolve:
         ce = compute_exact_ce(g).certificate
         assert SparseCE.from_json(ce.to_json()) == ce
 
+    def test_iteration_cap_keeps_its_transcript(self):
+        # the transcript keeps the ellipsoid's two iterations only; the
+        # profiles priced after the cap are in distinct_cuts
+        g = random_game("nfg", 4, 2, u_max=10, seed=7)  # needs several cuts
+        report = compute_exact_ce(g, SolveConfig(max_iters=2))
+        assert report.transcript.capped
+        assert report.iterations == len(report.transcript.entries) == 2
+        assert report.distinct_cuts > len(report.transcript.roster)
+
     def test_capped_solve_numbers_its_transcript_lines(self):
         # a capped solve's transcript is numbered like an uncapped one's
         g = random_game("nfg", 4, 2, u_max=10, seed=7)
@@ -390,11 +399,9 @@ class TestFinishWithColgen:
     """Every purified run's one finish: pricing on its probe program."""
 
     def test_rescues_the_cap(self):
-        # the transcript keeps the ellipsoid's two iterations only
         g = random_game("nfg", 4, 2, u_max=10, seed=7)
         report = compute_exact_ce(g, SolveConfig(max_iters=2))
-        assert report.used_fallback and report.transcript.capped
-        assert report.iterations == len(report.transcript.entries) == 2
+        assert report.used_fallback
         assert_certified(g, report)
 
     @pytest.mark.parametrize("family", ["polymatrix", "nfg"])
