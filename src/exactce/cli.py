@@ -221,8 +221,8 @@ def _bench_configs(args: argparse.Namespace) -> list[SolveConfig]:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    families = (FAMILIES if args.family == "both"
-                else [f.strip() for f in args.family.split(",")])
+    families = [f.strip() for f in args.family.split(",")]
+    families = list(FAMILIES) if families == ["both"] else families
     try:
         sizes = _parse_sizes(args.sizes)
         seeds = _parse_seeds(args.seeds)
@@ -319,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = subs.add_parser("bench", parents=[run], help="run a sweep and emit CSV timings")
     bench.add_argument("--family", default="both",
-                       help="nfg, polymatrix, both, or a comma list")
+                       help=f"{', '.join(FAMILIES)}, both, or a comma list")
     bench.add_argument("--sizes", default="2x2,3x2",
                        help="comma list of PLAYERSxACTIONS")
     bench.add_argument("--seeds", default="0:3", help="LO:HI range or comma list")

@@ -27,11 +27,8 @@ from .errors import GameFormatError
 
 PureProfile = tuple[int, ...]
 
-FAMILIES = ("nfg", "polymatrix")
-
-# The most payoffs a game may store: players * prod(m) entries of a
-# normal-form table, or sum over ordered pairs p != q of m_p * m_q polymatrix
-# block entries. Larger games are refused before anything is allocated.
+# The most payoffs a game may store, as its family's stored_payoffs counts
+# them. Larger games are refused before anything is allocated.
 MAX_STORED_PAYOFFS = 1 << 20
 
 
@@ -187,11 +184,19 @@ def _is_count(value) -> bool:
 
 @dataclass(frozen=True)
 class Game:
-    """Base type: immutable game with nonnegative integer payoffs."""
+    """Base type: immutable game with nonnegative integer payoffs.
+
+    A family is one subclass plus its FAMILIES entry. Besides the surface
+    below, the subclass gives its document type (family), size rule (the
+    static stored_payoffs(actions)), loader (the classmethod from_document),
+    generator (the classmethod draw(actions, u_max, rng)) and purify step
+    engine (purify_steps, a key of oracles._PURIFY_STEPS). The normal-form
+    steps read only the surface below, so they serve a family naming none."""
 
     actions: tuple[int, ...]
 
     family = "abstract"
+    purify_steps = "normal_form"
 
     def __post_init__(self):
         if not self.actions:
@@ -375,11 +380,46 @@ class NormalFormGame(Game):
 
     def to_document(self) -> dict:
         return {
-            "type": "nfg",
+            "type": self.family,
             "players": self.players,
             "actions": list(self.actions),
             "payoffs": [list(t) for t in self.tables],
         }
+
+    @staticmethod
+    def stored_payoffs(actions: Sequence[int]) -> int:
+        """players * prod(m) table entries, or a count past the ceiling."""
+        stored = len(actions)
+        for m in actions:
+            stored *= m
+            if stored > MAX_STORED_PAYOFFS:
+                break
+        return stored
+
+    @classmethod
+    def from_document(cls, doc: dict) -> NormalFormGame:
+        actions = _check_header(doc, cls)
+        payoffs = doc.get("payoffs")
+        m = math.prod(actions)
+        if not isinstance(payoffs, list) or len(payoffs) != len(actions):
+            raise GameFormatError("payoffs must list one table per player")
+        tables = []
+        for p, raw in enumerate(payoffs):
+            if not isinstance(raw, list) or len(raw) != m:
+                raise GameFormatError(f"player {p}: payoff table must have exactly {m} entries")
+            where = f"player {p} entry {{}}"
+            values = [_parse_utility(v, where, k) for k, v in enumerate(raw)]
+            ((table,),) = _integerize([[values]])
+            _check_printable(table, f"player {p}")
+            tables.append(table)
+        return cls(actions=actions, tables=tuple(tables))
+
+    @classmethod
+    def draw(cls, actions: tuple[int, ...], u_max: int, rng: random.Random) -> NormalFormGame:
+        """Players ascending, each table's entries row-major."""
+        m = math.prod(actions)
+        tables = tuple(tuple(rng.randint(0, u_max) for _ in range(m)) for _ in actions)
+        return cls(actions=actions, tables=tables)
 
 
 @dataclass(frozen=True)
@@ -394,6 +434,7 @@ class PolymatrixGame(Game):
     blocks: tuple[tuple[tuple[tuple[int, ...], ...] | None, ...], ...] = ()
 
     family = "polymatrix"
+    purify_steps = "polymatrix"
 
     def __post_init__(self):
         super().__post_init__()
@@ -489,107 +530,105 @@ class PolymatrixGame(Game):
                         {"p": p, "q": q, "matrix": [list(row) for row in self.blocks[p][q]]}
                     )
         return {
-            "type": "polymatrix",
+            "type": self.family,
             "players": self.players,
             "actions": list(self.actions),
             "edges": edges,
         }
 
+    @staticmethod
+    def stored_payoffs(actions: Sequence[int]) -> int:
+        """sum over ordered pairs p != q of m_p * m_q block entries."""
+        return sum(actions) ** 2 - sum(m * m for m in actions)
+
+    @classmethod
+    def from_document(cls, doc: dict) -> PolymatrixGame:
+        actions = _check_header(doc, cls)
+        n = len(actions)
+        edges = doc.get("edges")
+        if not isinstance(edges, list):
+            raise GameFormatError("edges must be a list")
+        raw: dict[tuple[int, int], list[list[int | Fraction]]] = {}
+        for k, edge in enumerate(edges):
+            if not isinstance(edge, dict):
+                raise GameFormatError(f"edge {k}: must be an object")
+            p, q = edge.get("p"), edge.get("q")
+            if not (is_int(p) and is_int(q) and 0 <= p < n and 0 <= q < n):
+                raise GameFormatError(f"edge {k}: bad player pair ({p!r}, {q!r})")
+            if p == q:
+                raise GameFormatError(f"edge {k}: self edge on player {p}")
+            if (p, q) in raw:
+                raise GameFormatError(f"edge {k}: duplicate edge ({p}, {q})")
+            matrix = edge.get("matrix")
+            if not isinstance(matrix, list) or len(matrix) != actions[p]:
+                raise GameFormatError(f"edge {k}: matrix must have {actions[p]} rows")
+            parsed = []
+            for i, row in enumerate(matrix):
+                if not isinstance(row, list) or len(row) != actions[q]:
+                    raise GameFormatError(f"edge {k} row {i}: expected {actions[q]} entries")
+                where = f"edge {k} entry ({i},{{}})"
+                parsed.append([_parse_utility(v, where, j) for j, v in enumerate(row)])
+            raw[(p, q)] = parsed
+
+        blocks: list[list[tuple[tuple[int, ...], ...] | None]] = [[None] * n for _ in range(n)]
+        for p in range(n):
+            others = [q for q in range(n) if q != p]
+            # an absent interaction is a zero matrix
+            stored = _integerize(
+                [raw.get((p, q), [[0] * actions[q]] * actions[p]) for q in others])
+            for q, block in zip(others, stored):
+                _check_printable([max(row) for row in block], f"player {p} block ({p},{q})")
+                blocks[p][q] = block
+        return cls(actions=actions, blocks=tuple(tuple(row) for row in blocks))
+
+    @classmethod
+    def draw(cls, actions: tuple[int, ...], u_max: int, rng: random.Random) -> PolymatrixGame:
+        """Ordered pairs (p, q) ascending, each block's entries row-major."""
+        def block(p: int, q: int) -> tuple[tuple[int, ...], ...]:
+            return tuple(tuple(rng.randint(0, u_max) for _ in range(actions[q]))
+                         for _ in range(actions[p]))
+        n = len(actions)
+        return cls(actions=actions, blocks=tuple(
+            tuple(None if p == q else block(p, q) for q in range(n)) for p in range(n)))
+
 
 # ---------- loading ----------
 
 
+# document type -> Game subclass, read by loading, generation and the CLI
+FAMILIES = {cls.family: cls for cls in (NormalFormGame, PolymatrixGame)}
+
+
+def _family_class(name) -> type[Game]:
+    """FAMILIES[name], or GameFormatError naming the families."""
+    if isinstance(name, str) and name in FAMILIES:  # a JSON list is unhashable
+        return FAMILIES[name]
+    raise GameFormatError(f"unknown game type {name!r}: a family is one of {', '.join(FAMILIES)}")
+
+
 def _size_error(family: str, players: int) -> GameFormatError:
     return GameFormatError(
-        f"a {family} game of {players} players stores more than "
-        f"{MAX_STORED_PAYOFFS} payoffs"
-    )
+        f"a {family} game of {players} players stores more than {MAX_STORED_PAYOFFS} payoffs")
 
 
-def _check_size(family: str, actions: Sequence[int]) -> None:
-    """Refuse a game that would store more than MAX_STORED_PAYOFFS payoffs."""
-    if family == "nfg":
-        stored = len(actions)
-        for m in actions:
-            stored *= m
-            if stored > MAX_STORED_PAYOFFS:
-                break
-    else:
-        stored = sum(actions) ** 2 - sum(m * m for m in actions)
-    if stored > MAX_STORED_PAYOFFS:
-        raise _size_error(family, len(actions))
-
-
-def _check_header(doc: dict, family: str) -> tuple[int, ...]:
-    players = doc.get("players")
-    if not _is_count(players):
-        raise GameFormatError("players must be a positive integer")
-    actions = doc.get("actions")
-    if not isinstance(actions, list) or len(actions) != players:
-        raise GameFormatError("actions must list one entry per player")
+def _check_counts(cls: type[Game], players: int, actions) -> tuple[int, ...]:
+    """actions as a tuple if they are one positive int per player and a cls
+    game of them stores at most MAX_STORED_PAYOFFS payoffs, else GameFormatError."""
+    if not isinstance(actions, (list, tuple)) or len(actions) != players:
+        raise GameFormatError("actions must list one count per player")
     for p, m in enumerate(actions):
         if not _is_count(m):
             raise GameFormatError(f"player {p}: action count must be a positive integer")
-    _check_size(family, actions)
+    if cls.stored_payoffs(actions) > MAX_STORED_PAYOFFS:
+        raise _size_error(cls.family, players)
     return tuple(actions)
 
 
-def _load_nfg(doc: dict) -> NormalFormGame:
-    actions = _check_header(doc, "nfg")
-    payoffs = doc.get("payoffs")
-    m = math.prod(actions)
-    if not isinstance(payoffs, list) or len(payoffs) != len(actions):
-        raise GameFormatError("payoffs must list one table per player")
-    tables = []
-    for p, raw in enumerate(payoffs):
-        if not isinstance(raw, list) or len(raw) != m:
-            raise GameFormatError(f"player {p}: payoff table must have exactly {m} entries")
-        where = f"player {p} entry {{}}"
-        values = [_parse_utility(v, where, k) for k, v in enumerate(raw)]
-        ((table,),) = _integerize([[values]])
-        _check_printable(table, f"player {p}")
-        tables.append(table)
-    return NormalFormGame(actions=actions, tables=tuple(tables))
-
-
-def _load_polymatrix(doc: dict) -> PolymatrixGame:
-    actions = _check_header(doc, "polymatrix")
-    n = len(actions)
-    edges = doc.get("edges")
-    if not isinstance(edges, list):
-        raise GameFormatError("edges must be a list")
-    raw: dict[tuple[int, int], list[list[int | Fraction]]] = {}
-    for k, edge in enumerate(edges):
-        if not isinstance(edge, dict):
-            raise GameFormatError(f"edge {k}: must be an object")
-        p, q = edge.get("p"), edge.get("q")
-        if not (is_int(p) and is_int(q) and 0 <= p < n and 0 <= q < n):
-            raise GameFormatError(f"edge {k}: bad player pair ({p!r}, {q!r})")
-        if p == q:
-            raise GameFormatError(f"edge {k}: self edge on player {p}")
-        if (p, q) in raw:
-            raise GameFormatError(f"edge {k}: duplicate edge ({p}, {q})")
-        matrix = edge.get("matrix")
-        if not isinstance(matrix, list) or len(matrix) != actions[p]:
-            raise GameFormatError(f"edge {k}: matrix must have {actions[p]} rows")
-        parsed = []
-        for i, row in enumerate(matrix):
-            if not isinstance(row, list) or len(row) != actions[q]:
-                raise GameFormatError(f"edge {k} row {i}: expected {actions[q]} entries")
-            where = f"edge {k} entry ({i},{{}})"
-            parsed.append([_parse_utility(v, where, j) for j, v in enumerate(row)])
-        raw[(p, q)] = parsed
-
-    blocks: list[list[tuple[tuple[int, ...], ...] | None]] = [[None] * n for _ in range(n)]
-    for p in range(n):
-        others = [q for q in range(n) if q != p]
-        # an absent interaction is a zero matrix
-        stored = _integerize(
-            [raw.get((p, q), [[0] * actions[q]] * actions[p]) for q in others])
-        for q, block in zip(others, stored):
-            _check_printable([max(row) for row in block], f"player {p} block ({p},{q})")
-            blocks[p][q] = block
-    return PolymatrixGame(actions=actions, blocks=tuple(tuple(row) for row in blocks))
+def _check_header(doc: dict, cls: type[Game]) -> tuple[int, ...]:
+    players = doc.get("players")
+    if not _is_count(players):
+        raise GameFormatError("players must be a positive integer")
+    return _check_counts(cls, players, doc.get("actions"))
 
 
 def load_game(document: dict | str) -> Game:
@@ -603,73 +642,37 @@ def load_game(document: dict | str) -> Game:
             raise GameFormatError("not valid JSON: nested too deeply to decode") from exc
     if not isinstance(document, dict):
         raise GameFormatError("game document must be a JSON object")
-    kind = document.get("type")
-    if kind == "nfg":
-        return _load_nfg(document)
-    if kind == "polymatrix":
-        return _load_polymatrix(document)
-    raise GameFormatError(f"unknown game type {kind!r}")
+    return _family_class(document.get("type")).from_document(document)
 
 
 def load_game_file(path) -> Game:
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    return load_game(text)
+        return load_game(fh.read())
 
 
 # ---------- generation ----------
 
 
 def check_random_setting(family: str, players: int, actions, u_max: int) -> tuple[int, ...]:
-    """The action counts of random_game's setting, or GameFormatError.
-
-    Nothing is allocated before the size check, so an oversize setting is
-    refused at once.
-    """
-    if family not in FAMILIES:
-        raise GameFormatError(f"unknown family {family!r}")
+    """The action counts of random_game's setting, or GameFormatError."""
+    cls = _family_class(family)
     if not _is_count(players):
         raise GameFormatError("players must be a positive integer")
     if players > MAX_STORED_PAYOFFS:
-        # checked before counts is built: with two players or more, either
+        # checked before counts is built: with two players or more, every
         # family stores at least one payoff per player
         raise _size_error(family, players)
-    if isinstance(actions, int):
-        counts = (actions,) * players
-    else:
-        counts = tuple(actions)
-        if len(counts) != players:
-            raise GameFormatError("actions must be an int or one count per player")
-    if not all(map(_is_count, counts)):
-        raise GameFormatError("action counts must be positive integers")
     if not is_int(u_max) or u_max < 0:
         raise GameFormatError("u_max must be a nonnegative integer")
-    _check_size(family, counts)
-    return counts
+    counts = (actions,) * players if isinstance(actions, int) else tuple(actions)
+    return _check_counts(cls, players, counts)
 
 
 def random_game(family: str, players: int, actions, u_max: int, seed: int) -> Game:
     """Deterministic random game; every drawn utility is uniform on {0..u_max}.
 
-    The draw order is fixed (players ascending, then entries row-major; for
-    polymatrix, ordered pairs ascending), so a seed pins the game exactly.
+    The family's draw fixes the order of the draws, so a seed pins the game
+    exactly.
     """
     counts = check_random_setting(family, players, actions, u_max)
-    rng = random.Random(seed)
-    if family == "nfg":
-        m = math.prod(counts)
-        tables = tuple(
-            tuple(rng.randint(0, u_max) for _ in range(m)) for _ in range(players)
-        )
-        return NormalFormGame(actions=counts, tables=tables)
-    blocks: list[list[tuple[tuple[int, ...], ...] | None]] = [
-        [None] * players for _ in range(players)
-    ]
-    for p in range(players):
-        for q in range(players):
-            if p != q:
-                blocks[p][q] = tuple(
-                    tuple(rng.randint(0, u_max) for _ in range(counts[q]))
-                    for _ in range(counts[p])
-                )
-    return PolymatrixGame(actions=counts, blocks=tuple(tuple(row) for row in blocks))
+    return FAMILIES[family].draw(counts, u_max, random.Random(seed))

@@ -51,20 +51,13 @@ reads the point's rate blocks once, for the stationary step and the
 rounding both.
 
 The rounding (purify) starts at the stationary product and keeps each
-player's own (T, W); it never forms D. A fixed player is a point mass, and
-every open player's flows are zero, so step p scores its branches over the
-open players' denominators only: L prod_{q > p} T_q for normal form, whose
-kernels are products over the players, and L lcm_{q > p} T_q for
-polymatrix, whose kernels are sums. Each branch is one Python integer, the
-branch's value V times that positive factor, so its sign tests and
-comparisons are exact integer ones, with no gcd and no row vector. V is
-affine in each player's mix, so all of one player's branches are scored
-from one linear form: the kernel of the player being fixed and, for normal
-form, the conditional payoff jacobians of the players already fixed, or,
-for polymatrix, two running sums over the fixed players' flows. The
-welfare, scored only under the "welfare" tie break, the one that reads it,
-needs every jacobian. The exactness guard is on the flows: each player's
-must vanish at its stationary weights, which makes V zero.
+player's own (T, W); it never forms D. The game's class names its step
+engine (Game.purify_steps): the normal-form steps, which read only the Game
+surface, or the polymatrix steps, which read the blocks. Either scores a
+step's branches as Python integers, each the branch's value V times a
+positive factor of the step, so the sign tests and comparisons are exact,
+with no gcd and no row vector. The exactness guard is on the flows: each
+player's must vanish at its stationary weights, which makes V zero.
 """
 
 from __future__ import annotations
@@ -426,6 +419,10 @@ def _polymatrix_steps(game, rates, outflows, mixes, profile, welfare):
             outgoing[q] = [g + row[a] for g, row in zip(outgoing[q], matrices[q][p])]
 
 
+# Game.purify_steps names the engine that rounds a game of its family
+_PURIFY_STEPS = {"normal_form": _normal_form_steps, "polymatrix": _polymatrix_steps}
+
+
 def _choose(tie_break: str, values: list[int], welfare: list[int] | None) -> int:
     """The action purify fixes, among the branches with nonnegative value."""
     kept = [a for a, v in enumerate(values) if v >= 0]
@@ -479,7 +476,7 @@ def purify(game: Game, y: DualPoint, tie_break: str = "first") -> PureProfile:
            for block, out, (_, weights) in zip(rates, outflows, stationary)):
         raise SolverError(_STATIONARY_FAILED)
 
-    steps = _polymatrix_steps if game.family == "polymatrix" else _normal_form_steps
+    steps = _PURIFY_STEPS[game.purify_steps]
     profile: list[int] = []
     for values, welfare in steps(game, rates, outflows, stationary, profile,
                                  tie_break == "welfare"):

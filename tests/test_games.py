@@ -330,8 +330,24 @@ class TestRandomGame:
             random_game("nfg", 3, (2, 3), u_max=3, seed=0)
 
     def test_unknown_family(self):
-        with pytest.raises(GameFormatError, match="family"):
+        with pytest.raises(GameFormatError, match="family is one of nfg, polymatrix$"):
             random_game("graphical", 2, 2, u_max=3, seed=0)
+
+    @pytest.mark.parametrize("family", sorted(games.FAMILIES))
+    def test_family_owns_its_document_type(self, family):
+        cls = games.FAMILIES[family]
+        g = random_game(family, 3, (2, 3, 2), u_max=9, seed=4)
+        assert type(g) is cls and g.family == family
+        document = g.to_document()
+        assert document["type"] == family
+        assert load_game(document) == g
+        assert load_game(json.dumps(document)) == g
+
+    @pytest.mark.parametrize("unknown", ["graphical", "NFG", None, ["nfg"]])
+    def test_unknown_document_type_names_the_families(self, unknown):
+        with pytest.raises(GameFormatError,
+                           match="^unknown game type .*: a family is one of nfg, polymatrix$"):
+            load_game({"type": unknown, "players": 1, "actions": [1]})
 
     @pytest.mark.parametrize("players, actions, u_max", [
         (True, 2, 5), (2, True, 5), (2, (2, True), 5), (2, 2, True), (2, 2, False),
@@ -384,11 +400,8 @@ class TestSizeCeiling:
         ("polymatrix", [725, 725], True),
     ])
     def test_stored_payoff_count(self, family, actions, refused):
-        if refused:
-            with pytest.raises(GameFormatError, match="stores more than"):
-                games._check_size(family, actions)
-        else:
-            games._check_size(family, actions)
+        stored = games.FAMILIES[family].stored_payoffs(actions)
+        assert (stored > games.MAX_STORED_PAYOFFS) == refused
 
     def test_nfg_document_refused(self):
         with pytest.raises(GameFormatError, match="stores more than 1048576 payoffs"):

@@ -242,6 +242,21 @@ class TestPurifiedSolve:
                 assert report.exact_epsilon == 0
                 assert report.mixture is None
 
+    @pytest.mark.parametrize("tie_break", ["first", "max-value", "welfare"])
+    def test_polymatrix_steps_match_the_normal_form_steps(self, tie_break):
+        # the two purify step engines round the same game to the same
+        # profiles, so the whole run and its certificate agree byte for byte
+        config = SolveConfig(tie_break=tie_break)
+        for players, actions in [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)]:
+            for seed in range(6):
+                g = random_game("polymatrix", players, actions, u_max=10, seed=seed)
+                flat = helpers.expand_to_normal_form(g)
+                assert (g.purify_steps, flat.purify_steps) == ("polymatrix", "normal_form")
+                poly, nfg = compute_exact_ce(g, config), compute_exact_ce(flat, config)
+                assert poly.transcript.to_jsonl() == nfg.transcript.to_jsonl()
+                assert (json.dumps(poly.certificate.to_json())
+                        == json.dumps(nfg.certificate.to_json()))
+
     def test_agreement_with_brute_force(self):
         g = random_game("polymatrix", 3, 2, u_max=10, seed=6)
         fast = compute_exact_ce(g).certificate
