@@ -189,14 +189,13 @@ class Game:
     A family is one subclass plus its FAMILIES entry. Besides the surface
     below, the subclass gives its document type (family), size rule (the
     static stored_payoffs(actions)), loader (the classmethod from_document),
-    generator (the classmethod draw(actions, u_max, rng)) and purify step
-    engine (purify_steps, a key of oracles._PURIFY_STEPS). The normal-form
-    steps read only the surface below, so they serve a family naming none."""
+    generator (the classmethod draw(actions, u_max, rng)). Its purify step
+    engine is the class's entry in oracles._PURIFY_STEPS; a class with none
+    gets the normal-form steps, which read only the surface below."""
 
     actions: tuple[int, ...]
 
     family = "abstract"
-    purify_steps = "normal_form"
 
     def __post_init__(self):
         if not self.actions:
@@ -434,7 +433,6 @@ class PolymatrixGame(Game):
     blocks: tuple[tuple[tuple[tuple[int, ...], ...] | None, ...], ...] = ()
 
     family = "polymatrix"
-    purify_steps = "polymatrix"
 
     def __post_init__(self):
         super().__post_init__()
@@ -647,7 +645,8 @@ def load_game(document: dict | str) -> Game:
 
 def load_game_file(path) -> Game:
     with open(path, "r", encoding="utf-8") as fh:
-        return load_game(fh.read())
+        text = fh.read()
+    return load_game(text)
 
 
 # ---------- generation ----------

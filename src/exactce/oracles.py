@@ -51,12 +51,12 @@ reads the point's rate blocks once, for the stationary step and the
 rounding both.
 
 The rounding (purify) starts at the stationary product and keeps each
-player's own (T, W); it never forms D. The game's class names its step
-engine (Game.purify_steps): the normal-form steps, which read only the Game
-surface, or the polymatrix steps, which read the blocks. Either scores a
-step's branches as Python integers, each the branch's value V times a
-positive factor of the step, so the sign tests and comparisons are exact,
-with no gcd and no row vector. The exactness guard is on the flows: each
+player's own (T, W); it never forms D. _PURIFY_STEPS gives the step engine
+by the game's class: the polymatrix steps, which read the blocks, or by
+default the normal-form steps, which read only the Game surface. Either
+scores a step's branches as Python integers, each the branch's value V
+times a positive factor of the step, so the sign tests and comparisons are
+exact, with no gcd and no row vector. The exactness guard is on the flows: each
 player's must vanish at its stationary weights, which makes V zero.
 """
 
@@ -71,7 +71,7 @@ from typing import Sequence
 
 from .errors import SolverError
 from .exact_lp import _gauss_jordan, stationary_distribution
-from .games import Game, Mix, ProductDistribution, PureProfile, over_lcm
+from .games import Game, Mix, PolymatrixGame, ProductDistribution, PureProfile, over_lcm
 from .incentives import (
     IncentiveColumn,
     RowIndex,
@@ -419,8 +419,9 @@ def _polymatrix_steps(game, rates, outflows, mixes, profile, welfare):
             outgoing[q] = [g + row[a] for g, row in zip(outgoing[q], matrices[q][p])]
 
 
-# Game.purify_steps names the engine that rounds a game of its family
-_PURIFY_STEPS = {"normal_form": _normal_form_steps, "polymatrix": _polymatrix_steps}
+# the step engine of each game class that has its own; every other class,
+# a new family's too, gets _normal_form_steps
+_PURIFY_STEPS = {PolymatrixGame: _polymatrix_steps}
 
 
 def _choose(tie_break: str, values: list[int], welfare: list[int] | None) -> int:
@@ -476,7 +477,7 @@ def purify(game: Game, y: DualPoint, tie_break: str = "first") -> PureProfile:
            for block, out, (_, weights) in zip(rates, outflows, stationary)):
         raise SolverError(_STATIONARY_FAILED)
 
-    steps = _PURIFY_STEPS[game.purify_steps]
+    steps = _PURIFY_STEPS.get(type(game), _normal_form_steps)
     profile: list[int] = []
     for values, welfare in steps(game, rates, outflows, stationary, profile,
                                  tie_break == "welfare"):

@@ -400,8 +400,13 @@ class TestSizeCeiling:
         ("polymatrix", [725, 725], True),
     ])
     def test_stored_payoff_count(self, family, actions, refused):
-        stored = games.FAMILIES[family].stored_payoffs(actions)
-        assert (stored > games.MAX_STORED_PAYOFFS) == refused
+        cls = games.FAMILIES[family]
+        assert (cls.stored_payoffs(actions) > games.MAX_STORED_PAYOFFS) == refused
+        if refused:
+            with pytest.raises(GameFormatError, match="stores more than"):
+                games._check_counts(cls, len(actions), actions)
+        else:
+            assert games._check_counts(cls, len(actions), actions) == tuple(actions)
 
     def test_nfg_document_refused(self):
         with pytest.raises(GameFormatError, match="stores more than 1048576 payoffs"):

@@ -251,7 +251,8 @@ class TestPurifiedSolve:
             for seed in range(6):
                 g = random_game("polymatrix", players, actions, u_max=10, seed=seed)
                 flat = helpers.expand_to_normal_form(g)
-                assert (g.purify_steps, flat.purify_steps) == ("polymatrix", "normal_form")
+                assert [oracles._PURIFY_STEPS.get(type(x)) for x in (g, flat)] == [
+                    oracles._polymatrix_steps, None]
                 poly, nfg = compute_exact_ce(g, config), compute_exact_ce(flat, config)
                 assert poly.transcript.to_jsonl() == nfg.transcript.to_jsonl()
                 assert (json.dumps(poly.certificate.to_json())
